@@ -14,7 +14,7 @@ from .energies import (
 )
 from .fields import EnergySpec, PiecewiseLinearMap, ScalarField
 from .gradients import HajlaszResult, cheeger_surrogate, hajlasz_minimal, path_integral
-from .kernels import KernelSpec, kernel_comparability, pair_rho
+from .kernels import KernelSpec, kernel_comparability
 from .parallel import get_workers, set_workers
 from .space import (
     DoublingReport,
@@ -72,7 +72,6 @@ __all__ = [
     "nguyen_a",
     "nguyen_b",
     "nguyen_sweep",
-    "pair_rho",
     "parse_body",
     "path_integral",
     "save_space",

@@ -44,6 +44,7 @@ from .verify import render_text, reports_to_json, run_suite
 
 INPUT_ERROR = 2
 CHECK_FAILED = 1
+MAX_GRID_POINTS = 1000
 
 
 def _fail(message: str) -> None:
@@ -88,11 +89,10 @@ def parse_grid(text: str) -> list[float]:
         _fail(f"bad grid {text!r}; expected A:B:STEP")
     if step == 0:
         _fail(f"grid step must be nonzero in {text!r}")
-    count = int(round((b - a) / step))
-    grid = [a + k * step for k in range(count + 1)]
-    if not grid:
-        _fail(f"empty grid {text!r}")
-    return grid
+    count = (b - a) / step
+    if not 0.0 <= count < MAX_GRID_POINTS:  # NaN fails too
+        _fail(f"grid {text!r} must step from A to B in fewer than {MAX_GRID_POINTS} steps")
+    return [a + k * step for k in range(int(round(count)) + 1)]
 
 
 def _load_space_arg(space: str):

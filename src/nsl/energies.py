@@ -2,9 +2,13 @@
 
 Every double integral over X x X becomes a sum over ordered pairs weighted by
 w(x)w(y); diagonal pairs contribute zero (the numerator vanishes identically
-there). Pair sums run over fixed row blocks and are combined by an
-order-fixed tree reduction, so the result is bit-identical for any worker
-count (see parallel.py).
+there). The Gagliardo, threshold (Nguyen) and K/H energies all go through one
+reducer, _pair_sum: each supplies terms(a, b, d, gap, ww) -> (term, keep) on
+a row block, where d holds the distances, gap = |u(x)-u(y)| and
+ww = w(x)w(y), and the reducer sums term over the off-diagonal pairs where
+keep holds. Row blocks are fixed and combined by an order-fixed tree
+reduction, so the result is bit-identical for any worker count (see
+parallel.py).
 
 Scale quantities at ball radius t:
 
@@ -62,15 +66,25 @@ class ScaleEnergies:
                 raise ValueError(f"scale energy {name} must be finite and >= 0, got {val}")
 
 
-def _pair_sum(space: MetricMeasureSpace, term_rows, workers=None) -> float:
-    """Reduce term_rows(a, b) -> float over fixed row blocks."""
-    return float(block_reduce(space.n, term_rows, workers))
+def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms) -> float:
+    """Sum of the pair terms over off-diagonal pairs where keep holds.
 
+    terms(a, b, d, gap, ww) gets, on rows a..b, the distances d = dist[a:b],
+    the gaps |u(x)-u(y)| and the weight products w(x)w(y), and returns
+    (term, keep), each broadcastable to the block.
+    """
+    w = space.weights
+    cols = np.arange(space.n)
 
-def _offdiag(a: int, b: int, n: int) -> np.ndarray:
-    cols = np.arange(n)[None, :]
-    rows = np.arange(a, b)[:, None]
-    return rows != cols
+    def rows(a: int, b: int) -> float:
+        gap = np.abs(vals[a:b, None] - vals[None, :])
+        # the diagonal divides by d = 0 or by a NaN kernel entry; keep drops it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term, keep = terms(a, b, space.dist[a:b], gap, w[a:b, None] * w[None, :])
+        keep = keep & (np.arange(a, b)[:, None] != cols)
+        return float(np.sum(np.where(keep, term, 0.0)))
+
+    return float(block_reduce(space.n, rows))
 
 
 def gagliardo_p(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
@@ -79,47 +93,31 @@ def gagliardo_p(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
         raise ValueError("gagliardo_p needs the fractional order s")
     vals = as_values(u, space.n)
     rho = kernel_matrix(space, spec.kernel)
-    w = space.weights
-    ps = spec.p * spec.s
-
-    def rows(a: int, b: int) -> float:
-        d = space.dist[a:b]
-        mask = _offdiag(a, b, space.n)
-        num = np.abs(vals[a:b, None] - vals[None, :]) ** spec.p
-        num *= w[a:b, None] * w[None, :]
-        terms = np.zeros_like(d)
-        terms[mask] = num[mask] / (d[mask] ** ps * rho[a:b][mask])
-        return float(np.sum(terms))
-
-    return _pair_sum(space, rows)
+    p, ps = spec.p, spec.p * spec.s
+    return _pair_sum(
+        space, vals, lambda a, b, d, gap, ww: (gap**p * ww / (d**ps * rho[a:b]), True)
+    )
 
 
-def _nguyen(space: MetricMeasureSpace, u, spec: EnergySpec, radius: float | None) -> float:
+def _nguyen(space: MetricMeasureSpace, u, spec: EnergySpec, radius: float) -> float:
     if spec.delta is None:
         raise ValueError("the threshold functional needs delta")
     vals = as_values(u, space.n)
     rho = kernel_matrix(space, spec.kernel)
-    w = space.weights
     delta, p = spec.delta, spec.p
-
-    def rows(a: int, b: int) -> float:
-        d = space.dist[a:b]
-        gap = np.abs(vals[a:b, None] - vals[None, :])
-        mask = _offdiag(a, b, space.n) & (gap > delta)
-        if radius is not None:
-            mask &= d <= radius
-        terms = np.zeros_like(d)
-        terms[mask] = (
-            delta**p / (rho[a:b][mask] * d[mask] ** p) * (w[a:b, None] * w[None, :])[mask]
-        )
-        return float(np.sum(terms))
-
-    return _pair_sum(space, rows)
+    return _pair_sum(
+        space,
+        vals,
+        lambda a, b, d, gap, ww: (
+            delta**p / (rho[a:b] * d**p) * ww,
+            (gap > delta) & (d <= radius),
+        ),
+    )
 
 
 def nguyen_a(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """Threshold functional: delta^p-weighted sum over {|u(x)-u(y)| > delta}."""
-    return _nguyen(space, u, spec, None)
+    return _nguyen(space, u, spec, np.inf)
 
 
 def nguyen_b(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
@@ -127,44 +125,6 @@ def nguyen_b(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     if spec.r is None:
         raise ValueError("nguyen_b needs the radius r")
     return _nguyen(space, u, spec, spec.r)
-
-
-def _k_energy(space, vals, spec: EnergySpec, t: float) -> float:
-    rho = kernel_matrix(space, spec.kernel)
-    w = space.weights
-
-    def rows(a: int, b: int) -> float:
-        d = space.dist[a:b]
-        mask = _offdiag(a, b, space.n) & (d <= t)
-        terms = np.zeros_like(d)
-        terms[mask] = (
-            np.abs(vals[a:b, None] - vals[None, :])[mask] ** spec.p
-            / rho[a:b][mask]
-            * (w[a:b, None] * w[None, :])[mask]
-        )
-        return float(np.sum(terms))
-
-    return _pair_sum(space, rows)
-
-
-def _h_energy(space, vals, p: float, t: float, mass_radius: float | None = None) -> float:
-    """H at scale t; mass_radius overrides the ball radius in the denominator."""
-    m = space.ball_masses(t if mass_radius is None else mass_radius)
-    w = space.weights
-
-    def rows(a: int, b: int) -> float:
-        d = space.dist[a:b]
-        mask = _offdiag(a, b, space.n) & (d <= t)
-        denom = np.sqrt(m[a:b, None] * m[None, :])
-        terms = np.zeros_like(d)
-        terms[mask] = (
-            np.abs(vals[a:b, None] - vals[None, :])[mask] ** p
-            / denom[mask]
-            * (w[a:b, None] * w[None, :])[mask]
-        )
-        return float(np.sum(terms))
-
-    return _pair_sum(space, rows)
 
 
 def _ball_pair_totals(space, t: float, numer_rows) -> np.ndarray:
@@ -222,8 +182,15 @@ def scale_energies(space: MetricMeasureSpace, u, spec: EnergySpec) -> ScaleEnerg
     if spec.t is None:
         raise ValueError("scale energies need the ball radius t")
     vals = as_values(u, space.n)
-    k = _k_energy(space, vals, spec, spec.t)
-    h = _h_energy(space, vals, spec.p, spec.t)
+    p, t = spec.p, spec.t
+    rho = kernel_matrix(space, spec.kernel)
+    m = space.ball_masses(t)
+    k = _pair_sum(space, vals, lambda a, b, d, gap, ww: (gap**p / rho[a:b] * ww, d <= t))
+    h = _pair_sum(
+        space,
+        vals,
+        lambda a, b, d, gap, ww: (gap**p / np.sqrt(m[a:b, None] * m[None, :]) * ww, d <= t),
+    )
     s = scale_s_by_balls(space, u, spec)
     return ScaleEnergies(k=k, h=h, s=s)
 

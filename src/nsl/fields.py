@@ -83,17 +83,18 @@ class EnergySpec:
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
     def __post_init__(self) -> None:
-        if self.p < 1:
+        # written as "not x > bound" so that NaN fails every check
+        if not self.p >= 1:
             raise ValueError(f"exponent p must be >= 1, got {self.p}")
         if self.s is not None and not 0.0 < self.s < 1.0:
             raise ValueError(f"fractional order s must be in (0,1), got {self.s}")
-        if self.delta is not None and self.delta <= 0:
+        if self.delta is not None and not self.delta > 0:
             raise ValueError(f"threshold delta must be > 0, got {self.delta}")
-        if self.t is not None and self.t <= 0:
+        if self.t is not None and not self.t > 0:
             raise ValueError(f"scale t must be > 0, got {self.t}")
-        if self.r is not None and self.r <= 0:
+        if self.r is not None and not self.r > 0:
             raise ValueError(f"cutoff r must be > 0, got {self.r}")
-        if self.eps is not None and self.eps <= 0:
+        if self.eps is not None and not self.eps > 0:
             raise ValueError(f"averaging exponent eps must be > 0, got {self.eps}")
 
 

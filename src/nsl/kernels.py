@@ -20,7 +20,7 @@ from .parallel import map_blocks
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
 
-__all__ = ["KernelSpec", "PairKernel", "pair_rho", "kernel_matrix", "kernel_comparability"]
+__all__ = ["KernelSpec", "kernel_matrix", "kernel_comparability"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {self.kind!r}; expected one of {KERNEL_KINDS}")
+        if self.kind in ("ahlfors", "gauge-ahlfors") and not 0.0 < self.exponent < np.inf:
+            raise ValueError(f"kernel exponent must be positive and finite, got {self.exponent}")
         if self.kind == "gauge-ahlfors" and self.body is None:
             object.__setattr__(self, "body", ConvexBody("ball", dim=2))
 
@@ -120,28 +122,6 @@ def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:
         return mat
 
     return space.cache(("kernel", spec.key), build)
-
-
-class PairKernel:
-    """Evaluator for rho(x, y); the diagonal is undefined and rejected."""
-
-    def __init__(self, space, spec: KernelSpec) -> None:
-        self.space = space
-        self.spec = spec
-        self._matrix = kernel_matrix(space, spec)
-
-    def __call__(self, x: int, y: int) -> float:
-        if x == y:
-            raise ValueError(f"kernel is undefined on the diagonal (x = y = {x})")
-        return float(self._matrix[x, y])
-
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-
-def pair_rho(space, spec: KernelSpec) -> PairKernel:
-    """Pair evaluator for the chosen kernel on the given space."""
-    return PairKernel(space, spec)
 
 
 def kernel_comparability(space, spec: KernelSpec):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -71,11 +71,12 @@ class SpaceSpec:
     weights: tuple[float, ...] = ()
 
     def validate(self) -> None:
+        """Check the parameters and the point budget; allocates nothing."""
         g = self.generator
         if g in ("interval", "circle", "gauge_grid"):
             if self.n < 2:
                 raise SpaceError(f"{g} needs n >= 2, got {self.n}")
-        if g == "interval" and self.alpha <= -1.0:
+        if g == "interval" and not self.alpha > -1.0:
             raise SpaceError(f"interval weight exponent must be > -1, got {self.alpha}")
         if g == "torus2d" and (self.nx < 2 or self.ny < 2):
             raise SpaceError(f"torus2d needs nx, ny >= 2, got {self.nx}x{self.ny}")
@@ -85,8 +86,60 @@ class SpaceSpec:
             raise SpaceError(f"sierpinski level must be >= 0, got {self.level}")
         if g == "graph" and not self.edges:
             raise SpaceError("graph needs a nonempty edge list")
+        if g == "graph" and min(min(i, j) for i, j, _ in self.edges) < 0:
+            raise SpaceError("graph vertex ids must be >= 0")
         if g not in ("interval", "circle", "torus2d", "gauge_grid", "graph", "sierpinski"):
             raise SpaceError(f"unknown generator {g!r}")
+        count = self._point_count()
+        if count > MAX_POINTS:
+            raise SpaceError(f"{count} points exceeds the {MAX_POINTS}-point desk-scale budget")
+
+    def _point_count(self) -> int:
+        g = self.generator
+        if g in ("interval", "circle"):
+            return self.n
+        if g == "torus2d":
+            return self.nx * self.ny
+        if g == "gauge_grid":
+            return self.n**2
+        if g == "sierpinski":
+            # (3^(level+1) + 3) / 2 vertices; level 8 already has 9843, so
+            # capping the level there keeps the power small
+            return (3 ** (min(self.level, 8) + 1) + 3) // 2
+        return max(max(i, j) for i, j, _ in self.edges) + 1
+
+    @staticmethod
+    def from_metric(metric: dict[str, Any]) -> SpaceSpec | None:
+        """The spec whose generator writes this metric tag; None if none does."""
+        params = metric.get("params")
+        if not isinstance(params, dict):
+            return None
+        gen = params.get("generator")
+        try:
+            if gen == "interval":
+                return SpaceSpec(gen, n=int(params["n"]), alpha=float(params["alpha"]))
+            if gen == "circle":
+                return SpaceSpec(gen, n=int(params["n"]))
+            if gen == "torus2d":
+                return SpaceSpec(gen, nx=int(params["nx"]), ny=int(params["ny"]))
+            if gen == "gauge_grid":
+                body = ConvexBody.from_dict(params["body"])
+                return SpaceSpec(gen, n=int(params["n"]), body=body)
+            if gen == "sierpinski":
+                return SpaceSpec(gen, level=int(params["level"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SpaceError(f"bad {gen} metric params {params!r}: {exc!r}") from exc
+        return None
+
+    def refined(self) -> SpaceSpec | None:
+        """The same generator at twice the resolution; None if it has no refinement."""
+        if self.generator in ("interval", "circle"):
+            return replace(self, n=2 * self.n)
+        if self.generator == "torus2d":
+            return replace(self, nx=2 * self.nx, ny=2 * self.ny)
+        if self.generator == "sierpinski":
+            return replace(self, level=self.level + 1)
+        return None
 
 
 @dataclass
@@ -161,6 +214,12 @@ class MetricMeasureSpace:
         if np.any(np.diagonal(dist) != 0.0):
             bad = int(np.nonzero(np.diagonal(dist))[0][0])
             raise SpaceError(f"nonzero diagonal distance at point {bad}")
+        if edges is not None:
+            edges = np.asarray(edges, dtype=np.int64)
+            if edges.ndim != 2 or edges.shape[1] != 2:
+                raise SpaceError(f"edges must be an (m, 2) array of point ids, got {edges.shape}")
+            if edges.size and (edges.min() < 0 or edges.max() >= n):
+                raise SpaceError(f"edge point ids must lie in [0, {n})")
 
         self.name = name
         self.n = n
@@ -412,8 +471,8 @@ def _gauge_grid(n: int, body: ConvexBody) -> MetricMeasureSpace:
 def _graph_distances(n: int, edges: Iterable[tuple[int, int, float]]) -> np.ndarray:
     rows, cols, vals = [], [], []
     for i, j, length in edges:
-        if length <= 0:
-            raise SpaceError(f"edge ({i},{j}) has nonpositive length {length}")
+        if not 0.0 < length < math.inf:
+            raise SpaceError(f"edge ({i},{j}) length must be positive and finite, got {length}")
         rows.append(i)
         cols.append(j)
         vals.append(length)
@@ -527,33 +586,6 @@ def _check_triangle_sampled(dist: np.ndarray, samples: int = 20000, seed: int = 
         )
 
 
-def _rebuild_closed_form(metric: dict[str, Any], coords: np.ndarray) -> np.ndarray:
-    """Recompute distances from coords + params by the generator's own code."""
-    kind = metric["type"]
-    params = metric.get("params", {})
-    if kind == "euclidean":
-        if params.get("generator") == "interval":
-            n = int(params["n"])
-            idx = np.arange(n, dtype=np.float64)
-            return np.abs(idx[:, None] - idx[None, :]) / n
-        delta = coords[:, None, :] - coords[None, :, :]
-        return np.sqrt(np.sum(delta**2, axis=2))
-    if kind == "circle":
-        n = coords.shape[0]
-        idx = np.arange(n)
-        k = np.abs(idx[:, None] - idx[None, :])
-        k = np.minimum(k, n - k)
-        return 2.0 * math.pi * k.astype(np.float64) / n
-    if kind == "torus":
-        return _torus_dist_from_indices(int(params["nx"]), int(params["ny"]))
-    if kind == "gauge":
-        body = ConvexBody.from_dict(params["body"])
-        d = gauge_distance_matrix(body, coords, coords)
-        np.fill_diagonal(d, 0.0)
-        return d
-    raise SpaceError(f"unknown metric type {kind!r}")
-
-
 def save_space(space: MetricMeasureSpace, path: str | Path) -> None:
     """Write a space file (JSON document, full-precision floats)."""
     doc: dict[str, Any] = {
@@ -577,29 +609,41 @@ def save_space(space: MetricMeasureSpace, path: str | Path) -> None:
 
 
 def load_space(path: str | Path) -> MetricMeasureSpace:
-    """Read a space file, validating symmetry, weights, and sampled triangles."""
+    """Read a space file, validating symmetry, weights, and sampled triangles.
+
+    Closed-form metrics take their distances from the generator named in the
+    metric tag; "matrix" metrics store them. Every fault in the file raises
+    SpaceError.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:
         raise SpaceError(f"malformed space file {path}: {exc}") from exc
     try:
         n = int(doc["n"])
         metric = doc["metric"]
+        kind = metric["type"]
         weights = np.asarray(doc["weights"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise SpaceError(f"space file {path} is missing field {exc}") from exc
-    if weights.shape[0] != n:
-        raise SpaceError(f"{weights.shape[0]} weights for n={n}")
-    bad = np.nonzero(weights <= 0.0)[0]
+        coords = None
+        if "coords" in doc:
+            dim = int(doc["dim"])
+            if dim < 1:
+                raise ValueError(f"coordinate dimension must be >= 1, got {dim}")
+            coords = np.asarray(doc["coords"], dtype=float).reshape(n, dim)
+        tri = np.asarray(doc.get("matrix", []), dtype=float) if kind == "matrix" else None
+        edges = np.asarray(doc["edges"], dtype=np.int64) if "edges" in doc else None
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise SpaceError(f"space file {path} has a missing or malformed field: {exc!r}") from exc
+    if n < 1 or weights.shape != (n,):
+        raise SpaceError(f"{weights.size} weights for n={n}")
+    bad = np.nonzero(~(weights > 0.0))[0]
     if bad.size:
         raise SpaceError(f"nonpositive weight at point {int(bad[0])}: {weights[bad[0]]!r}")
+    grid = doc.get("grid")
+    if grid is not None and not isinstance(grid, dict):
+        raise SpaceError(f"grid must be an object, got {grid!r}")
 
-    coords = None
-    if "coords" in doc:
-        coords = np.asarray(doc["coords"], dtype=float).reshape(n, int(doc["dim"]))
-
-    if metric["type"] == "matrix":
-        tri = np.asarray(doc.get("matrix", []), dtype=float)
+    if kind == "matrix":
         expect = n * (n - 1) // 2
         if tri.size == n * n:
             full = tri.reshape(n, n)
@@ -617,18 +661,21 @@ def load_space(path: str | Path) -> MetricMeasureSpace:
             dist = dist + dist.T
         else:
             raise SpaceError(f"matrix has {tri.size} entries, expected {expect} or {n * n}")
-        off = ~np.eye(n, dtype=bool)
-        if np.any(dist[off] <= 0.0):
-            masked = np.where(off, dist, np.inf)
-            i, j = np.unravel_index(int(np.argmin(masked)), (n, n))
-            raise SpaceError(f"nonpositive off-diagonal distance at pair ({i},{j})")
+        bad = ~(np.isfinite(dist) & (dist > 0.0))
+        np.fill_diagonal(bad, False)
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            raise SpaceError(f"nonpositive or non-finite off-diagonal distance at pair ({i},{j})")
     else:
-        if coords is None:
-            raise SpaceError(f"metric type {metric['type']!r} needs coords")
-        dist = _rebuild_closed_form(metric, coords)
+        spec = SpaceSpec.from_metric(metric)
+        if spec is None:
+            raise SpaceError(f"metric {metric!r} names no closed-form generator")
+        built = build_space(spec)
+        if built.metric["type"] != kind:
+            raise SpaceError(f"metric type {kind!r} does not match generator {spec.generator!r}")
+        dist = built.dist
 
     _check_triangle_sampled(dist)
-    edges = np.asarray(doc["edges"], dtype=np.int64) if "edges" in doc else None
     return MetricMeasureSpace(
         dist,
         weights,
@@ -636,5 +683,5 @@ def load_space(path: str | Path) -> MetricMeasureSpace:
         name=doc.get("name", "space"),
         metric=metric,
         edges=edges,
-        grid=doc.get("grid"),
+        grid=grid,
     )

@@ -540,18 +540,16 @@ def check_nguyen_averaging(
 # -- minimal gradient vs local slope ---------------------------------------------------
 
 
-def _refined_spec(space: MetricMeasureSpace) -> SpaceSpec | None:
-    params = space.metric.get("params", {})
-    gen = params.get("generator")
-    if gen == "interval":
-        return SpaceSpec("interval", n=2 * params["n"], alpha=params["alpha"])
-    if gen == "circle":
-        return SpaceSpec("circle", n=2 * params["n"])
-    if gen == "torus2d":
-        return SpaceSpec("torus2d", nx=2 * params["nx"], ny=2 * params["ny"])
-    if gen == "sierpinski":
-        return SpaceSpec("sierpinski", level=params["level"] + 1)
-    return None
+def _refine(space: MetricMeasureSpace, refine_field, report) -> MetricMeasureSpace | None:
+    """The space one mesh refinement up, or None with the skipped clause noted."""
+    spec = SpaceSpec.from_metric(space.metric)
+    spec = None if spec is None else spec.refined()
+    if spec is None or refine_field is None:
+        report.note = (
+            "no generator to refine" if spec is None else "no field transfer available"
+        ) + "; stability clause skipped"
+        return None
+    return build_space(spec)
 
 
 def check_hajlasz_bound(
@@ -596,13 +594,9 @@ def check_hajlasz_bound(
         CheckRecord({"space": space.name}, lhs=ratio, rhs=budget, ok=_leq(ratio, budget))
     )
 
-    spec = _refined_spec(space)
-    if spec is None or refine_field is None:
-        report.note = (
-            "no generator to refine" if spec is None else "no field transfer available"
-        ) + "; stability clause skipped"
+    refined = _refine(space, refine_field, report)
+    if refined is None:
         return report
-    refined = build_space(spec)
     ratio2, degenerate2 = ratio_on(refined, refine_field(refined))
     if degenerate2 is not None:
         report.records.append(degenerate2)
@@ -678,13 +672,9 @@ def two_sided_report(
     report.constants.update({"R_bbm": r_bbm, "R_nguyen": r_ngu})
 
     if check_refinement:
-        spec = _refined_spec(space)
-        if spec is None or refine_field is None:
-            report.note = (
-                "no generator to refine" if spec is None else "no field transfer available"
-            ) + "; stability clause skipped"
+        refined = _refine(space, refine_field, report)
+        if refined is None:
             return report
-        refined = build_space(spec)
         r_bbm2, r_ngu2 = ratios_on(refined, refine_field(refined))
         for name, a, b in (("R_bbm", r_bbm, r_bbm2), ("R_nguyen", r_ngu, r_ngu2)):
             shift = abs(b / a - 1.0)

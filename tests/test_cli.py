@@ -1,11 +1,16 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nsl.cli import main
+from nsl import build_space, save_space
+from nsl.cli import main, parse_space_spec
+from nsl.kernels import KERNEL_KINDS
 
 
 @pytest.fixture
@@ -257,3 +262,134 @@ class TestConstants:
     def test_no_selection_exit_2(self, runner):
         result = invoke(runner, ["constants"])
         assert result.exit_code == 2
+
+
+# -- fuzzing: malformed input exits 2 without a traceback ------------------------
+
+JUNK = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=20)
+GENERATORS = ("interval", "circle", "torus2d", "sierpinski", "gauge_grid", "graph")
+DROP = "<drop>"
+# Values that no field of a space file accepts.
+BAD_VALUES = (None, "x", [], {}, [["a"]], {"type": 1}, -1, 0, 1e300, "nan")
+# (path, required) for the fields of each tiny base space's saved file;
+# required fields may also be dropped.
+FILE_FIELDS = {
+    "torus2d:4x4": (
+        (("n",), True), (("metric",), True), (("weights",), True), (("dim",), True),
+        (("metric", "type"), True), (("metric", "params"), True),
+        (("metric", "params", "generator"), True), (("metric", "params", "nx"), True),
+        (("coords",), False), (("edges",), False),
+    ),
+    "circle:8": (
+        (("n",), True), (("weights",), True), (("dim",), True),
+        (("metric", "params"), True), (("metric", "params", "n"), True),
+        (("coords",), False), (("edges",), False),
+    ),
+    "sierpinski:1": (
+        (("n",), True), (("metric",), True), (("weights",), True), (("matrix",), True),
+        (("metric", "type"), True), (("dim",), True), (("edges",), False),
+    ),
+}
+
+
+@st.composite
+def bad_field_cases(draw):
+    base = draw(st.sampled_from(sorted(FILE_FIELDS)))
+    path, required = draw(st.sampled_from(FILE_FIELDS[base]))
+    value = draw(st.sampled_from(BAD_VALUES + ((DROP,) if required else ())))
+    return ("field", base, path, value)
+
+
+def _space_size(low_bad: int, high_bad: int):
+    """Sizes a generator rejects: below its minimum or past the point budget."""
+    return st.one_of(st.integers(-3, low_bad), st.integers(high_bad, 10**12))
+
+
+FUZZ_CASES = st.one_of(
+    bad_field_cases(),
+    st.tuples(
+        st.just("truncated"), st.sampled_from(sorted(FILE_FIELDS)), st.integers(0, 10**9)
+    ),
+    st.tuples(
+        st.just("spec"),
+        st.one_of(
+            _space_size(1, 4097).map(lambda n: f"interval:{n}"),
+            _space_size(1, 4097).map(lambda n: f"circle:{n}"),
+            st.tuples(_space_size(1, 4097), st.integers(2, 8)).map(
+                lambda t: f"torus2d:{t[0]}x{t[1]}"
+            ),
+            _space_size(1, 65).map(lambda n: f"gauge_grid:{n}:square"),
+            _space_size(-1, 8).map(lambda level: f"sierpinski:{level}"),
+            st.sampled_from(
+                ["interval", "interval:8:-1", "interval:8:nan", "circle:nan", "torus2d:4",
+                 "torus2d:4x", "gauge_grid:4", "gauge_grid:4:blob", "sierpinski:",
+                 "graph:missing.csv"]
+            ),
+            JUNK.filter(lambda t: t.strip().split(":")[0] not in GENERATORS),
+        ),
+    ),
+    st.tuples(
+        st.just("grid"),
+        st.one_of(
+            st.tuples(*[st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e300, -1e300,
+                                         0.5, 2.0, -0.5])] * 3).map(
+                lambda t: ":".join(repr(v) for v in t)
+            ),
+            JUNK.filter(lambda t: t.count(":") != 2),
+        ),
+    ),
+    st.tuples(
+        st.just("kernel"),
+        st.one_of(
+            st.sampled_from(
+                ["ahlfors", "ahlfors:x", "ahlfors:nan", "ahlfors:inf", "ahlfors:-1",
+                 "ahlfors:0", "gauge-ahlfors", "gauge-ahlfors:2:blob",
+                 "gauge-ahlfors:nan:square", "gauge-ahlfors:2:ball:3"]
+            ),
+            JUNK.filter(lambda t: t.strip().split(":")[0] not in KERNEL_KINDS),
+        ),
+    ),
+)
+
+
+def _fuzz_args(case) -> list[str]:
+    """CLI arguments for one fuzz case; space files are written to the cwd."""
+    kind = case[0]
+    energy = ["energy", "--field", "sin(x)", "--s", "0.5"]
+    if kind in ("field", "truncated"):
+        save_space(build_space(parse_space_spec(case[1])), "base.space")
+        text = Path("base.space").read_text()
+        if kind == "truncated":
+            # every proper prefix of the JSON object (the file ends in "}\n") is invalid
+            text = text[: case[2] % (len(text) - 1)]
+        else:
+            doc = json.loads(text)
+            *parents, key = case[2]
+            target = doc
+            for name in parents:
+                target = target[name]
+            if case[3] == DROP:
+                del target[key]
+            else:
+                target[key] = case[3]
+            text = json.dumps(doc)
+        Path("bad.space").write_text(text)
+        return energy + ["--space", "bad.space"]
+    if kind == "spec":
+        return energy + ["--space", case[1]]
+    if kind == "grid":
+        return ["sweep", "--mode", "bbm", "--space", "circle:16", "--field", "sin(x)",
+                "--s-grid", case[1]]
+    return energy + ["--space", "circle:16", "--kernel", case[1]]
+
+
+class TestMalformedInputFuzz:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(case=FUZZ_CASES)
+    def test_exit_2_without_traceback(self, case):
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            args = _fuzz_args(case)
+            result = runner.invoke(main, args)
+        assert result.exit_code == 2, (args, result.output, result.exception)
+        assert "Traceback" not in result.output

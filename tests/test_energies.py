@@ -26,22 +26,15 @@ from nsl.kernels import kernel_matrix
 from conftest import random_space
 
 
-def brute_gagliardo(space, u, p, s, kernel):
-    """Independent O(n^2) double loop."""
-    rho = kernel_matrix(space, kernel)
+def brute_pair_sum(space, u, term):
+    """Independent O(n^2) double loop: sum of term(x, y) w(x) w(y) over x != y."""
     total = 0.0
-    vals = u.values
     for x in range(space.n):
         for y in range(space.n):
-            if x == y:
-                continue
-            d = space.dist[x, y]
-            total += (
-                abs(vals[x] - vals[y]) ** p
-                / (d ** (p * s) * rho[x, y])
-                * space.weights[x]
-                * space.weights[y]
-            )
+            if x != y:
+                total += term(x, y, abs(u.values[x] - u.values[y]), space.dist[x, y]) * (
+                    space.weights[x] * space.weights[y]
+                )
     return total
 
 
@@ -63,11 +56,36 @@ class TestGagliardo:
         rng = np.random.default_rng(11)
         sp = random_space(rng, 14)
         u = ScalarField(rng.normal(size=14))
+        p, s, delta, r, t = 2.0, 0.6, 0.8, 0.4, 0.3
+        mass = [np.sum(sp.weights[sp.dist[x] <= t]) for x in range(sp.n)]
         for kernel in (ahlfors1, KernelSpec("rho1"), KernelSpec("geom")):
-            spec = EnergySpec(p=2.0, s=0.6, kernel=kernel)
-            assert gagliardo_p(sp, u, spec) == pytest.approx(
-                brute_gagliardo(sp, u, 2.0, 0.6, kernel), rel=1e-12
+            rho = kernel_matrix(sp, kernel)
+            se = scale_energies(sp, u, EnergySpec(p=p, t=t, kernel=kernel))
+            cases = (
+                (
+                    gagliardo_p(sp, u, EnergySpec(p=p, s=s, kernel=kernel)),
+                    lambda x, y, gap, d: gap**p / (d ** (p * s) * rho[x, y]),
+                ),
+                (
+                    nguyen_a(sp, u, EnergySpec(p=p, delta=delta, kernel=kernel)),
+                    lambda x, y, gap, d: delta**p / (rho[x, y] * d**p) if gap > delta else 0.0,
+                ),
+                (
+                    nguyen_b(sp, u, EnergySpec(p=p, delta=delta, r=r, kernel=kernel)),
+                    lambda x, y, gap, d: (
+                        delta**p / (rho[x, y] * d**p) if gap > delta and d <= r else 0.0
+                    ),
+                ),
+                (se.k, lambda x, y, gap, d: gap**p / rho[x, y] if d <= t else 0.0),
+                (
+                    se.h,
+                    lambda x, y, gap, d: gap**p / math.sqrt(mass[x] * mass[y]) if d <= t else 0.0,
+                ),
             )
+            for value, term in cases:
+                expected = brute_pair_sum(sp, u, term)
+                assert expected > 0.0
+                assert value == pytest.approx(expected, rel=1e-12)
 
     def test_interval_closed_form_mesh_safe(self, ahlfors1):
         # at s = 0.5 and 0.6 the 1024-point grid resolves the singularity
@@ -302,6 +320,11 @@ class TestEnergySpec:
             {"p": 2, "t": -1.0},
             {"p": 2, "r": 0.0},
             {"p": 2, "eps": -0.5},
+            {"p": math.nan},
+            {"p": 2, "delta": math.nan},
+            {"p": 2, "t": math.nan},
+            {"p": 2, "r": math.nan},
+            {"p": 2, "eps": math.nan},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nsl import KernelSpec, SpaceSpec, build_space, kernel_comparability, pair_rho
+from nsl import KernelSpec, SpaceSpec, build_space, kernel_comparability
 from nsl.kernels import kernel_matrix
 
 from conftest import random_space
@@ -22,18 +22,18 @@ def brute_rho1(space):
 class TestKernelValues:
     def test_circle4_rho1_adjacent(self):
         sp = build_space(SpaceSpec("circle", n=4))
-        rho = pair_rho(sp, KernelSpec("rho1"))
-        assert rho(0, 1) == pytest.approx(3 * math.pi / 2)
+        rho = kernel_matrix(sp, KernelSpec("rho1"))
+        assert rho[0, 1] == pytest.approx(3 * math.pi / 2)
 
     def test_interval2_ahlfors(self):
         sp = build_space(SpaceSpec("interval", n=2))
-        rho = pair_rho(sp, KernelSpec("ahlfors", 1.0))
-        assert rho(0, 1) == pytest.approx(0.5)
+        rho = kernel_matrix(sp, KernelSpec("ahlfors", 1.0))
+        assert rho[0, 1] == pytest.approx(0.5)
 
     def test_diagonal_rejected(self, circle64):
-        rho = pair_rho(circle64, KernelSpec("rho1"))
-        with pytest.raises(ValueError, match="diagonal"):
-            rho(3, 3)
+        """The kernel is undefined on the diagonal: every diagonal entry is NaN."""
+        for spec in (KernelSpec("rho1"), KernelSpec("harm"), KernelSpec("ahlfors", 1.0)):
+            assert np.all(np.isnan(np.diagonal(kernel_matrix(circle64, spec))))
 
     def test_rho1_matches_brute_force(self):
         rng = np.random.default_rng(3)

@@ -10,6 +10,7 @@ from nsl import (
     gagliardo_p,
     mollify,
     nguyen_a,
+    nguyen_b,
     scale_energies,
     set_workers,
 )
@@ -77,8 +78,9 @@ class TestEnergyDeterminism:
             set_workers(w)
             g = gagliardo_p(sp, u, EnergySpec(p=2, s=0.7, kernel=KernelSpec("rho1")))
             a = nguyen_a(sp, u, EnergySpec(p=2, delta=0.3, kernel=KernelSpec("rho1")))
+            b = nguyen_b(sp, u, EnergySpec(p=2, delta=0.3, r=0.8, kernel=KernelSpec("rho1")))
             se = scale_energies(sp, u, EnergySpec(p=2, t=0.4, kernel=KernelSpec("rho1")))
             m = mollify(sp, u, 0.3)
-            outputs.append((repr(g), repr(a), repr(se.k), repr(se.h), repr(se.s),
+            outputs.append((repr(g), repr(a), repr(b), repr(se.k), repr(se.h), repr(se.s),
                             m.values.tobytes()))
         assert outputs[0] == outputs[1] == outputs[2]

@@ -12,6 +12,7 @@ from nsl import (
     build_space,
     doubling_constant,
     load_space,
+    parse_body,
     save_space,
 )
 
@@ -82,8 +83,20 @@ class TestGenerators:
             build_space(SpaceSpec("nonsense"))
 
     def test_desk_scale_budget(self):
-        with pytest.raises(SpaceError, match="4096"):
-            build_space(SpaceSpec("interval", n=5000))
+        # validate() rejects from the parameters alone, before any allocation
+        for spec in (
+            SpaceSpec("interval", n=5000),
+            SpaceSpec("circle", n=4097),
+            SpaceSpec("torus2d", nx=65, ny=64),
+            SpaceSpec("gauge_grid", n=65, body=parse_body("square")),
+            SpaceSpec("sierpinski", level=8),
+            SpaceSpec("sierpinski", level=10**9),
+            SpaceSpec("graph", edges=((0, 4096, 1.0),)),
+        ):
+            with pytest.raises(SpaceError, match="4096-point"):
+                spec.validate()
+        SpaceSpec("sierpinski", level=7).validate()  # 3282 points
+        SpaceSpec("torus2d", nx=64, ny=64).validate()
 
 
 class TestBallMeasure:
@@ -177,6 +190,28 @@ class TestDoubling:
         assert rep.c_d_hat <= worst + 1e-9 or rep.c_d_hat == pytest.approx(worst, rel=1e-9)
 
 
+# Schema faults in a saved torus2d:4x4 file; each mutates the document in place.
+MALFORMED = {
+    "no dim": lambda doc: doc.pop("dim"),
+    "negative dim": lambda doc: doc.update(dim=-1),
+    "no nx": lambda doc: doc["metric"]["params"].pop("nx"),
+    "metric is a string": lambda doc: doc.update(metric="torus"),
+    "metric without type": lambda doc: doc["metric"].pop("type"),
+    "type not the generator's": lambda doc: doc["metric"].update(type="circle"),
+    "unknown generator": lambda doc: doc["metric"]["params"].update(generator="sphere"),
+    "short coords": lambda doc: doc.update(coords=doc["coords"][:-3]),
+    "non-numeric weights": lambda doc: doc.update(weights=["heavy"] * 16),
+    "weights not a list": lambda doc: doc.update(weights=0.5),
+    "n not a number": lambda doc: doc.update(n="sixteen"),
+    "n disagrees with params": lambda doc: doc.update(n=8, weights=doc["weights"][:8]),
+    "edge id out of range": lambda doc: doc.update(edges=[[0, 99]]),
+    "negative edge id": lambda doc: doc.update(edges=[[-1, 3]]),
+    "edges not pairs": lambda doc: doc.update(edges=[0, 1, 2]),
+    "grid not an object": lambda doc: doc.update(grid="torus2d"),
+    "empty object": lambda doc: doc.clear(),
+}
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path, circle64):
         path = tmp_path / "c.space"
@@ -199,6 +234,7 @@ class TestPersistence:
         [
             SpaceSpec("interval", n=32, alpha=0.5),
             SpaceSpec("torus2d", nx=5, ny=7),
+            SpaceSpec("circle", n=33),
         ],
     )
     def test_round_trip_closed_form_metrics(self, tmp_path, spec):
@@ -270,10 +306,33 @@ class TestPersistence:
         with pytest.raises(SpaceError, match=r"\(1,2\)"):
             load_space(path)
 
+    def test_nan_distance_names_pair(self, tmp_path):
+        doc = {
+            "name": "bad",
+            "n": 3,
+            "metric": {"type": "matrix", "params": {}},
+            "weights": [1.0, 1.0, 1.0],
+            "matrix": [1.0, float("nan"), 1.0],  # d(0,2) = NaN
+        }
+        path = tmp_path / "bad.space"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpaceError, match=r"\(0,2\)"):
+            load_space(path)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "junk.space"
         path.write_text("{not json")
         with pytest.raises(SpaceError, match="malformed"):
+            load_space(path)
+
+    @pytest.mark.parametrize("fault", sorted(MALFORMED))
+    def test_malformed_doc_raises_space_error(self, tmp_path, fault):
+        path = tmp_path / "t.space"
+        save_space(build_space(SpaceSpec("torus2d", nx=4, ny=4)), path)
+        doc = json.loads(path.read_text())
+        MALFORMED[fault](doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpaceError):
             load_space(path)
 
     def test_loaded_space_keeps_structure(self, tmp_path, circle64):
