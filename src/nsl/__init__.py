@@ -5,6 +5,8 @@ from .energies import (
     ScaleEnergies,
     g_scale,
     gagliardo_p,
+    h_energy,
+    k_energy,
     mollify,
     nguyen_a,
     nguyen_b,
@@ -63,7 +65,9 @@ __all__ = [
     "gagliardo_p",
     "gauge_distance",
     "get_workers",
+    "h_energy",
     "hajlasz_minimal",
+    "k_energy",
     "k_pn",
     "kernel_comparability",
     "ks_sweep",

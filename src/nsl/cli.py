@@ -25,7 +25,7 @@ import numpy as np
 
 from . import parallel
 from .constants import BodyError, gauge_distance, k_pn, parse_body, zstar_norm
-from .energies import gagliardo_p, nguyen_a, nguyen_b, scale_energies
+from .energies import gagliardo_p, h_energy, k_energy, nguyen_a, nguyen_b, scale_s_by_balls
 from .expr import ExprError, parse_field_expr
 from .fields import EnergySpec, ScalarField
 from .gradients import cheeger_surrogate, hajlasz_minimal
@@ -45,6 +45,7 @@ from .verify import render_text, reports_to_json, run_suite
 INPUT_ERROR = 2
 CHECK_FAILED = 1
 MAX_GRID_POINTS = 1000
+SCALE_ENERGIES = {"k": k_energy, "h": h_energy, "s": scale_s_by_balls}
 
 
 def _fail(message: str) -> None:
@@ -225,9 +226,8 @@ def energy(space_arg, field, field_csv, functional, p, kernel, s_order, delta, t
                 return nguyen_a(space, u, EnergySpec(p=p, delta=delta, kernel=kspec))
             if functional == "nguyen-b":
                 return nguyen_b(space, u, EnergySpec(p=p, delta=delta, r=r, kernel=kspec))
-            if functional in ("k", "h", "s"):
-                se = scale_energies(space, u, EnergySpec(p=p, t=t, kernel=kspec))
-                return {"k": se.k, "h": se.h, "s": se.s}[functional]
+            if functional in SCALE_ENERGIES:
+                return SCALE_ENERGIES[functional](space, u, EnergySpec(p=p, t=t, kernel=kspec))
             if functional == "cheeger":
                 return cheeger_surrogate(space, u, p)[0]
             return hajlasz_minimal(space, u, p, cutoff=np.inf if r is None else r).objective

@@ -16,6 +16,9 @@ Scale quantities at ball radius t:
   H_t  = sum_{0 < d <= t} |u(x)-u(y)|^p / sqrt(mu(B(x,t)) mu(B(y,t))) w w
   S_t  = sum_{x'} w(x') mu(B(x',t))^-2 sum_{x,y in B(x',t)} |u(x)-u(y)|^p w w
 
+k_energy, h_energy and scale_s_by_balls compute one each, so a caller pays
+only for what it reads; scale_energies is their bundle.
+
 S_t has a second, algebraically equal route that integrates over the center
 first: S_t = sum_{x,y} |u(x)-u(y)|^p f_t(x,y) w w with
 f_t(x,y) = sum_{x' in B(x,t) ^ B(y,t)} w(x') mu(B(x',t))^-2. Both are
@@ -44,6 +47,8 @@ __all__ = [
     "gagliardo_p",
     "nguyen_a",
     "nguyen_b",
+    "k_energy",
+    "h_energy",
     "scale_energies",
     "scale_s_by_balls",
     "scale_s_by_pairs",
@@ -147,29 +152,52 @@ def _ball_pair_totals(space, t: float, numer_rows) -> np.ndarray:
     return np.concatenate(map_blocks(space.n, rows))
 
 
-def scale_s_by_balls(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
-    """S_t by the direct route: loop over centers, pair sum inside each ball."""
+def _radius(spec: EnergySpec) -> float:
     if spec.t is None:
         raise ValueError("scale energies need the ball radius t")
+    return spec.t
+
+
+def k_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
+    """K_t: pairs within distance t, weighted by the kernel."""
+    p, t = spec.p, _radius(spec)
     vals = as_values(u, space.n)
-    p = spec.p
+    rho = kernel_matrix(space, spec.kernel)
+    return _pair_sum(space, vals, lambda a, b, d, gap, ww: (gap**p / rho[a:b] * ww, d <= t))
+
+
+def h_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
+    """H_t: pairs within distance t, weighted by the ball masses at t."""
+    p, t = spec.p, _radius(spec)
+    vals = as_values(u, space.n)
+    m = space.ball_masses(t)
+    return _pair_sum(
+        space,
+        vals,
+        lambda a, b, d, gap, ww: (gap**p / np.sqrt(m[a:b, None] * m[None, :]) * ww, d <= t),
+    )
+
+
+def scale_s_by_balls(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
+    """S_t by the direct route: loop over centers, pair sum inside each ball."""
+    p, t = spec.p, _radius(spec)
+    vals = as_values(u, space.n)
 
     def numer(members: np.ndarray) -> np.ndarray:
         sub = vals[members]
         return np.abs(sub[:, None] - sub[None, :]) ** p
 
-    totals = _ball_pair_totals(space, spec.t, numer)
-    m = space.ball_masses(spec.t)
+    totals = _ball_pair_totals(space, t, numer)
+    m = space.ball_masses(t)
     return float(np.sum(space.weights * totals / m**2))
 
 
 def scale_s_by_pairs(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """S_t by integrating over the center first: pair sum against f_t."""
-    if spec.t is None:
-        raise ValueError("scale energies need the ball radius t")
+    t = _radius(spec)
     vals = as_values(u, space.n)
-    m = space.ball_masses(spec.t)
-    member = (space.dist <= spec.t).astype(np.float64)
+    m = space.ball_masses(t)
+    member = (space.dist <= t).astype(np.float64)
     center_weight = space.weights / m**2
     f = member.T @ (center_weight[:, None] * member)
     gap = np.abs(vals[:, None] - vals[None, :]) ** spec.p
@@ -179,20 +207,9 @@ def scale_s_by_pairs(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
 
 def scale_energies(space: MetricMeasureSpace, u, spec: EnergySpec) -> ScaleEnergies:
     """K_t, H_t, S_t at the scale spec.t (closed balls throughout)."""
-    if spec.t is None:
-        raise ValueError("scale energies need the ball radius t")
-    vals = as_values(u, space.n)
-    p, t = spec.p, spec.t
-    rho = kernel_matrix(space, spec.kernel)
-    m = space.ball_masses(t)
-    k = _pair_sum(space, vals, lambda a, b, d, gap, ww: (gap**p / rho[a:b] * ww, d <= t))
-    h = _pair_sum(
-        space,
-        vals,
-        lambda a, b, d, gap, ww: (gap**p / np.sqrt(m[a:b, None] * m[None, :]) * ww, d <= t),
+    return ScaleEnergies(
+        k_energy(space, u, spec), h_energy(space, u, spec), scale_s_by_balls(space, u, spec)
     )
-    s = scale_s_by_balls(space, u, spec)
-    return ScaleEnergies(k=k, h=h, s=s)
 
 
 def mollify(space: MetricMeasureSpace, u, t: float) -> ScalarField:

@@ -101,15 +101,15 @@ def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:
     """Full kernel matrix, cached on the space; diagonal entries are NaN."""
 
     def build() -> np.ndarray:
-        if spec.kind == "ahlfors":
+        if spec.kind == "rho1":
+            mat = _rho1_matrix(space)
+        elif spec.kind == "ahlfors":
             mat = space.dist**spec.exponent
         elif spec.kind == "gauge-ahlfors":
             mat = _gauge_pow_matrix(space, spec.body, spec.exponent)
         else:
-            r1 = space.cache("rho1", lambda: _rho1_matrix(space))
-            if spec.kind == "rho1":
-                mat = r1.copy()
-            elif spec.kind == "rho2":
+            r1 = kernel_matrix(space, KernelSpec("rho1"))
+            if spec.kind == "rho2":
                 mat = r1.T.copy()
             elif spec.kind == "sum":
                 mat = r1 + r1.T
@@ -135,17 +135,15 @@ def kernel_comparability(space, spec: KernelSpec):
 
     if space.n < 2:
         raise ValueError("kernel comparability needs at least one off-diagonal pair")
-    rho = kernel_matrix(space, spec)
-    r1 = space.cache("rho1", lambda: _rho1_matrix(space))
-    off = ~np.eye(space.n, dtype=bool)
-    ratio = rho[off] / r1[off]
-    hi = float(np.max(ratio))
-    lo = float(np.max(1.0 / ratio))
-    c_rho = max(hi, lo)
-    flat = np.argmax(ratio) if hi >= lo else np.argmax(1.0 / ratio)
-    pair_idx = np.transpose(np.nonzero(off))[int(flat)]
+    # both kernels have a NaN diagonal, which the nan-reductions skip
+    ratio = kernel_matrix(space, spec) / kernel_matrix(space, KernelSpec("rho1"))
+    inverse = 1.0 / ratio
+    hi = float(np.nanmax(ratio))
+    lo = float(np.nanmax(inverse))
+    flat = np.nanargmax(ratio) if hi >= lo else np.nanargmax(inverse)
+    x, y = np.unravel_index(flat, ratio.shape)
     base = doubling_constant(space)
-    base.c_rho_hat = c_rho
+    base.c_rho_hat = max(hi, lo)
     base.kernel = spec.key
-    base.rho_witness = (int(pair_idx[0]), int(pair_idx[1]))
+    base.rho_witness = (int(x), int(y))
     return base

@@ -293,7 +293,9 @@ class MetricMeasureSpace:
             sorted_d, prefix = self._ball_index()
             counts = np.sum(sorted_d <= r, axis=1)
             counts = np.maximum(counts, 1)  # diagonal 0 <= r for r >= 0
-            self._cache[key] = prefix[np.arange(self.n), counts - 1].copy()
+            masses = prefix[np.arange(self.n), counts - 1]
+            masses.setflags(write=False)
+            self._cache[key] = masses
         return self._cache[key]
 
     def ball_mass_rows(self, a: int, b: int, radii: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energies import gagliardo_p, nguyen_a, scale_energies
+from .energies import gagliardo_p, nguyen_a, scale_s_by_balls
 from .fields import EnergySpec
 from .kernels import KernelSpec
 from .space import MetricMeasureSpace
@@ -165,11 +165,8 @@ def ks_sweep(
     diffs = np.diff(grid)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("t grid must be strictly monotone")
-    kernel = KernelSpec()
-    values = [
-        scale_energies(space, u, EnergySpec(p=p, t=t, kernel=kernel)).s / t**p for t in grid
-    ]
-    return SweepResult("t", tuple(grid), tuple(values), _spec_echo(space, p, kernel))
+    values = [scale_s_by_balls(space, u, EnergySpec(p=p, t=t)) / t**p for t in grid]
+    return SweepResult("t", tuple(grid), tuple(values), _spec_echo(space, p, KernelSpec()))
 
 
 def _polyfit(h: np.ndarray, v: np.ndarray, degree: int) -> tuple[float, float]:

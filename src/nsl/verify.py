@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .energies import g_scale, gagliardo_p, mollify, scale_energies
+from .energies import g_scale, gagliardo_p, h_energy, k_energy, mollify, scale_energies
 from .fields import EnergySpec, ScalarField, as_values
 from .gradients import cheeger_surrogate, hajlasz_minimal, path_integral
 from .kernels import KernelSpec, kernel_comparability, kernel_matrix
@@ -34,6 +34,12 @@ from .sweeps import bbm_sweep, extrapolate, nguyen_sweep
 
 IDENTITY_RTOL = 1e-9
 EXACT_RTOL = 1e-12
+# checks that a constant field skips: check name -> (report name, note)
+CONSTANT_FIELD_SKIPS = {
+    "nguyen-avg": ("threshold-averaging", "constant field: 0 = 0"),
+    "hajlasz": ("hajlasz-vs-cheeger", "constant field excluded"),
+    "two-sided": ("two-sided-limits", "constant field excluded"),
+}
 
 __all__ = [
     "CheckRecord",
@@ -132,15 +138,12 @@ def check_annuli_bound(
     report = VerificationReport(
         "annuli-tail-bound", constants={"c_d_hat": c_d, "c_rho_hat": c_rho, "C": big_c}
     )
-    w = space.weights
-    off = ~np.eye(space.n, dtype=bool)
+    # NaN on the diagonal, which r > 0 always excludes
+    terms = space.weights[None, :] / (rho * space.dist**p)
     for r in r_grid:
         if r <= 0:
             raise ValueError(f"annuli radius must be > 0, got {r}")
-        mask = off & (space.dist >= r)
-        terms = np.zeros_like(space.dist)
-        terms[mask] = w[np.nonzero(mask)[1]] / (rho[mask] * space.dist[mask] ** p)
-        tails = np.sum(terms, axis=1)
+        tails = np.sum(np.where(space.dist >= r, terms, 0.0), axis=1)
         worst = float(np.max(tails) * r**p)
         report.records.append(
             CheckRecord(
@@ -210,6 +213,13 @@ def _pair_arrays(space: MetricMeasureSpace, vals: np.ndarray, kernel: KernelSpec
     return d, gap, contrib
 
 
+def _group_sums(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order and the sum of vals over each."""
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = np.unique(keys[order], return_index=True)
+    return uniq, np.add.reduceat(vals[order], starts)
+
+
 def check_fubini_identity(
     space: MetricMeasureSpace, u, p: float, s: float, kernel: KernelSpec
 ) -> VerificationReport:
@@ -224,13 +234,7 @@ def check_fubini_identity(
     vals = as_values(u, space.n)
     d, gap, contrib = _pair_arrays(space, vals, kernel)
     ps = p * s
-    jump_vals = gap**p * contrib
-
-    order = np.argsort(d, kind="stable")
-    d_sorted = d[order]
-    jumps_sorted = jump_vals[order]
-    uniq, starts = np.unique(d_sorted, return_index=True)
-    jump_per_d = np.add.reduceat(jumps_sorted, starts)
+    uniq, jump_per_d = _group_sums(d, gap**p * contrib)
     cumulative = np.cumsum(jump_per_d)
 
     # segment integrals ps * int_{d_k}^{d_{k+1}} t^{-ps-1} dt = d_k^-ps - d_{k+1}^-ps
@@ -277,23 +281,23 @@ def check_hks(
     vals = as_values(u, space.n)
     norm_p = float(np.sum(space.weights * np.abs(vals) ** p))
 
-    def energies_at(t: float):
-        return scale_energies(space, u, EnergySpec(p=p, t=t, kernel=kernel))
+    def spec(t: float) -> EnergySpec:
+        return EnergySpec(p=p, t=t, kernel=kernel)
 
     for t in t_grid:
-        se = energies_at(t)
+        se = scale_energies(space, u, spec(t))
         report.records.append(
             CheckRecord({"t": t, "item": "i-lower"}, lhs=se.h, rhs=se.k, ok=_leq(se.h, se.k))
         )
         kmax = max(0, math.ceil(math.log2(t / h_min)))
-        h_sum = sum(energies_at(t / 2.0**k).h for k in range(kmax + 1))
+        h_sum = sum([se.h, *(h_energy(space, u, spec(t / 2.0**k)) for k in range(1, kmax + 1))])
         rhs = c_d * h_sum
         report.records.append(
             CheckRecord(
                 {"t": t, "item": "i-upper", "k_max": kmax}, lhs=se.k, rhs=rhs, ok=_leq(se.k, rhs)
             )
         )
-        h_half = energies_at(t / 2.0).h
+        h_half = h_energy(space, u, spec(t / 2.0))
         report.records.append(
             CheckRecord(
                 {"t": t, "item": "ii-lower"},
@@ -302,7 +306,7 @@ def check_hks(
                 ok=_leq(h_half, c_d**4 * se.s),
             )
         )
-        h_double = energies_at(2.0 * t).h
+        h_double = h_energy(space, u, spec(2.0 * t))
         report.records.append(
             CheckRecord(
                 {"t": t, "item": "ii-upper"},
@@ -313,9 +317,9 @@ def check_hks(
         )
 
     big_ts = [t for t in t_grid if t >= 1.0] or [1.0]
-    k1 = energies_at(1.0).k
+    k1 = k_energy(space, u, spec(1.0))
     for t in big_ts:
-        kt = energies_at(t).k
+        kt = k_energy(space, u, spec(t))
         rhs = k1 + 2.0**p * c_rho * (c_d - 1.0) * math.log2(2.0 * t) * norm_p
         report.records.append(
             CheckRecord({"t": t, "item": "iv"}, lhs=kt, rhs=rhs, ok=_leq(kt, rhs))
@@ -502,26 +506,12 @@ def check_nguyen_averaging(
     base = contrib / d**p
 
     positive = gap > 0
-    gaps = gap[positive]
-    weights = base[positive]
-    order = np.argsort(gaps, kind="stable")
-    gaps_sorted = gaps[order]
-    weights_sorted = weights[order]
-    uniq, starts = np.unique(gaps_sorted, return_index=True)
-    per_gap = np.add.reduceat(weights_sorted, starts)
+    uniq, per_gap = _group_sums(gap[positive], base[positive])
     # T on [uniq[k-1], uniq[k]) is the tail sum of pairs with gap >= uniq[k]
     tails = np.cumsum(per_gap[::-1])[::-1]
-
-    lhs = 0.0
-    seg_starts = np.concatenate([[0.0], uniq])
-    seg_ends = np.concatenate([uniq, [np.inf]])
-    seg_t = np.concatenate([tails, [0.0]])
-    for a, b, tval in zip(seg_starts, seg_ends, seg_t):
-        lo, hi = min(a, r), min(b, r)
-        if hi <= lo or tval == 0.0:
-            continue
-        lhs += tval * (hi ** (p + eps) - lo ** (p + eps))
-    lhs *= eps / (p + eps)
+    # T vanishes past the largest gap; each segment is clipped to [0, r]
+    knots = np.minimum(np.concatenate([[0.0], uniq]), r) ** (p + eps)
+    lhs = eps / (p + eps) * float(np.sum(tails * np.diff(knots)))
 
     rhs = eps / (p + eps) * float(np.sum(np.minimum(gap, r) ** (p + eps) * base))
     report = VerificationReport("threshold-averaging", constants={"eps": eps, "r": r, "p": p})
@@ -726,7 +716,10 @@ def run_suite(
     osc = float(np.max(vals) - np.min(vals))
     reports: list[VerificationReport] = []
     for name in checks:
-        if name == "annuli":
+        if osc == 0.0 and name in CONSTANT_FIELD_SKIPS:
+            report_name, note = CONSTANT_FIELD_SKIPS[name]
+            rep = VerificationReport(report_name, applicable=False, note=note)
+        elif name == "annuli":
             rep = check_annuli_bound(space, kernel, p, r_grid)
         elif name == "mean":
             rep = check_mean_comparison(space, u, p, t_grid)
@@ -740,26 +733,11 @@ def run_suite(
         elif name == "upper-gradient":
             rep = check_upper_gradient_scale(space, u, t_grid[-1], n_paths=50)
         elif name == "nguyen-avg":
-            if osc == 0.0:
-                rep = VerificationReport(
-                    "threshold-averaging", applicable=False, note="constant field: 0 = 0"
-                )
-            else:
-                rep = check_nguyen_averaging(space, u, p, 0.5, 0.5 * osc, kernel)
+            rep = check_nguyen_averaging(space, u, p, 0.5, 0.5 * osc, kernel)
         elif name == "hajlasz":
-            if osc == 0.0:
-                rep = VerificationReport(
-                    "hajlasz-vs-cheeger", applicable=False, note="constant field excluded"
-                )
-            else:
-                rep = check_hajlasz_bound(space, u, p, refine_field=refine_field)
+            rep = check_hajlasz_bound(space, u, p, refine_field=refine_field)
         elif name == "two-sided":
-            if osc == 0.0:
-                rep = VerificationReport(
-                    "two-sided-limits", applicable=False, note="constant field excluded"
-                )
-            else:
-                rep = two_sided_report(space, u, p, kernel, refine_field=refine_field)
+            rep = two_sided_report(space, u, p, kernel, refine_field=refine_field)
         else:
             raise ValueError(f"unknown check {name!r}")
         if name in informational and not rep.passed:

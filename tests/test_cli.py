@@ -76,6 +76,36 @@ class TestEnergy:
             assert result.exit_code == 0, result.output
             assert check(float(result.output.strip()))
 
+    def test_scale_functionals_compute_only_their_energy(self, runner, monkeypatch):
+        import nsl.cli
+        from nsl import EnergySpec, ScalarField, scale_energies
+
+        built = []
+
+        def build(spec):
+            built.append(build_space(spec))
+            return built[-1]
+
+        def no_ball_loop(*args):
+            raise AssertionError("the per-center ball loop ran")
+
+        monkeypatch.setattr(nsl.cli, "build_space", build)
+        args = ["energy", "--space", "circle:64", "--field", "sin(x)", "--t", "0.5"]
+        outputs = {}
+        for functional in ("h", "s", "k"):
+            with monkeypatch.context() as m:
+                if functional != "s":
+                    m.setattr("nsl.energies._ball_pair_totals", no_ball_loop)
+                result = invoke(runner, args + ["--functional", functional])
+            assert result.exit_code == 0, result.output
+            outputs[functional] = result.output.strip()
+            kernels = [key for key in built[-1]._cache if isinstance(key, tuple)
+                       and key[0] == "kernel"]
+            assert kernels == ([("kernel", "rho1")] if functional == "k" else [])
+        sp = build_space(parse_space_spec("circle:64"))
+        se = scale_energies(sp, ScalarField(np.sin(sp.coords[:, 0])), EnergySpec(p=2, t=0.5))
+        assert outputs == {"k": repr(se.k), "h": repr(se.h), "s": repr(se.s)}
+
     def test_field_csv(self, runner, tmp_path):
         csv_path = tmp_path / "u.csv"
         csv_path.write_text("\n".join(str(v) for v in np.linspace(0, 1, 16)) + "\n")

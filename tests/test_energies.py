@@ -13,6 +13,8 @@ from nsl import (
     build_space,
     g_scale,
     gagliardo_p,
+    h_energy,
+    k_energy,
     kernel_comparability,
     mollify,
     nguyen_a,
@@ -60,7 +62,10 @@ class TestGagliardo:
         mass = [np.sum(sp.weights[sp.dist[x] <= t]) for x in range(sp.n)]
         for kernel in (ahlfors1, KernelSpec("rho1"), KernelSpec("geom")):
             rho = kernel_matrix(sp, kernel)
-            se = scale_energies(sp, u, EnergySpec(p=p, t=t, kernel=kernel))
+            t_spec = EnergySpec(p=p, t=t, kernel=kernel)
+            se = scale_energies(sp, u, t_spec)
+            k, h = k_energy(sp, u, t_spec), h_energy(sp, u, t_spec)
+            assert (k, h, scale_s_by_balls(sp, u, t_spec)) == (se.k, se.h, se.s)
             cases = (
                 (
                     gagliardo_p(sp, u, EnergySpec(p=p, s=s, kernel=kernel)),
@@ -76,9 +81,9 @@ class TestGagliardo:
                         delta**p / (rho[x, y] * d**p) if gap > delta and d <= r else 0.0
                     ),
                 ),
-                (se.k, lambda x, y, gap, d: gap**p / rho[x, y] if d <= t else 0.0),
+                (k, lambda x, y, gap, d: gap**p / rho[x, y] if d <= t else 0.0),
                 (
-                    se.h,
+                    h,
                     lambda x, y, gap, d: gap**p / math.sqrt(mass[x] * mass[y]) if d <= t else 0.0,
                 ),
             )
@@ -216,6 +221,11 @@ class TestScaleEnergies:
         for t in (0.05, 0.2):
             se = scale_energies(interval128, u, EnergySpec(p=2, t=t, kernel=kernel))
             assert se.h <= c_rho * se.k * (1 + 1e-12)
+
+    def test_scale_radius_required(self, two_point, two_point_field):
+        for fn in (k_energy, h_energy, scale_s_by_balls, scale_s_by_pairs, scale_energies):
+            with pytest.raises(ValueError, match="ball radius"):
+                fn(two_point, two_point_field, EnergySpec(p=2))
 
     def test_measure_scaling_exact(self, two_point, two_point_field, ahlfors1):
         scaled = MetricMeasureSpace(two_point.dist, 2.0 * two_point.weights)

@@ -35,6 +35,18 @@ class TestKernelValues:
         for spec in (KernelSpec("rho1"), KernelSpec("harm"), KernelSpec("ahlfors", 1.0)):
             assert np.all(np.isnan(np.diagonal(kernel_matrix(circle64, spec))))
 
+    def test_rho1_stored_once(self, circle64):
+        for kind in ("rho1", "rho2", "geom"):
+            kernel_matrix(circle64, KernelSpec(kind))
+        kernel_comparability(circle64, KernelSpec("harm"))
+        squares = [
+            key
+            for key, val in circle64._cache.items()
+            if isinstance(val, np.ndarray) and val.shape == (64, 64)
+        ]
+        kinds = sorted(key[1] for key in squares)
+        assert kinds == ["geom", "harm", "rho1", "rho2"]
+
     def test_rho1_matches_brute_force(self):
         rng = np.random.default_rng(3)
         sp = random_space(rng, 12)
@@ -107,6 +119,17 @@ class TestComparability:
         assert rep.c_rho_hat == pytest.approx(expected, rel=1e-12)
         # closed balls count both atoms: the adjacent interior pair gives 3
         assert rep.c_rho_hat == pytest.approx(3.0)
+
+    def test_witness_attains_the_constant(self):
+        rng = np.random.default_rng(9)
+        sp = random_space(rng, 16)
+        r1 = kernel_matrix(sp, KernelSpec("rho1"))
+        for kind in ("rho2", "geom", "harm"):
+            rep = kernel_comparability(sp, KernelSpec(kind))
+            x, y = rep.rho_witness
+            ratio = kernel_matrix(sp, KernelSpec(kind))[x, y] / r1[x, y]
+            assert x != y
+            assert rep.c_rho_hat == max(ratio, 1.0 / ratio)
 
     def test_geom_bounded_by_measured_imbalance(self):
         rng = np.random.default_rng(8)

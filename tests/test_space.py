@@ -353,6 +353,12 @@ class TestInvariants:
         with pytest.raises(ValueError):
             circle64.dist[0, 1] = 99.0
 
+    def test_ball_masses_immutable(self, circle64):
+        masses = circle64.ball_masses(0.5)
+        with pytest.raises(ValueError):
+            masses[0] = 99.0
+        assert circle64.ball_masses(0.5)[0] == circle64.ball_mass(0, 0.5)
+
     def test_zero_diagonal_enforced(self):
         dist = np.array([[0.1, 1.0], [1.0, 0.0]])
         with pytest.raises(SpaceError, match="diagonal"):

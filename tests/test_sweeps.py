@@ -79,6 +79,11 @@ class TestSweeps:
         )
         assert all(v == 0.0 for v in ks_sweep(circle64, u, 2, [0.5, 1.0]).values)
 
+    def test_ks_sweep_builds_no_kernel(self, circle64):
+        u = ScalarField(np.sin(circle64.coords[:, 0]))
+        ks_sweep(circle64, u, 2, [0.5, 1.0])
+        assert not [key for key in circle64._cache if isinstance(key, tuple) and key[0] == "kernel"]
+
     def test_bbm_values_consistent(self, interval128, ahlfors1):
         u = ScalarField(interval128.coords[:, 0])
         grid = [0.4, 0.6]

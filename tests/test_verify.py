@@ -127,6 +127,21 @@ class TestHks:
         items = {rec.params["item"] for rec in rep.records}
         assert items == {"i-lower", "i-upper", "ii-lower", "ii-upper", "iv"}
 
+    def test_ball_loop_runs_once_per_grid_scale(self, circle64, monkeypatch):
+        import nsl.energies
+
+        radii = []
+        original = nsl.energies._ball_pair_totals
+
+        def counted(space, t, numer_rows):
+            radii.append(t)
+            return original(space, t, numer_rows)
+
+        monkeypatch.setattr(nsl.energies, "_ball_pair_totals", counted)
+        t_grid = [math.pi / 16, math.pi / 8, 2.0]
+        assert check_hks(circle64, sin_field(circle64), 2.0, t_grid).passed
+        assert radii == t_grid
+
     def test_two_point_item_ii_hand_values(self, two_point, two_point_field, ahlfors1):
         # t = 2d: S_t = 0.5 and H_{t/2} = 0.5 (radius-1 balls are everything)
         rep = check_hks(two_point, two_point_field, 2.0, [2.0])
