@@ -6,9 +6,9 @@ Exit codes: 0 success (all verification checks pass), 1 a verification
 check failed, 2 usage or input error. All file outputs are UTF-8 with LF
 line endings; energies print as full-precision decimals.
 
-Space specs: interval:N[:ALPHA], circle:N, torus2d:NXxNY, sierpinski:LEVEL,
-gauge_grid:N:BODY, graph:EDGEFILE (CSV rows i,j,length). Bodies: ball:N,
-ellipse:A:B, square, polygon:x,y;x,y;... Grids: A:B:STEP, inclusive.
+Space arguments are space files or inline specs; SpaceSpec.parse holds the
+spec grammar (e.g. circle:256, torus2d:64x64, gauge_grid:32:square). Bodies:
+ball:N, ellipse:A:B, square, polygon:x,y;x,y;... Grids: A:B:STEP, inclusive.
 
 Fields come from an expression over the coordinates (--field) or from a
 one-column CSV in point order (--field-csv). On circle spaces the variable
@@ -46,41 +46,12 @@ INPUT_ERROR = 2
 CHECK_FAILED = 1
 MAX_GRID_POINTS = 1000
 SCALE_ENERGIES = {"k": k_energy, "h": h_energy, "s": scale_s_by_balls}
+parse_space_spec = SpaceSpec.parse  # perfbench/workloads.py calls it by this name
 
 
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(INPUT_ERROR)
-
-
-def parse_space_spec(text: str) -> SpaceSpec:
-    parts = text.strip().split(":")
-    kind = parts[0]
-    try:
-        if kind == "interval":
-            alpha = float(parts[2]) if len(parts) > 2 else 0.0
-            return SpaceSpec("interval", n=int(parts[1]), alpha=alpha)
-        if kind == "circle":
-            return SpaceSpec("circle", n=int(parts[1]))
-        if kind == "torus2d":
-            nx, ny = parts[1].lower().split("x")
-            return SpaceSpec("torus2d", nx=int(nx), ny=int(ny))
-        if kind == "sierpinski":
-            return SpaceSpec("sierpinski", level=int(parts[1]))
-        if kind == "gauge_grid":
-            return SpaceSpec("gauge_grid", n=int(parts[1]), body=parse_body(":".join(parts[2:])))
-        if kind == "graph":
-            edges = []
-            for line in Path(parts[1]).read_text(encoding="utf-8").splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                i, j, length = line.split(",")
-                edges.append((int(i), int(j), float(length)))
-            return SpaceSpec("graph", edges=tuple(edges))
-    except (IndexError, ValueError, OSError) as exc:
-        _fail(f"bad space spec {text!r}: {exc}")
-    _fail(f"unknown space generator in {text!r}")
 
 
 def parse_grid(text: str) -> list[float]:
@@ -101,7 +72,7 @@ def _load_space_arg(space: str):
     try:
         if path.exists():
             return load_space(path)
-        return build_space(parse_space_spec(space))
+        return build_space(SpaceSpec.parse(space))
     except (SpaceError, BodyError) as exc:
         _fail(str(exc))
 

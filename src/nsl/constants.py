@@ -179,7 +179,7 @@ def _abs_cos_power_integral(p: float, order: int) -> float:
 
 def k_pn(p: float, n_dim: int) -> float:
     """(1/p) * int_{S^{N-1}} |e1 . x|^p dH^{N-1}, N in {1, 2, 3}."""
-    if p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError(f"exponent p must be >= 1, got {p}")
     if n_dim == 1:
         # S^0 = {-1, +1} with counting measure
@@ -195,21 +195,9 @@ def k_pn(p: float, n_dim: int) -> float:
 
 
 def _body_linear_power_integral(body: ConvexBody, p: float, xi: np.ndarray, order: int) -> float:
-    """int_K |xi . x|^p dx for the given body."""
-    if body.kind == "ball" and body.dim == 1:
-        scale = abs(float(xi[0]))
-        t, w = _gl_panels([-1.0, 0.0, 1.0], order)
-        return float(np.sum(w * np.abs(t) ** p)) * scale**p
-    if body.kind == "ball" and body.dim == 3:
-        # radial part times the sphere average, both by quadrature
-        r, wr = _gl_panel(0.0, 1.0, order)
-        radial = float(np.sum(wr * r ** (p + 2)))
-        phi, wphi = _gl_panels([0.0, 0.5 * math.pi, math.pi], order)
-        sphere = 2.0 * math.pi * float(np.sum(wphi * np.abs(np.cos(phi)) ** p * np.sin(phi)))
-        return radial * sphere * float(np.linalg.norm(xi)) ** p
-    if body.kind in ("ball", "ellipse"):
-        a = 1.0 if body.kind == "ball" else body.a
-        b = 1.0 if body.kind == "ball" else body.b
+    """int_K |xi . x|^p dx for an ellipse or a polygon."""
+    if body.kind == "ellipse":
+        a, b = body.a, body.b
         # map of the unit disk, jacobian a*b*r
         r, wr = _gl_panel(0.0, 1.0, order)
         radial = float(np.sum(wr * r ** (p + 1)))
@@ -249,13 +237,16 @@ def _body_linear_power_integral(body: ConvexBody, p: float, xi: np.ndarray, orde
 
 def zstar_norm(body: ConvexBody, p: float, xi) -> float:
     """((N+p)/p * int_K |xi . x|^p dx)^(1/p); 1-homogeneous in xi."""
-    if p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError(f"exponent p must be >= 1, got {p}")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (body.dim,):
         raise ValueError(f"xi has shape {xi.shape}, body dimension is {body.dim}")
     if np.all(xi == 0.0):
         return 0.0
+    if body.kind == "ball":
+        # int_B |xi . x|^p dx = |xi|^p * p * k_pn / (N + p) in polar coordinates
+        return float(np.linalg.norm(xi)) * k_pn(p, body.dim) ** (1.0 / p)
     integral = _body_linear_power_integral(body, p, xi, 2 * GL_ORDER)
     return float(((body.dim + p) / p * integral) ** (1.0 / p))
 

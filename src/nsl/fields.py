@@ -32,10 +32,6 @@ class ScalarField:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def oscillation(self) -> float:
-        return float(np.max(self.values) - np.min(self.values))
-
     @staticmethod
     def from_csv(path: str | Path) -> "ScalarField":
         """One value per line, point order = space order."""
@@ -70,8 +66,7 @@ class EnergySpec:
 
     p is the integrability exponent; s the fractional order; delta the
     threshold of the Nguyen functional; t the ball scale of the K/H/S
-    energies and the regularization; r a truncation cutoff; eps the
-    averaging exponent of the threshold-integral identity.
+    energies and the regularization; r a truncation cutoff.
     """
 
     p: float = 2.0
@@ -79,7 +74,6 @@ class EnergySpec:
     delta: float | None = None
     t: float | None = None
     r: float | None = None
-    eps: float | None = None
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
     def __post_init__(self) -> None:
@@ -94,8 +88,6 @@ class EnergySpec:
             raise ValueError(f"scale t must be > 0, got {self.t}")
         if self.r is not None and not self.r > 0:
             raise ValueError(f"cutoff r must be > 0, got {self.r}")
-        if self.eps is not None and not self.eps > 0:
-            raise ValueError(f"averaging exponent eps must be > 0, got {self.eps}")
 
 
 class PiecewiseLinearMap:

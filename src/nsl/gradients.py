@@ -101,6 +101,8 @@ def cheeger_surrogate(
     "centered" uses centered finite differences on 1d/2d grids; "auto"
     prefers centered when a grid is available.
     """
+    if not p >= 1:  # NaN fails too
+        raise ValueError(f"exponent p must be >= 1, got {p}")
     vals = as_values(u, space.n)
     if scheme == "auto":
         scheme = "centered" if space.grid is not None else "slope"
@@ -191,7 +193,7 @@ def hajlasz_minimal(
     stop_window: int = 50,
 ) -> HajlaszResult:
     """Minimal-energy two-point gradient for u at fractional order sigma."""
-    if p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError(f"exponent p must be >= 1, got {p}")
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"fractional order sigma must be in (0, 1], got {sigma}")
@@ -214,14 +216,17 @@ def hajlasz_minimal(
     def violation(g: np.ndarray) -> float:
         return float(np.max(np.maximum(c - g[i] - g[j], 0.0), initial=0.0))
 
-    def repair(g: np.ndarray) -> np.ndarray:
+    def lift(g: np.ndarray) -> np.ndarray:
         # each endpoint absorbs half of its worst deficit: one pass restores
         # g[x]+g[y] >= c on every pair
         deficit = np.maximum(c - g[i] - g[j], 0.0)
         bump = np.zeros_like(g)
         np.maximum.at(bump, i, 0.5 * deficit)
         np.maximum.at(bump, j, 0.5 * deficit)
-        g = g + bump
+        return g + bump
+
+    def repair(g: np.ndarray) -> np.ndarray:
+        g = lift(g)
         # ray rescale: pull back until the worst constraint is tight
         tau = float(np.max(c / (g[i] + g[j])))
         return g * tau
@@ -253,14 +258,9 @@ def hajlasz_minimal(
                 break
 
     if p == 2.0 and c.size <= REFINE_MAX_CONSTRAINTS:
-        refined = _dual_refine_p2(w, i, j, c)
         # certify feasibility before accepting (dual iterates approach the
         # boundary from outside only in the limit)
-        deficit = np.maximum(c - refined[i] - refined[j], 0.0)
-        bump = np.zeros_like(refined)
-        np.maximum.at(bump, i, 0.5 * deficit)
-        np.maximum.at(bump, j, 0.5 * deficit)
-        refined = refined + bump
+        refined = lift(_dual_refine_p2(w, i, j, c))
         refined_obj = objective(refined)
         if violation(refined) <= feas_tol:
             if refined_obj < best_obj:

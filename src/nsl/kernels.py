@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ConvexBody, parse_body
-from .parallel import map_blocks
+from .parallel import row_blocks
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
 
@@ -66,10 +66,7 @@ class KernelSpec:
 
 
 def _rho1_matrix(space) -> np.ndarray:
-    def rows(a: int, b: int) -> np.ndarray:
-        return space.ball_mass_rows(a, b, space.dist[a:b])
-
-    return np.concatenate(map_blocks(space.n, rows, workers=1), axis=0)
+    return space.ball_mass_rows(0, space.n, space.dist)
 
 
 def _gauge_pow_matrix(space, body: ConvexBody, exponent: float) -> np.ndarray:
@@ -93,8 +90,10 @@ def _gauge_pow_matrix(space, body: ConvexBody, exponent: float) -> np.ndarray:
                 best = g if best is None else np.minimum(best, g)
         return best
 
-    out = np.concatenate(map_blocks(space.n, rows, workers=1), axis=0)
-    return out**exponent
+    out = np.empty((space.n, space.n))
+    for a, b in row_blocks(space.n):
+        out[a:b] = rows(a, b)
+    return np.power(out, exponent, out=out)
 
 
 def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:

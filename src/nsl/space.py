@@ -28,7 +28,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .constants import ConvexBody, gauge_distance_matrix
+from .constants import ConvexBody, gauge_distance_matrix, parse_body
+
 MAX_POINTS = 4096
 
 __all__ = [
@@ -51,13 +52,14 @@ class SpaceError(ValueError):
 class SpaceSpec:
     """Generator tag plus parameters for a bundled space.
 
-    Generators:
-      interval(n, alpha)   cell-centered grid on (0,1), weight x^alpha / n
-      circle(n)            n points on the unit circle, arc-length distance
-      torus2d(nx, ny)      cell-centered grid on the flat unit torus
-      gauge_grid(n, body)  grid on [0,1]^2 with the Minkowski gauge of `body`
-      graph(edges)         edge-weighted graph, shortest-path distance
-      sierpinski(level)    level-m graph approximation of the gasket
+    Generators, by the text form that parse() reads:
+      interval:N[:ALPHA]   cell-centered grid on (0,1), weight x^alpha / n
+      circle:N             n points on the unit circle, arc-length distance
+      torus2d:NXxNY        cell-centered grid on the flat unit torus
+      gauge_grid:N:BODY    grid on [0,1]^2 with the Minkowski gauge of BODY
+      graph:EDGEFILE       edge-weighted graph, shortest-path distance; the
+                           file holds CSV rows i,j,length and # comments
+      sierpinski:LEVEL     level-m graph approximation of the gasket
     """
 
     generator: str
@@ -107,6 +109,36 @@ class SpaceSpec:
             # capping the level there keeps the power small
             return (3 ** (min(self.level, 8) + 1) + 3) // 2
         return max(max(i, j) for i, j, _ in self.edges) + 1
+
+    @staticmethod
+    def parse(text: str) -> SpaceSpec:
+        """The spec of one text form listed above; any fault raises SpaceError."""
+        parts = text.strip().split(":")
+        kind = parts[0]
+        try:
+            if kind == "interval":
+                alpha = float(parts[2]) if len(parts) > 2 else 0.0
+                return SpaceSpec("interval", n=int(parts[1]), alpha=alpha)
+            if kind == "circle":
+                return SpaceSpec("circle", n=int(parts[1]))
+            if kind == "torus2d":
+                nx, ny = parts[1].lower().split("x")
+                return SpaceSpec("torus2d", nx=int(nx), ny=int(ny))
+            if kind == "sierpinski":
+                return SpaceSpec("sierpinski", level=int(parts[1]))
+            if kind == "gauge_grid":
+                return SpaceSpec("gauge_grid", n=int(parts[1]), body=parse_body(":".join(parts[2:])))
+            if kind == "graph":
+                edges = []
+                for line in Path(parts[1]).read_text(encoding="utf-8").splitlines():
+                    line = line.strip()
+                    if line and not line.startswith("#"):
+                        i, j, length = line.split(",")
+                        edges.append((int(i), int(j), float(length)))
+                return SpaceSpec("graph", edges=tuple(edges))
+        except (IndexError, ValueError, OSError) as exc:
+            raise SpaceError(f"bad space spec {text!r}: {exc}") from exc
+        raise SpaceError(f"unknown space generator in {text!r}")
 
     @staticmethod
     def from_metric(metric: dict[str, Any]) -> SpaceSpec | None:
@@ -588,8 +620,12 @@ def _check_triangle_sampled(dist: np.ndarray, samples: int = 20000, seed: int = 
         )
 
 
-def save_space(space: MetricMeasureSpace, path: str | Path) -> None:
-    """Write a space file (JSON document, full-precision floats)."""
+# Fields of a closed-form file that must equal what its generator's space writes.
+CLOSED_FORM_KEYS = ("n", "metric", "weights", "coords", "dim", "edges", "grid")
+
+
+def _document(space: MetricMeasureSpace) -> dict[str, Any]:
+    """The JSON document of a space file; distances only for "matrix" metrics."""
     doc: dict[str, Any] = {
         "name": space.name,
         "n": space.n,
@@ -606,25 +642,48 @@ def save_space(space: MetricMeasureSpace, path: str | Path) -> None:
         doc["edges"] = space.edges.tolist()
     if space.grid is not None:
         doc["grid"] = space.grid
-    text = json.dumps(doc)
+    return doc
+
+
+def save_space(space: MetricMeasureSpace, path: str | Path) -> None:
+    """Write a space file (JSON document, full-precision floats)."""
+    text = json.dumps(_document(space))
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def load_space(path: str | Path) -> MetricMeasureSpace:
-    """Read a space file, validating symmetry, weights, and sampled triangles.
+    """Read a space file; every fault in it raises SpaceError.
 
-    Closed-form metrics take their distances from the generator named in the
-    metric tag; "matrix" metrics store them. Every fault in the file raises
-    SpaceError.
+    A closed-form file (any metric type but "matrix") loads as the space its
+    generator builds, under the file's display name, and must agree with
+    that space's document in every one of CLOSED_FORM_KEYS. A "matrix" file
+    carries its distances, which are checked for symmetry, positivity and
+    sampled triangles.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise SpaceError(f"malformed space file {path}: {exc}") from exc
+    metric = doc.get("metric") if isinstance(doc, dict) else None
+    if not isinstance(metric, dict) or "type" not in metric:
+        raise SpaceError(f"space file {path} has no metric tag with a type")
+    if metric["type"] != "matrix":
+        spec = SpaceSpec.from_metric(metric)
+        if spec is None:
+            raise SpaceError(f"metric {metric!r} names no closed-form generator")
+        space = build_space(spec)
+        expected = _document(space)
+        differ = [key for key in CLOSED_FORM_KEYS if doc.get(key) != expected.get(key)]
+        if differ:
+            raise SpaceError(
+                f"space file {path} differs from its {spec.generator} generator in "
+                + ", ".join(differ)
+            )
+        space.name = str(doc.get("name", space.name))
+        return space
+
     try:
         n = int(doc["n"])
-        metric = doc["metric"]
-        kind = metric["type"]
         weights = np.asarray(doc["weights"], dtype=float)
         coords = None
         if "coords" in doc:
@@ -632,7 +691,7 @@ def load_space(path: str | Path) -> MetricMeasureSpace:
             if dim < 1:
                 raise ValueError(f"coordinate dimension must be >= 1, got {dim}")
             coords = np.asarray(doc["coords"], dtype=float).reshape(n, dim)
-        tri = np.asarray(doc.get("matrix", []), dtype=float) if kind == "matrix" else None
+        tri = np.asarray(doc.get("matrix", []), dtype=float)
         edges = np.asarray(doc["edges"], dtype=np.int64) if "edges" in doc else None
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise SpaceError(f"space file {path} has a missing or malformed field: {exc!r}") from exc
@@ -645,45 +704,27 @@ def load_space(path: str | Path) -> MetricMeasureSpace:
     if grid is not None and not isinstance(grid, dict):
         raise SpaceError(f"grid must be an object, got {grid!r}")
 
-    if kind == "matrix":
-        expect = n * (n - 1) // 2
-        if tri.size == n * n:
-            full = tri.reshape(n, n)
-            asym = np.abs(full - full.T)
-            if np.max(asym) > 0.0:
-                i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-                raise SpaceError(
-                    f"asymmetric matrix: d({i},{j})={full[i, j]!r} != d({j},{i})={full[j, i]!r}"
-                )
-            dist = full
-        elif tri.size == expect:
-            dist = np.zeros((n, n))
-            iu = np.triu_indices(n, k=1)
-            dist[iu] = tri
-            dist = dist + dist.T
-        else:
-            raise SpaceError(f"matrix has {tri.size} entries, expected {expect} or {n * n}")
-        bad = ~(np.isfinite(dist) & (dist > 0.0))
-        np.fill_diagonal(bad, False)
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
-            raise SpaceError(f"nonpositive or non-finite off-diagonal distance at pair ({i},{j})")
+    expect = n * (n - 1) // 2
+    if tri.size == n * n:
+        dist = tri.reshape(n, n)
+        asym = np.abs(dist - dist.T)
+        if np.max(asym) > 0.0:
+            i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+            raise SpaceError(
+                f"asymmetric matrix: d({i},{j})={dist[i, j]!r} != d({j},{i})={dist[j, i]!r}"
+            )
+    elif tri.size == expect:
+        dist = np.zeros((n, n))
+        iu = np.triu_indices(n, k=1)
+        dist[iu] = tri
+        dist = dist + dist.T
     else:
-        spec = SpaceSpec.from_metric(metric)
-        if spec is None:
-            raise SpaceError(f"metric {metric!r} names no closed-form generator")
-        built = build_space(spec)
-        if built.metric["type"] != kind:
-            raise SpaceError(f"metric type {kind!r} does not match generator {spec.generator!r}")
-        dist = built.dist
-
+        raise SpaceError(f"matrix has {tri.size} entries, expected {expect} or {n * n}")
+    bad = ~(np.isfinite(dist) & (dist > 0.0))
+    np.fill_diagonal(bad, False)
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        raise SpaceError(f"nonpositive or non-finite off-diagonal distance at pair ({i},{j})")
     _check_triangle_sampled(dist)
-    return MetricMeasureSpace(
-        dist,
-        weights,
-        coords=coords,
-        name=doc.get("name", "space"),
-        metric=metric,
-        edges=edges,
-        grid=grid,
-    )
+    return MetricMeasureSpace(dist, weights, coords=coords, name=doc.get("name", "space"),
+                              metric=metric, edges=edges, grid=grid)

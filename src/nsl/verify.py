@@ -708,6 +708,7 @@ def run_suite(
     (their reports are marked accordingly). refine_field(refined_space), when
     given, supplies the field on mesh-refined spaces for stability clauses.
     """
+    EnergySpec(p=p)  # rejects p < 1 and NaN before any check runs
     h_min, diam = space.min_distance, space.diameter
     t_lo = min(4.0 * h_min, 0.25 * diam)
     t_grid = sorted({max(t_lo, diam / 16.0), diam / 8.0, diam / 4.0})

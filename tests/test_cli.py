@@ -275,6 +275,35 @@ class TestVerify:
         assert "SKIP" in result.output
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("grid", [{"kind": "torus2d"}, {"kind": "interval"}])
+    def test_edited_closed_form_file_exit_2(self, runner, tmp_path, grid):
+        path = tmp_path / "c16.space"
+        invoke(runner, ["gen", "--spec", "circle:16", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        doc["grid"] = grid
+        path.write_text(json.dumps(doc))
+        result = invoke(
+            runner,
+            ["energy", "--space", str(path), "--field", "sin(x)", "--functional", "cheeger"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "generator in grid" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("p", ["0", "0.5", "nan", "-2"])
+    @pytest.mark.parametrize(
+        "command",
+        [["energy", "--functional", "cheeger"], ["energy", "--functional", "hajlasz"],
+         ["verify", "--suite", "annuli"], ["verify", "--suite", "mean"]],
+        ids=["cheeger", "hajlasz", "verify-annuli", "verify-mean"],
+    )
+    def test_bad_exponent_exit_2(self, runner, command, p):
+        result = invoke(runner, command + ["--space", "circle:16", "--field", "sin(x)", "--p", p])
+        assert result.exit_code == 2, result.output
+        assert "exponent p must be >= 1" in result.output
+
+
 class TestConstants:
     def test_kpn(self, runner):
         result = invoke(runner, ["constants", "--kpn", "2", "2"])

@@ -329,12 +329,12 @@ class TestEnergySpec:
             {"p": 2, "delta": 0.0},
             {"p": 2, "t": -1.0},
             {"p": 2, "r": 0.0},
-            {"p": 2, "eps": -0.5},
+            {"p": -2},
             {"p": math.nan},
             {"p": 2, "delta": math.nan},
             {"p": 2, "t": math.nan},
             {"p": 2, "r": math.nan},
-            {"p": 2, "eps": math.nan},
+            {"p": 2, "s": math.nan},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):

@@ -99,6 +99,47 @@ class TestGenerators:
         SpaceSpec("torus2d", nx=64, ny=64).validate()
 
 
+class TestSpecParse:
+    @pytest.mark.parametrize(
+        "text, spec",
+        [
+            ("interval:16", SpaceSpec("interval", n=16)),
+            ("interval:16:0.5", SpaceSpec("interval", n=16, alpha=0.5)),
+            ("circle:33", SpaceSpec("circle", n=33)),
+            (" torus2d:4X6 ", SpaceSpec("torus2d", nx=4, ny=6)),
+            ("sierpinski:2", SpaceSpec("sierpinski", level=2)),
+            ("gauge_grid:4:ellipse:1:2", SpaceSpec("gauge_grid", n=4, body=parse_body("ellipse:1:2"))),
+            ("gauge_grid:3:square", SpaceSpec("gauge_grid", n=3, body=parse_body("square"))),
+        ],
+    )
+    def test_generators(self, text, spec):
+        assert SpaceSpec.parse(text) == spec
+
+    def test_graph_edge_file(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("# i,j,length\n0,1,0.5\n\n 1,2,1.5 \n")
+        spec = SpaceSpec.parse(f"graph:{path}")
+        assert spec == SpaceSpec("graph", edges=((0, 1, 0.5), (1, 2, 1.5)))
+        assert build_space(spec).n == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "sphere:9", "circle", "circle:nan", "interval:8:x", "torus2d:4", "torus2d:4x",
+         "torus2d:axb", "sierpinski:", "gauge_grid:4", "gauge_grid:4:blob", "graph"],
+    )
+    def test_malformed_raises_space_error(self, text):
+        with pytest.raises(SpaceError):
+            SpaceSpec.parse(text)
+
+    @pytest.mark.parametrize("rows", [None, "0,1\n", "0,1,1.0,2\n", "0,a,1.0\n", "0,1,x\n"])
+    def test_bad_graph_file_raises_space_error(self, tmp_path, rows):
+        path = tmp_path / "g.csv"
+        if rows is not None:
+            path.write_text(rows)
+        with pytest.raises(SpaceError, match="bad space spec"):
+            SpaceSpec.parse(f"graph:{path}")
+
+
 class TestBallMeasure:
     def test_circle4_ball(self):
         sp = build_space(SpaceSpec("circle", n=4))
@@ -209,6 +250,13 @@ MALFORMED = {
     "edges not pairs": lambda doc: doc.update(edges=[0, 1, 2]),
     "grid not an object": lambda doc: doc.update(grid="torus2d"),
     "empty object": lambda doc: doc.clear(),
+    # a closed-form file must match its generator's space in every field
+    "doubled weights": lambda doc: doc.update(weights=[2.0 * w for w in doc["weights"]]),
+    "shifted coords": lambda doc: doc.update(coords=[c + 0.01 for c in doc["coords"]]),
+    "edges not the generator's": lambda doc: doc.update(edges=[[0, 5]]),
+    "interval grid": lambda doc: doc.update(grid={"kind": "interval", "shape": [16]}),
+    "grid without shape": lambda doc: doc["grid"].pop("shape"),
+    "no coords": lambda doc: [doc.pop(key) for key in ("coords", "dim")],
 }
 
 
@@ -334,6 +382,26 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(SpaceError):
             load_space(path)
+
+    def test_closed_form_file_names_differing_keys(self, tmp_path):
+        path = tmp_path / "t.space"
+        save_space(build_space(SpaceSpec("torus2d", nx=4, ny=4)), path)
+        doc = json.loads(path.read_text())
+        doc["weights"][3] *= 2.0
+        del doc["grid"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpaceError, match="torus2d generator in weights, grid$"):
+            load_space(path)
+
+    def test_closed_form_file_keeps_display_name(self, tmp_path):
+        path = tmp_path / "c.space"
+        save_space(build_space(SpaceSpec("circle", n=8)), path)
+        doc = json.loads(path.read_text())
+        doc["name"] = "my circle"
+        path.write_text(json.dumps(doc))
+        loaded = load_space(path)
+        assert loaded.name == "my circle"
+        assert np.array_equal(loaded.dist, build_space(SpaceSpec("circle", n=8)).dist)
 
     def test_loaded_space_keeps_structure(self, tmp_path, circle64):
         from nsl import ScalarField, cheeger_surrogate
