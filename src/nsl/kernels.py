@@ -3,7 +3,11 @@
 The menu: rho1 = mu(B(x,d)), rho2 = mu(B(y,d)), their sum, geometric mean,
 the harmonic combination (rho1+rho2)/(rho1*rho2), the Ahlfors kernel d^N,
 and the gauge-Ahlfors kernel d_K^N built from the Minkowski gauge of a
-convex body (evaluated with the space's translate convention on tori).
+convex body, at the nearest of the 9 translates on a torus. On a torus or a
+gauge grid (metric types "torus" and "gauge") its entry depends only on the
+per-axis coordinate offset, so lattice kernels are built once per distinct
+offset, then gathered into the n x n matrix; other spaces with coordinates
+evaluate the gauge row block by row block.
 
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.
@@ -11,12 +15,14 @@ pair sums mask them out.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import ConvexBody, parse_body
 from .parallel import row_blocks
+from .space import _offset_matrix, doubling_constant
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
 
@@ -65,10 +71,6 @@ class KernelSpec:
         raise ValueError(f"unknown kernel tag {text!r}")
 
 
-def _rho1_matrix(space) -> np.ndarray:
-    return space.ball_mass_rows(0, space.n, space.dist)
-
-
 def _gauge_pow_matrix(space, body: ConvexBody, exponent: float) -> np.ndarray:
     if space.coords is None:
         raise ValueError("gauge-ahlfors kernel needs point coordinates")
@@ -77,22 +79,19 @@ def _gauge_pow_matrix(space, body: ConvexBody, exponent: float) -> np.ndarray:
         raise ValueError(
             f"body dimension {body.dim} does not match space dimension {coords.shape[1]}"
         )
-    periodic = space.metric.get("type") == "torus"
+    kind = space.metric.get("type")
+    if kind in ("torus", "gauge"):  # product lattices: one table entry per offset
+        shifts = (-1.0, 0.0, 1.0) if kind == "torus" else (0.0,)
 
-    def rows(a: int, b: int) -> np.ndarray:
-        delta = coords[a:b, None, :] - coords[None, :, :]
-        if not periodic:
-            return body.gauge(delta)
-        best = None
-        for sx in (-1.0, 0.0, 1.0):
-            for sy in (-1.0, 0.0, 1.0):
-                g = body.gauge(delta + np.array([sx, sy]))
-                best = g if best is None else np.minimum(best, g)
-        return best
+        def table(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+            # the gauge of the nearest translate of each offset
+            g = (body.gauge(np.stack([dx + sx, dy + sy], axis=-1)) for sx in shifts for sy in shifts)
+            return np.power(functools.reduce(np.minimum, g), exponent)
 
+        return _offset_matrix(np.unique(coords[:, 0]), np.unique(coords[:, 1]), table)
     out = np.empty((space.n, space.n))
     for a, b in row_blocks(space.n):
-        out[a:b] = rows(a, b)
+        out[a:b] = body.gauge(coords[a:b, None, :] - coords[None, :, :])
     return np.power(out, exponent, out=out)
 
 
@@ -101,7 +100,7 @@ def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:
 
     def build() -> np.ndarray:
         if spec.kind == "rho1":
-            mat = _rho1_matrix(space)
+            mat = space.ball_mass_rows(0, space.n, space.dist)
         elif spec.kind == "ahlfors":
             mat = space.dist**spec.exponent
         elif spec.kind == "gauge-ahlfors":
@@ -130,8 +129,6 @@ def kernel_comparability(space, spec: KernelSpec):
     sup rho1/rho) over off-diagonal pairs, with the measured doubling
     constant alongside.
     """
-    from .space import doubling_constant
-
     if space.n < 2:
         raise ValueError("kernel comparability needs at least one off-diagonal pair")
     # both kernels have a NaN diagonal, which the nan-reductions skip

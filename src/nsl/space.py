@@ -28,7 +28,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .constants import ConvexBody, gauge_distance_matrix, parse_body
+from .constants import ConvexBody, parse_body
+from .parallel import row_blocks
 
 MAX_POINTS = 4096
 
@@ -281,17 +282,14 @@ class MetricMeasureSpace:
 
     @property
     def diameter(self) -> float:
-        if "diameter" not in self._cache:
-            self._cache["diameter"] = float(np.max(self.dist))
-        return self._cache["diameter"]
+        return self.cache("diameter", lambda: float(np.max(self.dist)))
 
     @property
     def min_distance(self) -> float:
-        """Smallest positive distance (the mesh scale)."""
-        if "min_distance" not in self._cache:
-            d = self.dist[~np.eye(self.n, dtype=bool)]
-            self._cache["min_distance"] = float(np.min(d)) if d.size else 0.0
-        return self._cache["min_distance"]
+        """Smallest positive distance (the mesh scale); 0 for a single point."""
+        blocks = (np.min(self.dist[a:b], initial=np.inf, where=~np.eye(b - a, self.n, a, dtype=bool))
+                  for a, b in row_blocks(self.n))  # no n x n mask or copy
+        return self.cache("min_distance", lambda: float(min(blocks))) if self.n > 1 else 0.0
 
     # -- ball index ----------------------------------------------------------
 
@@ -438,34 +436,31 @@ def _circle(n: int) -> MetricMeasureSpace:
     )
 
 
-def _torus_dist_from_indices(nx: int, ny: int) -> np.ndarray:
-    """Pairwise flat-torus distances from integer index deltas (exact wrap)."""
-    n = nx * ny
-    ix = np.repeat(np.arange(nx), ny)
-    iy = np.tile(np.arange(ny), nx)
-    out = np.empty((n, n))
-    for a in range(0, n, 256):
-        b = min(a + 256, n)
-        dx = np.abs(ix[a:b, None] - ix[None, :])
-        dx = np.minimum(dx, nx - dx) / nx
-        dy = np.abs(iy[a:b, None] - iy[None, :])
-        dy = np.minimum(dy, ny - dy) / ny
-        out[a:b] = np.hypot(dx, dy)
-    return out
+def _offset_matrix(xs: np.ndarray, ys: np.ndarray, fn) -> np.ndarray:
+    """fn(dx, dy) over all pairs of the lattice whose point i * len(ys) + j is (xs[i], ys[j]).
+
+    fn runs once, on the grid of distinct per-axis offsets (row point minus
+    column point); the n x n matrix is gathered from that table by one fancy index.
+    """
+    ux, ix = np.unique(xs[:, None] - xs[None, :], return_inverse=True)
+    uy, iy = np.unique(ys[:, None] - ys[None, :], return_inverse=True)
+    table = fn(*np.meshgrid(ux, uy, indexing="ij"))
+    nx, ny = xs.size, ys.size
+    return table[ix.reshape(nx, 1, nx, 1), iy.reshape(1, ny, 1, ny)].reshape(nx * ny, nx * ny)
 
 
 def _torus2d(nx: int, ny: int) -> MetricMeasureSpace:
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    coords = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    coords = np.stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")], axis=1)
     n = nx * ny
-    dist = _torus_dist_from_indices(nx, ny)
+    # keyed on integer index offsets, which wrap exactly, so realized radii dedupe
+    dist = _offset_matrix(np.arange(nx), np.arange(ny), lambda kx, ky: np.hypot(
+        np.minimum(abs(kx), nx - abs(kx)) / nx, np.minimum(abs(ky), ny - abs(ky)) / ny))
     weights = np.full(n, 1.0 / n)
     idx = np.arange(n).reshape(nx, ny)
-    right = np.stack([idx.ravel(), np.roll(idx, -1, axis=0).ravel()], axis=1)
-    up = np.stack([idx.ravel(), np.roll(idx, -1, axis=1).ravel()], axis=1)
-    edges = np.concatenate([right, up], axis=0)
+    wrapped = (np.roll(idx, -1, axis=0), np.roll(idx, -1, axis=1))  # right, then up
+    edges = np.concatenate([np.stack([idx.ravel(), j.ravel()], axis=1) for j in wrapped])
     return MetricMeasureSpace(
         dist,
         weights,
@@ -481,16 +476,14 @@ def _gauge_grid(n: int, body: ConvexBody) -> MetricMeasureSpace:
     if body.dim != 2:
         raise SpaceError(f"gauge_grid needs a 2d body, got dim {body.dim}")
     xs = (np.arange(n) + 0.5) / n
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    coords = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    dist = gauge_distance_matrix(body, coords, coords)
+    coords = np.stack([g.ravel() for g in np.meshgrid(xs, xs, indexing="ij")], axis=1)
+    dist = _offset_matrix(xs, xs, lambda dx, dy: body.gauge(np.stack([dx, dy], axis=-1)))
     np.fill_diagonal(dist, 0.0)
     m = n * n
     weights = np.full(m, 1.0 / m)
     idx = np.arange(m).reshape(n, n)
-    horiz = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
-    vert = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
-    edges = np.concatenate([horiz, vert], axis=0)
+    edges = np.concatenate([np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1),
+                            np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)])
     return MetricMeasureSpace(
         dist,
         weights,
@@ -624,6 +617,10 @@ def _check_triangle_sampled(dist: np.ndarray, samples: int = 20000, seed: int = 
 CLOSED_FORM_KEYS = ("n", "metric", "weights", "coords", "dim", "edges", "grid")
 
 
+# Grid kinds with their axis counts, as the centered-difference evaluators read them.
+GRID_KINDS = (("interval", 1), ("circle", 1), ("torus2d", 2), ("grid2d", 2))
+
+
 def _document(space: MetricMeasureSpace) -> dict[str, Any]:
     """The JSON document of a space file; distances only for "matrix" metrics."""
     doc: dict[str, Any] = {
@@ -701,8 +698,14 @@ def load_space(path: str | Path) -> MetricMeasureSpace:
     if bad.size:
         raise SpaceError(f"nonpositive weight at point {int(bad[0])}: {weights[bad[0]]!r}")
     grid = doc.get("grid")
-    if grid is not None and not isinstance(grid, dict):
-        raise SpaceError(f"grid must be an object, got {grid!r}")
+    shape = grid.get("shape") if isinstance(grid, dict) else None
+    if grid is not None and not (
+        isinstance(shape, list) and (grid.get("kind"), len(shape)) in GRID_KINDS
+        and all(type(k) is int and k > 0 for k in shape) and math.prod(shape) == n
+        and (grid["kind"] != "interval" or coords is not None)
+    ):
+        raise SpaceError(f"grid {grid!r} must be an interval (with coords), circle, torus2d or "
+                         f"grid2d grid whose shape lists positive ints with product n={n}")
 
     expect = n * (n - 1) // 2
     if tri.size == n * n:

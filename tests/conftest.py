@@ -7,6 +7,11 @@ import pytest
 from nsl import KernelSpec, MetricMeasureSpace, ScalarField, SpaceSpec, build_space
 
 
+# An origin-symmetric hexagon, as a body tag: a polygon gauge that is neither
+# the square's max norm nor a quadratic form.
+HEXAGON = "polygon:1,0;0.5,0.8;-0.5,0.8;-1,0;-0.5,-0.8;0.5,-0.8"
+
+
 @pytest.fixture
 def two_point():
     """d = 1, both weights 1/2."""

@@ -291,6 +291,20 @@ class TestBadInput:
         assert "generator in grid" in result.output
         assert "Traceback" not in result.output
 
+    def test_matrix_file_with_bad_grid_exit_2(self, runner, tmp_path):
+        path = tmp_path / "s2.space"
+        invoke(runner, ["gen", "--spec", "sierpinski:2", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        doc["grid"] = {"kind": "torus2d"}
+        path.write_text(json.dumps(doc))
+        result = invoke(
+            runner,
+            ["energy", "--space", str(path), "--field", "sin(x)", "--functional", "cheeger"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "grid" in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("p", ["0", "0.5", "nan", "-2"])
     @pytest.mark.parametrize(
         "command",
@@ -351,6 +365,20 @@ FILE_FIELDS = {
 }
 
 
+# Grids that no sierpinski:1 matrix file (6 points) accepts: a product of axes
+# other than 6, or no grid object with a known kind at all.
+BAD_GRIDS = st.one_of(
+    st.sampled_from(BAD_VALUES[1:]),  # None means "no grid", which is fine
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["interval", "circle", "torus2d", "grid2d"]),
+        "shape": st.lists(st.integers(-2, 7), max_size=3).filter(lambda s: math.prod(s) != 6),
+    }),
+    st.sampled_from([{"kind": "torus2d"}, {"kind": "hex", "shape": [6]},
+                     {"kind": "torus2d", "shape": [-2, -3]}, {"kind": "grid2d", "shape": [2.0, 3]},
+                     {"kind": "circle", "shape": [2, 3]}, {"kind": "torus2d", "shape": [6]}]),
+)
+
+
 @st.composite
 def bad_field_cases(draw):
     base = draw(st.sampled_from(sorted(FILE_FIELDS)))
@@ -366,6 +394,7 @@ def _space_size(low_bad: int, high_bad: int):
 
 FUZZ_CASES = st.one_of(
     bad_field_cases(),
+    st.tuples(st.just("field"), st.just("sierpinski:1"), st.just(("grid",)), BAD_GRIDS),
     st.tuples(
         st.just("truncated"), st.sampled_from(sorted(FILE_FIELDS)), st.integers(0, 10**9)
     ),

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nsl import KernelSpec, SpaceSpec, build_space, kernel_comparability
+from nsl import ConvexBody, KernelSpec, SpaceSpec, build_space, kernel_comparability, parse_body
 from nsl.kernels import kernel_matrix
 
-from conftest import random_space
+from conftest import HEXAGON, random_space
 
 
 def brute_rho1(space):
@@ -17,6 +17,55 @@ def brute_rho1(space):
         for y in range(n):
             out[x, y] = np.sum(space.weights[space.dist[x] <= space.dist[x, y]])
     return out
+
+
+def brute_gauge_pow(space, body, exponent):
+    """The gauge-Ahlfors kernel from all pairs at once; on a torus, the nearest of 9 translates."""
+    delta = space.coords[:, None, :] - space.coords[None, :, :]
+    if space.metric["type"] == "torus":
+        best = np.full((space.n, space.n), np.inf)
+        for sx in (-1.0, 0.0, 1.0):
+            for sy in (-1.0, 0.0, 1.0):
+                best = np.minimum(best, body.gauge(delta + np.array([sx, sy])))
+    else:
+        best = body.gauge(delta)
+    out = np.power(best, exponent)
+    np.fill_diagonal(out, np.nan)
+    return out
+
+
+class TestLatticeKernels:
+    """Torus and gauge-grid kernels come from an offset table; they must equal the oracle bitwise."""
+
+    @pytest.mark.parametrize("exponent", [1.5, 2.0])
+    @pytest.mark.parametrize("body", ["ball:2", "square", "ellipse:1:2", HEXAGON],
+                             ids=["ball", "square", "ellipse", "hexagon"])
+    @pytest.mark.parametrize("space", ["torus2d:12x10", "torus2d:2x5", "torus2d:16x16",
+                                       "gauge_grid:12:square"])
+    def test_offset_table_matches_brute_force(self, space, body, exponent):
+        sp = build_space(SpaceSpec.parse(space))
+        mat = kernel_matrix(sp, KernelSpec("gauge-ahlfors", exponent, parse_body(body)))
+        assert np.array_equal(mat, brute_gauge_pow(sp, parse_body(body), exponent), equal_nan=True)
+
+    def test_off_lattice_space_takes_direct_route(self):
+        sp = build_space(SpaceSpec("sierpinski", level=3))
+        body = ConvexBody("ball", dim=2)
+        mat = kernel_matrix(sp, KernelSpec("gauge-ahlfors", 2.0, body))
+        assert np.array_equal(mat, brute_gauge_pow(sp, body, 2.0), equal_nan=True)
+
+    def test_torus_kernel_evaluates_the_gauge_once_per_offset(self, monkeypatch):
+        """9 shifts on the 63 x 63 offset table, not on all 1024^2 pairs; counts, no timing."""
+        sp = build_space(SpaceSpec("torus2d", nx=32, ny=32))
+        vectors = []
+        gauge = ConvexBody.gauge
+
+        def counting(self, v):
+            vectors.append(np.asarray(v).size // 2)
+            return gauge(self, v)
+
+        monkeypatch.setattr(ConvexBody, "gauge", counting)
+        kernel_matrix(sp, KernelSpec.parse("gauge-ahlfors:2"))
+        assert 0 < sum(vectors) <= 9 * 63**2
 
 
 class TestKernelValues:
@@ -93,8 +142,6 @@ class TestKernelValues:
 
     def test_gauge_ahlfors_ball_matches_torus_metric(self):
         sp = build_space(SpaceSpec("torus2d", nx=8, ny=8))
-        from nsl import ConvexBody
-
         mat = kernel_matrix(sp, KernelSpec("gauge-ahlfors", 2.0, ConvexBody("ball", dim=2)))
         off = ~np.eye(sp.n, dtype=bool)
         assert mat[off] == pytest.approx((sp.dist**2)[off], rel=1e-12)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,17 @@ from nsl import (
     parse_body,
     save_space,
 )
+from nsl.constants import gauge_distance_matrix
+
+from conftest import HEXAGON
+
+
+def brute_torus_dist(nx: int, ny: int) -> np.ndarray:
+    """Flat-torus distances pair by pair from the wrapped integer index offsets."""
+    ix, iy = np.divmod(np.arange(nx * ny), ny)
+    dx = np.abs(ix[:, None] - ix[None, :])
+    dy = np.abs(iy[:, None] - iy[None, :])
+    return np.hypot(np.minimum(dx, nx - dx) / nx, np.minimum(dy, ny - dy) / ny)
 
 
 class TestGenerators:
@@ -97,6 +109,40 @@ class TestGenerators:
                 spec.validate()
         SpaceSpec("sierpinski", level=7).validate()  # 3282 points
         SpaceSpec("torus2d", nx=64, ny=64).validate()
+
+
+class TestLatticeDistances:
+    """Lattice distances come from an offset table; each must equal its pairwise oracle."""
+
+    @pytest.mark.parametrize("nx, ny", [(12, 10), (2, 5), (16, 16), (30, 17)])
+    def test_torus_matches_index_oracle(self, nx, ny):
+        sp = build_space(SpaceSpec("torus2d", nx=nx, ny=ny))
+        assert np.array_equal(sp.dist, brute_torus_dist(nx, ny))
+
+    @pytest.mark.parametrize("n, body", [(12, "square"), (9, "ellipse:1:2"), (10, "ball:2"),
+                                         (8, HEXAGON)], ids=["square", "ellipse", "ball", "hexagon"])
+    def test_gauge_grid_matches_pairwise_gauge(self, n, body):
+        sp = build_space(SpaceSpec("gauge_grid", n=n, body=parse_body(body)))
+        expected = gauge_distance_matrix(parse_body(body), sp.coords, sp.coords)
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(sp.dist, expected)
+
+    def test_min_distance_matches_masked_min(self):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.0, 1.0, 300)
+        sp = MetricMeasureSpace(np.abs(x[:, None] - x[None, :]), np.ones(300))
+        assert sp.min_distance == np.min(sp.dist[~np.eye(300, dtype=bool)])
+        assert MetricMeasureSpace(np.zeros((1, 1)), np.ones(1)).min_distance == 0.0
+
+    def test_min_distance_allocates_no_square_copy(self):
+        sp = build_space(SpaceSpec("interval", n=2048))
+        tracemalloc.start()
+        try:
+            assert sp.min_distance == 1.0 / 2048
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sp.dist.nbytes / 8
 
 
 class TestSpecParse:
@@ -260,6 +306,24 @@ MALFORMED = {
 }
 
 
+# Grids a matrix file (a saved sierpinski:2, 15 points with coords) may not
+# carry; each mutates the document in place.
+MALFORMED_GRIDS = {
+    "no shape": lambda doc: doc.update(grid={"kind": "torus2d"}),
+    "unknown kind": lambda doc: doc.update(grid={"kind": "hex", "shape": [15]}),
+    "kind not a string": lambda doc: doc.update(grid={"kind": ["circle"], "shape": [15]}),
+    "product not n": lambda doc: doc.update(grid={"kind": "torus2d", "shape": [4, 4]}),
+    "negative axes": lambda doc: doc.update(grid={"kind": "torus2d", "shape": [-3, -5]}),
+    "float axis": lambda doc: doc.update(grid={"kind": "grid2d", "shape": [3.0, 5]}),
+    "bool axis": lambda doc: doc.update(grid={"kind": "grid2d", "shape": [True, 15]}),
+    "shape not a list": lambda doc: doc.update(grid={"kind": "circle", "shape": 15}),
+    "two axes on a circle": lambda doc: doc.update(grid={"kind": "circle", "shape": [3, 5]}),
+    "one axis on a torus": lambda doc: doc.update(grid={"kind": "torus2d", "shape": [15]}),
+    "interval without coords": lambda doc: [doc.pop("coords"), doc.pop("dim"),
+                                            doc.update(grid={"kind": "interval", "shape": [15]})],
+}
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path, circle64):
         path = tmp_path / "c.space"
@@ -382,6 +446,27 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(SpaceError):
             load_space(path)
+
+    @pytest.mark.parametrize("fault", sorted(MALFORMED_GRIDS))
+    def test_matrix_file_bad_grid_raises_space_error(self, tmp_path, fault):
+        path = tmp_path / "s.space"
+        save_space(build_space(SpaceSpec("sierpinski", level=2)), path)
+        doc = json.loads(path.read_text())
+        MALFORMED_GRIDS[fault](doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpaceError, match="grid"):
+            load_space(path)
+
+    @pytest.mark.parametrize("grid", [{"kind": "grid2d", "shape": [3, 5]},
+                                      {"kind": "circle", "shape": [15]},
+                                      {"kind": "interval", "shape": [15]}])
+    def test_matrix_file_keeps_valid_grid(self, tmp_path, grid):
+        path = tmp_path / "s.space"
+        save_space(build_space(SpaceSpec("sierpinski", level=2)), path)
+        doc = json.loads(path.read_text())
+        doc["grid"] = grid
+        path.write_text(json.dumps(doc))
+        assert load_space(path).grid == grid
 
     def test_closed_form_file_names_differing_keys(self, tmp_path):
         path = tmp_path / "t.space"
