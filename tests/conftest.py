@@ -13,6 +13,16 @@ HEXAGON = "polygon:1,0;0.5,0.8;-0.5,0.8;-1,0;-0.5,-0.8;0.5,-0.8"
 
 
 @pytest.fixture
+def no_ball_loop(monkeypatch):
+    """Make the per-center ball loop, energies._ball_pair_totals, fail if it runs."""
+
+    def ran(*args):
+        raise AssertionError("the per-center ball loop ran")
+
+    monkeypatch.setattr("nsl.energies._ball_pair_totals", ran)
+
+
+@pytest.fixture
 def two_point():
     """d = 1, both weights 1/2."""
     dist = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -55,6 +65,40 @@ def random_space(rng: np.random.Generator, n: int) -> MetricMeasureSpace:
     dist = np.abs(x[:, None] - x[None, :])
     weights = rng.uniform(0.2, 1.0, n)
     return MetricMeasureSpace(dist, weights, coords=x, name="random-line")
+
+
+def ball_average_oracle(space: MetricMeasureSpace, vals, t: float, p: float) -> np.ndarray:
+    """Per center x', mu(B)^-2 sum_{x,y in B} |u(x)-u(y)|^p w w over B = closed B(x', t).
+
+    Every ordered pair of each ball is summed term by term with math.fsum, with
+    no rearrangement of the squares, so it is independent of the library route.
+    """
+    vals = np.asarray(vals, dtype=float)
+    out = np.empty(space.n)
+    for center in range(space.n):
+        ball = np.nonzero(space.dist[center] <= t)[0]
+        w, u = space.weights[ball], vals[ball]
+        pairs = np.abs(np.subtract.outer(u, u)) ** p * np.outer(w, w)
+        out[center] = math.fsum(pairs.ravel()) / math.fsum(w) ** 2
+    return out
+
+
+def s_oracle(space: MetricMeasureSpace, vals, t: float, p: float) -> float:
+    """S_t from its definition: the center-weighted sum of ball_average_oracle."""
+    return math.fsum(space.weights * ball_average_oracle(space, vals, t, p))
+
+
+def ball_loop_s(space: MetricMeasureSpace, vals, t: float, p: float) -> float:
+    """S_t by the per-center loop, expression for expression as the library's
+    _ball_pair_totals route computes it; for p != 2 the two are bitwise equal."""
+    w = space.weights
+    totals = []
+    for center in range(space.n):
+        members = np.nonzero(space.dist[center] <= t)[0]
+        sub, ww = vals[members], w[members]
+        numer = np.abs(sub[:, None] - sub[None, :]) ** p
+        totals.append(float(np.sum(numer * (ww[:, None] * ww[None, :]))))
+    return float(np.sum(w * np.array(totals) / space.ball_masses(t) ** 2))
 
 
 def hajlasz_oracle_p2(weights, pairs, bounds):

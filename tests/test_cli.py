@@ -12,6 +12,8 @@ from nsl import build_space, save_space
 from nsl.cli import main, parse_space_spec
 from nsl.kernels import KERNEL_KINDS
 
+from conftest import ball_loop_s
+
 
 @pytest.fixture
 def runner():
@@ -76,7 +78,7 @@ class TestEnergy:
             assert result.exit_code == 0, result.output
             assert check(float(result.output.strip()))
 
-    def test_scale_functionals_compute_only_their_energy(self, runner, monkeypatch):
+    def test_scale_functionals_compute_only_their_energy(self, runner, monkeypatch, no_ball_loop):
         import nsl.cli
         from nsl import EnergySpec, ScalarField, scale_energies
 
@@ -86,17 +88,12 @@ class TestEnergy:
             built.append(build_space(spec))
             return built[-1]
 
-        def no_ball_loop(*args):
-            raise AssertionError("the per-center ball loop ran")
-
+        # at p = 2 not even S_t loops over the centers (no_ball_loop): it takes two ball sums
         monkeypatch.setattr(nsl.cli, "build_space", build)
         args = ["energy", "--space", "circle:64", "--field", "sin(x)", "--t", "0.5"]
         outputs = {}
         for functional in ("h", "s", "k"):
-            with monkeypatch.context() as m:
-                if functional != "s":
-                    m.setattr("nsl.energies._ball_pair_totals", no_ball_loop)
-                result = invoke(runner, args + ["--functional", functional])
+            result = invoke(runner, args + ["--functional", functional])
             assert result.exit_code == 0, result.output
             outputs[functional] = result.output.strip()
             kernels = [key for key in built[-1]._cache if isinstance(key, tuple)
@@ -105,6 +102,27 @@ class TestEnergy:
         sp = build_space(parse_space_spec("circle:64"))
         se = scale_energies(sp, ScalarField(np.sin(sp.coords[:, 0])), EnergySpec(p=2, t=0.5))
         assert outputs == {"k": repr(se.k), "h": repr(se.h), "s": repr(se.s)}
+
+    def test_s_at_p3_runs_the_ball_loop(self, runner, monkeypatch):
+        import nsl.energies
+
+        radii = []
+        original = nsl.energies._ball_pair_totals
+
+        def counted(space, t, numer_rows):
+            radii.append(t)
+            return original(space, t, numer_rows)
+
+        monkeypatch.setattr(nsl.energies, "_ball_pair_totals", counted)
+        result = invoke(
+            runner,
+            ["energy", "--space", "circle:64", "--field", "sin(x)", "--t", "0.5",
+             "--functional", "s", "--p", "3"],
+        )
+        assert result.exit_code == 0, result.output
+        assert radii == [0.5]
+        sp = build_space(parse_space_spec("circle:64"))
+        assert result.output.strip() == repr(ball_loop_s(sp, np.sin(sp.coords[:, 0]), 0.5, 3.0))
 
     def test_field_csv(self, runner, tmp_path):
         csv_path = tmp_path / "u.csv"
@@ -210,6 +228,15 @@ class TestSweepAndReport:
              "--t-grid", "0.3:0.1:-0.1"],
         )
         assert result.exit_code == 0
+
+    def test_ks_sweep_at_p2_runs_no_ball_loop(self, runner, no_ball_loop):
+        result = invoke(
+            runner,
+            ["sweep", "--mode", "ks", "--space", "circle:64", "--field", "sin(x)",
+             "--t-grid", "0.8:0.2:-0.2", "--p", "2"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "ks: 4 points" in result.output
 
     def test_bad_grid_exit_2(self, runner):
         result = invoke(

@@ -25,7 +25,7 @@ from nsl import (
 )
 from nsl.kernels import kernel_matrix
 
-from conftest import random_space
+from conftest import ball_average_oracle, ball_loop_s, random_space, s_oracle
 
 
 def brute_pair_sum(space, u, term):
@@ -233,6 +233,74 @@ class TestScaleEnergies:
         a = scale_energies(two_point, two_point_field, spec)
         b = scale_energies(scaled, two_point_field, spec)
         assert b.k == 4.0 * a.k
+
+
+ORACLE_SPACES = ["random", "circle:64", "interval:128:0.5", "torus2d:8x8", "sierpinski:3"]
+
+
+def oracle_space(name: str) -> MetricMeasureSpace:
+    if name == "random":
+        return random_space(np.random.default_rng(17), 40)
+    return build_space(SpaceSpec.parse(name))
+
+
+def oracle_fields(n: int) -> dict[str, np.ndarray]:
+    x = 2.0 * np.pi * np.arange(n) / n
+    outlier = 0.01 * np.sin(x)
+    outlier[0] = 1e3
+    return {
+        "normal": np.random.default_rng(n).normal(size=n),
+        "offset": 1e3 + np.sin(x),
+        "scaled": 1e3 * np.sin(x),
+        "step": (np.arange(n) >= n // 3).astype(float),
+        "outlier": outlier,
+    }
+
+
+def oracle_radii(space: MetricMeasureSpace) -> tuple[float, float]:
+    return 1.5 * space.min_distance, space.diameter
+
+
+class TestScaleSOracle:
+    """S_t and the plain g_t against a term-by-term sum over each ball."""
+
+    @pytest.mark.parametrize("name", ORACLE_SPACES)
+    def test_p2_matches_oracle(self, name):
+        sp = oracle_space(name)
+        for field, vals in oracle_fields(sp.n).items():
+            for t in oracle_radii(sp):
+                got = scale_s_by_balls(sp, ScalarField(vals), EnergySpec(p=2, t=t))
+                want = s_oracle(sp, vals, t, 2.0)
+                assert abs(got - want) <= 1e-12 * abs(want), (field, t, got, want)
+
+    @pytest.mark.parametrize("name", ORACLE_SPACES)
+    def test_constant_field_is_exactly_zero(self, name):
+        sp = oracle_space(name)
+        u = ScalarField(np.full(sp.n, 0.3))
+        for t in oracle_radii(sp):
+            assert scale_s_by_balls(sp, u, EnergySpec(p=2, t=t)) == 0.0
+            assert scale_energies(sp, u, EnergySpec(p=2, t=t)).s == 0.0
+            assert np.all(g_scale(sp, u, EnergySpec(p=2, t=t)).values == 0.0)
+
+    @pytest.mark.parametrize("name", ORACLE_SPACES)
+    def test_other_p_keep_the_ball_loop(self, name):
+        sp = oracle_space(name)
+        vals = oracle_fields(sp.n)["normal"]
+        for p in (1.5, 3.0):
+            for t in oracle_radii(sp):
+                got = scale_s_by_balls(sp, ScalarField(vals), EnergySpec(p=p, t=t))
+                assert got == ball_loop_s(sp, vals, t, p)
+                want = s_oracle(sp, vals, t, p)
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("name", ORACLE_SPACES)
+    def test_plain_g_scale_p2_matches_oracle(self, name, no_ball_loop):
+        sp = oracle_space(name)
+        for field, vals in oracle_fields(sp.n).items():
+            for t in oracle_radii(sp):
+                got = g_scale(sp, ScalarField(vals), EnergySpec(p=2, t=t)).values
+                want = ball_average_oracle(sp, vals, t, 2.0) / t**2
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (field, t)
 
 
 class TestMollify:

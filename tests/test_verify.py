@@ -127,17 +127,17 @@ class TestHks:
         items = {rec.params["item"] for rec in rep.records}
         assert items == {"i-lower", "i-upper", "ii-lower", "ii-upper", "iv"}
 
-    def test_ball_loop_runs_once_per_grid_scale(self, circle64, monkeypatch):
+    def test_ball_loop_runs_once_per_grid_scale(self, circle64, monkeypatch, no_ball_loop):
         import nsl.energies
 
         radii = []
-        original = nsl.energies._ball_pair_totals
+        original = nsl.energies.scale_s_by_balls
 
-        def counted(space, t, numer_rows):
-            radii.append(t)
-            return original(space, t, numer_rows)
+        def counted(space, u, spec):
+            radii.append(spec.t)
+            return original(space, u, spec)
 
-        monkeypatch.setattr(nsl.energies, "_ball_pair_totals", counted)
+        monkeypatch.setattr(nsl.energies, "scale_s_by_balls", counted)
         t_grid = [math.pi / 16, math.pi / 8, 2.0]
         assert check_hks(circle64, sin_field(circle64), 2.0, t_grid).passed
         assert radii == t_grid
