@@ -17,11 +17,14 @@ Scale quantities at ball radius t:
   S_t  = sum_{x'} w(x') mu(B(x',t))^-2 sum_{x,y in B(x',t)} |u(x)-u(y)|^p w w
 
 k_energy, h_energy and scale_s_by_balls compute one each, so a caller pays
-only for what it reads; scale_energies is their bundle. At p = 2 the pair sum
-over B = B(x',t) is 2 mu(B) sum_B w v^2 - 2 (sum_B w v)^2 with v = u - u(x'),
-taken for a row block of centers at once; other p loop over the centers.
-Centering on each ball's own center bounds the cancellation by about |B|
-roundings and keeps constant fields and singleton balls at exactly 0.
+only for what it reads; scale_energies is their bundle. The pair sum inside
+each ball, for S_t, for every g_t below and for verify's ball-mean check, has
+one helper, _ball_pair_totals, with two routes. At p = 2 with no truncation
+the sum over B = B(x',t) is 2 mu(B) sum_B w v^2 - 2 (sum_B w v)^2 with
+v = u - u(x'), taken for a row block of centers at once; every other case
+loops over the centers and sums the ball's pairs term by term. Centering on
+each ball's own center bounds the cancellation by about |B| roundings and
+keeps constant fields and singleton balls at exactly 0.
 
 S_t has a second, algebraically equal route that integrates over the center
 first: S_t = sum_{x,y} |u(x)-u(y)|^p f_t(x,y) w w with
@@ -136,28 +139,31 @@ def nguyen_b(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     return _nguyen(space, u, spec, spec.r)
 
 
-def _ball_pair_totals(space, t: float, numer_rows) -> np.ndarray:
-    """sum_{x,y in B(x',t)} numer(x,y) w(x) w(y), per center x'.
-
-    numer_rows(sub_vals) maps the field restricted to a ball to the pair
-    numerator matrix on that ball.
-    """
+def _ball_loop_totals(space, t: float, vals, p: float, cap: float, scale: float) -> np.ndarray:
+    """_ball_pair_totals term by term, one center at a time."""
     w = space.weights
 
     def rows(a: int, b: int) -> np.ndarray:
         out = np.empty(b - a)
         for i, center in enumerate(range(a, b)):
             members = np.nonzero(space.dist[center] <= t)[0]
-            sub = numer_rows(members)
-            ww = w[members]
-            out[i] = float(np.sum(sub * (ww[:, None] * ww[None, :])))
+            sub, ww = vals[members], w[members]
+            numer = (np.minimum(np.abs(sub[:, None] - sub[None, :]), cap) / scale) ** p
+            out[i] = float(np.sum(numer * (ww[:, None] * ww[None, :])))
         return out
 
     return np.concatenate(map_blocks(space.n, rows))
 
 
-def _ball_square_totals(space, t: float, vals: np.ndarray) -> np.ndarray:
-    """_ball_pair_totals at numer = (u(x)-u(y))^2, from two sums over each ball."""
+def _ball_pair_totals(
+    space, t: float, vals, p: float, cap: float = np.inf, scale: float = 1.0
+) -> np.ndarray:
+    """sum_{x,y in B(x',t)} (min(|u(x)-u(y)|, cap) / scale)^p w(x) w(y), per center x'.
+
+    At p = 2 with no cap it takes two sums over each ball; otherwise it loops.
+    """
+    if p != 2 or cap != np.inf:
+        return _ball_loop_totals(space, t, vals, p, cap, scale)
     w = space.weights
 
     def rows(a: int, b: int) -> np.ndarray:
@@ -165,7 +171,7 @@ def _ball_square_totals(space, t: float, vals: np.ndarray) -> np.ndarray:
         return np.stack([v @ w, (v * v) @ w], 1)
 
     first, second = np.concatenate(map_blocks(space.n, rows)).T
-    return np.maximum(2.0 * space.ball_masses(t) * second - 2.0 * first**2, 0.0)
+    return np.maximum(2.0 * space.ball_masses(t) * second - 2.0 * first**2, 0.0) / scale**2
 
 
 def _radius(spec: EnergySpec) -> float:
@@ -196,14 +202,9 @@ def h_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
 
 def scale_s_by_balls(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """S_t by the direct route: pair sum inside each ball, then over centers."""
-    p, t = spec.p, _radius(spec)
-    vals = as_values(u, space.n)
-    if p == 2:
-        totals = _ball_square_totals(space, t, vals)
-    else:
-        totals = _ball_pair_totals(space, t, lambda i: np.abs(vals[i][:, None] - vals[i]) ** p)
-    m = space.ball_masses(t)
-    return float(np.sum(space.weights * totals / m**2))
+    t = _radius(spec)
+    totals = _ball_pair_totals(space, t, as_values(u, space.n), spec.p)
+    return float(np.sum(space.weights * totals / space.ball_masses(t) ** 2))
 
 
 def scale_s_by_pairs(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
@@ -228,7 +229,7 @@ def scale_energies(space: MetricMeasureSpace, u, spec: EnergySpec) -> ScaleEnerg
 
 def mollify(space: MetricMeasureSpace, u, t: float) -> ScalarField:
     """Ball average over closed B(x, t): linear, constant-preserving."""
-    if t <= 0:
+    if not t > 0:  # NaN fails too
         raise ValueError(f"regularization scale t must be > 0, got {t}")
     vals = as_values(u, space.n)
     if t < space.min_distance:
@@ -260,35 +261,14 @@ def g_scale(
     """
     t = _radius(spec)
     vals = as_values(u, space.n)
-
     if mode == "plain":
-
-        def numer(members: np.ndarray) -> np.ndarray:
-            sub = vals[members]
-            return np.abs((sub[:, None] - sub[None, :]) / t) ** spec.p
-
+        totals = _ball_pair_totals(space, t, vals, spec.p, scale=t)
     elif mode == "truncated":
-        r = np.inf if spec.r is None else spec.r
-
-        def numer(members: np.ndarray) -> np.ndarray:
-            sub = vals[members]
-            return np.minimum(np.abs(sub[:, None] - sub[None, :]), r) / t
-
+        totals = _ball_pair_totals(space, t, vals, 1, np.inf if spec.r is None else spec.r, t)
     elif mode == "composed":
         if phi is None:
             raise ValueError("composed mode needs a piecewise-linear map phi")
-        mapped = phi(vals)
-
-        def numer(members: np.ndarray) -> np.ndarray:
-            sub = mapped[members]
-            return np.abs(sub[:, None] - sub[None, :]) / t
-
+        totals = _ball_pair_totals(space, t, phi(vals), 1, scale=t)
     else:
         raise ValueError(f"unknown g_scale mode {mode!r}")
-
-    if mode == "plain" and spec.p == 2:
-        totals = _ball_square_totals(space, t, vals) / t**2
-    else:
-        totals = _ball_pair_totals(space, t, numer)
-    m = space.ball_masses(t)
-    return ScalarField(totals / m**2, provenance=f"op:g_scale:{mode}")
+    return ScalarField(totals / space.ball_masses(t) ** 2, provenance=f"op:g_scale:{mode}")

@@ -39,11 +39,7 @@ __all__ = ["cheeger_surrogate", "hajlasz_minimal", "HajlaszResult", "path_integr
 def _knn_edges(space: MetricMeasureSpace, k: int) -> np.ndarray:
     order = space.cache("knn_order", lambda: np.argsort(space.dist, axis=1, kind="stable"))
     k = min(k, space.n - 1)
-    pairs = []
-    for x in range(space.n):
-        for y in order[x, 1 : k + 1]:
-            pairs.append((x, int(y)))
-    return np.asarray(pairs, dtype=np.int64)
+    return np.stack([np.repeat(np.arange(space.n), k), order[:, 1 : k + 1].ravel()], 1)
 
 
 def _slope_gradient(space: MetricMeasureSpace, vals: np.ndarray, k: int) -> np.ndarray:
@@ -197,6 +193,8 @@ def hajlasz_minimal(
         raise ValueError(f"exponent p must be >= 1, got {p}")
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"fractional order sigma must be in (0, 1], got {sigma}")
+    if not cutoff > 0:
+        raise ValueError(f"cutoff r must be > 0, got {cutoff}")
     vals = as_values(u, space.n)
     w = space.weights
     i, j, c = _pair_constraints(space, vals, sigma, cutoff)

@@ -310,7 +310,7 @@ class MetricMeasureSpace:
         """Mass of the closed ball B(x, r)."""
         if not 0 <= x < self.n:
             raise SpaceError(f"unknown point id {x}")
-        if r < 0:
+        if not r >= 0:  # NaN fails too
             raise SpaceError(f"radius must be >= 0, got {r}")
         sorted_d, prefix = self._ball_index()
         k = int(np.searchsorted(sorted_d[x], r, side="right"))
@@ -318,6 +318,8 @@ class MetricMeasureSpace:
 
     def ball_masses(self, r: float) -> np.ndarray:
         """Vector of closed-ball masses mu(B(x, r)) for every point."""
+        if not r >= 0:
+            raise SpaceError(f"radius must be >= 0, got {r}")
         key = ("ball_masses", float(r))
         if key not in self._cache:
             sorted_d, prefix = self._ball_index()

@@ -14,12 +14,12 @@ HEXAGON = "polygon:1,0;0.5,0.8;-0.5,0.8;-1,0;-0.5,-0.8;0.5,-0.8"
 
 @pytest.fixture
 def no_ball_loop(monkeypatch):
-    """Make the per-center ball loop, energies._ball_pair_totals, fail if it runs."""
+    """Make the per-center ball loop, energies._ball_loop_totals, fail if it runs."""
 
     def ran(*args):
         raise AssertionError("the per-center ball loop ran")
 
-    monkeypatch.setattr("nsl.energies._ball_pair_totals", ran)
+    monkeypatch.setattr("nsl.energies._ball_loop_totals", ran)
 
 
 @pytest.fixture
@@ -88,17 +88,40 @@ def s_oracle(space: MetricMeasureSpace, vals, t: float, p: float) -> float:
     return math.fsum(space.weights * ball_average_oracle(space, vals, t, p))
 
 
-def ball_loop_s(space: MetricMeasureSpace, vals, t: float, p: float) -> float:
-    """S_t by the per-center loop, expression for expression as the library's
-    _ball_pair_totals route computes it; for p != 2 the two are bitwise equal."""
+def ball_loop_totals(space: MetricMeasureSpace, vals, t: float, numer) -> np.ndarray:
+    """Per center, sum_{x,y in B} numer(u_B)[x, y] w w over B = closed B(x', t), one
+    center at a time, where numer maps the ball's values to its pair numerators."""
     w = space.weights
     totals = []
     for center in range(space.n):
         members = np.nonzero(space.dist[center] <= t)[0]
-        sub, ww = vals[members], w[members]
-        numer = np.abs(sub[:, None] - sub[None, :]) ** p
-        totals.append(float(np.sum(numer * (ww[:, None] * ww[None, :]))))
-    return float(np.sum(w * np.array(totals) / space.ball_masses(t) ** 2))
+        ww = w[members]
+        totals.append(float(np.sum(numer(vals[members]) * (ww[:, None] * ww[None, :]))))
+    return np.array(totals)
+
+
+def ball_loop_s(space: MetricMeasureSpace, vals, t: float, p: float) -> float:
+    """S_t by the per-center loop, expression for expression as the library's
+    _ball_loop_totals computes it; for p != 2 the two are bitwise equal."""
+    totals = ball_loop_totals(space, vals, t, lambda sub: np.abs(sub[:, None] - sub[None, :]) ** p)
+    return float(np.sum(space.weights * totals / space.ball_masses(t) ** 2))
+
+
+def mean_comparison_oracle(space: MetricMeasureSpace, vals, t: float, p: float) -> float:
+    """The ball-mean-comparison record's lhs, max over centers of
+    max(low - mid, mid - high), with every sum over a ball taken term by term by
+    math.fsum around the plain ball mean u_B."""
+    vals = np.asarray(vals, dtype=float)
+    worst = -math.inf
+    for center in range(space.n):
+        ball = np.nonzero(space.dist[center] <= t)[0]
+        w, u = space.weights[ball], vals[ball]
+        mass = math.fsum(w)
+        mean = math.fsum(w * u) / mass
+        low = mass * math.fsum(w * np.abs(u - mean) ** p)
+        mid = math.fsum((np.abs(np.subtract.outer(u, u)) ** p * np.outer(w, w)).ravel())
+        worst = max(worst, low - mid, mid - 2.0**p * low)
+    return worst
 
 
 def hajlasz_oracle_p2(weights, pairs, bounds):

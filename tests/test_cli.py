@@ -107,13 +107,13 @@ class TestEnergy:
         import nsl.energies
 
         radii = []
-        original = nsl.energies._ball_pair_totals
+        original = nsl.energies._ball_loop_totals
 
-        def counted(space, t, numer_rows):
+        def counted(space, t, *args):
             radii.append(t)
-            return original(space, t, numer_rows)
+            return original(space, t, *args)
 
-        monkeypatch.setattr(nsl.energies, "_ball_pair_totals", counted)
+        monkeypatch.setattr(nsl.energies, "_ball_loop_totals", counted)
         result = invoke(
             runner,
             ["energy", "--space", "circle:64", "--field", "sin(x)", "--t", "0.5",
@@ -283,6 +283,13 @@ class TestVerify:
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
+    def test_constant_field_passes_the_mean_check(self, runner):
+        result = invoke(
+            runner, ["verify", "--suite", "mean", "--space", "interval:100", "--field", "0.3"]
+        )
+        assert result.exit_code == 0, result.output
+        assert "PASS" in result.output
+
     def test_unknown_check_exit_2(self, runner):
         result = invoke(
             runner, ["verify", "--suite", "bogus", "--space", "circle:16", "--field", "x"]
@@ -343,6 +350,13 @@ class TestBadInput:
         result = invoke(runner, command + ["--space", "circle:16", "--field", "sin(x)", "--p", p])
         assert result.exit_code == 2, result.output
         assert "exponent p must be >= 1" in result.output
+
+    @pytest.mark.parametrize("r", ["nan", "0", "-1"])
+    def test_bad_hajlasz_cutoff_exit_2(self, runner, r):
+        result = invoke(runner, ["energy", "--functional", "hajlasz", "--space", "circle:16",
+                                 "--field", "sin(x)", "--r", r])
+        assert result.exit_code == 2, result.output
+        assert "cutoff r must be > 0" in result.output
 
 
 class TestConstants:

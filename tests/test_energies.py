@@ -25,7 +25,7 @@ from nsl import (
 )
 from nsl.kernels import kernel_matrix
 
-from conftest import ball_average_oracle, ball_loop_s, random_space, s_oracle
+from conftest import ball_average_oracle, ball_loop_s, ball_loop_totals, random_space, s_oracle
 
 
 def brute_pair_sum(space, u, term):
@@ -292,6 +292,33 @@ class TestScaleSOracle:
                 assert got == ball_loop_s(sp, vals, t, p)
                 want = s_oracle(sp, vals, t, p)
                 assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("name", ORACLE_SPACES)
+    def test_truncated_and_composed_g_scale_keep_the_ball_loop(self, name):
+        sp = oracle_space(name)
+        vals = oracle_fields(sp.n)["normal"]
+        u = ScalarField(vals)
+        phi = PiecewiseLinearMap([(-1.0, 0.0), (0.5, 1.5)], r=1.5)
+        for t in oracle_radii(sp):
+            m2 = sp.ball_masses(t) ** 2
+            for r in (None, 0.7):
+                spec = EnergySpec(p=2, t=t, r=r)
+                cap = np.inf if r is None else r
+                want = ball_loop_totals(
+                    sp, vals, t, lambda sub: np.minimum(np.abs(sub[:, None] - sub[None, :]), cap) / t
+                )
+                assert np.array_equal(g_scale(sp, u, spec, "truncated").values, want / m2)
+            want = ball_loop_totals(
+                sp, phi(vals), t, lambda sub: np.abs(sub[:, None] - sub[None, :]) / t
+            )
+            got = g_scale(sp, u, EnergySpec(p=2, t=t), "composed", phi=phi).values
+            assert np.array_equal(got, want / m2)
+            for p in (1.5, 3.0):
+                want = ball_loop_totals(
+                    sp, vals, t, lambda sub: np.abs((sub[:, None] - sub[None, :]) / t) ** p
+                )
+                got = g_scale(sp, u, EnergySpec(p=p, t=t)).values
+                assert np.array_equal(got, want / m2)
 
     @pytest.mark.parametrize("name", ORACLE_SPACES)
     def test_plain_g_scale_p2_matches_oracle(self, name, no_ball_loop):

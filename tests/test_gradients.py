@@ -12,6 +12,7 @@ from nsl import (
     hajlasz_minimal,
     path_integral,
 )
+from nsl.gradients import _knn_edges
 
 from conftest import hajlasz_oracle_p2, random_space
 
@@ -52,6 +53,17 @@ class TestCheeger:
         energy, _ = cheeger_surrogate(sp, u, 2, scheme="slope", k=3)
         # unit slope everywhere, so the energy is the total mass
         assert energy == pytest.approx(sp.total_mass, rel=1e-9)
+
+    def test_knn_edges_match_the_double_loop(self):
+        sp = random_space(np.random.default_rng(52), 12)
+        assert sp.edges is None
+        order = np.argsort(sp.dist, axis=1, kind="stable")
+        for k in (1, 3, 11, 20):
+            kk = min(k, sp.n - 1)
+            loop = [(x, int(y)) for x in range(sp.n) for y in order[x, 1 : kk + 1]]
+            edges = _knn_edges(sp, k)
+            assert edges.dtype == np.int64
+            assert np.array_equal(edges, np.asarray(loop, dtype=np.int64))
 
     def test_isolated_point_error(self):
         dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
@@ -151,6 +163,11 @@ class TestHajlasz:
             hajlasz_minimal(two_point, two_point_field, 0.5)
         with pytest.raises(ValueError):
             hajlasz_minimal(two_point, two_point_field, 2, sigma=1.5)
+
+    @pytest.mark.parametrize("cutoff", [math.nan, 0.0, -1.0])
+    def test_cutoff_must_be_positive(self, two_point, two_point_field, cutoff):
+        with pytest.raises(ValueError, match="cutoff r must be > 0"):
+            hajlasz_minimal(two_point, two_point_field, 2, cutoff=cutoff)
 
 
 class TestPathIntegral:

@@ -7,16 +7,19 @@ import pytest
 
 from nsl import (
     MetricMeasureSpace,
+    ScalarField,
     SpaceError,
     SpaceSpec,
     ball_measure,
     build_space,
     doubling_constant,
     load_space,
+    mollify,
     parse_body,
     save_space,
 )
 from nsl.constants import gauge_distance_matrix
+from nsl.verify import check_mean_comparison
 
 from conftest import HEXAGON
 
@@ -206,6 +209,19 @@ class TestBallMeasure:
     def test_negative_radius(self, two_point):
         with pytest.raises(SpaceError):
             ball_measure(two_point, 0, -0.1)
+
+    @pytest.mark.parametrize("r", [math.nan, -0.1])
+    def test_nan_or_negative_radius_rejected_everywhere(self, r):
+        sp = build_space(SpaceSpec("circle", n=16))
+        u = ScalarField(np.sin(sp.coords[:, 0]))
+        with pytest.raises(SpaceError, match="radius"):
+            ball_measure(sp, 0, r)
+        with pytest.raises(SpaceError, match="radius"):
+            sp.ball_masses(r)
+        with pytest.raises(ValueError, match="scale t"):
+            mollify(sp, u, r)
+        with pytest.raises(ValueError, match="radius"):
+            check_mean_comparison(sp, u, 2.0, [r])
 
     def test_ball_index_prefix_sums(self, interval128):
         sorted_d, prefix = interval128._ball_index()

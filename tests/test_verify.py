@@ -27,6 +27,8 @@ from nsl.verify import (
     two_sided_report,
 )
 
+from conftest import mean_comparison_oracle, random_space
+
 
 def sin_field(space):
     return ScalarField(np.sin(space.coords[:, 0]))
@@ -81,10 +83,38 @@ class TestMeanComparison:
         mean = 0.5
         osc = float(np.sum(two_point.weights * np.abs(vals - mean) ** 2))
         assert mass * osc == pytest.approx(0.25)
+        # the tighter slack is the lower one, 0.5 - 0.25
+        assert rep.records[0].lhs == -0.25
 
     def test_constant_field(self, circle64):
         rep = check_mean_comparison(circle64, ScalarField(np.zeros(64)), 2.0, [0.5])
         assert rep.passed
+
+    @pytest.mark.parametrize("spec", ["circle:64", "interval:100", "torus2d:8x8", "sierpinski:3"])
+    def test_constant_fields_are_exactly_zero(self, spec):
+        sp = build_space(SpaceSpec.parse(spec))
+        t_grid = [0.1 * sp.diameter, 0.5 * sp.diameter]
+        for value in (0.3, 1.0 / 3.0, 1000.1):
+            for p in (2.0, 3.0):
+                rep = check_mean_comparison(sp, ScalarField(np.full(sp.n, value)), p, t_grid)
+                assert rep.passed, (value, p)
+                # exactly +0.0, so the JSON report does not read -0.0
+                assert [repr(rec.lhs) for rec in rep.records] == ["0.0", "0.0"], (value, p)
+
+    def test_p2_runs_no_ball_loop(self, circle64, no_ball_loop):
+        assert check_mean_comparison(circle64, sin_field(circle64), 2.0, [0.2, 0.8]).passed
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_records_match_the_oracle(self, circle64, p):
+        spaces = [circle64, random_space(np.random.default_rng(17), 40)]
+        for sp in spaces:
+            t_grid = [sp.diameter / 16.0, sp.diameter / 8.0, sp.diameter / 4.0]
+            for vals in (np.sin(sp.coords[:, 0]), np.random.default_rng(3).normal(size=sp.n)):
+                rep = check_mean_comparison(sp, ScalarField(vals), p, t_grid)
+                assert rep.passed
+                for t, rec in zip(t_grid, rep.records):
+                    want = mean_comparison_oracle(sp, vals, t, p)
+                    assert abs(rec.lhs - want) <= 1e-12 * abs(want), (sp.name, t, rec.lhs, want)
 
     def test_circle_sine(self, circle64):
         rep = check_mean_comparison(circle64, sin_field(circle64), 2.0, [math.pi / 8])
