@@ -290,16 +290,14 @@ def verify(suite, space_arg, field, field_csv, p, kernel, informational, out_jso
     if field is not None:
         tree = parse_field_expr(field)
         refine_field = lambda sp: ScalarField(tree.evaluate(sp.coords), provenance="expression")
-    names = None if suite == "all" else tuple(s.strip() for s in suite.split(",") if s.strip())
     info = tuple(s.strip() for s in informational.split(",") if s.strip())
-    if names is None:
-        info = tuple(set(info) | {"two-sided"})
+    if suite == "all":
+        chosen = {"informational": (*info, "two-sided")}
+    else:
+        chosen = {"checks": tuple(s.strip() for s in suite.split(",") if s.strip()),
+                  "informational": info}
     try:
-        kwargs = {"informational": info, "refine_field": refine_field}
-        if names is None:
-            reports = run_suite(space, u, p, kspec, **kwargs)
-        else:
-            reports = run_suite(space, u, p, kspec, checks=names, **kwargs)
+        reports = run_suite(space, u, p, kspec, refine_field=refine_field, **chosen)
     except ValueError as exc:
         _fail(str(exc))
     click.echo(render_text(reports))

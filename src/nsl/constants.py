@@ -268,7 +268,8 @@ def gauge_distance_matrix(body: ConvexBody, a: np.ndarray, b: np.ndarray) -> np.
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.empty((a.shape[0], b.shape[0]))
-    step = max(1, 2**22 // max(1, b.shape[0]))
+    # 2^19 pairs per chunk: a polygon gauge holds one value per pair and facet
+    step = max(1, 2**19 // max(1, b.shape[0]))
     for start in range(0, a.shape[0], step):
         stop = min(start + step, a.shape[0])
         out[start:stop] = body.gauge(a[start:stop, None, :] - b[None, :, :])

@@ -134,6 +134,9 @@ def _pair_constraints(
 
 
 REFINE_MAX_CONSTRAINTS = 600
+FEAS_TOL = 1e-10  # worst constraint deficit a returned gradient may carry
+STOP_TOL = 1e-8  # relative objective drop below which the descent has stalled
+STOP_WINDOW = 50  # iterations over which that drop is measured
 
 
 def _dual_refine_p2(
@@ -184,9 +187,6 @@ def hajlasz_minimal(
     sigma: float = 1.0,
     cutoff: float = np.inf,
     max_iter: int = 20000,
-    feas_tol: float = 1e-10,
-    stop_tol: float = 1e-8,
-    stop_window: int = 50,
 ) -> HajlaszResult:
     """Minimal-energy two-point gradient for u at fractional order sigma."""
     if not p >= 1:  # NaN fails too
@@ -249,9 +249,9 @@ def hajlasz_minimal(
             best_obj = obj
             best_g = g.copy()
         history.append(best_obj)
-        if k_iter > stop_window:
-            drop = history[-1 - stop_window] - best_obj
-            if drop <= stop_tol * max(best_obj, 1e-300):
+        if k_iter > STOP_WINDOW:
+            drop = history[-1 - STOP_WINDOW] - best_obj
+            if drop <= STOP_TOL * max(best_obj, 1e-300):
                 converged = True
                 break
 
@@ -260,7 +260,7 @@ def hajlasz_minimal(
         # boundary from outside only in the limit)
         refined = lift(_dual_refine_p2(w, i, j, c))
         refined_obj = objective(refined)
-        if violation(refined) <= feas_tol:
+        if violation(refined) <= FEAS_TOL:
             if refined_obj < best_obj:
                 best_obj = refined_obj
                 best_g = refined
@@ -270,7 +270,7 @@ def hajlasz_minimal(
                 converged = True
 
     worst = violation(best_g)
-    if worst > feas_tol:
+    if worst > FEAS_TOL:
         # never expected: repair restores feasibility each iteration
         converged = False
     if not converged:

@@ -7,7 +7,7 @@ convex body, at the nearest of the 9 translates on a torus. On a torus or a
 gauge grid (metric types "torus" and "gauge") its entry depends only on the
 per-axis coordinate offset, so lattice kernels are built once per distinct
 offset, then gathered into the n x n matrix; other spaces with coordinates
-evaluate the gauge row block by row block.
+take all pairs from constants.gauge_distance_matrix.
 
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ConvexBody, parse_body
-from .parallel import row_blocks
+from .constants import ConvexBody, gauge_distance_matrix, parse_body
 from .space import _offset_matrix, doubling_constant
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
@@ -54,7 +53,7 @@ class KernelSpec:
         return self.kind
 
     @staticmethod
-    def parse(text: str, body: ConvexBody | None = None) -> "KernelSpec":
+    def parse(text: str) -> "KernelSpec":
         parts = text.strip().split(":")
         kind = parts[0]
         if kind in ("rho1", "rho2", "sum", "geom", "harm"):
@@ -65,8 +64,7 @@ class KernelSpec:
             exponent = float(parts[1])
             if kind == "ahlfors":
                 return KernelSpec("ahlfors", exponent)
-            if len(parts) > 2:
-                body = parse_body(":".join(parts[2:]))
+            body = parse_body(":".join(parts[2:])) if len(parts) > 2 else None
             return KernelSpec("gauge-ahlfors", exponent, body)
         raise ValueError(f"unknown kernel tag {text!r}")
 
@@ -89,9 +87,7 @@ def _gauge_pow_matrix(space, body: ConvexBody, exponent: float) -> np.ndarray:
             return np.power(functools.reduce(np.minimum, g), exponent)
 
         return _offset_matrix(np.unique(coords[:, 0]), np.unique(coords[:, 1]), table)
-    out = np.empty((space.n, space.n))
-    for a, b in row_blocks(space.n):
-        out[a:b] = body.gauge(coords[a:b, None, :] - coords[None, :, :])
+    out = gauge_distance_matrix(body, coords, coords)
     return np.power(out, exponent, out=out)
 
 

@@ -32,6 +32,7 @@ from .constants import ConvexBody, parse_body
 from .parallel import row_blocks
 
 MAX_POINTS = 4096
+NON_DOUBLING_THRESHOLD = 64.0  # c_d_hat above this flags non_doubling_like
 
 __all__ = [
     "MetricMeasureSpace",
@@ -273,14 +274,6 @@ class MetricMeasureSpace:
     # -- basic geometry ------------------------------------------------------
 
     @property
-    def points(self) -> range:
-        return range(self.n)
-
-    @property
-    def dim(self) -> int | None:
-        return None if self.coords is None else self.coords.shape[1]
-
-    @property
     def diameter(self) -> float:
         return self.cache("diameter", lambda: float(np.max(self.dist)))
 
@@ -356,9 +349,7 @@ def ball_measure(space: MetricMeasureSpace, x: int, r: float) -> float:
     return space.ball_mass(x, r)
 
 
-def doubling_constant(
-    space: MetricMeasureSpace, non_doubling_threshold: float = 64.0
-) -> DoublingReport:
+def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
     """Exact supremum of mu(B(x,2r))/mu(B(x,r)) over points and radii.
 
     Radii r in {d(x,y)} union {d(x,y)/2} are sufficient: both ball masses are
@@ -393,7 +384,7 @@ def doubling_constant(
     return DoublingReport(
         c_d_hat=best,
         witness=(best_x, best_r),
-        non_doubling_like=best > non_doubling_threshold,
+        non_doubling_like=best > NON_DOUBLING_THRESHOLD,
     )
 
 

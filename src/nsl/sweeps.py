@@ -190,14 +190,13 @@ def extrapolate(sweep: SweepResult) -> LimitEstimate:
     hw, vw = h[order], v[order]
 
     notes = list(sweep.warnings)
-    inner = vw[np.argsort(hw)]
-    steps = np.diff(inner)
+    steps = np.diff(vw)
     if np.any(steps > 0) and np.any(steps < 0):
         notes.append("sweep is non-monotone over the fit window")
 
     limit, residual = _polyfit(hw, vw, 1)
     model = "linear"
-    if residual > QUADRATIC_FALLBACK * max(abs(limit), 1e-300) and hw.size >= 3:
+    if residual > QUADRATIC_FALLBACK * max(abs(limit), 1e-300):
         limit, residual = _polyfit(hw, vw, 2)
         model = "quadratic"
     return LimitEstimate(limit, model, residual, tuple(hw.tolist()), tuple(notes))

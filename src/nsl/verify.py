@@ -2,15 +2,20 @@
 
 Every check assembles its constant from the measured doubling diagnostics
 (c_d_hat, c_rho_hat) rather than asserting an abstract bound, and each
-report records the assembled constant so a failure is attributable. The two
-exact identities (the layer-cake identity for the fractional energy and the
-threshold-averaging identity) are evaluated by closed-form segment
-integration of the relevant step function, so they must hold to 1e-9
-relative with no quadrature error.
+report records the assembled constant so a failure is attributable. Each
+checked instance is one VerificationReport.add(params, lhs, rhs) record,
+which passes when lhs <= rhs up to IDENTITY_RTOL relative; only the ball-mean
+check (both sides, EXACT_RTOL), the two identities, the two-sided window, the
+mollifier drift flag and the degenerate Hajlasz case pass their own `ok`.
+The identities (layer-cake for the fractional energy, threshold averaging)
+are evaluated by closed-form segment integration of the relevant step
+function, so they must hold to 1e-9 relative with no quadrature error. The
+fixed bounds are HAJLASZ_BUDGET, TWO_SIDED_WINDOW and MOLLIFIER_ALLOWANCE.
 
 Checks that need geometry the space does not carry (geodesic chains on a
 matrix-only space, mesh refinement of a generator-less space) return a
-report marked not applicable instead of failing.
+report marked not applicable instead of failing; so do suite checks whose
+scales all lie at or below the mesh.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ from .sweeps import bbm_sweep, extrapolate, nguyen_sweep
 
 IDENTITY_RTOL = 1e-9
 EXACT_RTOL = 1e-12
+HAJLASZ_BUDGET = 100.0
+TWO_SIDED_WINDOW = (0.05, 20.0)
+MOLLIFIER_ALLOWANCE = 1.05  # discreteness: the error may rise 5% per grid step
 # checks that a constant field skips: check name -> (report name, note)
 CONSTANT_FIELD_SKIPS = {
     "nguyen-avg": ("threshold-averaging", "constant field: 0 = 0"),
@@ -87,6 +95,11 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(r.ok for r in self.records) if self.applicable else True
+
+    def add(self, params: dict, lhs, rhs, ok: bool | None = None, note: str = "") -> None:
+        """Record one instance; unless `ok` is given it passes when lhs <= rhs."""
+        ok = _leq(lhs, rhs) if ok is None else ok
+        self.records.append(CheckRecord(params, lhs, rhs, ok, note))
 
     def to_dict(self) -> dict:
         return {
@@ -145,19 +158,12 @@ def check_annuli_bound(
     # NaN on the diagonal, which r > 0 always excludes
     terms = space.weights[None, :] / (rho * space.dist**p)
     for r in r_grid:
-        if r <= 0:
+        if not r > 0:  # NaN fails too
             raise ValueError(f"annuli radius must be > 0, got {r}")
         tails = np.sum(np.where(space.dist >= r, terms, 0.0), axis=1)
         worst = float(np.max(tails) * r**p)
-        report.records.append(
-            CheckRecord(
-                {"r": float(r), "p": p},
-                lhs=worst,
-                rhs=big_c,
-                ok=_leq(worst, big_c),
-                note=f"sup_x r^p * tail(x) at x = {int(np.argmax(tails))}",
-            )
-        )
+        note = f"sup_x r^p * tail(x) at x = {int(np.argmax(tails))}"
+        report.add({"r": float(r), "p": p}, worst, big_c, note=note)
     return report
 
 
@@ -192,15 +198,10 @@ def check_mean_comparison(
         mid = _ball_pair_totals(space, t, vals, p)
         high = 2.0**p * low
         worst_low, worst_high = float(np.min(mid - low)), float(np.min(high - mid))
-        report.records.append(
-            CheckRecord(
-                {"t": float(t), "p": p},
-                lhs=0.0 - min(worst_low, worst_high),  # +0.0, not -0.0, when both are 0
-                rhs=0.0,
-                ok=_leq(low, mid, EXACT_RTOL) and _leq(mid, high, EXACT_RTOL),
-                note=f"min slack lower {worst_low!r}, upper {worst_high!r}",
-            )
-        )
+        lhs = 0.0 - min(worst_low, worst_high)  # +0.0, not -0.0, when both are 0
+        ok = _leq(low, mid, EXACT_RTOL) and _leq(mid, high, EXACT_RTOL)
+        note = f"min slack lower {worst_low!r}, upper {worst_high!r}"
+        report.add({"t": float(t), "p": p}, lhs, 0.0, ok=ok, note=note)
     return report
 
 
@@ -249,15 +250,8 @@ def check_fubini_identity(
 
     rhs = gagliardo_p(space, u, EnergySpec(p=p, s=s, kernel=kernel))
     report = VerificationReport("fubini-layer-cake", constants={"p": p, "s": s})
-    report.records.append(
-        CheckRecord(
-            {"p": p, "s": s, "kernel": kernel.key},
-            lhs=lhs,
-            rhs=rhs,
-            ok=_close(lhs, rhs),
-            note="segment integral vs direct pair sum",
-        )
-    )
+    note = "segment integral vs direct pair sum"
+    report.add({"p": p, "s": s, "kernel": kernel.key}, lhs, rhs, ok=_close(lhs, rhs), note=note)
     return report
 
 
@@ -291,44 +285,21 @@ def check_hks(
 
     for t in t_grid:
         se = scale_energies(space, u, spec(t))
-        report.records.append(
-            CheckRecord({"t": t, "item": "i-lower"}, lhs=se.h, rhs=se.k, ok=_leq(se.h, se.k))
-        )
+        report.add({"t": t, "item": "i-lower"}, se.h, se.k)
         kmax = max(0, math.ceil(math.log2(t / h_min)))
         h_sum = sum([se.h, *(h_energy(space, u, spec(t / 2.0**k)) for k in range(1, kmax + 1))])
-        rhs = c_d * h_sum
-        report.records.append(
-            CheckRecord(
-                {"t": t, "item": "i-upper", "k_max": kmax}, lhs=se.k, rhs=rhs, ok=_leq(se.k, rhs)
-            )
-        )
+        report.add({"t": t, "item": "i-upper", "k_max": kmax}, se.k, c_d * h_sum)
         h_half = h_energy(space, u, spec(t / 2.0))
-        report.records.append(
-            CheckRecord(
-                {"t": t, "item": "ii-lower"},
-                lhs=h_half,
-                rhs=c_d**4 * se.s,
-                ok=_leq(h_half, c_d**4 * se.s),
-            )
-        )
+        report.add({"t": t, "item": "ii-lower"}, h_half, c_d**4 * se.s)
         h_double = h_energy(space, u, spec(2.0 * t))
-        report.records.append(
-            CheckRecord(
-                {"t": t, "item": "ii-upper"},
-                lhs=se.s,
-                rhs=c_d**3 * h_double,
-                ok=_leq(se.s, c_d**3 * h_double),
-            )
-        )
+        report.add({"t": t, "item": "ii-upper"}, se.s, c_d**3 * h_double)
 
     big_ts = [t for t in t_grid if t >= 1.0] or [1.0]
     k1 = k_energy(space, u, spec(1.0))
     for t in big_ts:
         kt = k_energy(space, u, spec(t))
         rhs = k1 + 2.0**p * c_rho * (c_d - 1.0) * math.log2(2.0 * t) * norm_p
-        report.records.append(
-            CheckRecord({"t": t, "item": "iv"}, lhs=kt, rhs=rhs, ok=_leq(kt, rhs))
-        )
+        report.add({"t": t, "item": "iv"}, kt, rhs)
     return report
 
 
@@ -341,13 +312,12 @@ def check_mollifier(
     p: float,
     t_grid: Sequence[float],
     eps_conv: float = 0.05,
-    allowance: float = 1.05,
 ) -> VerificationReport:
     """Ball averaging is bounded by c_d_hat in L^p and converges as t -> 0.
 
     The t grid must decrease; the approximation error at the smallest t must
-    fall below eps_conv and may rise along the grid only within the stated
-    non-monotonicity allowance (discreteness).
+    fall below eps_conv and may rise along the grid only by the factor
+    MOLLIFIER_ALLOWANCE (discreteness).
     """
     if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("mollifier t grid must be strictly decreasing")
@@ -365,36 +335,21 @@ def check_mollifier(
         errors = []
         for t in t_grid:
             mf = mollify(space, f, t)
-            bound = c_d * base
-            lhs = norm_p(mf.values)
-            report.records.append(
-                CheckRecord(
-                    {"field": idx, "t": float(t), "item": "bounded"},
-                    lhs=lhs,
-                    rhs=bound,
-                    ok=_leq(lhs, bound),
-                )
-            )
+            bounded = {"field": idx, "t": float(t), "item": "bounded"}
+            report.add(bounded, norm_p(mf.values), c_d * base)
             errors.append(norm_p(mf.values - f.values))
-        report.records.append(
-            CheckRecord(
-                {"field": idx, "t": float(t_grid[-1]), "item": "converges"},
-                lhs=errors[-1],
-                rhs=eps_conv,
-                ok=_leq(errors[-1], eps_conv),
-            )
-        )
+        converges = {"field": idx, "t": float(t_grid[-1]), "item": "converges"}
+        report.add(converges, errors[-1], eps_conv)
         drift_ok = all(
-            b <= allowance * a + 1e-15 * max(base, 1.0) for a, b in zip(errors, errors[1:])
+            b <= MOLLIFIER_ALLOWANCE * a + 1e-15 * max(base, 1.0)
+            for a, b in zip(errors, errors[1:])
         )
-        report.records.append(
-            CheckRecord(
-                {"field": idx, "item": "nonincreasing", "allowance": allowance},
-                lhs=0.0 if drift_ok else 1.0,
-                rhs=0.0,
-                ok=drift_ok,
-                note="approximation error along the decreasing grid",
-            )
+        report.add(
+            {"field": idx, "item": "nonincreasing", "allowance": MOLLIFIER_ALLOWANCE},
+            0.0 if drift_ok else 1.0,
+            0.0,
+            ok=drift_ok,
+            note="approximation error along the decreasing grid",
         )
     return report
 
@@ -467,22 +422,10 @@ def check_upper_gradient_scale(
         for chain in group:
             lhs = abs(float(ut.values[chain[0]] - ut.values[chain[-1]]))
             rhs, length = path_integral(space, h_field, chain)
-            ok = _leq(lhs, rhs)
             if rhs > 0:
                 worst_ratio = max(worst_ratio, lhs / rhs)
-            report.records.append(
-                CheckRecord(
-                    {
-                        "kind": label,
-                        "from": int(chain[0]),
-                        "to": int(chain[-1]),
-                        "length": length,
-                    },
-                    lhs=lhs,
-                    rhs=rhs,
-                    ok=ok,
-                )
-            )
+            params = {"kind": label, "from": int(chain[0]), "to": int(chain[-1]), "length": length}
+            report.add(params, lhs, rhs)
     report.constants["worst_ratio"] = worst_ratio
     report.constants["paths"] = len(short) + len(long)
     return report
@@ -520,15 +463,9 @@ def check_nguyen_averaging(
 
     rhs = eps / (p + eps) * float(np.sum(np.minimum(gap, r) ** (p + eps) * base))
     report = VerificationReport("threshold-averaging", constants={"eps": eps, "r": r, "p": p})
-    report.records.append(
-        CheckRecord(
-            {"eps": eps, "r": r, "p": p, "kernel": kernel.key},
-            lhs=lhs,
-            rhs=rhs,
-            ok=_close(lhs, rhs),
-            note="segment integral vs truncated pair sum",
-        )
-    )
+    params = {"eps": eps, "r": r, "p": p, "kernel": kernel.key}
+    note = "segment integral vs truncated pair sum"
+    report.add(params, lhs, rhs, ok=_close(lhs, rhs), note=note)
     return report
 
 
@@ -552,72 +489,47 @@ def check_hajlasz_bound(
     u,
     p: float,
     r: float = np.inf,
-    budget: float = 100.0,
     refine_field=None,
 ) -> VerificationReport:
     """Ratio of the minimal two-point gradient energy to the local-slope energy.
 
-    Passes when the ratio is within the configured budget and stable within
-    25% under one mesh refinement. The stability clause needs both a
-    generator to refine and a refine_field(refined_space) callback supplying
-    the field on the refined space (for expression fields, re-evaluation);
-    without either it is skipped with a note.
+    Passes when the ratio is within HAJLASZ_BUDGET and stable within 25%
+    under one mesh refinement. The stability clause needs both a generator
+    to refine and a refine_field(refined_space) callback supplying the field
+    on the refined space (for expression fields, re-evaluation); without
+    either it is skipped with a note.
     """
     vals = as_values(u, space.n)
     if np.all(vals == vals[0]):
         raise ValueError("the minimal-gradient ratio needs a nonconstant field")
+    report = VerificationReport(
+        "hajlasz-vs-cheeger", constants={"budget": HAJLASZ_BUDGET, "r": r}
+    )
 
-    def ratio_on(sp: MetricMeasureSpace, field_vals) -> tuple[float, CheckRecord | None]:
-        res = hajlasz_minimal(sp, field_vals, p, cutoff=r)
+    def ratio_on(sp: MetricMeasureSpace, field_vals) -> float | None:
+        """The ratio on sp, or None once a zero local-slope energy is recorded."""
+        objective = hajlasz_minimal(sp, field_vals, p, cutoff=r).objective
         energy, _ = cheeger_surrogate(sp, field_vals, p)
         if energy == 0.0:
-            return np.nan, CheckRecord(
-                {"space": sp.name},
-                lhs=res.objective,
-                rhs=0.0,
-                ok=False,
-                note="degenerate: zero local-slope energy with nonzero objective",
-            )
-        return res.objective / energy, None
+            note = "degenerate: zero local-slope energy with nonzero objective"
+            report.add({"space": sp.name}, objective, 0.0, ok=False, note=note)
+            return None
+        return objective / energy
 
-    report = VerificationReport("hajlasz-vs-cheeger", constants={"budget": budget, "r": r})
-    ratio, degenerate = ratio_on(space, u)
-    if degenerate is not None:
-        report.records.append(degenerate)
+    ratio = ratio_on(space, u)
+    if ratio is None:
         return report
-    report.records.append(
-        CheckRecord({"space": space.name}, lhs=ratio, rhs=budget, ok=_leq(ratio, budget))
-    )
-
+    report.add({"space": space.name}, ratio, HAJLASZ_BUDGET)
     refined = _refine(space, refine_field, report)
-    if refined is None:
-        return report
-    ratio2, degenerate2 = ratio_on(refined, refine_field(refined))
-    if degenerate2 is not None:
-        report.records.append(degenerate2)
-        return report
-    shift = abs(ratio2 / ratio - 1.0)
-    report.records.append(
-        CheckRecord(
-            {"space": refined.name, "item": "stability"},
-            lhs=shift,
-            rhs=0.25,
-            ok=_leq(shift, 0.25),
-            note=f"ratio {ratio!r} -> {ratio2!r}",
-        )
-    )
+    ratio2 = None if refined is None else ratio_on(refined, refine_field(refined))
+    if ratio2 is not None:
+        shift = abs(ratio2 / ratio - 1.0)
+        note = f"ratio {ratio!r} -> {ratio2!r}"
+        report.add({"space": refined.name, "item": "stability"}, shift, 0.25, note=note)
     return report
 
 
 # -- two-sided limit ratios --------------------------------------------------------------
-
-
-def default_s_grid() -> list[float]:
-    return [0.5 + 0.05 * k for k in range(9)]
-
-
-def default_delta_grid(osc: float) -> list[float]:
-    return [osc * f for f in (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05)]
 
 
 def two_sided_report(
@@ -625,63 +537,48 @@ def two_sided_report(
     u,
     p: float,
     kernel: KernelSpec,
-    window: tuple[float, float] = (0.05, 20.0),
     s_grid: Sequence[float] | None = None,
-    delta_grid: Sequence[float] | None = None,
     refine_field=None,
     check_refinement: bool = True,
 ) -> VerificationReport:
     """Extrapolated limit over local-slope energy, bounded and mesh-stable.
 
-    R_bbm and R_nguyen must land inside the configured window and shift by
-    less than 15% under one mesh refinement.
+    R_bbm and R_nguyen must land inside TWO_SIDED_WINDOW and shift by less
+    than 15% under one mesh refinement. The Nguyen sweep runs over fractions
+    of half the field's oscillation.
     """
     vals = as_values(u, space.n)
     if np.all(vals == vals[0]):
         raise ValueError("two-sided ratios need a nonconstant field")
 
-    def ratios_on(sp: MetricMeasureSpace, field_u) -> tuple[float, float]:
+    def ratios_on(sp: MetricMeasureSpace, field_u) -> dict[str, float]:
         energy, _ = cheeger_surrogate(sp, field_u, p)
         if energy == 0.0:
             raise ValueError("zero local-slope energy; ratios undefined")
-        osc = float(np.max(as_values(field_u, sp.n)) - np.min(as_values(field_u, sp.n)))
-        sg = list(s_grid) if s_grid is not None else default_s_grid()
-        dg = list(delta_grid) if delta_grid is not None else default_delta_grid(osc / 2.0)
-        bbm = extrapolate(bbm_sweep(sp, field_u, p, kernel, sg)).limit
-        ngu = extrapolate(nguyen_sweep(sp, field_u, p, kernel, dg)).limit
-        return bbm / energy, ngu / energy
+        field_vals = as_values(field_u, sp.n)
+        half_osc = float(np.max(field_vals) - np.min(field_vals)) / 2.0
+        sg = [0.5 + 0.05 * k for k in range(9)] if s_grid is None else list(s_grid)
+        dg = [half_osc * f for f in (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05)]
+        return {
+            "R_bbm": extrapolate(bbm_sweep(sp, field_u, p, kernel, sg)).limit / energy,
+            "R_nguyen": extrapolate(nguyen_sweep(sp, field_u, p, kernel, dg)).limit / energy,
+        }
 
-    lo, hi = window
+    lo, hi = TWO_SIDED_WINDOW
     report = VerificationReport("two-sided-limits", constants={"window": [lo, hi]})
-    r_bbm, r_ngu = ratios_on(space, u)
-    for name, value in (("R_bbm", r_bbm), ("R_nguyen", r_ngu)):
-        report.records.append(
-            CheckRecord(
-                {"ratio": name},
-                lhs=value,
-                rhs=hi,
-                ok=bool(lo <= value <= hi),
-                note=f"window [{lo}, {hi}]",
-            )
-        )
-    report.constants.update({"R_bbm": r_bbm, "R_nguyen": r_ngu})
+    ratios = ratios_on(space, u)
+    for name, value in ratios.items():
+        inside = bool(lo <= value <= hi)
+        report.add({"ratio": name}, value, hi, ok=inside, note=f"window [{lo}, {hi}]")
+    report.constants.update(ratios)
 
-    if check_refinement:
-        refined = _refine(space, refine_field, report)
-        if refined is None:
-            return report
-        r_bbm2, r_ngu2 = ratios_on(refined, refine_field(refined))
-        for name, a, b in (("R_bbm", r_bbm, r_bbm2), ("R_nguyen", r_ngu, r_ngu2)):
-            shift = abs(b / a - 1.0)
-            report.records.append(
-                CheckRecord(
-                    {"ratio": name, "item": "stability"},
-                    lhs=shift,
-                    rhs=0.15,
-                    ok=_leq(shift, 0.15),
-                    note=f"{a!r} -> {b!r}",
-                )
-            )
+    refined = _refine(space, refine_field, report) if check_refinement else None
+    if refined is not None:
+        refined_ratios = ratios_on(refined, refine_field(refined))
+        for name, a in ratios.items():
+            b = refined_ratios[name]
+            stability = {"ratio": name, "item": "stability"}
+            report.add(stability, abs(b / a - 1.0), 0.15, note=f"{a!r} -> {b!r}")
     return report
 
 
@@ -717,7 +614,6 @@ def run_suite(
     h_min, diam = space.min_distance, space.diameter
     t_lo = min(4.0 * h_min, 0.25 * diam)
     t_grid = sorted({max(t_lo, diam / 16.0), diam / 8.0, diam / 4.0})
-    r_grid = t_grid
     vals = as_values(u, space.n)
     osc = float(np.max(vals) - np.min(vals))
     reports: list[VerificationReport] = []
@@ -726,16 +622,27 @@ def run_suite(
             report_name, note = CONSTANT_FIELD_SKIPS[name]
             rep = VerificationReport(report_name, applicable=False, note=note)
         elif name == "annuli":
-            rep = check_annuli_bound(space, kernel, p, r_grid)
+            rep = check_annuli_bound(space, kernel, p, t_grid)
         elif name == "mean":
             rep = check_mean_comparison(space, u, p, t_grid)
         elif name == "fubini":
             rep = check_fubini_identity(space, u, p, 0.7, kernel)
         elif name == "hks":
-            rep = check_hks(space, u, p, t_grid)
+            above = [t for t in t_grid if t > h_min]  # check_hks rejects the rest
+            rep = check_hks(space, u, p, above) if above else VerificationReport(
+                "scale-energy-chain",
+                applicable=False,
+                note=f"every grid scale is at or below the mesh scale {h_min:g}",
+            )
         elif name == "mollifier":
             grid = [diam / 2**k for k in range(2, 7) if diam / 2**k > h_min]
             rep = check_mollifier(space, [ScalarField(vals)], p, grid or [diam])
+        elif name == "upper-gradient" and t_grid[-1] < h_min:
+            rep = VerificationReport(
+                "upper-gradient-scale",
+                applicable=False,
+                note=f"no chain is as short as t = {t_grid[-1]:g} below the mesh scale {h_min:g}",
+            )
         elif name == "upper-gradient":
             rep = check_upper_gradient_scale(space, u, t_grid[-1], n_paths=50)
         elif name == "nguyen-avg":

@@ -296,6 +296,16 @@ class TestVerify:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("suite", ["hks", "all"])
+    @pytest.mark.parametrize("space", [
+        "circle:8", "circle:16", "circle:17", "interval:8", "torus2d:8x8", "sierpinski:1",
+        "sierpinski:2", "sierpinski:3", "gauge_grid:6:square", "gauge_grid:8:square",
+    ])
+    def test_small_spaces_are_not_input_errors(self, runner, space, suite):
+        """Suite radii at or below the mesh scale make a check not applicable, not an error."""
+        result = invoke(runner, ["verify", "--suite", suite, "--space", space, "--field", "x"])
+        assert result.exit_code in (0, 1), result.output
+
     def test_informational_flag_downgrades_failure(self, runner, tmp_path):
         csv_path = tmp_path / "step.csv"
         vals = (np.linspace(0, 1, 32, endpoint=False) + 0.5 / 32 > 0.5).astype(float)

@@ -53,6 +53,21 @@ class TestLatticeKernels:
         mat = kernel_matrix(sp, KernelSpec("gauge-ahlfors", 2.0, body))
         assert np.array_equal(mat, brute_gauge_pow(sp, body, 2.0), equal_nan=True)
 
+    @pytest.mark.parametrize("space, body", [
+        *(("sierpinski:4", body) for body in ("ball:2", "square", "ellipse:1:2", HEXAGON)),
+        ("interval:300", "ball:1"),
+        ("sierpinski:6", HEXAGON),
+    ], ids=["sierpinski4-ball", "sierpinski4-square", "sierpinski4-ellipse",
+            "sierpinski4-hexagon", "interval300-ball1", "sierpinski6-hexagon"])
+    def test_off_lattice_kernel_is_the_gauge_distance_matrix(self, space, body):
+        """Off the lattices the kernel comes from the chunked all-pairs gauge, bitwise.
+
+        sierpinski:6 (1095 points) spans three row chunks of the gauge distance matrix.
+        """
+        sp = build_space(SpaceSpec.parse(space))
+        mat = kernel_matrix(sp, KernelSpec("gauge-ahlfors", 1.5, parse_body(body)))
+        assert np.array_equal(mat, brute_gauge_pow(sp, parse_body(body), 1.5), equal_nan=True)
+
     def test_torus_kernel_evaluates_the_gauge_once_per_offset(self, monkeypatch):
         """9 shifts on the 63 x 63 offset table, not on all 1024^2 pairs; counts, no timing."""
         sp = build_space(SpaceSpec("torus2d", nx=32, ny=32))

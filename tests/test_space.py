@@ -267,7 +267,7 @@ class TestDoubling:
     def test_weight_dominated_graph_flagged(self):
         dist = np.array([[0.0, 1.0], [1.0, 0.0]])
         sp = MetricMeasureSpace(dist, np.array([1e-4, 10.0]))
-        rep = doubling_constant(sp, non_doubling_threshold=64.0)
+        rep = doubling_constant(sp)
         assert rep.c_d_hat > 64.0
         assert rep.non_doubling_like
 

@@ -64,6 +64,12 @@ class TestAnnuli:
             naive = max(naive, tail * r**2)
         assert rep.records[0].lhs == pytest.approx(naive, rel=1e-12)
 
+    @pytest.mark.parametrize("r", [math.nan, 0.0, -1.0])
+    def test_rejects_radius_that_is_not_positive(self, r):
+        sp = build_space(SpaceSpec.parse("circle:16"))
+        with pytest.raises(ValueError, match="annuli radius must be > 0"):
+            check_annuli_bound(sp, KernelSpec("rho1"), 2.0, [r])
+
     def test_interval_ahlfors_stable_under_refinement(self, ahlfors1):
         sups = []
         for n in (256, 512):
@@ -381,6 +387,29 @@ class TestSuite:
     def test_unknown_check_rejected(self, circle64, ahlfors1):
         with pytest.raises(ValueError, match="unknown check"):
             run_suite(circle64, sin_field(circle64), 2.0, ahlfors1, checks=("bogus",))
+
+    def test_grid_below_the_mesh_is_not_applicable(self):
+        # circle:8: every suite radius is at or below the spacing pi/4
+        sp = build_space(SpaceSpec.parse("circle:8"))
+        hks, = run_suite(sp, sin_field(sp), 2.0, KernelSpec("rho1"), checks=("hks",))
+        assert not hks.applicable and hks.passed and not hks.records
+        assert "mesh scale" in hks.note
+
+    def test_hks_keeps_the_radii_above_the_mesh(self):
+        # circle:16: the suite grid is {pi/8, pi/4}, and pi/8 is the spacing itself
+        sp = build_space(SpaceSpec.parse("circle:16"))
+        reports = run_suite(sp, sin_field(sp), 2.0, KernelSpec("rho1"), checks=("mean", "hks"))
+        mean, hks = reports
+        assert [rec.params["t"] for rec in mean.records] == [math.pi / 8, math.pi / 4]
+        assert {rec.params["t"] for rec in hks.records} == {math.pi / 4, 1.0}
+        assert hks.applicable
+
+    def test_upper_gradient_below_the_mesh_is_not_applicable(self):
+        # sierpinski:1: diameter / 4 is below the spacing, so no chain is that short
+        sp = build_space(SpaceSpec.parse("sierpinski:1"))
+        rep, = run_suite(sp, ScalarField(sp.coords[:, 0]), 2.0, KernelSpec("rho1"),
+                         checks=("upper-gradient",))
+        assert not rep.applicable and "mesh scale" in rep.note
 
     def test_sierpinski_two_sided_informational(self):
         # fractal spaces get no asserted limit ratios, only a report
