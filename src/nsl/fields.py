@@ -12,6 +12,17 @@ from .kernels import KernelSpec
 __all__ = ["ScalarField", "EnergySpec", "PiecewiseLinearMap"]
 
 
+def _checked_values(values) -> np.ndarray:
+    """Values as a contiguous float64 vector; raises on a bad shape or value."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"field values must be one-dimensional, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        bad = int(np.nonzero(~np.isfinite(arr))[0][0])
+        raise ValueError(f"non-finite field value at point {bad}: {arr[bad]!r}")
+    return arr
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """One real value per point, with a provenance tag."""
@@ -20,12 +31,7 @@ class ScalarField:
     provenance: str = "expression"
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"field values must be one-dimensional, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.nonzero(~np.isfinite(arr))[0][0])
-            raise ValueError(f"non-finite field value at point {bad}: {arr[bad]!r}")
+        arr = _checked_values(self.values)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -53,8 +59,11 @@ class ScalarField:
 
 
 def as_values(u, n: int) -> np.ndarray:
-    """Field values as an (n,) array, validating the length."""
-    arr = u.values if isinstance(u, ScalarField) else np.ascontiguousarray(u, dtype=np.float64)
+    """Field values as an (n,) array, validating shape, finiteness and length.
+
+    A raw array gets the same checks as a ScalarField but is not frozen.
+    """
+    arr = u.values if isinstance(u, ScalarField) else _checked_values(u)
     if arr.shape != (n,):
         raise ValueError(f"field has {arr.shape[0]} values for a space of {n} points")
     return arr

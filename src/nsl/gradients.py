@@ -16,6 +16,14 @@ with per-pair equal-split constraint repair (each endpoint absorbs half of
 its worst deficit, which restores feasibility in one pass) followed by a ray
 rescale that keeps the worst constraint tight.
 
+A point's worst deficit is a max over the pairs incident to it. The pair
+list is kept in triu order, so i ascends and the i-side pairs of each point
+form one contiguous segment; the j side is walked through one stable
+argsort of j. Two np.maximum.reduceat passes over those segments and one
+gather give the per-point max with O(m) work per iteration and no scatter;
+max is exact, so this equals a scatter-max over the pairs bit for bit. The
+same segment max builds the start g0 and certifies the p = 2 refine below.
+
 For p = 2 on small constraint sets the result is then tightened by cyclic
 dual coordinate ascent (closed-form per-pair multiplier updates, the
 weighted-split counterpart of the repair step), which converges to the
@@ -26,6 +34,8 @@ brute-force enumeration oracle on small spaces.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,6 +205,8 @@ def hajlasz_minimal(
         raise ValueError(f"fractional order sigma must be in (0, 1], got {sigma}")
     if not cutoff > 0:
         raise ValueError(f"cutoff r must be > 0, got {cutoff}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     vals = as_values(u, space.n)
     w = space.weights
     i, j, c = _pair_constraints(space, vals, sigma, cutoff)
@@ -203,34 +215,48 @@ def hajlasz_minimal(
         zero = ScalarField(np.zeros(space.n), provenance="op:hajlasz")
         return HajlaszResult(zero, 0.0, 0.0, 0, True)
 
-    g0 = np.zeros(space.n)
-    np.maximum.at(g0, i, c)
-    np.maximum.at(g0, j, c)
-    scale = float(np.linalg.norm(g0))
+    # per-point pair segments (module docstring): i ascends, j via one argsort
+    i_starts = np.flatnonzero(np.diff(i, prepend=-1))
+    j_order = np.argsort(j, kind="stable")
+    j_starts = np.flatnonzero(np.diff(j[j_order], prepend=-1))
+    i_points, j_points = i[i_starts], j[j_order[j_starts]]
+    buf = np.empty(c.size)  # holds the deficit, then the rescale ratio
+
+    def point_max(pair_vals: np.ndarray) -> np.ndarray:
+        # max over the pairs incident to each point, +0.0 where there are none
+        top = np.zeros(space.n)
+        top[i_points] = np.maximum.reduceat(pair_vals, i_starts)
+        j_top = np.maximum.reduceat(pair_vals[j_order], j_starts)
+        top[j_points] = np.maximum(top[j_points], j_top)
+        return top
+
+    def deficit(g: np.ndarray) -> np.ndarray:
+        np.subtract(c, g[i], out=buf)
+        np.subtract(buf, g[j], out=buf)
+        return np.maximum(buf, 0.0, out=buf)
 
     def objective(g: np.ndarray) -> float:
-        return float(np.sum(w * g**p))
+        return float((w * g**p).sum())
 
     def violation(g: np.ndarray) -> float:
-        return float(np.max(np.maximum(c - g[i] - g[j], 0.0), initial=0.0))
+        return float(deficit(g).max(initial=0.0))
 
     def lift(g: np.ndarray) -> np.ndarray:
         # each endpoint absorbs half of its worst deficit: one pass restores
-        # g[x]+g[y] >= c on every pair
-        deficit = np.maximum(c - g[i] - g[j], 0.0)
-        bump = np.zeros_like(g)
-        np.maximum.at(bump, i, 0.5 * deficit)
-        np.maximum.at(bump, j, 0.5 * deficit)
-        return g + bump
+        # g[x]+g[y] >= c on every pair (halving commutes with the max)
+        return g + 0.5 * point_max(deficit(g))
 
     def repair(g: np.ndarray) -> np.ndarray:
         g = lift(g)
         # ray rescale: pull back until the worst constraint is tight
-        tau = float(np.max(c / (g[i] + g[j])))
+        np.add(g[i], g[j], out=buf)
+        tau = float(np.divide(c, buf, out=buf).max())
         return g * tau
 
-    g = g0.copy()
-    best_g = g.copy()
+    g = point_max(c)  # feasible start g0(x) = max_y |u(x)-u(y)|/d^sigma
+    scale = math.sqrt(g.dot(g))  # what np.linalg.norm computes
+    pw = p * w
+    best_g = g
     best_obj = objective(g)
     history = [best_obj]
     converged = False
@@ -238,16 +264,16 @@ def hajlasz_minimal(
 
     for k_iter in range(1, max_iter + 1):
         iterations = k_iter
-        grad = p * w * np.maximum(g, 0.0) ** (p - 1.0)
-        norm = float(np.linalg.norm(grad))
+        # g >= +0.0 after every repair, so no clamp is needed before the power
+        grad = pw * g if p == 2.0 else pw * g ** (p - 1.0)
+        norm = math.sqrt(grad.dot(grad))
         if norm == 0.0:
             break
-        g = np.maximum(g - (scale / k_iter) * grad / norm, 0.0)
-        g = repair(g)
+        g = repair(np.maximum(g - (scale / k_iter) * grad / norm, 0.0))
         obj = objective(g)
         if obj < best_obj:
             best_obj = obj
-            best_g = g.copy()
+            best_g = g
         history.append(best_obj)
         if k_iter > STOP_WINDOW:
             drop = history[-1 - STOP_WINDOW] - best_obj
@@ -274,8 +300,6 @@ def hajlasz_minimal(
         # never expected: repair restores feasibility each iteration
         converged = False
     if not converged:
-        import warnings
-
         warnings.warn(
             f"hajlasz_minimal stopped after {iterations} iterations without "
             f"meeting the stopping rule (objective {best_obj!r}, violation {worst!r})",

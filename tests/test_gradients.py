@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from nsl import (
     hajlasz_minimal,
     path_integral,
 )
+from nsl.cli import parse_space_spec
 from nsl.gradients import _knn_edges
 
 from conftest import hajlasz_oracle_p2, random_space
@@ -164,10 +167,86 @@ class TestHajlasz:
         with pytest.raises(ValueError):
             hajlasz_minimal(two_point, two_point_field, 2, sigma=1.5)
 
+    @pytest.mark.parametrize("max_iter", [-5, -1, 2.5, "10", None])
+    def test_max_iter_must_be_a_nonnegative_integer(self, two_point, two_point_field, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
+            hajlasz_minimal(two_point, two_point_field, 2, max_iter=max_iter)
+
+    def test_zero_iterations_is_the_refine_alone(self, three_collinear):
+        u = ScalarField(three_collinear.coords[:, 0])
+        res = hajlasz_minimal(three_collinear, u, 2, max_iter=np.int64(0))
+        assert res.iterations == 0
+        assert res.converged
+        assert res.objective == pytest.approx(0.25, abs=1e-10)
+
     @pytest.mark.parametrize("cutoff", [math.nan, 0.0, -1.0])
     def test_cutoff_must_be_positive(self, two_point, two_point_field, cutoff):
         with pytest.raises(ValueError, match="cutoff r must be > 0"):
             hajlasz_minimal(two_point, two_point_field, 2, cutoff=cutoff)
+
+
+def _pin_field(space, kind):
+    x = space.coords[:, 0]
+    if kind == "sin":
+        return np.sin(x)
+    if kind == "wave":
+        return np.sin(2 * np.pi * x) * np.cos(2 * np.pi * space.coords[:, 1])
+    if kind == "ramp":  # constant below 0.5: with a cutoff, some points have no pair
+        return np.maximum(x - 0.5, 0.0)
+    return np.random.default_rng(int(kind[-1])).uniform(-1, 1, space.n)
+
+
+# spec, field, p, sigma, cutoff, max_iter, repr(objective), repr(violation),
+# iterations, converged, sha256 of the gradient's bytes
+HAJLASZ_PINS = [
+    # the verify bench's random-field task: runs to the iteration cap
+    ("torus2d:8x8", "rng0", 2.0, 1.0, math.inf, 20000, "21.04278126644963", "0.0",
+     20000, False, "230c04ef499a573b2d4cb5b6bb1e98921ce45483ea90997dcd9eff5bb667ce7c"),
+    ("circle:256", "sin", 2.0, 1.0, math.inf, 20000, "1.2152889112348637", "0.0",
+     310, True, "ed21993f7c913599c7859df03fe2a8d4cc0688e4005fc4d6ad45adf606673750"),
+    ("sierpinski:3", "rng1", 2.0, 1.0, math.inf, 3000, "20.085862528980396", "0.0",
+     3000, False, "9ce8c2013151852fb4483f6084d18a106e444a68b60ad02406e756ad6dfe68fa"),
+    ("circle:64", "sin", 1.0, 1.0, math.inf, 20000, "2.7407156051046186", "0.0",
+     56, True, "228281fba7094ca383f3a12f01de55f8640a46f2c92d9b7ef7b7158e799edb39"),
+    ("circle:64", "sin", 1.5, 1.0, math.inf, 20000, "1.8212007643347987", "0.0",
+     89, True, "6f07933234f24ed0fc0e03a9dba083e24aa2c8644c77020645249add290e3a2d"),
+    ("interval:48", "rng2", 3.0, 1.0, math.inf, 2000, "8614.958743338862", "0.0",
+     2000, False, "0f36f4cc99d3807b44daa80756ddf9850c916b350cd5c44dd6c257aca43c5a95"),
+    ("circle:64", "sin", 2.5, 0.5, math.inf, 2000, "1.251672710024283", "0.0",
+     2000, False, "c26564e589cf437cfffc7b4e213f46a736f89f357d57b9fe55229cd1fc4ec443"),
+    ("gauge_grid:8:square", "rng3", 2.0, 0.7, math.inf, 2000, "5.196741180132587", "0.0",
+     2000, False, "0ebd9d600dcc1ea507086c0a23d60d1e99683b0f33d65e38ace2c391d7f8824c"),
+    ("torus2d:16x16", "wave", 2.0, 1.0, 0.2, 1000, "5.902048449148415", "0.0",
+     1000, False, "3243f52a57fc267f1634011906e2e7621981488e92fb7001a5e073c68855a446"),
+    ("interval:64", "ramp", 1.5, 1.0, 0.1, 2000, "0.18331256413330912", "0.0",
+     2000, False, "2cb7fb08ea70ebb54af0ed12becc43f5428b9e8edfbfb25c9a2d7ee84f6cf15c"),
+    # m = 496 pairs: the p=2 dual refine runs after the descent, or alone
+    ("interval:32", "rng4", 2.0, 1.0, math.inf, 500, "250.77158606526814", "0.0",
+     500, True, "b322fc897e3a221d849118d3c9a019c4c5c176164c9a12f77d8fcb66a9b7787e"),
+    ("interval:32", "rng4", 2.0, 1.0, math.inf, 0, "250.77158606526814", "0.0",
+     0, True, "b322fc897e3a221d849118d3c9a019c4c5c176164c9a12f77d8fcb66a9b7787e"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,kind,p,sigma,cutoff,max_iter,objective,violation,iterations,converged,digest",
+    HAJLASZ_PINS,
+    ids=[f"{c[0]}-{c[1]}-p{c[2]}-s{c[3]}-r{c[4]}-k{c[5]}" for c in HAJLASZ_PINS],
+)
+def test_hajlasz_iterates_are_pinned(
+    spec, kind, p, sigma, cutoff, max_iter, objective, violation, iterations, converged, digest
+):
+    # bitwise: any change to the descent's arithmetic moves the digest
+    space = build_space(parse_space_spec(spec))
+    u = _pin_field(space, kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = hajlasz_minimal(space, u, p, sigma=sigma, cutoff=cutoff, max_iter=max_iter)
+    assert repr(res.objective) == objective
+    assert repr(res.violation) == violation
+    assert res.iterations == iterations
+    assert res.converged is converged
+    assert hashlib.sha256(res.gradient.values.tobytes()).hexdigest() == digest
 
 
 class TestPathIntegral:
