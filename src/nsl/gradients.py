@@ -143,6 +143,13 @@ def _pair_constraints(
     return iu[active], ju[active], c[active]
 
 
+def _segment_starts(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points idx holds, and where each one's run starts once idx is sorted."""
+    counts = np.bincount(idx, minlength=n)
+    points = np.flatnonzero(counts)
+    return points, (np.cumsum(counts) - counts)[points]
+
+
 REFINE_MAX_CONSTRAINTS = 600
 FEAS_TOL = 1e-10  # worst constraint deficit a returned gradient may carry
 STOP_TOL = 1e-8  # relative objective drop below which the descent has stalled
@@ -216,11 +223,9 @@ def hajlasz_minimal(
         return HajlaszResult(zero, 0.0, 0.0, 0, True)
 
     # per-point pair segments (module docstring): i ascends, j via one argsort
-    i_starts = np.flatnonzero(np.diff(i, prepend=-1))
+    i_points, i_starts = _segment_starts(i, space.n)
+    j_points, j_starts = _segment_starts(j, space.n)
     j_order = np.argsort(j, kind="stable")
-    j_starts = np.flatnonzero(np.diff(j[j_order], prepend=-1))
-    i_points, j_points = i[i_starts], j[j_order[j_starts]]
-    buf = np.empty(c.size)  # holds the deficit, then the rescale ratio
 
     def point_max(pair_vals: np.ndarray) -> np.ndarray:
         # max over the pairs incident to each point, +0.0 where there are none
@@ -231,15 +236,13 @@ def hajlasz_minimal(
         return top
 
     def deficit(g: np.ndarray) -> np.ndarray:
-        np.subtract(c, g[i], out=buf)
-        np.subtract(buf, g[j], out=buf)
-        return np.maximum(buf, 0.0, out=buf)
+        return np.maximum(c - g[i] - g[j], 0.0)
 
     def objective(g: np.ndarray) -> float:
-        return float((w * g**p).sum())
+        return float(np.sum(w * g**p))
 
     def violation(g: np.ndarray) -> float:
-        return float(deficit(g).max(initial=0.0))
+        return float(np.max(deficit(g), initial=0.0))
 
     def lift(g: np.ndarray) -> np.ndarray:
         # each endpoint absorbs half of its worst deficit: one pass restores
@@ -249,8 +252,7 @@ def hajlasz_minimal(
     def repair(g: np.ndarray) -> np.ndarray:
         g = lift(g)
         # ray rescale: pull back until the worst constraint is tight
-        np.add(g[i], g[j], out=buf)
-        tau = float(np.divide(c, buf, out=buf).max())
+        tau = float(np.max(c / (g[i] + g[j])))
         return g * tau
 
     g = point_max(c)  # feasible start g0(x) = max_y |u(x)-u(y)|/d^sigma
@@ -265,7 +267,7 @@ def hajlasz_minimal(
     for k_iter in range(1, max_iter + 1):
         iterations = k_iter
         # g >= +0.0 after every repair, so no clamp is needed before the power
-        grad = pw * g if p == 2.0 else pw * g ** (p - 1.0)
+        grad = pw * g ** (p - 1.0)
         norm = math.sqrt(grad.dot(grad))
         if norm == 0.0:
             break
