@@ -54,6 +54,14 @@ def _fail(message: str) -> None:
     sys.exit(INPUT_ERROR)
 
 
+def _write(write, *args) -> None:
+    # an output path that cannot be written is an input error
+    try:
+        write(*args)
+    except OSError as exc:
+        _fail(str(exc))
+
+
 def parse_grid(text: str) -> list[float]:
     try:
         a, b, step = (float(v) for v in text.split(":"))
@@ -135,7 +143,7 @@ def main() -> None:
 def gen(spec: str, out: str) -> None:
     """Generate a space and write it to a space file."""
     space = _load_space_arg(spec)
-    save_space(space, out)
+    _write(save_space, space, out)
     click.echo(f"{space.name}: n={space.n} mass={space.total_mass!r} -> {out}")
 
 
@@ -254,9 +262,9 @@ def sweep(mode, space_arg, field, field_csv, p, kernel, s_grid, delta_grid, t_gr
     except ValueError as exc:
         _fail(str(exc))
     if out_csv:
-        write_sweep_csv(result, out_csv)
+        _write(write_sweep_csv, result, out_csv)
     if out_json:
-        write_sweep_json(result, estimate, out_json)
+        _write(write_sweep_json, result, estimate, out_json)
     for warning in result.warnings:
         click.echo(f"warning: {warning}", err=True)
     click.echo(
@@ -300,9 +308,9 @@ def verify(suite, space_arg, field, field_csv, p, kernel, informational, out_jso
         reports = run_suite(space, u, p, kspec, refine_field=refine_field, **chosen)
     except ValueError as exc:
         _fail(str(exc))
-    click.echo(render_text(reports))
     if out_json:
-        reports_to_json(reports, out_json)
+        _write(reports_to_json, reports, out_json)
+    click.echo(render_text(reports))
     if not all(r.passed for r in reports):
         sys.exit(CHECK_FAILED)
 
@@ -315,10 +323,10 @@ def report(sweep_csv, out_json) -> None:
     try:
         result = read_sweep_csv(sweep_csv)
         estimate = extrapolate(result)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         _fail(str(exc))
     if out_json:
-        write_sweep_json(result, estimate, out_json)
+        _write(write_sweep_json, result, estimate, out_json)
     click.echo(
         f"{result.parameter}-sweep: {len(result.grid)} points, "
         f"limit={estimate.limit!r} model={estimate.model} residual={estimate.residual!r}"

@@ -4,12 +4,13 @@ k_pn(p, N) is the sphere average (1/p) * int_{S^{N-1}} |w . x|^p dH^{N-1}
 with w a fixed unit vector; it is the constant relating the s->1 limit of the
 fractional energy to the Dirichlet energy in R^N. zstar_norm evaluates the
 anisotropic replacement ((N+p)/p * int_K |xi . x|^p dx)^{1/p} for a symmetric
-convex body K.
+convex body K; on balls and ellipses (linear images of the disk) it is k_pn
+in closed form.
 
-All integrals use composite Gauss-Legendre panels of fixed order, doubled
-once; panels are split at the kinks of |linear form|^p so the rule converges
-spectrally. Only origin-symmetric bodies are accepted: an asymmetric gauge
-would not be a metric.
+All other integrals use composite Gauss-Legendre panels of fixed order,
+doubled once; panels are split at the kinks of |linear form|^p so the rule
+converges spectrally. Only origin-symmetric bodies are accepted: an
+asymmetric gauge would not be a metric.
 """
 
 from __future__ import annotations
@@ -46,11 +47,10 @@ def _gl_panel(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gl_panels(breaks: list[float], order: int) -> tuple[np.ndarray, np.ndarray]:
     xs, ws = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b > a:
-            x, w = _gl_panel(a, b, order)
-            xs.append(x)
-            ws.append(w)
+    for a, b in zip(breaks[:-1], breaks[1:]):  # strictly increasing breaks
+        x, w = _gl_panel(a, b, order)
+        xs.append(x)
+        ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -194,28 +194,11 @@ def k_pn(p: float, n_dim: int) -> float:
     raise ValueError(f"unsupported dimension N={n_dim}; expected 1, 2, or 3")
 
 
-def _body_linear_power_integral(body: ConvexBody, p: float, xi: np.ndarray, order: int) -> float:
-    """int_K |xi . x|^p dx for an ellipse or a polygon."""
-    if body.kind == "ellipse":
-        a, b = body.a, body.b
-        # map of the unit disk, jacobian a*b*r
-        r, wr = _gl_panel(0.0, 1.0, order)
-        radial = float(np.sum(wr * r ** (p + 1)))
-        cx, cy = a * float(xi[0]), b * float(xi[1])
-        amp = math.hypot(cx, cy)
-        if amp == 0.0:
-            return 0.0
-        phase = math.atan2(cy, cx)
-        kinks = sorted(
-            ((phase + 0.5 * math.pi + k * math.pi) % (2.0 * math.pi) for k in range(2))
-        )
-        breaks = [0.0] + kinks + [2.0 * math.pi]
-        t, wt = _gl_panels(breaks, order)
-        angular = float(np.sum(wt * np.abs(np.cos(t - phase)) ** p)) * amp**p
-        return a * b * radial * angular
-    # polygon: fan triangulation from the interior origin; on each triangle
-    # (0, u, v) the integral reduces to a radial moment times a 1d edge
-    # integral of |linear|^p, split at the root of the linear form.
+def _polygon_power_integral(body: ConvexBody, p: float, xi: np.ndarray, order: int) -> float:
+    """int_K |xi . x|^p dx for a polygon K."""
+    # fan triangulation from the interior origin; on each triangle (0, u, v)
+    # the integral reduces to a radial moment times a 1d edge integral of
+    # |linear|^p, split at the root of the linear form.
     verts = np.asarray(body.vertices, dtype=float)
     s, ws = _gl_panel(0.0, 1.0, order)
     radial = float(np.sum(ws * s ** (p + 1)))
@@ -244,10 +227,12 @@ def zstar_norm(body: ConvexBody, p: float, xi) -> float:
         raise ValueError(f"xi has shape {xi.shape}, body dimension is {body.dim}")
     if np.all(xi == 0.0):
         return 0.0
-    if body.kind == "ball":
-        # int_B |xi . x|^p dx = |xi|^p * p * k_pn / (N + p) in polar coordinates
-        return float(np.linalg.norm(xi)) * k_pn(p, body.dim) ** (1.0 / p)
-    integral = _body_linear_power_integral(body, p, xi, 2 * GL_ORDER)
+    if body.kind != "polygon":
+        # int_B |xi . x|^p dx = |xi|^p * p * k_pn / (N + p) in polar coordinates;
+        # an ellipse is the disk mapped by D = diag(a, b), so xi -> D xi, dx -> ab dy
+        d = np.array([body.a, body.b]) if body.kind == "ellipse" else np.ones(body.dim)
+        return float(np.linalg.norm(d * xi)) * (float(np.prod(d)) * k_pn(p, body.dim)) ** (1 / p)
+    integral = _polygon_power_integral(body, p, xi, 2 * GL_ORDER)
     return float(((body.dim + p) / p * integral) ** (1.0 / p))
 
 

@@ -12,7 +12,8 @@ unary minus supported):
              | '(' expr ')'
 
 Variables are the point coordinates; on a circle x is the angle in [0, 2pi).
-Error messages carry the byte offset and the expected-token set.
+Error messages carry the byte offset and the expected-token set. Nesting past
+the recursion limit, in parsing or evaluation, is an ExprError too.
 """
 
 from __future__ import annotations
@@ -152,7 +153,10 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Node:
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            raise ExprError(self.peek().offset, "expression is nested too deeply") from None
         tok = self.peek()
         if tok.kind != "end":
             raise ExprError(tok.offset, f"unexpected trailing input {tok.text!r}")
@@ -310,7 +314,10 @@ class FieldExpr:
         """Vectorized evaluation at an (n, dim) coordinate array."""
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         env = {name: coords[:, k] for k, name in enumerate(VARIABLES) if k < coords.shape[1]}
-        result = _evaluate(self.root, env)
+        try:
+            result = _evaluate(self.root, env)
+        except RecursionError:
+            raise ExprError(0, "expression is nested too deeply to evaluate") from None
         return np.broadcast_to(np.asarray(result, dtype=float), (coords.shape[0],)).copy()
 
     def evaluate_at(self, point) -> float:

@@ -31,7 +31,8 @@ class ScalarField:
     provenance: str = "expression"
 
     def __post_init__(self) -> None:
-        arr = _checked_values(self.values)
+        # freeze a private copy, so the caller's array stays writeable and apart
+        arr = _checked_values(np.array(self.values, dtype=np.float64))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

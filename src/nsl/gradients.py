@@ -10,26 +10,22 @@ hajlasz_minimal solves the convex feasibility problem
     subject to g(x) + g(y) >= |u(x) - u(y)| / d(x,y)^sigma
                for all pairs with 0 < d(x,y) <= r,  g >= 0
 
-by projected subgradient descent: normalized-gradient steps of length
-scale/k from the always-feasible start g0(x) = max_y |u(x)-u(y)|/d^sigma,
-with per-pair equal-split constraint repair (each endpoint absorbs half of
-its worst deficit, which restores feasibility in one pass) followed by a ray
-rescale that keeps the worst constraint tight.
+For p = 2 with at most EXACT_P2_MAX_PAIRS pairs this is a least-distance
+program (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23),
+solved exactly by their active-set NNLS in numpy: scipy.optimize.nnls would
+add about 16 MB of imports to the resident set, where nsl otherwise loads
+only scipy.sparse. Everything else runs projected subgradient descent:
+steps of length scale/k along the normalized gradient from the feasible
+start g0(x) = max_y |u(x)-u(y)|/d^sigma, each followed by an equal-split
+lift (each endpoint absorbs half of its worst deficit, which restores
+feasibility in one pass; it also makes the exact p = 2 answer feasible to
+rounding) and a ray rescale that makes the worst pair tight.
 
-A point's worst deficit is a max over the pairs incident to it. The pair
-list is kept in triu order, so i ascends and the i-side pairs of each point
-form one contiguous segment; the j side is walked through one stable
-argsort of j. Two np.maximum.reduceat passes over those segments and one
-gather give the per-point max with O(m) work per iteration and no scatter;
-max is exact, so this equals a scatter-max over the pairs bit for bit. The
-same segment max builds the start g0 and certifies the p = 2 refine below.
-
-For p = 2 on small constraint sets the result is then tightened by cyclic
-dual coordinate ascent (closed-form per-pair multiplier updates, the
-weighted-split counterpart of the repair step), which converges to the
-exact quadratic optimum; the better feasible point wins. Everything is
-deterministic with no external solver; exactness is certified against a
-brute-force enumeration oracle on small spaces.
+The lift takes a max over the pairs incident to each point. The pair list
+is in triu order, so i ascends and each point's i-side pairs form one
+contiguous segment; the j side is walked through one stable argsort of j.
+Two np.maximum.reduceat passes and one gather give the per-point max with
+O(m) work and no scatter, bit for bit equal to a scatter-max.
 """
 
 from __future__ import annotations
@@ -134,11 +130,9 @@ class HajlaszResult:
 def _pair_constraints(
     space: MetricMeasureSpace, vals: np.ndarray, sigma: float, cutoff: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    iu, ju = np.triu_indices(space.n, k=1)
-    d = space.dist[iu, ju]
-    keep = d <= cutoff
-    iu, ju, d = iu[keep], ju[keep], d[keep]
-    c = np.abs(vals[iu] - vals[ju]) / d**sigma
+    # row-major like np.triu_indices, without building the pairs the cutoff drops
+    iu, ju = np.nonzero(np.triu(space.dist <= cutoff, k=1))
+    c = np.abs(vals[iu] - vals[ju]) / space.dist[iu, ju] ** sigma
     active = c > 0.0
     return iu[active], ju[active], c[active]
 
@@ -150,51 +144,70 @@ def _segment_starts(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return points, (np.cumsum(counts) - counts)[points]
 
 
-REFINE_MAX_CONSTRAINTS = 600
+EXACT_P2_MAX_PAIRS = 600
 FEAS_TOL = 1e-10  # worst constraint deficit a returned gradient may carry
 STOP_TOL = 1e-8  # relative objective drop below which the descent has stalled
 STOP_WINDOW = 50  # iterations over which that drop is measured
 
 
-def _dual_refine_p2(
-    w: np.ndarray,
-    i: np.ndarray,
-    j: np.ndarray,
-    c: np.ndarray,
-    max_sweeps: int = 20000,
-    tol: float = 1e-14,
-) -> np.ndarray:
-    """Exact minimizer of sum w g^2 under g_i + g_j >= c by dual coordinate ascent.
+def _nnls(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lawson-Hanson active set for min |e lam - f| over lam >= 0.
 
-    Cyclic closed-form updates of one pair multiplier at a time (Hildreth's
-    scheme): the pair deficit is split between the endpoints in inverse
-    proportion to their weights, and slack pairs give back earlier
-    over-repair. Converges linearly to the quadratic optimum.
+    Also says whether it stopped on its optimality test within 3m steps.
+    Passive solves take the normal equations and one refinement step, as
+    accurate as QR here and several times faster than np.linalg.lstsq.
     """
-    lam = np.zeros(c.size)
+    m = e.shape[1]
+    lam = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * max(e.shape) * float(np.max(np.abs(e).sum(axis=0)))
+    for _ in range(3 * m):
+        slope = np.where(passive, -np.inf, e.T @ (f - e @ lam))
+        t = int(np.argmax(slope))
+        if slope[t] <= tol:
+            return lam, True
+        passive[t] = True
+        while True:
+            cols = np.flatnonzero(passive)
+            sub = e[:, cols]
+            gram = sub.T @ sub
+            try:
+                z = np.linalg.solve(gram, sub.T @ f)
+                z += np.linalg.solve(gram, sub.T @ (f - sub @ z))
+            except np.linalg.LinAlgError:  # numerically dependent columns
+                return lam, False
+            if np.all(z > 0.0):
+                lam[cols] = z
+                break
+            # step toward z until a multiplier reaches 0; it leaves the set
+            x = lam[cols]
+            blocked = np.flatnonzero(z <= 0.0)
+            ratios = x[blocked] / np.maximum(x[blocked] - z[blocked], np.finfo(float).tiny)
+            lam[cols] = x + float(np.min(ratios)) * (z - x)
+            lam[cols[blocked[np.argmin(ratios)]]] = 0.0
+            passive[cols[lam[cols] <= 0.0]] = False
+            lam[~passive] = 0.0
+    return lam, False
+
+
+def _least_distance_p2(w, i, j, c) -> tuple[np.ndarray, bool]:
+    """Minimizer of sum w g^2 under g_i + g_j >= c, and whether NNLS certified it.
+
+    With x = W^(1/2) g this is min |x| subject to G x >= c, G = A W^(-1/2)
+    for the pair-point incidence matrix A >= 0. The NNLS dual has E = [G^T ;
+    c^T] and target e_last, and x = -r[:-1] / r[-1] >= 0 for r = E lam - e_last.
+    """
+    points, ends = np.unique(np.concatenate([i, j]), return_inverse=True)
+    root = 1.0 / np.sqrt(w[points])
+    e = np.zeros((points.size + 1, c.size))
+    e[ends, np.tile(np.arange(c.size), 2)] = root[ends]
+    e[-1] = c
+    f = np.append(np.zeros(points.size), 1.0)
+    lam, optimal = _nnls(e, f)
+    r = e @ lam - f
     g = np.zeros(w.size)
-    inv2w_i = 1.0 / (2.0 * w[i])
-    inv2w_j = 1.0 / (2.0 * w[j])
-    denom = inv2w_i + inv2w_j
-    scale = float(np.max(c))
-    order = range(c.size)
-    for _ in range(max_sweeps):
-        biggest = 0.0
-        for m in order:
-            a, b = i[m], j[m]
-            step = (c[m] - g[a] - g[b]) / denom[m]
-            if step < -lam[m]:
-                step = -lam[m]
-            if step != 0.0:
-                lam[m] += step
-                g[a] += step * inv2w_i[m]
-                g[b] += step * inv2w_j[m]
-                moved = abs(step) * denom[m]
-                if moved > biggest:
-                    biggest = moved
-        if biggest <= tol * scale:
-            break
-    return g
+    g[points] = root * (-r[:-1] / r[-1])
+    return g, optimal
 
 
 def hajlasz_minimal(
@@ -241,65 +254,48 @@ def hajlasz_minimal(
     def objective(g: np.ndarray) -> float:
         return float(np.sum(w * g**p))
 
-    def violation(g: np.ndarray) -> float:
-        return float(np.max(deficit(g), initial=0.0))
-
     def lift(g: np.ndarray) -> np.ndarray:
         # each endpoint absorbs half of its worst deficit: one pass restores
         # g[x]+g[y] >= c on every pair (halving commutes with the max)
         return g + 0.5 * point_max(deficit(g))
 
-    def repair(g: np.ndarray) -> np.ndarray:
-        g = lift(g)
-        # ray rescale: pull back until the worst constraint is tight
-        tau = float(np.max(c / (g[i] + g[j])))
-        return g * tau
-
-    g = point_max(c)  # feasible start g0(x) = max_y |u(x)-u(y)|/d^sigma
-    scale = math.sqrt(g.dot(g))  # what np.linalg.norm computes
-    pw = p * w
-    best_g = g
-    best_obj = objective(g)
-    history = [best_obj]
-    converged = False
     iterations = 0
+    if p == 2.0 and c.size <= EXACT_P2_MAX_PAIRS:
+        exact, converged = _least_distance_p2(w, i, j, c)
+        best_g = lift(exact)
+        best_obj = objective(best_g)
+    else:
+        g = point_max(c)  # feasible start g0(x) = max_y |u(x)-u(y)|/d^sigma
+        scale = math.sqrt(g.dot(g))  # what np.linalg.norm computes
+        pw = p * w
+        best_g = g
+        best_obj = objective(g)
+        history = [best_obj]
+        converged = False
 
-    for k_iter in range(1, max_iter + 1):
-        iterations = k_iter
-        # g >= +0.0 after every repair, so no clamp is needed before the power
-        grad = pw * g ** (p - 1.0)
-        norm = math.sqrt(grad.dot(grad))
-        if norm == 0.0:
-            break
-        g = repair(np.maximum(g - (scale / k_iter) * grad / norm, 0.0))
-        obj = objective(g)
-        if obj < best_obj:
-            best_obj = obj
-            best_g = g
-        history.append(best_obj)
-        if k_iter > STOP_WINDOW:
-            drop = history[-1 - STOP_WINDOW] - best_obj
-            if drop <= STOP_TOL * max(best_obj, 1e-300):
-                converged = True
+        for k_iter in range(1, max_iter + 1):
+            iterations = k_iter
+            # g >= +0.0 after every rescale, so no clamp is needed before the power
+            grad = pw * g ** (p - 1.0)
+            norm = math.sqrt(grad.dot(grad))
+            if norm == 0.0:
                 break
+            g = lift(np.maximum(g - (scale / k_iter) * grad / norm, 0.0))
+            g = g * float(np.max(c / (g[i] + g[j])))  # ray rescale: worst pair tight
+            obj = objective(g)
+            if obj < best_obj:
+                best_obj = obj
+                best_g = g
+            history.append(best_obj)
+            if k_iter > STOP_WINDOW:
+                drop = history[-1 - STOP_WINDOW] - best_obj
+                if drop <= STOP_TOL * max(best_obj, 1e-300):
+                    converged = True
+                    break
 
-    if p == 2.0 and c.size <= REFINE_MAX_CONSTRAINTS:
-        # certify feasibility before accepting (dual iterates approach the
-        # boundary from outside only in the limit)
-        refined = lift(_dual_refine_p2(w, i, j, c))
-        refined_obj = objective(refined)
-        if violation(refined) <= FEAS_TOL:
-            if refined_obj < best_obj:
-                best_obj = refined_obj
-                best_g = refined
-                converged = True
-            elif refined_obj <= best_obj * (1.0 + 1e-9):
-                # the exact route agrees with the incumbent: certified optimum
-                converged = True
-
-    worst = violation(best_g)
+    worst = float(np.max(deficit(best_g), initial=0.0))
     if worst > FEAS_TOL:
-        # never expected: repair restores feasibility each iteration
+        # never expected: the lift restores feasibility
         converged = False
     if not converged:
         warnings.warn(

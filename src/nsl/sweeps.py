@@ -216,13 +216,15 @@ def write_sweep_csv(sweep: SweepResult, path: str | Path) -> None:
 def read_sweep_csv(path: str | Path) -> SweepResult:
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])
         if len(header) != 2 or header[0] not in ("s", "delta", "t"):
             raise ValueError(f"{path}: expected header '<parameter>,value', got {header}")
         grid, values = [], []
         for row in reader:
             if not row:
                 continue
+            if len(row) != 2:
+                raise ValueError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
             grid.append(float(row[0]))
             values.append(float(row[1]))
     return SweepResult(header[0], tuple(grid), tuple(values), {})

@@ -319,6 +319,44 @@ class TestVerify:
         assert "SKIP" in result.output
 
 
+def _csv(tmp_path, text: str) -> str:
+    path = tmp_path / "sweep.csv"
+    path.write_text(text)
+    return str(path)
+
+
+NGUYEN = ["sweep", "--mode", "nguyen", "--space", "interval:16", "--field", "x",
+          "--delta-grid", "0.4:0.1:-0.1"]
+# case -> (tmp_path, a valid sweep CSV) -> (arguments, text the error line carries)
+FILE_FAULTS = {
+    "report-empty-csv": lambda d, good: (
+        ["report", "--sweep-csv", _csv(d, "")], "expected header"),
+    "report-one-field-row": lambda d, good: (
+        ["report", "--sweep-csv", _csv(d, "s,value\n0.5,1.0\n0.6\n")],
+        "sweep.csv:3: expected 2 fields, got 1"),
+    "report-three-field-row": lambda d, good: (
+        ["report", "--sweep-csv", _csv(d, "s,value\n0.5,1.0,7\n")],
+        "sweep.csv:2: expected 2 fields, got 3"),
+    "report-csv-is-a-directory": lambda d, good: (
+        ["report", "--sweep-csv", str(d)], "Is a directory"),
+    "report-out-json-missing-dir": lambda d, good: (
+        ["report", "--sweep-csv", good, "--out-json", str(d / "no" / "r.json")],
+        "No such file or directory"),
+    "gen-out-directory": lambda d, good: (
+        ["gen", "--spec", "circle:8", "--out", str(d)], "Is a directory"),
+    "gen-out-missing-dir": lambda d, good: (
+        ["gen", "--spec", "circle:8", "--out", str(d / "no" / "c.space")],
+        "No such file or directory"),
+    "sweep-out-csv-directory": lambda d, good: (
+        NGUYEN + ["--out-csv", str(d)], "Is a directory"),
+    "sweep-out-json-missing-dir": lambda d, good: (
+        NGUYEN + ["--out-json", str(d / "no" / "s.json")], "No such file or directory"),
+    "verify-out-json-directory": lambda d, good: (
+        ["verify", "--suite", "mean", "--space", "circle:16", "--field", "sin(x)",
+         "--out-json", str(d)], "Is a directory"),
+}
+
+
 class TestBadInput:
     @pytest.mark.parametrize("grid", [{"kind": "torus2d"}, {"kind": "interval"}])
     def test_edited_closed_form_file_exit_2(self, runner, tmp_path, grid):
@@ -367,6 +405,31 @@ class TestBadInput:
                                  "--field", "sin(x)", "--r", r])
         assert result.exit_code == 2, result.output
         assert "cutoff r must be > 0" in result.output
+
+
+    @pytest.mark.parametrize(
+        "field",
+        ["(" * 300 + "x" + ")" * 300, "-" * 3000 + "x", "x" + "+x" * 1000],
+        ids=["parentheses", "unary-minus", "flat-sum"],
+    )
+    def test_deeply_nested_field_exit_2(self, runner, field):
+        result = invoke(runner, ["energy", "--functional", "cheeger", "--space", "circle:16",
+                                 "--field", field])
+        assert result.exit_code == 2, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "nested too deeply" in lines[0]
+
+    @pytest.mark.parametrize("case", sorted(FILE_FAULTS))
+    def test_file_fault_exit_2_with_one_line(self, runner, tmp_path, case):
+        good = tmp_path / "good.csv"
+        good.write_text("delta,value\n0.4,1.0\n0.3,1.1\n0.2,1.2\n0.1,1.3\n")
+        args, message = FILE_FAULTS[case](tmp_path, str(good))
+        result = invoke(runner, args)
+        assert result.exit_code == 2, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+        assert message in lines[0]
 
 
 class TestConstants:

@@ -87,6 +87,20 @@ class TestZstar:
         with pytest.raises(ValueError, match="dimension"):
             zstar_norm(ConvexBody("ball", dim=2), 2, (1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("a,b", [(2.0, 0.5), (3.0, 1.7), (0.2, 5.0)])
+    @pytest.mark.parametrize("xi", [(1.0, 0.0), (0.3, -0.7), (0.0, 2.0)])
+    def test_ellipse_p2_closed_form(self, a, b, xi):
+        # int_E (xi . x)^2 dx = (pi/4) a b (a^2 xi1^2 + b^2 xi2^2), prefactor (2+2)/2
+        expected = 0.5 * math.pi * a * b * (a**2 * xi[0] ** 2 + b**2 * xi[1] ** 2)
+        body = ConvexBody("ellipse", a=a, b=b)
+        assert zstar_norm(body, 2, xi) ** 2 == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_unit_ellipse_is_the_disk(self, p):
+        xi = (0.6, -0.35)
+        disk = zstar_norm(ConvexBody("ball", dim=2), p, xi)
+        assert zstar_norm(parse_body("ellipse:1:1"), p, xi) == pytest.approx(disk, rel=1e-12)
+
 
 class TestGauge:
     def test_ball_is_euclidean(self):

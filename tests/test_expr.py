@@ -141,3 +141,23 @@ class TestErrors:
         expr = parse_field_expr("x + y")
         with pytest.raises(ExprError, match="not available"):
             expr.evaluate(np.array([[0.5], [0.6]]))
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 300 + "x" + ")" * 300, "-" * 3000 + "x", "x" + "+x" * 1000],
+        ids=["parentheses", "unary-minus", "flat-sum"],
+    )
+    def test_too_deep_is_an_expr_error(self, text):
+        with pytest.raises(ExprError, match="nested too deeply"):
+            parse_field_expr(text).evaluate(np.array([[0.25], [0.5]]))
+
+    @pytest.mark.parametrize(
+        "text, factor",
+        [("(" * 40 + "x" + ")" * 40, 1.0), ("-" * 101 + "x", -1.0), ("x" + "+x" * 199, 200.0)],
+        ids=["parentheses", "unary-minus", "flat-sum"],
+    )
+    def test_moderate_depth_still_evaluates(self, text, factor):
+        x = np.array([[0.25], [0.5]])
+        assert parse_field_expr(text).evaluate(x) == pytest.approx(factor * x[:, 0], rel=1e-15)

@@ -3,6 +3,7 @@ import pytest
 
 from nsl import (
     EnergySpec,
+    ScalarField,
     SpaceSpec,
     build_space,
     cheeger_surrogate,
@@ -49,3 +50,19 @@ class TestRawFieldValidation:
         assert np.array_equal(vals, u)
         assert u.flags.writeable
         assert np.array_equal(as_values([0, 1, 2, 3], 4), u)
+
+
+class TestScalarFieldValues:
+    def test_caller_array_stays_writeable_and_apart(self):
+        x = np.arange(4.0)
+        field = ScalarField(x)
+        assert x.flags.writeable
+        assert not field.values.flags.writeable
+        x[0] = 9.0
+        assert np.array_equal(field.values, [0.0, 1.0, 2.0, 3.0])
+
+    def test_other_dtypes_and_layouts_are_copied_too(self):
+        x = np.arange(8, dtype=np.int32)[::2]
+        field = ScalarField(x)
+        assert field.values.dtype == np.float64 and field.values.flags.c_contiguous
+        assert np.array_equal(field.values, [0.0, 2.0, 4.0, 6.0])

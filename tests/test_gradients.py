@@ -1,10 +1,16 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsl
 from nsl import (
     MetricMeasureSpace,
     ScalarField,
@@ -14,8 +20,9 @@ from nsl import (
     hajlasz_minimal,
     path_integral,
 )
+from nsl import gradients
 from nsl.cli import parse_space_spec
-from nsl.gradients import _knn_edges
+from nsl.gradients import _knn_edges, _nnls, _pair_constraints
 
 from conftest import hajlasz_oracle_p2, random_space
 
@@ -101,7 +108,7 @@ class TestHajlasz:
         bounds = [1.0, 1.0, 1.0]
         oracle = hajlasz_oracle_p2(three_collinear.weights, pairs, bounds)
         assert oracle == pytest.approx(0.25, abs=1e-12)
-        assert res.objective == pytest.approx(oracle, rel=1e-4)
+        assert res.objective == pytest.approx(oracle, rel=1e-9)
         assert res.violation <= 1e-10
 
     @pytest.mark.parametrize("seed", range(8))
@@ -117,7 +124,7 @@ class TestHajlasz:
         bounds = [abs(vals[i] - vals[j]) / sp.dist[i, j] for i, j in pairs]
         keep = [(pq, c) for pq, c in zip(pairs, bounds) if c > 0]
         oracle = hajlasz_oracle_p2(sp.weights, [pq for pq, _ in keep], [c for _, c in keep])
-        assert res.objective == pytest.approx(oracle, rel=1e-4)
+        assert res.objective == pytest.approx(oracle, rel=1e-9)
         assert res.violation <= 1e-10
 
     def test_objective_below_feasible_start(self, circle64):
@@ -147,15 +154,16 @@ class TestHajlasz:
         assert res.objective == pytest.approx(0.25, abs=1e-6)
 
     def test_nonconvergence_is_reported(self, three_collinear):
-        # p != 2 gets no exact refinement, so a tiny iteration cap cannot
-        # satisfy the stopping rule and must be reported
+        # p != 2 takes the descent, so a tiny iteration cap cannot satisfy
+        # the stopping rule and must be reported
         u = ScalarField(three_collinear.coords[:, 0])
         with pytest.warns(RuntimeWarning, match="stopping rule"):
             res = hajlasz_minimal(three_collinear, u, 1.5, max_iter=5)
         assert not res.converged
-        assert res.violation <= 1e-10  # repair keeps iterates feasible regardless
+        assert res.violation <= 1e-10  # the lift keeps iterates feasible regardless
 
     def test_refinement_marks_convergence_despite_small_cap(self, three_collinear):
+        # small p = 2 problems take the exact route, which ignores max_iter
         u = ScalarField(three_collinear.coords[:, 0])
         res = hajlasz_minimal(three_collinear, u, 2, max_iter=5)
         assert res.converged
@@ -173,6 +181,7 @@ class TestHajlasz:
             hajlasz_minimal(two_point, two_point_field, 2, max_iter=max_iter)
 
     def test_zero_iterations_is_the_refine_alone(self, three_collinear):
+        # the exact route runs no descent iteration
         u = ScalarField(three_collinear.coords[:, 0])
         res = hajlasz_minimal(three_collinear, u, 2, max_iter=np.int64(0))
         assert res.iterations == 0
@@ -220,11 +229,11 @@ HAJLASZ_PINS = [
      1000, False, "3243f52a57fc267f1634011906e2e7621981488e92fb7001a5e073c68855a446"),
     ("interval:64", "ramp", 1.5, 1.0, 0.1, 2000, "0.18331256413330912", "0.0",
      2000, False, "2cb7fb08ea70ebb54af0ed12becc43f5428b9e8edfbfb25c9a2d7ee84f6cf15c"),
-    # m = 496 pairs: the p=2 dual refine runs after the descent, or alone
-    ("interval:32", "rng4", 2.0, 1.0, math.inf, 500, "250.77158606526814", "0.0",
-     500, True, "b322fc897e3a221d849118d3c9a019c4c5c176164c9a12f77d8fcb66a9b7787e"),
-    ("interval:32", "rng4", 2.0, 1.0, math.inf, 0, "250.77158606526814", "0.0",
-     0, True, "b322fc897e3a221d849118d3c9a019c4c5c176164c9a12f77d8fcb66a9b7787e"),
+    # m = 496 pairs: the exact p=2 route, whatever max_iter is
+    ("interval:32", "rng4", 2.0, 1.0, math.inf, 500, "250.77158606527948", "0.0",
+     0, True, "a4c3ced8a4ec09ae5c2fd423d025ed4c0511e1e50afb8953d91458ce7fee275b"),
+    ("interval:32", "rng4", 2.0, 1.0, math.inf, 0, "250.77158606527948", "0.0",
+     0, True, "a4c3ced8a4ec09ae5c2fd423d025ed4c0511e1e50afb8953d91458ce7fee275b"),
 ]
 
 
@@ -236,7 +245,7 @@ HAJLASZ_PINS = [
 def test_hajlasz_iterates_are_pinned(
     spec, kind, p, sigma, cutoff, max_iter, objective, violation, iterations, converged, digest
 ):
-    # bitwise: any change to the descent's arithmetic moves the digest
+    # bitwise: any change to either route's arithmetic moves the digest
     space = build_space(parse_space_spec(spec))
     u = _pin_field(space, kind)
     with warnings.catch_warnings():
@@ -247,6 +256,72 @@ def test_hajlasz_iterates_are_pinned(
     assert res.iterations == iterations
     assert res.converged is converged
     assert hashlib.sha256(res.gradient.values.tobytes()).hexdigest() == digest
+
+
+def test_exact_route_agrees_with_the_dual_coordinate_ascent_it_replaced():
+    # 250.77158606526814 is what Hildreth's cyclic dual ascent gave on this pin
+    space = build_space(parse_space_spec("interval:32"))
+    res = hajlasz_minimal(space, _pin_field(space, "rng4"), 2.0)
+    assert res.objective == pytest.approx(250.77158606526814, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nnls_matches_scipy(seed):
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(300 + seed)
+    e = rng.normal(size=(int(rng.integers(3, 12)), int(rng.integers(2, 15))))
+    f = rng.normal(size=e.shape[0])
+    lam, optimal = _nnls(e, f)
+    expected, _ = nnls(e, f)
+    assert optimal
+    assert np.all(lam >= 0.0)
+    assert np.linalg.norm(e @ lam - f) == pytest.approx(np.linalg.norm(e @ expected - f), rel=1e-10)
+    assert lam == pytest.approx(expected, abs=1e-9)
+
+
+def test_uncertified_exact_route_is_reported(monkeypatch, three_collinear):
+    # an NNLS that gives up leaves lam = 0, so g = 0 and the lift alone
+    monkeypatch.setattr(gradients, "_nnls", lambda e, f: (np.zeros(e.shape[1]), False))
+    u = ScalarField(three_collinear.coords[:, 0])
+    with pytest.warns(RuntimeWarning, match="after 0 iterations"):
+        res = hajlasz_minimal(three_collinear, u, 2)
+    assert not res.converged
+    assert res.violation <= 1e-10
+
+
+def test_exact_route_does_not_import_scipy_optimize():
+    code = (
+        "import sys, numpy as np, nsl\n"
+        "sp = nsl.build_space(nsl.SpaceSpec('circle', n=32))\n"
+        "res = nsl.hajlasz_minimal(sp, np.sin(sp.coords[:, 0]), 2.0)\n"
+        "assert res.iterations == 0 and res.converged\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(nsl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_pair_list_skips_the_pairs_a_cutoff_drops():
+    space = build_space(parse_space_spec("torus2d:32x32"))
+    vals = np.sin(2 * np.pi * space.coords[:, 0])
+    iu, ju = np.triu_indices(space.n, k=1)
+    keep = space.dist[iu, ju] <= 0.1
+    tracemalloc.start()
+    i, j, c = _pair_constraints(space, vals, 1.0, 0.1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # all n(n-1)/2 index pairs alone would take 8.4 MB
+    assert peak < 6e6
+    c_all = np.abs(vals[iu[keep]] - vals[ju[keep]]) / space.dist[iu[keep], ju[keep]]
+    active = c_all > 0.0
+    assert np.array_equal(i, iu[keep][active]) and np.array_equal(j, ju[keep][active])
+    assert np.array_equal(c, c_all[active])
 
 
 class TestPathIntegral:
