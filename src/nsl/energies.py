@@ -3,12 +3,35 @@
 Every double integral over X x X becomes a sum over ordered pairs weighted by
 w(x)w(y); diagonal pairs contribute zero (the numerator vanishes identically
 there). The Gagliardo, threshold (Nguyen) and K/H energies all go through one
-reducer, _pair_sum: each supplies terms(a, b, d, gap, ww) -> (term, keep) on
-a row block, where d holds the distances, gap = |u(x)-u(y)| and
-ww = w(x)w(y), and the reducer sums term over the off-diagonal pairs where
-keep holds. Row blocks are fixed and combined by an order-fixed tree
-reduction, so the result is bit-identical for any worker count (see
-parallel.py).
+reducer, _pair_sum, and each is one pair (phi, psi): the pair sum is
+
+  sum_{x != y} phi(|u(x)-u(y)|) w(x) w(y) psi(d(x,y), rho(x,y)),
+
+with phi the pair part (gap^p, or the threshold gap > delta) and psi the
+class part (1/(d^{ps} rho), [d <= t]/rho, delta^p/(rho d^p) [d <= r]).
+
+The reducer has two layouts. The row-block one evaluates phi * ww * psi pair
+by pair on blocks of rows; it serves every matrix space (graphs, Sierpinski,
+hand-made or relabelled files), gauge grids, and H_t, whose weight is not a
+function of (d, rho). The offset one serves lattices whose pair distance and
+kernel depend only on the index offset k of the pair: circle and torus2d
+with every kernel, and the interval with the ahlfors kernel only (ball-mass
+kernels are cut at the ends of the interval). The layout is chosen from the
+space's closed-form metric tag, never from its grid. The offset layout forms
+S_k = sum_x phi(|u(x+k)-u(x)|) w(x) w(x+k) from sliding windows over a copy
+of u and w, wrapped on circle and torus, zero-weight-padded on the interval
+(where S_k holds one orientation of each pair, so it counts twice), and
+returns sum_k S_k psi(d_k, rho_k), with d_k and rho_k read from row 0 of the
+distance and kernel matrices. Row 0 is exact: the distances and ball masses
+of these lattices are computed from integer index offsets and equal weights,
+so every pair at offset k carries the bitwise same d and rho. The exception
+is gauge-ahlfors on the torus, whose offset table is keyed on float
+coordinate differences that can split one index offset into keys an ulp
+apart; there the two layouts agree to rounding. Offsets with psi_k = 0 (pairs
+beyond t or r) are skipped.
+
+Row and offset blocks are fixed and their partials combined in a fixed
+order, so the result is bit-identical for any worker count (see parallel.py).
 
 Scale quantities at ball radius t:
 
@@ -43,11 +66,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import EnergySpec, PiecewiseLinearMap, ScalarField, as_values
-from .kernels import kernel_matrix
+from .kernels import KernelSpec, kernel_matrix
 from .parallel import block_reduce, map_blocks
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, SpaceSpec
 
 __all__ = [
     "ScaleEnergies",
@@ -78,52 +102,100 @@ class ScaleEnergies:
                 raise ValueError(f"scale energy {name} must be finite and >= 0, got {val}")
 
 
-def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms) -> float:
-    """Sum of the pair terms over off-diagonal pairs where keep holds.
-
-    terms(a, b, d, gap, ww) gets, on rows a..b, the distances d = dist[a:b],
-    the gaps |u(x)-u(y)| and the weight products w(x)w(y), and returns
-    (term, keep), each broadcastable to the block.
-    """
+def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, phi, psi, rho_rows) -> float:
+    """The pair sum by row blocks; rho_rows(a, b) gives the rho entries of rows a..b."""
     w = space.weights
-    cols = np.arange(space.n)
 
     def rows(a: int, b: int) -> float:
         gap = np.abs(vals[a:b, None] - vals[None, :])
-        # the diagonal divides by d = 0 or by a NaN kernel entry; keep drops it
+        # the diagonal divides by d = 0 or by a NaN kernel entry; it is zeroed
         with np.errstate(divide="ignore", invalid="ignore"):
-            term, keep = terms(a, b, space.dist[a:b], gap, w[a:b, None] * w[None, :])
-        keep = keep & (np.arange(a, b)[:, None] != cols)
-        return float(np.sum(np.where(keep, term, 0.0)))
+            term = phi(gap) * (w[a:b, None] * w[None, :]) * psi(space.dist[a:b], rho_rows(a, b))
+        term[np.arange(b - a), np.arange(a, b)] = 0.0
+        return float(np.sum(term))
 
     return float(block_reduce(space.n, rows))
+
+
+def _offset_lattice(space: MetricMeasureSpace, kernel: KernelSpec):
+    """(shape, wrapped) of a lattice whose pair terms depend only on the index offset; else None."""
+    if space.metric.get("type") == "matrix":  # distances stored verbatim
+        return None
+    spec = SpaceSpec.from_metric(space.metric)
+    generator = None if spec is None else spec.generator
+    if generator == "circle":
+        return (spec.n,), True
+    if generator == "torus2d":
+        return (spec.nx, spec.ny), True
+    if generator == "interval" and kernel.kind == "ahlfors":
+        return (spec.n,), False
+    return None
+
+
+def _offset_pair_sum(space, vals, phi, psi_row, shape, wrapped: bool) -> float:
+    """The pair sum by index offset: sum_k S_k psi_k over the offsets k with psi_k != 0."""
+    n, w = space.n, space.weights
+    offsets = np.flatnonzero(psi_row[1:]) + 1  # offset 0 is the diagonal
+    if offsets.size == 0:
+        return 0.0
+
+    def extend(a: np.ndarray) -> np.ndarray:
+        grid = a.reshape(shape)
+        if wrapped:
+            return np.tile(grid, (2,) * len(shape))
+        return np.pad(grid, [(0, k) for k in shape])  # zero weight beyond the end
+
+    u_win = sliding_window_view(extend(vals), shape)
+    w_win = sliding_window_view(extend(w), shape)
+
+    def block(a: int, b: int) -> np.ndarray:
+        at = np.unravel_index(offsets[a:b], shape)
+        gap = u_win[at].reshape(b - a, n)
+        gap -= vals
+        np.abs(gap, out=gap)
+        return (phi(gap) * w_win[at].reshape(b - a, n)) @ w
+
+    sums = np.concatenate(map_blocks(offsets.size, block))
+    return (1.0 if wrapped else 2.0) * float(np.sum(sums * psi_row[offsets]))
+
+
+def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, phi, psi, kernel: KernelSpec) -> float:
+    """sum_{x != y} phi(|u(x)-u(y)|) w(x) w(y) psi(d(x,y), rho(x,y)), rho the kernel matrix.
+
+    phi maps an array of gaps to the pair parts and psi arrays of distances
+    and kernel entries to the class parts; psi may be inf or NaN on the
+    diagonal, which never enters the sum.
+    """
+    rho = kernel_matrix(space, kernel)
+    lattice = _offset_lattice(space, kernel)
+    if lattice is None:
+        return _row_pair_sum(space, vals, phi, psi, lambda a, b: rho[a:b])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi_row = psi(space.dist[0], rho[0])
+    return _offset_pair_sum(space, vals, phi, psi_row, *lattice)
 
 
 def gagliardo_p(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """p-th power of the fractional seminorm with kernel d^{ps} rho."""
     if spec.s is None:
         raise ValueError("gagliardo_p needs the fractional order s")
-    vals = as_values(u, space.n)
-    rho = kernel_matrix(space, spec.kernel)
     p, ps = spec.p, spec.p * spec.s
     return _pair_sum(
-        space, vals, lambda a, b, d, gap, ww: (gap**p * ww / (d**ps * rho[a:b]), True)
+        space, as_values(u, space.n), lambda gap: gap**p, lambda d, rho: 1.0 / (d**ps * rho),
+        spec.kernel,
     )
 
 
 def _nguyen(space: MetricMeasureSpace, u, spec: EnergySpec, radius: float) -> float:
     if spec.delta is None:
         raise ValueError("the threshold functional needs delta")
-    vals = as_values(u, space.n)
-    rho = kernel_matrix(space, spec.kernel)
     delta, p = spec.delta, spec.p
     return _pair_sum(
         space,
-        vals,
-        lambda a, b, d, gap, ww: (
-            delta**p / (rho[a:b] * d**p) * ww,
-            (gap > delta) & (d <= radius),
-        ),
+        as_values(u, space.n),
+        lambda gap: gap > delta,
+        lambda d, rho: np.where(d <= radius, delta**p / (rho * d**p), 0.0),
+        spec.kernel,
     )
 
 
@@ -183,20 +255,20 @@ def _radius(spec: EnergySpec) -> float:
 def k_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """K_t: pairs within distance t, weighted by the kernel."""
     p, t = spec.p, _radius(spec)
-    vals = as_values(u, space.n)
-    rho = kernel_matrix(space, spec.kernel)
-    return _pair_sum(space, vals, lambda a, b, d, gap, ww: (gap**p / rho[a:b] * ww, d <= t))
+    return _pair_sum(
+        space, as_values(u, space.n), lambda gap: gap**p,
+        lambda d, rho: np.where(d <= t, 1.0 / rho, 0.0), spec.kernel,
+    )
 
 
 def h_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """H_t: pairs within distance t, weighted by the ball masses at t."""
     p, t = spec.p, _radius(spec)
-    vals = as_values(u, space.n)
     m = space.ball_masses(t)
-    return _pair_sum(
-        space,
-        vals,
-        lambda a, b, d, gap, ww: (gap**p / np.sqrt(m[a:b, None] * m[None, :]) * ww, d <= t),
+    return _row_pair_sum(
+        space, as_values(u, space.n), lambda gap: gap**p,
+        lambda d, mass: (d <= t) / mass,
+        lambda a, b: np.sqrt(m[a:b, None] * m[None, :]),
     )
 
 

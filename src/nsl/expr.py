@@ -13,7 +13,8 @@ unary minus supported):
 
 Variables are the point coordinates; on a circle x is the angle in [0, 2pi).
 Error messages carry the byte offset and the expected-token set. Nesting past
-the recursion limit, in parsing or evaluation, is an ExprError too.
+the recursion limit, in parsing, evaluation or printing, is an ExprError
+too; equality compares trees without recursion, so it never raises.
 """
 
 from __future__ import annotations
@@ -294,6 +295,28 @@ def _evaluate(node: Node, env: dict[str, np.ndarray | float]):
         return np.power(left, right)
 
 
+def _same_tree(a: Node, b: Node) -> bool:
+    """Structural equality by an explicit stack, so deep trees do not recurse."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Neg):
+            stack.append((a.operand, b.operand))
+        elif isinstance(a, BinOp):
+            if a.op != b.op:
+                return False
+            stack += [(a.left, b.left), (a.right, b.right)]
+        elif isinstance(a, Call):
+            if a.func != b.func or len(a.args) != len(b.args):
+                return False
+            stack += zip(a.args, b.args)
+        elif a != b:  # Num, Var
+            return False
+    return True
+
+
 class FieldExpr:
     """Parsed expression over point coordinates."""
 
@@ -302,13 +325,19 @@ class FieldExpr:
         self.source = source
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FieldExpr) and self.root == other.root
+        return isinstance(other, FieldExpr) and _same_tree(self.root, other.root)
 
     def __repr__(self) -> str:
-        return f"FieldExpr({self.to_string()!r})"
+        try:
+            return f"FieldExpr({self.to_string()!r})"
+        except ExprError:
+            return f"FieldExpr({self.source!r})"
 
     def to_string(self) -> str:
-        return _to_string(self.root)
+        try:
+            return _to_string(self.root)
+        except RecursionError:
+            raise ExprError(0, "expression is nested too deeply to print") from None
 
     def evaluate(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (n, dim) coordinate array."""

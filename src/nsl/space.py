@@ -200,6 +200,14 @@ class DoublingReport:
             raise ValueError(f"c_rho_hat must be >= 1, got {self.c_rho_hat}")
 
 
+def _check_weights(weights: np.ndarray) -> None:
+    """Raise SpaceError naming the first weight that is not finite and > 0."""
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise SpaceError(f"nonpositive or non-finite weight at point {i}: {float(weights[i])!r}")
+
+
 class MetricMeasureSpace:
     """Immutable finite metric measure space.
 
@@ -242,9 +250,7 @@ class MetricMeasureSpace:
             raise SpaceError(f"distance matrix shape {dist.shape} does not match {n} weights")
         if n > MAX_POINTS:
             raise SpaceError(f"{n} points exceeds the {MAX_POINTS}-point desk-scale budget")
-        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
-            bad = int(np.argmin(weights))
-            raise SpaceError(f"nonpositive weight at point {bad}: {weights[bad]}")
+        _check_weights(weights)
         if np.any(np.diagonal(dist) != 0.0):
             bad = int(np.nonzero(np.diagonal(dist))[0][0])
             raise SpaceError(f"nonzero diagonal distance at point {bad}")
@@ -687,9 +693,7 @@ def load_space(path: str | Path) -> MetricMeasureSpace:
         raise SpaceError(f"space file {path} has a missing or malformed field: {exc!r}") from exc
     if n < 1 or weights.shape != (n,):
         raise SpaceError(f"{weights.size} weights for n={n}")
-    bad = np.nonzero(~(weights > 0.0))[0]
-    if bad.size:
-        raise SpaceError(f"nonpositive weight at point {int(bad[0])}: {weights[bad[0]]!r}")
+    _check_weights(weights)
     grid = doc.get("grid")
     shape = grid.get("shape") if isinstance(grid, dict) else None
     if grid is not None and not (

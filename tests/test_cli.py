@@ -387,6 +387,17 @@ class TestBadInput:
         assert "grid" in result.output
         assert "Traceback" not in result.output
 
+    def test_matrix_file_with_infinite_weight_exit_2(self, runner, tmp_path):
+        path = tmp_path / "inf.space"
+        doc = {"name": "inf", "n": 2, "metric": {"type": "matrix", "params": {}},
+               "weights": [1.0, math.inf], "matrix": [1.0]}
+        path.write_text(json.dumps(doc))  # json writes the weight as Infinity
+        result = invoke(runner, ["energy", "--space", str(path), "--field-csv", str(path),
+                                 "--functional", "cheeger"])
+        assert result.exit_code == 2, result.output
+        assert "weight at point 1" in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("p", ["0", "0.5", "nan", "-2"])
     @pytest.mark.parametrize(
         "command",

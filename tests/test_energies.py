@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nsl.energies
 from nsl import (
     EnergySpec,
     KernelSpec,
@@ -183,6 +184,93 @@ class TestNguyen:
             two_point, two_point_field, EnergySpec(p=2, delta=0.25, kernel=ahlfors1)
         )
         assert lhs == rhs
+
+
+OFFSET_SPACES = ["circle:33", "circle:64", "torus2d:6x6", "torus2d:7x13", "interval:64",
+                 "interval:65:0.5"]
+OFFSET_CASES = [
+    (name, kernel)
+    for name in OFFSET_SPACES
+    for kernel in ("rho1", "geom", "harm", "ahlfors:1")
+    + (("gauge-ahlfors:2",) if name.startswith("torus2d") else ())
+]
+
+
+def pair_functionals(sp, kernel, p):
+    r = 0.3 * sp.diameter
+    return {
+        "gagliardo_p": (gagliardo_p, EnergySpec(p=p, s=0.7, kernel=kernel)),
+        "nguyen_a": (nguyen_a, EnergySpec(p=p, delta=0.5, kernel=kernel)),
+        "nguyen_b": (nguyen_b, EnergySpec(p=p, delta=0.5, r=r, kernel=kernel)),
+        "k_energy": (k_energy, EnergySpec(p=p, t=r, kernel=kernel)),
+    }
+
+
+def matrix_copy(sp, kernel):
+    """The same space under a matrix tag, whose pair sums take the row-block route."""
+    copy = MetricMeasureSpace(sp.dist, sp.weights, coords=sp.coords)
+    if kernel.kind == "gauge-ahlfors":
+        # a matrix space takes the gauge of the plain coordinate difference, not
+        # of the nearest torus translate, so it is handed the torus kernel
+        copy.cache(("kernel", kernel.key), lambda: kernel_matrix(sp, kernel))
+    return copy
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The names of the pair-sum layouts that ran, in call order."""
+    ran = []
+    for name in ("_row_pair_sum", "_offset_pair_sum"):
+        original = getattr(nsl.energies, name)
+
+        def spy(*args, _original=original, _name=name):
+            ran.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(nsl.energies, name, spy)
+    return ran
+
+
+class TestOffsetRoute:
+    """Pair sums by index offset against the row-block route on a matrix copy."""
+
+    def check(self, name, kind, ps, monkeypatch, routes):
+        sp = build_space(SpaceSpec.parse(name))
+        kernel = KernelSpec.parse(kind)
+        copy = matrix_copy(sp, kernel)
+        u = ScalarField(np.random.default_rng(sp.n).normal(size=sp.n))
+        route = "_offset_pair_sum"
+        if name.startswith("interval") and kernel.kind != "ahlfors":
+            route = "_row_pair_sum"  # ball-mass kernels are cut at the interval's ends
+        for p in ps:
+            for label, (fn, spec) in pair_functionals(sp, kernel, p).items():
+                where = (label, p)
+                del routes[:]
+                monkeypatch.setenv("NSL_WORKERS", "1")
+                one = fn(sp, u, spec)
+                monkeypatch.setenv("NSL_WORKERS", "2")
+                two = fn(sp, u, spec)
+                want = fn(copy, u, spec)
+                assert routes == [route, route, "_row_pair_sum"], where
+                assert one.hex() == two.hex(), where
+                assert want > 0.0, where
+                assert abs(one - want) <= 1e-12 * want, (where, one, want)
+                if route == "_row_pair_sum":
+                    assert one == want, where
+
+    @pytest.mark.parametrize("name, kind", OFFSET_CASES)
+    def test_matches_row_blocks(self, name, kind, monkeypatch, routes):
+        self.check(name, kind, (1.5, 2.0), monkeypatch, routes)
+
+    def test_gauge_torus_at_4096_points(self, monkeypatch, routes):
+        self.check("torus2d:64x64", "gauge-ahlfors:2", (2.0,), monkeypatch, routes)
+
+    def test_no_offset_within_reach_is_zero(self, circle64, routes):
+        u = ScalarField(np.sin(circle64.coords[:, 0]))
+        below = 0.5 * circle64.min_distance
+        assert k_energy(circle64, u, EnergySpec(p=2, t=below)) == 0.0
+        assert nguyen_b(circle64, u, EnergySpec(p=2, delta=0.01, r=below)) == 0.0
+        assert routes == ["_offset_pair_sum", "_offset_pair_sum"]
 
 
 class TestScaleEnergies:

@@ -161,3 +161,18 @@ class TestDeepNesting:
     def test_moderate_depth_still_evaluates(self, text, factor):
         x = np.array([[0.25], [0.5]])
         assert parse_field_expr(text).evaluate(x) == pytest.approx(factor * x[:, 0], rel=1e-15)
+
+    DEEP_SUM = "x" + "+x" * 1000
+
+    def test_deep_to_string_is_an_expr_error(self):
+        with pytest.raises(ExprError, match="nested too deeply"):
+            parse_field_expr(self.DEEP_SUM).to_string()
+
+    def test_deep_repr_falls_back_to_source(self):
+        assert repr(parse_field_expr(self.DEEP_SUM)) == f"FieldExpr({self.DEEP_SUM!r})"
+
+    def test_deep_equality_never_raises(self):
+        tree = parse_field_expr(self.DEEP_SUM)
+        assert tree == parse_field_expr(self.DEEP_SUM)
+        assert tree != parse_field_expr(self.DEEP_SUM + "+x")
+        assert tree != parse_field_expr("x" + "-x" * 1000)

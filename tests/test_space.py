@@ -537,3 +537,8 @@ class TestInvariants:
         dist = np.zeros((2, 2))
         with pytest.raises(SpaceError, match="weight"):
             MetricMeasureSpace(dist, np.array([1.0, 0.0]))
+
+    def test_infinite_weight_names_its_point(self):
+        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(SpaceError, match="weight at point 1: inf"):
+            MetricMeasureSpace(dist, np.array([1.0, np.inf]))
