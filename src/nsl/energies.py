@@ -14,10 +14,12 @@ The reducer has two layouts. The row-block one evaluates phi * ww * psi pair
 by pair on blocks of rows; it serves every matrix space (graphs, Sierpinski,
 hand-made or relabelled files), gauge grids, and H_t, whose weight is not a
 function of (d, rho). The offset one serves lattices whose pair distance and
-kernel depend only on the index offset k of the pair: circle and torus2d
-with every kernel, and the interval with the ahlfors kernel only (ball-mass
-kernels are cut at the ends of the interval). The layout is chosen from the
-space's closed-form metric tag, never from its grid. The offset layout forms
+kernel depend only on the index offset k of the pair: the torus with every
+kernel, the circle with every kernel but gauge-ahlfors (the gauge of the
+unwrapped angle difference), and the interval with the ahlfors kernel only
+(ball-mass kernels are cut at the ends of the interval). kernels.offset_lattice
+makes that choice from the space's closed-form metric tag, never from its
+grid, next to the code that builds each kernel. The offset layout forms
 S_k = sum_x phi(|u(x+k)-u(x)|) w(x) w(x+k) from sliding windows over a copy
 of u and w, wrapped on circle and torus, zero-weight-padded on the interval
 (where S_k holds one orientation of each pair, so it counts twice), and
@@ -69,9 +71,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import EnergySpec, PiecewiseLinearMap, ScalarField, as_values
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec, kernel_matrix, offset_lattice
 from .parallel import block_reduce, map_blocks
-from .space import MetricMeasureSpace, SpaceSpec
+from .space import MetricMeasureSpace
 
 __all__ = [
     "ScaleEnergies",
@@ -117,21 +119,6 @@ def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, phi, psi, rho_row
     return float(block_reduce(space.n, rows))
 
 
-def _offset_lattice(space: MetricMeasureSpace, kernel: KernelSpec):
-    """(shape, wrapped) of a lattice whose pair terms depend only on the index offset; else None."""
-    if space.metric.get("type") == "matrix":  # distances stored verbatim
-        return None
-    spec = SpaceSpec.from_metric(space.metric)
-    generator = None if spec is None else spec.generator
-    if generator == "circle":
-        return (spec.n,), True
-    if generator == "torus2d":
-        return (spec.nx, spec.ny), True
-    if generator == "interval" and kernel.kind == "ahlfors":
-        return (spec.n,), False
-    return None
-
-
 def _offset_pair_sum(space, vals, phi, psi_row, shape, wrapped: bool) -> float:
     """The pair sum by index offset: sum_k S_k psi_k over the offsets k with psi_k != 0."""
     n, w = space.n, space.weights
@@ -167,7 +154,7 @@ def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, phi, psi, kernel: Ker
     diagonal, which never enters the sum.
     """
     rho = kernel_matrix(space, kernel)
-    lattice = _offset_lattice(space, kernel)
+    lattice = offset_lattice(space, kernel)
     if lattice is None:
         return _row_pair_sum(space, vals, phi, psi, lambda a, b: rho[a:b])
     with np.errstate(divide="ignore", invalid="ignore"):

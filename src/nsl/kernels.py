@@ -9,6 +9,15 @@ per-axis coordinate offset, so lattice kernels are built once per distinct
 offset, then gathered into the n x n matrix; other spaces with coordinates
 take all pairs from constants.gauge_distance_matrix.
 
+offset_lattice names the generator lattices on which a kernel, like the
+distance, depends only on the index offset of a pair, so that the energies
+can read every pair's entry from row 0: the ball-mass kernels on the circle
+and the torus (equal weights, no ball cut at an end), the Ahlfors kernel on
+those and on the interval, and the gauge-Ahlfors kernel on the torus only,
+whose offset table takes the nearest translate. On the circle that kernel is
+the gauge of the unwrapped angle difference, so a pair that wraps past the
+last index does not carry the entry of its offset.
+
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.
 """
@@ -21,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ConvexBody, gauge_distance_matrix, parse_body
-from .space import _offset_matrix, doubling_constant
+from .space import SpaceSpec, _offset_matrix, doubling_constant
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
 
-__all__ = ["KernelSpec", "kernel_matrix", "kernel_comparability"]
+__all__ = ["KernelSpec", "kernel_matrix", "offset_lattice", "kernel_comparability"]
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,27 @@ def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:
         return mat
 
     return space.cache(("kernel", spec.key), build)
+
+
+def offset_lattice(space, spec: KernelSpec) -> tuple[tuple[int, ...], bool] | None:
+    """(shape, wrapped) of the index lattice where d and rho depend only on the offset; else None.
+
+    Only a closed-form generator tag counts, never the grid field: matrix
+    files, which may carry one, store their distances verbatim.
+    """
+    if space.metric.get("type") == "matrix":
+        return None
+    gen = SpaceSpec.from_metric(space.metric)
+    if gen is None:
+        return None
+    # the circle's gauge kernel is taken on the unwrapped angle, which does not wrap
+    if gen.generator == "circle" and spec.kind != "gauge-ahlfors":
+        return (gen.n,), True
+    if gen.generator == "torus2d":
+        return (gen.nx, gen.ny), True
+    if gen.generator == "interval" and spec.kind == "ahlfors":
+        return (gen.n,), False
+    return None
 
 
 def kernel_comparability(space, spec: KernelSpec):

@@ -193,7 +193,16 @@ OFFSET_CASES = [
     for name in OFFSET_SPACES
     for kernel in ("rho1", "geom", "harm", "ahlfors:1")
     + (("gauge-ahlfors:2",) if name.startswith("torus2d") else ())
-]
+] + [("circle:33", "gauge-ahlfors:1:ball:1")]
+
+
+def expected_route(name, kernel):
+    """The layout the pair sums of this generator space and kernel should take."""
+    if name.startswith("interval") and kernel.kind != "ahlfors":
+        return "_row_pair_sum"  # ball-mass kernels are cut at the interval's ends
+    if name.startswith("circle") and kernel.kind == "gauge-ahlfors":
+        return "_row_pair_sum"  # the gauge of the unwrapped angle difference
+    return "_offset_pair_sum"
 
 
 def pair_functionals(sp, kernel, p):
@@ -239,9 +248,7 @@ class TestOffsetRoute:
         kernel = KernelSpec.parse(kind)
         copy = matrix_copy(sp, kernel)
         u = ScalarField(np.random.default_rng(sp.n).normal(size=sp.n))
-        route = "_offset_pair_sum"
-        if name.startswith("interval") and kernel.kind != "ahlfors":
-            route = "_row_pair_sum"  # ball-mass kernels are cut at the interval's ends
+        route = expected_route(name, kernel)
         for p in ps:
             for label, (fn, spec) in pair_functionals(sp, kernel, p).items():
                 where = (label, p)
