@@ -12,25 +12,28 @@ class part (1/(d^{ps} rho), [d <= t]/rho, delta^p/(rho d^p) [d <= r]).
 
 The reducer has two layouts. The row-block one evaluates phi * ww * psi pair
 by pair on blocks of rows; it serves every matrix space (graphs, Sierpinski,
-hand-made or relabelled files), gauge grids, and H_t, whose weight is not a
-function of (d, rho). The offset one serves lattices whose pair distance and
-kernel depend only on the index offset k of the pair: the torus with every
-kernel, the circle with every kernel but gauge-ahlfors (the gauge of the
-unwrapped angle difference), and the interval with the ahlfors kernel only
-(ball-mass kernels are cut at the ends of the interval). kernels.offset_lattice
-makes that choice from the space's closed-form metric tag, never from its
-grid, next to the code that builds each kernel. The offset layout forms
+hand-made or relabelled files) and gauge grids. The offset one serves
+lattices whose pair distance and kernel depend only on the index offset k of
+the pair: the torus with every kernel, the circle with every kernel but
+gauge-ahlfors (the gauge of the unwrapped angle difference), and the interval
+with the ahlfors kernel only (ball-mass kernels are cut at the ends of the
+interval). kernels.offset_lattice makes that choice from the space's
+closed-form metric tag, never from its grid, next to the code that builds
+each kernel. H_t, whose weight 1/sqrt(mu(B(x,t)) mu(B(y,t))) is not a
+function of (d, rho), takes the route of the rho1 kernel: on circle and torus
+every ball at radius t has the bitwise same mass, so the weight too depends
+only on k. The offset layout forms
 S_k = sum_x phi(|u(x+k)-u(x)|) w(x) w(x+k) from sliding windows over a copy
 of u and w, wrapped on circle and torus, zero-weight-padded on the interval
 (where S_k holds one orientation of each pair, so it counts twice), and
-returns sum_k S_k psi(d_k, rho_k), with d_k and rho_k read from row 0 of the
-distance and kernel matrices. Row 0 is exact: the distances and ball masses
-of these lattices are computed from integer index offsets and equal weights,
-so every pair at offset k carries the bitwise same d and rho. The exception
-is gauge-ahlfors on the torus, whose offset table is keyed on float
-coordinate differences that can split one index offset into keys an ulp
-apart; there the two layouts agree to rounding. Offsets with psi_k = 0 (pairs
-beyond t or r) are skipped.
+returns sum_k S_k psi(d_k, rho_k), with d_k from row 0 of the distance matrix
+and rho_k from kernels.kernel_row, so no n x n kernel matrix is built. Row 0
+is exact: the distances and ball masses of these lattices are computed from
+integer index offsets and equal weights, so every pair at offset k carries
+the bitwise same d and rho. The exception is gauge-ahlfors on the torus,
+whose offset table is keyed on float coordinate differences that can split
+one index offset into keys an ulp apart; there the two layouts agree to
+rounding. Offsets with psi_k = 0 (pairs beyond t or r) are skipped.
 
 Row and offset blocks are fixed and their partials combined in a fixed
 order, so the result is bit-identical for any worker count (see parallel.py).
@@ -71,7 +74,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import EnergySpec, PiecewiseLinearMap, ScalarField, as_values
-from .kernels import KernelSpec, kernel_matrix, offset_lattice
+from .kernels import KernelSpec, kernel_matrix, kernel_row, offset_lattice
 from .parallel import block_reduce, map_blocks
 from .space import MetricMeasureSpace
 
@@ -153,12 +156,12 @@ def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, phi, psi, kernel: Ker
     and kernel entries to the class parts; psi may be inf or NaN on the
     diagonal, which never enters the sum.
     """
-    rho = kernel_matrix(space, kernel)
     lattice = offset_lattice(space, kernel)
     if lattice is None:
+        rho = kernel_matrix(space, kernel)
         return _row_pair_sum(space, vals, phi, psi, lambda a, b: rho[a:b])
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi_row = psi(space.dist[0], rho[0])
+        psi_row = psi(space.dist[0], kernel_row(space, kernel))
     return _offset_pair_sum(space, vals, phi, psi_row, *lattice)
 
 
@@ -251,12 +254,14 @@ def k_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
 def h_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """H_t: pairs within distance t, weighted by the ball masses at t."""
     p, t = spec.p, _radius(spec)
-    m = space.ball_masses(t)
-    return _row_pair_sum(
-        space, as_values(u, space.n), lambda gap: gap**p,
-        lambda d, mass: (d <= t) / mass,
-        lambda a, b: np.sqrt(m[a:b, None] * m[None, :]),
-    )
+    vals, m = as_values(u, space.n), space.ball_masses(t)
+    # the ball-mass lattices of rho1: there every ball at radius t has the same mass
+    lattice = offset_lattice(space, KernelSpec("rho1"))
+    if lattice is None:
+        return _row_pair_sum(space, vals, lambda gap: gap**p, lambda d, mass: (d <= t) / mass,
+                             lambda a, b: np.sqrt(m[a:b, None] * m[None, :]))
+    psi_row = (space.dist[0] <= t) / np.sqrt(m[0] * m)
+    return _offset_pair_sum(space, vals, lambda gap: gap**p, psi_row, *lattice)
 
 
 def scale_s_by_balls(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:

@@ -6,17 +6,18 @@ and the gauge-Ahlfors kernel d_K^N built from the Minkowski gauge of a
 convex body, at the nearest of the 9 translates on a torus. On a torus or a
 gauge grid (metric types "torus" and "gauge") its entry depends only on the
 per-axis coordinate offset, so lattice kernels are built once per distinct
-offset, then gathered into the n x n matrix; other spaces with coordinates
-take all pairs from constants.gauge_distance_matrix.
+offset, then gathered into the n x n matrix or its row 0; other spaces with
+coordinates take all pairs from constants.gauge_distance_matrix.
 
 offset_lattice names the generator lattices on which a kernel, like the
 distance, depends only on the index offset of a pair, so that the energies
-can read every pair's entry from row 0: the ball-mass kernels on the circle
-and the torus (equal weights, no ball cut at an end), the Ahlfors kernel on
-those and on the interval, and the gauge-Ahlfors kernel on the torus only,
-whose offset table takes the nearest translate. On the circle that kernel is
-the gauge of the unwrapped angle difference, so a pair that wraps past the
-last index does not carry the entry of its offset.
+can read every pair's entry from row 0, which kernel_row builds without the
+matrix: the ball-mass kernels on the circle and the torus (equal weights, no
+ball cut at an end), the Ahlfors kernel on those and on the interval, and the
+gauge-Ahlfors kernel on the torus only, whose offset table takes the nearest
+translate. On the circle that kernel is the gauge of the unwrapped angle
+difference, so a pair that wraps past the last index does not carry the entry
+of its offset.
 
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.
@@ -30,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ConvexBody, gauge_distance_matrix, parse_body
-from .space import SpaceSpec, _offset_matrix, doubling_constant
+from .space import _offset_matrix, doubling_constant
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
 
-__all__ = ["KernelSpec", "kernel_matrix", "offset_lattice", "kernel_comparability"]
+__all__ = ["KernelSpec", "kernel_matrix", "kernel_row", "offset_lattice", "kernel_comparability"]
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,9 @@ class KernelSpec:
         raise ValueError(f"unknown kernel tag {text!r}")
 
 
-def _gauge_pow_matrix(space, body: ConvexBody, exponent: float) -> np.ndarray:
+def _gauge_pow_matrix(space, body: ConvexBody, exponent: float,
+                      first_row: bool = False) -> np.ndarray:
+    """The gauge-Ahlfors kernel; only its row 0, as a (1, n) array, if first_row."""
     if space.coords is None:
         raise ValueError("gauge-ahlfors kernel needs point coordinates")
     coords = space.coords
@@ -95,9 +98,20 @@ def _gauge_pow_matrix(space, body: ConvexBody, exponent: float) -> np.ndarray:
             g = (body.gauge(np.stack([dx + sx, dy + sy], axis=-1)) for sx in shifts for sy in shifts)
             return np.power(functools.reduce(np.minimum, g), exponent)
 
-        return _offset_matrix(np.unique(coords[:, 0]), np.unique(coords[:, 1]), table)
-    out = gauge_distance_matrix(body, coords, coords)
+        return _offset_matrix(np.unique(coords[:, 0]), np.unique(coords[:, 1]), table, first_row)
+    out = gauge_distance_matrix(body, coords[:1] if first_row else coords, coords)
     return np.power(out, exponent, out=out)
+
+
+def _combine(kind: str, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """A ball-mass combination kernel from matching entries of rho1 and rho2."""
+    if kind == "rho2":
+        return r2.copy()
+    if kind == "sum":
+        return r1 + r2
+    if kind == "geom":
+        return np.sqrt(r1 * r2)
+    return (r1 + r2) / (r1 * r2)  # harm
 
 
 def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:
@@ -112,14 +126,7 @@ def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:
             mat = _gauge_pow_matrix(space, spec.body, spec.exponent)
         else:
             r1 = kernel_matrix(space, KernelSpec("rho1"))
-            if spec.kind == "rho2":
-                mat = r1.T.copy()
-            elif spec.kind == "sum":
-                mat = r1 + r1.T
-            elif spec.kind == "geom":
-                mat = np.sqrt(r1 * r1.T)
-            else:  # harm
-                mat = (r1 + r1.T) / (r1 * r1.T)
+            mat = _combine(spec.kind, r1, r1.T)
         np.fill_diagonal(mat, np.nan)
         mat.setflags(write=False)
         return mat
@@ -127,25 +134,43 @@ def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:
     return space.cache(("kernel", spec.key), build)
 
 
+def kernel_row(space, spec: KernelSpec) -> np.ndarray:
+    """Row 0 of kernel_matrix(space, spec), bitwise, without the matrix; cached on the space.
+
+    Entry 0 is NaN. rho2's row 0 is rho1's column 0, mu(B(y, d(y, 0))), one
+    ball query per point.
+    """
+
+    def build() -> np.ndarray:
+        if spec.kind == "rho1":
+            row = space.ball_mass_rows(0, 1, space.dist[:1])[0]
+        elif spec.kind == "ahlfors":
+            row = space.dist[0] ** spec.exponent
+        elif spec.kind == "gauge-ahlfors":
+            row = _gauge_pow_matrix(space, spec.body, spec.exponent, first_row=True)[0]
+        else:
+            column = space.ball_mass_rows(0, space.n, space.dist[:, :1])[:, 0]
+            row = _combine(spec.kind, kernel_row(space, KernelSpec("rho1")), column)
+        row[0] = np.nan
+        row.setflags(write=False)
+        return row
+
+    return space.cache(("kernel_row", spec.key), build)
+
+
 def offset_lattice(space, spec: KernelSpec) -> tuple[tuple[int, ...], bool] | None:
     """(shape, wrapped) of the index lattice where d and rho depend only on the offset; else None.
 
-    Only a closed-form generator tag counts, never the grid field: matrix
-    files, which may carry one, store their distances verbatim.
+    That is space.index_lattice() where the kernel follows the distance.
     """
-    if space.metric.get("type") == "matrix":
+    lattice = space.index_lattice()
+    if lattice is None:
         return None
-    gen = SpaceSpec.from_metric(space.metric)
-    if gen is None:
-        return None
+    shape, wrapped = lattice
+    if not wrapped:  # the interval cuts balls at its ends
+        return lattice if spec.kind == "ahlfors" else None
     # the circle's gauge kernel is taken on the unwrapped angle, which does not wrap
-    if gen.generator == "circle" and spec.kind != "gauge-ahlfors":
-        return (gen.n,), True
-    if gen.generator == "torus2d":
-        return (gen.nx, gen.ny), True
-    if gen.generator == "interval" and spec.kind == "ahlfors":
-        return (gen.n,), False
-    return None
+    return None if len(shape) == 1 and spec.kind == "gauge-ahlfors" else lattice
 
 
 def kernel_comparability(space, spec: KernelSpec):

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
@@ -290,20 +291,39 @@ class MetricMeasureSpace:
                   for a, b in row_blocks(self.n))  # no n x n mask or copy
         return self.cache("min_distance", lambda: float(min(blocks))) if self.n > 1 else 0.0
 
+    def index_lattice(self) -> tuple[tuple[int, ...], bool] | None:
+        """(shape, wrapped) of the generator lattice whose distances depend only on the index
+        offset of a pair: circle and torus (wrapped), interval (not); else None.
+
+        Only a closed-form generator tag counts, never the grid field: matrix
+        files, which may carry one, store their distances verbatim.
+        """
+        gen = None if self.metric.get("type") == "matrix" else SpaceSpec.from_metric(self.metric)
+        if gen is None or gen.generator not in ("interval", "circle", "torus2d"):
+            return None
+        shape = (gen.nx, gen.ny) if gen.generator == "torus2d" else (gen.n,)
+        return shape, gen.generator != "interval"
+
     # -- ball index ----------------------------------------------------------
 
     def _ball_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point sorted distances and prefix-summed masses.
+        """Per-point sorted distances and prefix-summed masses, as read-only (n, n) views.
 
         Ties are broken by ascending point id (stable sort), so the index is
-        deterministic. prefix[x, k] is the mass of the k+1 nearest points.
+        deterministic. prefix[x, k] is the mass of the k+1 nearest points. On
+        a wrapped lattice (circle, torus) every row of dist is a permutation
+        of row 0 and all weights are equal, so every row of the index is row
+        0's: only row 0 is sorted and cached, and the views repeat it.
         """
-        if "ball_index" not in self._cache:
-            order = np.argsort(self.dist, axis=1, kind="stable")
-            sorted_d = np.take_along_axis(self.dist, order, axis=1)
-            prefix = np.cumsum(self.weights[order], axis=1)
-            self._cache["ball_index"] = (sorted_d, prefix)
-        return self._cache["ball_index"]
+
+        def build() -> tuple[np.ndarray, np.ndarray]:
+            lattice = self.index_lattice()
+            rows = self.dist[:1] if lattice is not None and lattice[1] else self.dist
+            order = np.argsort(rows, axis=1, kind="stable")
+            return np.take_along_axis(rows, order, axis=1), np.cumsum(self.weights[order], axis=1)
+
+        sorted_d, prefix = self.cache("ball_index", build)
+        return np.broadcast_to(sorted_d, self.dist.shape), np.broadcast_to(prefix, self.dist.shape)
 
     def ball_mass(self, x: int, r: float) -> float:
         """Mass of the closed ball B(x, r)."""
@@ -330,7 +350,7 @@ class MetricMeasureSpace:
         return self._cache[key]
 
     def ball_mass_rows(self, a: int, b: int, radii: np.ndarray) -> np.ndarray:
-        """mu(B(x, radii[x - a, j])) for rows a..b; radii is (b-a, n)."""
+        """mu(B(x, radii[x - a, j])) for rows a..b; radii has one row per point, any length."""
         sorted_d, prefix = self._ball_index()
         out = np.empty_like(radii)
         for i, x in enumerate(range(a, b)):
@@ -397,11 +417,26 @@ def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
 # -- generators ---------------------------------------------------------------
 
 
+def _lattice_matrix(row0: np.ndarray, wrapped: bool) -> np.ndarray:
+    """The n x n matrix whose entry (i, j) is row0 at the index offset of lattice points i and j.
+
+    row0 holds the entries of point 0 on the lattice's shape; entry (i, j) is
+    row0[(j - i) mod shape] if wrapped (circulant), else row0[|j - i|]
+    (Toeplitz), per axis. Each row is one window of a copy of row0 extended
+    to offsets 1 - k .. k - 1 per axis of length k, so the matrix is one copy.
+    """
+    ext = row0
+    for axis, k in enumerate(row0.shape):
+        offsets = np.arange(1 - k, k)
+        ext = np.take(ext, offsets % k if wrapped else np.abs(offsets), axis=axis)
+    windows = sliding_window_view(ext, row0.shape)[(slice(None, None, -1),) * row0.ndim]
+    return np.ascontiguousarray(windows.reshape(row0.size, row0.size))
+
+
 def _interval(n: int, alpha: float) -> MetricMeasureSpace:
     x = (np.arange(n) + 0.5) / n
     # distances from integer index deltas: exact, so realized radii dedupe
-    idx = np.arange(n, dtype=np.float64)
-    dist = np.abs(idx[:, None] - idx[None, :]) / n
+    dist = _lattice_matrix(np.arange(n, dtype=np.float64) / n, wrapped=False)
     weights = x**alpha / n
     edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     return MetricMeasureSpace(
@@ -418,10 +453,8 @@ def _interval(n: int, alpha: float) -> MetricMeasureSpace:
 def _circle(n: int) -> MetricMeasureSpace:
     theta = 2.0 * math.pi * np.arange(n) / n
     # geodesic arc length from integer index deltas: exactly symmetric
-    idx = np.arange(n)
-    k = np.abs(idx[:, None] - idx[None, :])
-    k = np.minimum(k, n - k)
-    dist = 2.0 * math.pi * k.astype(np.float64) / n
+    k = np.arange(n, dtype=np.float64)
+    dist = _lattice_matrix(2.0 * math.pi * np.minimum(k, n - k) / n, wrapped=True)
     weights = np.full(n, 2.0 * math.pi / n)
     edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
     return MetricMeasureSpace(
@@ -435,17 +468,21 @@ def _circle(n: int) -> MetricMeasureSpace:
     )
 
 
-def _offset_matrix(xs: np.ndarray, ys: np.ndarray, fn) -> np.ndarray:
+def _offset_matrix(xs: np.ndarray, ys: np.ndarray, fn, first_row: bool = False) -> np.ndarray:
     """fn(dx, dy) over all pairs of the lattice whose point i * len(ys) + j is (xs[i], ys[j]).
 
     fn runs once, on the grid of distinct per-axis offsets (row point minus
-    column point); the n x n matrix is gathered from that table by one fancy index.
+    column point); the n x n matrix, or its row 0 as a (1, n) array if
+    first_row, is gathered from that table by one fancy index.
     """
+    nx, ny = xs.size, ys.size
     ux, ix = np.unique(xs[:, None] - xs[None, :], return_inverse=True)
     uy, iy = np.unique(ys[:, None] - ys[None, :], return_inverse=True)
     table = fn(*np.meshgrid(ux, uy, indexing="ij"))
-    nx, ny = xs.size, ys.size
-    return table[ix.reshape(nx, 1, nx, 1), iy.reshape(1, ny, 1, ny)].reshape(nx * ny, nx * ny)
+    ix, iy = ix.reshape(nx, nx), iy.reshape(ny, ny)
+    if first_row:
+        ix, iy = ix[:1], iy[:1]
+    return table[ix[:, None, :, None], iy[None, :, None, :]].reshape(ix.shape[0] * iy.shape[0], -1)
 
 
 def _torus2d(nx: int, ny: int) -> MetricMeasureSpace:
@@ -453,9 +490,10 @@ def _torus2d(nx: int, ny: int) -> MetricMeasureSpace:
     ys = (np.arange(ny) + 0.5) / ny
     coords = np.stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")], axis=1)
     n = nx * ny
-    # keyed on integer index offsets, which wrap exactly, so realized radii dedupe
-    dist = _offset_matrix(np.arange(nx), np.arange(ny), lambda kx, ky: np.hypot(
-        np.minimum(abs(kx), nx - abs(kx)) / nx, np.minimum(abs(ky), ny - abs(ky)) / ny))
+    # from integer index offsets, which wrap exactly, so realized radii dedupe
+    kx, ky = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    dist = _lattice_matrix(np.hypot(np.minimum(kx, nx - kx) / nx, np.minimum(ky, ny - ky) / ny),
+                           wrapped=True)
     weights = np.full(n, 1.0 / n)
     idx = np.arange(n).reshape(nx, ny)
     wrapped = (np.roll(idx, -1, axis=0), np.roll(idx, -1, axis=1))  # right, then up

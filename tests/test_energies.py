@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,8 +197,10 @@ OFFSET_CASES = [
 ] + [("circle:33", "gauge-ahlfors:1:ball:1")]
 
 
-def expected_route(name, kernel):
+def expected_route(name, kernel, functional=None):
     """The layout the pair sums of this generator space and kernel should take."""
+    if functional == "h_energy":
+        kernel = KernelSpec("rho1")  # H_t weighs by ball masses: offset on circle and torus
     if name.startswith("interval") and kernel.kind != "ahlfors":
         return "_row_pair_sum"  # ball-mass kernels are cut at the interval's ends
     if name.startswith("circle") and kernel.kind == "gauge-ahlfors":
@@ -212,6 +215,8 @@ def pair_functionals(sp, kernel, p):
         "nguyen_a": (nguyen_a, EnergySpec(p=p, delta=0.5, kernel=kernel)),
         "nguyen_b": (nguyen_b, EnergySpec(p=p, delta=0.5, r=r, kernel=kernel)),
         "k_energy": (k_energy, EnergySpec(p=p, t=r, kernel=kernel)),
+        # at a realized distance, so the pairs on the closed ball's edge count
+        "h_energy": (h_energy, EnergySpec(p=p, t=np.sort(sp.dist[0])[sp.n // 3], kernel=kernel)),
     }
 
 
@@ -248,10 +253,10 @@ class TestOffsetRoute:
         kernel = KernelSpec.parse(kind)
         copy = matrix_copy(sp, kernel)
         u = ScalarField(np.random.default_rng(sp.n).normal(size=sp.n))
-        route = expected_route(name, kernel)
         for p in ps:
             for label, (fn, spec) in pair_functionals(sp, kernel, p).items():
                 where = (label, p)
+                route = expected_route(name, kernel, label)
                 del routes[:]
                 monkeypatch.setenv("NSL_WORKERS", "1")
                 one = fn(sp, u, spec)
@@ -272,12 +277,29 @@ class TestOffsetRoute:
     def test_gauge_torus_at_4096_points(self, monkeypatch, routes):
         self.check("torus2d:64x64", "gauge-ahlfors:2", (2.0,), monkeypatch, routes)
 
+    def test_gauge_torus_builds_no_kernel_matrix(self, monkeypatch):
+        """The offset route reads row 0 of the kernel: at two workers the traced peak
+        stays under a quarter of one n x n float64 matrix."""
+        sp = build_space(SpaceSpec.parse("torus2d:64x64"))
+        u = ScalarField(np.random.default_rng(0).normal(size=sp.n))
+        spec = EnergySpec(p=2, s=0.7, kernel=KernelSpec.parse("gauge-ahlfors:2"))
+        monkeypatch.setenv("NSL_WORKERS", "2")
+        tracemalloc.start()
+        try:
+            assert gagliardo_p(sp, u, spec) > 0.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not [key for key in sp._cache if isinstance(key, tuple) and key[0] == "kernel"]
+        assert peak < sp.n * sp.n * 8 / 4
+
     def test_no_offset_within_reach_is_zero(self, circle64, routes):
         u = ScalarField(np.sin(circle64.coords[:, 0]))
         below = 0.5 * circle64.min_distance
         assert k_energy(circle64, u, EnergySpec(p=2, t=below)) == 0.0
         assert nguyen_b(circle64, u, EnergySpec(p=2, delta=0.01, r=below)) == 0.0
-        assert routes == ["_offset_pair_sum", "_offset_pair_sum"]
+        assert h_energy(circle64, u, EnergySpec(p=2, t=below)) == 0.0
+        assert routes == ["_offset_pair_sum"] * 3
 
 
 class TestScaleEnergies:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsl import ConvexBody, KernelSpec, SpaceSpec, build_space, kernel_comparability, parse_body
-from nsl.kernels import kernel_matrix
+from nsl.kernels import kernel_matrix, kernel_row
 
 from conftest import HEXAGON, random_space
 
@@ -81,6 +81,29 @@ class TestLatticeKernels:
         monkeypatch.setattr(ConvexBody, "gauge", counting)
         kernel_matrix(sp, KernelSpec.parse("gauge-ahlfors:2"))
         assert 0 < sum(vectors) <= 9 * 63**2
+
+
+# Every kernel kind; the gauge-Ahlfors ones take a body of the space's dimension.
+ROW_KERNELS = ["rho1", "rho2", "sum", "geom", "harm", "ahlfors:1", "ahlfors:1.5"]
+ROW_GAUGES = {1: ["gauge-ahlfors:1:ball:1"],
+              2: ["gauge-ahlfors:2", "gauge-ahlfors:1.5:square", f"gauge-ahlfors:1.5:{HEXAGON}"]}
+
+
+class TestKernelRow:
+    """kernel_row is row 0 of kernel_matrix, bitwise, and caches no matrix."""
+
+    @pytest.mark.parametrize("space", ["circle:2", "circle:33", "circle:64", "torus2d:2x2",
+                                       "torus2d:6x6", "torus2d:7x13", "interval:2",
+                                       "interval:65", "interval:65:0.5"])
+    def test_row_zero_of_the_matrix(self, space):
+        sp = build_space(SpaceSpec.parse(space))
+        for text in ROW_KERNELS + ROW_GAUGES[sp.coords.shape[1]]:
+            spec = KernelSpec.parse(text)
+            row = kernel_row(sp, spec)
+            assert not any(key[0] == "kernel" for key in sp._cache if isinstance(key, tuple))
+            assert np.isnan(row[0]) and not row.flags.writeable
+            assert np.array_equal(row, kernel_matrix(sp, spec)[0], equal_nan=True), text
+            sp._cache.clear()
 
 
 class TestKernelValues:

@@ -32,6 +32,19 @@ def brute_torus_dist(nx: int, ny: int) -> np.ndarray:
     return np.hypot(np.minimum(dx, nx - dx) / nx, np.minimum(dy, ny - dy) / ny)
 
 
+def brute_circle_dist(n: int) -> np.ndarray:
+    """Arc-length distances pair by pair from the wrapped integer index offsets."""
+    idx = np.arange(n)
+    k = np.abs(idx[:, None] - idx[None, :])
+    return 2.0 * math.pi * np.minimum(k, n - k).astype(np.float64) / n
+
+
+def brute_interval_dist(n: int) -> np.ndarray:
+    """Interval distances pair by pair from the integer index offsets."""
+    idx = np.arange(n, dtype=np.float64)
+    return np.abs(idx[:, None] - idx[None, :]) / n
+
+
 class TestGenerators:
     def test_circle4_by_definition(self):
         sp = build_space(SpaceSpec("circle", n=4))
@@ -128,6 +141,19 @@ class TestLatticeDistances:
         sp = build_space(SpaceSpec("gauge_grid", n=n, body=parse_body(body)))
         expected = gauge_distance_matrix(parse_body(body), sp.coords, sp.coords)
         np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(sp.dist, expected)
+
+    @pytest.mark.parametrize("name", ["circle:2", "circle:3", "circle:33", "circle:64",
+                                      "torus2d:2x2", "torus2d:3x5", "torus2d:8x8",
+                                      "torus2d:24x40", "interval:2", "interval:65"])
+    def test_window_copy_matches_pairwise_formula(self, name):
+        """Rows are windows of a copy of row 0, bitwise equal to the pair-by-pair values."""
+        spec = SpaceSpec.parse(name)
+        expected = {"circle": lambda: brute_circle_dist(spec.n),
+                    "torus2d": lambda: brute_torus_dist(spec.nx, spec.ny),
+                    "interval": lambda: brute_interval_dist(spec.n)}[spec.generator]()
+        sp = build_space(spec)
+        assert sp.dist.flags.c_contiguous
         assert np.array_equal(sp.dist, expected)
 
     def test_min_distance_matches_masked_min(self):
@@ -228,6 +254,25 @@ class TestBallMeasure:
         assert np.all(np.diff(prefix, axis=1) > 0)
         assert prefix[:, -1] == pytest.approx(interval128.total_mass)
         assert np.all(np.diff(sorted_d, axis=1) >= 0)
+
+    @pytest.mark.parametrize("name", ["circle:2", "circle:33", "circle:64", "torus2d:3x5",
+                                      "torus2d:8x8", "torus2d:12x7"])
+    def test_one_sorted_row_matches_full_index(self, name):
+        """Circle and torus sort row 0 only; every ball query equals the full argsort's."""
+        sp = build_space(SpaceSpec.parse(name))
+        copy = MetricMeasureSpace(sp.dist, sp.weights)  # a matrix space sorts every row
+        realized = np.unique(sp.dist)
+        for r in np.concatenate([realized, realized / 2]):
+            assert np.array_equal(sp.ball_masses(r), copy.ball_masses(r)), r
+        radii = np.random.default_rng(sp.n).uniform(0.0, sp.diameter, (sp.n, sp.n))
+        radii[:, :4] = sp.dist[:, :4]  # realized radii, where the index ties
+        assert np.array_equal(sp.ball_mass_rows(0, sp.n, radii),
+                              copy.ball_mass_rows(0, sp.n, radii))
+        assert doubling_constant(sp) == doubling_constant(copy)
+        for mine, full in zip(sp._ball_index(), copy._ball_index()):
+            assert np.array_equal(mine, full)
+            assert not mine.flags.writeable
+        assert [a.shape for a in sp._cache["ball_index"]] == [(1, sp.n)] * 2
 
     def test_step_function_of_radius(self, interval128):
         """Nondecreasing, piecewise constant, jumps exactly at realized distances."""
