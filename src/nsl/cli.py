@@ -23,7 +23,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import parallel
+from . import __version__, parallel
 from .constants import BodyError, gauge_distance, k_pn, parse_body, zstar_norm
 from .energies import gagliardo_p, h_energy, k_energy, nguyen_a, nguyen_b, scale_s_by_balls
 from .expr import ExprError, parse_field_expr
@@ -72,7 +72,8 @@ def parse_grid(text: str) -> list[float]:
     count = (b - a) / step
     if not 0.0 <= count < MAX_GRID_POINTS:  # NaN fails too
         _fail(f"grid {text!r} must step from A to B in fewer than {MAX_GRID_POINTS} steps")
-    return [a + k * step for k in range(int(round(count)) + 1)]
+    # whole steps that stay within B; the slack keeps B where 0.45 / 0.05 rounds to 8.999...
+    return [a + k * step for k in range(int(count + 1e-9) + 1)]
 
 
 def _load_space_arg(space: str):
@@ -126,7 +127,7 @@ workers_option = click.option(
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="nsl")
+@click.version_option(version=__version__, prog_name="nsl")
 def main() -> None:
     """Nonlocal energies on finite metric measure spaces.
 

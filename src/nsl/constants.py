@@ -147,25 +147,21 @@ _SQUARE = ((1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 def parse_body(text: str) -> ConvexBody:
     """Parse a body tag: ball:N, ellipse:a:b, square, or polygon:x,y;x,y;..."""
-    parts = text.strip().split(":")
-    kind = parts[0]
-    if kind == "square":
+    kind, *fields = text.strip().split(":")
+    if kind == "square" and not fields:
         return ConvexBody("polygon", vertices=_SQUARE)
-    if kind == "ball":
-        return ConvexBody("ball", dim=int(parts[1]) if len(parts) > 1 else 2)
-    if kind == "ellipse":
-        if len(parts) != 3:
-            raise BodyError(f"ellipse tag needs two semi-axes, got {text!r}")
-        return ConvexBody("ellipse", a=float(parts[1]), b=float(parts[2]))
-    if kind == "polygon":
-        if len(parts) != 2:
-            raise BodyError(f"polygon tag needs a vertex list, got {text!r}")
+    if kind == "ball" and len(fields) <= 1:
+        return ConvexBody("ball", dim=int(fields[0]) if fields else 2)
+    if kind == "ellipse" and len(fields) == 2:
+        return ConvexBody("ellipse", a=float(fields[0]), b=float(fields[1]))
+    if kind == "polygon" and len(fields) == 1:
         verts = []
-        for chunk in parts[1].split(";"):
+        for chunk in fields[0].split(";"):
             x, y = chunk.split(",")
             verts.append((float(x), float(y)))
         return ConvexBody("polygon", vertices=tuple(verts))
-    raise BodyError(f"unknown body tag {text!r}")
+    raise BodyError(f"bad body tag {text!r}; expected ball[:N], ellipse:A:B, square or "
+                    "polygon:x,y;x,y;...")
 
 
 # -- limit constants -----------------------------------------------------------

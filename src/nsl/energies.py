@@ -14,9 +14,8 @@ The reducer has two layouts. The row-block one evaluates phi * ww * psi pair
 by pair on blocks of rows; it serves every matrix space (graphs, Sierpinski,
 hand-made or relabelled files) and gauge grids. The offset one serves
 lattices whose pair distance and kernel depend only on the index offset k of
-the pair: the torus with every kernel, the circle with every kernel but
-gauge-ahlfors (the gauge of the unwrapped angle difference), and the interval
-with the ahlfors kernel only (ball-mass kernels are cut at the ends of the
+the pair: the circle and the torus with every kernel, and the interval with
+the ahlfors kernel only (ball-mass kernels are cut at the ends of the
 interval). kernels.offset_lattice makes that choice from the space's
 closed-form metric tag, never from its grid, next to the code that builds
 each kernel. H_t, whose weight 1/sqrt(mu(B(x,t)) mu(B(y,t))) is not a

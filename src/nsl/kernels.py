@@ -3,21 +3,18 @@
 The menu: rho1 = mu(B(x,d)), rho2 = mu(B(y,d)), their sum, geometric mean,
 the harmonic combination (rho1+rho2)/(rho1*rho2), the Ahlfors kernel d^N,
 and the gauge-Ahlfors kernel d_K^N built from the Minkowski gauge of a
-convex body, at the nearest of the 9 translates on a torus. On a torus or a
-gauge grid (metric types "torus" and "gauge") its entry depends only on the
-per-axis coordinate offset, so lattice kernels are built once per distinct
-offset, then gathered into the n x n matrix or its row 0; other spaces with
-coordinates take all pairs from constants.gauge_distance_matrix.
+convex body: of the nearest of the 9 translates on a torus, of the geodesic
+angle on a circle. On a torus or a gauge grid (types "torus" and "gauge") it
+depends only on the per-axis coordinate offset, so it is built once per
+distinct offset, then gathered into the n x n matrix or its row 0; other
+spaces take all pairs from constants.gauge_distance_matrix.
 
 offset_lattice names the generator lattices on which a kernel, like the
 distance, depends only on the index offset of a pair, so that the energies
 can read every pair's entry from row 0, which kernel_row builds without the
-matrix: the ball-mass kernels on the circle and the torus (equal weights, no
-ball cut at an end), the Ahlfors kernel on those and on the interval, and the
-gauge-Ahlfors kernel on the torus only, whose offset table takes the nearest
-translate. On the circle that kernel is the gauge of the unwrapped angle
-difference, so a pair that wraps past the last index does not carry the entry
-of its offset.
+matrix: every kernel on the circle and the torus (equal weights, no ball cut
+at an end, gauges of the geodesic angle or the nearest translate), and the
+Ahlfors kernel alone on the interval.
 
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.
@@ -64,19 +61,16 @@ class KernelSpec:
 
     @staticmethod
     def parse(text: str) -> "KernelSpec":
-        parts = text.strip().split(":")
-        kind = parts[0]
-        if kind in ("rho1", "rho2", "sum", "geom", "harm"):
+        kind, *fields = text.strip().split(":")
+        if kind in ("rho1", "rho2", "sum", "geom", "harm") and not fields:
             return KernelSpec(kind)
-        if kind in ("ahlfors", "gauge-ahlfors"):
-            if len(parts) < 2:
-                raise ValueError(f"kernel {kind} needs an exponent, e.g. {kind}:2")
-            exponent = float(parts[1])
-            if kind == "ahlfors":
-                return KernelSpec("ahlfors", exponent)
-            body = parse_body(":".join(parts[2:])) if len(parts) > 2 else None
-            return KernelSpec("gauge-ahlfors", exponent, body)
-        raise ValueError(f"unknown kernel tag {text!r}")
+        if kind == "ahlfors" and len(fields) == 1:
+            return KernelSpec(kind, float(fields[0]))
+        if kind == "gauge-ahlfors" and fields:  # the body takes the rest of the text
+            body = parse_body(":".join(fields[1:])) if len(fields) > 1 else None
+            return KernelSpec(kind, float(fields[0]), body)
+        raise ValueError(f"bad kernel tag {text!r}; expected rho1, rho2, sum, geom, harm, "
+                         "ahlfors:N or gauge-ahlfors:N[:BODY]")
 
 
 def _gauge_pow_matrix(space, body: ConvexBody, exponent: float,
@@ -99,7 +93,10 @@ def _gauge_pow_matrix(space, body: ConvexBody, exponent: float,
             return np.power(functools.reduce(np.minimum, g), exponent)
 
         return _offset_matrix(np.unique(coords[:, 0]), np.unique(coords[:, 1]), table, first_row)
-    out = gauge_distance_matrix(body, coords[:1] if first_row else coords, coords)
+    if kind == "circle":  # the gauge of the geodesic angle, each distance a 1-vector
+        out = body.gauge((space.dist[:1] if first_row else space.dist)[..., None])
+    else:
+        out = gauge_distance_matrix(body, coords[:1] if first_row else coords, coords)
     return np.power(out, exponent, out=out)
 
 
@@ -164,13 +161,8 @@ def offset_lattice(space, spec: KernelSpec) -> tuple[tuple[int, ...], bool] | No
     That is space.index_lattice() where the kernel follows the distance.
     """
     lattice = space.index_lattice()
-    if lattice is None:
-        return None
-    shape, wrapped = lattice
-    if not wrapped:  # the interval cuts balls at its ends
-        return lattice if spec.kind == "ahlfors" else None
-    # the circle's gauge kernel is taken on the unwrapped angle, which does not wrap
-    return None if len(shape) == 1 and spec.kind == "gauge-ahlfors" else lattice
+    # every kernel on a wrapped lattice; the interval cuts balls at its ends
+    return lattice if lattice is not None and (lattice[1] or spec.kind == "ahlfors") else None
 
 
 def kernel_comparability(space, spec: KernelSpec):

@@ -73,7 +73,6 @@ class SpaceSpec:
     level: int = 0
     body: ConvexBody | None = None
     edges: tuple[tuple[int, int, float], ...] = ()
-    weights: tuple[float, ...] = ()
 
     def validate(self) -> None:
         """Check the parameters and the point budget; allocates nothing."""
@@ -116,32 +115,31 @@ class SpaceSpec:
     @staticmethod
     def parse(text: str) -> SpaceSpec:
         """The spec of one text form listed above; any fault raises SpaceError."""
-        parts = text.strip().split(":")
-        kind = parts[0]
+        kind, *fields = text.strip().split(":")
         try:
-            if kind == "interval":
-                alpha = float(parts[2]) if len(parts) > 2 else 0.0
-                return SpaceSpec("interval", n=int(parts[1]), alpha=alpha)
-            if kind == "circle":
-                return SpaceSpec("circle", n=int(parts[1]))
-            if kind == "torus2d":
-                nx, ny = parts[1].lower().split("x")
+            if kind == "interval" and len(fields) in (1, 2):
+                alpha = float(fields[1]) if len(fields) > 1 else 0.0
+                return SpaceSpec("interval", n=int(fields[0]), alpha=alpha)
+            if kind == "circle" and len(fields) == 1:
+                return SpaceSpec("circle", n=int(fields[0]))
+            if kind == "torus2d" and len(fields) == 1:
+                nx, ny = fields[0].lower().split("x")
                 return SpaceSpec("torus2d", nx=int(nx), ny=int(ny))
-            if kind == "sierpinski":
-                return SpaceSpec("sierpinski", level=int(parts[1]))
-            if kind == "gauge_grid":
-                return SpaceSpec("gauge_grid", n=int(parts[1]), body=parse_body(":".join(parts[2:])))
-            if kind == "graph":
+            if kind == "sierpinski" and len(fields) == 1:
+                return SpaceSpec("sierpinski", level=int(fields[0]))
+            if kind == "gauge_grid" and fields:  # the body takes the rest of the text
+                return SpaceSpec("gauge_grid", n=int(fields[0]), body=parse_body(":".join(fields[1:])))
+            if kind == "graph" and fields:  # so does the edge file's path
                 edges = []
-                for line in Path(parts[1]).read_text(encoding="utf-8").splitlines():
+                for line in Path(":".join(fields)).read_text(encoding="utf-8").splitlines():
                     line = line.strip()
                     if line and not line.startswith("#"):
                         i, j, length = line.split(",")
                         edges.append((int(i), int(j), float(length)))
                 return SpaceSpec("graph", edges=tuple(edges))
-        except (IndexError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             raise SpaceError(f"bad space spec {text!r}: {exc}") from exc
-        raise SpaceError(f"unknown space generator in {text!r}")
+        raise SpaceError(f"bad space spec {text!r}: unknown generator or wrong number of fields")
 
     @staticmethod
     def from_metric(metric: dict[str, Any]) -> SpaceSpec | None:
@@ -307,23 +305,26 @@ class MetricMeasureSpace:
     # -- ball index ----------------------------------------------------------
 
     def _ball_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point sorted distances and prefix-summed masses, as read-only (n, n) views.
+        """The distinct rows of the per-point sorted distances and prefix-summed masses.
 
         Ties are broken by ascending point id (stable sort), so the index is
-        deterministic. prefix[x, k] is the mass of the k+1 nearest points. On
-        a wrapped lattice (circle, torus) every row of dist is a permutation
-        of row 0 and all weights are equal, so every row of the index is row
-        0's: only row 0 is sorted and cached, and the views repeat it.
+        deterministic. prefix[i, k] is the mass of the k+1 points nearest to
+        any point of row i. On a wrapped lattice (circle, torus) every row of
+        dist is a permutation of row 0 and all weights are equal, so the index
+        is row 0's alone, (1, n); elsewhere it is (n, n). Point x reads row
+        x % len(rows). Both arrays are read-only.
         """
 
         def build() -> tuple[np.ndarray, np.ndarray]:
             lattice = self.index_lattice()
             rows = self.dist[:1] if lattice is not None and lattice[1] else self.dist
             order = np.argsort(rows, axis=1, kind="stable")
-            return np.take_along_axis(rows, order, axis=1), np.cumsum(self.weights[order], axis=1)
+            index = np.take_along_axis(rows, order, axis=1), np.cumsum(self.weights[order], axis=1)
+            for arr in index:
+                arr.setflags(write=False)
+            return index
 
-        sorted_d, prefix = self.cache("ball_index", build)
-        return np.broadcast_to(sorted_d, self.dist.shape), np.broadcast_to(prefix, self.dist.shape)
+        return self.cache("ball_index", build)
 
     def ball_mass(self, x: int, r: float) -> float:
         """Mass of the closed ball B(x, r)."""
@@ -331,9 +332,9 @@ class MetricMeasureSpace:
             raise SpaceError(f"unknown point id {x}")
         if not r >= 0:  # NaN fails too
             raise SpaceError(f"radius must be >= 0, got {r}")
-        sorted_d, prefix = self._ball_index()
-        k = int(np.searchsorted(sorted_d[x], r, side="right"))
-        return 0.0 if k == 0 else float(prefix[x, k - 1])
+        sorted_d, prefix = (rows[x % len(rows)] for rows in self._ball_index())
+        k = int(np.searchsorted(sorted_d, r, side="right"))
+        return 0.0 if k == 0 else float(prefix[k - 1])
 
     def ball_masses(self, r: float) -> np.ndarray:
         """Vector of closed-ball masses mu(B(x, r)) for every point."""
@@ -344,7 +345,8 @@ class MetricMeasureSpace:
             sorted_d, prefix = self._ball_index()
             counts = np.sum(sorted_d <= r, axis=1)
             counts = np.maximum(counts, 1)  # diagonal 0 <= r for r >= 0
-            masses = prefix[np.arange(self.n), counts - 1]
+            # one mass per row, repeated for every point if the index is one row
+            masses = np.resize(prefix[np.arange(len(prefix)), counts - 1], self.n)
             masses.setflags(write=False)
             self._cache[key] = masses
         return self._cache[key]
@@ -353,9 +355,9 @@ class MetricMeasureSpace:
         """mu(B(x, radii[x - a, j])) for rows a..b; radii has one row per point, any length."""
         sorted_d, prefix = self._ball_index()
         out = np.empty_like(radii)
-        for i, x in enumerate(range(a, b)):
-            k = np.searchsorted(sorted_d[x], radii[i], side="right")
-            out[i] = np.where(k > 0, prefix[x, np.maximum(k, 1) - 1], 0.0)
+        for i, row in enumerate(np.arange(a, b) % len(sorted_d)):
+            k = np.searchsorted(sorted_d[row], radii[i], side="right")
+            out[i] = np.where(k > 0, prefix[row, np.maximum(k, 1) - 1], 0.0)
         return out
 
     def cache(self, key: Any, build) -> Any:
@@ -381,7 +383,8 @@ def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
     Radii r in {d(x,y)} union {d(x,y)/2} are sufficient: both ball masses are
     right-continuous step functions of r jumping only at realized distances,
     so the ratio is piecewise constant and attains its sup at one of these
-    breakpoints.
+    breakpoints. Only the distinct rows of the ball index are scanned: on
+    circle and torus that is point 0 alone, the first witness of any tie.
     """
     if space.n < 2:
         raise SpaceError("doubling constant needs at least two points")
@@ -390,7 +393,7 @@ def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
         sorted_d, prefix = space._ball_index()
         best = 1.0
         best_x, best_r = 0, 0.0
-        for x in range(space.n):
+        for x in range(len(sorted_d)):
             pos = sorted_d[x][sorted_d[x] > 0.0]
             if pos.size == 0:
                 continue
@@ -548,16 +551,13 @@ def _graph_distances(n: int, edges: Iterable[tuple[int, int, float]]) -> np.ndar
     return dijkstra(adj, directed=False)
 
 
-def _graph(edges: Sequence[tuple[int, int, float]], weights: Sequence[float]) -> MetricMeasureSpace:
+def _graph(edges: Sequence[tuple[int, int, float]]) -> MetricMeasureSpace:
     n = max(max(i, j) for i, j, _ in edges) + 1
     dist = _graph_distances(n, edges)
-    w = np.full(n, 1.0 / n) if not weights else np.asarray(weights, dtype=float)
-    if w.shape[0] != n:
-        raise SpaceError(f"{w.shape[0]} weights for {n} graph vertices")
     edge_arr = np.array([(i, j) for i, j, _ in edges], dtype=np.int64)
     return MetricMeasureSpace(
         dist,
-        w,
+        np.full(n, 1.0 / n),
         name=f"graph(n={n})",
         metric={"type": "matrix", "params": {"generator": "graph"}},
         edges=edge_arr,
@@ -623,7 +623,7 @@ def build_space(spec: SpaceSpec) -> MetricMeasureSpace:
     if g == "gauge_grid":
         return _gauge_grid(spec.n, spec.body)
     if g == "graph":
-        return _graph(spec.edges, spec.weights)
+        return _graph(spec.edges)
     return _sierpinski(spec.level)
 
 

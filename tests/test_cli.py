@@ -8,8 +8,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsl import build_space, save_space
-from nsl.cli import main, parse_space_spec
+from nsl import __version__, build_space, save_space
+from nsl.cli import main, parse_grid, parse_space_spec
 from nsl.kernels import KERNEL_KINDS
 
 from conftest import ball_loop_s
@@ -34,6 +34,21 @@ class TestGen:
         from nsl import load_space
 
         assert load_space(out).n == 16
+
+    def test_version_is_the_package_version(self, runner):
+        result = invoke(runner, ["--version"])
+        assert result.exit_code == 0
+        assert result.output.strip() == f"nsl, version {__version__}"
+
+    @pytest.mark.parametrize("space, kernel", [
+        ("circle:64:junk", "rho1"), ("interval:8:0.5:7", "rho1"), ("circle:64", "rho1:2"),
+        ("circle:64", "ahlfors:2:extra"), ("circle:64", "gauge-ahlfors:1:ball:1:7"),
+    ])
+    def test_trailing_spec_fields_exit_2(self, runner, space, kernel):
+        result = invoke(runner, ["energy", "--space", space, "--kernel", kernel,
+                                 "--functional", "k", "--t", "0.5", "--field", "sin(x)"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: bad ") and "Traceback" not in result.output
 
     def test_gen_bad_spec_exit_2(self, runner, tmp_path):
         result = invoke(runner, ["gen", "--spec", "sphere:9", "--out", str(tmp_path / "x")])
@@ -238,6 +253,23 @@ class TestSweepAndReport:
         )
         assert result.exit_code == 0, result.output
         assert "ks: 4 points" in result.output
+
+    @pytest.mark.parametrize("text, last", [("0.5:0.99:0.05", 0.95), ("0.5:0.95:0.05", 0.95),
+                                            ("0.5:0.99:0.01", 0.99), ("0.8:0.2:-0.2", 0.2)])
+    def test_grid_stops_at_b(self, text, last):
+        """Whole steps only: 0.5:0.99:0.05 ends at 0.95, not at 1.0."""
+        grid = parse_grid(text)
+        assert grid[-1] == pytest.approx(last, abs=1e-12)
+        assert len(grid) == 1 + round((last - grid[0]) / (grid[1] - grid[0]))
+
+    def test_bbm_sweep_with_grid_short_of_a_step(self, runner):
+        result = invoke(
+            runner,
+            ["sweep", "--mode", "bbm", "--space", "circle:32", "--field", "sin(x)",
+             "--s-grid", "0.5:0.99:0.05"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "bbm: 10 points" in result.output
 
     def test_bad_grid_exit_2(self, runner):
         result = invoke(
@@ -537,7 +569,8 @@ FUZZ_CASES = st.one_of(
             st.sampled_from(
                 ["interval", "interval:8:-1", "interval:8:nan", "circle:nan", "torus2d:4",
                  "torus2d:4x", "gauge_grid:4", "gauge_grid:4:blob", "sierpinski:",
-                 "graph:missing.csv"]
+                 "graph:missing.csv", "circle:64:junk", "torus2d:4x4:9", "sierpinski:2:x",
+                 "interval:8:0.5:7", "gauge_grid:4:square:9"]
             ),
             JUNK.filter(lambda t: t.strip().split(":")[0] not in GENERATORS),
         ),
@@ -558,7 +591,8 @@ FUZZ_CASES = st.one_of(
             st.sampled_from(
                 ["ahlfors", "ahlfors:x", "ahlfors:nan", "ahlfors:inf", "ahlfors:-1",
                  "ahlfors:0", "gauge-ahlfors", "gauge-ahlfors:2:blob",
-                 "gauge-ahlfors:nan:square", "gauge-ahlfors:2:ball:3"]
+                 "gauge-ahlfors:nan:square", "gauge-ahlfors:2:ball:3", "rho1:2",
+                 "ahlfors:2:extra", "gauge-ahlfors:2:ball:2:7"]
             ),
             JUNK.filter(lambda t: t.strip().split(":")[0] not in KERNEL_KINDS),
         ),

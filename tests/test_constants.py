@@ -153,6 +153,9 @@ class TestGauge:
             parse_body("blob:1")
         with pytest.raises(BodyError):
             parse_body("ellipse:2")
+        for text in ("ball:2:3", "square:1"):
+            with pytest.raises(BodyError, match="bad body tag"):
+                parse_body(text)
 
     def test_round_trip_dict(self):
         for body in (

@@ -203,8 +203,6 @@ def expected_route(name, kernel, functional=None):
         kernel = KernelSpec("rho1")  # H_t weighs by ball masses: offset on circle and torus
     if name.startswith("interval") and kernel.kind != "ahlfors":
         return "_row_pair_sum"  # ball-mass kernels are cut at the interval's ends
-    if name.startswith("circle") and kernel.kind == "gauge-ahlfors":
-        return "_row_pair_sum"  # the gauge of the unwrapped angle difference
     return "_offset_pair_sum"
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nsl import ConvexBody, KernelSpec, SpaceSpec, build_space, kernel_comparability, parse_body
+from nsl import (BodyError, ConvexBody, KernelSpec, SpaceSpec, build_space, kernel_comparability,
+                 parse_body)
 from nsl.kernels import kernel_matrix, kernel_row
 
 from conftest import HEXAGON, random_space
@@ -184,6 +185,13 @@ class TestKernelValues:
         off = ~np.eye(sp.n, dtype=bool)
         assert mat[off] == pytest.approx((sp.dist**2)[off], rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 33, 64])
+    def test_circle_gauge_is_the_geodesic_angle(self, n):
+        """The 1-D ball gauge of the geodesic angle is d^N, bitwise, at the seam too."""
+        sp = build_space(SpaceSpec("circle", n=n))
+        mat = kernel_matrix(sp, KernelSpec.parse("gauge-ahlfors:1.5:ball:1"))
+        assert np.array_equal(mat, kernel_matrix(sp, KernelSpec("ahlfors", 1.5)), equal_nan=True)
+
     def test_gauge_ahlfors_needs_coords(self, two_point):
         with pytest.raises(ValueError, match="coordinates"):
             kernel_matrix(two_point, KernelSpec("gauge-ahlfors", 1.0))
@@ -193,6 +201,11 @@ class TestComparability:
     def test_rho1_is_one(self, circle64):
         rep = kernel_comparability(circle64, KernelSpec("rho1"))
         assert rep.c_rho_hat == 1.0
+
+    def test_circle_gauge_matches_ahlfors(self, circle64):
+        """The seam pair (0, 63) is one angle step apart, not 2 pi minus one."""
+        gauge = kernel_comparability(circle64, KernelSpec.parse("gauge-ahlfors:1:ball:1"))
+        assert gauge.c_rho_hat == kernel_comparability(circle64, KernelSpec("ahlfors", 1.0)).c_rho_hat
 
     def test_ahlfors_on_uniform_interval_brute_force(self):
         sp = build_space(SpaceSpec("interval", n=64))
@@ -236,5 +249,10 @@ class TestComparability:
     def test_unknown_kernel(self):
         with pytest.raises(ValueError):
             KernelSpec.parse("bogus")
+        for text in ("rho1:2", "harm:x", "ahlfors:2:extra"):
+            with pytest.raises(ValueError, match="bad kernel tag"):
+                KernelSpec.parse(text)
+        with pytest.raises(BodyError, match="bad body tag"):
+            KernelSpec.parse("gauge-ahlfors:2:ball:2:7")
         with pytest.raises(ValueError):
             KernelSpec("bogus")

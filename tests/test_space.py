@@ -200,7 +200,9 @@ class TestSpecParse:
     @pytest.mark.parametrize(
         "text",
         ["", "sphere:9", "circle", "circle:nan", "interval:8:x", "torus2d:4", "torus2d:4x",
-         "torus2d:axb", "sierpinski:", "gauge_grid:4", "gauge_grid:4:blob", "graph"],
+         "torus2d:axb", "sierpinski:", "gauge_grid:4", "gauge_grid:4:blob", "graph",
+         "circle:64:junk", "torus2d:4x4:9", "sierpinski:2:x", "interval:8:0.5:7",
+         "gauge_grid:4:square:9", "gauge_grid:4:ball:2:3"],
     )
     def test_malformed_raises_space_error(self, text):
         with pytest.raises(SpaceError):
@@ -270,9 +272,31 @@ class TestBallMeasure:
                               copy.ball_mass_rows(0, sp.n, radii))
         assert doubling_constant(sp) == doubling_constant(copy)
         for mine, full in zip(sp._ball_index(), copy._ball_index()):
-            assert np.array_equal(mine, full)
-            assert not mine.flags.writeable
-        assert [a.shape for a in sp._cache["ball_index"]] == [(1, sp.n)] * 2
+            assert mine.shape == (1, sp.n) and full.shape == (sp.n, sp.n)
+            assert np.array_equal(np.broadcast_to(mine, full.shape), full)
+            assert not mine.flags.writeable and not full.flags.writeable
+
+    @pytest.mark.parametrize("name, c_d_hat, witness", [
+        ("torus2d:64x64", 9.0, (0, 0.011048543456039806)),
+        ("circle:2048", 3.0, (0, 0.0015339807878856412)),
+    ])
+    def test_doubling_report_pinned(self, name, c_d_hat, witness):
+        """The report of a scan over all n rows: ties keep point 0, the first witness."""
+        report = doubling_constant(build_space(SpaceSpec.parse(name)))
+        assert (report.c_d_hat, report.witness) == (c_d_hat, witness)
+
+    def test_ball_masses_allocate_no_square_array(self):
+        """On the torus one index row gives every mass: no n x n comparison is made."""
+        sp = build_space(SpaceSpec.parse("torus2d:64x64"))
+        sp._ball_index()
+        tracemalloc.start()
+        try:
+            masses = sp.ball_masses(0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sp.n**2 / 8
+        assert np.all(masses == masses[0]) and masses.shape == (sp.n,)
 
     def test_step_function_of_radius(self, interval128):
         """Nondecreasing, piecewise constant, jumps exactly at realized distances."""
