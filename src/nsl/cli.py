@@ -215,6 +215,8 @@ def energy(space_arg, field, field_csv, functional, p, kernel, s_order, delta, t
             _fail(str(exc))
 
     value = compute()
+    if not np.isfinite(value):  # the pair sum or the solver overflowed
+        _fail(f"the {functional} energy overflowed: {value!r}")
     text = repr(value)
     if self_check_determinism:
         parallel.set_workers(1)

@@ -34,6 +34,17 @@ whose offset table is keyed on float coordinate differences that can split
 one index offset into keys an ulp apart; there the two layouts agree to
 rounding. Offsets with psi_k = 0 (pairs beyond t or r) are skipped.
 
+The reducer takes a list of terms (phi, psi) and returns one sum per term,
+so a sweep is one pass: inside each block the gaps |u(x)-u(y)| and the
+gathered weights are formed once, and terms that share one phi object share
+its pair part. On the offset layout that is S_k, so an s-sweep forms S_k once
+and each s costs one dot product over the offsets; S_k runs over every offset
+where some term has psi_k != 0, and each term sums over its own offsets only.
+On the row layout it is phi(gap) w w, one phi at a time, and each psi is
+still evaluated per term. gagliardo_values and nguyen_a_values are the
+one-pass forms of gagliardo_p and nguyen_a; every energy here is a one-term
+call, so a sweep value is bitwise its one-point call.
+
 Row and offset blocks are fixed and their partials combined in a fixed
 order, so the result is bit-identical for any worker count (see parallel.py).
 
@@ -80,7 +91,9 @@ from .space import MetricMeasureSpace
 __all__ = [
     "ScaleEnergies",
     "gagliardo_p",
+    "gagliardo_values",
     "nguyen_a",
+    "nguyen_a_values",
     "nguyen_b",
     "k_energy",
     "h_energy",
@@ -106,27 +119,49 @@ class ScaleEnergies:
                 raise ValueError(f"scale energy {name} must be finite and >= 0, got {val}")
 
 
-def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, phi, psi, rho_rows) -> float:
-    """The pair sum by row blocks; rho_rows(a, b) gives the rho entries of rows a..b."""
+def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, rho_rows) -> np.ndarray:
+    """The pair sums of terms by row blocks; rho_rows(a, b) gives the rho entries of rows a..b.
+
+    Terms that share one phi object share its pair part phi(gap) w w, which
+    is live for one phi at a time.
+    """
     w = space.weights
+    groups: dict = {}
+    for i, (phi, _) in enumerate(terms):
+        groups.setdefault(phi, []).append(i)
 
-    def rows(a: int, b: int) -> float:
+    def rows(a: int, b: int) -> np.ndarray:
         gap = np.abs(vals[a:b, None] - vals[None, :])
-        # the diagonal divides by d = 0 or by a NaN kernel entry; it is zeroed
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = phi(gap) * (w[a:b, None] * w[None, :]) * psi(space.dist[a:b], rho_rows(a, b))
-        term[np.arange(b - a), np.arange(a, b)] = 0.0
-        return float(np.sum(term))
+        ww = w[a:b, None] * w[None, :]
+        d, rho = space.dist[a:b], rho_rows(a, b)
+        out = np.empty(len(terms))
+        for phi, members in groups.items():
+            pair = phi(gap) * ww
+            for i in members:
+                # the diagonal divides by d = 0 or by a NaN kernel entry; it is zeroed
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    term = pair * terms[i][1](d, rho)
+                term[np.arange(b - a), np.arange(a, b)] = 0.0
+                out[i] = np.sum(term)
+        return out
 
-    return float(block_reduce(space.n, rows))
+    return block_reduce(space.n, rows)
 
 
-def _offset_pair_sum(space, vals, phi, psi_row, shape, wrapped: bool) -> float:
-    """The pair sum by index offset: sum_k S_k psi_k over the offsets k with psi_k != 0."""
+def _offset_pair_sum(space, vals, terms, shape, wrapped: bool) -> np.ndarray:
+    """The pair sums of terms (phi, psi_k) by index offset: sum_k S_k psi_k per term.
+
+    S_k is formed once per phi object, over every offset where some term has
+    psi_k != 0; each term sums over its own such offsets only.
+    """
     n, w = space.n, space.weights
-    offsets = np.flatnonzero(psi_row[1:]) + 1  # offset 0 is the diagonal
+    live = np.array([psi_row != 0 for _, psi_row in terms])
+    live[:, 0] = False  # offset 0 is the diagonal
+    offsets = np.flatnonzero(live.any(axis=0))
+    out = np.zeros(len(terms))
     if offsets.size == 0:
-        return 0.0
+        return out
+    phis = list(dict.fromkeys(phi for phi, _ in terms))
 
     def extend(a: np.ndarray) -> np.ndarray:
         grid = a.reshape(shape)
@@ -142,62 +177,85 @@ def _offset_pair_sum(space, vals, phi, psi_row, shape, wrapped: bool) -> float:
         gap = u_win[at].reshape(b - a, n)
         gap -= vals
         np.abs(gap, out=gap)
-        return (phi(gap) * w_win[at].reshape(b - a, n)) @ w
+        ww = w_win[at].reshape(b - a, n)
+        return np.stack([(phi(gap) * ww) @ w for phi in phis])
 
-    sums = np.concatenate(map_blocks(offsets.size, block))
-    return (1.0 if wrapped else 2.0) * float(np.sum(sums * psi_row[offsets]))
+    sums = dict(zip(phis, np.concatenate(map_blocks(offsets.size, block), axis=1)))
+    for i, (phi, psi_row) in enumerate(terms):
+        own = live[i, offsets]
+        out[i] = np.sum(sums[phi][own] * psi_row[offsets[own]])
+    return (1.0 if wrapped else 2.0) * out
 
 
-def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, phi, psi, kernel: KernelSpec) -> float:
-    """sum_{x != y} phi(|u(x)-u(y)|) w(x) w(y) psi(d(x,y), rho(x,y)), rho the kernel matrix.
+def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, kernel: KernelSpec) -> np.ndarray:
+    """sum_{x != y} phi(|u(x)-u(y)|) w(x) w(y) psi(d(x,y), rho(x,y)) per term (phi, psi).
 
-    phi maps an array of gaps to the pair parts and psi arrays of distances
-    and kernel entries to the class parts; psi may be inf or NaN on the
-    diagonal, which never enters the sum.
+    rho is the kernel matrix. phi maps an array of gaps to the pair parts and
+    psi arrays of distances and kernel entries to the class parts; psi may be
+    inf or NaN on the diagonal, which never enters the sum.
     """
     lattice = offset_lattice(space, kernel)
     if lattice is None:
         rho = kernel_matrix(space, kernel)
-        return _row_pair_sum(space, vals, phi, psi, lambda a, b: rho[a:b])
+        return _row_pair_sum(space, vals, terms, lambda a, b: rho[a:b])
+    d, rho = space.dist[0], kernel_row(space, kernel)
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi_row = psi(space.dist[0], kernel_row(space, kernel))
-    return _offset_pair_sum(space, vals, phi, psi_row, *lattice)
+        rows = [(phi, psi(d, rho)) for phi, psi in terms]
+    return _offset_pair_sum(space, vals, rows, *lattice)
+
+
+def _one_pass(space: MetricMeasureSpace, u, specs, terms) -> list[float]:
+    """One pair sum per spec and term, from one pass; the specs share their kernel."""
+    if not specs:
+        return []
+    kernel = specs[0].kernel
+    if any(spec.kernel.key != kernel.key for spec in specs):
+        raise ValueError("energies summed in one pass must share their kernel")
+    return [float(v) for v in _pair_sum(space, as_values(u, space.n), terms, kernel)]
+
+
+def _gap_power(p: float):
+    return lambda gap: gap**p
+
+
+def gagliardo_values(space: MetricMeasureSpace, u, specs) -> list[float]:
+    """gagliardo_p at each spec from one pair pass: specs with one p share gap^p and S_k."""
+    if any(spec.s is None for spec in specs):
+        raise ValueError("gagliardo_p needs the fractional order s")
+    phis = {p: _gap_power(p) for p in {spec.p for spec in specs}}
+    return _one_pass(space, u, specs, [
+        (phis[spec.p], lambda d, rho, ps=spec.p * spec.s: 1.0 / (d**ps * rho)) for spec in specs
+    ])
 
 
 def gagliardo_p(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """p-th power of the fractional seminorm with kernel d^{ps} rho."""
-    if spec.s is None:
-        raise ValueError("gagliardo_p needs the fractional order s")
-    p, ps = spec.p, spec.p * spec.s
-    return _pair_sum(
-        space, as_values(u, space.n), lambda gap: gap**p, lambda d, rho: 1.0 / (d**ps * rho),
-        spec.kernel,
-    )
+    return gagliardo_values(space, u, [spec])[0]
 
 
-def _nguyen(space: MetricMeasureSpace, u, spec: EnergySpec, radius: float) -> float:
+def _nguyen_term(spec: EnergySpec, radius: float):
     if spec.delta is None:
         raise ValueError("the threshold functional needs delta")
     delta, p = spec.delta, spec.p
-    return _pair_sum(
-        space,
-        as_values(u, space.n),
-        lambda gap: gap > delta,
-        lambda d, rho: np.where(d <= radius, delta**p / (rho * d**p), 0.0),
-        spec.kernel,
-    )
+    return (lambda gap: gap > delta,
+            lambda d, rho: np.where(d <= radius, delta**p / (rho * d**p), 0.0))
+
+
+def nguyen_a_values(space: MetricMeasureSpace, u, specs) -> list[float]:
+    """nguyen_a at each spec from one pair pass: each block's gaps and weights are formed once."""
+    return _one_pass(space, u, specs, [_nguyen_term(spec, np.inf) for spec in specs])
 
 
 def nguyen_a(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """Threshold functional: delta^p-weighted sum over {|u(x)-u(y)| > delta}."""
-    return _nguyen(space, u, spec, np.inf)
+    return nguyen_a_values(space, u, [spec])[0]
 
 
 def nguyen_b(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """Threshold functional restricted to pairs with d(x,y) <= r."""
     if spec.r is None:
         raise ValueError("nguyen_b needs the radius r")
-    return _nguyen(space, u, spec, spec.r)
+    return _one_pass(space, u, [spec], [_nguyen_term(spec, spec.r)])[0]
 
 
 def _ball_loop_totals(space, t: float, vals, p: float, cap: float, scale: float) -> np.ndarray:
@@ -243,11 +301,9 @@ def _radius(spec: EnergySpec) -> float:
 
 def k_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """K_t: pairs within distance t, weighted by the kernel."""
-    p, t = spec.p, _radius(spec)
-    return _pair_sum(
-        space, as_values(u, space.n), lambda gap: gap**p,
-        lambda d, rho: np.where(d <= t, 1.0 / rho, 0.0), spec.kernel,
-    )
+    t = _radius(spec)
+    term = (_gap_power(spec.p), lambda d, rho: np.where(d <= t, 1.0 / rho, 0.0))
+    return _one_pass(space, u, [spec], [term])[0]
 
 
 def h_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
@@ -257,10 +313,12 @@ def h_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     # the ball-mass lattices of rho1: there every ball at radius t has the same mass
     lattice = offset_lattice(space, KernelSpec("rho1"))
     if lattice is None:
-        return _row_pair_sum(space, vals, lambda gap: gap**p, lambda d, mass: (d <= t) / mass,
-                             lambda a, b: np.sqrt(m[a:b, None] * m[None, :]))
-    psi_row = (space.dist[0] <= t) / np.sqrt(m[0] * m)
-    return _offset_pair_sum(space, vals, lambda gap: gap**p, psi_row, *lattice)
+        terms = [(_gap_power(p), lambda d, mass: (d <= t) / mass)]
+        sums = _row_pair_sum(space, vals, terms, lambda a, b: np.sqrt(m[a:b, None] * m[None, :]))
+    else:
+        sums = _offset_pair_sum(
+            space, vals, [(_gap_power(p), (space.dist[0] <= t) / np.sqrt(m[0] * m))], *lattice)
+    return float(sums[0])
 
 
 def scale_s_by_balls(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:

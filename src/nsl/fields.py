@@ -88,8 +88,8 @@ class EnergySpec:
 
     def __post_init__(self) -> None:
         # written as "not x > bound" so that NaN fails every check
-        if not self.p >= 1:
-            raise ValueError(f"exponent p must be >= 1, got {self.p}")
+        if not 1 <= self.p < np.inf:
+            raise ValueError(f"exponent p must be >= 1 and finite, got {self.p}")
         if self.s is not None and not 0.0 < self.s < 1.0:
             raise ValueError(f"fractional order s must be in (0,1), got {self.s}")
         if self.delta is not None and not self.delta > 0:

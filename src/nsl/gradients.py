@@ -103,8 +103,8 @@ def cheeger_surrogate(
     "centered" uses centered finite differences on 1d/2d grids; "auto"
     prefers centered when a grid is available.
     """
-    if not p >= 1:  # NaN fails too
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:  # NaN fails too
+        raise ValueError(f"exponent p must be >= 1 and finite, got {p}")
     vals = as_values(u, space.n)
     if scheme == "auto":
         scheme = "centered" if space.grid is not None else "slope"
@@ -219,8 +219,8 @@ def hajlasz_minimal(
     max_iter: int = 20000,
 ) -> HajlaszResult:
     """Minimal-energy two-point gradient for u at fractional order sigma."""
-    if not p >= 1:  # NaN fails too
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:  # NaN fails too
+        raise ValueError(f"exponent p must be >= 1 and finite, got {p}")
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"fractional order sigma must be in (0, 1], got {sigma}")
     if not cutoff > 0:

@@ -170,12 +170,18 @@ def kernel_comparability(space, spec: KernelSpec):
 
     Returns a DoublingReport carrying c_rho_hat = max(sup rho/rho1,
     sup rho1/rho) over off-diagonal pairs, with the measured doubling
-    constant alongside.
+    constant alongside. On circle and torus every row of both kernels is a
+    permutation of row 0, so row 0 alone gives the supremum and the first
+    witness (0, y).
     """
     if space.n < 2:
         raise ValueError("kernel comparability needs at least one off-diagonal pair")
+    lattice = space.index_lattice()
+    if lattice is not None and lattice[1]:
+        ratio = (kernel_row(space, spec) / kernel_row(space, KernelSpec("rho1")))[None, :]
+    else:
+        ratio = kernel_matrix(space, spec) / kernel_matrix(space, KernelSpec("rho1"))
     # both kernels have a NaN diagonal, which the nan-reductions skip
-    ratio = kernel_matrix(space, spec) / kernel_matrix(space, KernelSpec("rho1"))
     inverse = 1.0 / ratio
     hi = float(np.nanmax(ratio))
     lo = float(np.nanmax(inverse))

@@ -278,15 +278,21 @@ class MetricMeasureSpace:
 
     # -- basic geometry ------------------------------------------------------
 
+    def _rows_with_every_entry(self) -> int:
+        """How many leading rows of dist hold all its values: 1 on a generator lattice,
+        whose row 0 holds every index offset; else n."""
+        return self.n if self.index_lattice() is None else 1
+
     @property
     def diameter(self) -> float:
-        return self.cache("diameter", lambda: float(np.max(self.dist)))
+        return self.cache("diameter",
+                          lambda: float(np.max(self.dist[: self._rows_with_every_entry()])))
 
     @property
     def min_distance(self) -> float:
         """Smallest positive distance (the mesh scale); 0 for a single point."""
         blocks = (np.min(self.dist[a:b], initial=np.inf, where=~np.eye(b - a, self.n, a, dtype=bool))
-                  for a, b in row_blocks(self.n))  # no n x n mask or copy
+                  for a, b in row_blocks(self._rows_with_every_entry()))  # no n x n mask or copy
         return self.cache("min_distance", lambda: float(min(blocks))) if self.n > 1 else 0.0
 
     def index_lattice(self) -> tuple[tuple[int, ...], bool] | None:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energies import gagliardo_p, nguyen_a, scale_s_by_balls
+from .energies import gagliardo_values, nguyen_a_values, scale_s_by_balls
 from .fields import EnergySpec
 from .kernels import KernelSpec
 from .space import MetricMeasureSpace
@@ -119,9 +119,8 @@ def bbm_sweep(
                 f"mesh guard: (1-s)*log2(D/h_min) = {crossover:.3f} < 1 at s = {max(grid):g}; "
                 "the discrete sum no longer tracks the continuum limit at this mesh"
             )
-    values = [
-        (1.0 - s) * gagliardo_p(space, u, EnergySpec(p=p, s=s, kernel=kernel)) for s in grid
-    ]
+    energies = gagliardo_values(space, u, [EnergySpec(p=p, s=s, kernel=kernel) for s in grid])
+    values = [(1.0 - s) * e for s, e in zip(grid, energies)]
     return SweepResult("s", tuple(grid), tuple(values), _spec_echo(space, p, kernel), tuple(warnings))
 
 
@@ -138,7 +137,7 @@ def nguyen_sweep(
         raise ValueError("delta grid must be positive")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("delta grid must decrease toward 0")
-    values = [nguyen_a(space, u, EnergySpec(p=p, delta=d, kernel=kernel)) for d in grid]
+    values = nguyen_a_values(space, u, [EnergySpec(p=p, delta=d, kernel=kernel) for d in grid])
     return SweepResult("delta", tuple(grid), tuple(values), _spec_echo(space, p, kernel))
 
 

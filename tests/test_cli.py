@@ -431,7 +431,7 @@ class TestBadInput:
         assert "weight at point 1" in result.output
         assert "Traceback" not in result.output
 
-    @pytest.mark.parametrize("p", ["0", "0.5", "nan", "-2"])
+    @pytest.mark.parametrize("p", ["0", "0.5", "nan", "-2", "inf"])
     @pytest.mark.parametrize(
         "command",
         [["energy", "--functional", "cheeger"], ["energy", "--functional", "hajlasz"],
@@ -442,6 +442,30 @@ class TestBadInput:
         result = invoke(runner, command + ["--space", "circle:16", "--field", "sin(x)", "--p", p])
         assert result.exit_code == 2, result.output
         assert "exponent p must be >= 1" in result.output
+
+    @pytest.mark.parametrize(
+        "command",
+        [["energy", "--functional", "gagliardo", "--s", "0.5"],
+         ["energy", "--functional", "nguyen", "--delta", "0.5"],
+         ["energy", "--functional", "k", "--t", "0.5"],
+         ["sweep", "--mode", "bbm", "--s-grid", "0.5:0.9:0.1"]],
+        ids=["gagliardo", "nguyen", "k", "sweep-bbm"],
+    )
+    def test_infinite_exponent_exit_2(self, runner, command):
+        """p = inf made the pair sums NaN, printed with exit 0."""
+        result = invoke(runner, command + ["--space", "circle:16", "--field", "sin(x)",
+                                           "--p", "inf"])
+        assert result.exit_code == 2, result.output
+        assert "exponent p must be >= 1 and finite, got inf" in result.output
+        assert "Warning" not in result.output
+
+    @pytest.mark.parametrize("functional", ["gagliardo", "cheeger"])
+    def test_overflowing_energy_exit_2(self, runner, functional):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            result = invoke(runner, ["energy", "--space", "circle:16", "--field", "1e200*sin(x)",
+                                     "--functional", functional, "--s", "0.5"])
+        assert result.exit_code == 2, result.output
+        assert f"error: the {functional} energy overflowed: inf" in result.output
 
     @pytest.mark.parametrize("r", ["nan", "0", "-1"])
     def test_bad_hajlasz_cutoff_exit_2(self, runner, r):

@@ -12,6 +12,7 @@ from nsl import (
     PiecewiseLinearMap,
     ScalarField,
     SpaceSpec,
+    bbm_sweep,
     build_space,
     g_scale,
     gagliardo_p,
@@ -21,10 +22,12 @@ from nsl import (
     mollify,
     nguyen_a,
     nguyen_b,
+    nguyen_sweep,
     scale_energies,
     scale_s_by_balls,
     scale_s_by_pairs,
 )
+from nsl.energies import gagliardo_values
 from nsl.kernels import kernel_matrix
 
 from conftest import ball_average_oracle, ball_loop_s, ball_loop_totals, random_space, s_oracle
@@ -300,6 +303,80 @@ class TestOffsetRoute:
         assert routes == ["_offset_pair_sum"] * 3
 
 
+S_GRID = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99)
+DELTA_GRID = (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05)
+SHARED_PASS_CASES = [
+    ("circle:33", "rho1", "_offset_pair_sum"),
+    ("torus2d:6x6", "gauge-ahlfors:2", "_offset_pair_sum"),
+    ("interval:65", "ahlfors:1", "_offset_pair_sum"),
+    ("interval:65:0.5", "rho1", "_row_pair_sum"),
+    ("sierpinski:2", "rho1", "_row_pair_sum"),
+    # more than one block of offsets or rows
+    ("circle:257", "rho1", "_offset_pair_sum"),
+    ("interval:257:0.5", "rho1", "_row_pair_sum"),
+]
+
+
+class TestSharedPass:
+    """A sweep sums all its grid points in one pair pass; each value is its one-point call."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name, kind, route", SHARED_PASS_CASES)
+    def test_sweeps_are_their_one_point_calls(self, name, kind, route, workers, monkeypatch,
+                                              routes):
+        sp = build_space(SpaceSpec.parse(name))
+        kernel = KernelSpec.parse(kind)
+        u = ScalarField(np.random.default_rng(sp.n).normal(size=sp.n))
+        monkeypatch.setenv("NSL_WORKERS", workers)
+        bbm = bbm_sweep(sp, u, 1.5, kernel, S_GRID).values
+        nguyen = nguyen_sweep(sp, u, 1.5, kernel, DELTA_GRID).values
+        assert routes == [route, route]
+        for s, value in zip(S_GRID, bbm):
+            one = (1.0 - s) * gagliardo_p(sp, u, EnergySpec(p=1.5, s=s, kernel=kernel))
+            assert value.hex() == one.hex(), s
+        for delta, value in zip(DELTA_GRID, nguyen):
+            one = nguyen_a(sp, u, EnergySpec(p=1.5, delta=delta, kernel=kernel))
+            assert value.hex() == one.hex(), delta
+
+    def test_one_reducer_call_per_sweep(self, routes):
+        sp = build_space(SpaceSpec.parse("circle:33"))
+        u = ScalarField(np.sin(sp.coords[:, 0]))
+        assert len(bbm_sweep(sp, u, 2.0, KernelSpec("rho1"), S_GRID).values) == 11
+        assert routes == ["_offset_pair_sum"]
+
+    @pytest.mark.parametrize("name", ["circle:257", "interval:65:0.5"])
+    def test_exponents_group_by_phi(self, name):
+        """Specs of two exponents in one pass: one pair part per p, values bitwise as alone."""
+        sp = build_space(SpaceSpec.parse(name))
+        u = ScalarField(np.random.default_rng(5).normal(size=sp.n))
+        specs = [EnergySpec(p=p, s=s) for p, s in ((1.5, 0.5), (2.0, 0.5), (1.5, 0.7))]
+        together = gagliardo_values(sp, u, specs)
+        assert [v.hex() for v in together] == [gagliardo_p(sp, u, e).hex() for e in specs]
+
+    def test_kernels_must_match(self, circle64):
+        u = ScalarField(np.sin(circle64.coords[:, 0]))
+        specs = [EnergySpec(p=2, s=0.5), EnergySpec(p=2, s=0.5, kernel=KernelSpec("geom"))]
+        with pytest.raises(ValueError, match="share their kernel"):
+            gagliardo_values(circle64, u, specs)
+
+    def test_terms_sum_over_their_own_offsets(self):
+        """K_t at several t in one pass: S_k is formed over the union of the offsets, and
+        each term sums over the offsets within its own t."""
+        sp = build_space(SpaceSpec.parse("circle:300"))
+        kernel = KernelSpec("rho1")
+        vals = np.random.default_rng(3).normal(size=sp.n)
+        ts = (0.5 * sp.min_distance, 0.1, 1.0, sp.diameter)
+        phi = lambda gap: gap**2  # noqa: E731
+        terms = [(phi, lambda d, rho, t=t: np.where(d <= t, 1.0 / rho, 0.0)) for t in ts]
+        got = nsl.energies._pair_sum(sp, vals, terms, kernel)
+        alone = [k_energy(sp, vals, EnergySpec(p=2, t=t, kernel=kernel)) for t in ts]
+        assert got[0] == alone[0] == 0.0
+        for g, want in zip(got[1:], alone[1:]):
+            assert abs(g - want) <= 1e-12 * want
+        # the term that reaches every offset has the shared blocks: bitwise
+        assert got[-1] == alone[-1]
+
+
 class TestScaleEnergies:
     def test_constant_field(self, circle64):
         se = scale_energies(circle64, ScalarField(np.ones(64)), EnergySpec(p=2, t=0.5))
@@ -541,6 +618,7 @@ class TestEnergySpec:
             {"p": 2, "r": 0.0},
             {"p": -2},
             {"p": math.nan},
+            {"p": math.inf},
             {"p": 2, "delta": math.nan},
             {"p": 2, "t": math.nan},
             {"p": 2, "r": math.nan},

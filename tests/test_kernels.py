@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nsl import (BodyError, ConvexBody, KernelSpec, SpaceSpec, build_space, kernel_comparability,
-                 parse_body)
+from nsl import (BodyError, ConvexBody, KernelSpec, MetricMeasureSpace, SpaceSpec, build_space,
+                 kernel_comparability, parse_body)
 from nsl.kernels import kernel_matrix, kernel_row
 
 from conftest import HEXAGON, random_space
@@ -124,9 +124,9 @@ class TestKernelValues:
             assert np.all(np.isnan(np.diagonal(kernel_matrix(circle64, spec))))
 
     def test_rho1_stored_once(self, circle64):
-        for kind in ("rho1", "rho2", "geom"):
+        for kind in ("rho1", "rho2", "geom", "harm"):
             kernel_matrix(circle64, KernelSpec(kind))
-        kernel_comparability(circle64, KernelSpec("harm"))
+        kernel_comparability(circle64, KernelSpec("harm"))  # reads rows: adds no square
         squares = [
             key
             for key, val in circle64._cache.items()
@@ -206,6 +206,28 @@ class TestComparability:
         """The seam pair (0, 63) is one angle step apart, not 2 pi minus one."""
         gauge = kernel_comparability(circle64, KernelSpec.parse("gauge-ahlfors:1:ball:1"))
         assert gauge.c_rho_hat == kernel_comparability(circle64, KernelSpec("ahlfors", 1.0)).c_rho_hat
+
+    @pytest.mark.parametrize("name, kind", [
+        (name, kind) for name in ("circle:64", "torus2d:8x8")
+        for kind in ("rho1", "geom", "ahlfors:1",
+                     "gauge-ahlfors:2" if name.startswith("torus") else "gauge-ahlfors:1:ball:1")
+    ])
+    def test_wrapped_lattice_reads_kernel_rows(self, name, kind):
+        """On circle and torus row 0 gives the matrix route's constant and first witness,
+        bitwise, and no n x n kernel is built."""
+        sp = build_space(SpaceSpec.parse(name))
+        spec = KernelSpec.parse(kind)
+        rep = kernel_comparability(sp, spec)
+        assert not [key for key in sp._cache if isinstance(key, tuple) and key[0] == "kernel"]
+        # a matrix copy takes the matrix route over the lattice's own kernel matrices
+        copy = MetricMeasureSpace(sp.dist, sp.weights, coords=sp.coords)
+        for kernel in (spec, KernelSpec("rho1")):
+            copy.cache(("kernel", kernel.key), lambda kernel=kernel: kernel_matrix(sp, kernel))
+        want = kernel_comparability(copy, spec)
+        assert rep.c_rho_hat.hex() == want.c_rho_hat.hex()
+        assert rep.rho_witness == want.rho_witness
+        assert rep.rho_witness[0] == 0
+        assert (rep.c_d_hat, rep.witness) == (want.c_d_hat, want.witness)
 
     def test_ahlfors_on_uniform_interval_brute_force(self):
         sp = build_space(SpaceSpec("interval", n=64))
