@@ -18,6 +18,7 @@ x is the angle in [0, 2pi).
 from __future__ import annotations
 
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -214,9 +215,12 @@ def energy(space_arg, field, field_csv, functional, p, kernel, s_order, delta, t
         except ValueError as exc:
             _fail(str(exc))
 
-    value = compute()
-    if not np.isfinite(value):  # the pair sum or the solver overflowed
+    with warnings.catch_warnings(record=True) as caught:
+        value = compute()
+    if not np.isfinite(value):  # the pair sum or the solver overflowed; its warnings add nothing
         _fail(f"the {functional} energy overflowed: {value!r}")
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     text = repr(value)
     if self_check_determinism:
         parallel.set_workers(1)

@@ -11,8 +11,8 @@ with phi the pair part (gap^p, or the threshold gap > delta) and psi the
 class part (1/(d^{ps} rho), [d <= t]/rho, delta^p/(rho d^p) [d <= r]).
 
 The reducer has two layouts. The row-block one evaluates phi * ww * psi pair
-by pair on blocks of rows; it serves every matrix space (graphs, Sierpinski,
-hand-made or relabelled files) and gauge grids. The offset one serves
+by pair on blocks of rows; it serves graphs, Sierpinski gaskets, gauge grids
+and matrix files (hand-made or relabelled spaces). The offset one serves
 lattices whose pair distance and kernel depend only on the index offset k of
 the pair: the circle and the torus with every kernel, and the interval with
 the ahlfors kernel only (ball-mass kernels are cut at the ends of the
@@ -27,12 +27,10 @@ of u and w, wrapped on circle and torus, zero-weight-padded on the interval
 (where S_k holds one orientation of each pair, so it counts twice), and
 returns sum_k S_k psi(d_k, rho_k), with d_k from row 0 of the distance matrix
 and rho_k from kernels.kernel_row, so no n x n kernel matrix is built. Row 0
-is exact: the distances and ball masses of these lattices are computed from
-integer index offsets and equal weights, so every pair at offset k carries
-the bitwise same d and rho. The exception is gauge-ahlfors on the torus,
-whose offset table is keyed on float coordinate differences that can split
-one index offset into keys an ulp apart; there the two layouts agree to
-rounding. Offsets with psi_k = 0 (pairs beyond t or r) are skipped.
+is exact: the distances, gauges and ball masses of these lattices are
+computed from integer index offsets and equal weights, so every pair at
+offset k carries the bitwise same d and rho. Offsets with psi_k = 0 (pairs
+beyond t or r) are skipped.
 
 The reducer takes a list of terms (phi, psi) and returns one sum per term,
 so a sweep is one pass: inside each block the gaps |u(x)-u(y)| and the

@@ -4,17 +4,17 @@ The menu: rho1 = mu(B(x,d)), rho2 = mu(B(y,d)), their sum, geometric mean,
 the harmonic combination (rho1+rho2)/(rho1*rho2), the Ahlfors kernel d^N,
 and the gauge-Ahlfors kernel d_K^N built from the Minkowski gauge of a
 convex body: of the nearest of the 9 translates on a torus, of the geodesic
-angle on a circle. On a torus or a gauge grid (types "torus" and "gauge") it
-depends only on the per-axis coordinate offset, so it is built once per
-distinct offset, then gathered into the n x n matrix or its row 0; other
-spaces take all pairs from constants.gauge_distance_matrix.
+angle on a circle. On a circle, a torus or a gauge grid it is a function of
+the signed integer index offset of a pair, so it is evaluated once per offset
+into a lattice table, and the n x n matrix or its row 0 is read from that
+table; other spaces take all pairs from constants.gauge_distance_matrix.
 
 offset_lattice names the generator lattices on which a kernel, like the
 distance, depends only on the index offset of a pair, so that the energies
 can read every pair's entry from row 0, which kernel_row builds without the
 matrix: every kernel on the circle and the torus (equal weights, no ball cut
-at an end, gauges of the geodesic angle or the nearest translate), and the
-Ahlfors kernel alone on the interval.
+at an end, gauges of the geodesic angle or the nearest translate of the
+wrapped offset), and the Ahlfors kernel alone on the interval.
 
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.
@@ -23,12 +23,13 @@ pair sums mask them out.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import ConvexBody, gauge_distance_matrix, parse_body
-from .space import _offset_matrix, doubling_constant
+from .space import SpaceSpec, _lattice_matrix, _lattice_offsets, doubling_constant
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
 
@@ -73,30 +74,36 @@ class KernelSpec:
                          "ahlfors:N or gauge-ahlfors:N[:BODY]")
 
 
-def _gauge_pow_matrix(space, body: ConvexBody, exponent: float,
-                      first_row: bool = False) -> np.ndarray:
-    """The gauge-Ahlfors kernel; only its row 0, as a (1, n) array, if first_row."""
-    if space.coords is None:
-        raise ValueError("gauge-ahlfors kernel needs point coordinates")
+def _gauge_pow_table(space, body: ConvexBody, exponent: float) -> np.ndarray | None:
+    """The gauge-Ahlfors kernel at each signed index offset (space._lattice_offsets) of a
+    circle, torus or gauge grid, for space._lattice_matrix; None on other spaces."""
     coords = space.coords
+    if coords is None:
+        raise ValueError("gauge-ahlfors kernel needs point coordinates")
     if coords.shape[1] != body.dim:
-        raise ValueError(
-            f"body dimension {body.dim} does not match space dimension {coords.shape[1]}"
-        )
-    kind = space.metric.get("type")
-    if kind in ("torus", "gauge"):  # product lattices: one table entry per offset
-        shifts = (-1.0, 0.0, 1.0) if kind == "torus" else (0.0,)
-
-        def table(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-            # the gauge of the nearest translate of each offset
-            g = (body.gauge(np.stack([dx + sx, dy + sy], axis=-1)) for sx in shifts for sy in shifts)
-            return np.power(functools.reduce(np.minimum, g), exponent)
-
-        return _offset_matrix(np.unique(coords[:, 0]), np.unique(coords[:, 1]), table, first_row)
-    if kind == "circle":  # the gauge of the geodesic angle, each distance a 1-vector
-        out = body.gauge((space.dist[:1] if first_row else space.dist)[..., None])
+        raise ValueError(f"body dimension {body.dim} does not match space dimension "
+                         f"{coords.shape[1]}")
+    spec = SpaceSpec.from_metric(space.metric)
+    gen = None if spec is None else spec.generator
+    if gen == "circle":  # the gauge of the geodesic angle, each distance a 1-vector
+        out = body.gauge(space.dist[0, np.abs(_lattice_offsets((spec.n,))[0]), None])
+    elif gen in ("torus2d", "gauge_grid"):
+        shape = (spec.nx, spec.ny) if gen == "torus2d" else (spec.n, spec.n)
+        k = np.stack(_lattice_offsets(shape), axis=-1)
+        shifts = [(0, 0)]
+        if gen == "torus2d":  # the nearest of the 9 translates of the wrapped offset
+            k %= shape
+            shifts = itertools.product((-1, 0, 1), repeat=2)
+        gauges = (body.gauge((k + np.multiply(s, shape)) / shape) for s in shifts)
+        out = functools.reduce(np.minimum, gauges)
     else:
-        out = gauge_distance_matrix(body, coords[:1] if first_row else coords, coords)
+        return None
+    return np.power(out, exponent, out=out)
+
+
+def _gauge_pow_pairs(space, body: ConvexBody, exponent: float, points: np.ndarray) -> np.ndarray:
+    """The gauge-Ahlfors kernel from each of points to every point, pair by pair."""
+    out = gauge_distance_matrix(body, points, space.coords)
     return np.power(out, exponent, out=out)
 
 
@@ -120,7 +127,9 @@ def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:
         elif spec.kind == "ahlfors":
             mat = space.dist**spec.exponent
         elif spec.kind == "gauge-ahlfors":
-            mat = _gauge_pow_matrix(space, spec.body, spec.exponent)
+            table = _gauge_pow_table(space, spec.body, spec.exponent)
+            mat = (_gauge_pow_pairs(space, spec.body, spec.exponent, space.coords) if table is None
+                   else _lattice_matrix(table))
         else:
             r1 = kernel_matrix(space, KernelSpec("rho1"))
             mat = _combine(spec.kind, r1, r1.T)
@@ -144,7 +153,10 @@ def kernel_row(space, spec: KernelSpec) -> np.ndarray:
         elif spec.kind == "ahlfors":
             row = space.dist[0] ** spec.exponent
         elif spec.kind == "gauge-ahlfors":
-            row = _gauge_pow_matrix(space, spec.body, spec.exponent, first_row=True)[0]
+            table = _gauge_pow_table(space, spec.body, spec.exponent)
+            row = (_gauge_pow_pairs(space, spec.body, spec.exponent, space.coords[:1])[0]
+                   if table is None  # else the table's offsets >= 0, space._lattice_matrix's row 0
+                   else table[tuple(slice(m // 2, None) for m in table.shape)].ravel())
         else:
             column = space.ball_mass_rows(0, space.n, space.dist[:, :1])[:, 0]
             row = _combine(spec.kind, kernel_row(space, KernelSpec("rho1")), column)

@@ -143,9 +143,9 @@ class SpaceSpec:
 
     @staticmethod
     def from_metric(metric: dict[str, Any]) -> SpaceSpec | None:
-        """The spec whose generator writes this metric tag; None if none does."""
+        """The spec whose generator writes this metric tag; None if none does, as for "matrix"."""
         params = metric.get("params")
-        if not isinstance(params, dict):
+        if metric.get("type") == "matrix" or not isinstance(params, dict):
             return None
         gen = params.get("generator")
         try:
@@ -222,8 +222,8 @@ class MetricMeasureSpace:
         Display name.
     metric : dict
         Serialization tag: {"type": ..., "params": {...}}. Type "matrix"
-        stores the distances verbatim; closed-form types rebuild them from
-        coordinates on load.
+        stores the distances verbatim; every other type names a generator and
+        its parameters, from which load_space rebuilds the whole space.
     edges : (m, 2) int array, optional
         Natural neighbor structure (grid stencil or graph edges) for local
         gradient evaluators and discrete geodesics.
@@ -302,7 +302,7 @@ class MetricMeasureSpace:
         Only a closed-form generator tag counts, never the grid field: matrix
         files, which may carry one, store their distances verbatim.
         """
-        gen = None if self.metric.get("type") == "matrix" else SpaceSpec.from_metric(self.metric)
+        gen = SpaceSpec.from_metric(self.metric)
         if gen is None or gen.generator not in ("interval", "circle", "torus2d"):
             return None
         shape = (gen.nx, gen.ny) if gen.generator == "torus2d" else (gen.n,)
@@ -426,26 +426,29 @@ def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
 # -- generators ---------------------------------------------------------------
 
 
-def _lattice_matrix(row0: np.ndarray, wrapped: bool) -> np.ndarray:
-    """The n x n matrix whose entry (i, j) is row0 at the index offset of lattice points i and j.
+def _lattice_offsets(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """The signed index offsets of a lattice table, 1 - k .. k - 1 on each axis of length k,
+    one integer array per axis on the table's shape."""
+    return np.meshgrid(*(np.arange(1 - k, k) for k in shape), indexing="ij")
 
-    row0 holds the entries of point 0 on the lattice's shape; entry (i, j) is
-    row0[(j - i) mod shape] if wrapped (circulant), else row0[|j - i|]
-    (Toeplitz), per axis. Each row is one window of a copy of row0 extended
-    to offsets 1 - k .. k - 1 per axis of length k, so the matrix is one copy.
+
+def _lattice_matrix(table: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose entry (i, j) is table at the index offset j - i of points i and j.
+
+    table holds one entry per signed offset (_lattice_offsets), so any wrap or
+    mirror rule is the generator's own formula. Row i is the window of table
+    that starts at offset -i, so row 0 is table[k-1:, ...] and the matrix is
+    one copy.
     """
-    ext = row0
-    for axis, k in enumerate(row0.shape):
-        offsets = np.arange(1 - k, k)
-        ext = np.take(ext, offsets % k if wrapped else np.abs(offsets), axis=axis)
-    windows = sliding_window_view(ext, row0.shape)[(slice(None, None, -1),) * row0.ndim]
-    return np.ascontiguousarray(windows.reshape(row0.size, row0.size))
+    shape = tuple((m + 1) // 2 for m in table.shape)
+    windows = sliding_window_view(table, shape)[(slice(None, None, -1),) * table.ndim]
+    return np.ascontiguousarray(windows.reshape(math.prod(shape), -1))
 
 
 def _interval(n: int, alpha: float) -> MetricMeasureSpace:
     x = (np.arange(n) + 0.5) / n
-    # distances from integer index deltas: exact, so realized radii dedupe
-    dist = _lattice_matrix(np.arange(n, dtype=np.float64) / n, wrapped=False)
+    # distances from integer index offsets: exact, so realized radii dedupe
+    dist = _lattice_matrix(np.abs(_lattice_offsets((n,))[0]) / n)
     weights = x**alpha / n
     edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     return MetricMeasureSpace(
@@ -461,9 +464,9 @@ def _interval(n: int, alpha: float) -> MetricMeasureSpace:
 
 def _circle(n: int) -> MetricMeasureSpace:
     theta = 2.0 * math.pi * np.arange(n) / n
-    # geodesic arc length from integer index deltas: exactly symmetric
-    k = np.arange(n, dtype=np.float64)
-    dist = _lattice_matrix(2.0 * math.pi * np.minimum(k, n - k) / n, wrapped=True)
+    # geodesic arc length from integer index offsets: exactly symmetric
+    k = np.abs(_lattice_offsets((n,))[0])
+    dist = _lattice_matrix(2.0 * math.pi * np.minimum(k, n - k) / n)
     weights = np.full(n, 2.0 * math.pi / n)
     edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
     return MetricMeasureSpace(
@@ -477,32 +480,14 @@ def _circle(n: int) -> MetricMeasureSpace:
     )
 
 
-def _offset_matrix(xs: np.ndarray, ys: np.ndarray, fn, first_row: bool = False) -> np.ndarray:
-    """fn(dx, dy) over all pairs of the lattice whose point i * len(ys) + j is (xs[i], ys[j]).
-
-    fn runs once, on the grid of distinct per-axis offsets (row point minus
-    column point); the n x n matrix, or its row 0 as a (1, n) array if
-    first_row, is gathered from that table by one fancy index.
-    """
-    nx, ny = xs.size, ys.size
-    ux, ix = np.unique(xs[:, None] - xs[None, :], return_inverse=True)
-    uy, iy = np.unique(ys[:, None] - ys[None, :], return_inverse=True)
-    table = fn(*np.meshgrid(ux, uy, indexing="ij"))
-    ix, iy = ix.reshape(nx, nx), iy.reshape(ny, ny)
-    if first_row:
-        ix, iy = ix[:1], iy[:1]
-    return table[ix[:, None, :, None], iy[None, :, None, :]].reshape(ix.shape[0] * iy.shape[0], -1)
-
-
 def _torus2d(nx: int, ny: int) -> MetricMeasureSpace:
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
     coords = np.stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")], axis=1)
     n = nx * ny
     # from integer index offsets, which wrap exactly, so realized radii dedupe
-    kx, ky = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    dist = _lattice_matrix(np.hypot(np.minimum(kx, nx - kx) / nx, np.minimum(ky, ny - ky) / ny),
-                           wrapped=True)
+    kx, ky = (np.abs(k) for k in _lattice_offsets((nx, ny)))
+    dist = _lattice_matrix(np.hypot(np.minimum(kx, nx - kx) / nx, np.minimum(ky, ny - ky) / ny))
     weights = np.full(n, 1.0 / n)
     idx = np.arange(n).reshape(nx, ny)
     wrapped = (np.roll(idx, -1, axis=0), np.roll(idx, -1, axis=1))  # right, then up
@@ -523,8 +508,8 @@ def _gauge_grid(n: int, body: ConvexBody) -> MetricMeasureSpace:
         raise SpaceError(f"gauge_grid needs a 2d body, got dim {body.dim}")
     xs = (np.arange(n) + 0.5) / n
     coords = np.stack([g.ravel() for g in np.meshgrid(xs, xs, indexing="ij")], axis=1)
-    dist = _offset_matrix(xs, xs, lambda dx, dy: body.gauge(np.stack([dx, dy], axis=-1)))
-    np.fill_diagonal(dist, 0.0)
+    # from signed integer index offsets (polygon gauges need not be axis-symmetric)
+    dist = _lattice_matrix(body.gauge(np.stack(_lattice_offsets((n, n)), axis=-1) / n))
     m = n * n
     weights = np.full(m, 1.0 / m)
     idx = np.arange(m).reshape(n, n)
@@ -611,7 +596,7 @@ def _sierpinski(level: int) -> MetricMeasureSpace:
         weights,
         coords=coords,
         name=f"sierpinski({level})",
-        metric={"type": "matrix", "params": {"generator": "sierpinski", "level": level}},
+        metric={"type": "geodesic", "params": {"generator": "sierpinski", "level": level}},
         edges=np.array([(i, j) for i, j, _ in edges], dtype=np.int64),
     )
 
@@ -727,9 +712,9 @@ def load_space(path: str | Path) -> MetricMeasureSpace:
         weights = np.asarray(doc["weights"], dtype=float)
         coords = None
         if "coords" in doc:
-            dim = int(doc["dim"])
-            if dim < 1:
-                raise ValueError(f"coordinate dimension must be >= 1, got {dim}")
+            dim = doc["dim"]
+            if type(dim) is not int or dim < 1:
+                raise ValueError(f"coordinate dimension must be an int >= 1, got {dim!r}")
             coords = np.asarray(doc["coords"], dtype=float).reshape(n, dim)
         tri = np.asarray(doc.get("matrix", []), dtype=float)
         edges = np.asarray(doc["edges"], dtype=np.int64) if "edges" in doc else None

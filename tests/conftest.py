@@ -57,6 +57,13 @@ def ahlfors1():
     return KernelSpec("ahlfors", 1.0)
 
 
+def matrix_file_space(spec: str) -> MetricMeasureSpace:
+    """A hand-made matrix space: the generator's distances, weights, coordinates and edges
+    with no generator tag, as a matrix file stores them."""
+    sp = build_space(SpaceSpec.parse(spec))
+    return MetricMeasureSpace(sp.dist, sp.weights, coords=sp.coords, edges=sp.edges)
+
+
 def random_space(rng: np.random.Generator, n: int) -> MetricMeasureSpace:
     """Random points on a line: a genuine metric with nontrivial weights."""
     x = np.sort(rng.uniform(0.0, 1.0, n))

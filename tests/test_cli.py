@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from nsl import __version__, build_space, save_space
 from nsl.cli import main, parse_grid, parse_space_spec
 from nsl.kernels import KERNEL_KINDS
 
-from conftest import ball_loop_s
+from conftest import ball_loop_s, matrix_file_space
 
 
 @pytest.fixture
@@ -65,6 +66,18 @@ class TestGen:
         from nsl import load_space
 
         assert load_space(out).n >= 3
+
+
+    def test_sierpinski_file_is_its_generator_tag(self, runner, tmp_path):
+        """sierpinski:6 (1095 points) once wrote its 598965 distances, 5.5 MB."""
+        from nsl import load_space
+
+        out = tmp_path / "s6.space"
+        result = invoke(runner, ["gen", "--spec", "sierpinski:6", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.stat().st_size < 0.2e6
+        built = build_space(parse_space_spec("sierpinski:6"))
+        assert np.array_equal(load_space(out).dist, built.dist)
 
 
 class TestEnergy:
@@ -406,9 +419,32 @@ class TestBadInput:
         assert "generator in grid" in result.output
         assert "Traceback" not in result.output
 
-    def test_matrix_file_with_bad_grid_exit_2(self, runner, tmp_path):
+    def test_edited_sierpinski_file_exit_2(self, runner, tmp_path):
         path = tmp_path / "s2.space"
         invoke(runner, ["gen", "--spec", "sierpinski:2", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        doc["coords"][0] += 0.25
+        path.write_text(json.dumps(doc))
+        result = invoke(runner, ["energy", "--space", str(path), "--field", "x",
+                                 "--functional", "gagliardo", "--s", "0.5"])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: space file {path} differs from its sierpinski generator in coords\n"
+
+    @pytest.mark.parametrize("dim", [1.5, True])
+    def test_matrix_file_non_integer_dim_exit_2(self, runner, tmp_path, dim):
+        path = tmp_path / "i8.space"
+        save_space(matrix_file_space("interval:8"), path)
+        doc = json.loads(path.read_text())
+        doc["dim"] = dim
+        path.write_text(json.dumps(doc))
+        result = invoke(runner, ["energy", "--space", str(path), "--field", "x",
+                                 "--functional", "gagliardo", "--s", "0.5"])
+        assert result.exit_code == 2, result.output
+        assert "coordinate dimension must be an int >= 1" in result.output
+
+    def test_matrix_file_with_bad_grid_exit_2(self, runner, tmp_path):
+        path = tmp_path / "s2.space"
+        save_space(matrix_file_space("sierpinski:2"), path)
         doc = json.loads(path.read_text())
         doc["grid"] = {"kind": "torus2d"}
         path.write_text(json.dumps(doc))
@@ -459,13 +495,28 @@ class TestBadInput:
         assert "exponent p must be >= 1 and finite, got inf" in result.output
         assert "Warning" not in result.output
 
-    @pytest.mark.parametrize("functional", ["gagliardo", "cheeger"])
+    @pytest.mark.parametrize("functional", ["gagliardo", "cheeger", "hajlasz"])
     def test_overflowing_energy_exit_2(self, runner, functional):
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        """One error line: the overflow and solver warnings behind it are not shown."""
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
             result = invoke(runner, ["energy", "--space", "circle:16", "--field", "1e200*sin(x)",
                                      "--functional", functional, "--s", "0.5"])
         assert result.exit_code == 2, result.output
-        assert f"error: the {functional} energy overflowed: inf" in result.output
+        assert result.output == f"error: the {functional} energy overflowed: inf\n"
+        assert [str(w.message) for w in shown] == []
+
+    def test_warnings_of_a_finite_energy_are_shown(self, runner, monkeypatch):
+        def unconverged(space, u, p):
+            warnings.warn("stopped early", RuntimeWarning)
+            return 1.5, None
+
+        monkeypatch.setattr("nsl.cli.cheeger_surrogate", unconverged)
+        with pytest.warns(RuntimeWarning, match="stopped early"):
+            result = invoke(runner, ["energy", "--space", "circle:16", "--field", "sin(x)",
+                                     "--functional", "cheeger"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "1.5\n"
 
     @pytest.mark.parametrize("r", ["nan", "0", "-1"])
     def test_bad_hajlasz_cutoff_exit_2(self, runner, r):
@@ -540,14 +591,14 @@ FILE_FIELDS = {
         (("metric", "params"), True), (("metric", "params", "n"), True),
         (("coords",), False), (("edges",), False),
     ),
-    "sierpinski:1": (
+    "matrix:sierpinski:1": (  # a hand-made matrix file of sierpinski:1's distances
         (("n",), True), (("metric",), True), (("weights",), True), (("matrix",), True),
         (("metric", "type"), True), (("dim",), True), (("edges",), False),
     ),
 }
 
 
-# Grids that no sierpinski:1 matrix file (6 points) accepts: a product of axes
+# Grids that no 6-point matrix file accepts: a product of axes
 # other than 6, or no grid object with a known kind at all.
 BAD_GRIDS = st.one_of(
     st.sampled_from(BAD_VALUES[1:]),  # None means "no grid", which is fine
@@ -576,7 +627,7 @@ def _space_size(low_bad: int, high_bad: int):
 
 FUZZ_CASES = st.one_of(
     bad_field_cases(),
-    st.tuples(st.just("field"), st.just("sierpinski:1"), st.just(("grid",)), BAD_GRIDS),
+    st.tuples(st.just("field"), st.just("matrix:sierpinski:1"), st.just(("grid",)), BAD_GRIDS),
     st.tuples(
         st.just("truncated"), st.sampled_from(sorted(FILE_FIELDS)), st.integers(0, 10**9)
     ),
@@ -629,7 +680,9 @@ def _fuzz_args(case) -> list[str]:
     kind = case[0]
     energy = ["energy", "--field", "sin(x)", "--s", "0.5"]
     if kind in ("field", "truncated"):
-        save_space(build_space(parse_space_spec(case[1])), "base.space")
+        base = case[1]
+        save_space(matrix_file_space(base[len("matrix:"):]) if base.startswith("matrix:")
+                   else build_space(parse_space_spec(base)), "base.space")
         text = Path("base.space").read_text()
         if kind == "truncated":
             # every proper prefix of the JSON object (the file ends in "}\n") is invalid

@@ -21,15 +21,25 @@ def brute_rho1(space):
 
 
 def brute_gauge_pow(space, body, exponent):
-    """The gauge-Ahlfors kernel from all pairs at once; on a torus, the nearest of 9 translates."""
-    delta = space.coords[:, None, :] - space.coords[None, :, :]
-    if space.metric["type"] == "torus":
+    """The gauge-Ahlfors kernel pair by pair: of the signed index offset (column minus row) on a
+    gauge grid, of the nearest of the 9 translates of the wrapped index offset on a torus, of
+    the coordinate difference elsewhere."""
+    spec = SpaceSpec.from_metric(space.metric)
+    gen = None if spec is None else spec.generator
+    if gen in ("torus2d", "gauge_grid"):
+        nx, ny = (spec.nx, spec.ny) if gen == "torus2d" else (spec.n, spec.n)
+        ix, iy = np.divmod(np.arange(space.n), ny)
+        kx, ky = ix[None, :] - ix[:, None], iy[None, :] - iy[:, None]
+        shifts = (-1, 0, 1) if gen == "torus2d" else (0,)
+        if gen == "torus2d":
+            kx, ky = kx % nx, ky % ny
         best = np.full((space.n, space.n), np.inf)
-        for sx in (-1.0, 0.0, 1.0):
-            for sy in (-1.0, 0.0, 1.0):
-                best = np.minimum(best, body.gauge(delta + np.array([sx, sy])))
+        for sx in shifts:
+            for sy in shifts:
+                delta = np.stack([(kx + sx * nx) / nx, (ky + sy * ny) / ny], axis=-1)
+                best = np.minimum(best, body.gauge(delta))
     else:
-        best = body.gauge(delta)
+        best = body.gauge(space.coords[:, None, :] - space.coords[None, :, :])
     out = np.power(best, exponent)
     np.fill_diagonal(out, np.nan)
     return out
@@ -47,6 +57,15 @@ class TestLatticeKernels:
         sp = build_space(SpaceSpec.parse(space))
         mat = kernel_matrix(sp, KernelSpec("gauge-ahlfors", exponent, parse_body(body)))
         assert np.array_equal(mat, brute_gauge_pow(sp, parse_body(body), exponent), equal_nan=True)
+
+    @pytest.mark.parametrize("nx, ny", [(30, 17), (12, 10)])
+    def test_torus_kernel_depends_on_the_wrapped_index_offset_alone(self, nx, ny):
+        """Every entry equals row 0 at the pair's wrapped index offset, as the offset route reads it."""
+        sp = build_space(SpaceSpec("torus2d", nx=nx, ny=ny))
+        mat = kernel_matrix(sp, KernelSpec.parse("gauge-ahlfors:2"))
+        ix, iy = np.divmod(np.arange(sp.n), ny)
+        offset = ((ix[None, :] - ix[:, None]) % nx) * ny + (iy[None, :] - iy[:, None]) % ny
+        assert np.array_equal(mat, mat[0][offset], equal_nan=True)
 
     def test_off_lattice_space_takes_direct_route(self):
         sp = build_space(SpaceSpec("sierpinski", level=3))

@@ -18,10 +18,9 @@ from nsl import (
     parse_body,
     save_space,
 )
-from nsl.constants import gauge_distance_matrix
 from nsl.verify import check_mean_comparison
 
-from conftest import HEXAGON
+from conftest import HEXAGON, matrix_file_space
 
 
 def brute_torus_dist(nx: int, ny: int) -> np.ndarray:
@@ -37,6 +36,13 @@ def brute_circle_dist(n: int) -> np.ndarray:
     idx = np.arange(n)
     k = np.abs(idx[:, None] - idx[None, :])
     return 2.0 * math.pi * np.minimum(k, n - k).astype(np.float64) / n
+
+
+def brute_gauge_grid_dist(n: int, body) -> np.ndarray:
+    """Gauge-grid distances pair by pair from the signed integer index offsets."""
+    ix, iy = np.divmod(np.arange(n * n), n)
+    delta = np.stack([ix[None, :] - ix[:, None], iy[None, :] - iy[:, None]], axis=-1)
+    return body.gauge(delta / n)
 
 
 def brute_interval_dist(n: int) -> np.ndarray:
@@ -135,13 +141,21 @@ class TestLatticeDistances:
         sp = build_space(SpaceSpec("torus2d", nx=nx, ny=ny))
         assert np.array_equal(sp.dist, brute_torus_dist(nx, ny))
 
-    @pytest.mark.parametrize("n, body", [(12, "square"), (9, "ellipse:1:2"), (10, "ball:2"),
-                                         (8, HEXAGON)], ids=["square", "ellipse", "ball", "hexagon"])
+    @pytest.mark.parametrize("body", ["square", "ellipse:1:2", "ball:2", HEXAGON],
+                             ids=["square", "ellipse", "ball", "hexagon"])
+    @pytest.mark.parametrize("n", [6, 8, 9, 10, 12, 24])
     def test_gauge_grid_matches_pairwise_gauge(self, n, body):
         sp = build_space(SpaceSpec("gauge_grid", n=n, body=parse_body(body)))
-        expected = gauge_distance_matrix(parse_body(body), sp.coords, sp.coords)
-        np.fill_diagonal(expected, 0.0)
-        assert np.array_equal(sp.dist, expected)
+        assert np.array_equal(sp.dist, brute_gauge_grid_dist(n, parse_body(body)))
+
+    def test_gauge_grid_distances_are_exact(self):
+        """One distance per sup-norm index offset, so the doubling constant is the grid's own:
+        the ball of radius 2/6 about point (1, 1) is the 4 x 4 block at indices 0..3. Ball
+        masses are prefix sums of 1/36, so they and their ratios hold a few roundings."""
+        sp = build_space(SpaceSpec.parse("gauge_grid:6:square"))
+        assert np.unique(sp.dist).size == 6
+        assert sp.ball_mass(7, 2 / 6) == pytest.approx(16 / 36, rel=1e-14)
+        assert doubling_constant(sp).c_d_hat == pytest.approx(9.0, rel=1e-14)
 
     @pytest.mark.parametrize("name", ["circle:2", "circle:3", "circle:33", "circle:64",
                                       "torus2d:2x2", "torus2d:3x5", "torus2d:8x8",
@@ -402,8 +416,8 @@ MALFORMED = {
 }
 
 
-# Grids a matrix file (a saved sierpinski:2, 15 points with coords) may not
-# carry; each mutates the document in place.
+# Grids a matrix file (sierpinski:2's distances, 15 points with coords) may
+# not carry; each mutates the document in place.
 MALFORMED_GRIDS = {
     "no shape": lambda doc: doc.update(grid={"kind": "torus2d"}),
     "unknown kind": lambda doc: doc.update(grid={"kind": "hex", "shape": [15]}),
@@ -430,7 +444,7 @@ class TestPersistence:
         assert loaded.name == circle64.name
 
     def test_round_trip_matrix_space(self, tmp_path):
-        sp = build_space(SpaceSpec("sierpinski", level=2))
+        sp = matrix_file_space("sierpinski:2")
         path = tmp_path / "s.space"
         save_space(sp, path)
         loaded = load_space(path)
@@ -461,6 +475,52 @@ class TestPersistence:
         save_space(sp, path)
         loaded = load_space(path)
         assert np.array_equal(loaded.dist, sp.dist)
+
+    def test_sierpinski_file_is_its_generator_tag(self, tmp_path):
+        sp = build_space(SpaceSpec("sierpinski", level=3))
+        path = tmp_path / "s.space"
+        save_space(sp, path)
+        doc = json.loads(path.read_text())
+        assert doc["metric"] == {"type": "geodesic", "params": {"generator": "sierpinski", "level": 3}}
+        assert "matrix" not in doc
+        loaded = load_space(path)
+        assert np.array_equal(loaded.dist, sp.dist)
+        assert np.array_equal(loaded.coords, sp.coords)
+        assert np.array_equal(loaded.edges, sp.edges)
+        doc["coords"][4] += 1e-9
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpaceError, match="sierpinski generator in coords$"):
+            load_space(path)
+
+    def test_old_sierpinski_matrix_file_loads_verbatim(self, tmp_path):
+        """Sierpinski files were once typed matrix: they keep their distances and are
+        neither a lattice nor refinable."""
+        sp = build_space(SpaceSpec("sierpinski", level=2))
+        path = tmp_path / "s.space"
+        save_space(matrix_file_space("sierpinski:2"), path)
+        doc = json.loads(path.read_text())
+        doc["metric"] = {"type": "matrix", "params": {"generator": "sierpinski", "level": 2}}
+        path.write_text(json.dumps(doc))
+        loaded = load_space(path)
+        assert np.array_equal(loaded.dist, sp.dist)
+        assert SpaceSpec.from_metric(loaded.metric) is None and loaded.index_lattice() is None
+
+    def test_matrix_tag_names_no_generator(self):
+        params = {"generator": "interval", "n": 32, "alpha": 0.0}
+        assert SpaceSpec.from_metric({"type": "matrix", "params": params}) is None
+        assert SpaceSpec.from_metric({"type": "euclidean", "params": params}) == SpaceSpec(
+            "interval", n=32)
+
+    @pytest.mark.parametrize("dim", [1.5, True, "1", 0], ids=["float", "bool", "string", "zero"])
+    def test_matrix_file_rejects_non_integer_dim(self, tmp_path, dim):
+        """A one-axis matrix file once truncated dim 1.5 or true to 1 and loaded."""
+        path = tmp_path / "i.space"
+        save_space(matrix_file_space("interval:8"), path)
+        doc = json.loads(path.read_text())
+        doc["dim"] = dim
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpaceError, match="coordinate dimension must be an int >= 1"):
+            load_space(path)
 
     def test_negative_weight_names_point(self, tmp_path):
         doc = {
@@ -546,7 +606,7 @@ class TestPersistence:
     @pytest.mark.parametrize("fault", sorted(MALFORMED_GRIDS))
     def test_matrix_file_bad_grid_raises_space_error(self, tmp_path, fault):
         path = tmp_path / "s.space"
-        save_space(build_space(SpaceSpec("sierpinski", level=2)), path)
+        save_space(matrix_file_space("sierpinski:2"), path)
         doc = json.loads(path.read_text())
         MALFORMED_GRIDS[fault](doc)
         path.write_text(json.dumps(doc))
@@ -558,7 +618,7 @@ class TestPersistence:
                                       {"kind": "interval", "shape": [15]}])
     def test_matrix_file_keeps_valid_grid(self, tmp_path, grid):
         path = tmp_path / "s.space"
-        save_space(build_space(SpaceSpec("sierpinski", level=2)), path)
+        save_space(matrix_file_space("sierpinski:2"), path)
         doc = json.loads(path.read_text())
         doc["grid"] = grid
         path.write_text(json.dumps(doc))

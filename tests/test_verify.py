@@ -6,6 +6,7 @@ import pytest
 
 from nsl import (
     KernelSpec,
+    MetricMeasureSpace,
     ScalarField,
     SpaceSpec,
     build_space,
@@ -311,6 +312,17 @@ class TestHajlaszBound:
         rep = check_hajlasz_bound(sp, u, 2.0)
         assert not rep.passed
         assert "degenerate" in rep.records[0].note
+
+    def test_matrix_file_with_a_generator_tag_is_not_refined(self):
+        """A custom measure on interval:32 distances is a matrix space; refining its tag would
+        compare it with the uniform interval:64."""
+        sp = build_space(SpaceSpec("interval", n=32))
+        custom = MetricMeasureSpace(sp.dist, np.linspace(1.0, 2.0, 32) / 48, coords=sp.coords,
+                                    metric={"type": "matrix", "params": sp.metric["params"]})
+        rep = check_hajlasz_bound(custom, ScalarField(sp.coords[:, 0]), 2.0,
+                                  refine_field=lambda s: ScalarField(s.coords[:, 0]))
+        assert rep.note == "no generator to refine; stability clause skipped"
+        assert [rec.params for rec in rep.records] == [{"space": custom.name}]
 
     def test_no_refinement_skips_stability(self, two_point, two_point_field):
         rep = check_hajlasz_bound(two_point, two_point_field, 2.0)
