@@ -25,12 +25,17 @@ only on k. The offset layout forms
 S_k = sum_x phi(|u(x+k)-u(x)|) w(x) w(x+k) from sliding windows over a copy
 of u and w, wrapped on circle and torus, zero-weight-padded on the interval
 (where S_k holds one orientation of each pair, so it counts twice), and
-returns sum_k S_k psi(d_k, rho_k), with d_k from row 0 of the distance matrix
-and rho_k from kernels.kernel_row, so no n x n kernel matrix is built. Row 0
-is exact: the distances, gauges and ball masses of these lattices are
-computed from integer index offsets and equal weights, so every pair at
-offset k carries the bitwise same d and rho. Offsets with psi_k = 0 (pairs
-beyond t or r) are skipped.
+returns sum_k S_k psi(d_k, rho_k), with d_k from row 0 of the space's lattice
+table and rho_k from kernels.kernel_row, so no n x n distance or kernel
+matrix is built. Row 0 is exact: the distances, gauges and ball masses of
+these lattices are computed from integer index offsets and equal weights, so
+every pair at offset k carries the bitwise same d and rho. Offsets with
+psi_k = 0 (pairs beyond t or r) are skipped.
+
+A generator space builds its distance matrix only on the first read of the
+whole of space.dist. Row-block readers here (the row layout's d, the ball
+sums, mollify) take space.dist_rows(a, b), which is a copy of the lattice
+table's windows until then, and the offset layout reads row 0 the same way.
 
 The reducer takes a list of terms (phi, psi) and returns one sum per term,
 so a sweep is one pass: inside each block the gaps |u(x)-u(y)| and the
@@ -131,7 +136,7 @@ def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, rho_rows) 
     def rows(a: int, b: int) -> np.ndarray:
         gap = np.abs(vals[a:b, None] - vals[None, :])
         ww = w[a:b, None] * w[None, :]
-        d, rho = space.dist[a:b], rho_rows(a, b)
+        d, rho = space.dist_rows(a, b), rho_rows(a, b)
         out = np.empty(len(terms))
         for phi, members in groups.items():
             pair = phi(gap) * ww
@@ -196,7 +201,7 @@ def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, kernel: Kernel
     if lattice is None:
         rho = kernel_matrix(space, kernel)
         return _row_pair_sum(space, vals, terms, lambda a, b: rho[a:b])
-    d, rho = space.dist[0], kernel_row(space, kernel)
+    d, rho = space.dist_rows(0, 1)[0], kernel_row(space, kernel)
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = [(phi, psi(d, rho)) for phi, psi in terms]
     return _offset_pair_sum(space, vals, rows, *lattice)
@@ -262,8 +267,8 @@ def _ball_loop_totals(space, t: float, vals, p: float, cap: float, scale: float)
 
     def rows(a: int, b: int) -> np.ndarray:
         out = np.empty(b - a)
-        for i, center in enumerate(range(a, b)):
-            members = np.nonzero(space.dist[center] <= t)[0]
+        for i, d in enumerate(space.dist_rows(a, b)):
+            members = np.nonzero(d <= t)[0]
             sub, ww = vals[members], w[members]
             numer = (np.minimum(np.abs(sub[:, None] - sub[None, :]), cap) / scale) ** p
             out[i] = float(np.sum(numer * (ww[:, None] * ww[None, :])))
@@ -284,7 +289,7 @@ def _ball_pair_totals(
     w = space.weights
 
     def rows(a: int, b: int) -> np.ndarray:
-        v = np.where(space.dist[a:b] <= t, vals - vals[a:b, None], 0.0)
+        v = np.where(space.dist_rows(a, b) <= t, vals - vals[a:b, None], 0.0)
         return np.stack([v @ w, (v * v) @ w], 1)
 
     first, second = np.concatenate(map_blocks(space.n, rows)).T
@@ -315,7 +320,8 @@ def h_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
         sums = _row_pair_sum(space, vals, terms, lambda a, b: np.sqrt(m[a:b, None] * m[None, :]))
     else:
         sums = _offset_pair_sum(
-            space, vals, [(_gap_power(p), (space.dist[0] <= t) / np.sqrt(m[0] * m))], *lattice)
+            space, vals, [(_gap_power(p), (space.dist_rows(0, 1)[0] <= t) / np.sqrt(m[0] * m))],
+            *lattice)
     return float(sums[0])
 
 
@@ -358,7 +364,7 @@ def mollify(space: MetricMeasureSpace, u, t: float) -> ScalarField:
     uw = vals * space.weights
 
     def rows(a: int, b: int) -> np.ndarray:
-        inside = space.dist[a:b] <= t
+        inside = space.dist_rows(a, b) <= t
         return inside @ uw / m[a:b]
 
     out = np.concatenate(map_blocks(space.n, rows))

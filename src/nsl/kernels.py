@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ConvexBody, gauge_distance_matrix, parse_body
-from .space import SpaceSpec, _lattice_matrix, _lattice_offsets, doubling_constant
+from .space import SpaceSpec, _lattice_offsets, _lattice_rows, doubling_constant
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
 
@@ -76,7 +76,7 @@ class KernelSpec:
 
 def _gauge_pow_table(space, body: ConvexBody, exponent: float) -> np.ndarray | None:
     """The gauge-Ahlfors kernel at each signed index offset (space._lattice_offsets) of a
-    circle, torus or gauge grid, for space._lattice_matrix; None on other spaces."""
+    circle, torus or gauge grid, for space._lattice_rows; None on other spaces."""
     coords = space.coords
     if coords is None:
         raise ValueError("gauge-ahlfors kernel needs point coordinates")
@@ -86,7 +86,7 @@ def _gauge_pow_table(space, body: ConvexBody, exponent: float) -> np.ndarray | N
     spec = SpaceSpec.from_metric(space.metric)
     gen = None if spec is None else spec.generator
     if gen == "circle":  # the gauge of the geodesic angle, each distance a 1-vector
-        out = body.gauge(space.dist[0, np.abs(_lattice_offsets((spec.n,))[0]), None])
+        out = body.gauge(space.dist_rows(0, 1)[0, np.abs(_lattice_offsets((spec.n,))[0]), None])
     elif gen in ("torus2d", "gauge_grid"):
         shape = (spec.nx, spec.ny) if gen == "torus2d" else (spec.n, spec.n)
         k = np.stack(_lattice_offsets(shape), axis=-1)
@@ -129,7 +129,7 @@ def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:
         elif spec.kind == "gauge-ahlfors":
             table = _gauge_pow_table(space, spec.body, spec.exponent)
             mat = (_gauge_pow_pairs(space, spec.body, spec.exponent, space.coords) if table is None
-                   else _lattice_matrix(table))
+                   else _lattice_rows(table, 0, space.n))
         else:
             r1 = kernel_matrix(space, KernelSpec("rho1"))
             mat = _combine(spec.kind, r1, r1.T)
@@ -149,16 +149,17 @@ def kernel_row(space, spec: KernelSpec) -> np.ndarray:
 
     def build() -> np.ndarray:
         if spec.kind == "rho1":
-            row = space.ball_mass_rows(0, 1, space.dist[:1])[0]
+            row = space.ball_mass_rows(0, 1, space.dist_rows(0, 1))[0]
         elif spec.kind == "ahlfors":
-            row = space.dist[0] ** spec.exponent
+            row = space.dist_rows(0, 1)[0] ** spec.exponent
         elif spec.kind == "gauge-ahlfors":
             table = _gauge_pow_table(space, spec.body, spec.exponent)
             row = (_gauge_pow_pairs(space, spec.body, spec.exponent, space.coords[:1])[0]
-                   if table is None  # else the table's offsets >= 0, space._lattice_matrix's row 0
-                   else table[tuple(slice(m // 2, None) for m in table.shape)].ravel())
+                   if table is None else _lattice_rows(table, 0, 1)[0])
         else:
-            column = space.ball_mass_rows(0, space.n, space.dist[:, :1])[:, 0]
+            # an index lattice's distances are symmetric in the offset, bitwise
+            radii = space.dist_rows(0, 1).T if space.index_lattice() else space.dist[:, :1]
+            column = space.ball_mass_rows(0, space.n, radii)[:, 0]
             row = _combine(spec.kind, kernel_row(space, KernelSpec("rho1")), column)
         row[0] = np.nan
         row.setflags(write=False)

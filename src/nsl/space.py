@@ -2,7 +2,11 @@
 
 A space is a finite set of points with a symmetric distance matrix, one
 positive weight per point (the measure of that atom), and a per-point
-distance-sorted ball index for O(log n) closed-ball mass queries.
+distance-sorted ball index for O(log n) closed-ball mass queries. A generator
+space (interval, circle, torus, gauge grid, Sierpinski gasket) keeps its
+distances in closed form, a lattice table over signed index offsets or an edge
+list, and builds the matrix on the first read of its whole; readers of row 0
+or of a row block take them from the table without it.
 
 Balls are closed everywhere: B(x, r) = {y : d(x, y) <= r}. The theory of
 doubling measures on finite spaces needs atoms counted consistently, and the
@@ -20,9 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -179,10 +184,11 @@ class SpaceSpec:
 class DoublingReport:
     """Measured doubling diagnostics.
 
-    c_d_hat is the exact supremum of mu(B(x,2r))/mu(B(x,r)) over all points
-    and all radii (realized distances and their halves suffice because the
-    ball mass is a step function of r). c_rho_hat is the two-sided
-    comparability constant of a kernel against mu(B(x, d(x,y))).
+    c_d_hat is the supremum of mu(B(x,2r))/mu(B(x,r)) over all points and all
+    radii (realized distances and their halves suffice because the ball mass
+    is a step function of r), up to the rounding of prefix-summed masses.
+    c_rho_hat is the two-sided comparability constant of a kernel against
+    mu(B(x, d(x,y))).
     """
 
     c_d_hat: float = 1.0
@@ -247,12 +253,42 @@ class MetricMeasureSpace:
         n = weights.shape[0]
         if dist.shape != (n, n):
             raise SpaceError(f"distance matrix shape {dist.shape} does not match {n} weights")
-        if n > MAX_POINTS:
-            raise SpaceError(f"{n} points exceeds the {MAX_POINTS}-point desk-scale budget")
-        _check_weights(weights)
+        self._setup(weights, coords, name, metric, edges, grid)
         if np.any(np.diagonal(dist) != 0.0):
             bad = int(np.nonzero(np.diagonal(dist))[0][0])
             raise SpaceError(f"nonzero diagonal distance at point {bad}")
+        dist.setflags(write=False)
+        self._dist, self._table, self._build = dist, None, None
+
+    @classmethod
+    def _generated(
+        cls,
+        weights: np.ndarray,
+        table: np.ndarray | None = None,
+        build: Callable[[], np.ndarray] | None = None,
+        **fields: Any,
+    ) -> MetricMeasureSpace:
+        """A generator's space, whose dist is built on its first read: from table, a lattice
+        table (_lattice_rows) that serves dist_rows until then, or else by build()."""
+        space = cls.__new__(cls)
+        space._setup(np.ascontiguousarray(weights, dtype=np.float64), **fields)
+        space._dist, space._table, space._build = None, table, build
+        return space
+
+    def _setup(
+        self,
+        weights: np.ndarray,
+        coords: np.ndarray | None = None,
+        name: str = "space",
+        metric: dict[str, Any] | None = None,
+        edges: np.ndarray | None = None,
+        grid: dict[str, Any] | None = None,
+    ) -> None:
+        """Check and store everything but the distances."""
+        n = weights.shape[0]
+        if n > MAX_POINTS:
+            raise SpaceError(f"{n} points exceeds the {MAX_POINTS}-point desk-scale budget")
+        _check_weights(weights)
         if edges is not None:
             edges = np.asarray(edges, dtype=np.int64)
             if edges.ndim != 2 or edges.shape[1] != 2:
@@ -262,7 +298,6 @@ class MetricMeasureSpace:
 
         self.name = name
         self.n = n
-        self.dist = dist
         self.weights = weights
         self.coords = None if coords is None else np.ascontiguousarray(coords, dtype=np.float64)
         if self.coords is not None and self.coords.ndim == 1:
@@ -271,29 +306,52 @@ class MetricMeasureSpace:
         self.edges = None if edges is None else np.ascontiguousarray(edges, dtype=np.int64)
         self.grid = grid
         self.total_mass = float(np.sum(weights))
-        for arr in (self.dist, self.weights, self.coords, self.edges):
+        for arr in (self.weights, self.coords, self.edges):
             if arr is not None:
                 arr.setflags(write=False)
         self._cache: dict[Any, Any] = {}
+        self._lock = threading.Lock()
 
     # -- basic geometry ------------------------------------------------------
 
-    def _rows_with_every_entry(self) -> int:
-        """How many leading rows of dist hold all its values: 1 on a generator lattice,
-        whose row 0 holds every index offset; else n."""
-        return self.n if self.index_lattice() is None else 1
+    @property
+    def dist(self) -> np.ndarray:
+        """The read-only n x n distance matrix; a generator space builds it on this first read."""
+        if self._dist is None:
+            with self._lock:  # map_blocks workers may make the first read together
+                if self._dist is None:
+                    dist = (self._build() if self._table is None
+                            else _lattice_rows(self._table, 0, self.n))
+                    dist.setflags(write=False)
+                    self._dist = dist
+        return self._dist
+
+    def dist_rows(self, a: int, b: int) -> np.ndarray:
+        """Rows a..b of dist, bitwise; a copy from the lattice table until the matrix exists."""
+        if self._dist is None and self._table is not None:
+            return _lattice_rows(self._table, a, b)
+        return self.dist[a:b]
+
+    def _every_distance(self) -> np.ndarray:
+        """Rows of dist that hold every distance: row 0 on an index lattice, whose row 0 holds
+        every index offset; else all of dist."""
+        return self.dist if self.index_lattice() is None else self.dist_rows(0, 1)
 
     @property
     def diameter(self) -> float:
-        return self.cache("diameter",
-                          lambda: float(np.max(self.dist[: self._rows_with_every_entry()])))
+        return self.cache("diameter", lambda: float(np.max(self._every_distance())))
 
     @property
     def min_distance(self) -> float:
         """Smallest positive distance (the mesh scale); 0 for a single point."""
-        blocks = (np.min(self.dist[a:b], initial=np.inf, where=~np.eye(b - a, self.n, a, dtype=bool))
-                  for a, b in row_blocks(self._rows_with_every_entry()))  # no n x n mask or copy
-        return self.cache("min_distance", lambda: float(min(blocks))) if self.n > 1 else 0.0
+
+        def scan() -> float:
+            rows = self._every_distance()
+            return float(min(  # no n x n mask or copy
+                np.min(rows[a:b], initial=np.inf, where=~np.eye(b - a, self.n, a, dtype=bool))
+                for a, b in row_blocks(len(rows))))
+
+        return self.cache("min_distance", scan) if self.n > 1 else 0.0
 
     def index_lattice(self) -> tuple[tuple[int, ...], bool] | None:
         """(shape, wrapped) of the generator lattice whose distances depend only on the index
@@ -323,7 +381,7 @@ class MetricMeasureSpace:
 
         def build() -> tuple[np.ndarray, np.ndarray]:
             lattice = self.index_lattice()
-            rows = self.dist[:1] if lattice is not None and lattice[1] else self.dist
+            rows = self.dist_rows(0, 1) if lattice is not None and lattice[1] else self.dist
             order = np.argsort(rows, axis=1, kind="stable")
             index = np.take_along_axis(rows, order, axis=1), np.cumsum(self.weights[order], axis=1)
             for arr in index:
@@ -384,7 +442,8 @@ def ball_measure(space: MetricMeasureSpace, x: int, r: float) -> float:
 
 
 def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
-    """Exact supremum of mu(B(x,2r))/mu(B(x,r)) over points and radii.
+    """Supremum of mu(B(x,2r))/mu(B(x,r)) over points and radii, up to the rounding of
+    prefix-summed masses.
 
     Radii r in {d(x,y)} union {d(x,y)/2} are sufficient: both ball masses are
     right-continuous step functions of r jumping only at realized distances,
@@ -432,28 +491,28 @@ def _lattice_offsets(shape: tuple[int, ...]) -> list[np.ndarray]:
     return np.meshgrid(*(np.arange(1 - k, k) for k in shape), indexing="ij")
 
 
-def _lattice_matrix(table: np.ndarray) -> np.ndarray:
-    """The n x n matrix whose entry (i, j) is table at the index offset j - i of points i and j.
+def _lattice_rows(table: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rows a..b of the n x n matrix whose entry (i, j) is table at the index offset j - i of
+    points i and j, as one copy.
 
     table holds one entry per signed offset (_lattice_offsets), so any wrap or
     mirror rule is the generator's own formula. Row i is the window of table
-    that starts at offset -i, so row 0 is table[k-1:, ...] and the matrix is
-    one copy.
+    that starts at offset -i, so row 0 is table[k-1:, ...].
     """
     shape = tuple((m + 1) // 2 for m in table.shape)
     windows = sliding_window_view(table, shape)[(slice(None, None, -1),) * table.ndim]
-    return np.ascontiguousarray(windows.reshape(math.prod(shape), -1))
+    return windows[np.unravel_index(np.arange(a, b), shape)].reshape(b - a, -1)
 
 
 def _interval(n: int, alpha: float) -> MetricMeasureSpace:
     x = (np.arange(n) + 0.5) / n
     # distances from integer index offsets: exact, so realized radii dedupe
-    dist = _lattice_matrix(np.abs(_lattice_offsets((n,))[0]) / n)
+    table = np.abs(_lattice_offsets((n,))[0]) / n
     weights = x**alpha / n
     edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-    return MetricMeasureSpace(
-        dist,
+    return MetricMeasureSpace._generated(
         weights,
+        table,
         coords=x,
         name=f"interval({n},alpha={alpha:g})",
         metric={"type": "euclidean", "params": {"generator": "interval", "n": n, "alpha": alpha}},
@@ -466,12 +525,12 @@ def _circle(n: int) -> MetricMeasureSpace:
     theta = 2.0 * math.pi * np.arange(n) / n
     # geodesic arc length from integer index offsets: exactly symmetric
     k = np.abs(_lattice_offsets((n,))[0])
-    dist = _lattice_matrix(2.0 * math.pi * np.minimum(k, n - k) / n)
+    table = 2.0 * math.pi * np.minimum(k, n - k) / n
     weights = np.full(n, 2.0 * math.pi / n)
     edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-    return MetricMeasureSpace(
-        dist,
+    return MetricMeasureSpace._generated(
         weights,
+        table,
         coords=theta,
         name=f"circle({n})",
         metric={"type": "circle", "params": {"generator": "circle", "n": n}},
@@ -487,14 +546,14 @@ def _torus2d(nx: int, ny: int) -> MetricMeasureSpace:
     n = nx * ny
     # from integer index offsets, which wrap exactly, so realized radii dedupe
     kx, ky = (np.abs(k) for k in _lattice_offsets((nx, ny)))
-    dist = _lattice_matrix(np.hypot(np.minimum(kx, nx - kx) / nx, np.minimum(ky, ny - ky) / ny))
+    table = np.hypot(np.minimum(kx, nx - kx) / nx, np.minimum(ky, ny - ky) / ny)
     weights = np.full(n, 1.0 / n)
     idx = np.arange(n).reshape(nx, ny)
     wrapped = (np.roll(idx, -1, axis=0), np.roll(idx, -1, axis=1))  # right, then up
     edges = np.concatenate([np.stack([idx.ravel(), j.ravel()], axis=1) for j in wrapped])
-    return MetricMeasureSpace(
-        dist,
+    return MetricMeasureSpace._generated(
         weights,
+        table,
         coords=coords,
         name=f"torus2d({nx}x{ny})",
         metric={"type": "torus", "params": {"generator": "torus2d", "nx": nx, "ny": ny}},
@@ -509,15 +568,15 @@ def _gauge_grid(n: int, body: ConvexBody) -> MetricMeasureSpace:
     xs = (np.arange(n) + 0.5) / n
     coords = np.stack([g.ravel() for g in np.meshgrid(xs, xs, indexing="ij")], axis=1)
     # from signed integer index offsets (polygon gauges need not be axis-symmetric)
-    dist = _lattice_matrix(body.gauge(np.stack(_lattice_offsets((n, n)), axis=-1) / n))
+    table = body.gauge(np.stack(_lattice_offsets((n, n)), axis=-1) / n)
     m = n * n
     weights = np.full(m, 1.0 / m)
     idx = np.arange(m).reshape(n, n)
     edges = np.concatenate([np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1),
                             np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)])
-    return MetricMeasureSpace(
-        dist,
+    return MetricMeasureSpace._generated(
         weights,
+        table,
         coords=coords,
         name=f"gauge_grid({n},{body.tag})",
         metric={"type": "gauge", "params": {"generator": "gauge_grid", "n": n, "body": body.to_dict()}},
@@ -560,7 +619,7 @@ def _sierpinski(level: int) -> MetricMeasureSpace:
 
     Vertices carry exact integer barycentric coordinates summing to 2^level,
     so midpoint identification is exact. Distance is the intrinsic graph
-    geodesic on the level graph.
+    geodesic on the level graph, found on the first read of dist.
     """
     scale = 2**level
     tris = [((scale, 0, 0), (0, scale, 0), (0, 0, scale))]
@@ -586,14 +645,13 @@ def _sierpinski(level: int) -> MetricMeasureSpace:
     n = len(ids)
     edge_len = 1.0 / scale
     edges = [(i, j, edge_len) for i, j in sorted(edge_set)]
-    dist = _graph_distances(n, edges)
     weights = np.full(n, 1.0 / n)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
     bary = np.array([v for v, _ in sorted(ids.items(), key=lambda kv: kv[1])], dtype=float)
     coords = bary @ corners / scale
-    return MetricMeasureSpace(
-        dist,
+    return MetricMeasureSpace._generated(
         weights,
+        build=lambda: _graph_distances(n, edges),
         coords=coords,
         name=f"sierpinski({level})",
         metric={"type": "geodesic", "params": {"generator": "sierpinski", "level": level}},

@@ -189,7 +189,7 @@ def check_mean_comparison(
         mass = space.ball_masses(t)
 
         def rows(a: int, b: int) -> np.ndarray:
-            inside = space.dist[a:b] <= t
+            inside = space.dist_rows(a, b) <= t
             v = np.where(inside, vals - vals[a:b, None], 0.0)
             mean = (v @ w) / mass[a:b]
             return np.where(inside, np.abs(v - mean[:, None]) ** p, 0.0) @ w

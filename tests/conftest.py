@@ -1,15 +1,42 @@
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import nsl.space
 from nsl import KernelSpec, MetricMeasureSpace, ScalarField, SpaceSpec, build_space
 
 
 # An origin-symmetric hexagon, as a body tag: a polygon gauge that is neither
 # the square's max norm nor a quadratic form.
 HEXAGON = "polygon:1,0;0.5,0.8;-0.5,0.8;-1,0;-0.5,-0.8;0.5,-0.8"
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak bytes that tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def count_graph_builds(monkeypatch, pause: float = 0.0) -> list[int]:
+    """Count the calls of space._graph_distances (each after a pause, if one is given)."""
+    calls = []
+    build = nsl.space._graph_distances
+
+    def counted(*args):
+        calls.append(1)
+        time.sleep(pause)
+        return build(*args)
+
+    monkeypatch.setattr(nsl.space, "_graph_distances", counted)
+    return calls
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -13,7 +14,7 @@ from nsl import __version__, build_space, save_space
 from nsl.cli import main, parse_grid, parse_space_spec
 from nsl.kernels import KERNEL_KINDS
 
-from conftest import ball_loop_s, matrix_file_space
+from conftest import ball_loop_s, count_graph_builds, matrix_file_space
 
 
 @pytest.fixture
@@ -68,14 +69,19 @@ class TestGen:
         assert load_space(out).n >= 3
 
 
-    def test_sierpinski_file_is_its_generator_tag(self, runner, tmp_path):
-        """sierpinski:6 (1095 points) once wrote its 598965 distances, 5.5 MB."""
+    def test_sierpinski_file_is_its_generator_tag(self, runner, tmp_path, monkeypatch):
+        """sierpinski:6 (1095 points) once wrote its 598965 distances, 5.5 MB. gen finds no
+        geodesics, and the file is byte for byte the one the eager build wrote."""
         from nsl import load_space
 
         out = tmp_path / "s6.space"
+        calls = count_graph_builds(monkeypatch)
         result = invoke(runner, ["gen", "--spec", "sierpinski:6", "--out", str(out)])
         assert result.exit_code == 0, result.output
+        assert not calls
         assert out.stat().st_size < 0.2e6
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "e7a754188c3dfa6a8aab6c348b36fd8ff63ebf3c4f2fb4047db9013fc11f336e"
         built = build_space(parse_space_spec("sierpinski:6"))
         assert np.array_equal(load_space(out).dist, built.dist)
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +29,8 @@ from nsl import (
 from nsl.energies import gagliardo_values
 from nsl.kernels import kernel_matrix
 
-from conftest import ball_average_oracle, ball_loop_s, ball_loop_totals, random_space, s_oracle
+from conftest import (ball_average_oracle, ball_loop_s, ball_loop_totals, random_space, s_oracle,
+                      traced_peak)
 
 
 def brute_pair_sum(space, u, term):
@@ -285,12 +285,8 @@ class TestOffsetRoute:
         u = ScalarField(np.random.default_rng(0).normal(size=sp.n))
         spec = EnergySpec(p=2, s=0.7, kernel=KernelSpec.parse("gauge-ahlfors:2"))
         monkeypatch.setenv("NSL_WORKERS", "2")
-        tracemalloc.start()
-        try:
-            assert gagliardo_p(sp, u, spec) > 0.0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        value, peak = traced_peak(lambda: gagliardo_p(sp, u, spec))
+        assert value > 0.0
         assert not [key for key in sp._cache if isinstance(key, tuple) and key[0] == "kernel"]
         assert peak < sp.n * sp.n * 8 / 4
 

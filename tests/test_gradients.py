@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from nsl import gradients
 from nsl.cli import parse_space_spec
 from nsl.gradients import _knn_edges, _nnls, _pair_constraints
 
-from conftest import hajlasz_oracle_p2, random_space
+from conftest import hajlasz_oracle_p2, random_space, traced_peak
 
 
 class TestCheeger:
@@ -312,10 +311,7 @@ def test_pair_list_skips_the_pairs_a_cutoff_drops():
     vals = np.sin(2 * np.pi * space.coords[:, 0])
     iu, ju = np.triu_indices(space.n, k=1)
     keep = space.dist[iu, ju] <= 0.1
-    tracemalloc.start()
-    i, j, c = _pair_constraints(space, vals, 1.0, 0.1)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    (i, j, c), peak = traced_peak(lambda: _pair_constraints(space, vals, 1.0, 0.1))
     # all n(n-1)/2 index pairs alone would take 8.4 MB
     assert peak < 6e6
     c_all = np.abs(vals[iu[keep]] - vals[ju[keep]]) / space.dist[iu[keep], ju[keep]]

@@ -110,20 +110,26 @@ ROW_GAUGES = {1: ["gauge-ahlfors:1:ball:1"],
 
 
 class TestKernelRow:
-    """kernel_row is row 0 of kernel_matrix, bitwise, and caches no matrix."""
+    """kernel_row is row 0 of kernel_matrix, bitwise, and builds no kernel or distance
+    matrix."""
 
     @pytest.mark.parametrize("space", ["circle:2", "circle:33", "circle:64", "torus2d:2x2",
                                        "torus2d:6x6", "torus2d:7x13", "interval:2",
                                        "interval:65", "interval:65:0.5"])
     def test_row_zero_of_the_matrix(self, space):
         sp = build_space(SpaceSpec.parse(space))
+        rows = {}
         for text in ROW_KERNELS + ROW_GAUGES[sp.coords.shape[1]]:
-            spec = KernelSpec.parse(text)
-            row = kernel_row(sp, spec)
+            rows[text] = kernel_row(sp, KernelSpec.parse(text))
             assert not any(key[0] == "kernel" for key in sp._cache if isinstance(key, tuple))
-            assert np.isnan(row[0]) and not row.flags.writeable
-            assert np.array_equal(row, kernel_matrix(sp, spec)[0], equal_nan=True), text
             sp._cache.clear()
+        # rho2, sum, geom and harm read rho1's column 0 as row 0; the interval's ball
+        # index, unlike the wrapped lattices' one row, holds every row of dist
+        assert (sp._dist is None) == sp.index_lattice()[1]
+        for text, row in rows.items():
+            assert np.isnan(row[0]) and not row.flags.writeable
+            want = kernel_matrix(sp, KernelSpec.parse(text))[0]
+            assert row.tobytes() == want.tobytes(), text
 
 
 class TestKernelValues:

@@ -1,26 +1,34 @@
 import json
 import math
-import tracemalloc
+import sys
 
 import numpy as np
 import pytest
 
 from nsl import (
+    EnergySpec,
+    KernelSpec,
     MetricMeasureSpace,
     ScalarField,
     SpaceError,
     SpaceSpec,
     ball_measure,
+    bbm_sweep,
     build_space,
     doubling_constant,
+    gagliardo_p,
+    h_energy,
+    k_energy,
     load_space,
     mollify,
+    nguyen_sweep,
     parse_body,
     save_space,
+    scale_s_by_balls,
 )
 from nsl.verify import check_mean_comparison
 
-from conftest import HEXAGON, matrix_file_space
+from conftest import HEXAGON, count_graph_builds, matrix_file_space, traced_peak
 
 
 def brute_torus_dist(nx: int, ny: int) -> np.ndarray:
@@ -190,12 +198,8 @@ class TestLatticeDistances:
 
     def test_min_distance_allocates_no_square_copy(self):
         sp = build_space(SpaceSpec("interval", n=2048))
-        tracemalloc.start()
-        try:
-            assert sp.min_distance == 1.0 / 2048
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        min_distance, peak = traced_peak(lambda: sp.min_distance)
+        assert min_distance == 1.0 / 2048
         assert peak < sp.dist.nbytes / 8
 
 
@@ -314,12 +318,7 @@ class TestBallMeasure:
         """On the torus one index row gives every mass: no n x n comparison is made."""
         sp = build_space(SpaceSpec.parse("torus2d:64x64"))
         sp._ball_index()
-        tracemalloc.start()
-        try:
-            masses = sp.ball_masses(0.1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        masses, peak = traced_peak(lambda: sp.ball_masses(0.1))
         assert peak < sp.n**2 / 8
         assert np.all(masses == masses[0]) and masses.shape == (sp.n,)
 
@@ -682,3 +681,140 @@ class TestInvariants:
         dist = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(SpaceError, match="weight at point 1: inf"):
             MetricMeasureSpace(dist, np.array([1.0, np.inf]))
+
+
+def eager_dist(name: str) -> np.ndarray:
+    """The distance matrix of a generator spec, built eagerly: by its pairwise oracle on a
+    lattice, and for a gasket as the eager graph space of its edges at length 2^-level."""
+    spec = SpaceSpec.parse(name)
+    if spec.generator == "sierpinski":
+        sp = build_space(spec)
+        edges = tuple((int(i), int(j), 2.0**-spec.level) for i, j in sp.edges)
+        return build_space(SpaceSpec("graph", edges=edges)).dist
+    return {"interval": lambda: brute_interval_dist(spec.n),
+            "circle": lambda: brute_circle_dist(spec.n),
+            "torus2d": lambda: brute_torus_dist(spec.nx, spec.ny),
+            "gauge_grid": lambda: brute_gauge_grid_dist(spec.n, spec.body)}[spec.generator]()
+
+
+class TestLazyDistances:
+    """Generator spaces build dist on its first read; row readers do not force it."""
+
+    @pytest.mark.parametrize("name", ["interval:65:0.5", "circle:33", "circle:64", "torus2d:30x17",
+                                      f"gauge_grid:9:{HEXAGON}", "sierpinski:3"])
+    def test_rows_and_matrix_are_the_eager_matrix(self, name):
+        """dist_rows blocks, also across lattice rows (multiples of the last axis length), and
+        the matrix built on the first read are bitwise the eager matrix; the matrix is
+        read-only."""
+        expected = eager_dist(name)
+        sp = build_space(SpaceSpec.parse(name))
+        n = sp.n
+        lattice = not name.startswith("sierpinski")
+        for a, b in ((0, 1), (0, n), (5, min(40, n)), (7, 20), (n - 3, n), (n - 1, n)):
+            assert np.array_equal(sp.dist_rows(a, b), expected[a:b]), (a, b)
+            assert (sp._dist is None) == lattice  # a gasket's rows need its geodesics
+        dist = sp.dist
+        assert dist.tobytes() == expected.tobytes() and dist.flags.c_contiguous
+        assert sp.dist is dist and not dist.flags.writeable
+        with pytest.raises(ValueError):
+            dist[0, 1] = 99.0
+        assert np.array_equal(sp.dist_rows(7, 20), expected[7:20])
+
+    @pytest.mark.parametrize("name", ["interval:2048", "circle:2048", "torus2d:64x64",
+                                      "gauge_grid:64:square", "sierpinski:6"])
+    def test_construction_builds_no_matrix(self, name):
+        sp = build_space(SpaceSpec.parse(name))
+        assert sp._dist is None
+        _, peak = traced_peak(lambda: build_space(SpaceSpec.parse(name)))
+        assert peak < sp.n**2 * 8 / 4
+
+    def test_matrix_spaces_stay_eager(self, tmp_path):
+        graph = build_space(SpaceSpec("graph", edges=((0, 1, 1.0), (1, 2, 2.0))))
+        assert graph._dist is not None and not graph.dist.flags.writeable
+        path = tmp_path / "m.space"
+        save_space(matrix_file_space("circle:8"), path)
+        assert load_space(path)._dist is not None
+
+    def test_gen_load_energy_on_torus_builds_no_square(self, tmp_path, monkeypatch):
+        """build_space -> save_space -> load_space -> gagliardo_p on torus2d:64x64 stays under
+        a quarter of one n x n float64 matrix (at one worker: each worker holds its own
+        blocks of 128 rows)."""
+        monkeypatch.setenv("NSL_WORKERS", "1")
+        path = tmp_path / "t.space"
+        spec = EnergySpec(p=2.0, s=0.7, kernel=KernelSpec.parse("gauge-ahlfors:2"))
+
+        def chain():
+            save_space(build_space(SpaceSpec.parse("torus2d:64x64")), path)
+            sp = load_space(path)
+            return sp, gagliardo_p(sp, ScalarField(np.sin(2 * np.pi * sp.coords[:, 0])), spec)
+
+        (sp, value), peak = traced_peak(chain)
+        assert value > 0.0 and sp._dist is None
+        assert peak < sp.n**2 * 8 / 4
+
+    @pytest.mark.parametrize("energy", ["k", "h", "s", "mollify"])
+    def test_circle_energies_build_no_square(self, energy, monkeypatch):
+        """K_t, H_t, S_t by balls and mollify on a fresh circle:2048 with rho1."""
+        monkeypatch.setenv("NSL_WORKERS", "1")
+        t = math.pi / 8
+        spec = EnergySpec(p=2.0, t=t, kernel=KernelSpec("rho1"))
+        run = {"k": lambda sp, u: k_energy(sp, u, spec), "h": lambda sp, u: h_energy(sp, u, spec),
+               "s": lambda sp, u: scale_s_by_balls(sp, u, spec),
+               "mollify": lambda sp, u: mollify(sp, u, t)}[energy]
+
+        def fresh():
+            sp = build_space(SpaceSpec.parse("circle:2048"))
+            return sp, run(sp, ScalarField(np.sin(sp.coords[:, 0])))
+
+        (sp, _), peak = traced_peak(fresh)
+        assert sp._dist is None
+        assert peak < sp.n**2 * 8 / 4
+
+    @pytest.mark.parametrize("sweep, grid", [(bbm_sweep, (0.5, 0.7, 0.9, 0.99)),
+                                             (nguyen_sweep, (0.5, 0.2, 0.05))])
+    def test_interval_sweeps_build_no_square(self, sweep, grid, monkeypatch):
+        """BBM and Nguyen sweeps on a fresh interval:2048 with ahlfors:1."""
+        monkeypatch.setenv("NSL_WORKERS", "1")
+
+        def fresh():
+            sp = build_space(SpaceSpec.parse("interval:2048"))
+            return sp, sweep(sp, ScalarField(sp.coords[:, 0]), 2.0, KernelSpec("ahlfors", 1.0), grid)
+
+        (sp, _), peak = traced_peak(fresh)
+        assert sp._dist is None
+        assert peak < sp.n**2 * 8 / 4
+
+    @pytest.mark.parametrize("name", ["sierpinski:4", "sierpinski:5"])
+    def test_gasket_read_in_mollify_builds_once(self, name, monkeypatch):
+        """mollify reads a fresh gasket's distances at two workers: its geodesics are found
+        once, and the values are bitwise those at one worker."""
+        calls = count_graph_builds(monkeypatch)
+        values = {}
+        for workers in ("2", "1"):
+            monkeypatch.setenv("NSL_WORKERS", workers)
+            sp = build_space(SpaceSpec.parse(name))
+            assert not calls
+            values[workers] = mollify(sp, ScalarField(sp.coords[:, 0]), 0.2).values
+            assert len(calls) == 1
+            calls.clear()
+        assert values["2"].tobytes() == values["1"].tobytes()
+
+    def test_first_read_in_workers_builds_once(self, monkeypatch):
+        """Eight workers make the first read of a fresh sierpinski:5 together, inside S_t's
+        row blocks, with a short switch interval and a slow build: the geodesics are found
+        once, and S_t is bitwise its one-worker value."""
+        calls = count_graph_builds(monkeypatch, pause=0.05)
+        spec = EnergySpec(p=2.0, t=0.2)
+        values = []
+        for workers in ("8", "1"):
+            monkeypatch.setenv("NSL_WORKERS", workers)
+            sp = build_space(SpaceSpec.parse("sierpinski:5"))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                values.append(scale_s_by_balls(sp, ScalarField(sp.coords[:, 0]), spec))
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(calls) == 1
+            calls.clear()
+        assert values[0].hex() == values[1].hex()
