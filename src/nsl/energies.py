@@ -32,6 +32,21 @@ these lattices are computed from integer index offsets and equal weights, so
 every pair at offset k carries the bitwise same d and rho. Offsets with
 psi_k = 0 (pairs beyond t or r) are skipped.
 
+At p = 2 the offset layout instead forms every S_k at once as
+autocorrelations (Wiener-Khinchin): with v = u - mean(u) and corr(a, b)_k =
+sum_x a(x) b(x+k), S = corr(w v^2, w) + corr(w, w v^2) - 2 corr(w v, w v), by
+one rfftn/irfftn of the lattice's shape on circle and torus and of twice its
+shape on the interval (zero-padded). The reducer knows such a term by its phi
+object, _square, which _gap_power(2) returns. The expansion cancels where the
+gaps are small next to v: S_k carries an absolute error of about eps sum w^2
+v^2, so for a smooth field, whose S_k grows like k^2, the relative error is
+about eps (n/k)^2 at small k (measured: 4e-11 on interval:4096 with u = x),
+and about eps for a rough field. A constant field gives exactly 0 (the mean
+is clipped to the field's range), and a field whose sum w v^2 overflows takes
+the windows, which report inf. Every other phi takes the windows; each block
+forms its gaps and one pair weight w(x) w(x+k) once, and each phi costs one
+einsum of phi(gap) against that weight.
+
 A generator space builds its distance matrix only on the first read of the
 whole of space.dist. Row-block readers here (the row layout's d, the ball
 sums, mollify) take space.dist_rows(a, b), which is a copy of the lattice
@@ -151,13 +166,37 @@ def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, rho_rows) 
     return block_reduce(space.n, rows)
 
 
+def _square(gap: np.ndarray) -> np.ndarray:
+    """gap^2: the one phi object whose S_k _offset_pair_sum forms by FFT."""
+    return gap**2
+
+
+def _square_by_fft(vals, w, shape, wrapped: bool) -> np.ndarray | None:
+    """S_k of gap^2 at every offset k of the lattice at once, or None if sum w v^2 overflows.
+
+    With v = u - mean(u) and corr(a, b)_k = sum_x a(x) b(x+k),
+    S = corr(w v^2, w) + corr(w, w v^2) - 2 corr(w v, w v): circular on circle
+    and torus, zero-padded to twice the shape on the interval.
+    """
+    v = vals - np.clip(np.mean(vals), vals.min(), vals.max())  # a constant field is exactly 0
+    wv = w * v
+    with np.errstate(over="ignore"):  # the windows report the overflow
+        wv2 = wv * v
+    if not np.isfinite(np.sum(wv2)):
+        return None
+    size, axes = shape if wrapped else tuple(2 * k for k in shape), tuple(range(len(shape)))
+    fw, fq, fv = (np.fft.rfftn(a.reshape(shape), size, axes) for a in (w, wv2, wv))
+    return np.fft.irfftn(2.0 * ((fw.conj() * fq).real - (fv.conj() * fv).real), size, axes)
+
+
 def _offset_pair_sum(space, vals, terms, shape, wrapped: bool) -> np.ndarray:
     """The pair sums of terms (phi, psi_k) by index offset: sum_k S_k psi_k per term.
 
     S_k is formed once per phi object, over every offset where some term has
-    psi_k != 0; each term sums over its own such offsets only.
+    psi_k != 0; each term sums over its own such offsets only. _square takes
+    the FFT; every other phi takes sliding windows.
     """
-    n, w = space.n, space.weights
+    w = space.weights
     live = np.array([psi_row != 0 for _, psi_row in terms])
     live[:, 0] = False  # offset 0 is the diagonal
     offsets = np.flatnonzero(live.any(axis=0))
@@ -165,6 +204,24 @@ def _offset_pair_sum(space, vals, terms, shape, wrapped: bool) -> np.ndarray:
     if offsets.size == 0:
         return out
     phis = list(dict.fromkeys(phi for phi, _ in terms))
+    sums = {}
+    if _square in phis:
+        full = _square_by_fft(vals, w, shape, wrapped)
+        if full is not None:
+            sums[_square] = full[np.unravel_index(offsets, shape)]
+    phis = [phi for phi in phis if phi not in sums]
+    if phis:
+        sums.update(zip(phis, _window_sums(vals, w, phis, offsets, shape, wrapped)))
+    for i, (phi, psi_row) in enumerate(terms):
+        own = live[i, offsets]
+        out[i] = np.sum(sums[phi][own] * psi_row[offsets[own]])
+    return (1.0 if wrapped else 2.0) * out
+
+
+def _window_sums(vals, w, phis, offsets, shape, wrapped: bool) -> np.ndarray:
+    """S_k per phi at offsets, from sliding windows over a wrapped or zero-weight-padded
+    copy of u and w; each block forms its gaps and pair weights once for every phi."""
+    n = vals.size
 
     def extend(a: np.ndarray) -> np.ndarray:
         grid = a.reshape(shape)
@@ -180,14 +237,11 @@ def _offset_pair_sum(space, vals, terms, shape, wrapped: bool) -> np.ndarray:
         gap = u_win[at].reshape(b - a, n)
         gap -= vals
         np.abs(gap, out=gap)
-        ww = w_win[at].reshape(b - a, n)
-        return np.stack([(phi(gap) * ww) @ w for phi in phis])
+        pw = w_win[at].reshape(b - a, n)
+        pw *= w
+        return np.stack([np.einsum("ij,ij->i", phi(gap), pw) for phi in phis])
 
-    sums = dict(zip(phis, np.concatenate(map_blocks(offsets.size, block), axis=1)))
-    for i, (phi, psi_row) in enumerate(terms):
-        own = live[i, offsets]
-        out[i] = np.sum(sums[phi][own] * psi_row[offsets[own]])
-    return (1.0 if wrapped else 2.0) * out
+    return np.concatenate(map_blocks(offsets.size, block), axis=1)
 
 
 def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, kernel: KernelSpec) -> np.ndarray:
@@ -218,7 +272,7 @@ def _one_pass(space: MetricMeasureSpace, u, specs, terms) -> list[float]:
 
 
 def _gap_power(p: float):
-    return lambda gap: gap**p
+    return _square if p == 2 else (lambda gap: gap**p)
 
 
 def gagliardo_values(space: MetricMeasureSpace, u, specs) -> list[float]:

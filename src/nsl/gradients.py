@@ -53,7 +53,7 @@ def _slope_gradient(space: MetricMeasureSpace, vals: np.ndarray, k: int) -> np.n
     grad = np.zeros(space.n)
     seen = np.zeros(space.n, dtype=bool)
     i, j = edges[:, 0], edges[:, 1]
-    d = space.dist[i, j]
+    d = space.dist_pairs(i, j)
     if np.any(d <= 0):
         raise ValueError("degenerate neighbor edge with zero length")
     slope = np.abs(vals[i] - vals[j]) / d
@@ -323,6 +323,6 @@ def path_integral(space: MetricMeasureSpace, g, path) -> tuple[float, float]:
         k = int(np.nonzero(nodes[:-1] == nodes[1:])[0][0])
         raise ValueError(f"consecutive path points must be distinct (position {k})")
     a, b = nodes[:-1], nodes[1:]
-    lengths = space.dist[a, b]
+    lengths = space.dist_pairs(a, b)
     total = float(np.sum(0.5 * (vals[a] + vals[b]) * lengths))
     return total, float(np.sum(lengths))

@@ -5,8 +5,8 @@ positive weight per point (the measure of that atom), and a per-point
 distance-sorted ball index for O(log n) closed-ball mass queries. A generator
 space (interval, circle, torus, gauge grid, Sierpinski gasket) keeps its
 distances in closed form, a lattice table over signed index offsets or an edge
-list, and builds the matrix on the first read of its whole; readers of row 0
-or of a row block take them from the table without it.
+list, and builds the matrix on the first read of its whole; readers of row 0,
+of a row block or of single pairs take them from the table without it.
 
 Balls are closed everywhere: B(x, r) = {y : d(x, y) <= r}. The theory of
 doubling measures on finite spaces needs atoms counted consistently, and the
@@ -332,6 +332,15 @@ class MetricMeasureSpace:
             return _lattice_rows(self._table, a, b)
         return self.dist[a:b]
 
+    def dist_pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """d(i[k], j[k]) per pair, bitwise dist[i, j]; read from the lattice table at each
+        pair's signed index offset until the matrix exists."""
+        if self._dist is None and self._table is not None:
+            shape = tuple((m + 1) // 2 for m in self._table.shape)
+            at = zip(np.unravel_index(i, shape), np.unravel_index(j, shape), shape)
+            return self._table[tuple(b - a + k - 1 for a, b, k in at)]
+        return self.dist[i, j]
+
     def _every_distance(self) -> np.ndarray:
         """Rows of dist that hold every distance: row 0 on an index lattice, whose row 0 holds
         every index offset; else all of dist."""
@@ -598,7 +607,7 @@ def _graph_distances(n: int, edges: Iterable[tuple[int, int, float]]) -> np.ndar
     n_comp, _ = connected_components(adj, directed=False)
     if n_comp != 1:
         raise SpaceError(f"graph is disconnected ({n_comp} components)")
-    return dijkstra(adj, directed=False)
+    return dijkstra(adj, directed=True)  # adj is symmetric already
 
 
 def _graph(edges: Sequence[tuple[int, int, float]]) -> MetricMeasureSpace:

@@ -363,7 +363,7 @@ def _geodesic_paths(
     """Chains in the neighbor graph with tree length in [lo, hi]."""
     edges = space.edges
     i, j = edges[:, 0], edges[:, 1]
-    lengths = space.dist[i, j]
+    lengths = space.dist_pairs(i, j)
     adj = coo_matrix((lengths, (i, j)), shape=(space.n, space.n))
     adj = adj.maximum(adj.T).tocsr()
     rng = np.random.default_rng(seed)

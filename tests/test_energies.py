@@ -362,7 +362,7 @@ class TestSharedPass:
         kernel = KernelSpec("rho1")
         vals = np.random.default_rng(3).normal(size=sp.n)
         ts = (0.5 * sp.min_distance, 0.1, 1.0, sp.diameter)
-        phi = lambda gap: gap**2  # noqa: E731
+        phi = nsl.energies._gap_power(2.0)
         terms = [(phi, lambda d, rho, t=t: np.where(d <= t, 1.0 / rho, 0.0)) for t in ts]
         got = nsl.energies._pair_sum(sp, vals, terms, kernel)
         alone = [k_energy(sp, vals, EnergySpec(p=2, t=t, kernel=kernel)) for t in ts]
@@ -371,6 +371,84 @@ class TestSharedPass:
             assert abs(g - want) <= 1e-12 * want
         # the term that reaches every offset has the shared blocks: bitwise
         assert got[-1] == alone[-1]
+
+
+FFT_CASES = [("circle:33", "rho1"), ("circle:257", "rho1"), ("torus2d:7x13", "gauge-ahlfors:2"),
+             ("interval:65:0.5", "ahlfors:1")]
+
+
+def fft_fields(sp):
+    rng = np.random.default_rng(sp.n)
+    x = sp.coords[:, 0]
+    return {"normal": rng.normal(size=sp.n), "1000+sin": 1000.0 + np.sin(2 * np.pi * x),
+            "ramp": x.copy()}
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """One entry per call of the sliding-window S_k, energies._window_sums."""
+    calls = []
+    original = nsl.energies._window_sums
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(nsl.energies, "_window_sums", spy)
+    return calls
+
+
+class TestSquareByFFT:
+    """gap^2 pair sums on the offset route take S_k from one FFT autocorrelation."""
+
+    @pytest.mark.parametrize("name, kind", FFT_CASES)
+    def test_matches_the_windows(self, name, kind):
+        """Against the sliding windows, run through a private phi equal to gap^2, for
+        Gagliardo terms near s = 1 (small offsets weigh most) and a K_t term."""
+        sp = build_space(SpaceSpec.parse(name))
+        kernel = KernelSpec.parse(kind)
+        t = 3.5 * sp.min_distance
+        psis = [lambda d, rho: 1.0 / (d**1.0 * rho), lambda d, rho: 1.0 / (d**1.98 * rho),
+                lambda d, rho: np.where(d <= t, 1.0 / rho, 0.0)]
+        private = lambda gap: gap**2  # noqa: E731
+        square = nsl.energies._gap_power(2.0)
+        for label, vals in fft_fields(sp).items():
+            terms = [(phi, psi) for phi in (square, private) for psi in psis]
+            got = nsl.energies._pair_sum(sp, vals, terms, kernel)
+            for fft, windows in zip(got[:3], got[3:]):
+                assert windows > 0.0, label
+                assert abs(fft - windows) <= 1e-12 * windows, (label, fft, windows)
+
+    @pytest.mark.parametrize("name, kind", FFT_CASES)
+    def test_constant_field_is_exactly_zero(self, name, kind):
+        sp = build_space(SpaceSpec.parse(name))
+        kernel = KernelSpec.parse(kind)
+        t = 0.3 * sp.diameter
+        for c in (0.1, -7.3, 1e6 / 3):
+            u = ScalarField(np.full(sp.n, c))
+            assert gagliardo_p(sp, u, EnergySpec(p=2, s=0.7, kernel=kernel)) == 0.0
+            assert k_energy(sp, u, EnergySpec(p=2, t=t, kernel=kernel)) == 0.0
+            assert h_energy(sp, u, EnergySpec(p=2, t=t, kernel=kernel)) == 0.0
+
+    def test_overflowing_square_takes_the_windows(self, windows):
+        """sum w v^2 = inf would make the FFT NaN: the windows report inf instead."""
+        sp = build_space(SpaceSpec.parse("circle:64"))
+        u = ScalarField(1e200 * np.sin(sp.coords[:, 0]))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert gagliardo_p(sp, u, EnergySpec(p=2, s=0.5)) == np.inf
+        assert len(windows) == 1
+
+    @pytest.mark.parametrize("name, kind", FFT_CASES)
+    def test_bbm_sweep_at_p2_runs_no_window_block(self, name, kind, windows):
+        sp = build_space(SpaceSpec.parse(name))
+        u = ScalarField(np.random.default_rng(1).normal(size=sp.n))
+        kernel = KernelSpec.parse(kind)
+        bbm_sweep(sp, u, 2.0, kernel, S_GRID)
+        assert len(windows) == 0
+        nguyen_sweep(sp, u, 2.0, kernel, DELTA_GRID)
+        assert len(windows) == 1
+        bbm_sweep(sp, u, 1.5, kernel, S_GRID)
+        assert len(windows) == 2
 
 
 class TestScaleEnergies:

@@ -55,6 +55,21 @@ class TestCheeger:
         # centered differences carry the sinc^2(2 pi h) factor ~ 0.987 at n = 32
         assert energy == pytest.approx(2 * math.pi**2, rel=0.02)
 
+    def test_slope_on_torus_reads_no_matrix(self):
+        """The stencil's edge lengths come from the lattice table: the traced peak stays
+        under a quarter of one n x n float64 matrix, and the value is bitwise the one read
+        from the matrix."""
+        sp = build_space(SpaceSpec.parse("torus2d:64x64"))
+        x, y = sp.coords.T
+        u = ScalarField(np.sin(2 * math.pi * x) * np.cos(4 * math.pi * y))
+        (energy, grad), peak = traced_peak(lambda: cheeger_surrogate(sp, u, 2, scheme="slope"))
+        assert sp._dist is None
+        assert peak < sp.n**2 * 8 / 4
+        sp.dist
+        again, grad_again = cheeger_surrogate(sp, u, 2, scheme="slope")
+        assert energy.hex() == again.hex()
+        assert grad.values.tobytes() == grad_again.values.tobytes()
+
     def test_knn_fallback_on_matrix_space(self):
         rng = np.random.default_rng(51)
         sp = random_space(rng, 16)
@@ -327,6 +342,15 @@ class TestPathIntegral:
         value, length = path_integral(circle64, g, path)
         assert length == pytest.approx(3 * 2 * math.pi / 64)
         assert value == pytest.approx(2.0 * length)
+
+    def test_lattice_path_reads_no_matrix(self):
+        sp = build_space(SpaceSpec.parse("torus2d:16x16"))
+        g = ScalarField(np.random.default_rng(62).uniform(0, 1, sp.n))
+        path = [0, 1, 17, 33, 32, 16 * 15 + 1, 16 * 15 + 15]
+        lazy = path_integral(sp, g, path)
+        assert sp._dist is None
+        sp.dist
+        assert lazy == path_integral(sp, g, path)
 
     def test_single_edge_trapezoid(self):
         dist = np.array([[0.0, 2.0], [2.0, 0.0]])

@@ -4,6 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
+
+import nsl.space
 
 from nsl import (
     EnergySpec,
@@ -720,6 +724,22 @@ class TestLazyDistances:
             dist[0, 1] = 99.0
         assert np.array_equal(sp.dist_rows(7, 20), expected[7:20])
 
+    @pytest.mark.parametrize("name", ["interval:65:0.5", "circle:33", "torus2d:30x17",
+                                      f"gauge_grid:9:{HEXAGON}", "sierpinski:3"])
+    def test_pair_reads_are_the_matrix_reads(self, name):
+        """dist_pairs of random pairs, both orders and the diagonal, is bitwise dist[i, j],
+        and on a lattice it reads the table without building the matrix."""
+        expected = eager_dist(name)
+        sp = build_space(SpaceSpec.parse(name))
+        rng = np.random.default_rng(sp.n)
+        i, j = rng.integers(0, sp.n, 400), rng.integers(0, sp.n, 400)
+        i[:5] = j[:5]
+        for a, b in ((i, j), (j, i)):
+            assert sp.dist_pairs(a, b).tobytes() == expected[a, b].tobytes()
+        assert (sp._dist is None) == (not name.startswith("sierpinski"))
+        sp.dist
+        assert sp.dist_pairs(i, j).tobytes() == expected[i, j].tobytes()
+
     @pytest.mark.parametrize("name", ["interval:2048", "circle:2048", "torus2d:64x64",
                                       "gauge_grid:64:square", "sierpinski:6"])
     def test_construction_builds_no_matrix(self, name):
@@ -783,6 +803,23 @@ class TestLazyDistances:
         (sp, _), peak = traced_peak(fresh)
         assert sp._dist is None
         assert peak < sp.n**2 * 8 / 4
+
+    @pytest.mark.parametrize("source", ["sierpinski:4", "graph"])
+    def test_geodesics_skip_the_second_symmetrisation(self, source, tmp_path):
+        """_graph_distances runs a directed search on its symmetric adjacency: bitwise the
+        undirected search, on a gasket and on a graph file that lists some edges both ways."""
+        if source == "graph":
+            path = tmp_path / "g.csv"
+            path.write_text("0,1,0.5\n1,2,1.5\n2,0,3.0\n3,2,0.25\n2,3,0.75\n4,3,1.0\n1,4,2.5\n")
+            edges = SpaceSpec.parse(f"graph:{path}").edges
+        else:
+            sp = build_space(SpaceSpec.parse(source))
+            edges = tuple((int(i), int(j), 2.0**-4) for i, j in sp.edges)
+        n = max(max(i, j) for i, j, _ in edges) + 1
+        i, j, length = zip(*edges)
+        adj = coo_matrix((length, (i, j)), shape=(n, n))
+        undirected = dijkstra(adj.maximum(adj.T).tocsr(), directed=False)
+        assert nsl.space._graph_distances(n, edges).tobytes() == undirected.tobytes()
 
     @pytest.mark.parametrize("name", ["sierpinski:4", "sierpinski:5"])
     def test_gasket_read_in_mollify_builds_once(self, name, monkeypatch):

@@ -14,6 +14,7 @@ from nsl import (
 )
 from nsl.kernels import kernel_matrix
 from nsl.verify import (
+    _geodesic_paths,
     check_annuli_bound,
     check_fubini_identity,
     check_hajlasz_bound,
@@ -240,6 +241,15 @@ class TestUpperGradient:
         rep = check_upper_gradient_scale(sp, ScalarField(sp.coords[:, 0]), 0.1, n_paths=60)
         assert rep.passed
         assert rep.constants["worst_ratio"] <= 1.0
+
+    def test_torus_paths_read_no_matrix(self):
+        """The neighbor graph's edge lengths come from the lattice table; the chains are
+        those found with the matrix built."""
+        sp = build_space(SpaceSpec.parse("torus2d:24x24"))
+        lazy = _geodesic_paths(sp, 0.1, 0.2, 20, 3)
+        assert sp._dist is None
+        sp.dist
+        assert lazy == _geodesic_paths(sp, 0.1, 0.2, 20, 3)
 
     def test_matrix_space_not_applicable(self, two_point, two_point_field):
         rep = check_upper_gradient_scale(two_point, two_point_field, 0.5)

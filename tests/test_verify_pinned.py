@@ -205,9 +205,9 @@ CIRCLE64_SIN = [
     ('two-sided-limits', False, 'informational only', ['R_bbm', 'R_nguyen', 'window'], [
         ({'ratio': 'R_bbm'}, 'window [0.05, 20.0]', False, 0.036482793787295936, 20.0),
         ({'ratio': 'R_nguyen'}, 'window [0.05, 20.0]', True, 0.2630884138294338, 20.0),
-        ({'ratio': 'R_bbm', 'item': 'stability'}, '0.036482793787295735 -> 0.05725415052858903',
+        ({'ratio': 'R_bbm', 'item': 'stability'}, '0.036482793787296366 -> 0.0572541505285877',
          False, 0.5693466586576583, 0.15),
-        ({'ratio': 'R_nguyen', 'item': 'stability'}, '0.26308841382943404 -> 0.13616584553328373',
+        ({'ratio': 'R_nguyen', 'item': 'stability'}, '0.26308841382943426 -> 0.13616584553328379',
          False, 0.48243313511493735, 0.15),
     ]),
 ]
