@@ -16,6 +16,9 @@ matrix: every kernel on the circle and the torus (equal weights, no ball cut
 at an end, gauges of the geodesic angle or the nearest translate of the
 wrapped offset), and the Ahlfors kernel alone on the interval.
 
+One builder, _kernel_rows, with one branch per kernel kind, serves both
+kernel_matrix (all rows) and kernel_row (row 0), so the two agree bitwise.
+
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.
 """
@@ -74,9 +77,10 @@ class KernelSpec:
                          "ahlfors:N or gauge-ahlfors:N[:BODY]")
 
 
-def _gauge_pow_table(space, body: ConvexBody, exponent: float) -> np.ndarray | None:
-    """The gauge-Ahlfors kernel at each signed index offset (space._lattice_offsets) of a
-    circle, torus or gauge grid, for space._lattice_rows; None on other spaces."""
+def _gauge_pow_rows(space, body: ConvexBody, exponent: float, rows: int) -> np.ndarray:
+    """Rows 0..rows of the gauge-Ahlfors kernel matrix: on a circle, torus or gauge grid the
+    rows of its lattice table (space._lattice_rows), evaluated once per signed index offset;
+    elsewhere pair by pair."""
     coords = space.coords
     if coords is None:
         raise ValueError("gauge-ahlfors kernel needs point coordinates")
@@ -84,11 +88,10 @@ def _gauge_pow_table(space, body: ConvexBody, exponent: float) -> np.ndarray | N
         raise ValueError(f"body dimension {body.dim} does not match space dimension "
                          f"{coords.shape[1]}")
     spec = SpaceSpec.from_metric(space.metric)
-    gen = None if spec is None else spec.generator
+    gen, shape = (None, None) if spec is None else (spec.generator, spec.shape)
     if gen == "circle":  # the gauge of the geodesic angle, each distance a 1-vector
-        out = body.gauge(space.dist_rows(0, 1)[0, np.abs(_lattice_offsets((spec.n,))[0]), None])
+        out = body.gauge(space.dist_rows(0, 1)[0, np.abs(_lattice_offsets(shape)[0]), None])
     elif gen in ("torus2d", "gauge_grid"):
-        shape = (spec.nx, spec.ny) if gen == "torus2d" else (spec.n, spec.n)
         k = np.stack(_lattice_offsets(shape), axis=-1)
         shifts = [(0, 0)]
         if gen == "torus2d":  # the nearest of the 9 translates of the wrapped offset
@@ -96,15 +99,10 @@ def _gauge_pow_table(space, body: ConvexBody, exponent: float) -> np.ndarray | N
             shifts = itertools.product((-1, 0, 1), repeat=2)
         gauges = (body.gauge((k + np.multiply(s, shape)) / shape) for s in shifts)
         out = functools.reduce(np.minimum, gauges)
-    else:
-        return None
-    return np.power(out, exponent, out=out)
-
-
-def _gauge_pow_pairs(space, body: ConvexBody, exponent: float, points: np.ndarray) -> np.ndarray:
-    """The gauge-Ahlfors kernel from each of points to every point, pair by pair."""
-    out = gauge_distance_matrix(body, points, space.coords)
-    return np.power(out, exponent, out=out)
+    else:  # off the lattices, pair by pair
+        out = gauge_distance_matrix(body, coords[:rows], coords)
+        return np.power(out, exponent, out=out)
+    return _lattice_rows(np.power(out, exponent, out=out), 0, rows)
 
 
 def _combine(kind: str, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -118,54 +116,41 @@ def _combine(kind: str, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return (r1 + r2) / (r1 * r2)  # harm
 
 
+def _kernel_rows(space, spec: KernelSpec, rows: int) -> np.ndarray:
+    """Rows 0..rows of the kernel matrix (rows is space.n or 1), read-only, NaN on the diagonal.
+
+    The whole matrix reads space.dist, which the ball index holds already; a combination
+    kernel combines rho1's cached matrix with its transpose, or rho1's cached row 0 with its
+    column 0, mu(B(y, d(y, 0))), one ball query per point.
+    """
+    whole = rows == space.n
+    if spec.kind in ("rho1", "ahlfors"):
+        dist = space.dist if whole else space.dist_rows(0, rows)
+        out = space.ball_mass_rows(0, rows, dist) if spec.kind == "rho1" else dist**spec.exponent
+    elif spec.kind == "gauge-ahlfors":
+        out = _gauge_pow_rows(space, spec.body, spec.exponent, rows)
+    elif whole:
+        r1 = kernel_matrix(space, KernelSpec("rho1"))
+        out = _combine(spec.kind, r1, r1.T)
+    else:
+        # an index lattice's distances are symmetric in the offset, bitwise
+        radii = space.dist_rows(0, 1).T if space.index_lattice() else space.dist[:, :1]
+        column = space.ball_mass_rows(0, space.n, radii).T
+        out = _combine(spec.kind, kernel_row(space, KernelSpec("rho1"))[None, :], column)
+    np.fill_diagonal(out, np.nan)
+    out.setflags(write=False)
+    return out
+
+
 def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:
     """Full kernel matrix, cached on the space; diagonal entries are NaN."""
-
-    def build() -> np.ndarray:
-        if spec.kind == "rho1":
-            mat = space.ball_mass_rows(0, space.n, space.dist)
-        elif spec.kind == "ahlfors":
-            mat = space.dist**spec.exponent
-        elif spec.kind == "gauge-ahlfors":
-            table = _gauge_pow_table(space, spec.body, spec.exponent)
-            mat = (_gauge_pow_pairs(space, spec.body, spec.exponent, space.coords) if table is None
-                   else _lattice_rows(table, 0, space.n))
-        else:
-            r1 = kernel_matrix(space, KernelSpec("rho1"))
-            mat = _combine(spec.kind, r1, r1.T)
-        np.fill_diagonal(mat, np.nan)
-        mat.setflags(write=False)
-        return mat
-
-    return space.cache(("kernel", spec.key), build)
+    return space.cache(("kernel", spec.key), lambda: _kernel_rows(space, spec, space.n))
 
 
 def kernel_row(space, spec: KernelSpec) -> np.ndarray:
     """Row 0 of kernel_matrix(space, spec), bitwise, without the matrix; cached on the space.
-
-    Entry 0 is NaN. rho2's row 0 is rho1's column 0, mu(B(y, d(y, 0))), one
-    ball query per point.
-    """
-
-    def build() -> np.ndarray:
-        if spec.kind == "rho1":
-            row = space.ball_mass_rows(0, 1, space.dist_rows(0, 1))[0]
-        elif spec.kind == "ahlfors":
-            row = space.dist_rows(0, 1)[0] ** spec.exponent
-        elif spec.kind == "gauge-ahlfors":
-            table = _gauge_pow_table(space, spec.body, spec.exponent)
-            row = (_gauge_pow_pairs(space, spec.body, spec.exponent, space.coords[:1])[0]
-                   if table is None else _lattice_rows(table, 0, 1)[0])
-        else:
-            # an index lattice's distances are symmetric in the offset, bitwise
-            radii = space.dist_rows(0, 1).T if space.index_lattice() else space.dist[:, :1]
-            column = space.ball_mass_rows(0, space.n, radii)[:, 0]
-            row = _combine(spec.kind, kernel_row(space, KernelSpec("rho1")), column)
-        row[0] = np.nan
-        row.setflags(write=False)
-        return row
-
-    return space.cache(("kernel_row", spec.key), build)
+    Entry 0 is NaN."""
+    return space.cache(("kernel_row", spec.key), lambda: _kernel_rows(space, spec, 1)[0])
 
 
 def offset_lattice(space, spec: KernelSpec) -> tuple[tuple[int, ...], bool] | None:

@@ -17,7 +17,8 @@ Generators cover the standard desk-scale test geometries: cell-centered
 interval grids with a |x|^alpha weight density, circles with arc-length
 geodesic distance, flat 2-tori, gauge-metric grids for convex bodies,
 edge-weighted graphs with shortest-path distance, and graph approximations
-of the Sierpinski gasket.
+of the Sierpinski gasket. The four lattice generators share one builder,
+_lattice, which writes the offset grid, the neighbour stencil and the tags once.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ class SpaceSpec:
             raise SpaceError(f"torus2d needs nx, ny >= 2, got {self.nx}x{self.ny}")
         if g == "gauge_grid" and self.body is None:
             raise SpaceError("gauge_grid needs a convex body")
+        if g == "gauge_grid" and self.body.dim != 2:
+            raise SpaceError(f"gauge_grid needs a 2d body, got dim {self.body.dim}")
         if g == "sierpinski" and self.level < 0:
             raise SpaceError(f"sierpinski level must be >= 0, got {self.level}")
         if g == "graph" and not self.edges:
@@ -103,14 +106,16 @@ class SpaceSpec:
         if count > MAX_POINTS:
             raise SpaceError(f"{count} points exceeds the {MAX_POINTS}-point desk-scale budget")
 
+    @property
+    def shape(self) -> tuple[int, ...] | None:
+        """The grid shape of a lattice generator; None for any other generator."""
+        return {"interval": (self.n,), "circle": (self.n,), "torus2d": (self.nx, self.ny),
+                "gauge_grid": (self.n, self.n)}.get(self.generator)
+
     def _point_count(self) -> int:
-        g = self.generator
-        if g in ("interval", "circle"):
-            return self.n
-        if g == "torus2d":
-            return self.nx * self.ny
-        if g == "gauge_grid":
-            return self.n**2
+        g, shape = self.generator, self.shape
+        if shape is not None:
+            return math.prod(shape)
         if g == "sierpinski":
             # (3^(level+1) + 3) / 2 vertices; level 8 already has 9843, so
             # capping the level there keeps the power small
@@ -372,8 +377,7 @@ class MetricMeasureSpace:
         gen = SpaceSpec.from_metric(self.metric)
         if gen is None or gen.generator not in ("interval", "circle", "torus2d"):
             return None
-        shape = (gen.nx, gen.ny) if gen.generator == "torus2d" else (gen.n,)
-        return shape, gen.generator != "interval"
+        return gen.shape, gen.generator != "interval"
 
     # -- ball index ----------------------------------------------------------
 
@@ -496,8 +500,8 @@ def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
 
 def _lattice_offsets(shape: tuple[int, ...]) -> list[np.ndarray]:
     """The signed index offsets of a lattice table, 1 - k .. k - 1 on each axis of length k,
-    one integer array per axis on the table's shape."""
-    return np.meshgrid(*(np.arange(1 - k, k) for k in shape), indexing="ij")
+    one integer array per axis on the table's shape, as broadcast views not to be written."""
+    return np.meshgrid(*(np.arange(1 - k, k) for k in shape), indexing="ij", copy=False)
 
 
 def _lattice_rows(table: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -513,85 +517,61 @@ def _lattice_rows(table: np.ndarray, a: int, b: int) -> np.ndarray:
     return windows[np.unravel_index(np.arange(a, b), shape)].reshape(b - a, -1)
 
 
-def _interval(n: int, alpha: float) -> MetricMeasureSpace:
-    x = (np.arange(n) + 0.5) / n
-    # distances from integer index offsets: exact, so realized radii dedupe
-    table = np.abs(_lattice_offsets((n,))[0]) / n
-    weights = x**alpha / n
-    edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+# Metric type and grid kind of each lattice generator's tags.
+_LATTICE_TAGS = {"interval": ("euclidean", "interval"), "circle": ("circle", "circle"),
+                 "torus2d": ("torus", "torus2d"), "gauge_grid": ("gauge", "grid2d")}
+
+
+def _lattice(spec: SpaceSpec) -> MetricMeasureSpace:
+    """The space of a lattice generator (interval, circle, torus2d, gauge_grid) on the grid
+    spec.shape, its distances in a lattice table (_lattice_rows).
+
+    Written once for all four: the signed index offsets k and the per-axis |k|, wrapped to
+    min(|k|, m - |k|) on an axis of length m of the circle and the torus; the neighbour
+    stencil, axis 0 then axis 1, across the seam when wrapped; the grid and metric tags. Each
+    generator's branch holds only its table formula, coordinates, weights, name and params.
+    The table's keys are integers, so pairs at one offset get bitwise the same distance.
+    """
+    g, shape = spec.generator, spec.shape
+    wrapped = g in ("circle", "torus2d")
+    signed = _lattice_offsets(shape)
+    k = [np.abs(o) for o in signed]
+    if wrapped:
+        k = [np.minimum(d, size - d) for d, size in zip(k, shape)]
+    m = math.prod(shape)
+    if g == "interval":  # cell centres of (0, 1), weight x^alpha / n
+        n, alpha = spec.n, spec.alpha
+        coords = (np.arange(n) + 0.5) / n
+        table, weights = k[0] / n, coords**alpha / n
+        name, params = f"interval({n},alpha={alpha:g})", {"n": n, "alpha": alpha}
+    elif g == "circle":  # geodesic arc length
+        n = spec.n
+        table, coords = 2.0 * math.pi * k[0] / n, 2.0 * math.pi * np.arange(n) / n
+        weights = np.full(n, 2.0 * math.pi / n)
+        name, params = f"circle({n})", {"n": n}
+    else:  # cell centres of the unit square, equal weights
+        axes = np.meshgrid(*((np.arange(a) + 0.5) / a for a in shape), indexing="ij")
+        coords, weights = np.stack([c.ravel() for c in axes], axis=1), np.full(m, 1.0 / m)
+        if g == "torus2d":
+            nx, ny = shape
+            table = np.hypot(k[0] / nx, k[1] / ny)
+            name, params = f"torus2d({nx}x{ny})", {"nx": nx, "ny": ny}
+        else:  # gauge_grid, from the signed offsets: polygon gauges need not be axis-symmetric
+            n, body = spec.n, spec.body
+            table = body.gauge(np.stack(signed, axis=-1) / n)
+            name, params = f"gauge_grid({n},{body.tag})", {"n": n, "body": body.to_dict()}
+    idx = np.arange(m).reshape(shape)
+    pairs = []
+    for axis, a in enumerate(shape):  # each point and the next along the axis
+        head = (slice(None),) * axis
+        ends = ((idx, np.take(idx, np.arange(1, a + 1), axis=axis, mode="wrap")) if wrapped
+                else (idx[head + (slice(-1),)], idx[head + (slice(1, None),)]))
+        pairs.append(np.stack([e.ravel() for e in ends], axis=1))
+    mtype, kind = _LATTICE_TAGS[g]
     return MetricMeasureSpace._generated(
-        weights,
-        table,
-        coords=x,
-        name=f"interval({n},alpha={alpha:g})",
-        metric={"type": "euclidean", "params": {"generator": "interval", "n": n, "alpha": alpha}},
-        edges=edges,
-        grid={"kind": "interval", "shape": [n]},
-    )
-
-
-def _circle(n: int) -> MetricMeasureSpace:
-    theta = 2.0 * math.pi * np.arange(n) / n
-    # geodesic arc length from integer index offsets: exactly symmetric
-    k = np.abs(_lattice_offsets((n,))[0])
-    table = 2.0 * math.pi * np.minimum(k, n - k) / n
-    weights = np.full(n, 2.0 * math.pi / n)
-    edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-    return MetricMeasureSpace._generated(
-        weights,
-        table,
-        coords=theta,
-        name=f"circle({n})",
-        metric={"type": "circle", "params": {"generator": "circle", "n": n}},
-        edges=edges,
-        grid={"kind": "circle", "shape": [n]},
-    )
-
-
-def _torus2d(nx: int, ny: int) -> MetricMeasureSpace:
-    xs = (np.arange(nx) + 0.5) / nx
-    ys = (np.arange(ny) + 0.5) / ny
-    coords = np.stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")], axis=1)
-    n = nx * ny
-    # from integer index offsets, which wrap exactly, so realized radii dedupe
-    kx, ky = (np.abs(k) for k in _lattice_offsets((nx, ny)))
-    table = np.hypot(np.minimum(kx, nx - kx) / nx, np.minimum(ky, ny - ky) / ny)
-    weights = np.full(n, 1.0 / n)
-    idx = np.arange(n).reshape(nx, ny)
-    wrapped = (np.roll(idx, -1, axis=0), np.roll(idx, -1, axis=1))  # right, then up
-    edges = np.concatenate([np.stack([idx.ravel(), j.ravel()], axis=1) for j in wrapped])
-    return MetricMeasureSpace._generated(
-        weights,
-        table,
-        coords=coords,
-        name=f"torus2d({nx}x{ny})",
-        metric={"type": "torus", "params": {"generator": "torus2d", "nx": nx, "ny": ny}},
-        edges=edges,
-        grid={"kind": "torus2d", "shape": [nx, ny]},
-    )
-
-
-def _gauge_grid(n: int, body: ConvexBody) -> MetricMeasureSpace:
-    if body.dim != 2:
-        raise SpaceError(f"gauge_grid needs a 2d body, got dim {body.dim}")
-    xs = (np.arange(n) + 0.5) / n
-    coords = np.stack([g.ravel() for g in np.meshgrid(xs, xs, indexing="ij")], axis=1)
-    # from signed integer index offsets (polygon gauges need not be axis-symmetric)
-    table = body.gauge(np.stack(_lattice_offsets((n, n)), axis=-1) / n)
-    m = n * n
-    weights = np.full(m, 1.0 / m)
-    idx = np.arange(m).reshape(n, n)
-    edges = np.concatenate([np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1),
-                            np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)])
-    return MetricMeasureSpace._generated(
-        weights,
-        table,
-        coords=coords,
-        name=f"gauge_grid({n},{body.tag})",
-        metric={"type": "gauge", "params": {"generator": "gauge_grid", "n": n, "body": body.to_dict()}},
-        edges=edges,
-        grid={"kind": "grid2d", "shape": [n, n]},
-    )
+        weights, table, coords=coords, name=name, edges=np.concatenate(pairs),
+        metric={"type": mtype, "params": {"generator": g, **params}},
+        grid={"kind": kind, "shape": list(shape)})
 
 
 def _graph_distances(n: int, edges: Iterable[tuple[int, int, float]]) -> np.ndarray:
@@ -671,16 +651,9 @@ def _sierpinski(level: int) -> MetricMeasureSpace:
 def build_space(spec: SpaceSpec) -> MetricMeasureSpace:
     """Construct a bundled space from its generator spec."""
     spec.validate()
-    g = spec.generator
-    if g == "interval":
-        return _interval(spec.n, spec.alpha)
-    if g == "circle":
-        return _circle(spec.n)
-    if g == "torus2d":
-        return _torus2d(spec.nx, spec.ny)
-    if g == "gauge_grid":
-        return _gauge_grid(spec.n, spec.body)
-    if g == "graph":
+    if spec.shape is not None:
+        return _lattice(spec)
+    if spec.generator == "graph":
         return _graph(spec.edges)
     return _sierpinski(spec.level)
 

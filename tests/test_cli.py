@@ -57,6 +57,13 @@ class TestGen:
         assert result.exit_code == 2
         assert "error" in result.output
 
+    def test_gen_gauge_grid_3d_body_exit_2(self, runner, tmp_path):
+        out = tmp_path / "x"
+        result = invoke(runner, ["gen", "--spec", "gauge_grid:4:ball:3", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: gauge_grid needs a 2d body, got dim 3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "spec", ["interval:16:1.0", "torus2d:4x6", "sierpinski:2", "gauge_grid:4:square"]
     )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from nsl import (BodyError, ConvexBody, KernelSpec, MetricMeasureSpace, SpaceSpe
                  kernel_comparability, parse_body)
 from nsl.kernels import kernel_matrix, kernel_row
 
-from conftest import HEXAGON, random_space
+from conftest import HEXAGON, random_space, traced_peak
 
 
 def brute_rho1(space):
@@ -109,6 +110,57 @@ ROW_GAUGES = {1: ["gauge-ahlfors:1:ball:1"],
               2: ["gauge-ahlfors:2", "gauge-ahlfors:1.5:square", f"gauge-ahlfors:1.5:{HEXAGON}"]}
 
 
+# sha256 prefixes of the bytes of kernel_matrix and kernel_row, by (space, kernel).
+KERNEL_DIGESTS = {
+    ("circle:33", "rho1"): ("b0b3fdeb93c9cf36", "a3ac7157f909ca3d"),
+    ("circle:33", "rho2"): ("b0b3fdeb93c9cf36", "a3ac7157f909ca3d"),
+    ("circle:33", "sum"): ("1f0360995698bb4b", "d49eb408e28a2cee"),
+    ("circle:33", "geom"): ("b0b3fdeb93c9cf36", "a3ac7157f909ca3d"),
+    ("circle:33", "harm"): ("3e589b28bb9cf8e3", "501fb27e60b04361"),
+    ("circle:33", "ahlfors:1"): ("a7f3ca2ecf794d0b", "e7e93ebcf0339e90"),
+    ("circle:33", "ahlfors:1.5"): ("e7d6bb3b13694032", "361d0acd70d7dd5a"),
+    ("circle:33", "gauge-ahlfors:1:ball:1"): ("a7f3ca2ecf794d0b", "e7e93ebcf0339e90"),
+    ("torus2d:7x13", "rho1"): ("92a153ad546c6c18", "4f3d8052f388d328"),
+    ("torus2d:7x13", "rho2"): ("92a153ad546c6c18", "4f3d8052f388d328"),
+    ("torus2d:7x13", "sum"): ("4d4eb76e4fe048c4", "43de5993eb1dda70"),
+    ("torus2d:7x13", "geom"): ("92a153ad546c6c18", "4f3d8052f388d328"),
+    ("torus2d:7x13", "harm"): ("6bfbd793e5c82a30", "a337946a573e04c0"),
+    ("torus2d:7x13", "ahlfors:1"): ("7094e678a8e3206b", "2d4530b882a14d31"),
+    ("torus2d:7x13", "ahlfors:1.5"): ("71bd1efd0cf96b42", "1aeb1ab5d304ff56"),
+    ("torus2d:7x13", "gauge-ahlfors:2"): ("55c87cef66f007d0", "c14837a757fd24e1"),
+    ("torus2d:7x13", "gauge-ahlfors:1.5:square"): ("e1dcc234c9328a54", "6daa907632d0fc53"),
+    ("torus2d:7x13", f"gauge-ahlfors:1.5:{HEXAGON}"): ("5faf0279324411a4", "f0bc072b5db6ed8a"),
+    ("interval:65:0.5", "rho1"): ("ecab499e24414125", "87416f11d42f0cca"),
+    ("interval:65:0.5", "rho2"): ("5a619c5689026967", "fe5d32651653eed1"),
+    ("interval:65:0.5", "sum"): ("506029c297390a1b", "d912b79bbcbf32a0"),
+    ("interval:65:0.5", "geom"): ("13cfb6e30b6f98ec", "e67d48deee7a4471"),
+    ("interval:65:0.5", "harm"): ("f949265c478ae29f", "1d37c43bc7b68fab"),
+    ("interval:65:0.5", "ahlfors:1"): ("c4c0ad78718666eb", "e6d7968c488c99f0"),
+    ("interval:65:0.5", "ahlfors:1.5"): ("38999f43448e0b4d", "01a5f786802dff1a"),
+    ("interval:65:0.5", "gauge-ahlfors:1:ball:1"): ("56759cc56c34f35a", "e42795109c6871f6"),
+    ("gauge_grid:6:square", "rho1"): ("883c2f83ba0816da", "5116036b9c7be340"),
+    ("gauge_grid:6:square", "rho2"): ("587fc2a994eeacce", "adacf7e15e4f2daa"),
+    ("gauge_grid:6:square", "sum"): ("1cd0def2f5f885dd", "8fdda3cf1d9f3fa8"),
+    ("gauge_grid:6:square", "geom"): ("78abc698c38056eb", "0af27d6263baed40"),
+    ("gauge_grid:6:square", "harm"): ("1f37931a233f5fac", "c7ef7d5f4a872200"),
+    ("gauge_grid:6:square", "ahlfors:1"): ("e0e33ae68570a3b0", "16ab963fd2420e78"),
+    ("gauge_grid:6:square", "ahlfors:1.5"): ("3e1ec3edeb7fe9e8", "c5a6aa6456956372"),
+    ("gauge_grid:6:square", "gauge-ahlfors:2"): ("bb7b80fd04e50949", "a103a97db27b7204"),
+    ("gauge_grid:6:square", "gauge-ahlfors:1.5:square"): ("3e1ec3edeb7fe9e8", "c5a6aa6456956372"),
+    ("gauge_grid:6:square", f"gauge-ahlfors:1.5:{HEXAGON}"): ("7863830d1407a6f7", "936dcb45d4c9eafb"),
+    ("sierpinski:3", "rho1"): ("8bb544e1712cccea", "be3b84859936b556"),
+    ("sierpinski:3", "rho2"): ("a6dc2b8d977aaad0", "c00223e78d7aa00e"),
+    ("sierpinski:3", "sum"): ("4d51da16494f2fa4", "f63abf61147c458e"),
+    ("sierpinski:3", "geom"): ("6f9b56e5c6ee4a02", "9a7ca7f45b16f27d"),
+    ("sierpinski:3", "harm"): ("989d65af16b0d97f", "ebc9e624d715c375"),
+    ("sierpinski:3", "ahlfors:1"): ("5fd1735c755e2cc0", "193c28a730b34f8f"),
+    ("sierpinski:3", "ahlfors:1.5"): ("46f69f7b68007931", "cda58139ab1281fc"),
+    ("sierpinski:3", "gauge-ahlfors:2"): ("bb5cd8e94e93ca2b", "df267060751c28a0"),
+    ("sierpinski:3", "gauge-ahlfors:1.5:square"): ("032955c56033cbcb", "192f822aa22d8bc3"),
+    ("sierpinski:3", f"gauge-ahlfors:1.5:{HEXAGON}"): ("008e28f9a3e15116", "2899e6705a58a724"),
+}
+
+
 class TestKernelRow:
     """kernel_row is row 0 of kernel_matrix, bitwise, and builds no kernel or distance
     matrix."""
@@ -130,6 +182,47 @@ class TestKernelRow:
             assert np.isnan(row[0]) and not row.flags.writeable
             want = kernel_matrix(sp, KernelSpec.parse(text))[0]
             assert row.tobytes() == want.tobytes(), text
+
+    @pytest.mark.parametrize("space, kernel", list(KERNEL_DIGESTS))
+    def test_bitwise_pins(self, space, kernel):
+        """Each route, on its own fresh space, gives the bytes pinned before matrix and row
+        shared one builder."""
+        spec = KernelSpec.parse(kernel)
+        got = (kernel_matrix(build_space(SpaceSpec.parse(space)), spec).tobytes(),
+               kernel_row(build_space(SpaceSpec.parse(space)), spec).tobytes())
+        assert tuple(hashlib.sha256(b).hexdigest()[:16] for b in got) == KERNEL_DIGESTS[space, kernel]
+
+
+class TestKernelReuse:
+    """A whole kernel matrix reuses what the space and its cache already hold."""
+
+    @pytest.mark.parametrize("kind", ["rho2", "sum", "geom", "harm"])
+    @pytest.mark.parametrize("space", ["interval:65", "sierpinski:3"])
+    def test_combination_builds_rho1_once(self, monkeypatch, space, kind):
+        """One n-row ball query builds rho1, which stays cached; the combination reads its
+        transpose."""
+        calls = []
+        ball_mass_rows = MetricMeasureSpace.ball_mass_rows
+
+        def spy(self, a, b, radii):
+            calls.append((a, b, radii.shape))
+            return ball_mass_rows(self, a, b, radii)
+
+        monkeypatch.setattr(MetricMeasureSpace, "ball_mass_rows", spy)
+        sp = build_space(SpaceSpec.parse(space))
+        kernel_matrix(sp, KernelSpec(kind))
+        assert calls == [(0, sp.n, (sp.n, sp.n))]
+        assert ("kernel", "rho1") in sp._cache
+        kernel_matrix(sp, KernelSpec("rho1"))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("space", ["gauge_grid:16:square", "interval:256"])
+    def test_rho1_matrix_reads_the_distance_matrix(self, space):
+        """The ball index and the kernel share space.dist: about 5 n x n float blocks at the
+        peak, where a second distance matrix from dist_rows(0, n) makes 6."""
+        sp = build_space(SpaceSpec.parse(space))
+        _, peak = traced_peak(lambda: kernel_matrix(sp, KernelSpec("rho1")))
+        assert peak <= 5.5 * 8 * sp.n**2
 
 
 class TestKernelValues:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -128,6 +129,11 @@ class TestGenerators:
         with pytest.raises(SpaceError):
             build_space(SpaceSpec("nonsense"))
 
+    def test_gauge_grid_body_must_be_2d(self):
+        """validate() rejects the body's dimension from the parameters, before any allocation."""
+        with pytest.raises(SpaceError, match="gauge_grid needs a 2d body, got dim 3"):
+            SpaceSpec.parse("gauge_grid:4:ball:3").validate()
+
     def test_desk_scale_budget(self):
         # validate() rejects from the parameters alone, before any allocation
         for spec in (
@@ -206,6 +212,60 @@ class TestLatticeDistances:
         assert min_distance == 1.0 / 2048
         assert peak < sp.dist.nbytes / 8
 
+
+# sha256 prefixes of each lattice space's file document (json, sorted keys), name, and the
+# bytes of its weights, coords, edges, lattice table and distance matrix, in that order.
+SPACE_DIGESTS = {
+    "interval:2": (
+        "26626a3fd181dcd8", "c3b02e67a6cd8bb5", "606e5166986dd9f1", "a084810e7c2a939f",
+        "9d34149fbd1fe777", "329d1b8878324cd1", "b80064f096da2a2d"),
+    "interval:64:0.5": (
+        "1601731c3f807414", "46a21d21b5c11c5d", "773014767cee1e61", "4a641b0486b218ec",
+        "8854998891fcf899", "cc3e165446f6c06c", "1a92b67b5322306e"),
+    "circle:2": (
+        "04ba78da017d80e8", "ec47153a48e6ad47", "227ebb48ba706361", "5859787cf2f83aee",
+        "db7f8e2aa97f8d23", "d1079283e1c6fb19", "6357b4132adad6dd"),
+    "circle:33": (
+        "3a74c4c328851450", "c65208e4fd8e7875", "cd7d9ee9ab0d6cd3", "d89042a2ee2f8f78",
+        "04626b88e0f9aeae", "979134ffbd060132", "c4b7660b58c330f1"),
+    "torus2d:2x2": (
+        "9aa2431b3a7cfd21", "446d58a1cbed5fce", "5073e61eafb5e090", "9db050ce95549fb7",
+        "345512db6b681d48", "413706678dea445f", "1bb9de78cc90ad59"),
+    "torus2d:7x13": (
+        "41203594b3565148", "90f2f489b4eb0ac7", "c16f69c8d1205a37", "c3916b2af065d1f3",
+        "f712cca0dbf005a4", "d705868fd829a55d", "7b9b14bcea9cb196"),
+    "gauge_grid:6:square": (
+        "d0bcf86fd0117244", "941602aca352e2c5", "1211923806491eff", "b303d581b32a7b52",
+        "915265bf2a9e3b42", "cd68e1ff4731a413", "797f65874a527b4b"),
+    "gauge_grid:5:ellipse:1:2": (
+        "4ba62882ad9cc04c", "2419a57c5154ddef", "bd69aa702fa15508", "64d7527b2052b911",
+        "13d2be5a22f9a34e", "feab6e1e9c1c7cf1", "3c62b03ea73c552b"),
+    f"gauge_grid:7:{HEXAGON}": (
+        "7ffc90d621736111", "390dbed400ef982a", "64bbd97ff27ef4a6", "0c3cec432e9be44b",
+        "63dae81cbf8a4292", "698aa8bc00c1c927", "9b409ce20426d550"),
+}
+
+
+class TestLatticeGenerator:
+    """The four lattice generators write the same documents and arrays, byte for byte, as the
+    pins recorded before they shared one builder, so old space files still load."""
+
+    @pytest.mark.parametrize("text", list(SPACE_DIGESTS))
+    def test_bitwise_pins(self, text):
+        sp = build_space(SpaceSpec.parse(text))
+        got = (json.dumps(nsl.space._document(sp), sort_keys=True).encode(), sp.name.encode(),
+               *(arr.tobytes() for arr in (sp.weights, sp.coords, sp.edges, sp._table, sp.dist)))
+        assert tuple(hashlib.sha256(b).hexdigest()[:16] for b in got) == SPACE_DIGESTS[text]
+
+    @pytest.mark.parametrize("text", ["interval:5", "interval:64:0.5", "circle:33", "torus2d:7x13",
+                                      "gauge_grid:6:square", f"gauge_grid:7:{HEXAGON}"])
+    def test_shape_is_the_grid_shape(self, text):
+        spec = SpaceSpec.parse(text)
+        assert spec.shape == tuple(build_space(spec).grid["shape"])
+
+    def test_no_shape_off_the_lattices(self):
+        assert SpaceSpec("sierpinski", level=3).shape is None
+        assert SpaceSpec("graph", edges=((0, 1, 1.0),)).shape is None
 
 class TestSpecParse:
     @pytest.mark.parametrize(
