@@ -3,8 +3,11 @@
 Subcommands: gen | constants | energy | sweep | verify | report.
 
 Exit codes: 0 success (all verification checks pass), 1 a verification
-check failed, 2 usage or input error. All file outputs are UTF-8 with LF
-line endings; energies print as full-precision decimals.
+check failed, 2 usage or input error: one `error:` line, which _input_errors
+makes of any ValueError or OSError raised reading input, computing or writing
+output. All file outputs are UTF-8 with LF line endings; energies print as
+full-precision decimals. energy, sweep and verify share problem_options, which
+_problem checks in the order workers, space, field, kernel.
 
 Space arguments are space files or inline specs; SpaceSpec.parse holds the
 spec grammar (e.g. circle:256, torus2d:64x64, gauge_grid:32:square). Bodies:
@@ -17,21 +20,23 @@ x is the angle in [0, 2pi).
 
 from __future__ import annotations
 
+import os
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__, parallel
-from .constants import BodyError, gauge_distance, k_pn, parse_body, zstar_norm
+from .constants import gauge_distance, k_pn, parse_body, zstar_norm
 from .energies import gagliardo_p, h_energy, k_energy, nguyen_a, nguyen_b, scale_s_by_balls
-from .expr import ExprError, parse_field_expr
+from .expr import parse_field_expr
 from .fields import EnergySpec, ScalarField
 from .gradients import cheeger_surrogate, hajlasz_minimal
 from .kernels import KernelSpec
-from .space import SpaceError, SpaceSpec, build_space, load_space, save_space
+from .space import SpaceSpec, build_space, load_space, save_space
 from .sweeps import (
     bbm_sweep,
     extrapolate,
@@ -41,7 +46,7 @@ from .sweeps import (
     write_sweep_csv,
     write_sweep_json,
 )
-from .verify import render_text, reports_to_json, run_suite
+from .verify import CHECKS, render_text, reports_to_json, run_suite
 
 INPUT_ERROR = 2
 CHECK_FAILED = 1
@@ -55,11 +60,13 @@ def _fail(message: str) -> None:
     sys.exit(INPUT_ERROR)
 
 
-def _write(write, *args) -> None:
-    # an output path that cannot be written is an input error
+@contextmanager
+def _input_errors():
+    """A ValueError (SpaceError, BodyError, ExprError), OverflowError or OSError is an input
+    error: exit 2. An OverflowError comes from int() of an infinite option value."""
     try:
-        write(*args)
-    except OSError as exc:
+        yield
+    except (OSError, OverflowError, ValueError) as exc:
         _fail(str(exc))
 
 
@@ -78,23 +85,14 @@ def parse_grid(text: str) -> list[float]:
 
 
 def _load_space_arg(space: str):
-    path = Path(space)
-    try:
-        if path.exists():
-            return load_space(path)
-        return build_space(SpaceSpec.parse(space))
-    except (SpaceError, BodyError) as exc:
-        _fail(str(exc))
+    return load_space(space) if Path(space).exists() else build_space(SpaceSpec.parse(space))
 
 
 def _load_field(space_obj, field: str | None, field_csv: str | None) -> ScalarField:
     if (field is None) == (field_csv is None):
         _fail("provide exactly one of --field or --field-csv")
     if field_csv is not None:
-        try:
-            f = ScalarField.from_csv(field_csv)
-        except (OSError, ValueError) as exc:
-            _fail(str(exc))
+        f = ScalarField.from_csv(field_csv)
         if len(f) != space_obj.n:
             _fail(f"field file has {len(f)} values for a space of {space_obj.n} points")
         return f
@@ -103,28 +101,32 @@ def _load_field(space_obj, field: str | None, field_csv: str | None) -> ScalarFi
     try:
         tree = parse_field_expr(field)
         return ScalarField(tree.evaluate(space_obj.coords), provenance="expression")
-    except (ExprError, ValueError) as exc:
+    except ValueError as exc:  # an ExprError among them
         _fail(f"field {field!r}: {exc}")
 
 
-def _kernel_arg(kernel: str) -> KernelSpec:
-    try:
-        return KernelSpec.parse(kernel)
-    except (ValueError, BodyError) as exc:
-        _fail(str(exc))
-
-
-def _apply_workers(workers: int) -> None:
-    try:
+def _problem(space_arg, field, field_csv, kernel, workers):
+    """(space, u, kernel spec), after the worker count; each is checked in this order."""
+    with _input_errors():
         parallel.set_workers(workers)
-    except ValueError as exc:
-        _fail(str(exc))
+        space = _load_space_arg(space_arg)
+        u = _load_field(space, field, field_csv)
+        return space, u, KernelSpec.parse(kernel)
 
 
-workers_option = click.option(
-    "--workers", type=int, default=1, show_default=True,
-    help="Worker threads; NSL_WORKERS overrides. Results are identical for any count.",
-)
+def problem_options(command):
+    """The options of energy, sweep and verify that _problem reads; they lead each --help."""
+    for option in reversed((
+        click.option("--space", "space_arg", required=True, help="Space file or inline spec."),
+        click.option("--field", default=None, help="Field expression over coordinates."),
+        click.option("--field-csv", default=None, type=click.Path(), help="One-column field CSV."),
+        click.option("--p", type=float, default=2.0, show_default=True),
+        click.option("--kernel", default="rho1", show_default=True),
+        click.option("--workers", type=int, default=1, show_default=True, help="Worker threads; "
+                     "NSL_WORKERS overrides. Results are identical for any count."),
+    )):
+        command = option(command)
+    return command
 
 
 @click.group()
@@ -144,8 +146,9 @@ def main() -> None:
 @click.option("--out", required=True, type=click.Path(), help="Output space file.")
 def gen(spec: str, out: str) -> None:
     """Generate a space and write it to a space file."""
-    space = _load_space_arg(spec)
-    _write(save_space, space, out)
+    with _input_errors():
+        space = _load_space_arg(spec)
+        save_space(space, out)
     click.echo(f"{space.name}: n={space.n} mass={space.total_mass!r} -> {out}")
 
 
@@ -159,7 +162,7 @@ def constants(kpn, zstar, gauge) -> None:
     """Evaluate limit constants and gauge distances."""
     if not any((kpn, zstar, gauge)):
         _fail("give one of --kpn, --zstar, --gauge")
-    try:
+    with _input_errors():
         if kpn:
             click.echo(repr(k_pn(kpn[0], int(kpn[1]))))
         if zstar:
@@ -171,36 +174,26 @@ def constants(kpn, zstar, gauge) -> None:
             x = np.array([float(v) for v in gauge[1].split(",")])
             y = np.array([float(v) for v in gauge[2].split(",")])
             click.echo(repr(gauge_distance(body, x, y)))
-    except (BodyError, ValueError) as exc:
-        _fail(str(exc))
 
 
 @main.command()
-@click.option("--space", "space_arg", required=True, help="Space file or inline spec.")
-@click.option("--field", default=None, help="Field expression over coordinates.")
-@click.option("--field-csv", default=None, type=click.Path(), help="One-column field CSV.")
+@problem_options
 @click.option("--functional", default="gagliardo", show_default=True,
               type=click.Choice(["gagliardo", "nguyen", "nguyen-b", "k", "h", "s",
                                  "cheeger", "hajlasz"]))
-@click.option("--p", type=float, default=2.0, show_default=True)
-@click.option("--kernel", default="rho1", show_default=True)
 @click.option("--s", "s_order", type=float, default=None, help="Fractional order in (0,1).")
 @click.option("--delta", type=float, default=None, help="Threshold for the Nguyen functional.")
 @click.option("--t", type=float, default=None, help="Ball scale for K/H/S.")
 @click.option("--r", type=float, default=None, help="Cutoff radius.")
 @click.option("--self-check-determinism", is_flag=True,
               help="Recompute with one worker and require byte-identical output.")
-@workers_option
 def energy(space_arg, field, field_csv, functional, p, kernel, s_order, delta, t, r,
            self_check_determinism, workers) -> None:
     """Evaluate one energy functional and print it in full precision."""
-    _apply_workers(workers)
-    space = _load_space_arg(space_arg)
-    u = _load_field(space, field, field_csv)
-    kspec = _kernel_arg(kernel)
+    space, u, kspec = _problem(space_arg, field, field_csv, kernel, workers)
 
     def compute() -> float:
-        try:
+        with _input_errors():
             if functional == "gagliardo":
                 return gagliardo_p(space, u, EnergySpec(p=p, s=s_order, kernel=kspec))
             if functional == "nguyen":
@@ -212,8 +205,6 @@ def energy(space_arg, field, field_csv, functional, p, kernel, s_order, delta, t
             if functional == "cheeger":
                 return cheeger_surrogate(space, u, p)[0]
             return hajlasz_minimal(space, u, p, cutoff=np.inf if r is None else r).objective
-        except ValueError as exc:
-            _fail(str(exc))
 
     with warnings.catch_warnings(record=True) as caught:
         value = compute()
@@ -223,9 +214,15 @@ def energy(space_arg, field, field_csv, functional, p, kernel, s_order, delta, t
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     text = repr(value)
     if self_check_determinism:
+        # one worker whatever NSL_WORKERS says, which outranks set_workers; restored after
+        env = os.environ.pop("NSL_WORKERS", None)
         parallel.set_workers(1)
-        again = repr(compute())
-        parallel.set_workers(workers)
+        try:
+            again = repr(compute())
+        finally:
+            parallel.set_workers(workers)
+            if env is not None:
+                os.environ["NSL_WORKERS"] = env
         if again != text:
             click.echo("determinism self-check failed", err=True)
             sys.exit(CHECK_FAILED)
@@ -233,26 +230,18 @@ def energy(space_arg, field, field_csv, functional, p, kernel, s_order, delta, t
 
 
 @main.command()
+@problem_options
 @click.option("--mode", required=True, type=click.Choice(["bbm", "nguyen", "ks"]))
-@click.option("--space", "space_arg", required=True)
-@click.option("--field", default=None)
-@click.option("--field-csv", default=None, type=click.Path())
-@click.option("--p", type=float, default=2.0, show_default=True)
-@click.option("--kernel", default="rho1", show_default=True)
 @click.option("--s-grid", default=None, help="A:B:STEP, increasing in (0,1).")
 @click.option("--delta-grid", default=None, help="A:B:STEP, decreasing toward 0.")
 @click.option("--t-grid", default=None, help="A:B:STEP inside (mesh, diameter).")
 @click.option("--out-csv", default=None, type=click.Path())
 @click.option("--out-json", default=None, type=click.Path())
-@workers_option
 def sweep(mode, space_arg, field, field_csv, p, kernel, s_grid, delta_grid, t_grid,
           out_csv, out_json, workers) -> None:
     """Sweep an energy over a parameter grid and extrapolate the limit."""
-    _apply_workers(workers)
-    space = _load_space_arg(space_arg)
-    u = _load_field(space, field, field_csv)
-    kspec = _kernel_arg(kernel)
-    try:
+    space, u, kspec = _problem(space_arg, field, field_csv, kernel, workers)
+    with _input_errors():
         if mode == "bbm":
             if s_grid is None:
                 _fail("bbm sweep needs --s-grid")
@@ -266,12 +255,10 @@ def sweep(mode, space_arg, field, field_csv, p, kernel, s_grid, delta_grid, t_gr
                 _fail("ks sweep needs --t-grid")
             result = ks_sweep(space, u, p, parse_grid(t_grid))
         estimate = extrapolate(result)
-    except ValueError as exc:
-        _fail(str(exc))
-    if out_csv:
-        _write(write_sweep_csv, result, out_csv)
-    if out_json:
-        _write(write_sweep_json, result, estimate, out_json)
+        if out_csv:
+            write_sweep_csv(result, out_csv)
+        if out_json:
+            write_sweep_json(result, estimate, out_json)
     for warning in result.warnings:
         click.echo(f"warning: {warning}", err=True)
     click.echo(
@@ -281,42 +268,28 @@ def sweep(mode, space_arg, field, field_csv, p, kernel, s_grid, delta_grid, t_gr
 
 
 @main.command()
+@problem_options
 @click.option("--suite", default="all", show_default=True,
-              help="'all' or a comma list: annuli,mean,fubini,hks,mollifier,"
-                   "upper-gradient,nguyen-avg,hajlasz,two-sided. In 'all', "
-                   "two-sided runs informationally (its mesh-stability clause "
-                   "needs grids that resolve the limit); name it explicitly "
-                   "to assert it.")
-@click.option("--space", "space_arg", required=True)
-@click.option("--field", default=None)
-@click.option("--field-csv", default=None, type=click.Path())
-@click.option("--p", type=float, default=2.0, show_default=True)
-@click.option("--kernel", default="rho1", show_default=True)
+              help=f"'all' or a comma list: {','.join(CHECKS)}. In 'all', two-sided runs "
+                   "informationally (its mesh-stability clause needs grids that resolve the "
+                   "limit); name it explicitly to assert it.")
 @click.option("--informational", default="", help="Comma list of checks that report only.")
 @click.option("--out-json", default=None, type=click.Path())
-@workers_option
 def verify(suite, space_arg, field, field_csv, p, kernel, informational, out_json, workers) -> None:
     """Run verification checks; exit 1 when an asserted check fails."""
-    _apply_workers(workers)
-    space = _load_space_arg(space_arg)
-    u = _load_field(space, field, field_csv)
-    kspec = _kernel_arg(kernel)
+    space, u, kspec = _problem(space_arg, field, field_csv, kernel, workers)
     refine_field = None
     if field is not None:
         tree = parse_field_expr(field)
         refine_field = lambda sp: ScalarField(tree.evaluate(sp.coords), provenance="expression")
-    info = tuple(s.strip() for s in informational.split(",") if s.strip())
+    names = lambda text: tuple(s.strip() for s in text.split(",") if s.strip())
+    checks, info = names(suite), names(informational)
     if suite == "all":
-        chosen = {"informational": (*info, "two-sided")}
-    else:
-        chosen = {"checks": tuple(s.strip() for s in suite.split(",") if s.strip()),
-                  "informational": info}
-    try:
-        reports = run_suite(space, u, p, kspec, refine_field=refine_field, **chosen)
-    except ValueError as exc:
-        _fail(str(exc))
-    if out_json:
-        _write(reports_to_json, reports, out_json)
+        checks, info = CHECKS, (*info, "two-sided")
+    with _input_errors():
+        reports = run_suite(space, u, p, kspec, checks, info, refine_field)
+        if out_json:
+            reports_to_json(reports, out_json)
     click.echo(render_text(reports))
     if not all(r.passed for r in reports):
         sys.exit(CHECK_FAILED)
@@ -327,13 +300,11 @@ def verify(suite, space_arg, field, field_csv, p, kernel, informational, out_jso
 @click.option("--out-json", default=None, type=click.Path())
 def report(sweep_csv, out_json) -> None:
     """Re-read a sweep CSV and recompute its limit estimate."""
-    try:
+    with _input_errors():
         result = read_sweep_csv(sweep_csv)
         estimate = extrapolate(result)
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
-    if out_json:
-        _write(write_sweep_json, result, estimate, out_json)
+        if out_json:
+            write_sweep_json(result, estimate, out_json)
     click.echo(
         f"{result.parameter}-sweep: {len(result.grid)} points, "
         f"limit={estimate.limit!r} model={estimate.model} residual={estimate.residual!r}"

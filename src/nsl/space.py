@@ -100,6 +100,12 @@ class SpaceSpec:
             raise SpaceError("graph needs a nonempty edge list")
         if g == "graph" and min(min(i, j) for i, j, _ in self.edges) < 0:
             raise SpaceError("graph vertex ids must be >= 0")
+        pairs: set[tuple[int, int]] = set()
+        for i, j, _ in self.edges:  # only a graph has edges: one per unordered pair, no loop
+            pair = (min(i, j), max(i, j))
+            if i == j or pair in pairs:
+                raise SpaceError(f"graph edge ({i},{j}) is a self-loop or repeats a listed pair")
+            pairs.add(pair)
         if g not in ("interval", "circle", "torus2d", "gauge_grid", "graph", "sierpinski"):
             raise SpaceError(f"unknown generator {g!r}")
         count = self._point_count()
@@ -234,7 +240,8 @@ class MetricMeasureSpace:
     metric : dict
         Serialization tag: {"type": ..., "params": {...}}. Type "matrix"
         stores the distances verbatim; every other type names a generator and
-        its parameters, from which load_space rebuilds the whole space.
+        its parameters, from which load_space rebuilds the whole space. Only
+        generators write those, so this constructor takes "matrix" alone.
     edges : (m, 2) int array, optional
         Natural neighbor structure (grid stencil or graph edges) for local
         gradient evaluators and discrete geodesics.
@@ -258,6 +265,8 @@ class MetricMeasureSpace:
         n = weights.shape[0]
         if dist.shape != (n, n):
             raise SpaceError(f"distance matrix shape {dist.shape} does not match {n} weights")
+        if metric and metric.get("type") != "matrix":  # only generators write closed-form tags
+            raise SpaceError(f"a space built from distances has a matrix metric, not {metric!r}")
         self._setup(weights, coords, name, metric, edges, grid)
         if np.any(np.diagonal(dist) != 0.0):
             bad = int(np.nonzero(np.diagonal(dist))[0][0])

@@ -44,6 +44,9 @@ EXACT_RTOL = 1e-12
 HAJLASZ_BUDGET = 100.0
 TWO_SIDED_WINDOW = (0.05, 20.0)
 MOLLIFIER_ALLOWANCE = 1.05  # discreteness: the error may rise 5% per grid step
+# the suite's checks by name, in run_suite's default order
+CHECKS = ("annuli", "mean", "fubini", "hks", "mollifier", "upper-gradient", "nguyen-avg",
+          "hajlasz", "two-sided")
 # checks that a constant field skips: check name -> (report name, note)
 CONSTANT_FIELD_SKIPS = {
     "nguyen-avg": ("threshold-averaging", "constant field: 0 = 0"),
@@ -52,6 +55,7 @@ CONSTANT_FIELD_SKIPS = {
 }
 
 __all__ = [
+    "CHECKS",
     "CheckRecord",
     "VerificationReport",
     "check_annuli_bound",
@@ -590,17 +594,7 @@ def run_suite(
     u,
     p: float,
     kernel: KernelSpec,
-    checks: Sequence[str] = (
-        "annuli",
-        "mean",
-        "fubini",
-        "hks",
-        "mollifier",
-        "upper-gradient",
-        "nguyen-avg",
-        "hajlasz",
-        "two-sided",
-    ),
+    checks: Sequence[str] = CHECKS,
     informational: Sequence[str] = (),
     refine_field=None,
 ) -> list[VerificationReport]:
@@ -609,7 +603,12 @@ def run_suite(
     Checks listed in `informational` run and report but never fail the suite
     (their reports are marked accordingly). refine_field(refined_space), when
     given, supplies the field on mesh-refined spaces for stability clauses.
+    Both lists take names from CHECKS, and a bad list raises before any check runs.
     """
+    unknown = [repr(name) for name in (*checks, *informational) if name not in CHECKS]
+    if unknown or not checks:
+        fault = f"unknown check {unknown[0]}" if unknown else "no check named"
+        raise ValueError(f"{fault}; the checks are {', '.join(CHECKS)}")
     EnergySpec(p=p)  # rejects p < 1 and NaN before any check runs
     h_min, diam = space.min_distance, space.diameter
     t_lo = min(4.0 * h_min, 0.25 * diam)
@@ -649,10 +648,8 @@ def run_suite(
             rep = check_nguyen_averaging(space, u, p, 0.5, 0.5 * osc, kernel)
         elif name == "hajlasz":
             rep = check_hajlasz_bound(space, u, p, refine_field=refine_field)
-        elif name == "two-sided":
+        else:  # two-sided
             rep = two_sided_report(space, u, p, kernel, refine_field=refine_field)
-        else:
-            raise ValueError(f"unknown check {name!r}")
         if name in informational and not rep.passed:
             rep.applicable = False
             rep.note = (rep.note + "; " if rep.note else "") + "informational only"

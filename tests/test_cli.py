@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -10,9 +11,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsl import __version__, build_space, save_space
+from nsl import __version__, build_space, cli, parallel, save_space
 from nsl.cli import main, parse_grid, parse_space_spec
 from nsl.kernels import KERNEL_KINDS
+from nsl.verify import CHECKS
 
 from conftest import ball_loop_s, count_graph_builds, matrix_file_space
 
@@ -62,6 +64,17 @@ class TestGen:
         result = invoke(runner, ["gen", "--spec", "gauge_grid:4:ball:3", "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert result.output == "error: gauge_grid needs a 2d body, got dim 3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", ["0,1,1\n1,2,1\n0,1,1\n", "0,1,1\n1,2,1\n1,0,3\n",
+                                      "0,1,1\n1,2,1\n1,1,1\n"])
+    def test_gen_graph_pair_listed_twice_or_self_loop_exit_2(self, runner, tmp_path, rows):
+        edge_file = tmp_path / "edges.csv"
+        edge_file.write_text(rows)
+        out = tmp_path / "g.space"
+        result = invoke(runner, ["gen", "--spec", f"graph:{edge_file}", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: graph edge ") and result.output.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -221,6 +234,23 @@ class TestEnergy:
         )
         assert result.exit_code == 0
 
+    def test_self_check_determinism_recomputes_at_one_worker_under_env(self, runner, monkeypatch):
+        """NSL_WORKERS outranks set_workers, so the recomputation once ran at the same count."""
+        seen = []
+        real = cli.gagliardo_p
+
+        def spy(*args):
+            seen.append(parallel.get_workers())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "gagliardo_p", spy)
+        monkeypatch.setenv("NSL_WORKERS", "2")
+        result = invoke(runner, ["energy", "--space", "circle:300", "--field", "sin(x)",
+                                 "--s", "0.5", "--self-check-determinism"])
+        assert result.exit_code == 0, result.output
+        assert seen == [2, 1]
+        assert os.environ["NSL_WORKERS"] == "2"
+
     def test_env_workers_override(self, runner, monkeypatch):
         base = invoke(
             runner, ["energy", "--space", "circle:300", "--field", "sin(x)", "--s", "0.6"]
@@ -354,6 +384,21 @@ class TestVerify:
             runner, ["verify", "--suite", "bogus", "--space", "circle:16", "--field", "x"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--suite", ","], ["--informational", "bogus"], ["--suite", "mean,bogus"],
+    ])
+    def test_no_check_or_unknown_check_exit_2_before_any_check(self, runner, monkeypatch, args):
+        ran = []
+        monkeypatch.setattr("nsl.verify.check_mean_comparison", lambda *a: ran.append(a))
+        result = invoke(runner, ["verify", *args, "--space", "circle:16", "--field", "sin(x)"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert not ran
+
+    def test_suite_help_lists_every_check(self, runner):
+        result = invoke(runner, ["verify", "--help"])
+        assert ",".join(CHECKS) in "".join(result.output.split())
 
     @pytest.mark.parametrize("suite", ["hks", "all"])
     @pytest.mark.parametrize("space", [
@@ -564,6 +609,27 @@ class TestBadInput:
         assert message in lines[0]
 
 
+SHARED_OPTIONS = ("space_arg", "field", "field_csv", "p", "kernel", "workers")
+
+
+def test_problem_commands_share_six_options():
+    """energy, sweep and verify declare the space, field, p, kernel and workers options once."""
+    def shared(command):
+        return [(o.name, o.opts, o.help, o.default, o.required, o.show_default)
+                for o in main.commands[command].params if o.name in SHARED_OPTIONS]
+
+    assert [o[0] for o in shared("energy")] == list(SHARED_OPTIONS)
+    assert shared("energy") == shared("sweep") == shared("verify")
+
+
+def test_bad_space_is_reported_before_a_bad_kernel(runner):
+    result = invoke(runner, ["energy", "--space", "nope:3", "--kernel", "bogus", "--field", "x"])
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: bad space spec 'nope:3': unknown generator or wrong number of fields\n"
+    )
+
+
 class TestConstants:
     def test_kpn(self, runner):
         result = invoke(runner, ["constants", "--kpn", "2", "2"])
@@ -581,6 +647,11 @@ class TestConstants:
     def test_no_selection_exit_2(self, runner):
         result = invoke(runner, ["constants"])
         assert result.exit_code == 2
+
+    def test_infinite_dimension_exit_2(self, runner):
+        result = invoke(runner, ["constants", "--kpn", "2", "inf"])
+        assert result.exit_code == 2
+        assert result.output == "error: cannot convert float infinity to integer\n"
 
 
 # -- fuzzing: malformed input exits 2 without a traceback ------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -118,6 +119,18 @@ class TestGenerators:
     def test_graph_disconnected_rejected(self):
         with pytest.raises(SpaceError, match="disconnected"):
             build_space(SpaceSpec("graph", edges=((0, 1, 1.0), (2, 3, 1.0))))
+
+    @pytest.mark.parametrize("edges, pair", [
+        (((0, 1, 1.0), (1, 2, 1.0), (0, 1, 1.0)), "(0,1)"),
+        (((0, 1, 1.0), (1, 2, 1.0), (1, 0, 3.0)), "(1,0)"),
+        (((0, 1, 1.0), (1, 2, 1.0), (1, 1, 1.0)), "(1,1)"),
+    ])
+    def test_graph_pair_listed_twice_or_self_loop_rejected(self, edges, pair):
+        """A sparse adjacency sums repeated entries, so a repeated row 0,1,1 made d(0,1) = 2;
+        a self-loop reached the gradients as a zero-length neighbor edge."""
+        message = f"graph edge {pair} is a self-loop or repeats a listed pair"
+        with pytest.raises(SpaceError, match=re.escape(message)):
+            SpaceSpec("graph", edges=edges).validate()
 
     def test_bad_specs_rejected(self):
         with pytest.raises(SpaceError):
@@ -745,6 +758,22 @@ class TestInvariants:
         dist = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(SpaceError, match="weight at point 1: inf"):
             MetricMeasureSpace(dist, np.array([1.0, np.inf]))
+
+    def test_distances_with_a_generator_tag_rejected(self):
+        """Lattice routes trust a closed-form tag over the distances: a relabelled circle:16
+        built with the circle's tag gave a Gagliardo energy of 18.416, not its own 5.920."""
+        sp = build_space(SpaceSpec("circle", n=16))
+        perm = np.random.default_rng(0).permutation(16)
+        dist, weights, coords = sp.dist[np.ix_(perm, perm)], sp.weights[perm], sp.coords[perm]
+        with pytest.raises(SpaceError, match="matrix metric"):
+            MetricMeasureSpace(dist, weights, coords=coords, metric=sp.metric)
+        relabelled = MetricMeasureSpace(dist, weights, coords=coords,
+                                        metric={"type": "matrix", "params": sp.metric["params"]})
+        spec = EnergySpec(p=2.0, s=0.5)
+        value = gagliardo_p(relabelled, ScalarField(np.sin(coords[:, 0])), spec)
+        assert value == pytest.approx(gagliardo_p(sp, ScalarField(np.sin(sp.coords[:, 0])), spec),
+                                      rel=1e-12)
+        assert value == pytest.approx(5.920, abs=1e-3)
 
 
 def eager_dist(name: str) -> np.ndarray:

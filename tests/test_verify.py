@@ -410,6 +410,17 @@ class TestSuite:
         with pytest.raises(ValueError, match="unknown check"):
             run_suite(circle64, sin_field(circle64), 2.0, ahlfors1, checks=("bogus",))
 
+    @pytest.mark.parametrize("names, message", [
+        ({"checks": ()}, "no check named"),
+        ({"checks": ("mean", "bogus")}, "unknown check 'bogus'"),
+        ({"checks": ("mean",), "informational": ("bogus",)}, "unknown check 'bogus'"),
+    ])
+    def test_names_checked_before_any_check_runs(self, monkeypatch, circle64, ahlfors1, names,
+                                                 message):
+        monkeypatch.setattr("nsl.verify.check_mean_comparison", lambda *a: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=message):
+            run_suite(circle64, sin_field(circle64), 2.0, ahlfors1, **names)
+
     def test_grid_below_the_mesh_is_not_applicable(self):
         # circle:8: every suite radius is at or below the spacing pi/4
         sp = build_space(SpaceSpec.parse("circle:8"))
