@@ -164,16 +164,24 @@ def constants(kpn, zstar, gauge) -> None:
         _fail("give one of --kpn, --zstar, --gauge")
     with _input_errors():
         if kpn:
-            click.echo(repr(k_pn(kpn[0], int(kpn[1]))))
+            n_dim = int(kpn[1])  # OverflowError on inf, ValueError on nan
+            if n_dim != kpn[1]:
+                raise ValueError(f"dimension N must be an integer, got {kpn[1]!r}")
+            click.echo(repr(k_pn(kpn[0], n_dim)))
         if zstar:
-            body = parse_body(zstar[0])
-            xi = np.array([float(v) for v in zstar[2].split(",")])
+            body, xi = parse_body(zstar[0]), _point(zstar[2])
             click.echo(repr(zstar_norm(body, float(zstar[1]), xi)))
         if gauge:
-            body = parse_body(gauge[0])
-            x = np.array([float(v) for v in gauge[1].split(",")])
-            y = np.array([float(v) for v in gauge[2].split(",")])
+            body, x, y = parse_body(gauge[0]), _point(gauge[1]), _point(gauge[2])
             click.echo(repr(gauge_distance(body, x, y)))
+
+
+def _point(text: str) -> np.ndarray:
+    """Comma-separated coordinates, all finite."""
+    point = np.array([float(v) for v in text.split(",")])
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"coordinates must be finite, got {text!r}")
+    return point
 
 
 @main.command()

@@ -21,11 +21,20 @@ lift (each endpoint absorbs half of its worst deficit, which restores
 feasibility in one pass; it also makes the exact p = 2 answer feasible to
 rounding) and a ray rescale that makes the worst pair tight.
 
-The lift takes a max over the pairs incident to each point. The pair list
-is in triu order, so i ascends and each point's i-side pairs form one
-contiguous segment; the j side is walked through one stable argsort of j.
-Two np.maximum.reduceat passes and one gather give the per-point max with
-O(m) work and no scatter, bit for bit equal to a scatter-max.
+Each descent step pays only for a working set W of pairs, certified so that
+every iterate is bitwise what a pass over all pairs gives (safe screening, as
+in El Ghaoui, Viallon & Rabbani, Pacific J. Optim. 8, 2012). At a refresh
+iterate g_r, W holds the pairs whose slack (g_r(x) + g_r(y)) - c is below
+tau = SCREEN_KAPPA max c. A stepped iterate h with D = max|h - g_r| leaves
+every other pair a slack of at least s = tau - 2D - mu, where mu = 16 eps
+(max c + 2 max g_r + tau) covers rounding. While s > 0, each skipped pair's
+c - h(x) - h(y) rounds to a negative number, so its deficit is exactly +0.0,
+and a per-point max is exact and order-free: the scatter-max over W is the
+full lift's. Otherwise the step lifts over all pairs and refreshes W at h.
+The lift only raises g, so skipped pairs still have slack s at the lifted g,
+and their ratios c/(g(x) + g(y)) are at most max c/(max c + s). A W ratio
+above that (times 1 + 8 eps) is the global max for the ray rescale; else the
+rescale takes all pairs.
 """
 
 from __future__ import annotations
@@ -137,17 +146,25 @@ def _pair_constraints(
     return iu[active], ju[active], c[active]
 
 
-def _segment_starts(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points idx holds, and where each one's run starts once idx is sorted."""
-    counts = np.bincount(idx, minlength=n)
-    points = np.flatnonzero(counts)
-    return points, (np.cumsum(counts) - counts)[points]
+def _point_max(n: int, i: np.ndarray, j: np.ndarray, pair_vals: np.ndarray) -> np.ndarray:
+    """Max over the pairs incident to each point, +0.0 where there are none."""
+    top = np.zeros(n)
+    np.maximum.at(top, i, pair_vals)
+    np.maximum.at(top, j, pair_vals)
+    return top
+
+
+def _worst_ratio(g: np.ndarray, i: np.ndarray, j: np.ndarray, c: np.ndarray) -> float:
+    """The ray-rescale factor: max c / (g[i] + g[j]) over the pairs, 0.0 if none."""
+    return float((c / (g[i] + g[j])).max(initial=0.0))
 
 
 EXACT_P2_MAX_PAIRS = 600
 FEAS_TOL = 1e-10  # worst constraint deficit a returned gradient may carry
 STOP_TOL = 1e-8  # relative objective drop below which the descent has stalled
 STOP_WINDOW = 50  # iterations over which that drop is measured
+SCREEN_KAPPA = 0.02  # working-set slack threshold tau, as a share of max c
+EPS = float(np.finfo(float).eps)
 
 
 def _nnls(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -235,29 +252,16 @@ def hajlasz_minimal(
         zero = ScalarField(np.zeros(space.n), provenance="op:hajlasz")
         return HajlaszResult(zero, 0.0, 0.0, 0, True)
 
-    # per-point pair segments (module docstring): i ascends, j via one argsort
-    i_points, i_starts = _segment_starts(i, space.n)
-    j_points, j_starts = _segment_starts(j, space.n)
-    j_order = np.argsort(j, kind="stable")
-
-    def point_max(pair_vals: np.ndarray) -> np.ndarray:
-        # max over the pairs incident to each point, +0.0 where there are none
-        top = np.zeros(space.n)
-        top[i_points] = np.maximum.reduceat(pair_vals, i_starts)
-        j_top = np.maximum.reduceat(pair_vals[j_order], j_starts)
-        top[j_points] = np.maximum(top[j_points], j_top)
-        return top
-
-    def deficit(g: np.ndarray) -> np.ndarray:
+    def deficit(g: np.ndarray, i=i, j=j, c=c) -> np.ndarray:
         return np.maximum(c - g[i] - g[j], 0.0)
 
     def objective(g: np.ndarray) -> float:
-        return float(np.sum(w * g**p))
+        return float((w * g**p).sum())
 
-    def lift(g: np.ndarray) -> np.ndarray:
+    def lift(g: np.ndarray, i=i, j=j, c=c) -> np.ndarray:
         # each endpoint absorbs half of its worst deficit: one pass restores
         # g[x]+g[y] >= c on every pair (halving commutes with the max)
-        return g + 0.5 * point_max(deficit(g))
+        return g + 0.5 * _point_max(space.n, i, j, deficit(g, i, j, c))
 
     iterations = 0
     if p == 2.0 and c.size <= EXACT_P2_MAX_PAIRS:
@@ -265,13 +269,16 @@ def hajlasz_minimal(
         best_g = lift(exact)
         best_obj = objective(best_g)
     else:
-        g = point_max(c)  # feasible start g0(x) = max_y |u(x)-u(y)|/d^sigma
+        g = _point_max(space.n, i, j, c)  # feasible start g0(x) = max_y |u(x)-u(y)|/d^sigma
         scale = math.sqrt(g.dot(g))  # what np.linalg.norm computes
         pw = p * w
         best_g = g
         best_obj = objective(g)
         history = [best_obj]
         converged = False
+        c_max = float(np.max(c))
+        tau = SCREEN_KAPPA * c_max
+        anchor = None  # the working set's refresh iterate (module docstring)
 
         for k_iter in range(1, max_iter + 1):
             iterations = k_iter
@@ -280,8 +287,20 @@ def hajlasz_minimal(
             norm = math.sqrt(grad.dot(grad))
             if norm == 0.0:
                 break
-            g = lift(np.maximum(g - (scale / k_iter) * grad / norm, 0.0))
-            g = g * float(np.max(c / (g[i] + g[j])))  # ray rescale: worst pair tight
+            g = np.maximum(g - (scale / k_iter) * grad / norm, 0.0)
+            drift = math.inf if anchor is None else 2.0 * float(np.abs(g - anchor).max()) + mu
+            if drift >= tau:
+                anchor, mu = g, 16.0 * EPS * (c_max + 2.0 * float(g.max()) + tau)
+                keep = (g[i] + g[j]) - c < tau
+                ws, drift = (i[keep], j[keep], c[keep]), mu
+                g = lift(g)
+            else:
+                g = lift(g, *ws)
+            # the lift only raises g, so skipped pairs keep slack spare = tau - drift
+            spare, ratio = tau - drift, _worst_ratio(g, *ws)
+            if not (spare > 0.0 and ratio > c_max / (c_max + spare) * (1.0 + 8.0 * EPS)):
+                ratio = _worst_ratio(g, i, j, c)
+            g = g * ratio  # ray rescale: worst pair tight
             obj = objective(g)
             if obj < best_obj:
                 best_obj = obj

@@ -653,6 +653,31 @@ class TestConstants:
         assert result.exit_code == 2
         assert result.output == "error: cannot convert float infinity to integer\n"
 
+    def test_fractional_dimension_exit_2(self, runner):
+        result = invoke(runner, ["constants", "--kpn", "2", "2.5"])
+        assert result.exit_code == 2
+        assert result.output == "error: dimension N must be an integer, got 2.5\n"
+
+    @pytest.mark.parametrize("dim", ["2", "2.0"])
+    def test_integral_dimension_spellings_agree(self, runner, dim):
+        result = invoke(runner, ["constants", "--kpn", "2", dim])
+        assert result.exit_code == 0
+        assert result.output == "1.5707963267948966\n"
+
+    @pytest.mark.parametrize("args", [
+        ["--zstar", "square", "2", "1e400,0"],
+        ["--zstar", "ball:2", "2", "nan,1"],
+        ["--gauge", "square", "1e400,0", "0,0"],
+        ["--gauge", "square", "0,0", "1,-inf"],
+    ])
+    def test_non_finite_coordinate_exit_2(self, runner, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            result = invoke(runner, ["constants", *args])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: coordinates must be finite")
+        assert result.output.count("\n") == 1
+
 
 # -- fuzzing: malformed input exits 2 without a traceback ------------------------
 

@@ -216,6 +216,12 @@ def _pin_field(space, kind):
         return np.sin(2 * np.pi * x) * np.cos(2 * np.pi * space.coords[:, 1])
     if kind == "ramp":  # constant below 0.5: with a cutoff, some points have no pair
         return np.maximum(x - 0.5, 0.0)
+    if kind.startswith("bench"):  # perfbench's seed-0 inputs (workloads.Inputs.from_seed)
+        rng = np.random.default_rng(0)
+        phase = int(rng.integers(8))
+        if kind == "bench_sin":
+            return np.sin(x + 2 * np.pi * phase / 8)
+        return rng.uniform(-1.0, 1.0, space.n)  # bench_csv: the field file's values
     return np.random.default_rng(int(kind[-1])).uniform(-1, 1, space.n)
 
 
@@ -243,6 +249,11 @@ HAJLASZ_PINS = [
      1000, False, "3243f52a57fc267f1634011906e2e7621981488e92fb7001a5e073c68855a446"),
     ("interval:64", "ramp", 1.5, 1.0, 0.1, 2000, "0.18331256413330912", "0.0",
      2000, False, "2cb7fb08ea70ebb54af0ed12becc43f5428b9e8edfbfb25c9a2d7ee84f6cf15c"),
+    # the verify bench's own fields: the circle refinement and the CSV task
+    ("circle:512", "bench_sin", 2.0, 1.0, math.inf, 20000, "1.215310495551698", "0.0",
+     561, True, "deb32e7b32bc81e1f487192cfa4bb023b224f8aa2c288f19968fa25302a6db3d"),
+    ("torus2d:8x8", "bench_csv", 2.0, 1.0, math.inf, 20000, "20.838851172924443", "0.0",
+     20000, False, "502a1730f76c3dac8dfb285e154adbbe87db27bc7cf9f3f619dcf3f6228dedab"),
     # m = 496 pairs: the exact p=2 route, whatever max_iter is
     ("interval:32", "rng4", 2.0, 1.0, math.inf, 500, "250.77158606527948", "0.0",
      0, True, "a4c3ced8a4ec09ae5c2fd423d025ed4c0511e1e50afb8953d91458ce7fee275b"),
@@ -270,6 +281,136 @@ def test_hajlasz_iterates_are_pinned(
     assert res.iterations == iterations
     assert res.converged is converged
     assert hashlib.sha256(res.gradient.values.tobytes()).hexdigest() == digest
+
+
+def _reference_descent(space, vals, p, sigma=1.0, cutoff=math.inf, max_iter=20000):
+    """The projected-subgradient descent over every pair at every step: no screening."""
+    i, j, c = _pair_constraints(space, vals, sigma, cutoff)
+    w = space.weights
+
+    def point_max(pair_vals):  # a dense n x n table, zeros where there is no pair
+        table = np.zeros((space.n, space.n))
+        table[i, j] = table[j, i] = pair_vals
+        return table.max(axis=1)
+
+    def objective(g):
+        return float(np.sum(w * g**p))
+
+    g = point_max(c)
+    scale, best_g, best_obj, converged, k = math.sqrt(g.dot(g)), g, objective(g), False, 0
+    history = [best_obj]
+    for k in range(1, max_iter + 1):
+        grad = p * w * g ** (p - 1.0)
+        norm = math.sqrt(grad.dot(grad))
+        if norm == 0.0:
+            break
+        g = np.maximum(g - (scale / k) * grad / norm, 0.0)
+        g = g + 0.5 * point_max(np.maximum(c - g[i] - g[j], 0.0))
+        g = g * float(np.max(c / (g[i] + g[j])))
+        if objective(g) < best_obj:
+            best_obj, best_g = objective(g), g
+        history.append(best_obj)
+        if k > gradients.STOP_WINDOW and (
+            history[-1 - gradients.STOP_WINDOW] - best_obj
+            <= gradients.STOP_TOL * max(best_obj, 1e-300)
+        ):
+            converged = True
+            break
+    return best_g, best_obj, k, converged
+
+
+# spec, field, p, sigma, cutoff, max_iter; no p = 2 case is small enough for the exact route
+DESCENT_CASES = [
+    (spec, kind, p, sigma, math.inf, 1500)
+    for spec, kind in [("circle:64", "sin"), ("torus2d:8x8", "rng0")]
+    for p in (1.0, 1.5, 2.0, 3.0)
+    for sigma in (0.5, 1.0)
+] + [
+    ("torus2d:12x12", "wave", 1.5, 1.0, 0.3, 1500),
+    ("torus2d:12x12", "rng5", 2.0, 0.5, 0.4, 1500),
+    ("interval:64", "ramp", 1.5, 1.0, 0.1, 1500),
+    ("interval:64", "ramp", 3.0, 1.0, math.inf, 1500),
+    ("gauge_grid:8:square", "rng3", 2.0, 0.7, math.inf, 1500),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,kind,p,sigma,cutoff,max_iter",
+    DESCENT_CASES,
+    ids=[f"{c[0]}-{c[1]}-p{c[2]}-s{c[3]}-r{c[4]}" for c in DESCENT_CASES],
+)
+def test_screened_descent_matches_the_plain_descent_bitwise(spec, kind, p, sigma, cutoff, max_iter):
+    space = build_space(parse_space_spec(spec))
+    vals = _pin_field(space, kind)
+    g, objective, iterations, converged = _reference_descent(
+        space, vals, p, sigma=sigma, cutoff=cutoff, max_iter=max_iter
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = hajlasz_minimal(space, vals, p, sigma=sigma, cutoff=cutoff, max_iter=max_iter)
+    assert iterations > 0  # the descent ran, not the exact p = 2 route
+    assert res.iterations == iterations
+    assert res.converged is converged
+    assert repr(res.objective) == repr(objective)
+    digest = hashlib.sha256(res.gradient.values.tobytes()).hexdigest()
+    assert digest == hashlib.sha256(g.tobytes()).hexdigest()
+
+
+def test_descent_cases_cover_zero_constraints_and_zero_gradients():
+    # sin on circle:64 and the ramp drop pairs with c == 0; the ramp's g reaches 0
+    circle = build_space(parse_space_spec("circle:64"))
+    assert _pair_constraints(circle, _pin_field(circle, "sin"), 1.0, math.inf)[2].size < 2016
+    interval = build_space(parse_space_spec("interval:64"))
+    ramp = _pin_field(interval, "ramp")
+    assert _pair_constraints(interval, ramp, 1.0, math.inf)[2].size <= 2016 - 496
+    g, *_ = _reference_descent(interval, ramp, 1.5, cutoff=0.1, max_iter=1500)
+    assert np.any(g == 0.0)
+
+
+@pytest.mark.parametrize("spec,kind,max_iter", [("circle:256", "sin", 20000),
+                                                 ("torus2d:8x8", "rng0", 2000)])
+def test_descent_passes_over_all_pairs_in_few_iterations(monkeypatch, spec, kind, max_iter):
+    # structural, not timed: a descent that fell back to full passes fails this
+    space = build_space(parse_space_spec(spec))
+    vals = _pin_field(space, kind)
+    m = _pair_constraints(space, vals, 1.0, math.inf)[2].size
+    full = []
+    point_max, worst_ratio = gradients._point_max, gradients._worst_ratio
+
+    def counted_point_max(n, i, j, pair_vals):
+        full.append(pair_vals.size == m)
+        return point_max(n, i, j, pair_vals)
+
+    def counted_worst_ratio(g, i, j, c):
+        full.append(c.size == m)
+        return worst_ratio(g, i, j, c)
+
+    monkeypatch.setattr(gradients, "_point_max", counted_point_max)
+    monkeypatch.setattr(gradients, "_worst_ratio", counted_worst_ratio)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = hajlasz_minimal(space, vals, 2.0, max_iter=max_iter)
+    assert res.iterations > 300
+    assert len(full) >= 2 * res.iterations  # one lift and one rescale per step
+    assert sum(full) < res.iterations / 10
+
+
+def test_rescale_falls_back_when_the_working_set_misses_the_worst_pair(monkeypatch):
+    space = build_space(parse_space_spec("circle:64"))
+    vals = _pin_field(space, "sin")
+    m = _pair_constraints(space, vals, 1.0, math.inf)[2].size
+    worst_ratio = gradients._worst_ratio
+
+    def full_only(g, i, j, c):  # every working-set ratio reads below the certificate's bound
+        return worst_ratio(g, i, j, c) if c.size == m else 0.0
+
+    monkeypatch.setattr(gradients, "_worst_ratio", full_only)
+    g, objective, iterations, _ = _reference_descent(space, vals, 2.0, max_iter=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = hajlasz_minimal(space, vals, 2.0, max_iter=300)
+    assert (res.iterations, repr(res.objective)) == (iterations, repr(objective))
+    assert np.array_equal(res.gradient.values, g)
 
 
 def test_exact_route_agrees_with_the_dual_coordinate_ascent_it_replaced():
