@@ -23,7 +23,6 @@ from .space import (
     MetricMeasureSpace,
     SpaceError,
     SpaceSpec,
-    ball_measure,
     build_space,
     doubling_constant,
     load_space,
@@ -55,7 +54,6 @@ __all__ = [
     "SpaceError",
     "SpaceSpec",
     "SweepResult",
-    "ball_measure",
     "bbm_sweep",
     "build_space",
     "cheeger_surrogate",

@@ -73,8 +73,10 @@ class ConvexBody:
             if self.dim not in (1, 2, 3):
                 raise BodyError(f"ball dimension must be 1, 2, or 3, got {self.dim}")
         elif self.kind == "ellipse":
-            if self.a <= 0 or self.b <= 0:
-                raise BodyError(f"ellipse semi-axes must be positive, got ({self.a},{self.b})")
+            if not (0 < self.a < np.inf and 0 < self.b < np.inf):  # NaN fails too
+                raise BodyError(
+                    f"ellipse semi-axes must be positive and finite, got ({self.a},{self.b})"
+                )
         elif self.kind == "polygon":
             self._validate_polygon()
         else:
@@ -84,6 +86,8 @@ class ConvexBody:
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
             raise BodyError("polygon needs at least 3 planar vertices")
+        if not np.all(np.isfinite(verts)):
+            raise BodyError("polygon vertices must be finite")
         rolled = np.roll(verts, -1, axis=0)
         cross = verts[:, 0] * rolled[:, 1] - verts[:, 1] * rolled[:, 0]
         if np.any(cross <= 0):
@@ -175,8 +179,8 @@ def _abs_cos_power_integral(p: float, order: int) -> float:
 
 def k_pn(p: float, n_dim: int) -> float:
     """(1/p) * int_{S^{N-1}} |e1 . x|^p dH^{N-1}, N in {1, 2, 3}."""
-    if not p >= 1:  # NaN fails too
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:  # NaN fails too
+        raise ValueError(f"exponent p must be >= 1 and finite, got {p}")
     if n_dim == 1:
         # S^0 = {-1, +1} with counting measure
         return 2.0 / p
@@ -216,8 +220,8 @@ def _polygon_power_integral(body: ConvexBody, p: float, xi: np.ndarray, order: i
 
 def zstar_norm(body: ConvexBody, p: float, xi) -> float:
     """((N+p)/p * int_K |xi . x|^p dx)^(1/p); 1-homogeneous in xi."""
-    if not p >= 1:  # NaN fails too
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:  # NaN fails too
+        raise ValueError(f"exponent p must be >= 1 and finite, got {p}")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (body.dim,):
         raise ValueError(f"xi has shape {xi.shape}, body dimension is {body.dim}")

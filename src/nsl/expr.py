@@ -13,8 +13,7 @@ unary minus supported):
 
 Variables are the point coordinates; on a circle x is the angle in [0, 2pi).
 Error messages carry the byte offset and the expected-token set. Nesting past
-the recursion limit, in parsing, evaluation or printing, is an ExprError
-too; equality compares trees without recursion, so it never raises.
+the recursion limit, in parsing or evaluation, is an ExprError too.
 """
 
 from __future__ import annotations
@@ -228,47 +227,6 @@ class _Parser:
         )
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _precedence(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _PRECEDENCE[node.op]
-    if isinstance(node, Neg):
-        return _PRECEDENCE["neg"]
-    return 9
-
-
-def _to_string(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _to_string(node.operand)
-        if _precedence(node.operand) < _PRECEDENCE["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.func}({', '.join(_to_string(a) for a in node.args)})"
-    left = _to_string(node.left)
-    right = _to_string(node.right)
-    p = _PRECEDENCE[node.op]
-    # left-assoc for + - * /: parenthesize right child at equal precedence;
-    # right-assoc for ^: parenthesize left child at equal-or-lower precedence
-    if node.op == "^":
-        if _precedence(node.left) <= p:
-            left = f"({left})"
-        if _precedence(node.right) < p:
-            right = f"({right})"
-    else:
-        if _precedence(node.left) < p:
-            left = f"({left})"
-        if _precedence(node.right) <= p:
-            right = f"({right})"
-    return f"{left} {node.op} {right}"
-
-
 def _evaluate(node: Node, env: dict[str, np.ndarray | float]):
     if isinstance(node, Num):
         return node.value
@@ -295,49 +253,11 @@ def _evaluate(node: Node, env: dict[str, np.ndarray | float]):
         return np.power(left, right)
 
 
-def _same_tree(a: Node, b: Node) -> bool:
-    """Structural equality by an explicit stack, so deep trees do not recurse."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Neg):
-            stack.append((a.operand, b.operand))
-        elif isinstance(a, BinOp):
-            if a.op != b.op:
-                return False
-            stack += [(a.left, b.left), (a.right, b.right)]
-        elif isinstance(a, Call):
-            if a.func != b.func or len(a.args) != len(b.args):
-                return False
-            stack += zip(a.args, b.args)
-        elif a != b:  # Num, Var
-            return False
-    return True
-
-
 class FieldExpr:
     """Parsed expression over point coordinates."""
 
-    def __init__(self, root: Node, source: str) -> None:
+    def __init__(self, root: Node) -> None:
         self.root = root
-        self.source = source
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FieldExpr) and _same_tree(self.root, other.root)
-
-    def __repr__(self) -> str:
-        try:
-            return f"FieldExpr({self.to_string()!r})"
-        except ExprError:
-            return f"FieldExpr({self.source!r})"
-
-    def to_string(self) -> str:
-        try:
-            return _to_string(self.root)
-        except RecursionError:
-            raise ExprError(0, "expression is nested too deeply to print") from None
 
     def evaluate(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (n, dim) coordinate array."""
@@ -358,4 +278,4 @@ def parse_field_expr(text: str) -> FieldExpr:
     """Parse an expression; raises ExprError with a byte offset on failure."""
     if not text.strip():
         raise ExprError(0, "empty expression")
-    return FieldExpr(_Parser(_tokenize(text)).parse(), text)
+    return FieldExpr(_Parser(_tokenize(text)).parse())

@@ -46,7 +46,6 @@ __all__ = [
     "SpaceSpec",
     "DoublingReport",
     "build_space",
-    "ball_measure",
     "doubling_constant",
     "save_space",
     "load_space",
@@ -455,12 +454,7 @@ class MetricMeasureSpace:
         return f"MetricMeasureSpace({self.name!r}, n={self.n}, mass={self.total_mass:.6g})"
 
 
-# -- public query wrappers ----------------------------------------------------
-
-
-def ball_measure(space: MetricMeasureSpace, x: int, r: float) -> float:
-    """Mass of the closed ball {y : d(x, y) <= r}."""
-    return space.ball_mass(x, r)
+# -- doubling -----------------------------------------------------------------
 
 
 def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:

@@ -543,7 +543,6 @@ def two_sided_report(
     kernel: KernelSpec,
     s_grid: Sequence[float] | None = None,
     refine_field=None,
-    check_refinement: bool = True,
 ) -> VerificationReport:
     """Extrapolated limit over local-slope energy, bounded and mesh-stable.
 
@@ -576,7 +575,7 @@ def two_sided_report(
         report.add({"ratio": name}, value, hi, ok=inside, note=f"window [{lo}, {hi}]")
     report.constants.update(ratios)
 
-    refined = _refine(space, refine_field, report) if check_refinement else None
+    refined = _refine(space, refine_field, report)
     if refined is not None:
         refined_ratios = ratios_on(refined, refine_field(refined))
         for name, a in ratios.items():

@@ -163,7 +163,7 @@ def test_a03_circle_measured_kernel():
     crit.within("extrapolated bbm limit", limit, math.pi / 2, 0.05)
     energy, _ = cheeger_surrogate(sp, u, 2.0, scheme="centered")
     crit.within("local-slope energy", energy, math.pi, 0.01)
-    report = two_sided_report(sp, u, 2.0, RHO1, s_grid=S_GRID, check_refinement=False)
+    report = two_sided_report(sp, u, 2.0, RHO1, s_grid=S_GRID)
     crit.within("R_bbm ratio", report.constants["R_bbm"], 0.5, 0.10)
     crit.conclude()
 

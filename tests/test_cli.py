@@ -66,6 +66,14 @@ class TestGen:
         assert result.output == "error: gauge_grid needs a 2d body, got dim 3\n"
         assert not out.exists()
 
+    def test_gen_gauge_grid_non_finite_body_exit_2(self, runner, tmp_path):
+        out = tmp_path / "x"
+        result = invoke(runner, ["gen", "--spec", "gauge_grid:4:ellipse:nan:1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "ellipse semi-axes must be positive and finite" in result.output
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("rows", ["0,1,1\n1,2,1\n0,1,1\n", "0,1,1\n1,2,1\n1,0,3\n",
                                       "0,1,1\n1,2,1\n1,1,1\n"])
     def test_gen_graph_pair_listed_twice_or_self_loop_exit_2(self, runner, tmp_path, rows):
@@ -676,6 +684,22 @@ class TestConstants:
             result = invoke(runner, ["constants", *args])
         assert result.exit_code == 2
         assert result.output.startswith("error: coordinates must be finite")
+        assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--kpn", "inf", "2"],
+        ["--zstar", "square", "inf", "1,0"],
+    ])
+    def test_infinite_exponent_exit_2(self, runner, args):
+        result = invoke(runner, ["constants", *args])
+        assert result.exit_code == 2
+        assert result.output == "error: exponent p must be >= 1 and finite, got inf\n"
+
+    @pytest.mark.parametrize("body", ["ellipse:nan:1", "ellipse:inf:1"])
+    def test_non_finite_semi_axis_exit_2(self, runner, body):
+        result = invoke(runner, ["constants", "--gauge", body, "1,0", "0,0"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ellipse semi-axes must be positive and finite")
         assert result.output.count("\n") == 1
 
 

@@ -36,6 +36,13 @@ class TestKpn:
         with pytest.raises(ValueError):
             k_pn(0.5, 2)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_exponent(self, p):
+        with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+            k_pn(p, 2)
+        with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+            zstar_norm(parse_body("square"), p, (1.0, 0.0))
+
 
 class TestZstar:
     def test_disk(self):
@@ -147,6 +154,19 @@ class TestGauge:
             ConvexBody(
                 "polygon", vertices=((1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
             )
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+    def test_ellipse_semi_axis_outside_open_half_line_rejected(self, a):
+        with pytest.raises(BodyError, match="semi-axes must be positive and finite"):
+            ConvexBody("ellipse", a=a, b=1.0)
+        with pytest.raises(BodyError, match="semi-axes must be positive and finite"):
+            ConvexBody("ellipse", a=1.0, b=a)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_polygon_vertex_rejected(self, bad):
+        verts = ((1.0, -1.0), (1.0, bad), (-1.0, 1.0), (-1.0, -1.0))
+        with pytest.raises(BodyError, match="vertices must be finite"):
+            ConvexBody("polygon", vertices=verts)
 
     def test_parse_errors(self):
         with pytest.raises(BodyError):

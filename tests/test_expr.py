@@ -7,7 +7,7 @@ from nsl.expr import BinOp, Call, ExprError, Neg, Num, Var, parse_field_expr
 
 
 def random_tree(rng, depth=0):
-    """Random expression tree over x, y for round-trip and evaluator tests."""
+    """Random expression tree over x, y for evaluator tests."""
     choices = ["num", "var"]
     if depth < 4:
         choices += ["bin", "bin", "neg", "call"]
@@ -57,6 +57,15 @@ class TestEvaluation:
         assert parse_field_expr("2+3*4").evaluate_at([0.0]) == 14.0
         assert parse_field_expr("(2+3)*4").evaluate_at([0.0]) == 20.0
 
+    def test_left_associative(self):
+        assert parse_field_expr("8-4-2").evaluate_at([0.0]) == 2.0
+        assert parse_field_expr("8/4/2").evaluate_at([0.0]) == 1.0
+        assert parse_field_expr("2-3+4").evaluate_at([0.0]) == 3.0
+
+    def test_unary_minus_in_products(self):
+        assert parse_field_expr("2*-x").evaluate_at([3.0]) == -6.0
+        assert parse_field_expr("-x*-x").evaluate_at([3.0]) == 9.0
+
     def test_min_max(self):
         assert parse_field_expr("min(x, 0.5)").evaluate_at([0.9]) == 0.5
         assert parse_field_expr("max(x, 0.5)").evaluate_at([0.9]) == 0.9
@@ -72,34 +81,13 @@ class TestEvaluation:
             text = None
             from nsl.expr import FieldExpr
 
-            expr = FieldExpr(tree, "generated")
+            expr = FieldExpr(tree)
             with np.errstate(all="ignore"):
                 vec = expr.evaluate(coords)
                 pointwise = np.array([expr.evaluate_at(c) for c in coords])
             both_finite = np.isfinite(vec) & np.isfinite(pointwise)
             assert np.array_equal(np.isfinite(vec), np.isfinite(pointwise))
             assert vec[both_finite] == pytest.approx(pointwise[both_finite], rel=1e-12)
-
-
-class TestRoundTrip:
-    def test_parse_print_parse_identity(self):
-        rng = np.random.default_rng(23)
-        from nsl.expr import FieldExpr
-
-        for _ in range(100):
-            tree = random_tree(rng)
-            printed = FieldExpr(tree, "generated").to_string()
-            reparsed = parse_field_expr(printed)
-            assert reparsed.root == tree, printed
-
-    @pytest.mark.parametrize(
-        "text",
-        ["x", "sin(2*pi*x)", "x^2+y", "-x", "min(x, max(y, 0.25))", "x/(y+2)", "2^-x"],
-    )
-    def test_common_expressions(self, text):
-        expr = parse_field_expr(text)
-        again = parse_field_expr(expr.to_string())
-        assert again == expr
 
 
 class TestErrors:
@@ -161,18 +149,3 @@ class TestDeepNesting:
     def test_moderate_depth_still_evaluates(self, text, factor):
         x = np.array([[0.25], [0.5]])
         assert parse_field_expr(text).evaluate(x) == pytest.approx(factor * x[:, 0], rel=1e-15)
-
-    DEEP_SUM = "x" + "+x" * 1000
-
-    def test_deep_to_string_is_an_expr_error(self):
-        with pytest.raises(ExprError, match="nested too deeply"):
-            parse_field_expr(self.DEEP_SUM).to_string()
-
-    def test_deep_repr_falls_back_to_source(self):
-        assert repr(parse_field_expr(self.DEEP_SUM)) == f"FieldExpr({self.DEEP_SUM!r})"
-
-    def test_deep_equality_never_raises(self):
-        tree = parse_field_expr(self.DEEP_SUM)
-        assert tree == parse_field_expr(self.DEEP_SUM)
-        assert tree != parse_field_expr(self.DEEP_SUM + "+x")
-        assert tree != parse_field_expr("x" + "-x" * 1000)

@@ -18,7 +18,6 @@ from nsl import (
     ScalarField,
     SpaceError,
     SpaceSpec,
-    ball_measure,
     bbm_sweep,
     build_space,
     doubling_constant,
@@ -326,30 +325,30 @@ class TestSpecParse:
 class TestBallMeasure:
     def test_circle4_ball(self):
         sp = build_space(SpaceSpec("circle", n=4))
-        assert ball_measure(sp, 0, math.pi / 2) == pytest.approx(3 * math.pi / 2)
+        assert sp.ball_mass(0, math.pi / 2) == pytest.approx(3 * math.pi / 2)
 
     def test_zero_radius_is_own_weight(self, two_point):
-        assert ball_measure(two_point, 0, 0.0) == 0.5
+        assert two_point.ball_mass(0, 0.0) == 0.5
 
     def test_full_radius_is_total_mass(self, circle64):
-        assert ball_measure(circle64, 3, circle64.diameter) == pytest.approx(
+        assert circle64.ball_mass(3, circle64.diameter) == pytest.approx(
             circle64.total_mass
         )
 
     def test_unknown_point(self, two_point):
         with pytest.raises(SpaceError, match="unknown point"):
-            ball_measure(two_point, 5, 1.0)
+            two_point.ball_mass(5, 1.0)
 
     def test_negative_radius(self, two_point):
         with pytest.raises(SpaceError):
-            ball_measure(two_point, 0, -0.1)
+            two_point.ball_mass(0, -0.1)
 
     @pytest.mark.parametrize("r", [math.nan, -0.1])
     def test_nan_or_negative_radius_rejected_everywhere(self, r):
         sp = build_space(SpaceSpec("circle", n=16))
         u = ScalarField(np.sin(sp.coords[:, 0]))
         with pytest.raises(SpaceError, match="radius"):
-            ball_measure(sp, 0, r)
+            sp.ball_mass(0, r)
         with pytest.raises(SpaceError, match="radius"):
             sp.ball_masses(r)
         with pytest.raises(ValueError, match="scale t"):
@@ -404,12 +403,12 @@ class TestBallMeasure:
         x = 17
         realized = np.unique(interval128.dist[x])
         radii = np.sort(np.concatenate([realized, realized[1:] * 0.99, realized + 1e-9]))
-        masses = [ball_measure(interval128, x, r) for r in radii]
+        masses = [interval128.ball_mass(x, r) for r in radii]
         assert all(b >= a for a, b in zip(masses, masses[1:]))
         # value just below a realized distance excludes it, at it includes it
         d = realized[3]
-        below = ball_measure(interval128, x, d * (1 - 1e-12))
-        at = ball_measure(interval128, x, d)
+        below = interval128.ball_mass(x, d * (1 - 1e-12))
+        at = interval128.ball_mass(x, d)
         assert at > below
 
 
@@ -419,7 +418,7 @@ class TestDoubling:
         assert rep.c_d_hat == pytest.approx(3.0)
         x, r = rep.witness
         sp = build_space(SpaceSpec("circle", n=8))
-        assert ball_measure(sp, x, 2 * r) / ball_measure(sp, x, r) == pytest.approx(3.0)
+        assert sp.ball_mass(x, 2 * r) / sp.ball_mass(x, r) == pytest.approx(3.0)
 
     def test_single_pair_brute_force(self):
         dist = np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -455,7 +454,7 @@ class TestDoubling:
         rep = doubling_constant(sp)
         dense = np.linspace(1e-6, 1.5, 4001)
         worst = max(
-            ball_measure(sp, i, 2 * r) / ball_measure(sp, i, r)
+            sp.ball_mass(i, 2 * r) / sp.ball_mass(i, r)
             for i in range(9)
             for r in dense
         )

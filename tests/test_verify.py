@@ -344,8 +344,7 @@ class TestTwoSided:
     def test_interval_window(self):
         sp = build_space(SpaceSpec("interval", n=256))
         rep = two_sided_report(
-            sp, ScalarField(sp.coords[:, 0]), 2.0, KernelSpec("ahlfors", 1.0),
-            check_refinement=False,
+            sp, ScalarField(sp.coords[:, 0]), 2.0, KernelSpec("ahlfors", 1.0)
         )
         assert rep.passed
         assert 0.05 <= rep.constants["R_bbm"] <= 20.0
