@@ -77,6 +77,10 @@ class ConvexBody:
                 raise BodyError(
                     f"ellipse semi-axes must be positive and finite, got ({self.a},{self.b})"
                 )
+            with np.errstate(over="ignore"):
+                if not np.all(np.isfinite(self.gauge(np.eye(2)))):  # 1/a, 1/b or their squares
+                    raise BodyError(f"ellipse semi-axes ({self.a},{self.b}) are so small "
+                                    "that the gauge overflows")
         elif self.kind == "polygon":
             self._validate_polygon()
         else:
@@ -89,10 +93,14 @@ class ConvexBody:
         if not np.all(np.isfinite(verts)):
             raise BodyError("polygon vertices must be finite")
         rolled = np.roll(verts, -1, axis=0)
-        cross = verts[:, 0] * rolled[:, 1] - verts[:, 1] * rolled[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = verts[:, 0] * rolled[:, 1] - verts[:, 1] * rolled[:, 0]
+            normals, offsets = self._polygon_facets()
+        if not np.all(np.isfinite(cross) & np.isfinite(offsets)):
+            raise BodyError("polygon vertices are so large that the cross products or the "
+                            "facet offsets overflow")
         if np.any(cross <= 0):
             raise BodyError("polygon vertices must be in counterclockwise convex position")
-        normals, offsets = self._polygon_facets()
         if np.any(offsets <= 0):
             raise BodyError("origin must be strictly interior to the polygon")
         # symmetric iff every reflected vertex sits on the boundary

@@ -18,6 +18,8 @@ wrapped offset), and the Ahlfors kernel alone on the interval.
 
 One builder, _kernel_rows, with one branch per kernel kind, serves both
 kernel_matrix (all rows) and kernel_row (row 0), so the two agree bitwise.
+rho1 is what the ball index's sort gathers (space.pair_ball_masses), so no
+kernel runs a per-row search or sorts a distance row a second time.
 
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.
@@ -119,24 +121,31 @@ def _combine(kind: str, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
 def _kernel_rows(space, spec: KernelSpec, rows: int) -> np.ndarray:
     """Rows 0..rows of the kernel matrix (rows is space.n or 1), read-only, NaN on the diagonal.
 
-    The whole matrix reads space.dist, which the ball index holds already; a combination
-    kernel combines rho1's cached matrix with its transpose, or rho1's cached row 0 with its
-    column 0, mu(B(y, d(y, 0))), one ball query per point.
+    rho1 is the ball index's own gather of mu(B(x, d(x, y))) (space.pair_ball_masses); on a
+    circle or a torus, whose index is row 0 alone, the matrix is the lattice windows of that
+    row. A combination kernel combines rho1's cached matrix with its transpose, or rho1's
+    row 0 with its column 0, mu(B(y, d(y, 0))): on a wrapped lattice row 0 itself, as the
+    distances there are symmetric in the offset, bitwise.
     """
     whole = rows == space.n
-    if spec.kind in ("rho1", "ahlfors"):
-        dist = space.dist if whole else space.dist_rows(0, rows)
-        out = space.ball_mass_rows(0, rows, dist) if spec.kind == "rho1" else dist**spec.exponent
+    if spec.kind == "rho1":
+        masses = space.pair_ball_masses()
+        if rows <= len(masses):
+            return masses[:rows]
+        shape = space.index_lattice()[0]  # the row entry of each signed offset, wrapped
+        at = np.ravel_multi_index([k % m for k, m in zip(_lattice_offsets(shape), shape)], shape)
+        out = _lattice_rows(masses[0, at], 0, rows)
+    elif spec.kind == "ahlfors":
+        out = (space.dist if whole else space.dist_rows(0, rows)) ** spec.exponent
     elif spec.kind == "gauge-ahlfors":
         out = _gauge_pow_rows(space, spec.body, spec.exponent, rows)
     elif whole:
         r1 = kernel_matrix(space, KernelSpec("rho1"))
         out = _combine(spec.kind, r1, r1.T)
     else:
-        # an index lattice's distances are symmetric in the offset, bitwise
-        radii = space.dist_rows(0, 1).T if space.index_lattice() else space.dist[:, :1]
-        column = space.ball_mass_rows(0, space.n, radii).T
-        out = _combine(spec.kind, kernel_row(space, KernelSpec("rho1"))[None, :], column)
+        masses = space.pair_ball_masses()
+        column = masses[:1] if len(masses) == 1 else masses[:, :1].T
+        out = _combine(spec.kind, masses[:1], column)
     np.fill_diagonal(out, np.nan)
     out.setflags(write=False)
     return out

@@ -2,11 +2,13 @@
 
 A space is a finite set of points with a symmetric distance matrix, one
 positive weight per point (the measure of that atom), and a per-point
-distance-sorted ball index for O(log n) closed-ball mass queries. A generator
-space (interval, circle, torus, gauge grid, Sierpinski gasket) keeps its
-distances in closed form, a lattice table over signed index offsets or an edge
-list, and builds the matrix on the first read of its whole; readers of row 0,
-of a row block or of single pairs take them from the table without it.
+distance-sorted ball index for O(log n) closed-ball mass queries. The sort that
+builds the index also gathers mu(B(x, d(x, y))) for every pair, the rho1 kernel,
+so no distance row is ever sorted twice. A generator space (interval, circle,
+torus, gauge grid, Sierpinski gasket) keeps its distances in closed form: a
+lattice table over signed index offsets, or the gasket's three-copy recursion,
+and builds the matrix on the first read of its whole; readers of row 0, of a
+row block or of single pairs take a lattice's from its table without it.
 
 Balls are closed everywhere: B(x, r) = {y : d(x, y) <= r}. The theory of
 doubling measures on finite spaces needs atoms counted consistently, and the
@@ -389,27 +391,27 @@ class MetricMeasureSpace:
 
     # -- ball index ----------------------------------------------------------
 
-    def _ball_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rows of the per-point sorted distances and prefix-summed masses.
+    def _ball_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct rows of the ball index, _rank_rows of dist: sorted distances, prefix
+        masses and pair ball masses, built once and cached.
 
-        Ties are broken by ascending point id (stable sort), so the index is
-        deterministic. prefix[i, k] is the mass of the k+1 points nearest to
-        any point of row i. On a wrapped lattice (circle, torus) every row of
-        dist is a permutation of row 0 and all weights are equal, so the index
-        is row 0's alone, (1, n); elsewhere it is (n, n). Point x reads row
-        x % len(rows). Both arrays are read-only.
+        On a wrapped lattice (circle, torus) every row of dist is a
+        permutation of row 0 and all weights are equal, so the index is row
+        0's alone, (1, n); elsewhere it is (n, n). Point x reads row
+        x % len(rows).
         """
 
-        def build() -> tuple[np.ndarray, np.ndarray]:
+        def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             lattice = self.index_lattice()
             rows = self.dist_rows(0, 1) if lattice is not None and lattice[1] else self.dist
-            order = np.argsort(rows, axis=1, kind="stable")
-            index = np.take_along_axis(rows, order, axis=1), np.cumsum(self.weights[order], axis=1)
-            for arr in index:
-                arr.setflags(write=False)
-            return index
+            return _rank_rows(rows, self.weights)
 
         return self.cache("ball_index", build)
+
+    def pair_ball_masses(self) -> np.ndarray:
+        """mu(B(x, d(x, y))) for each row x of the ball index and every point y, NaN where y
+        is x: the rho1 kernel, read-only, gathered by the index's own sort."""
+        return self._ball_index()[2]
 
     def ball_mass(self, x: int, r: float) -> float:
         """Mass of the closed ball B(x, r)."""
@@ -417,7 +419,7 @@ class MetricMeasureSpace:
             raise SpaceError(f"unknown point id {x}")
         if not r >= 0:  # NaN fails too
             raise SpaceError(f"radius must be >= 0, got {r}")
-        sorted_d, prefix = (rows[x % len(rows)] for rows in self._ball_index())
+        sorted_d, prefix, _ = (rows[x % len(rows)] for rows in self._ball_index())
         k = int(np.searchsorted(sorted_d, r, side="right"))
         return 0.0 if k == 0 else float(prefix[k - 1])
 
@@ -427,7 +429,7 @@ class MetricMeasureSpace:
             raise SpaceError(f"radius must be >= 0, got {r}")
         key = ("ball_masses", float(r))
         if key not in self._cache:
-            sorted_d, prefix = self._ball_index()
+            sorted_d, prefix, _ = self._ball_index()
             counts = np.sum(sorted_d <= r, axis=1)
             counts = np.maximum(counts, 1)  # diagonal 0 <= r for r >= 0
             # one mass per row, repeated for every point if the index is one row
@@ -436,15 +438,6 @@ class MetricMeasureSpace:
             self._cache[key] = masses
         return self._cache[key]
 
-    def ball_mass_rows(self, a: int, b: int, radii: np.ndarray) -> np.ndarray:
-        """mu(B(x, radii[x - a, j])) for rows a..b; radii has one row per point, any length."""
-        sorted_d, prefix = self._ball_index()
-        out = np.empty_like(radii)
-        for i, row in enumerate(np.arange(a, b) % len(sorted_d)):
-            k = np.searchsorted(sorted_d[row], radii[i], side="right")
-            out[i] = np.where(k > 0, prefix[row, np.maximum(k, 1) - 1], 0.0)
-        return out
-
     def cache(self, key: Any, build) -> Any:
         if key not in self._cache:
             self._cache[key] = build()
@@ -452,6 +445,40 @@ class MetricMeasureSpace:
 
     def __repr__(self) -> str:
         return f"MetricMeasureSpace({self.name!r}, n={self.n}, mass={self.total_mass:.6g})"
+
+
+def _rank_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ball index of the distance rows of points 0..len(rows): each row sorted, the
+    prefix-summed masses in that order, and mu(B(x, d(x, y))) back in point order, NaN
+    where y is x. All three are read-only.
+
+    Ties are broken by ascending point id (stable sort), so the index is
+    deterministic; prefix[x, k] is the mass of the k+1 points nearest to x.
+    The mass of B(x, d(x, y)) is prefix[x, e], where e is the last sorted
+    position of y's tie group, the entry that searchsorted(side="right") - 1
+    finds. As prefix never falls along a row, that is the least prefix entry
+    at a group's last position from y's position on: a reversed running
+    minimum, put back in point order. Rows are taken in blocks of n/16, so
+    the temporaries of one block, its sort order among them, stay near a
+    fifth of an n x n matrix.
+    """
+    m, n = rows.shape
+    sorted_d, prefix, masses = (np.empty((m, n)) for _ in range(3))
+    step = max(1, n // 16)
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        order = np.argsort(rows[a:b], axis=1, kind="stable")
+        sorted_d[a:b] = np.take_along_axis(rows[a:b], order, axis=1)
+        np.cumsum(weights[order], axis=1, out=prefix[a:b])
+        last = np.ones(order.shape, dtype=bool)  # the last position of each tie group
+        np.greater(sorted_d[a:b, 1:], sorted_d[a:b, :-1], out=last[:, :-1])
+        block = np.where(last, prefix[a:b], np.inf)
+        np.minimum.accumulate(block[:, ::-1], axis=1, out=block[:, ::-1])
+        np.put_along_axis(masses[a:b], order, block, axis=1)
+    np.fill_diagonal(masses, np.nan)
+    for arr in (sorted_d, prefix, masses):
+        arr.setflags(write=False)
+    return sorted_d, prefix, masses
 
 
 # -- doubling -----------------------------------------------------------------
@@ -471,7 +498,7 @@ def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
         raise SpaceError("doubling constant needs at least two points")
 
     def work() -> tuple[float, int, float]:
-        sorted_d, prefix = space._ball_index()
+        sorted_d, prefix, _ = space._ball_index()
         best = 1.0
         best_x, best_r = 0, 0.0
         for x in range(len(sorted_d)):
@@ -606,12 +633,62 @@ def _graph(edges: Sequence[tuple[int, int, float]]) -> MetricMeasureSpace:
     )
 
 
+def _gasket_level(bary: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Hop counts between the gasket vertices bary (integer barycentric coordinates summing
+    to 2h), in bary's order, from sub, those of its copy 0 in that copy's order.
+
+    Copy a holds the vertices with bary[a] >= h, a gasket of side h whose corner c is at
+    h e_c once h e_a is taken off, so copies a and b meet at m_ab, corner b of copy a and
+    corner a of copy b. Within a copy, hops are the copy's own; for u in copy a and v in
+    copy b, with c the third copy, a path leaves copy a at m_ab or at m_ac, so
+    d(u, v) = min(d_a(u, m_ab) + d_b(m_ab, v), d_a(u, m_ac) + h + d_b(m_bc, v)).
+    A junction lies in two copies and is written twice, with equal values.
+    """
+    h = int(bary[0].sum()) // 2
+    copies = [np.flatnonzero(bary[:, a] >= h) for a in range(3)]
+    local = [bary[ids, :2] - h * np.eye(3, dtype=np.int64)[a, :2] for a, ids in enumerate(copies)]
+    row = np.empty((h + 1, h + 1), dtype=np.int64)  # copy 0's row of each local (x, y)
+    row[tuple(local[0].T)] = np.arange(len(copies[0]))
+    local = [row[tuple(xy.T)] for xy in local]
+    to_corner = sub[:, row[(h, 0, 0), (0, h, 0)]].T  # hops to corners 0, 1 and 2
+    out = np.empty((len(bary), len(bary)))
+    for a, b in np.ndindex(3, 3):
+        la, lb, c = local[a], local[b], 3 - a - b
+        if a == b:
+            block = sub[np.ix_(la, la)]
+        else:
+            block = to_corner[b, la, None] + to_corner[a, lb]
+            np.minimum(block, to_corner[c, la, None] + (h + to_corner[c, lb]), out=block)
+        out[np.ix_(copies[a], copies[b])] = block
+    return out
+
+
+def _gasket_distances(bary: np.ndarray) -> np.ndarray:
+    """Geodesic distances of the level-L gasket graph on the vertices bary (integer
+    barycentric coordinates summing to 2^L), unit edges scaled by 2^-L, in bary's order.
+
+    Hop counts by the three-copy recursion (_gasket_level), from the three corners of
+    level 0 up through the copy-0 gaskets of each level, then scaled once: exact, so
+    bitwise the distances a graph search finds.
+    """
+    chain = [bary]
+    while chain[-1][0].sum() > 1:
+        h = int(chain[-1][0].sum()) // 2
+        chain.append(chain[-1][chain[-1][:, 0] >= h] - (h, 0, 0))
+    hops = 1.0 - np.eye(3)
+    for level in reversed(chain[:-1]):
+        hops = _gasket_level(level, hops)
+    hops *= 1.0 / bary[0].sum()
+    return hops
+
+
 def _sierpinski(level: int) -> MetricMeasureSpace:
     """Level-m gasket graph: unit edges scaled by 2^-level, uniform mass 1.
 
     Vertices carry exact integer barycentric coordinates summing to 2^level,
     so midpoint identification is exact. Distance is the intrinsic graph
-    geodesic on the level graph, found on the first read of dist.
+    geodesic on the level graph, found on the first read of dist by the
+    three-copy recursion (_gasket_distances), not by a graph search.
     """
     scale = 2**level
     tris = [((scale, 0, 0), (0, scale, 0), (0, 0, scale))]
@@ -635,19 +712,17 @@ def _sierpinski(level: int) -> MetricMeasureSpace:
             edge_set.add((min(i, j), max(i, j)))
 
     n = len(ids)
-    edge_len = 1.0 / scale
-    edges = [(i, j, edge_len) for i, j in sorted(edge_set)]
     weights = np.full(n, 1.0 / n)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-    bary = np.array([v for v, _ in sorted(ids.items(), key=lambda kv: kv[1])], dtype=float)
+    bary = np.array(list(ids), dtype=np.int64)  # in id order: a dict keeps insertion order
     coords = bary @ corners / scale
     return MetricMeasureSpace._generated(
         weights,
-        build=lambda: _graph_distances(n, edges),
+        build=lambda: _gasket_distances(bary),
         coords=coords,
         name=f"sierpinski({level})",
         metric={"type": "geodesic", "params": {"generator": "sierpinski", "level": level}},
-        edges=np.array([(i, j) for i, j, _ in edges], dtype=np.int64),
+        edges=np.array(sorted(edge_set), dtype=np.int64),
     )
 
 

@@ -25,18 +25,29 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def count_graph_builds(monkeypatch, pause: float = 0.0) -> list[int]:
-    """Count the calls of space._graph_distances (each after a pause, if one is given)."""
+def count_gasket_builds(monkeypatch, pause: float = 0.0) -> list[int]:
+    """Count the calls of space._gasket_distances (each after a pause, if one is given)."""
     calls = []
-    build = nsl.space._graph_distances
+    build = nsl.space._gasket_distances
 
     def counted(*args):
         calls.append(1)
         time.sleep(pause)
         return build(*args)
 
-    monkeypatch.setattr(nsl.space, "_graph_distances", counted)
+    monkeypatch.setattr(nsl.space, "_gasket_distances", counted)
     return calls
+
+
+def ball_mass_rows(space: MetricMeasureSpace, radii: np.ndarray) -> np.ndarray:
+    """mu(B(x, radii[x, j])) for every point x, one searchsorted per row of the ball index:
+    the per-row lookup that the index's gather replaces."""
+    sorted_d, prefix, _ = space._ball_index()
+    out = np.empty_like(radii)
+    for x, row in enumerate(np.arange(space.n) % len(sorted_d)):
+        k = np.searchsorted(sorted_d[row], radii[x], side="right")
+        out[x] = np.where(k > 0, prefix[row, np.maximum(k, 1) - 1], 0.0)
+    return out
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from nsl.cli import main, parse_grid, parse_space_spec
 from nsl.kernels import KERNEL_KINDS
 from nsl.verify import CHECKS
 
-from conftest import ball_loop_s, count_graph_builds, matrix_file_space
+from conftest import ball_loop_s, count_gasket_builds, matrix_file_space
 
 
 @pytest.fixture
@@ -103,7 +103,7 @@ class TestGen:
         from nsl import load_space
 
         out = tmp_path / "s6.space"
-        calls = count_graph_builds(monkeypatch)
+        calls = count_gasket_builds(monkeypatch)
         result = invoke(runner, ["gen", "--spec", "sierpinski:6", "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert not calls
@@ -701,6 +701,29 @@ class TestConstants:
         assert result.exit_code == 2
         assert result.output.startswith("error: ellipse semi-axes must be positive and finite")
         assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("body, message", [
+        ("ellipse:1e-320:1", "error: ellipse semi-axes (1e-320,1.0) are so small"),
+        ("ellipse:1:1e-300", "error: ellipse semi-axes (1.0,1e-300) are so small"),
+        ("polygon:1e200,-1e200;1e200,1e200;-1e200,1e200;-1e200,-1e200",
+         "error: polygon vertices are so large"),
+    ])
+    def test_overflowing_body_exit_2(self, runner, body, message):
+        """A finite body whose gauge overflows gives no metric: once inf or 0.0 at exit 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            result = invoke(runner, ["constants", "--gauge", body, "1,0", "0,0"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(message) and result.output.count("\n") == 1
+
+    def test_overflowing_body_writes_no_space(self, runner, tmp_path):
+        out = tmp_path / "F"
+        result = invoke(runner, ["gen", "--spec", "gauge_grid:4:ellipse:1e-320:1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: bad space spec 'gauge_grid:4:ellipse:1e-320:1': "
+                                        "ellipse semi-axes (1e-320,1.0) are so small")
+        assert result.output.count("\n") == 1
+        assert not out.exists()
 
 
 # -- fuzzing: malformed input exits 2 without a traceback ------------------------

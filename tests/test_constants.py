@@ -162,6 +162,27 @@ class TestGauge:
         with pytest.raises(BodyError, match="semi-axes must be positive and finite"):
             ConvexBody("ellipse", a=1.0, b=a)
 
+    @pytest.mark.parametrize("a", [1e-320, 1e-300, 1e-155])
+    def test_ellipse_whose_gauge_overflows_rejected(self, a):
+        """1/a overflows, or its square does: the gauge of a unit vector would be inf."""
+        for axes in ((a, 1.0), (1.0, a)):
+            with pytest.raises(BodyError, match="so small that the gauge overflows"):
+                ConvexBody("ellipse", a=axes[0], b=axes[1])
+
+    def test_smallest_ellipse_whose_gauge_is_finite_accepted(self):
+        body = ConvexBody("ellipse", a=1e-150, b=1.0)
+        assert body.gauge(np.array([1.0, 0.0])) == pytest.approx(1e150)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e160, 1e308])
+    def test_polygon_whose_facets_overflow_rejected(self, scale):
+        verts = tuple((scale * x, scale * y) for x, y in ((1, -1), (1, 1), (-1, 1), (-1, -1)))
+        with pytest.raises(BodyError, match="cross products or the facet offsets overflow"):
+            ConvexBody("polygon", vertices=verts)
+
+    def test_large_polygon_whose_facets_are_finite_accepted(self):
+        verts = tuple((1e150 * x, 1e150 * y) for x, y in ((1, -1), (1, 1), (-1, 1), (-1, -1)))
+        assert ConvexBody("polygon", vertices=verts).gauge(np.array([1e150, 0.0])) == 1.0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_polygon_vertex_rejected(self, bad):
         verts = ((1.0, -1.0), (1.0, bad), (-1.0, 1.0), (-1.0, -1.0))

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import nsl.space
+
 from nsl import (BodyError, ConvexBody, KernelSpec, MetricMeasureSpace, SpaceSpec, build_space,
-                 kernel_comparability, parse_body)
+                 doubling_constant, kernel_comparability, load_space, parse_body, save_space)
 from nsl.kernels import kernel_matrix, kernel_row
 
-from conftest import HEXAGON, random_space, traced_peak
+from conftest import HEXAGON, ball_mass_rows, random_space, traced_peak
 
 
 def brute_rho1(space):
@@ -199,19 +201,19 @@ class TestKernelReuse:
     @pytest.mark.parametrize("kind", ["rho2", "sum", "geom", "harm"])
     @pytest.mark.parametrize("space", ["interval:65", "sierpinski:3"])
     def test_combination_builds_rho1_once(self, monkeypatch, space, kind):
-        """One n-row ball query builds rho1, which stays cached; the combination reads its
-        transpose."""
+        """One sort of the n distance rows builds the ball index and rho1, which stays cached;
+        the combination reads its transpose."""
         calls = []
-        ball_mass_rows = MetricMeasureSpace.ball_mass_rows
+        rank_rows = nsl.space._rank_rows
 
-        def spy(self, a, b, radii):
-            calls.append((a, b, radii.shape))
-            return ball_mass_rows(self, a, b, radii)
+        def spy(rows, weights):
+            calls.append(rows.shape)
+            return rank_rows(rows, weights)
 
-        monkeypatch.setattr(MetricMeasureSpace, "ball_mass_rows", spy)
+        monkeypatch.setattr(nsl.space, "_rank_rows", spy)
         sp = build_space(SpaceSpec.parse(space))
         kernel_matrix(sp, KernelSpec(kind))
-        assert calls == [(0, sp.n, (sp.n, sp.n))]
+        assert calls == [(sp.n, sp.n)]
         assert ("kernel", "rho1") in sp._cache
         kernel_matrix(sp, KernelSpec("rho1"))
         assert len(calls) == 1
@@ -223,6 +225,86 @@ class TestKernelReuse:
         sp = build_space(SpaceSpec.parse(space))
         _, peak = traced_peak(lambda: kernel_matrix(sp, KernelSpec("rho1")))
         assert peak <= 5.5 * 8 * sp.n**2
+
+
+# Tie-heavy spaces for the rho1 gather; "+w" marks a generator's distances as a matrix
+# space with random unequal weights.
+GATHER_GENERATORS = ["sierpinski:3", "sierpinski:4", "sierpinski:5", "sierpinski:6",
+                     "gauge_grid:16:square", f"gauge_grid:9:{HEXAGON}", "interval:257:0.5",
+                     "circle:33", "torus2d:7x13", "torus2d:16x16"]
+GATHER_SPACES = GATHER_GENERATORS + [f"{g}+w" for g in GATHER_GENERATORS] + ["graph", "matrix file"]
+
+
+def gather_space(name: str, tmp_path) -> MetricMeasureSpace:
+    """A fresh space of GATHER_SPACES. The graph file has edge lengths 1 and 2 only; the
+    hand-made matrix file has distances 1 within blocks of four points and 2 across them,
+    and random weights."""
+    rng = np.random.default_rng(7)
+    if name == "graph":
+        path = tmp_path / "g.csv"
+        path.write_text("".join(f"{i},{i + 1},{1 + i % 2}\n{i},{(i + 5) % 30},2\n"
+                                for i in range(29)))
+        return build_space(SpaceSpec.parse(f"graph:{path}"))
+    if name == "matrix file":
+        blocks = np.arange(24) // 4
+        dist = np.where(blocks[:, None] == blocks[None, :], 1.0, 2.0)
+        np.fill_diagonal(dist, 0.0)
+        path = tmp_path / "m.space"
+        save_space(MetricMeasureSpace(dist, rng.uniform(0.5, 1.5, 24)), path)
+        return load_space(path)
+    sp = build_space(SpaceSpec.parse(name.removesuffix("+w")))
+    if name.endswith("+w"):
+        return MetricMeasureSpace(sp.dist, rng.uniform(0.5, 1.5, sp.n))
+    return sp
+
+
+class TestRho1Gather:
+    """rho1 is gathered from the ball index's sort: no per-row search, no second sort."""
+
+    @pytest.mark.parametrize("name", GATHER_SPACES)
+    def test_gather_is_the_per_row_search(self, name, tmp_path):
+        """Bitwise one searchsorted per row of the ball index at the row's own distances, in
+        the whole matrix and in row 0."""
+        sp = gather_space(name, tmp_path)
+        want = ball_mass_rows(sp, sp.dist)
+        np.fill_diagonal(want, np.nan)
+        assert kernel_matrix(sp, KernelSpec("rho1")).tobytes() == want.tobytes()
+        sp = gather_space(name, tmp_path)
+        assert kernel_row(sp, KernelSpec("rho1")).tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("name", ["circle:33", "torus2d:7x13", "torus2d:64x64"])
+    def test_wrapped_lattice_reads_no_distance_matrix(self, name):
+        """On circle and torus the matrix is the lattice windows of the one-row index's row."""
+        sp = build_space(SpaceSpec.parse(name))
+        rho = kernel_matrix(sp, KernelSpec("rho1"))
+        assert sp._dist is None and not rho.flags.writeable
+        assert np.all(np.isnan(np.diagonal(rho)))
+
+    @pytest.mark.parametrize("first", ["kernel", "ball_masses", "doubling"])
+    @pytest.mark.parametrize("name", ["sierpinski:3", "gauge_grid:16:square", "interval:257:0.5",
+                                      "circle:33", "torus2d:7x13", "sierpinski:3+w", "graph",
+                                      "matrix file"])
+    def test_rows_are_sorted_once(self, monkeypatch, tmp_path, name, first):
+        """Whichever comes first, kernel_matrix(rho1) or a ball query, every distance row of
+        the ball index is argsorted once in all, also with the combination kernels after."""
+        sp = gather_space(name, tmp_path)
+        sorted_rows = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            sorted_rows.append(np.shape(a)[0] if np.ndim(a) == 2 else 1)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        steps = {"kernel": lambda: kernel_matrix(sp, KernelSpec("rho1")),
+                 "ball_masses": lambda: sp.ball_masses(0.3),
+                 "doubling": lambda: doubling_constant(sp)}
+        for step in [first] + [s for s in steps if s != first]:
+            steps[step]()
+        kernel_row(sp, KernelSpec("harm"))
+        kernel_matrix(sp, KernelSpec("geom"))
+        lattice = sp.index_lattice()
+        assert sum(sorted_rows) == (1 if lattice is not None and lattice[1] else sp.n)
 
 
 class TestKernelValues:

@@ -33,7 +33,8 @@ from nsl import (
 )
 from nsl.verify import check_mean_comparison
 
-from conftest import HEXAGON, count_graph_builds, matrix_file_space, traced_peak
+from conftest import (HEXAGON, ball_mass_rows, count_gasket_builds, matrix_file_space,
+                      traced_peak)
 
 
 def brute_torus_dist(nx: int, ny: int) -> np.ndarray:
@@ -357,7 +358,7 @@ class TestBallMeasure:
             check_mean_comparison(sp, u, 2.0, [r])
 
     def test_ball_index_prefix_sums(self, interval128):
-        sorted_d, prefix = interval128._ball_index()
+        sorted_d, prefix, _ = interval128._ball_index()
         assert np.all(np.diff(prefix, axis=1) > 0)
         assert prefix[:, -1] == pytest.approx(interval128.total_mass)
         assert np.all(np.diff(sorted_d, axis=1) >= 0)
@@ -373,10 +374,9 @@ class TestBallMeasure:
             assert np.array_equal(sp.ball_masses(r), copy.ball_masses(r)), r
         radii = np.random.default_rng(sp.n).uniform(0.0, sp.diameter, (sp.n, sp.n))
         radii[:, :4] = sp.dist[:, :4]  # realized radii, where the index ties
-        assert np.array_equal(sp.ball_mass_rows(0, sp.n, radii),
-                              copy.ball_mass_rows(0, sp.n, radii))
+        assert np.array_equal(ball_mass_rows(sp, radii), ball_mass_rows(copy, radii))
         assert doubling_constant(sp) == doubling_constant(copy)
-        for mine, full in zip(sp._ball_index(), copy._ball_index()):
+        for mine, full in zip(sp._ball_index()[:2], copy._ball_index()[:2]):
             assert mine.shape == (1, sp.n) and full.shape == (sp.n, sp.n)
             assert np.array_equal(np.broadcast_to(mine, full.shape), full)
             assert not mine.flags.writeable and not full.flags.writeable
@@ -789,6 +789,30 @@ def eager_dist(name: str) -> np.ndarray:
             "gauge_grid": lambda: brute_gauge_grid_dist(spec.n, spec.body)}[spec.generator]()
 
 
+class TestGasketRecursion:
+    """The gasket's distances come from the three-copy recursion, not a graph search."""
+
+    @pytest.mark.parametrize("level", range(8))
+    def test_recursion_is_the_graph_search(self, level):
+        """Bitwise the shortest paths over the gasket's own edge list, unit edges 2^-level."""
+        sp = build_space(SpaceSpec("sierpinski", level=level))
+        edges = [(int(i), int(j), 2.0**-level) for i, j in sp.edges]
+        assert sp.dist.tobytes() == nsl.space._graph_distances(sp.n, edges).tobytes()
+
+    def test_no_graph_search(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("dijkstra ran")
+
+        monkeypatch.setattr(nsl.space, "dijkstra", ran)
+        sp = build_space(SpaceSpec.parse("sierpinski:4"))
+        assert sp.dist[0, 1] == 2.0**-4
+
+    def test_build_holds_about_one_matrix(self):
+        sp = build_space(SpaceSpec.parse("sierpinski:6"))
+        dist, peak = traced_peak(lambda: sp.dist)
+        assert dist.nbytes <= peak <= 1.45 * dist.nbytes
+
+
 class TestLazyDistances:
     """Generator spaces build dist on its first read; row readers do not force it."""
 
@@ -913,7 +937,7 @@ class TestLazyDistances:
     def test_gasket_read_in_mollify_builds_once(self, name, monkeypatch):
         """mollify reads a fresh gasket's distances at two workers: its geodesics are found
         once, and the values are bitwise those at one worker."""
-        calls = count_graph_builds(monkeypatch)
+        calls = count_gasket_builds(monkeypatch)
         values = {}
         for workers in ("2", "1"):
             monkeypatch.setenv("NSL_WORKERS", workers)
@@ -928,7 +952,7 @@ class TestLazyDistances:
         """Eight workers make the first read of a fresh sierpinski:5 together, inside S_t's
         row blocks, with a short switch interval and a slow build: the geodesics are found
         once, and S_t is bitwise its one-worker value."""
-        calls = count_graph_builds(monkeypatch, pause=0.05)
+        calls = count_gasket_builds(monkeypatch, pause=0.05)
         spec = EnergySpec(p=2.0, t=0.2)
         values = []
         for workers in ("8", "1"):
