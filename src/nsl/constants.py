@@ -7,10 +7,11 @@ anisotropic replacement ((N+p)/p * int_K |xi . x|^p dx)^{1/p} for a symmetric
 convex body K; on balls and ellipses (linear images of the disk) it is k_pn
 in closed form.
 
-All other integrals use composite Gauss-Legendre panels of fixed order,
-doubled once; panels are split at the kinks of |linear form|^p so the rule
-converges spectrally. Only origin-symmetric bodies are accepted: an
-asymmetric gauge would not be a metric.
+k_pn itself is closed form through Gamma. The polygon integrals use
+composite Gauss-Legendre panels of fixed order, doubled once; panels are
+split at the kinks of |linear form|^p so the rule converges spectrally. Only
+origin-symmetric bodies are accepted: an asymmetric gauge would not be a
+metric.
 """
 
 from __future__ import annotations
@@ -179,27 +180,18 @@ def parse_body(text: str) -> ConvexBody:
 # -- limit constants -----------------------------------------------------------
 
 
-def _abs_cos_power_integral(p: float, order: int) -> float:
-    """int_0^{2pi} |cos t|^p dt, panels split at the kinks pi/2 and 3pi/2."""
-    t, w = _gl_panels([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi], order)
-    return float(np.sum(w * np.abs(np.cos(t)) ** p))
-
-
 def k_pn(p: float, n_dim: int) -> float:
-    """(1/p) * int_{S^{N-1}} |e1 . x|^p dH^{N-1}, N in {1, 2, 3}."""
+    """(1/p) * int_{S^{N-1}} |e1 . x|^p dH^{N-1}, N in {1, 2, 3}, in closed form:
+    2 pi^((N-1)/2) Gamma((p+1)/2) / (p Gamma((N+p)/2)); at N = 1 exactly 2/p."""
     if not 1 <= p < np.inf:  # NaN fails too
         raise ValueError(f"exponent p must be >= 1 and finite, got {p}")
-    if n_dim == 1:
-        # S^0 = {-1, +1} with counting measure
-        return 2.0 / p
-    if n_dim == 2:
-        return _abs_cos_power_integral(p, 2 * GL_ORDER) / p
-    if n_dim == 3:
-        # polar angle from e1; the azimuthal integral is 2*pi exactly
-        phi, w = _gl_panels([0.0, 0.5 * math.pi, math.pi], 2 * GL_ORDER)
-        integral = 2.0 * math.pi * float(np.sum(w * np.abs(np.cos(phi)) ** p * np.sin(phi)))
-        return integral / p
-    raise ValueError(f"unsupported dimension N={n_dim}; expected 1, 2, or 3")
+    if n_dim not in (1, 2, 3):
+        raise ValueError(f"unsupported dimension N={n_dim}; expected 1, 2, or 3")
+    a, b = 0.5 * (p + 1), 0.5 * (n_dim + p)
+    # Gamma's own ratio is the more accurate, up to where Gamma overflows; 1 at N = 1
+    ratio = 1.0 if a == b else (math.gamma(a) / math.gamma(b) if b < 171.0
+                                else math.exp(math.lgamma(a) - math.lgamma(b)))
+    return 2.0 * math.pi ** (0.5 * (n_dim - 1)) * ratio / p
 
 
 def _polygon_power_integral(body: ConvexBody, p: float, xi: np.ndarray, order: int) -> float:

@@ -2,13 +2,14 @@
 
 Every double integral over X x X becomes a sum over ordered pairs weighted by
 w(x)w(y); diagonal pairs contribute zero (the numerator vanishes identically
-there). The Gagliardo, threshold (Nguyen) and K/H energies all go through one
-reducer, _pair_sum, and each is one pair (phi, psi): the pair sum is
+there). Every pairwise energy here goes through one reducer, _pair_sum, and
+each is one pair (phi, psi): the pair sum is
 
   sum_{x != y} phi(|u(x)-u(y)|) w(x) w(y) psi(d(x,y), rho(x,y)),
 
 with phi the pair part (gap^p, or the threshold gap > delta) and psi the
-class part (1/(d^{ps} rho), [d <= t]/rho, delta^p/(rho d^p) [d <= r]).
+class part (1/(d^{ps} rho), [d <= t]/rho, delta^p/(rho d^p) [d <= r],
+[d <= t]).
 
 The reducer has two layouts. The row-block one evaluates phi * ww * psi pair
 by pair on blocks of rows; it serves graphs, Sierpinski gaskets, gauge grids
@@ -18,10 +19,10 @@ the pair: the circle and the torus with every kernel, and the interval with
 the ahlfors kernel only (ball-mass kernels are cut at the ends of the
 interval). kernels.offset_lattice makes that choice from the space's
 closed-form metric tag, never from its grid, next to the code that builds
-each kernel. H_t, whose weight 1/sqrt(mu(B(x,t)) mu(B(y,t))) is not a
-function of (d, rho), takes the route of the rho1 kernel: on circle and torus
-every ball at radius t has the bitwise same mass, so the weight too depends
-only on k. The offset layout forms
+each kernel. A term with no kernel, whose psi reads d alone, takes the offset
+layout on every index lattice. H_t is one: its weight 1/sqrt(mu(B(x,t))
+mu(B(y,t))) is folded into the point weights, w(x)/sqrt(mu(B(x,t))), which
+the reducer takes in place of w. The offset layout forms
 S_k = sum_x phi(|u(x+k)-u(x)|) w(x) w(x+k) from sliding windows over a copy
 of u and w, wrapped on circle and torus, zero-weight-padded on the interval
 (where S_k holds one orientation of each pair, so it counts twice), and
@@ -84,8 +85,9 @@ keeps constant fields and singleton balls at exactly 0.
 
 S_t has a second, algebraically equal route that integrates over the center
 first: S_t = sum_{x,y} |u(x)-u(y)|^p f_t(x,y) w w with
-f_t(x,y) = sum_{x' in B(x,t) ^ B(y,t)} w(x') mu(B(x',t))^-2. Both are
-exposed; they must agree to 1e-10 relative.
+f_t(x,y) = sum_{x' in B(x,t) ^ B(y,t)} w(x') mu(B(x',t))^-2, one row-layout
+term whose psi is f_t, formed a row block at a time from the ball indicator.
+Both are exposed; they must agree to 1e-10 relative.
 
 The ball-average gradient surrogate g_t comes in the three normalizations
 the estimates actually use: "plain" (p-th power with 1/t^p inside the
@@ -137,13 +139,12 @@ class ScaleEnergies:
                 raise ValueError(f"scale energy {name} must be finite and >= 0, got {val}")
 
 
-def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, rho_rows) -> np.ndarray:
+def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, rho_rows, w) -> np.ndarray:
     """The pair sums of terms by row blocks; rho_rows(a, b) gives the rho entries of rows a..b.
 
     Terms that share one phi object share its pair part phi(gap) w w, which
     is live for one phi at a time.
     """
-    w = space.weights
     groups: dict = {}
     for i, (phi, _) in enumerate(terms):
         groups.setdefault(phi, []).append(i)
@@ -189,14 +190,13 @@ def _square_by_fft(vals, w, shape, wrapped: bool) -> np.ndarray | None:
     return np.fft.irfftn(2.0 * ((fw.conj() * fq).real - (fv.conj() * fv).real), size, axes)
 
 
-def _offset_pair_sum(space, vals, terms, shape, wrapped: bool) -> np.ndarray:
+def _offset_pair_sum(vals, terms, shape, wrapped: bool, w) -> np.ndarray:
     """The pair sums of terms (phi, psi_k) by index offset: sum_k S_k psi_k per term.
 
     S_k is formed once per phi object, over every offset where some term has
     psi_k != 0; each term sums over its own such offsets only. _square takes
     the FFT; every other phi takes sliding windows.
     """
-    w = space.weights
     live = np.array([psi_row != 0 for _, psi_row in terms])
     live[:, 0] = False  # offset 0 is the diagonal
     offsets = np.flatnonzero(live.any(axis=0))
@@ -244,21 +244,25 @@ def _window_sums(vals, w, phis, offsets, shape, wrapped: bool) -> np.ndarray:
     return np.concatenate(map_blocks(offsets.size, block), axis=1)
 
 
-def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, kernel: KernelSpec) -> np.ndarray:
+def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, kernel: KernelSpec | None,
+              w: np.ndarray | None = None) -> np.ndarray:
     """sum_{x != y} phi(|u(x)-u(y)|) w(x) w(y) psi(d(x,y), rho(x,y)) per term (phi, psi).
 
-    rho is the kernel matrix. phi maps an array of gaps to the pair parts and
-    psi arrays of distances and kernel entries to the class parts; psi may be
-    inf or NaN on the diagonal, which never enters the sum.
+    rho is the kernel matrix, or None with kernel None; w defaults to the point
+    weights. phi maps an array of gaps to the pair parts and psi arrays of
+    distances and kernel entries to the class parts; psi may be inf or NaN on
+    the diagonal, which never enters the sum.
     """
-    lattice = offset_lattice(space, kernel)
+    w = space.weights if w is None else w
+    lattice = space.index_lattice() if kernel is None else offset_lattice(space, kernel)
     if lattice is None:
-        rho = kernel_matrix(space, kernel)
-        return _row_pair_sum(space, vals, terms, lambda a, b: rho[a:b])
-    d, rho = space.dist_rows(0, 1)[0], kernel_row(space, kernel)
+        rho = None if kernel is None else kernel_matrix(space, kernel)
+        return _row_pair_sum(space, vals, terms, lambda a, b: None if rho is None else rho[a:b], w)
+    d = space.dist_rows(0, 1)[0]
+    rho = None if kernel is None else kernel_row(space, kernel)
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = [(phi, psi(d, rho)) for phi, psi in terms]
-    return _offset_pair_sum(space, vals, rows, *lattice)
+    return _offset_pair_sum(vals, rows, *lattice, w)
 
 
 def _one_pass(space: MetricMeasureSpace, u, specs, terms) -> list[float]:
@@ -364,19 +368,11 @@ def k_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
 
 
 def h_energy(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
-    """H_t: pairs within distance t, weighted by the ball masses at t."""
-    p, t = spec.p, _radius(spec)
-    vals, m = as_values(u, space.n), space.ball_masses(t)
-    # the ball-mass lattices of rho1: there every ball at radius t has the same mass
-    lattice = offset_lattice(space, KernelSpec("rho1"))
-    if lattice is None:
-        terms = [(_gap_power(p), lambda d, mass: (d <= t) / mass)]
-        sums = _row_pair_sum(space, vals, terms, lambda a, b: np.sqrt(m[a:b, None] * m[None, :]))
-    else:
-        sums = _offset_pair_sum(
-            space, vals, [(_gap_power(p), (space.dist_rows(0, 1)[0] <= t) / np.sqrt(m[0] * m))],
-            *lattice)
-    return float(sums[0])
+    """H_t: pairs within distance t, each point weighted by w(x)/sqrt(mu(B(x,t)))."""
+    t = _radius(spec)
+    w = space.weights / np.sqrt(space.ball_masses(t))
+    term = (_gap_power(spec.p), lambda d, rho: d <= t)
+    return float(_pair_sum(space, as_values(u, space.n), [term], None, w)[0])
 
 
 def scale_s_by_balls(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
@@ -389,14 +385,12 @@ def scale_s_by_balls(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
 def scale_s_by_pairs(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """S_t by integrating over the center first: pair sum against f_t."""
     t = _radius(spec)
-    vals = as_values(u, space.n)
-    m = space.ball_masses(t)
-    member = (space.dist <= t).astype(np.float64)
-    center_weight = space.weights / m**2
-    f = member.T @ (center_weight[:, None] * member)
-    gap = np.abs(vals[:, None] - vals[None, :]) ** spec.p
-    ww = space.weights[:, None] * space.weights[None, :]
-    return float(np.sum(gap * f * ww))
+    member = np.concatenate(map_blocks(space.n, lambda a, b: space.dist_rows(a, b) <= t))
+    weighted = (space.weights / space.ball_masses(t) ** 2)[:, None] * member
+    term = (_gap_power(spec.p), lambda d, f: f)
+    sums = _row_pair_sum(space, as_values(u, space.n), [term],
+                         lambda a, b: member[:, a:b].T @ weighted, space.weights)
+    return float(sums[0])
 
 
 def scale_energies(space: MetricMeasureSpace, u, spec: EnergySpec) -> ScaleEnergies:

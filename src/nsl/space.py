@@ -217,12 +217,8 @@ class DoublingReport:
             raise ValueError(f"c_rho_hat must be >= 1, got {self.c_rho_hat}")
 
 
-def _check_weights(weights: np.ndarray) -> None:
-    """Raise SpaceError naming the first weight that is not finite and > 0."""
-    bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0.0)))
-    if bad.size:
-        i = int(bad[0])
-        raise SpaceError(f"nonpositive or non-finite weight at point {i}: {float(weights[i])!r}")
+# Grid kinds with their axis counts, as the centered-difference evaluators read them.
+GRID_KINDS = (("interval", 1), ("circle", 1), ("torus2d", 2), ("grid2d", 2))
 
 
 class MetricMeasureSpace:
@@ -231,11 +227,13 @@ class MetricMeasureSpace:
     Parameters
     ----------
     dist : (n, n) array
-        Symmetric distances, zero exactly on the diagonal.
+        Distances: symmetric bit for bit, zero exactly on the diagonal, finite
+        and positive off it.
     weights : (n,) array
         Positive atom masses.
     coords : (n, dim) array, optional
-        Point coordinates; required for expression-defined fields.
+        Point coordinates, one row per point; required for expression-defined
+        fields.
     name : str
         Display name.
     metric : dict
@@ -247,8 +245,14 @@ class MetricMeasureSpace:
         Natural neighbor structure (grid stencil or graph edges) for local
         gradient evaluators and discrete geodesics.
     grid : dict, optional
-        Grid topology, e.g. {"kind": "circle"} or {"kind": "torus2d",
-        "shape": [nx, ny]}; used by centered finite-difference evaluators.
+        Grid topology, e.g. {"kind": "circle", "shape": [n]} or {"kind":
+        "torus2d", "shape": [nx, ny]}; used by centered finite-difference
+        evaluators. Its kind is one of GRID_KINDS with as many axes, its shape
+        lists positive ints whose product is n, and an interval grid needs
+        coords.
+
+    Every fault in these raises SpaceError, the same one load_space raises for
+    a file that carries it.
     """
 
     def __init__(
@@ -269,9 +273,15 @@ class MetricMeasureSpace:
         if metric and metric.get("type") != "matrix":  # only generators write closed-form tags
             raise SpaceError(f"a space built from distances has a matrix metric, not {metric!r}")
         self._setup(weights, coords, name, metric, edges, grid)
-        if np.any(np.diagonal(dist) != 0.0):
-            bad = int(np.nonzero(np.diagonal(dist))[0][0])
-            raise SpaceError(f"nonzero diagonal distance at point {bad}")
+        off = ~np.eye(n, dtype=bool)
+        for fault, bad in (("nonzero diagonal distance", ~off & (dist != 0.0)),
+                           ("nonpositive or non-finite off-diagonal distance",
+                            off & ~(np.isfinite(dist) & (dist > 0.0))),
+                           ("asymmetric matrix", dist != dist.T)):
+            if np.any(bad):
+                i, j = np.argwhere(bad)[0]
+                pair = dist.item(i, j), dist.item(j, i)  # floats: a numpy repr names its type
+                raise SpaceError(f"{fault}: d({i},{j})={pair[0]!r}, d({j},{i})={pair[1]!r}")
         dist.setflags(write=False)
         self._dist, self._table, self._build = dist, None, None
 
@@ -303,20 +313,34 @@ class MetricMeasureSpace:
         n = weights.shape[0]
         if n > MAX_POINTS:
             raise SpaceError(f"{n} points exceeds the {MAX_POINTS}-point desk-scale budget")
-        _check_weights(weights)
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0.0)))
+        if bad.size:
+            raise SpaceError(f"nonpositive or non-finite weight at point {bad[0]}: "
+                             f"{float(weights[bad[0]])!r}")
         if edges is not None:
             edges = np.asarray(edges, dtype=np.int64)
             if edges.ndim != 2 or edges.shape[1] != 2:
                 raise SpaceError(f"edges must be an (m, 2) array of point ids, got {edges.shape}")
             if edges.size and (edges.min() < 0 or edges.max() >= n):
                 raise SpaceError(f"edge point ids must lie in [0, {n})")
+        if coords is not None:
+            coords = np.ascontiguousarray(coords, dtype=np.float64)
+            coords = coords[:, None] if coords.ndim == 1 else coords
+            if coords.ndim != 2 or coords.shape[0] != n:
+                raise SpaceError(f"coordinates of shape {coords.shape} for {n} points")
+        shape = grid.get("shape") if isinstance(grid, dict) else None
+        if grid is not None and not (
+            isinstance(shape, list) and (grid.get("kind"), len(shape)) in GRID_KINDS
+            and all(type(k) is int and k > 0 for k in shape) and math.prod(shape) == n
+            and (grid["kind"] != "interval" or coords is not None)
+        ):
+            raise SpaceError(f"grid {grid!r} must be an interval (with coords), circle, torus2d or "
+                             f"grid2d grid whose shape lists positive ints with product n={n}")
 
         self.name = name
         self.n = n
         self.weights = weights
-        self.coords = None if coords is None else np.ascontiguousarray(coords, dtype=np.float64)
-        if self.coords is not None and self.coords.ndim == 1:
-            self.coords = self.coords[:, None]
+        self.coords = coords
         self.metric = metric or {"type": "matrix", "params": {}}
         self.edges = None if edges is None else np.ascontiguousarray(edges, dtype=np.int64)
         self.grid = grid
@@ -617,7 +641,12 @@ def _graph_distances(n: int, edges: Iterable[tuple[int, int, float]]) -> np.ndar
     n_comp, _ = connected_components(adj, directed=False)
     if n_comp != 1:
         raise SpaceError(f"graph is disconnected ({n_comp} components)")
-    return dijkstra(adj, directed=True)  # adj is symmetric already
+    dist = dijkstra(adj, directed=True)  # adj is symmetric already
+    # a path is summed in opposite orders for d(i, j) and d(j, i): keep the upper
+    # triangle, as save_space stores it
+    lower = np.tril_indices(n, -1)
+    dist[lower] = dist.T[lower]
+    return dist
 
 
 def _graph(edges: Sequence[tuple[int, int, float]]) -> MetricMeasureSpace:
@@ -763,10 +792,6 @@ def _check_triangle_sampled(dist: np.ndarray, samples: int = 20000, seed: int = 
 CLOSED_FORM_KEYS = ("n", "metric", "weights", "coords", "dim", "edges", "grid")
 
 
-# Grid kinds with their axis counts, as the centered-difference evaluators read them.
-GRID_KINDS = (("interval", 1), ("circle", 1), ("torus2d", 2), ("grid2d", 2))
-
-
 def _document(space: MetricMeasureSpace) -> dict[str, Any]:
     """The JSON document of a space file; distances only for "matrix" metrics."""
     doc: dict[str, Any] = {
@@ -800,8 +825,8 @@ def load_space(path: str | Path) -> MetricMeasureSpace:
     A closed-form file (any metric type but "matrix") loads as the space its
     generator builds, under the file's display name, and must agree with
     that space's document in every one of CLOSED_FORM_KEYS. A "matrix" file
-    carries its distances, which are checked for symmetry, positivity and
-    sampled triangles.
+    carries its distances; the constructor checks them and the other fields
+    as it checks any space's, and sampled triangles are checked here.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -840,38 +865,16 @@ def load_space(path: str | Path) -> MetricMeasureSpace:
         raise SpaceError(f"space file {path} has a missing or malformed field: {exc!r}") from exc
     if n < 1 or weights.shape != (n,):
         raise SpaceError(f"{weights.size} weights for n={n}")
-    _check_weights(weights)
-    grid = doc.get("grid")
-    shape = grid.get("shape") if isinstance(grid, dict) else None
-    if grid is not None and not (
-        isinstance(shape, list) and (grid.get("kind"), len(shape)) in GRID_KINDS
-        and all(type(k) is int and k > 0 for k in shape) and math.prod(shape) == n
-        and (grid["kind"] != "interval" or coords is not None)
-    ):
-        raise SpaceError(f"grid {grid!r} must be an interval (with coords), circle, torus2d or "
-                         f"grid2d grid whose shape lists positive ints with product n={n}")
-
     expect = n * (n - 1) // 2
     if tri.size == n * n:
         dist = tri.reshape(n, n)
-        asym = np.abs(dist - dist.T)
-        if np.max(asym) > 0.0:
-            i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-            raise SpaceError(
-                f"asymmetric matrix: d({i},{j})={dist[i, j]!r} != d({j},{i})={dist[j, i]!r}"
-            )
     elif tri.size == expect:
         dist = np.zeros((n, n))
-        iu = np.triu_indices(n, k=1)
-        dist[iu] = tri
-        dist = dist + dist.T
+        dist[np.triu_indices(n, k=1)] = tri
+        dist += dist.T
     else:
         raise SpaceError(f"matrix has {tri.size} entries, expected {expect} or {n * n}")
-    bad = ~(np.isfinite(dist) & (dist > 0.0))
-    np.fill_diagonal(bad, False)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise SpaceError(f"nonpositive or non-finite off-diagonal distance at pair ({i},{j})")
-    _check_triangle_sampled(dist)
-    return MetricMeasureSpace(dist, weights, coords=coords, name=doc.get("name", "space"),
-                              metric=metric, edges=edges, grid=grid)
+    space = MetricMeasureSpace(dist, weights, coords=coords, name=doc.get("name", "space"),
+                               metric=metric, edges=edges, grid=doc.get("grid"))
+    _check_triangle_sampled(space.dist)
+    return space

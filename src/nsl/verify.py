@@ -30,8 +30,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .energies import _ball_pair_totals
-from .energies import g_scale, gagliardo_p, h_energy, k_energy, mollify, scale_energies
+from .energies import (ScaleEnergies, _ball_pair_totals, g_scale, gagliardo_p, h_energy,
+                       k_energy, mollify, scale_s_by_balls)
 from .fields import EnergySpec, ScalarField, as_values
 from .gradients import cheeger_surrogate, hajlasz_minimal, path_integral
 from .kernels import KernelSpec, kernel_comparability, kernel_matrix
@@ -284,24 +284,26 @@ def check_hks(
     vals = as_values(u, space.n)
     norm_p = float(np.sum(space.weights * np.abs(vals) ** p))
 
-    def spec(t: float) -> EnergySpec:
-        return EnergySpec(p=p, t=t, kernel=kernel)
+    memo: dict = {}
+
+    def energy(fn, t: float) -> float:  # each (fn, t) once; fn as named at the call site
+        if (fn, t) not in memo:
+            memo[fn, t] = fn(space, u, EnergySpec(p=p, t=t, kernel=kernel))
+        return memo[fn, t]
 
     for t in t_grid:
-        se = scale_energies(space, u, spec(t))
+        se = ScaleEnergies(energy(k_energy, t), energy(h_energy, t), energy(scale_s_by_balls, t))
         report.add({"t": t, "item": "i-lower"}, se.h, se.k)
         kmax = max(0, math.ceil(math.log2(t / h_min)))
-        h_sum = sum([se.h, *(h_energy(space, u, spec(t / 2.0**k)) for k in range(1, kmax + 1))])
+        h_sum = sum([se.h, *(energy(h_energy, t / 2.0**k) for k in range(1, kmax + 1))])
         report.add({"t": t, "item": "i-upper", "k_max": kmax}, se.k, c_d * h_sum)
-        h_half = h_energy(space, u, spec(t / 2.0))
-        report.add({"t": t, "item": "ii-lower"}, h_half, c_d**4 * se.s)
-        h_double = h_energy(space, u, spec(2.0 * t))
-        report.add({"t": t, "item": "ii-upper"}, se.s, c_d**3 * h_double)
+        report.add({"t": t, "item": "ii-lower"}, energy(h_energy, t / 2.0), c_d**4 * se.s)
+        report.add({"t": t, "item": "ii-upper"}, se.s, c_d**3 * energy(h_energy, 2.0 * t))
 
     big_ts = [t for t in t_grid if t >= 1.0] or [1.0]
-    k1 = k_energy(space, u, spec(1.0))
+    k1 = energy(k_energy, 1.0)
     for t in big_ts:
-        kt = k_energy(space, u, spec(t))
+        kt = energy(k_energy, t)
         rhs = k1 + 2.0**p * c_rho * (c_d - 1.0) * math.log2(2.0 * t) * norm_p
         report.add({"t": t, "item": "iv"}, kt, rhs)
     return report

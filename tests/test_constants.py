@@ -28,6 +28,16 @@ class TestKpn:
         for p in (1.0, 2.0, 2.5):
             assert k_pn(p, 3) == pytest.approx(4 * math.pi / (p + 1) / p, abs=1e-8)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0, 4.5, 10.0, 50.0])
+    def test_exact_to_1e13(self, p):
+        """int_0^{2pi} |cos|^p = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2 + 1) and
+        int_{S^2} |x1|^p = 4 pi / (p + 1); a quadrature across the |cos|^p endpoint
+        singularity was 8.3e-12 and 1.8e-11 off at p = 1.5."""
+        circle = 2 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
+        assert k_pn(p, 1) == 2.0 / p
+        assert k_pn(p, 2) == pytest.approx(circle / p, rel=1e-13, abs=0)
+        assert k_pn(p, 3) == pytest.approx(4 * math.pi / (p + 1) / p, rel=1e-13, abs=0)
+
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError, match="N=4"):
             k_pn(2, 4)

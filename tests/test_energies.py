@@ -203,7 +203,7 @@ OFFSET_CASES = [
 def expected_route(name, kernel, functional=None):
     """The layout the pair sums of this generator space and kernel should take."""
     if functional == "h_energy":
-        kernel = KernelSpec("rho1")  # H_t weighs by ball masses: offset on circle and torus
+        return "_offset_pair_sum"  # no kernel, ball masses in the point weights: every lattice
     if name.startswith("interval") and kernel.kind != "ahlfors":
         return "_row_pair_sum"  # ball-mass kernels are cut at the interval's ends
     return "_offset_pair_sum"
@@ -277,6 +277,24 @@ class TestOffsetRoute:
 
     def test_gauge_torus_at_4096_points(self, monkeypatch, routes):
         self.check("torus2d:64x64", "gauge-ahlfors:2", (2.0,), monkeypatch, routes)
+
+    @pytest.mark.parametrize("name", ["interval:2048", "interval:4096:0.5"])
+    def test_h_energy_on_long_intervals(self, name, routes):
+        """H_t by index offset with the ball masses folded into the point weights, against the
+        row blocks on a matrix copy, for u = x at p = 1.5 (windows) and 2 (FFT). Within three
+        offsets the FFT's S_k carries its relative error of about eps (n/k)^2, as K_t's does."""
+        sp = build_space(SpaceSpec.parse(name))
+        copy = matrix_copy(sp, KernelSpec("rho1"))
+        u = ScalarField(sp.coords[:, 0].copy())
+        for p in (1.5, 2.0):
+            for t, rtol in ((3.5 * sp.min_distance, 1e-12 if p != 2 else 1e-10), (0.1, 1e-12),
+                            (1.0, 1e-12)):
+                spec = EnergySpec(p=p, t=t)
+                del routes[:]
+                one, want = h_energy(sp, u, spec), h_energy(copy, u, spec)
+                assert routes == ["_offset_pair_sum", "_row_pair_sum"]
+                assert want > 0.0
+                assert abs(one - want) <= rtol * want, (p, t, one, want)
 
     def test_gauge_torus_builds_no_kernel_matrix(self, monkeypatch):
         """The offset route reads row 0 of the kernel: at two workers the traced peak
@@ -473,6 +491,17 @@ class TestScaleEnergies:
             a = scale_s_by_balls(sp, u, spec)
             b = scale_s_by_pairs(sp, u, spec)
             assert abs(a - b) <= 1e-10 * max(a, b)
+
+    def test_s_by_pairs_peak_memory(self):
+        """f_t is formed a row block at a time: the traced peak stays under three n x n float64
+        matrices (the whole-matrix sum peaked at 5.0)."""
+        sp = build_space(SpaceSpec.parse("interval:1024"))
+        u = ScalarField(np.random.default_rng(0).normal(size=sp.n))
+        spec = EnergySpec(p=2, t=0.1)
+        sp.ball_masses(0.1)
+        value, peak = traced_peak(lambda: scale_s_by_pairs(sp, u, spec))
+        assert abs(value - scale_s_by_balls(sp, u, spec)) <= 1e-10 * value
+        assert peak < 3 * sp.n * sp.n * 8
 
     def test_h_below_k_for_geom_kernel(self, circle64):
         u = ScalarField(np.sin(circle64.coords[:, 0]))

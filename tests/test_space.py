@@ -758,6 +758,39 @@ class TestInvariants:
         with pytest.raises(SpaceError, match="weight at point 1: inf"):
             MetricMeasureSpace(dist, np.array([1.0, np.inf]))
 
+    # Inputs a matrix file could not carry; the constructor once accepted each of them.
+    @pytest.mark.parametrize("make, match", [
+        (lambda: MetricMeasureSpace(np.array([[0, 1, -2], [1, 0, 1], [3, 1, 0]]), np.ones(3) / 3),
+         r"off-diagonal distance: d\(0,2\)"),
+        (lambda: MetricMeasureSpace(np.array([[0.0, np.nan], [np.nan, 0.0]]), np.ones(2)),
+         r"off-diagonal distance: d\(0,1\)"),
+        (lambda: MetricMeasureSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2),
+                                    grid={"kind": "torus2d"}), "grid"),
+        (lambda: MetricMeasureSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2),
+                                    grid={"kind": "interval", "shape": [2]}), "with coords"),
+        (lambda: MetricMeasureSpace(np.abs(np.arange(3.0)[:, None] - np.arange(3.0)), np.ones(3),
+                                    coords=np.zeros((5, 1))), "for 3 points"),
+    ], ids=["negative", "nan", "grid without shape", "interval grid without coords",
+            "five coordinate rows"])
+    def test_constructor_checks_what_a_file_must_pass(self, make, match):
+        with pytest.raises(SpaceError, match=match):
+            make()
+
+    def test_graph_distances_symmetric_to_the_bit(self, tmp_path):
+        """Dijkstra sums a path in opposite orders for d(i, j) and d(j, i); a graph's file
+        stores the upper triangle, so the built space must mirror it to load as itself."""
+        path = tmp_path / "g.space"
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            edges = {(i, i + 1) for i in range(59)}  # connected
+            edges |= {tuple(sorted(rng.choice(60, 2, replace=False))) for _ in range(120)}
+            spec = SpaceSpec("graph", edges=tuple(
+                (int(i), int(j), float(rng.uniform(0.1, 3.0))) for i, j in sorted(edges)))
+            sp = build_space(spec)
+            save_space(sp, path)
+            assert sp.dist.tobytes() == sp.dist.T.tobytes(), seed
+            assert load_space(path).dist.tobytes() == sp.dist.tobytes(), seed
+
     def test_distances_with_a_generator_tag_rejected(self):
         """Lattice routes trust a closed-form tag over the distances: a relabelled circle:16
         built with the circle's tag gave a Gagliardo energy of 18.416, not its own 5.920."""

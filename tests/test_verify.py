@@ -166,19 +166,49 @@ class TestHks:
         assert items == {"i-lower", "i-upper", "ii-lower", "ii-upper", "iv"}
 
     def test_ball_loop_runs_once_per_grid_scale(self, circle64, monkeypatch, no_ball_loop):
-        import nsl.energies
+        import nsl.verify
 
         radii = []
-        original = nsl.energies.scale_s_by_balls
+        original = nsl.verify.scale_s_by_balls
 
         def counted(space, u, spec):
             radii.append(spec.t)
             return original(space, u, spec)
 
-        monkeypatch.setattr(nsl.energies, "scale_s_by_balls", counted)
+        monkeypatch.setattr(nsl.verify, "scale_s_by_balls", counted)
         t_grid = [math.pi / 16, math.pi / 8, 2.0]
         assert check_hks(circle64, sin_field(circle64), 2.0, t_grid).passed
         assert radii == t_grid
+
+    @pytest.mark.parametrize("name, distinct", [("circle:256", (7, 4)), ("torus2d:24x24", (9, 4))])
+    def test_each_scale_energy_once_per_radius(self, name, distinct, monkeypatch):
+        """On the suite's radii, H_t and K_t run once per distinct radius, whichever module
+        name calls them: H_{t/2} is in the i-upper sum and ii-lower, H_{2t} is H at the next
+        radius, and K_1 is taken twice when every t < 1. The records are the unspied run's."""
+        import nsl.energies
+        import nsl.verify
+
+        sp = build_space(SpaceSpec.parse(name))
+        u = ScalarField(np.sin(2 * np.pi * sp.coords[:, 0]))
+
+        def records():
+            hks, = run_suite(sp, u, 2.0, KernelSpec("rho1"), checks=("hks",))
+            return [(rec.params, rec.lhs, rec.rhs) for rec in hks.records]
+
+        want = records()
+        calls = {"h_energy": [], "k_energy": [], "scale_s_by_balls": []}
+        for module in (nsl.energies, nsl.verify):
+            for fn, radii in calls.items():
+                def counted(space, field, spec, _original=getattr(module, fn), _radii=radii):
+                    _radii.append(spec.t)
+                    return _original(space, field, spec)
+
+                monkeypatch.setattr(module, fn, counted)
+        assert records() == want
+        for radii in calls.values():
+            assert len(radii) == len(set(radii))
+        assert (len(calls["h_energy"]), len(calls["k_energy"])) == distinct
+        assert calls["scale_s_by_balls"] == [p["t"] for p, _, _ in want if p["item"] == "i-lower"]
 
     def test_two_point_item_ii_hand_values(self, two_point, two_point_field, ahlfors1):
         # t = 2d: S_t = 0.5 and H_{t/2} = 0.5 (radius-1 balls are everything)
