@@ -75,6 +75,9 @@ class Call:
 Node = Num | Var | Neg | BinOp | Call
 
 
+SINGLE_CHAR_TOKENS = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen", ",": "comma"}
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str  # num | name | op | lparen | rparen | comma | end
@@ -90,17 +93,8 @@ def _tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch in "+-*/^":
-            tokens.append(Token("op", ch, i))
-            i += 1
-        elif ch == "(":
-            tokens.append(Token("lparen", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(Token("rparen", ch, i))
-            i += 1
-        elif ch == ",":
-            tokens.append(Token("comma", ch, i))
+        if ch in SINGLE_CHAR_TOKENS:
+            tokens.append(Token(SINGLE_CHAR_TOKENS[ch], ch, i))
             i += 1
         elif ch.isdigit() or ch == ".":
             j = i

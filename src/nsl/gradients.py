@@ -46,15 +46,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, as_values
+from .parallel import row_blocks
 from .space import MetricMeasureSpace
 
 __all__ = ["cheeger_surrogate", "hajlasz_minimal", "HajlaszResult", "path_integral"]
 
 
 def _knn_edges(space: MetricMeasureSpace, k: int) -> np.ndarray:
-    order = space.cache("knn_order", lambda: np.argsort(space.dist, axis=1, kind="stable"))
+    """(x, y) for the k nearest y of each x, ties by ascending id: columns 1..k of each row's
+    stable argsort (column 0 is x), sorted a row block at a time and cached per k."""
     k = min(k, space.n - 1)
-    return np.stack([np.repeat(np.arange(space.n), k), order[:, 1 : k + 1].ravel()], 1)
+    near = space.cache(("knn", k), lambda: np.concatenate([
+        np.argsort(space.dist_rows(a, b), axis=1, kind="stable")[:, 1 : k + 1].copy()
+        for a, b in row_blocks(space.n)]))
+    return np.stack([np.repeat(np.arange(space.n), k), near.ravel()], 1)
 
 
 def _slope_gradient(space: MetricMeasureSpace, vals: np.ndarray, k: int) -> np.ndarray:

@@ -18,8 +18,8 @@ wrapped offset), and the Ahlfors kernel alone on the interval.
 
 One builder, _kernel_rows, with one branch per kernel kind, serves both
 kernel_matrix (all rows) and kernel_row (row 0), so the two agree bitwise.
-rho1 is what the ball index's sort gathers (space.pair_ball_masses), so no
-kernel runs a per-row search or sorts a distance row a second time.
+rho1 is gathered on its first request by one stable sort per distance row
+(space.pair_ball_masses), so no kernel runs a per-row search or sorts a row twice.
 
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.
@@ -121,9 +121,9 @@ def _combine(kind: str, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
 def _kernel_rows(space, spec: KernelSpec, rows: int) -> np.ndarray:
     """Rows 0..rows of the kernel matrix (rows is space.n or 1), read-only, NaN on the diagonal.
 
-    rho1 is the ball index's own gather of mu(B(x, d(x, y))) (space.pair_ball_masses); on a
-    circle or a torus, whose index is row 0 alone, the matrix is the lattice windows of that
-    row. A combination kernel combines rho1's cached matrix with its transpose, or rho1's
+    rho1 is the space's gather of mu(B(x, d(x, y))) (space.pair_ball_masses); on a circle
+    or a torus, which gather row 0 alone, the matrix is the lattice windows of that row. A
+    combination kernel combines rho1's cached matrix with its transpose, or rho1's
     row 0 with its column 0, mu(B(y, d(y, 0))): on a wrapped lattice row 0 itself, as the
     distances there are symmetric in the offset, bitwise.
     """
@@ -183,8 +183,7 @@ def kernel_comparability(space, spec: KernelSpec):
     """
     if space.n < 2:
         raise ValueError("kernel comparability needs at least one off-diagonal pair")
-    lattice = space.index_lattice()
-    if lattice is not None and lattice[1]:
+    if space._index_rows() == 1:
         ratio = (kernel_row(space, spec) / kernel_row(space, KernelSpec("rho1")))[None, :]
     else:
         ratio = kernel_matrix(space, spec) / kernel_matrix(space, KernelSpec("rho1"))

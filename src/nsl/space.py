@@ -1,10 +1,11 @@
 """Finite metric measure spaces.
 
 A space is a finite set of points with a symmetric distance matrix, one
-positive weight per point (the measure of that atom), and a per-point
-distance-sorted ball index for O(log n) closed-ball mass queries. The sort that
-builds the index also gathers mu(B(x, d(x, y))) for every pair, the rho1 kernel,
-so no distance row is ever sorted twice. A generator space (interval, circle,
+positive weight per point (the measure of that atom), and a ball index of
+prefix masses, read at the count of distances within a radius: one row with
+equal weights, so no ball query sorts. One stable sort per distance row gathers
+mu(B(x, d(x, y))), the rho1 kernel, and the prefix rows of unequal weights.
+A generator space (interval, circle,
 torus, gauge grid, Sierpinski gasket) keeps its distances in closed form: a
 lattice table over signed index offsets, or the gasket's three-copy recursion,
 and builds the matrix on the first read of its whole; readers of row 0, of a
@@ -30,7 +31,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -415,27 +416,29 @@ class MetricMeasureSpace:
 
     # -- ball index ----------------------------------------------------------
 
-    def _ball_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct rows of the ball index, _rank_rows of dist: sorted distances, prefix
-        masses and pair ball masses, built once and cached.
+    def _index_rows(self) -> int:
+        """1 on a wrapped lattice (circle, torus), whose rows of dist all permute row 0 with
+        equal weights, else n: the distance rows of ball queries, x reading x % _index_rows()."""
+        lattice = self.index_lattice()
+        return 1 if lattice is not None and lattice[1] else self.n
 
-        On a wrapped lattice (circle, torus) every row of dist is a
-        permutation of row 0 and all weights are equal, so the index is row
-        0's alone, (1, n); elsewhere it is (n, n). Point x reads row
-        x % len(rows).
-        """
+    def _ball_index(self) -> np.ndarray:
+        """Prefix masses, read-only: row x % len(rows), at k, is the mass of the k + 1 points
+        nearest to x, ties by ascending point id. Equal weights make it one row and sort
+        nothing; unequal ones take the n rows of the sort that also gathers rho1."""
+        equal = _equal_prefix(self.weights)
+        return equal if equal is not None else self._ranked()[0]
 
-        def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            lattice = self.index_lattice()
-            rows = self.dist_rows(0, 1) if lattice is not None and lattice[1] else self.dist
-            return _rank_rows(rows, self.weights)
-
-        return self.cache("ball_index", build)
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """_rank_rows of the distance rows of ball queries (row 0, or all of dist), built once."""
+        m = self._index_rows()
+        return self.cache("ranked_rows", lambda: _rank_rows(
+            self.dist if m == self.n else self.dist_rows(0, m), self.weights))
 
     def pair_ball_masses(self) -> np.ndarray:
         """mu(B(x, d(x, y))) for each row x of the ball index and every point y, NaN where y
-        is x: the rho1 kernel, read-only, gathered by the index's own sort."""
-        return self._ball_index()[2]
+        is x: the rho1 kernel, read-only, gathered on its first request."""
+        return self._ranked()[1]
 
     def ball_mass(self, x: int, r: float) -> float:
         """Mass of the closed ball B(x, r)."""
@@ -443,9 +446,9 @@ class MetricMeasureSpace:
             raise SpaceError(f"unknown point id {x}")
         if not r >= 0:  # NaN fails too
             raise SpaceError(f"radius must be >= 0, got {r}")
-        sorted_d, prefix, _ = (rows[x % len(rows)] for rows in self._ball_index())
-        k = int(np.searchsorted(sorted_d, r, side="right"))
-        return 0.0 if k == 0 else float(prefix[k - 1])
+        prefix, row = self._ball_index(), x % self._index_rows()
+        count = np.count_nonzero(self.dist_rows(row, row + 1) <= r)  # d(x, x) = 0 counts
+        return float(prefix[row % len(prefix), count - 1])
 
     def ball_masses(self, r: float) -> np.ndarray:
         """Vector of closed-ball masses mu(B(x, r)) for every point."""
@@ -453,11 +456,11 @@ class MetricMeasureSpace:
             raise SpaceError(f"radius must be >= 0, got {r}")
         key = ("ball_masses", float(r))
         if key not in self._cache:
-            sorted_d, prefix, _ = self._ball_index()
-            counts = np.sum(sorted_d <= r, axis=1)
-            counts = np.maximum(counts, 1)  # diagonal 0 <= r for r >= 0
+            prefix, m = self._ball_index(), self._index_rows()
+            counts = np.concatenate([np.count_nonzero(self.dist_rows(a, b) <= r, axis=1)
+                                     for a, b in row_blocks(m)])
             # one mass per row, repeated for every point if the index is one row
-            masses = np.resize(prefix[np.arange(len(prefix)), counts - 1], self.n)
+            masses = np.resize(prefix[np.arange(m) % len(prefix), counts - 1], self.n)
             masses.setflags(write=False)
             self._cache[key] = masses
         return self._cache[key]
@@ -471,38 +474,50 @@ class MetricMeasureSpace:
         return f"MetricMeasureSpace({self.name!r}, n={self.n}, mass={self.total_mass:.6g})"
 
 
-def _rank_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ball index of the distance rows of points 0..len(rows): each row sorted, the
-    prefix-summed masses in that order, and mu(B(x, d(x, y))) back in point order, NaN
-    where y is x. All three are read-only.
+def _equal_prefix(weights: np.ndarray) -> np.ndarray | None:
+    """cumsum(full(n, w0)), (1, n) and read-only, if every weight is w0, else None: then the
+    prefix masses of the points in any order, bitwise, as a cumsum adds in sequence."""
+    if not np.all(weights == weights[0]):
+        return None
+    prefix = np.cumsum(np.full(len(weights), weights[0]))[None]
+    prefix.setflags(write=False)
+    return prefix
 
-    Ties are broken by ascending point id (stable sort), so the index is
-    deterministic; prefix[x, k] is the mass of the k+1 points nearest to x.
+
+def _rank_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The prefix masses and mu(B(x, d(x, y))) of the distance rows of points 0..len(rows),
+    both read-only: prefix[x, k] is the mass of the k+1 points nearest to x in the stable
+    sort order of row x (ties by ascending point id), one row (_equal_prefix) when all
+    weights are equal; masses are in point order, NaN where y is x.
+
     The mass of B(x, d(x, y)) is prefix[x, e], where e is the last sorted
     position of y's tie group, the entry that searchsorted(side="right") - 1
     finds. As prefix never falls along a row, that is the least prefix entry
     at a group's last position from y's position on: a reversed running
     minimum, put back in point order. Rows are taken in blocks of n/16, so
-    the temporaries of one block, its sort order among them, stay near a
-    fifth of an n x n matrix.
+    the temporaries of one block, its sort order and sorted row among them,
+    stay near a quarter of an n x n matrix.
     """
     m, n = rows.shape
-    sorted_d, prefix, masses = (np.empty((m, n)) for _ in range(3))
+    equal = _equal_prefix(weights)
+    prefix = np.empty((m, n)) if equal is None else equal
+    masses = np.empty((m, n))
     step = max(1, n // 16)
     for a in range(0, m, step):
         b = min(a + step, m)
         order = np.argsort(rows[a:b], axis=1, kind="stable")
-        sorted_d[a:b] = np.take_along_axis(rows[a:b], order, axis=1)
-        np.cumsum(weights[order], axis=1, out=prefix[a:b])
+        ranked = np.take_along_axis(rows[a:b], order, axis=1)
+        if equal is None:
+            np.cumsum(weights[order], axis=1, out=prefix[a:b])
         last = np.ones(order.shape, dtype=bool)  # the last position of each tie group
-        np.greater(sorted_d[a:b, 1:], sorted_d[a:b, :-1], out=last[:, :-1])
-        block = np.where(last, prefix[a:b], np.inf)
+        np.greater(ranked[:, 1:], ranked[:, :-1], out=last[:, :-1])
+        block = np.where(last, prefix if equal is not None else prefix[a:b], np.inf)
         np.minimum.accumulate(block[:, ::-1], axis=1, out=block[:, ::-1])
         np.put_along_axis(masses[a:b], order, block, axis=1)
     np.fill_diagonal(masses, np.nan)
-    for arr in (sorted_d, prefix, masses):
+    for arr in (prefix, masses):
         arr.setflags(write=False)
-    return sorted_d, prefix, masses
+    return prefix, masses
 
 
 # -- doubling -----------------------------------------------------------------
@@ -515,30 +530,26 @@ def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
     Radii r in {d(x,y)} union {d(x,y)/2} are sufficient: both ball masses are
     right-continuous step functions of r jumping only at realized distances,
     so the ratio is piecewise constant and attains its sup at one of these
-    breakpoints. Only the distinct rows of the ball index are scanned: on
-    circle and torus that is point 0 alone, the first witness of any tie.
+    breakpoints. Only the distinct rows of the ball index are scanned, each
+    sorted here: on circle and torus that is point 0 alone, the first witness
+    of any tie.
     """
     if space.n < 2:
         raise SpaceError("doubling constant needs at least two points")
 
     def work() -> tuple[float, int, float]:
-        sorted_d, prefix, _ = space._ball_index()
+        prefix = space._ball_index()
         best = 1.0
         best_x, best_r = 0, 0.0
-        for x in range(len(sorted_d)):
-            pos = sorted_d[x][sorted_d[x] > 0.0]
-            if pos.size == 0:
-                continue
-            cand = np.concatenate([pos, pos * 0.5])
-            k_r = np.searchsorted(sorted_d[x], cand, side="right")
-            k_2r = np.searchsorted(sorted_d[x], 2.0 * cand, side="right")
-            num = prefix[x, k_2r - 1]
-            den = prefix[x, k_r - 1]
-            ratios = num / den
-            j = int(np.argmax(ratios))
-            if ratios[j] > best:
-                best = float(ratios[j])
-                best_x, best_r = x, float(cand[j])
+        for a, b in row_blocks(space._index_rows()):
+            for x, row in enumerate(np.sort(space.dist_rows(a, b), axis=1), start=a):
+                cand = np.concatenate([row[1:], row[1:] * 0.5])  # row[0] is d(x, x), the one 0
+                k_r, k_2r = (np.searchsorted(row, c, side="right") for c in (cand, 2.0 * cand))
+                ratios = prefix[x % len(prefix), k_2r - 1] / prefix[x % len(prefix), k_r - 1]
+                j = int(np.argmax(ratios))
+                if ratios[j] > best:
+                    best = float(ratios[j])
+                    best_x, best_r = x, float(cand[j])
         return best, best_x, best_r
 
     best, best_x, best_r = space.cache("doubling", work)
@@ -628,14 +639,11 @@ def _lattice(spec: SpaceSpec) -> MetricMeasureSpace:
         grid={"kind": kind, "shape": list(shape)})
 
 
-def _graph_distances(n: int, edges: Iterable[tuple[int, int, float]]) -> np.ndarray:
-    rows, cols, vals = [], [], []
+def _graph_distances(n: int, edges: Sequence[tuple[int, int, float]]) -> np.ndarray:
     for i, j, length in edges:
         if not 0.0 < length < math.inf:
             raise SpaceError(f"edge ({i},{j}) length must be positive and finite, got {length}")
-        rows.append(i)
-        cols.append(j)
-        vals.append(length)
+    rows, cols, vals = zip(*edges)
     adj = coo_matrix((vals, (rows, cols)), shape=(n, n))
     adj = adj.maximum(adj.T).tocsr()
     n_comp, _ = connected_components(adj, directed=False)
@@ -772,20 +780,14 @@ def _check_triangle_sampled(dist: np.ndarray, samples: int = 20000, seed: int = 
     n = dist.shape[0]
     if n < 3:
         return
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, n, samples)
-    b = rng.integers(0, n, samples)
-    c = rng.integers(0, n, samples)
+    a, b, c = np.random.default_rng(seed).integers(0, n, (3, samples))
     slack = dist[a, c] - dist[a, b] - dist[b, c]
-    tol = 1e-12 * max(1.0, float(np.max(dist)))
     worst = int(np.argmax(slack))
-    if slack[worst] > tol:
-        raise SpaceError(
-            "triangle inequality violated on triple "
-            f"({int(a[worst])},{int(b[worst])},{int(c[worst])}): "
-            f"d(a,c)={dist[a[worst], c[worst]]!r} > "
-            f"d(a,b)+d(b,c)={dist[a[worst], b[worst]] + dist[b[worst], c[worst]]!r}"
-        )
+    if slack[worst] > 1e-12 * max(1.0, float(np.max(dist))):
+        a, b, c = int(a[worst]), int(b[worst]), int(c[worst])
+        raise SpaceError(  # floats: a numpy scalar's repr names its type
+            f"triangle inequality violated on triple ({a},{b},{c}): d(a,c)={dist.item(a, c)!r} > "
+            f"d(a,b)+d(b,c)={dist.item(a, b) + dist.item(b, c)!r}")
 
 
 # Fields of a closed-form file that must equal what its generator's space writes.

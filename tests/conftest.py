@@ -40,13 +40,15 @@ def count_gasket_builds(monkeypatch, pause: float = 0.0) -> list[int]:
 
 
 def ball_mass_rows(space: MetricMeasureSpace, radii: np.ndarray) -> np.ndarray:
-    """mu(B(x, radii[x, j])) for every point x, one searchsorted per row of the ball index:
-    the per-row lookup that the index's gather replaces."""
-    sorted_d, prefix, _ = space._ball_index()
+    """mu(B(x, radii[x, j])) for every point x, one searchsorted per distance row of the ball
+    index, sorted here, into the index's prefix masses: the per-row lookup that the index's
+    counts and gather replace."""
+    prefix = space._ball_index()
+    rows = space._index_rows()
     out = np.empty_like(radii)
-    for x, row in enumerate(np.arange(space.n) % len(sorted_d)):
-        k = np.searchsorted(sorted_d[row], radii[x], side="right")
-        out[x] = np.where(k > 0, prefix[row, np.maximum(k, 1) - 1], 0.0)
+    for x, row in enumerate(np.arange(space.n) % rows):
+        k = np.searchsorted(np.sort(space.dist_rows(row, row + 1)[0]), radii[x], side="right")
+        out[x] = np.where(k > 0, prefix[row % len(prefix), np.maximum(k, 1) - 1], 0.0)
     return out
 
 

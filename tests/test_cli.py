@@ -533,6 +533,18 @@ class TestBadInput:
         assert "weight at point 1" in result.output
         assert "Traceback" not in result.output
 
+    def test_matrix_file_breaking_the_triangle_inequality_exit_2(self, runner, tmp_path):
+        """The error line prints both sides of the broken inequality as plain floats."""
+        path = tmp_path / "tri.space"
+        doc = {"name": "tri", "n": 3, "metric": {"type": "matrix", "params": {}},
+               "weights": [1.0, 1.0, 1.0], "matrix": [1.0, 9.0, 1.0]}  # d(0,2) = 9 > 1 + 1
+        path.write_text(json.dumps(doc))
+        result = invoke(runner, ["energy", "--space", str(path), "--field", "x",
+                                 "--functional", "gagliardo", "--s", "0.5"])
+        assert result.exit_code == 2, result.output
+        assert result.output == ("error: triangle inequality violated on triple (2,1,0): "
+                                 "d(a,c)=9.0 > d(a,b)+d(b,c)=2.0\n")
+
     @pytest.mark.parametrize("p", ["0", "0.5", "nan", "-2", "inf"])
     @pytest.mark.parametrize(
         "command",

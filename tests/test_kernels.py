@@ -220,11 +220,12 @@ class TestKernelReuse:
 
     @pytest.mark.parametrize("space", ["gauge_grid:16:square", "interval:256"])
     def test_rho1_matrix_reads_the_distance_matrix(self, space):
-        """The ball index and the kernel share space.dist: about 5 n x n float blocks at the
-        peak, where a second distance matrix from dist_rows(0, n) makes 6."""
+        """The gather reads space.dist and keeps no sorted rows or n prefix rows: dist, the
+        kernel and one row block's temporaries, under 3 n x n float blocks at the peak, where
+        a second distance matrix from dist_rows(0, n) would make more."""
         sp = build_space(SpaceSpec.parse(space))
         _, peak = traced_peak(lambda: kernel_matrix(sp, KernelSpec("rho1")))
-        assert peak <= 5.5 * 8 * sp.n**2
+        assert peak <= 3 * 8 * sp.n**2
 
 
 # Tie-heavy spaces for the rho1 gather; "+w" marks a generator's distances as a matrix
@@ -305,6 +306,75 @@ class TestRho1Gather:
         kernel_matrix(sp, KernelSpec("geom"))
         lattice = sp.index_lattice()
         assert sum(sorted_rows) == (1 if lattice is not None and lattice[1] else sp.n)
+
+
+    @pytest.mark.parametrize("name", GATHER_SPACES)
+    def test_ball_queries_match_a_stable_sort_of_each_row(self, name, tmp_path):
+        """ball_masses, ball_mass, doubling_constant and rho1 bitwise equal a reference that
+        argsorts every distance row stably and prefix-sums the weights in that order."""
+        sp = gather_space(name, tmp_path)
+        dist, n = sp.dist, sp.n
+        order = np.argsort(dist, axis=1, kind="stable")
+        ranked = np.take_along_axis(dist, order, axis=1)
+        prefix = np.cumsum(sp.weights[order], axis=1)
+
+        def masses(radii):  # mu(B(x, radii[x, j])), one search per row
+            return np.stack([prefix[x, np.searchsorted(ranked[x], radii[x], side="right") - 1]
+                             for x in range(n)])
+
+        realized = np.unique(dist)
+        for r in [0.0, *realized[:: max(1, len(realized) // 6)], realized[1] / 2, sp.diameter]:
+            want = masses(np.full((n, 1), r))[:, 0]
+            assert sp.ball_masses(r).tobytes() == want.tobytes(), r
+            some = [0, n // 3, n - 1]
+            assert [sp.ball_mass(x, r) for x in some] == list(want[some])
+        want = masses(dist)
+        np.fill_diagonal(want, np.nan)
+        assert kernel_matrix(sp, KernelSpec("rho1")).tobytes() == want.tobytes()
+        best = (1.0, 0, 0.0)
+        for x in range(n):  # every row: rows that permute row 0 keep point 0, the first witness
+            pos = ranked[x][ranked[x] > 0.0]
+            cand = np.concatenate([pos, pos * 0.5])
+            k_r, k_2r = (np.searchsorted(ranked[x], c, side="right") for c in (cand, 2.0 * cand))
+            ratios = prefix[x, k_2r - 1] / prefix[x, k_r - 1]
+            j = int(np.argmax(ratios))
+            if ratios[j] > best[0]:
+                best = (float(ratios[j]), x, float(cand[j]))
+        report = doubling_constant(sp)
+        assert (report.c_d_hat, report.witness) == (best[0], best[1:])
+
+    @pytest.mark.parametrize("name", ["interval:300", "gauge_grid:16:square", "sierpinski:4",
+                                      "circle:33", "torus2d:7x13", "graph", "matrix file+e"])
+    def test_equal_weight_ball_queries_run_no_argsort(self, monkeypatch, tmp_path, name):
+        """With equal weights the index is one prefix row: ball queries count distances and
+        sort nothing, and rho1 still argsorts each row once."""
+        if name == "matrix file+e":  # the hand-made matrix file with equal weights
+            src = gather_space("matrix file", tmp_path)
+            sp = MetricMeasureSpace(src.dist, np.full(src.n, 0.5))
+        else:
+            sp = gather_space(name, tmp_path)
+        calls = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        sp.ball_masses(0.3)
+        sp.ball_mass(sp.n - 1, 0.2)
+        doubling_constant(sp)
+        assert calls == [] and sp._ball_index().shape == (1, sp.n)
+        kernel_matrix(sp, KernelSpec("rho1"))
+        assert sum(shape[0] for shape in calls) == sp._index_rows()
+
+    def test_first_ball_query_on_a_long_interval_holds_no_square_array(self):
+        """The first ball_masses on interval:2048 counts a row block at a time: its peak stays
+        under n^2 bytes, an eighth of one n x n float block."""
+        sp = build_space(SpaceSpec.parse("interval:2048"))
+        masses, peak = traced_peak(lambda: sp.ball_masses(0.1))
+        assert peak < sp.n**2 and sp._dist is None
+        assert masses.tobytes() == ball_mass_rows(sp, np.full((sp.n, 1), 0.1))[:, 0].tobytes()
 
 
 class TestKernelValues:

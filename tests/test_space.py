@@ -31,6 +31,7 @@ from nsl import (
     save_space,
     scale_s_by_balls,
 )
+from nsl.kernels import kernel_matrix
 from nsl.verify import check_mean_comparison
 
 from conftest import (HEXAGON, ball_mass_rows, count_gasket_builds, matrix_file_space,
@@ -358,28 +359,38 @@ class TestBallMeasure:
             check_mean_comparison(sp, u, 2.0, [r])
 
     def test_ball_index_prefix_sums(self, interval128):
-        sorted_d, prefix, _ = interval128._ball_index()
-        assert np.all(np.diff(prefix, axis=1) > 0)
-        assert prefix[:, -1] == pytest.approx(interval128.total_mass)
-        assert np.all(np.diff(sorted_d, axis=1) >= 0)
+        """Prefix masses rise along each row to the total mass: one row with equal weights,
+        one per point with unequal ones."""
+        weighted = build_space(SpaceSpec.parse("interval:128:0.5"))
+        for sp, rows in ((interval128, 1), (weighted, 128)):
+            prefix = sp._ball_index()
+            assert prefix.shape == (rows, sp.n) and not prefix.flags.writeable
+            assert np.all(np.diff(prefix, axis=1) > 0)
+            assert prefix[:, -1] == pytest.approx(sp.total_mass)
 
     @pytest.mark.parametrize("name", ["circle:2", "circle:33", "circle:64", "torus2d:3x5",
                                       "torus2d:8x8", "torus2d:12x7"])
     def test_one_sorted_row_matches_full_index(self, name):
-        """Circle and torus sort row 0 only; every ball query equals the full argsort's."""
+        """Circle and torus count row 0 only; every ball query equals that of a matrix space
+        that counts every row, and the prefix rows are the same."""
         sp = build_space(SpaceSpec.parse(name))
-        copy = MetricMeasureSpace(sp.dist, sp.weights)  # a matrix space sorts every row
+        copy = MetricMeasureSpace(sp.dist, sp.weights)  # a matrix space counts every row
+        assert (sp._index_rows(), copy._index_rows()) == (1, sp.n)
         realized = np.unique(sp.dist)
         for r in np.concatenate([realized, realized / 2]):
             assert np.array_equal(sp.ball_masses(r), copy.ball_masses(r)), r
+            for x in (0, sp.n // 2, sp.n - 1):
+                assert sp.ball_mass(x, r) == copy.ball_mass(x, r), (x, r)
         radii = np.random.default_rng(sp.n).uniform(0.0, sp.diameter, (sp.n, sp.n))
         radii[:, :4] = sp.dist[:, :4]  # realized radii, where the index ties
         assert np.array_equal(ball_mass_rows(sp, radii), ball_mass_rows(copy, radii))
         assert doubling_constant(sp) == doubling_constant(copy)
-        for mine, full in zip(sp._ball_index()[:2], copy._ball_index()[:2]):
-            assert mine.shape == (1, sp.n) and full.shape == (sp.n, sp.n)
-            assert np.array_equal(np.broadcast_to(mine, full.shape), full)
-            assert not mine.flags.writeable and not full.flags.writeable
+        mine, full = sp._ball_index(), copy._ball_index()
+        assert mine.shape == full.shape == (1, sp.n)
+        assert mine.tobytes() == full.tobytes()
+        assert not mine.flags.writeable and not full.flags.writeable
+        assert np.array_equal(kernel_matrix(sp, KernelSpec("rho1")),
+                              kernel_matrix(copy, KernelSpec("rho1")), equal_nan=True)
 
     @pytest.mark.parametrize("name, c_d_hat, witness", [
         ("torus2d:64x64", 9.0, (0, 0.011048543456039806)),
