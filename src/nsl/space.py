@@ -382,9 +382,8 @@ class MetricMeasureSpace:
         return self.dist[i, j]
 
     def _every_distance(self) -> np.ndarray:
-        """Rows of dist that hold every distance: row 0 on an index lattice, whose row 0 holds
-        every index offset; else all of dist."""
-        return self.dist if self.index_lattice() is None else self.dist_rows(0, 1)
+        """A lattice's table, which holds every distance once per index offset; else dist."""
+        return self.dist if self._table is None else self._table
 
     @property
     def diameter(self) -> float:
@@ -396,8 +395,8 @@ class MetricMeasureSpace:
 
         def scan() -> float:
             rows = self._every_distance()
-            return float(min(  # no n x n mask or copy
-                np.min(rows[a:b], initial=np.inf, where=~np.eye(b - a, self.n, a, dtype=bool))
+            return float(min(  # no n x n mask or copy; the only zeros are the diagonal's
+                np.min(rows[a:b], initial=np.inf, where=rows[a:b] > 0)
                 for a, b in row_blocks(len(rows))))
 
         return self.cache("min_distance", scan) if self.n > 1 else 0.0

@@ -8,9 +8,11 @@ which passes when lhs <= rhs up to IDENTITY_RTOL relative; only the ball-mean
 check (both sides, EXACT_RTOL), the two identities, the two-sided window, the
 mollifier drift flag and the degenerate Hajlasz case pass their own `ok`.
 The identities (layer-cake for the fractional energy, threshold averaging)
-are evaluated by closed-form segment integration of the relevant step
-function, so they must hold to 1e-9 relative with no quadrature error. The
-fixed bounds are HAJLASZ_BUDGET, TWO_SIDED_WINDOW and MOLLIFIER_ALLOWANCE.
+are linear in the pairs: each fixed row block integrates the step function of
+its own pairs in closed form and block_reduce sums the blocks, so they must
+hold to 1e-9 relative with no quadrature error. The annuli tails are per-row
+sums over the same blocks, so no check holds a whole pair array. The fixed
+bounds are HAJLASZ_BUDGET, TWO_SIDED_WINDOW and MOLLIFIER_ALLOWANCE.
 
 Checks that need geometry the space does not carry (geodesic chains on a
 matrix-only space, mesh refinement of a generator-less space) return a
@@ -30,12 +32,12 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .energies import (ScaleEnergies, _ball_pair_totals, g_scale, gagliardo_p, h_energy,
-                       k_energy, mollify, scale_s_by_balls)
+from .energies import (ScaleEnergies, _ball_pair_totals, _pair_sum, g_scale, gagliardo_p,
+                       h_energy, k_energy, mollify, scale_s_by_balls)
 from .fields import EnergySpec, ScalarField, as_values
 from .gradients import cheeger_surrogate, hajlasz_minimal, path_integral
 from .kernels import KernelSpec, kernel_comparability, kernel_matrix
-from .parallel import map_blocks
+from .parallel import block_reduce, map_blocks
 from .space import MetricMeasureSpace, SpaceSpec, build_space, doubling_constant
 from .sweeps import bbm_sweep, extrapolate, nguyen_sweep
 
@@ -153,21 +155,25 @@ def check_annuli_bound(
     The dyadic-annuli chain gives C = c_rho_hat * c_d_hat^2 * 2^p/(2^p - 1)
     from the measured constants.
     """
+    radii = [float(r) for r in r_grid]
+    for r in radii:
+        if not r > 0:  # NaN fails too
+            raise ValueError(f"annuli radius must be > 0, got {r}")
     c_d, c_rho = _measured(space, kernel)
     big_c = c_rho * c_d**2 * 2.0**p / (2.0**p - 1.0)
-    rho = kernel_matrix(space, kernel)
+    rho, w = kernel_matrix(space, kernel), space.weights
     report = VerificationReport(
         "annuli-tail-bound", constants={"c_d_hat": c_d, "c_rho_hat": c_rho, "C": big_c}
     )
-    # NaN on the diagonal, which r > 0 always excludes
-    terms = space.weights[None, :] / (rho * space.dist**p)
-    for r in r_grid:
-        if not r > 0:  # NaN fails too
-            raise ValueError(f"annuli radius must be > 0, got {r}")
-        tails = np.sum(np.where(space.dist >= r, terms, 0.0), axis=1)
-        worst = float(np.max(tails) * r**p)
-        note = f"sup_x r^p * tail(x) at x = {int(np.argmax(tails))}"
-        report.add({"r": float(r), "p": p}, worst, big_c, note=note)
+
+    def rows(a: int, b: int) -> np.ndarray:
+        d = space.dist_rows(a, b)
+        terms = w / (rho[a:b] * d**p)  # NaN on the diagonal, which r > 0 always excludes
+        return np.array([np.sum(np.where(d >= r, terms, 0.0), axis=1) for r in radii])
+
+    for r, tail in zip(radii, np.hstack(map_blocks(space.n, rows))):  # one row per radius
+        note = f"sup_x r^p * tail(x) at x = {int(np.argmax(tail))}"
+        report.add({"r": r, "p": p}, float(np.max(tail) * r**p), big_c, note=note)
     return report
 
 
@@ -212,22 +218,19 @@ def check_mean_comparison(
 # -- layer-cake identity ------------------------------------------------------------
 
 
-def _pair_arrays(space: MetricMeasureSpace, vals: np.ndarray, kernel: KernelSpec):
-    iu, ju = np.triu_indices(space.n, k=1)
-    d = space.dist[iu, ju]
-    rho = kernel_matrix(space, kernel)
-    # both orders of each unordered pair
-    weight = space.weights[iu] * space.weights[ju]
-    contrib = weight * (1.0 / rho[iu, ju] + 1.0 / rho[ju, iu])
-    gap = np.abs(vals[iu] - vals[ju])
-    return d, gap, contrib
+def _pair_blocks(space: MetricMeasureSpace, vals: np.ndarray, kernel: KernelSpec, fn) -> float:
+    """fn(d, gap, weight) on flat arrays over the pairs x < y, x in a row block, summed over
+    the blocks by block_reduce; weight w(x) w(y) (1/rho(x,y) + 1/rho(y,x)) counts both orders."""
+    rho, w = kernel_matrix(space, kernel), space.weights
 
+    def rows(a: int, b: int) -> float:  # the columns from a on hold every pair x < y
+        upper = np.arange(a, space.n) > np.arange(a, b)[:, None]
+        d = space.dist_rows(a, b)[:, a:][upper]
+        gap = np.abs(vals[a:b, None] - vals[a:])[upper]
+        weight = (w[a:b, None] * w[a:] * (1.0 / rho[a:b, a:] + 1.0 / rho[a:, a:b].T))[upper]
+        return fn(d, gap, weight)
 
-def _group_sums(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in ascending order and the sum of vals over each."""
-    order = np.argsort(keys, kind="stable")
-    uniq, starts = np.unique(keys[order], return_index=True)
-    return uniq, np.add.reduceat(vals[order], starts)
+    return block_reduce(space.n, rows)
 
 
 def check_fubini_identity(
@@ -241,17 +244,15 @@ def check_fubini_identity(
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional order s must be in (0,1), got {s}")
-    vals = as_values(u, space.n)
-    d, gap, contrib = _pair_arrays(space, vals, kernel)
-    ps = p * s
-    uniq, jump_per_d = _group_sums(d, gap**p * contrib)
-    cumulative = np.cumsum(jump_per_d)
 
-    # segment integrals ps * int_{d_k}^{d_{k+1}} t^{-ps-1} dt = d_k^-ps - d_{k+1}^-ps
-    heads = uniq**-ps
-    tails = np.append(uniq[1:] ** -ps, 0.0)
-    lhs = float(np.sum(cumulative * (heads - tails)))
+    def segments(d, gap, weight) -> float:
+        # ps int_{d_k}^{d_{k+1}} t^{-ps-1} dt = d_k^-ps - d_{k+1}^-ps; a tie has width 0
+        order = np.argsort(d)
+        heads = d[order] ** -(p * s)
+        cumulative = np.cumsum((gap**p * weight)[order])
+        return float(np.sum(cumulative * (heads - np.append(heads[1:], 0.0))))
 
+    lhs = _pair_blocks(space, as_values(u, space.n), kernel, segments)
     rhs = gagliardo_p(space, u, EnergySpec(p=p, s=s, kernel=kernel))
     report = VerificationReport("fubini-layer-cake", constants={"p": p, "s": s})
     note = "segment integral vs direct pair sum"
@@ -453,21 +454,21 @@ def check_nguyen_averaging(
     A_d is a step function of the threshold jumping at realized field gaps,
     so the left side is integrated in closed form per segment.
     """
-    if eps <= 0 or r <= 0:
-        raise ValueError("eps and r must be positive")
+    if not (0.0 < eps < np.inf and r > 0):  # NaN fails too
+        raise ValueError(f"eps must lie in (0, inf) and r be > 0, got eps={eps}, r={r}")
     vals = as_values(u, space.n)
-    d, gap, contrib = _pair_arrays(space, vals, kernel)
-    base = contrib / d**p
 
-    positive = gap > 0
-    uniq, per_gap = _group_sums(gap[positive], base[positive])
-    # T on [uniq[k-1], uniq[k]) is the tail sum of pairs with gap >= uniq[k]
-    tails = np.cumsum(per_gap[::-1])[::-1]
-    # T vanishes past the largest gap; each segment is clipped to [0, r]
-    knots = np.minimum(np.concatenate([[0.0], uniq]), r) ** (p + eps)
-    lhs = eps / (p + eps) * float(np.sum(tails * np.diff(knots)))
+    def segments(d, gap, weight) -> float:
+        order = np.argsort(gap)
+        # T on [g_{k-1}, g_k) of the sorted gaps (g_0 = 0) sums the pairs from k on and
+        # vanishes past the last; a tie is a segment of width 0, each clipped to [0, r]
+        tails = np.cumsum((weight / d**p)[order][::-1])[::-1]
+        knots = np.minimum(np.append(0.0, gap[order]), r) ** (p + eps)
+        return float(np.sum(tails * np.diff(knots)))
 
-    rhs = eps / (p + eps) * float(np.sum(np.minimum(gap, r) ** (p + eps) * base))
+    lhs = eps / (p + eps) * _pair_blocks(space, vals, kernel, segments)
+    term = (lambda gap: np.minimum(gap, r) ** (p + eps), lambda d, rho: 1.0 / (rho * d**p))
+    rhs = eps / (p + eps) * float(_pair_sum(space, vals, [term], kernel)[0])
     report = VerificationReport("threshold-averaging", constants={"eps": eps, "r": r, "p": p})
     params = {"eps": eps, "r": r, "p": p, "kernel": kernel.key}
     note = "segment integral vs truncated pair sum"

@@ -8,6 +8,7 @@ import pytest
 
 import nsl.space
 from nsl import KernelSpec, MetricMeasureSpace, ScalarField, SpaceSpec, build_space
+from nsl.kernels import kernel_matrix
 
 
 # An origin-symmetric hexagon, as a body tag: a polygon gauge that is neither
@@ -205,3 +206,41 @@ def hajlasz_oracle_p2(weights, pairs, bounds):
             if ok:
                 best = min(best, float(np.sum(w * g**2)))
     return best
+
+
+def _upper_pairs(space: MetricMeasureSpace, vals, kernel: KernelSpec):
+    """d, gap and weight w(x) w(y) (1/rho(x,y) + 1/rho(y,x)) of every pair x < y, gathered at
+    once over the whole upper triangle."""
+    iu, ju = np.triu_indices(space.n, k=1)
+    rho = kernel_matrix(space, kernel)
+    weight = space.weights[iu] * space.weights[ju] * (1.0 / rho[iu, ju] + 1.0 / rho[ju, iu])
+    return space.dist[iu, ju], np.abs(vals[iu] - vals[ju]), weight
+
+
+def _group_sums(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order and the sum of vals over each."""
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = np.unique(keys[order], return_index=True)
+    return uniq, np.add.reduceat(vals[order], starts)
+
+
+def layer_cake_oracle(space: MetricMeasureSpace, vals, p: float, s: float,
+                      kernel: KernelSpec) -> float:
+    """The layer-cake side of check_fubini_identity as one step function over all pairs,
+    one step per distinct distance."""
+    d, gap, weight = _upper_pairs(space, vals, kernel)
+    uniq, jumps = _group_sums(d, gap**p * weight)
+    heads = uniq ** -(p * s)
+    return float(np.sum(np.cumsum(jumps) * (heads - np.append(heads[1:], 0.0))))
+
+
+def threshold_averaging_oracle(space: MetricMeasureSpace, vals, p: float, eps: float, r: float,
+                               kernel: KernelSpec) -> float:
+    """The segment-integral side of check_nguyen_averaging as one step function over all
+    pairs, one step per distinct positive gap."""
+    d, gap, weight = _upper_pairs(space, vals, kernel)
+    positive = gap > 0
+    uniq, per_gap = _group_sums(gap[positive], (weight / d**p)[positive])
+    tails = np.cumsum(per_gap[::-1])[::-1]
+    knots = np.minimum(np.append(0.0, uniq), r) ** (p + eps)
+    return eps / (p + eps) * float(np.sum(tails * np.diff(knots)))

@@ -15,6 +15,7 @@ from nsl import (
     set_workers,
 )
 from nsl.parallel import BLOCK_ROWS, block_reduce, get_workers, row_blocks, tree_sum
+from nsl.verify import check_annuli_bound, check_fubini_identity, check_nguyen_averaging
 
 
 @pytest.fixture(autouse=True)
@@ -73,14 +74,20 @@ class TestEnergyDeterminism:
         sp = build_space(SpaceSpec("circle", n=300))  # several row blocks
         rng = np.random.default_rng(9)
         u = ScalarField(np.sin(sp.coords[:, 0]) + 0.2 * rng.normal(size=300))
+        iv = build_space(SpaceSpec("interval", n=300))  # the row route, several row blocks
+        v, rho1 = ScalarField(np.sin(5.0 * iv.coords[:, 0])), KernelSpec("rho1")
         outputs = []
         for w in (1, 2, 8):
             set_workers(w)
+            checks = (check_annuli_bound(iv, rho1, 2.0, [0.05, 0.2]),
+                      check_fubini_identity(iv, v, 2.0, 0.7, rho1),
+                      check_nguyen_averaging(iv, v, 2.0, 0.5, 0.4, rho1))
+            records = [(repr(r.lhs), repr(r.rhs), r.note) for rep in checks for r in rep.records]
             g = gagliardo_p(sp, u, EnergySpec(p=2, s=0.7, kernel=KernelSpec("rho1")))
             a = nguyen_a(sp, u, EnergySpec(p=2, delta=0.3, kernel=KernelSpec("rho1")))
             b = nguyen_b(sp, u, EnergySpec(p=2, delta=0.3, r=0.8, kernel=KernelSpec("rho1")))
             se = scale_energies(sp, u, EnergySpec(p=2, t=0.4, kernel=KernelSpec("rho1")))
             m = mollify(sp, u, 0.3)
             outputs.append((repr(g), repr(a), repr(b), repr(se.k), repr(se.h), repr(se.s),
-                            m.values.tobytes()))
+                            m.values.tobytes(), records))
         assert outputs[0] == outputs[1] == outputs[2]

@@ -210,15 +210,19 @@ class TestLatticeDistances:
         assert MetricMeasureSpace(np.zeros((1, 1)), np.ones(1)).min_distance == 0.0
 
     @pytest.mark.parametrize("name", ["interval:2", "interval:65", "interval:65:0.5", "circle:2",
-                                      "circle:33", "torus2d:2x2", "torus2d:3x5", "torus2d:8x8"])
+                                      "circle:33", "torus2d:2x2", "torus2d:3x5", "torus2d:8x8",
+                                      "gauge_grid:5:square", f"gauge_grid:5:{HEXAGON}"])
     def test_lattice_extremes_from_row_zero(self, name):
-        """Row 0 holds every index offset: min_distance and diameter are those of a full scan."""
+        """The lattice table holds every index offset: min_distance and diameter are those of
+        a full scan, and reading them builds no distance matrix."""
         sp = build_space(SpaceSpec.parse(name))
+        extremes = sp.min_distance, sp.diameter
+        assert sp._dist is None
         copy = MetricMeasureSpace(sp.dist, sp.weights)
-        assert sp.index_lattice() is not None and copy.index_lattice() is None
+        assert sp._table is not None and copy._table is None
         off = ~np.eye(sp.n, dtype=bool)
-        assert sp.min_distance.hex() == copy.min_distance.hex() == np.min(sp.dist[off]).hex()
-        assert sp.diameter.hex() == copy.diameter.hex() == np.max(sp.dist).hex()
+        assert extremes[0].hex() == copy.min_distance.hex() == np.min(sp.dist[off]).hex()
+        assert extremes[1].hex() == copy.diameter.hex() == np.max(sp.dist).hex()
 
     def test_min_distance_allocates_no_square_copy(self):
         sp = build_space(SpaceSpec("interval", n=2048))

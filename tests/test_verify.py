@@ -12,7 +12,8 @@ from nsl import (
     build_space,
     doubling_constant,
 )
-from nsl.kernels import kernel_matrix
+from nsl.kernels import kernel_matrix, offset_lattice
+from nsl.parallel import row_blocks
 from nsl.verify import (
     _geodesic_paths,
     check_annuli_bound,
@@ -29,7 +30,8 @@ from nsl.verify import (
     two_sided_report,
 )
 
-from conftest import mean_comparison_oracle, random_space
+from conftest import (layer_cake_oracle, mean_comparison_oracle, random_space,
+                      threshold_averaging_oracle, traced_peak)
 
 
 def sin_field(space):
@@ -151,6 +153,48 @@ class TestFubini:
             interval128, step_field(interval128), 2.0, 0.6, KernelSpec("rho1")
         )
         assert rep.passed
+
+
+class TestSegmentIntegrals:
+    """Both identities integrate per row block; the sum of the blocks' segment integrals is the
+    segment integral over all pairs at once."""
+
+    @pytest.mark.parametrize("name", ["interval:300:0.5", "sierpinski:5"])
+    @pytest.mark.parametrize("kernel", ["rho1", "harm"])
+    def test_blocks_match_the_whole_step_function(self, name, kernel):
+        sp, ks = build_space(SpaceSpec.parse(name)), KernelSpec(kernel)
+        assert len(row_blocks(sp.n)) > 1 and offset_lattice(sp, ks) is None
+        x = sp.coords[:, 0]
+        for vals in (np.sin(3.0 * x), np.round(4.0 * x) / 4.0):  # the second ties many gaps
+            u = ScalarField(vals)
+            fubini = check_fubini_identity(sp, u, 2.0, 0.7, ks).records[0].lhs
+            assert fubini == pytest.approx(layer_cake_oracle(sp, vals, 2.0, 0.7, ks), rel=1e-12)
+            avg = check_nguyen_averaging(sp, u, 1.5, 0.5, 0.3, ks).records[0].lhs
+            oracle = threshold_averaging_oracle(sp, vals, 1.5, 0.5, 0.3, ks)
+            assert avg == pytest.approx(oracle, rel=1e-12)
+
+
+class TestPairBlockPeaks:
+    """No check holds a whole pair array: with the kernel cached (and with it the interval's
+    distance matrix), each peaks at a fraction of n x n floats."""
+
+    @pytest.mark.parametrize("name", ["torus2d:32x32", "interval:1024"])
+    @pytest.mark.parametrize("check", ["fubini", "nguyen-avg"])
+    def test_identities(self, name, check):
+        sp, rho1 = build_space(SpaceSpec.parse(name)), KernelSpec("rho1")
+        kernel_matrix(sp, rho1)
+        u = ScalarField(np.sin(2.0 * np.pi * sp.coords[:, 0]))
+        if check == "fubini":
+            rep, peak = traced_peak(lambda: check_fubini_identity(sp, u, 2.0, 0.7, rho1))
+        else:
+            rep, peak = traced_peak(lambda: check_nguyen_averaging(sp, u, 2.0, 0.5, 0.5, rho1))
+        assert rep.passed and peak < 1.5 * 8 * sp.n**2
+
+    def test_annuli(self):
+        sp, rho1 = build_space(SpaceSpec.parse("torus2d:32x32")), KernelSpec("rho1")
+        kernel_matrix(sp, rho1)
+        rep, peak = traced_peak(lambda: check_annuli_bound(sp, rho1, 2.0, [0.1, 0.2, 0.4]))
+        assert rep.passed and len(rep.records) == 3 and peak < 8 * sp.n**2
 
 
 class TestHks:
@@ -318,6 +362,18 @@ class TestNguyenAveraging:
         # r below the oscillation: truncation actually bites, identity still exact
         rep = check_nguyen_averaging(circle64, sin_field(circle64), 2.0, 0.7, 0.3, ahlfors1)
         assert rep.passed
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_eps_and_radius_out_of_range(self, circle64, value):
+        """eps lies in (0, inf) and r > 0; r = inf truncates nothing and is valid."""
+        u, rho1 = sin_field(circle64), KernelSpec("rho1")
+        with pytest.raises(ValueError, match="eps must lie in"):
+            check_nguyen_averaging(circle64, u, 2.0, value, 0.5, rho1)
+        if value == math.inf:
+            assert check_nguyen_averaging(circle64, u, 2.0, 0.5, value, rho1).passed
+        else:
+            with pytest.raises(ValueError, match="eps must lie in"):
+                check_nguyen_averaging(circle64, u, 2.0, 0.5, value, rho1)
 
 
 class TestHajlaszBound:
