@@ -17,9 +17,12 @@ at an end, gauges of the geodesic angle or the nearest translate of the
 wrapped offset), and the Ahlfors kernel alone on the interval.
 
 One builder, _kernel_rows, with one branch per kernel kind, serves both
-kernel_matrix (all rows) and kernel_row (row 0), so the two agree bitwise.
-rho1 is gathered on its first request by one stable sort per distance row
-(space.pair_ball_masses), so no kernel runs a per-row search or sorts a row twice.
+kernel_matrix (all rows) and kernel_row (row 0), so the two agree bitwise;
+kernel_blocks reads row blocks of either, on circle and torus from row 0 alone.
+rho1 is gathered once, on its first request (space.pair_ball_masses): with
+equal weights on a generator space by counting each row's integer distance
+levels, else by one stable sort per distance row. No kernel runs a per-row
+search or sorts a row twice.
 
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.
@@ -34,11 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ConvexBody, gauge_distance_matrix, parse_body
+from .parallel import row_blocks
 from .space import SpaceSpec, _lattice_offsets, _lattice_rows, doubling_constant
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
 
-__all__ = ["KernelSpec", "kernel_matrix", "kernel_row", "offset_lattice", "kernel_comparability"]
+__all__ = ["KernelSpec", "kernel_matrix", "kernel_row", "kernel_blocks", "offset_lattice",
+           "kernel_comparability"]
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,13 @@ def _gauge_pow_rows(space, body: ConvexBody, exponent: float, rows: int) -> np.n
     return _lattice_rows(np.power(out, exponent, out=out), 0, rows)
 
 
+def _wrapped_offsets(shape: tuple[int, ...]) -> np.ndarray:
+    """The position in row 0 of a wrapped lattice of each signed index offset (_lattice_offsets):
+    row 0 indexed by it is the lattice table of a kernel that depends only on the wrapped
+    offset."""
+    return np.ravel_multi_index([k % m for k, m in zip(_lattice_offsets(shape), shape)], shape)
+
+
 def _combine(kind: str, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """A ball-mass combination kernel from matching entries of rho1 and rho2."""
     if kind == "rho2":
@@ -132,9 +144,7 @@ def _kernel_rows(space, spec: KernelSpec, rows: int) -> np.ndarray:
         masses = space.pair_ball_masses()
         if rows <= len(masses):
             return masses[:rows]
-        shape = space.index_lattice()[0]  # the row entry of each signed offset, wrapped
-        at = np.ravel_multi_index([k % m for k, m in zip(_lattice_offsets(shape), shape)], shape)
-        out = _lattice_rows(masses[0, at], 0, rows)
+        out = _lattice_rows(masses[0, _wrapped_offsets(space.index_lattice()[0])], 0, rows)
     elif spec.kind == "ahlfors":
         out = (space.dist if whole else space.dist_rows(0, rows)) ** spec.exponent
     elif spec.kind == "gauge-ahlfors":
@@ -162,6 +172,28 @@ def kernel_row(space, spec: KernelSpec) -> np.ndarray:
     return space.cache(("kernel_row", spec.key), lambda: _kernel_rows(space, spec, 1)[0])
 
 
+def kernel_blocks(space, spec: KernelSpec):
+    """A reader of row blocks of kernel_matrix(space, spec), bitwise: rows(a, b) gives rows
+    a..b of the matrix and rows a..b of its transpose.
+
+    On circle and torus, where the kernel depends only on the wrapped index
+    offset and is symmetric (every gauge body is origin-symmetric), the two are
+    one lattice window (_lattice_rows) of kernel_row's offset table, and no
+    matrix is built; elsewhere they are slices of the cached matrix.
+    """
+    lattice = space.index_lattice()
+    if lattice is None or not lattice[1]:
+        rho = kernel_matrix(space, spec)
+        return lambda a, b: (rho[a:b], rho.T[a:b])
+    table = kernel_row(space, spec)[_wrapped_offsets(lattice[0])]
+
+    def rows(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        block = _lattice_rows(table, a, b)
+        return block, block
+
+    return rows
+
+
 def offset_lattice(space, spec: KernelSpec) -> tuple[tuple[int, ...], bool] | None:
     """(shape, wrapped) of the index lattice where d and rho depend only on the offset; else None.
 
@@ -176,25 +208,26 @@ def kernel_comparability(space, spec: KernelSpec):
     """Measured two-sided comparability of rho against mu(B(x, d(x,y))).
 
     Returns a DoublingReport carrying c_rho_hat = max(sup rho/rho1,
-    sup rho1/rho) over off-diagonal pairs, with the measured doubling
-    constant alongside. On circle and torus every row of both kernels is a
-    permutation of row 0, so row 0 alone gives the supremum and the first
-    witness (0, y).
+    sup rho1/rho) over off-diagonal pairs, with its first row-major witness
+    and the measured doubling constant alongside. The ratios are taken a row
+    block at a time (kernel_blocks). On circle and torus every row of both
+    kernels is a permutation of row 0, so row 0 alone gives the supremum and
+    the first witness (0, y).
     """
     if space.n < 2:
         raise ValueError("kernel comparability needs at least one off-diagonal pair")
-    if space._index_rows() == 1:
-        ratio = (kernel_row(space, spec) / kernel_row(space, KernelSpec("rho1")))[None, :]
-    else:
-        ratio = kernel_matrix(space, spec) / kernel_matrix(space, KernelSpec("rho1"))
-    # both kernels have a NaN diagonal, which the nan-reductions skip
-    inverse = 1.0 / ratio
-    hi = float(np.nanmax(ratio))
-    lo = float(np.nanmax(inverse))
-    flat = np.nanargmax(ratio) if hi >= lo else np.nanargmax(inverse)
-    x, y = np.unravel_index(flat, ratio.shape)
+    rho, rho1 = kernel_blocks(space, spec), kernel_blocks(space, KernelSpec("rho1"))
+    sides = []  # per block: (max, x, y) of the ratio, then of its inverse
+    for a, b in row_blocks(space._index_rows()):
+        ratio, block = rho(a, b)[0] / rho1(a, b)[0], []
+        for r in (ratio, 1.0 / ratio):  # both kernels have a NaN diagonal, which nanargmax skips
+            x, y = divmod(int(np.nanargmax(r)), space.n)
+            block.append((float(r[x, y]), a + x, y))
+        sides.append(block)
+    # max keeps the first block of equal maxima, and so the first witness in row-major order
+    (hi, *hi_at), (lo, *lo_at) = (max(side, key=lambda t: t[0]) for side in zip(*sides))
     base = doubling_constant(space)
     base.c_rho_hat = max(hi, lo)
     base.kernel = spec.key
-    base.rho_witness = (int(x), int(y))
+    base.rho_witness = tuple(hi_at if hi >= lo else lo_at)
     return base

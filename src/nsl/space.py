@@ -3,13 +3,15 @@
 A space is a finite set of points with a symmetric distance matrix, one
 positive weight per point (the measure of that atom), and a ball index of
 prefix masses, read at the count of distances within a radius: one row with
-equal weights, so no ball query sorts. One stable sort per distance row gathers
-mu(B(x, d(x, y))), the rho1 kernel, and the prefix rows of unequal weights.
-A generator space (interval, circle,
-torus, gauge grid, Sierpinski gasket) keeps its distances in closed form: a
-lattice table over signed index offsets, or the gasket's three-copy recursion,
-and builds the matrix on the first read of its whole; readers of row 0, of a
-row block or of single pairs take a lattice's from its table without it.
+equal weights, so no ball query sorts. The rho1 kernel mu(B(x, d(x, y))) is
+the prefix read at the count of distances up to d(x, y): with equal weights a
+generator space counts the integer levels of its distances, and otherwise one
+stable sort per distance row gathers it, with the prefix rows of unequal
+weights. A generator space (interval, circle, torus, gauge grid, Sierpinski
+gasket) keeps its distances in closed form: a lattice table over signed index
+offsets, or the gasket's three-copy recursion, and builds the matrix on the
+first read of its whole; readers of row 0, of a row block or of single pairs
+take a lattice's from its table without it.
 
 Balls are closed everywhere: B(x, r) = {y : d(x, y) <= r}. The theory of
 doubling measures on finite spaces needs atoms counted consistently, and the
@@ -429,15 +431,34 @@ class MetricMeasureSpace:
         return equal if equal is not None else self._ranked()[0]
 
     def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
-        """_rank_rows of the distance rows of ball queries (row 0, or all of dist), built once."""
-        m = self._index_rows()
-        return self.cache("ranked_rows", lambda: _rank_rows(
-            self.dist if m == self.n else self.dist_rows(0, m), self.weights))
+        """_rank_rows of dist, built once: the index of unequal weights, and rho1 where no
+        level codes are (pair_ball_masses)."""
+        return self.cache("ranked_rows", lambda: _rank_rows(self.dist, self.weights))
+
+    def _level_rows(self) -> Callable[[int, int], np.ndarray] | None:
+        """A reader of int32 codes for rows a..b of dist, equal exactly where the distances are
+        and ordered like them, from a generator's closed form: a lattice table's ranks among
+        its distinct entries, read as the table is (_lattice_rows), or the gasket's integer
+        hops d * 2^L, exact as its unit edges are 2^-L. None for a matrix space."""
+        if self._table is not None:
+            codes = self.cache("level_table", lambda: np.searchsorted(
+                np.unique(self._table), self._table).astype(np.int32))
+            return lambda a, b: _lattice_rows(codes, a, b)
+        spec = SpaceSpec.from_metric(self.metric)
+        if spec is not None and spec.generator == "sierpinski":
+            return lambda a, b: (self.dist_rows(a, b) * 2.0**spec.level).astype(np.int32)
+        return None
 
     def pair_ball_masses(self) -> np.ndarray:
         """mu(B(x, d(x, y))) for each row x of the ball index and every point y, NaN where y
-        is x: the rho1 kernel, read-only, gathered on its first request."""
-        return self._ranked()[1]
+        is x: the rho1 kernel, read-only, gathered on its first request. Equal weights on a
+        generator space count distance levels (_level_masses); else _rank_rows sorts."""
+        prefix = _equal_prefix(self.weights)
+        levels = None if prefix is None else self._level_rows()
+        if levels is None:
+            return self._ranked()[1]
+        return self.cache("level_masses",
+                          lambda: _level_masses(levels, self._index_rows(), prefix[0]))
 
     def ball_mass(self, x: int, r: float) -> float:
         """Mass of the closed ball B(x, r)."""
@@ -483,11 +504,38 @@ def _equal_prefix(weights: np.ndarray) -> np.ndarray | None:
     return prefix
 
 
-def _rank_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The prefix masses and mu(B(x, d(x, y))) of the distance rows of points 0..len(rows),
-    both read-only: prefix[x, k] is the mass of the k+1 points nearest to x in the stable
-    sort order of row x (ties by ascending point id), one row (_equal_prefix) when all
-    weights are equal; masses are in point order, NaN where y is x.
+def _level_masses(levels: Callable[[int, int], np.ndarray], m: int,
+                  prefix: np.ndarray) -> np.ndarray:
+    """mu(B(x, d(x, y))) of the points x < m, read-only, NaN where y is x, with equal weights
+    and levels the reader of integer distance codes (MetricMeasureSpace._level_rows).
+
+    The equal-weight prefix row does not depend on the order of the points, so
+    the mass is prefix[count_x(d(x, y)) - 1] with count_x(r) = #{z : d(x, z) <= r}:
+    bitwise the entry a stable sort of the row reads at the last position of
+    y's tie group (_rank_rows). Per row block, one bincount over (row, code)
+    and a cumsum along the codes give each row's counts per level, and one
+    take gathers their masses; only one block of int32 codes is held.
+    """
+    masses = np.empty((m, len(prefix)))
+    for a, b in row_blocks(m):
+        flat = levels(a, b)  # codes, then each row's own range of bincount slots
+        top = int(flat.max()) + 1
+        flat += top * np.arange(b - a, dtype=np.int32)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=(b - a) * top).reshape(b - a, top)
+        # every slot is in range; "clip" writes to out without the buffered copy of "raise"
+        np.take(prefix[np.cumsum(counts, axis=1) - 1], flat, out=masses[a:b], mode="clip")
+    np.fill_diagonal(masses, np.nan)
+    masses.setflags(write=False)
+    return masses
+
+
+def _rank_rows(dist: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The prefix masses and mu(B(x, d(x, y))) of every point x, both read-only: prefix[x, k]
+    is the mass of the k+1 points nearest to x in the stable sort order of row x of dist
+    (ties by ascending point id), one row (_equal_prefix) when all weights are equal;
+    masses are in point order, NaN where y is x. The route of unequal weights and of
+    matrix spaces (graphs, files), whose distances carry no level codes; _level_masses
+    gives the same masses without sorting where they do.
 
     The mass of B(x, d(x, y)) is prefix[x, e], where e is the last sorted
     position of y's tie group, the entry that searchsorted(side="right") - 1
@@ -497,15 +545,15 @@ def _rank_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     the temporaries of one block, its sort order and sorted row among them,
     stay near a quarter of an n x n matrix.
     """
-    m, n = rows.shape
+    n = len(dist)
     equal = _equal_prefix(weights)
-    prefix = np.empty((m, n)) if equal is None else equal
-    masses = np.empty((m, n))
+    prefix = np.empty((n, n)) if equal is None else equal
+    masses = np.empty((n, n))
     step = max(1, n // 16)
-    for a in range(0, m, step):
-        b = min(a + step, m)
-        order = np.argsort(rows[a:b], axis=1, kind="stable")
-        ranked = np.take_along_axis(rows[a:b], order, axis=1)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        order = np.argsort(dist[a:b], axis=1, kind="stable")
+        ranked = np.take_along_axis(dist[a:b], order, axis=1)
         if equal is None:
             np.cumsum(weights[order], axis=1, out=prefix[a:b])
         last = np.ones(order.shape, dtype=bool)  # the last position of each tie group

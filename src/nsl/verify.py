@@ -36,7 +36,7 @@ from .energies import (ScaleEnergies, _ball_pair_totals, _pair_sum, g_scale, gag
                        h_energy, k_energy, mollify, scale_s_by_balls)
 from .fields import EnergySpec, ScalarField, as_values
 from .gradients import cheeger_surrogate, hajlasz_minimal, path_integral
-from .kernels import KernelSpec, kernel_comparability, kernel_matrix
+from .kernels import KernelSpec, kernel_blocks, kernel_comparability
 from .parallel import block_reduce, map_blocks
 from .space import MetricMeasureSpace, SpaceSpec, build_space, doubling_constant
 from .sweeps import bbm_sweep, extrapolate, nguyen_sweep
@@ -161,14 +161,14 @@ def check_annuli_bound(
             raise ValueError(f"annuli radius must be > 0, got {r}")
     c_d, c_rho = _measured(space, kernel)
     big_c = c_rho * c_d**2 * 2.0**p / (2.0**p - 1.0)
-    rho, w = kernel_matrix(space, kernel), space.weights
+    rho, w = kernel_blocks(space, kernel), space.weights
     report = VerificationReport(
         "annuli-tail-bound", constants={"c_d_hat": c_d, "c_rho_hat": c_rho, "C": big_c}
     )
 
     def rows(a: int, b: int) -> np.ndarray:
         d = space.dist_rows(a, b)
-        terms = w / (rho[a:b] * d**p)  # NaN on the diagonal, which r > 0 always excludes
+        terms = w / (rho(a, b)[0] * d**p)  # NaN on the diagonal, which r > 0 always excludes
         return np.array([np.sum(np.where(d >= r, terms, 0.0), axis=1) for r in radii])
 
     for r, tail in zip(radii, np.hstack(map_blocks(space.n, rows))):  # one row per radius
@@ -220,14 +220,17 @@ def check_mean_comparison(
 
 def _pair_blocks(space: MetricMeasureSpace, vals: np.ndarray, kernel: KernelSpec, fn) -> float:
     """fn(d, gap, weight) on flat arrays over the pairs x < y, x in a row block, summed over
-    the blocks by block_reduce; weight w(x) w(y) (1/rho(x,y) + 1/rho(y,x)) counts both orders."""
-    rho, w = kernel_matrix(space, kernel), space.weights
+    the blocks by block_reduce; weight w(x) w(y) (1/rho(x,y) + 1/rho(y,x)) counts both orders.
+    The kernel comes in row blocks (kernel_blocks): on circle and torus no matrix is built."""
+    rho, w = kernel_blocks(space, kernel), space.weights
 
     def rows(a: int, b: int) -> float:  # the columns from a on hold every pair x < y
         upper = np.arange(a, space.n) > np.arange(a, b)[:, None]
         d = space.dist_rows(a, b)[:, a:][upper]
         gap = np.abs(vals[a:b, None] - vals[a:])[upper]
-        weight = (w[a:b, None] * w[a:] * (1.0 / rho[a:b, a:] + 1.0 / rho[a:, a:b].T))[upper]
+        block, transposed = rho(a, b)
+        inverse = 1.0 / block[:, a:] + 1.0 / transposed[:, a:]
+        weight = (w[a:b, None] * w[a:] * inverse)[upper]
         return fn(d, gap, weight)
 
     return block_reduce(space.n, rows)

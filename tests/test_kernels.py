@@ -8,7 +8,7 @@ import nsl.space
 
 from nsl import (BodyError, ConvexBody, KernelSpec, MetricMeasureSpace, SpaceSpec, build_space,
                  doubling_constant, kernel_comparability, load_space, parse_body, save_space)
-from nsl.kernels import kernel_matrix, kernel_row
+from nsl.kernels import kernel_blocks, kernel_matrix, kernel_row
 
 from conftest import HEXAGON, ball_mass_rows, random_space, traced_peak
 
@@ -177,9 +177,9 @@ class TestKernelRow:
             rows[text] = kernel_row(sp, KernelSpec.parse(text))
             assert not any(key[0] == "kernel" for key in sp._cache if isinstance(key, tuple))
             sp._cache.clear()
-        # rho2, sum, geom and harm read rho1's column 0 as row 0; the interval's ball
-        # index, unlike the wrapped lattices' one row, holds every row of dist
-        assert (sp._dist is None) == sp.index_lattice()[1]
+        # rho2, sum, geom and harm read rho1's column 0 as row 0; equal weights count the
+        # levels of the lattice table, unequal ones sort every row of dist
+        assert (sp._dist is None) == bool(np.all(sp.weights == sp.weights[0]))
         for text, row in rows.items():
             assert np.isnan(row[0]) and not row.flags.writeable
             want = kernel_matrix(sp, KernelSpec.parse(text))[0]
@@ -199,33 +199,73 @@ class TestKernelReuse:
     """A whole kernel matrix reuses what the space and its cache already hold."""
 
     @pytest.mark.parametrize("kind", ["rho2", "sum", "geom", "harm"])
-    @pytest.mark.parametrize("space", ["interval:65", "sierpinski:3"])
+    @pytest.mark.parametrize("space", ["interval:65", "sierpinski:3", "interval:65:0.5"])
     def test_combination_builds_rho1_once(self, monkeypatch, space, kind):
-        """One sort of the n distance rows builds the ball index and rho1, which stays cached;
-        the combination reads its transpose."""
-        calls = []
-        rank_rows = nsl.space._rank_rows
-
-        def spy(rows, weights):
-            calls.append(rows.shape)
-            return rank_rows(rows, weights)
-
-        monkeypatch.setattr(nsl.space, "_rank_rows", spy)
+        """One pass over the n distance rows gathers rho1, which stays cached: a count of
+        distance levels with equal weights, one sort with unequal ones; the combination reads
+        its transpose."""
+        calls = spy_gathers(monkeypatch)
         sp = build_space(SpaceSpec.parse(space))
         kernel_matrix(sp, KernelSpec(kind))
-        assert calls == [(sp.n, sp.n)]
+        route = "levels" if np.all(sp.weights == sp.weights[0]) else "sort"
+        assert calls == [(route, sp.n)]
         assert ("kernel", "rho1") in sp._cache
         kernel_matrix(sp, KernelSpec("rho1"))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("space", ["gauge_grid:16:square", "interval:256"])
-    def test_rho1_matrix_reads_the_distance_matrix(self, space):
-        """The gather reads space.dist and keeps no sorted rows or n prefix rows: dist, the
-        kernel and one row block's temporaries, under 3 n x n float blocks at the peak, where
-        a second distance matrix from dist_rows(0, n) would make more."""
+    @pytest.mark.parametrize("space", ["gauge_grid:32:square", "interval:1024"])
+    def test_rho1_matrix_builds_no_distance_matrix(self, space):
+        """The gather counts the lattice table's levels a row block at a time: no distance
+        matrix, no sorted rows and no n x n integer array, so the kernel and one block's
+        temporaries stay under 1.5 n x n float blocks at the peak."""
         sp = build_space(SpaceSpec.parse(space))
         _, peak = traced_peak(lambda: kernel_matrix(sp, KernelSpec("rho1")))
-        assert peak <= 3 * 8 * sp.n**2
+        assert sp._dist is None and peak <= 1.5 * 8 * sp.n**2
+
+    @pytest.mark.parametrize("space, held", [("interval:1024:0.5", 3.5),
+                                             ("gauge_grid:32:square+m", 1.5)])
+    def test_rho1_sort_holds_one_block_of_temporaries(self, space, held):
+        """The sort route sorts dist a row block at a time: unequal weights on the interval
+        hold dist, the n prefix rows and the kernel, and the equal-weight matrix copy ("+m",
+        whose dist is already held) the kernel alone, each with one block's temporaries at
+        the peak, so no n x n sort order, sorted copy or second distance matrix."""
+        sp = build_space(SpaceSpec.parse(space.removesuffix("+m")))
+        if space.endswith("+m"):
+            sp = MetricMeasureSpace(sp.dist, sp.weights)
+        _, peak = traced_peak(lambda: kernel_matrix(sp, KernelSpec("rho1")))
+        assert peak <= held * 8 * sp.n**2
+
+
+def spy_argsort(monkeypatch) -> list[int]:
+    """Record the rows of each np.argsort call: its first axis for a 2-d array, else 1."""
+    rows = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        rows.append(np.shape(a)[0] if np.ndim(a) == 2 else 1)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return rows
+
+
+def spy_gathers(monkeypatch) -> list[tuple[str, int]]:
+    """Record each rho1 gather as (route, rows): "levels" for space._level_masses, "sort" for
+    space._rank_rows."""
+    calls = []
+    level_masses, rank_rows = nsl.space._level_masses, nsl.space._rank_rows
+
+    def levels(reader, m, prefix):
+        calls.append(("levels", m))
+        return level_masses(reader, m, prefix)
+
+    def ranks(rows, weights):
+        calls.append(("sort", len(rows)))
+        return rank_rows(rows, weights)
+
+    monkeypatch.setattr(nsl.space, "_level_masses", levels)
+    monkeypatch.setattr(nsl.space, "_rank_rows", ranks)
+    return calls
 
 
 # Tie-heavy spaces for the rho1 gather; "+w" marks a generator's distances as a matrix
@@ -237,10 +277,13 @@ GATHER_SPACES = GATHER_GENERATORS + [f"{g}+w" for g in GATHER_GENERATORS] + ["gr
 
 
 def gather_space(name: str, tmp_path) -> MetricMeasureSpace:
-    """A fresh space of GATHER_SPACES. The graph file has edge lengths 1 and 2 only; the
-    hand-made matrix file has distances 1 within blocks of four points and 2 across them,
-    and random weights."""
+    """A fresh space of GATHER_SPACES, or "matrix file+e". The graph file has edge lengths 1
+    and 2 only; the hand-made matrix file has distances 1 within blocks of four points and 2
+    across them, and random weights ("+e": equal ones)."""
     rng = np.random.default_rng(7)
+    if name == "matrix file+e":
+        src = gather_space("matrix file", tmp_path)
+        return MetricMeasureSpace(src.dist, np.full(src.n, 0.5))
     if name == "graph":
         path = tmp_path / "g.csv"
         path.write_text("".join(f"{i},{i + 1},{1 + i % 2}\n{i},{(i + 5) % 30},2\n"
@@ -259,8 +302,37 @@ def gather_space(name: str, tmp_path) -> MetricMeasureSpace:
     return sp
 
 
+# The GATHER_SPACES whose rho1 counts distance levels: generators with equal weights.
+COUNTED = [g for g in GATHER_GENERATORS if g != "interval:257:0.5"]
+
+
 class TestRho1Gather:
-    """rho1 is gathered from the ball index's sort: no per-row search, no second sort."""
+    """rho1 is gathered once, by counting distance levels on an equal-weight generator space
+    and by the ball index's sort elsewhere: no per-row search, no second pass."""
+
+    @pytest.mark.parametrize("name", COUNTED + ["gauge_grid:20:ball:2", "interval:2",
+                                                "interval:2048", "sierpinski:1", "sierpinski:2"])
+    def test_level_count_is_the_sort(self, monkeypatch, name):
+        """Bitwise _rank_rows' masses, from the sort of every distance row of dist, with no
+        argsort and no distance matrix but the gasket's."""
+        sp = build_space(SpaceSpec.parse(name))
+        sorted_rows = spy_argsort(monkeypatch)
+        got = sp.pair_ball_masses()
+        assert sorted_rows == [] and (sp._dist is None) == (not name.startswith("sierpinski"))
+        assert got.shape == (sp._index_rows(), sp.n) and not got.flags.writeable
+        want = nsl.space._rank_rows(sp.dist, sp.weights)[1][:sp._index_rows()]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", [f"{g}+w" for g in GATHER_GENERATORS]
+                             + ["interval:257:0.5", "graph", "matrix file", "matrix file+e"])
+    def test_matrix_spaces_and_unequal_weights_sort(self, monkeypatch, tmp_path, name):
+        """Unequal weights, graphs and matrix files, equal weights or not, gather rho1 from
+        one sort of the n distance rows."""
+        sp = gather_space(name, tmp_path)
+        calls = spy_gathers(monkeypatch)
+        kernel_matrix(sp, KernelSpec("rho1"))
+        kernel_matrix(sp, KernelSpec("harm"))
+        assert calls == [("sort", sp.n)]
 
     @pytest.mark.parametrize("name", GATHER_SPACES)
     def test_gather_is_the_per_row_search(self, name, tmp_path):
@@ -285,18 +357,12 @@ class TestRho1Gather:
     @pytest.mark.parametrize("name", ["sierpinski:3", "gauge_grid:16:square", "interval:257:0.5",
                                       "circle:33", "torus2d:7x13", "sierpinski:3+w", "graph",
                                       "matrix file"])
-    def test_rows_are_sorted_once(self, monkeypatch, tmp_path, name, first):
-        """Whichever comes first, kernel_matrix(rho1) or a ball query, every distance row of
-        the ball index is argsorted once in all, also with the combination kernels after."""
+    def test_rows_are_gathered_once(self, monkeypatch, tmp_path, name, first):
+        """Whichever comes first, kernel_matrix(rho1) or a ball query, the distance rows of the
+        ball index are gathered once in all, also with the combination kernels after: counted
+        and never argsorted on an equal-weight generator space, else argsorted once each."""
         sp = gather_space(name, tmp_path)
-        sorted_rows = []
-        argsort = np.argsort
-
-        def spy(a, *args, **kwargs):
-            sorted_rows.append(np.shape(a)[0] if np.ndim(a) == 2 else 1)
-            return argsort(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", spy)
+        sorted_rows, gathers = spy_argsort(monkeypatch), spy_gathers(monkeypatch)
         steps = {"kernel": lambda: kernel_matrix(sp, KernelSpec("rho1")),
                  "ball_masses": lambda: sp.ball_masses(0.3),
                  "doubling": lambda: doubling_constant(sp)}
@@ -304,9 +370,9 @@ class TestRho1Gather:
             steps[step]()
         kernel_row(sp, KernelSpec("harm"))
         kernel_matrix(sp, KernelSpec("geom"))
-        lattice = sp.index_lattice()
-        assert sum(sorted_rows) == (1 if lattice is not None and lattice[1] else sp.n)
-
+        counted = name in COUNTED
+        assert gathers == [("levels" if counted else "sort", sp._index_rows())]
+        assert sum(sorted_rows) == (0 if counted else sp.n)
 
     @pytest.mark.parametrize("name", GATHER_SPACES)
     def test_ball_queries_match_a_stable_sort_of_each_row(self, name, tmp_path):
@@ -347,26 +413,16 @@ class TestRho1Gather:
                                       "circle:33", "torus2d:7x13", "graph", "matrix file+e"])
     def test_equal_weight_ball_queries_run_no_argsort(self, monkeypatch, tmp_path, name):
         """With equal weights the index is one prefix row: ball queries count distances and
-        sort nothing, and rho1 still argsorts each row once."""
-        if name == "matrix file+e":  # the hand-made matrix file with equal weights
-            src = gather_space("matrix file", tmp_path)
-            sp = MetricMeasureSpace(src.dist, np.full(src.n, 0.5))
-        else:
-            sp = gather_space(name, tmp_path)
-        calls = []
-        argsort = np.argsort
-
-        def spy(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return argsort(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", spy)
+        sort nothing; rho1 counts distance levels on a generator space and argsorts each row
+        once on a graph or a matrix file."""
+        sp = gather_space(name, tmp_path)
+        calls = spy_argsort(monkeypatch)
         sp.ball_masses(0.3)
         sp.ball_mass(sp.n - 1, 0.2)
         doubling_constant(sp)
         assert calls == [] and sp._ball_index().shape == (1, sp.n)
         kernel_matrix(sp, KernelSpec("rho1"))
-        assert sum(shape[0] for shape in calls) == sp._index_rows()
+        assert sum(calls) == (sp.n if name in ("graph", "matrix file+e") else 0)
 
     def test_first_ball_query_on_a_long_interval_holds_no_square_array(self):
         """The first ball_masses on interval:2048 counts a row block at a time: its peak stays
@@ -467,7 +523,59 @@ class TestKernelValues:
             kernel_matrix(two_point, KernelSpec("gauge-ahlfors", 1.0))
 
 
+class TestKernelBlocks:
+    """kernel_blocks reads row blocks of the kernel matrix and of its transpose, bitwise: on
+    circle and torus from row 0's offset table, with no kernel matrix built."""
+
+    @pytest.mark.parametrize("space", ["circle:33", "torus2d:7x13", "interval:65:0.5",
+                                       "sierpinski:3"])
+    def test_blocks_are_matrix_rows(self, space):
+        sp = build_space(SpaceSpec.parse(space))
+        wrapped = sp._index_rows() == 1
+        for text in ROW_KERNELS + ROW_GAUGES[sp.coords.shape[1]]:
+            spec, spans = KernelSpec.parse(text), [(0, sp.n), (0, 1), (5, 17), (sp.n - 3, sp.n)]
+            rows = kernel_blocks(sp, spec)
+            got = [rows(a, b) for a, b in spans]
+            assert wrapped != (("kernel", spec.key) in sp._cache), text
+            want = kernel_matrix(sp, spec)
+            for (a, b), (block, flipped) in zip(spans, got):
+                assert block.tobytes() == want[a:b].tobytes(), (text, a)
+                assert flipped.tobytes() == want.T[a:b].tobytes(), (text, a)
+
+
+def whole_comparability(space, spec: KernelSpec) -> tuple[float, tuple[int, int]]:
+    """c_rho_hat and its first row-major witness from the whole ratio and inverse arrays."""
+    ratio = kernel_matrix(space, spec) / kernel_matrix(space, KernelSpec("rho1"))
+    inverse = 1.0 / ratio
+    hi, lo = float(np.nanmax(ratio)), float(np.nanmax(inverse))
+    x, y = np.unravel_index(np.nanargmax(ratio) if hi >= lo else np.nanargmax(inverse),
+                            ratio.shape)
+    return max(hi, lo), (int(x), int(y))
+
+
 class TestComparability:
+    @pytest.mark.parametrize("name, kind", [
+        ("interval:300", "harm"), ("interval:300", "ahlfors:1"), ("interval:300", "rho1"),
+        ("interval:257:0.5", "geom"), ("interval:257:0.5", "rho2"), ("sierpinski:5", "geom"),
+        ("sierpinski:5+w", "rho2"), ("gauge_grid:16:square", "ahlfors:2"), ("matrix file", "harm"),
+    ])
+    def test_row_blocks_give_the_whole_array_extremes(self, tmp_path, name, kind):
+        """Bitwise the constant and the first witness of the whole arrays, with ties (up to
+        89700 pairs attain it) and witnesses past the first row block ((128, 0), (185, 183))."""
+        sp, spec = gather_space(name, tmp_path), KernelSpec.parse(kind)
+        rep = kernel_comparability(sp, spec)
+        c_rho, witness = whole_comparability(sp, spec)
+        assert (rep.c_rho_hat.hex(), rep.rho_witness) == (c_rho.hex(), witness)
+
+    def test_row_blocks_hold_no_whole_ratio(self):
+        """With the kernels and the doubling scan cached, the ratio and its inverse are held a
+        row block at a time: under half an n x n float block on interval:1024."""
+        sp, harm = build_space(SpaceSpec.parse("interval:1024")), KernelSpec("harm")
+        kernel_matrix(sp, harm)
+        doubling_constant(sp)
+        rep, peak = traced_peak(lambda: kernel_comparability(sp, harm))
+        assert rep.c_rho_hat > 1.0 and peak < 0.5 * 8 * sp.n**2
+
     def test_rho1_is_one(self, circle64):
         rep = kernel_comparability(circle64, KernelSpec("rho1"))
         assert rep.c_rho_hat == 1.0

@@ -175,8 +175,8 @@ class TestSegmentIntegrals:
 
 
 class TestPairBlockPeaks:
-    """No check holds a whole pair array: with the kernel cached (and with it the interval's
-    distance matrix), each peaks at a fraction of n x n floats."""
+    """No check holds a whole pair array: with the kernel cached, each peaks at a fraction of
+    n x n floats."""
 
     @pytest.mark.parametrize("name", ["torus2d:32x32", "interval:1024"])
     @pytest.mark.parametrize("check", ["fubini", "nguyen-avg"])
@@ -195,6 +195,38 @@ class TestPairBlockPeaks:
         kernel_matrix(sp, rho1)
         rep, peak = traced_peak(lambda: check_annuli_bound(sp, rho1, 2.0, [0.1, 0.2, 0.4]))
         assert rep.passed and len(rep.records) == 3 and peak < 8 * sp.n**2
+
+
+class TestWrappedLatticeKernelRows:
+    """On circle and torus the annuli, Fubini and averaging checks read kernel row blocks from
+    row 0's offset table (kernels.kernel_blocks): no kernel matrix, the same records."""
+
+    def test_no_kernel_matrix(self):
+        sp, rho1 = build_space(SpaceSpec.parse("torus2d:32x32")), KernelSpec("rho1")
+        u = ScalarField(np.sin(2.0 * np.pi * sp.coords[:, 0]))
+        rep, peak = traced_peak(lambda: check_fubini_identity(sp, u, 2.0, 0.7, rho1))
+        assert rep.passed and peak < 1.25 * 8 * sp.n**2  # cold: everything built inside
+        assert check_annuli_bound(sp, rho1, 2.0, [0.1, 0.2, 0.4]).passed
+        assert check_nguyen_averaging(sp, u, 2.0, 0.5, 0.5, rho1).passed
+        assert not [key for key in sp._cache if isinstance(key, tuple) and key[0] == "kernel"]
+
+    @pytest.mark.parametrize("name", ["circle:33", "torus2d:7x13"])
+    @pytest.mark.parametrize("kernel", ["rho1", "harm", "ahlfors:1.5", "gauge-ahlfors:2"])
+    def test_records_match_the_matrix_route(self, name, kernel):
+        """Bitwise the records of a matrix copy that holds the lattice's kernel matrices: the
+        annuli records whole, the identities' segment integrals."""
+        sp, spec = build_space(SpaceSpec.parse(name)), KernelSpec.parse(kernel)
+        if sp.coords.shape[1] == 1 and spec.kind == "gauge-ahlfors":
+            spec = KernelSpec.parse("gauge-ahlfors:2:ball:1")
+        u = ScalarField(np.sin(2.0 * np.pi * sp.coords[:, 0]) + sp.coords[:, -1])
+        checks = [lambda s: check_annuli_bound(s, spec, 2.0, [0.3, 0.9]).to_dict()["records"],
+                  lambda s: check_fubini_identity(s, u, 2.0, 0.7, spec).records[0].lhs,
+                  lambda s: check_nguyen_averaging(s, u, 1.5, 0.5, 0.4, spec).records[0].lhs]
+        got = [check(sp) for check in checks]
+        copy = MetricMeasureSpace(sp.dist, sp.weights, coords=sp.coords)
+        for k in (spec, KernelSpec("rho1")):
+            copy.cache(("kernel", k.key), lambda k=k: kernel_matrix(sp, k))
+        assert got == [check(copy) for check in checks]
 
 
 class TestHks:
