@@ -36,7 +36,7 @@ from .expr import parse_field_expr
 from .fields import EnergySpec, ScalarField
 from .gradients import cheeger_surrogate, hajlasz_minimal
 from .kernels import KernelSpec
-from .space import SpaceSpec, build_space, load_space, save_space
+from .space import SpaceError, SpaceSpec, build_space, load_space, save_space
 from .sweeps import (
     bbm_sweep,
     extrapolate,
@@ -85,7 +85,13 @@ def parse_grid(text: str) -> list[float]:
 
 
 def _load_space_arg(space: str):
-    return load_space(space) if Path(space).exists() else build_space(SpaceSpec.parse(space))
+    """The space of a space file, or else of an inline spec; every spec is GENERATOR:FIELDS, so
+    text with no colon names a file."""
+    if Path(space).exists():
+        return load_space(space)
+    if ":" not in space:
+        raise SpaceError(f"no space file at {space}")
+    return build_space(SpaceSpec.parse(space))
 
 
 def _load_field(space_obj, field: str | None, field_csv: str | None) -> ScalarField:

@@ -90,8 +90,8 @@ class SpaceSpec:
         if g in ("interval", "circle", "gauge_grid"):
             if self.n < 2:
                 raise SpaceError(f"{g} needs n >= 2, got {self.n}")
-        if g == "interval" and not self.alpha > -1.0:
-            raise SpaceError(f"interval weight exponent must be > -1, got {self.alpha}")
+        if g == "interval" and not (math.isfinite(self.alpha) and self.alpha > -1.0):
+            raise SpaceError(f"interval weight exponent must be finite and > -1, got {self.alpha}")
         if g == "torus2d" and (self.nx < 2 or self.ny < 2):
             raise SpaceError(f"torus2d needs nx, ny >= 2, got {self.nx}x{self.ny}")
         if g == "gauge_grid" and self.body is None:
@@ -837,45 +837,55 @@ def _check_triangle_sampled(dist: np.ndarray, samples: int = 20000, seed: int = 
             f"d(a,b)+d(b,c)={dist.item(a, b) + dist.item(b, c)!r}")
 
 
-# Fields of a closed-form file that must equal what its generator's space writes.
+# Fields of a closed-form file that must equal what its generator's space writes. save_space
+# writes n, metric and grid; the arrays (ARRAY_KEYS) are only in files written before it left
+# them out, or in edited ones, and a file that holds any of them is checked in every field.
 CLOSED_FORM_KEYS = ("n", "metric", "weights", "coords", "dim", "edges", "grid")
+ARRAY_KEYS = ("weights", "coords", "dim", "edges")
 
 
-def _document(space: MetricMeasureSpace) -> dict[str, Any]:
-    """The JSON document of a space file; distances only for "matrix" metrics."""
-    doc: dict[str, Any] = {
-        "name": space.name,
-        "n": space.n,
-        "metric": space.metric,
-        "weights": space.weights.tolist(),
-    }
-    if space.coords is not None:
-        doc["coords"] = space.coords.ravel().tolist()
-        doc["dim"] = space.coords.shape[1]
-    if space.metric["type"] == "matrix":
-        iu = np.triu_indices(space.n, k=1)
-        doc["matrix"] = space.dist[iu].tolist()
-    if space.edges is not None:
-        doc["edges"] = space.edges.tolist()
+def _document(space: MetricMeasureSpace, arrays: bool = True) -> dict[str, Any]:
+    """The JSON document of a space file, whole: distances only for "matrix" metrics. With
+    arrays false it is the compact closed-form document, the display name, n, metric and grid,
+    which leaves out every one of ARRAY_KEYS."""
+    doc: dict[str, Any] = {"name": space.name, "n": space.n, "metric": space.metric}
+    if arrays:
+        doc["weights"] = space.weights.tolist()
+        if space.coords is not None:
+            doc["coords"] = space.coords.ravel().tolist()
+            doc["dim"] = space.coords.shape[1]
+        if space.metric["type"] == "matrix":
+            iu = np.triu_indices(space.n, k=1)
+            doc["matrix"] = space.dist[iu].tolist()
+        if space.edges is not None:
+            doc["edges"] = space.edges.tolist()
     if space.grid is not None:
         doc["grid"] = space.grid
     return doc
 
 
 def save_space(space: MetricMeasureSpace, path: str | Path) -> None:
-    """Write a space file (JSON document, full-precision floats)."""
-    text = json.dumps(_document(space))
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+    """Write a space file (JSON document, full-precision floats).
+
+    A closed-form space (any metric type but "matrix", which only generators write) is written
+    as its compact document, about 200 bytes, as load_space rebuilds the rest from the metric
+    tag; a "matrix" space is written whole.
+    """
+    doc = _document(space, arrays=space.metric["type"] == "matrix")
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8", newline="\n")
 
 
 def load_space(path: str | Path) -> MetricMeasureSpace:
     """Read a space file; every fault in it raises SpaceError.
 
     A closed-form file (any metric type but "matrix") loads as the space its
-    generator builds, under the file's display name, and must agree with
-    that space's document in every one of CLOSED_FORM_KEYS. A "matrix" file
-    carries its distances; the constructor checks them and the other fields
-    as it checks any space's, and sampled triangles are checked here.
+    generator builds, under the file's display name. A compact file, one with
+    none of ARRAY_KEYS, must agree with that space in n, metric and grid, and no
+    array is read or compared; a file with any of them (as written before files
+    were compact, or edited) must agree with the space's whole document in every
+    one of CLOSED_FORM_KEYS. A "matrix" file carries its distances; the
+    constructor checks them and the other fields as it checks any space's, and
+    sampled triangles are checked here.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -889,7 +899,7 @@ def load_space(path: str | Path) -> MetricMeasureSpace:
         if spec is None:
             raise SpaceError(f"metric {metric!r} names no closed-form generator")
         space = build_space(spec)
-        expected = _document(space)
+        expected = _document(space, arrays=any(key in doc for key in ARRAY_KEYS))
         differ = [key for key in CLOSED_FORM_KEYS if doc.get(key) != expected.get(key)]
         if differ:
             raise SpaceError(

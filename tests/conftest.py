@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,13 @@ def matrix_file_space(spec: str) -> MetricMeasureSpace:
     with no generator tag, as a matrix file stores them."""
     sp = build_space(SpaceSpec.parse(spec))
     return MetricMeasureSpace(sp.dist, sp.weights, coords=sp.coords, edges=sp.edges)
+
+
+def write_old_file(space: MetricMeasureSpace, path) -> None:
+    """Write space's file as releases before compact closed-form files did: its whole document,
+    every array included, even for a space whose metric tag names its generator."""
+    text = json.dumps(nsl.space._document(space)) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def random_space(rng: np.random.Generator, n: int) -> MetricMeasureSpace:

@@ -16,7 +16,7 @@ from nsl.cli import main, parse_grid, parse_space_spec
 from nsl.kernels import KERNEL_KINDS
 from nsl.verify import CHECKS
 
-from conftest import ball_loop_s, count_gasket_builds, matrix_file_space
+from conftest import ball_loop_s, count_gasket_builds, matrix_file_space, write_old_file
 
 
 @pytest.fixture
@@ -98,8 +98,9 @@ class TestGen:
 
 
     def test_sierpinski_file_is_its_generator_tag(self, runner, tmp_path, monkeypatch):
-        """sierpinski:6 (1095 points) once wrote its 598965 distances, 5.5 MB. gen finds no
-        geodesics, and the file is byte for byte the one the eager build wrote."""
+        """sierpinski:6 (1095 points) once wrote its 598965 distances, 5.5 MB, and then its
+        weights, coordinates and edges, 84 kB. gen finds no geodesics and writes the tag alone;
+        the whole document is still byte for byte the file the eager build wrote."""
         from nsl import load_space
 
         out = tmp_path / "s6.space"
@@ -107,11 +108,40 @@ class TestGen:
         result = invoke(runner, ["gen", "--spec", "sierpinski:6", "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert not calls
-        assert out.stat().st_size < 0.2e6
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert out.stat().st_size < 1e3
+        assert out.read_bytes() == (
+            b'{"name": "sierpinski(6)", "n": 1095, "metric": {"type": "geodesic", '
+            b'"params": {"generator": "sierpinski", "level": 6}}}\n')
+        old = tmp_path / "old.space"
+        write_old_file(build_space(parse_space_spec("sierpinski:6")), old)
+        digest = hashlib.sha256(old.read_bytes()).hexdigest()
         assert digest == "e7a754188c3dfa6a8aab6c348b36fd8ff63ebf3c4f2fb4047db9013fc11f336e"
         built = build_space(parse_space_spec("sierpinski:6"))
         assert np.array_equal(load_space(out).dist, built.dist)
+        assert np.array_equal(load_space(old).dist, built.dist)
+
+    def test_gen_rewrites_an_old_file_compact(self, runner, tmp_path):
+        """gen --spec OLD.space loads (and so checks) a file written whole and writes it compact."""
+        from nsl import load_space
+
+        sp = build_space(parse_space_spec("torus2d:16x8"))
+        old, new = tmp_path / "old.space", tmp_path / "new.space"
+        write_old_file(sp, old)
+        result = invoke(runner, ["gen", "--spec", str(old), "--out", str(new)])
+        assert result.exit_code == 0, result.output
+        assert new.stat().st_size < 1e3 < old.stat().st_size
+        assert json.loads(new.read_text()) == {key: val for key, val in json.loads(
+            old.read_text()).items() if key in ("name", "n", "metric", "grid")}
+        for attr in ("dist", "weights", "coords", "edges"):
+            assert getattr(load_space(new), attr).tobytes() == getattr(sp, attr).tobytes()
+
+    def test_infinite_interval_exponent_exit_2(self, runner, tmp_path):
+        """inf once passed the spec check and failed at a zero weight x^inf."""
+        out = tmp_path / "i.space"
+        result = invoke(runner, ["gen", "--spec", "interval:16:inf", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: interval weight exponent must be finite and > -1, got inf\n"
+        assert not out.exists()
 
 
 class TestEnergy:
@@ -487,7 +517,7 @@ class TestBadInput:
 
     def test_edited_sierpinski_file_exit_2(self, runner, tmp_path):
         path = tmp_path / "s2.space"
-        invoke(runner, ["gen", "--spec", "sierpinski:2", "--out", str(path)])
+        write_old_file(build_space(parse_space_spec("sierpinski:2")), path)
         doc = json.loads(path.read_text())
         doc["coords"][0] += 0.25
         path.write_text(json.dumps(doc))
@@ -495,6 +525,17 @@ class TestBadInput:
                                  "--functional", "gagliardo", "--s", "0.5"])
         assert result.exit_code == 2, result.output
         assert result.output == f"error: space file {path} differs from its sierpinski generator in coords\n"
+
+    @pytest.mark.parametrize("command", [
+        ["energy", "--field", "x", "--space"], ["verify", "--field", "x", "--space"],
+        ["gen", "--out", "out.space", "--spec"],
+    ], ids=["energy", "verify", "gen"])
+    def test_missing_space_file_exit_2(self, runner, tmp_path, command):
+        """A missing file was read as a spec: "bad space spec ...: unknown generator"."""
+        path = tmp_path / "missing.space"
+        result = invoke(runner, command + [str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: no space file at {path}\n"
 
     @pytest.mark.parametrize("dim", [1.5, True])
     def test_matrix_file_non_integer_dim_exit_2(self, runner, tmp_path, dim):
@@ -745,8 +786,9 @@ GENERATORS = ("interval", "circle", "torus2d", "sierpinski", "gauge_grid", "grap
 DROP = "<drop>"
 # Values that no field of a space file accepts.
 BAD_VALUES = (None, "x", [], {}, [["a"]], {"type": 1}, -1, 0, 1e300, "nan")
-# (path, required) for the fields of each tiny base space's saved file;
-# required fields may also be dropped.
+# (path, required) for the fields of each tiny base space's file, as earlier releases wrote it
+# with every array, or as save_space writes it for a "compact:" base; required fields may also
+# be dropped.
 FILE_FIELDS = {
     "torus2d:4x4": (
         (("n",), True), (("metric",), True), (("weights",), True), (("dim",), True),
@@ -758,6 +800,11 @@ FILE_FIELDS = {
         (("n",), True), (("weights",), True), (("dim",), True),
         (("metric", "params"), True), (("metric", "params", "n"), True),
         (("coords",), False), (("edges",), False),
+    ),
+    "compact:torus2d:4x4": (
+        (("n",), True), (("metric",), True), (("grid",), True), (("metric", "type"), True),
+        (("metric", "params"), True), (("metric", "params", "generator"), True),
+        (("metric", "params", "nx"), True),
     ),
     "matrix:sierpinski:1": (  # a hand-made matrix file of sierpinski:1's distances
         (("n",), True), (("metric",), True), (("weights",), True), (("matrix",), True),
@@ -849,8 +896,11 @@ def _fuzz_args(case) -> list[str]:
     energy = ["energy", "--field", "sin(x)", "--s", "0.5"]
     if kind in ("field", "truncated"):
         base = case[1]
-        save_space(matrix_file_space(base[len("matrix:"):]) if base.startswith("matrix:")
-                   else build_space(parse_space_spec(base)), "base.space")
+        if base.startswith("compact:"):
+            save_space(build_space(parse_space_spec(base[len("compact:"):])), "base.space")
+        else:
+            write_old_file(matrix_file_space(base[len("matrix:"):]) if base.startswith("matrix:")
+                           else build_space(parse_space_spec(base)), "base.space")
         text = Path("base.space").read_text()
         if kind == "truncated":
             # every proper prefix of the JSON object (the file ends in "}\n") is invalid

@@ -35,7 +35,7 @@ from nsl.kernels import kernel_matrix
 from nsl.verify import check_mean_comparison
 
 from conftest import (HEXAGON, ball_mass_rows, count_gasket_builds, matrix_file_space,
-                      traced_peak)
+                      traced_peak, write_old_file)
 
 
 def brute_torus_dist(nx: int, ny: int) -> np.ndarray:
@@ -142,6 +142,12 @@ class TestGenerators:
             build_space(SpaceSpec("sierpinski", level=-1))
         with pytest.raises(SpaceError):
             build_space(SpaceSpec("nonsense"))
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, -1.0])
+    def test_interval_exponent_finite_and_above_minus_one(self, alpha):
+        """x^inf is 0 on (0, 1): inf once passed validate() and failed later at a zero weight."""
+        with pytest.raises(SpaceError, match="exponent must be finite and > -1"):
+            SpaceSpec("interval", n=8, alpha=alpha).validate()
 
     def test_gauge_grid_body_must_be_2d(self):
         """validate() rejects the body's dimension from the parameters, before any allocation."""
@@ -477,7 +483,8 @@ class TestDoubling:
         assert rep.c_d_hat <= worst + 1e-9 or rep.c_d_hat == pytest.approx(worst, rel=1e-9)
 
 
-# Schema faults in a saved torus2d:4x4 file; each mutates the document in place.
+# Schema faults in a torus2d:4x4 file as earlier releases wrote it, every array included
+# (write_old_file); each mutates the document in place.
 MALFORMED = {
     "no dim": lambda doc: doc.pop("dim"),
     "negative dim": lambda doc: doc.update(dim=-1),
@@ -503,6 +510,27 @@ MALFORMED = {
     "interval grid": lambda doc: doc.update(grid={"kind": "interval", "shape": [16]}),
     "grid without shape": lambda doc: doc["grid"].pop("shape"),
     "no coords": lambda doc: [doc.pop(key) for key in ("coords", "dim")],
+}
+
+
+# Faults in a compact torus2d:4x4 file, as save_space writes it (name, n, metric, grid); each
+# mutates the document in place. Array keys that are the generator's own still make a partial
+# file, checked in every field.
+MALFORMED_COMPACT = {
+    "n disagrees with params": lambda doc: doc.update(n=8),
+    "n not a number": lambda doc: doc.update(n="sixteen"),
+    "no n": lambda doc: doc.pop("n"),
+    "no grid": lambda doc: doc.pop("grid"),
+    "interval grid": lambda doc: doc.update(grid={"kind": "interval", "shape": [16]}),
+    "grid shape transposed": lambda doc: doc["grid"].update(shape=[4, 2]),
+    "no nx": lambda doc: doc["metric"]["params"].pop("nx"),
+    "extra param": lambda doc: doc["metric"]["params"].update(level=3),
+    "weights only": lambda doc: doc.update(weights=[1.0 / 16] * 16),
+    "dim only": lambda doc: doc.update(dim=2),
+    "edges only": lambda doc: doc.update(edges=[]),
+    "all but edges": lambda doc: doc.update(
+        {key: val for key, val in nsl.space._document(build_space(SpaceSpec.parse(
+            "torus2d:4x4"))).items() if key in ("weights", "coords", "dim")}),
 }
 
 
@@ -569,7 +597,7 @@ class TestPersistence:
     def test_sierpinski_file_is_its_generator_tag(self, tmp_path):
         sp = build_space(SpaceSpec("sierpinski", level=3))
         path = tmp_path / "s.space"
-        save_space(sp, path)
+        write_old_file(sp, path)
         doc = json.loads(path.read_text())
         assert doc["metric"] == {"type": "geodesic", "params": {"generator": "sierpinski", "level": 3}}
         assert "matrix" not in doc
@@ -686,12 +714,80 @@ class TestPersistence:
     @pytest.mark.parametrize("fault", sorted(MALFORMED))
     def test_malformed_doc_raises_space_error(self, tmp_path, fault):
         path = tmp_path / "t.space"
-        save_space(build_space(SpaceSpec("torus2d", nx=4, ny=4)), path)
+        write_old_file(build_space(SpaceSpec("torus2d", nx=4, ny=4)), path)
         doc = json.loads(path.read_text())
         MALFORMED[fault](doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(SpaceError):
             load_space(path)
+
+    @pytest.mark.parametrize("fault", sorted(MALFORMED_COMPACT))
+    def test_malformed_compact_doc_raises_space_error(self, tmp_path, fault):
+        path = tmp_path / "t.space"
+        save_space(build_space(SpaceSpec("torus2d", nx=4, ny=4)), path)
+        doc = json.loads(path.read_text())
+        MALFORMED_COMPACT[fault](doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpaceError):
+            load_space(path)
+
+    def test_compact_file_names_differing_keys(self, tmp_path):
+        """A compact file holding some of the arrays is checked, and named, in all of them."""
+        path = tmp_path / "t.space"
+        save_space(build_space(SpaceSpec("torus2d", nx=4, ny=4)), path)
+        doc = json.loads(path.read_text())
+        doc.update(weights=[1.0 / 16] * 16, n=8)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpaceError, match="torus2d generator in n, coords, dim, edges$"):
+            load_space(path)
+
+    def test_compact_file_with_infinite_exponent(self, tmp_path):
+        """A compact file carries no weights, so validate() alone rejects alpha = Infinity."""
+        path = tmp_path / "i.space"
+        save_space(build_space(SpaceSpec("interval", n=8, alpha=0.5)), path)
+        text = path.read_text()
+        assert '"alpha": 0.5' in text
+        path.write_text(text.replace('"alpha": 0.5', '"alpha": Infinity'))
+        with pytest.raises(SpaceError, match="exponent must be finite and > -1, got inf"):
+            load_space(path)
+
+    @pytest.mark.parametrize("text", ["torus2d:64x64", "sierpinski:6", "gauge_grid:32:square",
+                                      "circle:2048", "interval:2048"])
+    def test_closed_form_file_is_compact(self, tmp_path, text):
+        """A closed-form file holds the display name, n, metric tag and grid (under 1 kB; the
+        torus once wrote 266 kB of arrays), and loads bitwise to the generator's space."""
+        sp = build_space(SpaceSpec.parse(text))
+        sp.name = "renamed"
+        path = tmp_path / "sp.space"
+        save_space(sp, path)
+        assert path.stat().st_size < 1000
+        assert not set(json.loads(path.read_text())) & set(nsl.space.ARRAY_KEYS)
+        loaded = load_space(path)
+        for attr in ("dist", "weights", "coords", "edges"):
+            got, want = getattr(loaded, attr), getattr(sp, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+        assert loaded.grid == sp.grid and loaded.name == "renamed"
+
+    @pytest.mark.parametrize("text", ["interval:64:0.5", "circle:33", "torus2d:7x13",
+                                      f"gauge_grid:7:{HEXAGON}", "sierpinski:3"])
+    def test_old_file_loads_as_its_compact_file(self, tmp_path, text):
+        """A file written whole, as before closed-form files were compact, loads bitwise to
+        the same space as its compact file."""
+        sp = build_space(SpaceSpec.parse(text))
+        write_old_file(sp, tmp_path / "old.space")
+        save_space(sp, tmp_path / "new.space")
+        old, new = load_space(tmp_path / "old.space"), load_space(tmp_path / "new.space")
+        for attr in ("dist", "weights", "coords", "edges"):
+            assert getattr(old, attr).tobytes() == getattr(new, attr).tobytes(), attr
+        assert (old.name, old.n, old.metric, old.grid) == (new.name, new.n, new.metric, new.grid)
+
+    def test_matrix_file_is_written_whole(self, tmp_path):
+        """A matrix file (a graph, or hand-made) keeps its arrays and distances."""
+        sp = matrix_file_space("sierpinski:2")
+        path = tmp_path / "s.space"
+        save_space(sp, path)
+        assert path.read_text() == json.dumps(nsl.space._document(sp)) + "\n"
+        assert {"weights", "coords", "dim", "edges", "matrix"} <= set(json.loads(path.read_text()))
 
     @pytest.mark.parametrize("fault", sorted(MALFORMED_GRIDS))
     def test_matrix_file_bad_grid_raises_space_error(self, tmp_path, fault):
@@ -716,7 +812,7 @@ class TestPersistence:
 
     def test_closed_form_file_names_differing_keys(self, tmp_path):
         path = tmp_path / "t.space"
-        save_space(build_space(SpaceSpec("torus2d", nx=4, ny=4)), path)
+        write_old_file(build_space(SpaceSpec("torus2d", nx=4, ny=4)), path)
         doc = json.loads(path.read_text())
         doc["weights"][3] *= 2.0
         del doc["grid"]
