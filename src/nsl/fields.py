@@ -103,14 +103,18 @@ class EnergySpec:
 class PiecewiseLinearMap:
     """1-Lipschitz piecewise-linear map with values in [0, r].
 
-    Defined by breakpoints (x_k, y_k) with x strictly increasing; constant
-    continuation outside the breakpoint range (slope 0 is 1-Lipschitz).
+    Defined by finite breakpoints (x_k, y_k) with x strictly increasing and a finite r >= 0;
+    constant continuation outside the breakpoint range (slope 0 is 1-Lipschitz).
     """
 
     def __init__(self, breakpoints, r: float) -> None:
+        if not 0.0 <= r < np.inf:  # NaN fails too
+            raise ValueError(f"r must be finite and >= 0, got {r}")
         pts = np.asarray(breakpoints, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("breakpoints must be an (m, 2) array with m >= 2")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("breakpoints must be finite")
         x, y = pts[:, 0], pts[:, 1]
         if np.any(np.diff(x) <= 0):
             raise ValueError("breakpoint abscissae must be strictly increasing")

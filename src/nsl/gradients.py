@@ -343,6 +343,11 @@ def path_integral(space: MetricMeasureSpace, g, path) -> tuple[float, float]:
     nodes = np.asarray(path, dtype=np.int64)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("a path needs at least two points")
+    outside = np.flatnonzero((nodes < 0) | (nodes >= space.n))
+    if outside.size:
+        k = int(outside[0])
+        raise ValueError(
+            f"path point {int(nodes[k])} at position {k} is not a point id in [0, {space.n})")
     if np.any(nodes[:-1] == nodes[1:]):
         k = int(np.nonzero(nodes[:-1] == nodes[1:])[0][0])
         raise ValueError(f"consecutive path points must be distinct (position {k})")

@@ -23,7 +23,8 @@ interval grids with a |x|^alpha weight density, circles with arc-length
 geodesic distance, flat 2-tori, gauge-metric grids for convex bodies,
 edge-weighted graphs with shortest-path distance, and graph approximations
 of the Sierpinski gasket. The four lattice generators share one builder,
-_lattice, which writes the offset grid, the neighbour stencil and the tags once.
+_lattice, which writes the offset grid, the neighbour stencil and the tags once;
+the gasket's vertices, edges and distances share the copy maps of one recursion.
 """
 
 from __future__ import annotations
@@ -717,96 +718,74 @@ def _graph(edges: Sequence[tuple[int, int, float]]) -> MetricMeasureSpace:
     )
 
 
-def _gasket_level(bary: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """Hop counts between the gasket vertices bary (integer barycentric coordinates summing
-    to 2h), in bary's order, from sub, those of its copy 0 in that copy's order.
+def _gasket_copies(level: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Vertices (integer barycentric coordinates summing to 2^level), sorted edges and copy
+    maps of the level-L gasket graph, from the three corners of level 0 (ids 0, 1, 2) up.
 
-    Copy a holds the vertices with bary[a] >= h, a gasket of side h whose corner c is at
-    h e_c once h e_a is taken off, so copies a and b meet at m_ab, corner b of copy a and
-    corner a of copy b. Within a copy, hops are the copy's own; for u in copy a and v in
-    copy b, with c the third copy, a path leaves copy a at m_ab or at m_ac, so
-    d(u, v) = min(d_a(u, m_ab) + d_b(m_ab, v), d_a(u, m_ac) + h + d_b(m_bc, v)).
-    A junction lies in two copies and is written twice, with equal values.
+    Level k + 1 is copies 0, 1 and 2 of level k, copy a moved by 2^k e_a, so copy a's corner
+    b is copy b's corner a; ids count, copy by copy, the rows that no earlier copy holds. As
+    midpoint subdivision commutes with the copy maps, these are the ids in which the
+    subdivided triangles first list their vertices. Each step holds level k's three id maps
+    into level k + 1 and its corner ids.
     """
-    h = int(bary[0].sum()) // 2
-    copies = [np.flatnonzero(bary[:, a] >= h) for a in range(3)]
-    local = [bary[ids, :2] - h * np.eye(3, dtype=np.int64)[a, :2] for a, ids in enumerate(copies)]
-    row = np.empty((h + 1, h + 1), dtype=np.int64)  # copy 0's row of each local (x, y)
-    row[tuple(local[0].T)] = np.arange(len(copies[0]))
-    local = [row[tuple(xy.T)] for xy in local]
-    to_corner = sub[:, row[(h, 0, 0), (0, h, 0)]].T  # hops to corners 0, 1 and 2
-    out = np.empty((len(bary), len(bary)))
-    for a, b in np.ndindex(3, 3):
-        la, lb, c = local[a], local[b], 3 - a - b
-        if a == b:
-            block = sub[np.ix_(la, la)]
-        else:
-            block = to_corner[b, la, None] + to_corner[a, lb]
-            np.minimum(block, to_corner[c, la, None] + (h + to_corner[c, lb]), out=block)
-        out[np.ix_(copies[a], copies[b])] = block
-    return out
+    bary, corners, steps = np.eye(3, dtype=np.int64), np.arange(3), []
+    edges = np.array([[0, 1], [1, 2], [0, 2]])
+    for k in range(level):
+        ids, rows = [], []
+        for a in range(3):  # copy a's corners 0..a-1 were listed by copies 0..a-1
+            kept = np.ones(len(bary), dtype=bool)
+            kept[corners[:a]] = False
+            ids.append(sum(map(len, rows)) + np.cumsum(kept) - 1)
+            ids[a][corners[:a]] = [ids[b][corners[a]] for b in range(a)]
+            rows.append(bary[kept] + (np.eye(3, dtype=np.int64)[a] << k))
+        steps.append((ids, corners))
+        bary, corners = np.concatenate(rows), np.array([ids[a][corners[a]] for a in range(3)])
+        edges = np.concatenate([ids[a][edges] for a in range(3)])
+    edges.sort(axis=1)
+    return bary, edges[np.lexsort(edges.T[::-1])], steps
 
 
-def _gasket_distances(bary: np.ndarray) -> np.ndarray:
-    """Geodesic distances of the level-L gasket graph on the vertices bary (integer
-    barycentric coordinates summing to 2^L), unit edges scaled by 2^-L, in bary's order.
+def _gasket_distances(steps: list) -> np.ndarray:
+    """Geodesic distances of the level-L gasket graph, unit edges scaled by 2^-L, in the ids
+    of _gasket_copies, from its L steps: hop counts from level 0 up, then scaled once, exact,
+    so bitwise the distances a graph search finds.
 
-    Hop counts by the three-copy recursion (_gasket_level), from the three corners of
-    level 0 up through the copy-0 gaskets of each level, then scaled once: exact, so
-    bitwise the distances a graph search finds.
+    Within a copy of level k, of side h = 2^k, hops are the copy's own; for u in copy a and
+    v in copy b, with c the third copy, a path leaves copy a at m_ab (its corner b) or m_ac,
+    so d(u, v) = min(d_a(u, m_ab) + d_b(m_ab, v), d_a(u, m_ac) + h + d_b(m_bc, v)).
+    A shared corner is written twice, with equal values.
     """
-    chain = [bary]
-    while chain[-1][0].sum() > 1:
-        h = int(chain[-1][0].sum()) // 2
-        chain.append(chain[-1][chain[-1][:, 0] >= h] - (h, 0, 0))
     hops = 1.0 - np.eye(3)
-    for level in reversed(chain[:-1]):
-        hops = _gasket_level(level, hops)
-    hops *= 1.0 / bary[0].sum()
+    for k, (ids, corners) in enumerate(steps):
+        h, to_corner = 2**k, hops[:, corners].T  # hops to corners 0, 1 and 2
+        out = np.empty((3 * len(hops) - 3,) * 2)
+        for a, b in np.ndindex(3, 3):
+            if a == b:
+                block = hops
+            else:
+                c = 3 - a - b
+                block = to_corner[b, :, None] + to_corner[a]
+                np.minimum(block, to_corner[c, :, None] + (h + to_corner[c]), out=block)
+            out[np.ix_(ids[a], ids[b])] = block
+        hops = out
+    hops *= 1.0 / 2 ** len(steps)
     return hops
 
 
 def _sierpinski(level: int) -> MetricMeasureSpace:
-    """Level-m gasket graph: unit edges scaled by 2^-level, uniform mass 1.
-
-    Vertices carry exact integer barycentric coordinates summing to 2^level,
-    so midpoint identification is exact. Distance is the intrinsic graph
-    geodesic on the level graph, found on the first read of dist by the
-    three-copy recursion (_gasket_distances), not by a graph search.
+    """Level-m gasket graph: unit edges scaled by 2^-level, uniform mass 1. Vertices, edges
+    and, on the first read of dist, the graph geodesics come from one three-copy recursion
+    (_gasket_copies, _gasket_distances), with no graph search.
     """
-    scale = 2**level
-    tris = [((scale, 0, 0), (0, scale, 0), (0, 0, scale))]
-    for _ in range(level):
-        nxt = []
-        for a, b, c in tris:
-            ab = tuple((a[k] + b[k]) // 2 for k in range(3))
-            bc = tuple((b[k] + c[k]) // 2 for k in range(3))
-            ca = tuple((c[k] + a[k]) // 2 for k in range(3))
-            nxt.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c)])
-        tris = nxt
-
-    ids: dict[tuple[int, int, int], int] = {}
-    edge_set: set[tuple[int, int]] = set()
-    for tri in tris:
-        for v in tri:
-            if v not in ids:
-                ids[v] = len(ids)
-        for u, v in ((0, 1), (1, 2), (2, 0)):
-            i, j = ids[tri[u]], ids[tri[v]]
-            edge_set.add((min(i, j), max(i, j)))
-
-    n = len(ids)
-    weights = np.full(n, 1.0 / n)
+    bary, edges, steps = _gasket_copies(level)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-    bary = np.array(list(ids), dtype=np.int64)  # in id order: a dict keeps insertion order
-    coords = bary @ corners / scale
     return MetricMeasureSpace._generated(
-        weights,
-        build=lambda: _gasket_distances(bary),
-        coords=coords,
+        np.full(len(bary), 1.0 / len(bary)),
+        build=lambda: _gasket_distances(steps),
+        coords=bary @ corners / 2**level,
         name=f"sierpinski({level})",
         metric={"type": "geodesic", "params": {"generator": "sierpinski", "level": level}},
-        edges=np.array(sorted(edge_set), dtype=np.int64),
+        edges=edges,
     )
 
 

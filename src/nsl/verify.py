@@ -38,7 +38,7 @@ from .fields import EnergySpec, ScalarField, as_values
 from .gradients import cheeger_surrogate, hajlasz_minimal, path_integral
 from .kernels import KernelSpec, kernel_blocks, kernel_comparability
 from .parallel import block_reduce, map_blocks
-from .space import MetricMeasureSpace, SpaceSpec, build_space, doubling_constant
+from .space import MetricMeasureSpace, SpaceError, SpaceSpec, build_space, doubling_constant
 from .sweeps import bbm_sweep, extrapolate, nguyen_sweep
 
 IDENTITY_RTOL = 1e-9
@@ -483,15 +483,24 @@ def check_nguyen_averaging(
 
 
 def _refine(space: MetricMeasureSpace, refine_field, report) -> MetricMeasureSpace | None:
-    """The space one mesh refinement up, or None with the skipped clause noted."""
+    """The space one mesh refinement up, or None with the reason the clause is skipped noted:
+    no generator, no refinement (gauge_grid), no field transfer, or past the point budget."""
     spec = SpaceSpec.from_metric(space.metric)
-    spec = None if spec is None else spec.refined()
-    if spec is None or refine_field is None:
-        report.note = (
-            "no generator to refine" if spec is None else "no field transfer available"
-        ) + "; stability clause skipped"
-        return None
-    return build_space(spec)
+    refined = None if spec is None else spec.refined()
+    if spec is None:
+        skip = "no generator to refine"
+    elif refined is None:
+        skip = f"{spec.generator} has no refinement"
+    elif refine_field is None:
+        skip = "no field transfer available"
+    else:
+        try:
+            refined.validate()
+            return build_space(refined)
+        except SpaceError as exc:
+            skip = str(exc)
+    report.note = f"{skip}; stability clause skipped"
+    return None
 
 
 def check_hajlasz_bound(
@@ -504,10 +513,10 @@ def check_hajlasz_bound(
     """Ratio of the minimal two-point gradient energy to the local-slope energy.
 
     Passes when the ratio is within HAJLASZ_BUDGET and stable within 25%
-    under one mesh refinement. The stability clause needs both a generator
-    to refine and a refine_field(refined_space) callback supplying the field
-    on the refined space (for expression fields, re-evaluation); without
-    either it is skipped with a note.
+    under one mesh refinement. The stability clause needs a generator whose refinement
+    fits the point budget and a refine_field(refined_space) callback supplying the field
+    on the refined space (for expression fields, re-evaluation); without either it is
+    skipped with a note that says why.
     """
     vals = as_values(u, space.n)
     if np.all(vals == vals[0]):
@@ -553,8 +562,9 @@ def two_sided_report(
     """Extrapolated limit over local-slope energy, bounded and mesh-stable.
 
     R_bbm and R_nguyen must land inside TWO_SIDED_WINDOW and shift by less
-    than 15% under one mesh refinement. The Nguyen sweep runs over fractions
-    of half the field's oscillation.
+    than 15% under one mesh refinement, skipped with a note as in
+    check_hajlasz_bound. The Nguyen sweep runs over fractions of half the
+    field's oscillation.
     """
     vals = as_values(u, space.n)
     if np.all(vals == vals[0]):

@@ -42,6 +42,33 @@ def count_gasket_builds(monkeypatch, pause: float = 0.0) -> list[int]:
     return calls
 
 
+def sierpinski_reference(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-L gasket graph by subdividing all 3^level triangles at their midpoints:
+    integer barycentric coordinates summing to 2^level, in the order the triangles first
+    list them, and the sorted (i, j) edges with i < j. The reference the generator's
+    three-copy recursion is held to."""
+    scale = 2**level
+    tris = [((scale, 0, 0), (0, scale, 0), (0, 0, scale))]
+    for _ in range(level):
+        nxt = []
+        for a, b, c in tris:
+            ab = tuple((a[k] + b[k]) // 2 for k in range(3))
+            bc = tuple((b[k] + c[k]) // 2 for k in range(3))
+            ca = tuple((c[k] + a[k]) // 2 for k in range(3))
+            nxt.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c)])
+        tris = nxt
+    ids: dict[tuple[int, int, int], int] = {}
+    edge_set: set[tuple[int, int]] = set()
+    for tri in tris:
+        for v in tri:
+            if v not in ids:
+                ids[v] = len(ids)
+        for u, v in ((0, 1), (1, 2), (2, 0)):
+            i, j = ids[tri[u]], ids[tri[v]]
+            edge_set.add((min(i, j), max(i, j)))
+    return np.array(list(ids), dtype=np.int64), np.array(sorted(edge_set), dtype=np.int64)
+
+
 def ball_mass_rows(space: MetricMeasureSpace, radii: np.ndarray) -> np.ndarray:
     """mu(B(x, radii[x, j])) for every point x, one searchsorted per distance row of the ball
     index, sorted here, into the index's prefix masses: the per-row lookup that the index's

@@ -448,6 +448,15 @@ class TestVerify:
         result = invoke(runner, ["verify", "--suite", suite, "--space", space, "--field", "x"])
         assert result.exit_code in (0, 1), result.output
 
+    def test_refinement_past_the_budget_skips_stability(self, runner):
+        """interval:4096 refines to 8192 points: the ratios are computed and the stability
+        clause is skipped with the budget's message, not an input error."""
+        result = invoke(runner, ["verify", "--space", "interval:4096", "--field", "x",
+                                 "--kernel", "ahlfors:1", "--suite", "two-sided"])
+        assert result.exit_code in (0, 1), result.output
+        assert ("note: 8192 points exceeds the 4096-point desk-scale budget; "
+                "stability clause skipped") in result.output
+
     def test_informational_flag_downgrades_failure(self, runner, tmp_path):
         csv_path = tmp_path / "step.csv"
         vals = (np.linspace(0, 1, 32, endpoint=False) + 0.5 / 32 > 0.5).astype(float)

@@ -704,6 +704,23 @@ class TestGScale:
         with pytest.raises(ValueError, match=r"\[0, 1.0\]"):
             PiecewiseLinearMap([(0.0, 0.0), (3.0, 3.0)], r=1.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+    def test_r_must_be_finite_and_nonnegative(self, r):
+        with pytest.raises(ValueError, match="r must be finite and >= 0"):
+            PiecewiseLinearMap([(0.0, 0.0), (1.0, 0.0)], r=r)
+
+    def test_nan_breakpoint_rejected(self):
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            PiecewiseLinearMap([(0.0, 0.0), (math.nan, 0.5), (2.0, 1.0)], r=1.0)
+
+    def test_infinite_breakpoint_rejected(self):
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            PiecewiseLinearMap([(0.0, 0.0), (1.0, 1.0), (math.inf, 1.0)], r=1.0)
+
+    def test_clipped_identity_of_nan_rejected(self):
+        with pytest.raises(ValueError, match="r must be finite and >= 0, got nan"):
+            PiecewiseLinearMap.clipped_identity(math.nan)
+
     def test_unknown_mode(self, two_point, two_point_field):
         with pytest.raises(ValueError, match="mode"):
             g_scale(two_point, two_point_field, EnergySpec(p=2, t=1.0), "bogus")

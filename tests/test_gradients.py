@@ -23,7 +23,7 @@ from nsl import gradients
 from nsl.cli import parse_space_spec
 from nsl.gradients import _knn_edges, _nnls, _pair_constraints
 
-from conftest import hajlasz_oracle_p2, random_space, traced_peak
+from conftest import hajlasz_oracle_p2, matrix_file_space, random_space, traced_peak
 
 
 class TestCheeger:
@@ -511,6 +511,19 @@ class TestPathIntegral:
     def test_rejects_repeated_point(self, circle64):
         with pytest.raises(ValueError, match="distinct"):
             path_integral(circle64, ScalarField(np.zeros(64)), [0, 0, 1])
+
+    @pytest.mark.parametrize("name", ["sierpinski:2", "circle:8", "matrix file"])
+    @pytest.mark.parametrize("offset, position", [(-1, 0), (0, 1), (7, 2)])
+    def test_rejects_ids_outside_the_space(self, name, offset, position):
+        """An id below 0 or at n and past is named with its position, never wrapped or
+        left to an IndexError."""
+        sp = (matrix_file_space("sierpinski:2") if name == "matrix file"
+              else build_space(SpaceSpec.parse(name)))
+        path = [0, 1, 2]
+        path[position] = -1 if offset < 0 else sp.n + offset
+        with pytest.raises(ValueError, match=f"path point {path[position]} at position "
+                                             rf"{position} is not a point id in \[0, {sp.n}\)$"):
+            path_integral(sp, ScalarField(np.ones(sp.n)), path)
 
     def test_rejects_short_path(self, circle64):
         with pytest.raises(ValueError, match="two points"):

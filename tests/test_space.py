@@ -35,7 +35,7 @@ from nsl.kernels import kernel_matrix
 from nsl.verify import check_mean_comparison
 
 from conftest import (HEXAGON, ball_mass_rows, count_gasket_builds, matrix_file_space,
-                      traced_peak, write_old_file)
+                      sierpinski_reference, traced_peak, write_old_file)
 
 
 def brute_torus_dist(nx: int, ny: int) -> np.ndarray:
@@ -942,6 +942,20 @@ class TestGasketRecursion:
         sp = build_space(SpaceSpec("sierpinski", level=level))
         edges = [(int(i), int(j), 2.0**-level) for i, j in sp.edges]
         assert sp.dist.tobytes() == nsl.space._graph_distances(sp.n, edges).tobytes()
+
+    @pytest.mark.parametrize("level", range(8))
+    def test_vertices_and_edges_are_the_subdivision(self, level):
+        """Coordinates, edges and weights byte for byte those of subdividing every triangle,
+        with the generator's name and metric tag."""
+        bary, edges = sierpinski_reference(level)
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+        sp = build_space(SpaceSpec("sierpinski", level=level))
+        for got, want in ((sp.coords, bary @ corners / 2**level), (sp.edges, edges),
+                          (sp.weights, np.full(len(bary), 1.0 / len(bary)))):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert sp.name == f"sierpinski({level})"
+        assert sp.metric == {"type": "geodesic",
+                             "params": {"generator": "sierpinski", "level": level}}
 
     def test_no_graph_search(self, monkeypatch):
         def ran(*args, **kwargs):

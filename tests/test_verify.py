@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import nsl.space
 from nsl import (
     KernelSpec,
     MetricMeasureSpace,
@@ -451,6 +452,24 @@ class TestHajlaszBound:
                                   refine_field=lambda s: ScalarField(s.coords[:, 0]))
         assert rep.note == "no generator to refine; stability clause skipped"
         assert [rec.params for rec in rep.records] == [{"space": custom.name}]
+
+    def test_refinement_past_the_budget_skips_stability(self, monkeypatch):
+        """circle:64 refines to 128 points, past a budget of 100: the ratio is recorded and the
+        stability clause skipped with the budget's message."""
+        monkeypatch.setattr(nsl.space, "MAX_POINTS", 100)
+        sp = build_space(SpaceSpec("circle", n=64))
+        rep = check_hajlasz_bound(sp, sin_field(sp), 2.0,
+                                  refine_field=lambda s: ScalarField(np.sin(s.coords[:, 0])))
+        assert rep.note == ("128 points exceeds the 100-point desk-scale budget; "
+                            "stability clause skipped")
+        assert [rec.params for rec in rep.records] == [{"space": sp.name}]
+
+    def test_gauge_grid_has_no_refinement(self):
+        sp = build_space(SpaceSpec.parse("gauge_grid:8:square"))
+        rep = check_hajlasz_bound(sp, ScalarField(sp.coords[:, 0]), 2.0,
+                                  refine_field=lambda s: ScalarField(s.coords[:, 0]))
+        assert rep.note == "gauge_grid has no refinement; stability clause skipped"
+        assert [rec.params for rec in rep.records] == [{"space": sp.name}]
 
     def test_no_refinement_skips_stability(self, two_point, two_point_field):
         rep = check_hajlasz_bound(two_point, two_point_field, 2.0)
