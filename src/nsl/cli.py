@@ -112,9 +112,11 @@ def _load_field(space_obj, field: str | None, field_csv: str | None) -> ScalarFi
 
 
 def _problem(space_arg, field, field_csv, kernel, workers):
-    """(space, u, kernel spec), after the worker count; each is checked in this order."""
+    """(space, u, kernel spec), after the worker count; each is checked in this order. The
+    count is checked with NSL_WORKERS, which outranks it, whether or not a route reads it."""
     with _input_errors():
         parallel.set_workers(workers)
+        parallel.get_workers()
         space = _load_space_arg(space_arg)
         u = _load_field(space, field, field_csv)
         return space, u, KernelSpec.parse(kernel)

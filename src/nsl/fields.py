@@ -19,7 +19,7 @@ def _checked_values(values) -> np.ndarray:
         raise ValueError(f"field values must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         bad = int(np.nonzero(~np.isfinite(arr))[0][0])
-        raise ValueError(f"non-finite field value at point {bad}: {arr[bad]!r}")
+        raise ValueError(f"non-finite field value at point {bad}: {float(arr[bad])!r}")
     return arr
 
 

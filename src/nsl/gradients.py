@@ -13,13 +13,14 @@ hajlasz_minimal solves the convex feasibility problem
 For p = 2 with at most EXACT_P2_MAX_PAIRS pairs this is a least-distance
 program (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23),
 solved exactly by their active-set NNLS in numpy: scipy.optimize.nnls would
-add about 16 MB of imports to the resident set, where nsl otherwise loads
-only scipy.sparse. Everything else runs projected subgradient descent:
-steps of length scale/k along the normalized gradient from the feasible
-start g0(x) = max_y |u(x)-u(y)|/d^sigma, each followed by an equal-split
-lift (each endpoint absorbs half of its worst deficit, which restores
-feasibility in one pass; it also makes the exact p = 2 answer feasible to
-rounding) and a ray rescale that makes the worst pair tight.
+add about 16 MB of imports to the resident set, where nsl otherwise imports
+no scipy but scipy.sparse, and that only when a graph: space computes its
+distances or verify's upper-gradient check builds its chains. Everything else
+runs projected subgradient descent: steps of length scale/k along the
+normalized gradient from the feasible start g0(x) = max_y |u(x)-u(y)|/d^sigma,
+each followed by an equal-split lift (each endpoint absorbs half of its worst
+deficit, which restores feasibility in one pass; it also makes the exact p = 2
+answer feasible to rounding) and a ray rescale that makes the worst pair tight.
 
 Each descent step pays only for a working set W of pairs, certified so that
 every iterate is bitwise what a pass over all pairs gives (safe screening, as

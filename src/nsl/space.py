@@ -38,8 +38,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .constants import ConvexBody, parse_body
 from .parallel import row_blocks
@@ -688,6 +686,8 @@ def _lattice(spec: SpaceSpec) -> MetricMeasureSpace:
 
 
 def _graph_distances(n: int, edges: Sequence[tuple[int, int, float]]) -> np.ndarray:
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components, dijkstra
     for i, j, length in edges:
         if not 0.0 < length < math.inf:
             raise SpaceError(f"edge ({i},{j}) length must be positive and finite, got {length}")

@@ -29,8 +29,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .energies import (ScaleEnergies, _ball_pair_totals, _pair_sum, g_scale, gagliardo_p,
                        h_energy, k_energy, mollify, scale_s_by_balls)
@@ -371,6 +369,8 @@ def _geodesic_paths(
     space: MetricMeasureSpace, lo: float, hi: float, count: int, seed: int
 ) -> list[list[int]]:
     """Chains in the neighbor graph with tree length in [lo, hi]."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
     edges = space.edges
     i, j = edges[:, 0], edges[:, 1]
     lengths = space.dist_pairs(i, j)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -678,6 +680,28 @@ class TestBadInput:
         assert len(lines) == 1 and lines[0].startswith("error: "), result.output
         assert message in lines[0]
 
+    @pytest.mark.parametrize("command", [
+        ["energy", "--s", "0.7"],
+        ["sweep", "--mode", "bbm", "--s-grid", "0.5:0.9:0.1"],
+        ["verify", "--suite", "fubini"],
+    ])
+    @pytest.mark.parametrize("count", ["abc", "0", "-1"])
+    def test_bad_env_workers_exit_2(self, runner, command, count):
+        """The offset route on the torus reads no worker count, yet the count is checked."""
+        result = invoke(runner, [*command, "--space", "torus2d:16x16", "--field", "x"],
+                        env={"NSL_WORKERS": count})
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: NSL_WORKERS must be ")
+        assert result.output.count("\n") == 1 and "Traceback" not in result.output
+
+    @pytest.mark.parametrize("expr, shown", [("1/0", "inf"), ("-1/0", "-inf"), ("0/0", "nan")])
+    def test_non_finite_field_names_a_plain_float(self, runner, expr, shown):
+        result = invoke(runner, ["energy", "--space", "circle:64", "--field", expr, "--s", "0.5"])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            f"error: field {expr!r}: non-finite field value at point 0: {shown}\n"
+        )
+
 
 SHARED_OPTIONS = ("space_arg", "field", "field_csv", "p", "kernel", "workers")
 
@@ -945,3 +969,44 @@ class TestMalformedInputFuzz:
             result = runner.invoke(main, args)
         assert result.exit_code == 2, (args, result.output, result.exception)
         assert "Traceback" not in result.output
+
+
+def _sparse_loaded_after(code: str) -> bool:
+    """Whether a fresh interpreter holds scipy.sparse after running ``code``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1] == "True"
+
+
+def _run_main(args: list[str]) -> str:
+    return f"import nsl.cli\nnsl.cli.main({args!r}, standalone_mode=False)"
+
+
+class TestStartup:
+    """scipy.sparse loads only in graph specs and verify's upper-gradient chains."""
+
+    def test_import_loads_no_sparse(self):
+        assert not _sparse_loaded_after("import nsl.cli")
+
+    @pytest.mark.parametrize("args", [
+        ["energy", "--space", "circle:64", "--field", "sin(x)", "--s", "0.7"],
+        ["sweep", "--mode", "bbm", "--space", "interval:64", "--field", "x",
+         "--s-grid", "0.5:0.9:0.1"],
+    ])
+    def test_commands_load_no_sparse(self, args):
+        assert not _sparse_loaded_after(_run_main(args))
+
+    def test_graph_spec_loads_sparse(self, tmp_path):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("0,1,1.0\n1,2,1.0\n")
+        args = ["gen", "--spec", f"graph:{edges}", "--out", str(tmp_path / "g.space")]
+        assert _sparse_loaded_after(_run_main(args))
+
+    def test_upper_gradient_check_loads_sparse(self):
+        args = ["verify", "--space", "torus2d:8x8", "--field", "x", "--suite", "upper-gradient"]
+        assert _sparse_loaded_after(_run_main(args))

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -961,7 +962,10 @@ class TestGasketRecursion:
         def ran(*args, **kwargs):
             raise AssertionError("dijkstra ran")
 
-        monkeypatch.setattr(nsl.space, "dijkstra", ran)
+        # _graph_distances imports dijkstra when it runs, so patch it where it is read
+        monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", ran)
+        with pytest.raises(AssertionError, match="dijkstra ran"):
+            nsl.space._graph_distances(2, [(0, 1, 1.0)])
         sp = build_space(SpaceSpec.parse("sierpinski:4"))
         assert sp.dist[0, 1] == 2.0**-4
 
