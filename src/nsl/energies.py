@@ -74,14 +74,14 @@ Scale quantities at ball radius t:
   S_t  = sum_{x'} w(x') mu(B(x',t))^-2 sum_{x,y in B(x',t)} |u(x)-u(y)|^p w w
 
 k_energy, h_energy and scale_s_by_balls compute one each, so a caller pays
-only for what it reads; scale_energies is their bundle. The pair sum inside
-each ball, for S_t, for every g_t below and for verify's ball-mean check, has
-one helper, _ball_pair_totals, with two routes. At p = 2 with no truncation
-the sum over B = B(x',t) is 2 mu(B) sum_B w v^2 - 2 (sum_B w v)^2 with
-v = u - u(x'), taken for a row block of centers at once; every other case
-loops over the centers and sums the ball's pairs term by term. Centering on
-each ball's own center bounds the cancellation by about |B| roundings and
-keeps constant fields and singleton balls at exactly 0.
+only for what it reads; scale_energies is their bundle. _ball_pair_totals sums
+the pairs inside each ball, for S_t, every g_t below and verify's ball-mean
+check, a row block of centers at once. At p = 2 with no cap that sum over
+B = B(x',t) is 2 mu(B) sum_B w v^2 - 2 (sum_B w v)^2 with v = u - u(x'), whose
+cancellation is about |B| roundings. Otherwise it is the row sums of
+(m @ Phi) * m, with m the block's ball indicators times w over the union U of
+its balls and Phi the pair parts over U x U, 128 columns at a time. Constant
+fields and singleton balls give exactly 0, and a total that overflows inf.
 
 S_t has a second, algebraically equal route that integrates over the center
 first: S_t = sum_{x,y} |u(x)-u(y)|^p f_t(x,y) w w with
@@ -105,7 +105,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import EnergySpec, PiecewiseLinearMap, ScalarField, as_values
 from .kernels import KernelSpec, kernel_matrix, kernel_row, offset_lattice
-from .parallel import block_reduce, map_blocks
+from .parallel import block_reduce, map_blocks, row_blocks
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -319,39 +319,39 @@ def nguyen_b(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     return _one_pass(space, u, [spec], [_nguyen_term(spec, spec.r)])[0]
 
 
-def _ball_loop_totals(space, t: float, vals, p: float, cap: float, scale: float) -> np.ndarray:
-    """_ball_pair_totals term by term, one center at a time."""
-    w = space.weights
-
+def _ball_product_totals(space, t: float, vals, p: float, cap: float, scale: float) -> np.ndarray:
+    """_ball_pair_totals as the row sums of (m @ Phi) * m per row block of centers."""
     def rows(a: int, b: int) -> np.ndarray:
-        out = np.empty(b - a)
-        for i, d in enumerate(space.dist_rows(a, b)):
-            members = np.nonzero(d <= t)[0]
-            sub, ww = vals[members], w[members]
-            numer = (np.minimum(np.abs(sub[:, None] - sub[None, :]), cap) / scale) ** p
-            out[i] = float(np.sum(numer * (ww[:, None] * ww[None, :])))
+        inside = space.dist_rows(a, b) <= t
+        cols = np.flatnonzero(inside.any(axis=0))
+        inside, sub = inside[:, cols], vals[cols]
+        m, out = inside * space.weights[cols], np.zeros(b - a)
+        for c, e in row_blocks(cols.size):
+            phi = (np.minimum(np.abs(sub[:, None] - sub[c:e]), cap) / scale) ** p
+            over = np.isinf(phi)  # an inf pair part: inf for the balls that hold it, no 0 * inf
+            if over.any():
+                phi[over] = 0.0
+                out[((inside @ over) & inside[:, c:e]).any(axis=1)] = np.inf
+            out += np.einsum("ij,ij->i", np.where(inside[:, c:e], m @ phi, 0.0), m[:, c:e])
         return out
 
     return np.concatenate(map_blocks(space.n, rows))
 
 
-def _ball_pair_totals(
-    space, t: float, vals, p: float, cap: float = np.inf, scale: float = 1.0
-) -> np.ndarray:
-    """sum_{x,y in B(x',t)} (min(|u(x)-u(y)|, cap) / scale)^p w(x) w(y), per center x'.
-
-    At p = 2 with no cap it takes two sums over each ball; otherwise it loops.
-    """
+def _ball_pair_totals(space, t: float, vals, p: float, cap: float = np.inf,
+                      scale: float = 1.0) -> np.ndarray:
+    """Per center x', sum_{x,y in B(x',t)} (min(|u(x)-u(y)|, cap) / scale)^p w(x) w(y)."""
     if p != 2 or cap != np.inf:
-        return _ball_loop_totals(space, t, vals, p, cap, scale)
-    w = space.weights
+        return _ball_product_totals(space, t, vals, p, cap, scale)
 
     def rows(a: int, b: int) -> np.ndarray:
         v = np.where(space.dist_rows(a, b) <= t, vals - vals[a:b, None], 0.0)
-        return np.stack([v @ w, (v * v) @ w], 1)
+        return np.stack([v @ space.weights, (v * v) @ space.weights], 1)
 
     first, second = np.concatenate(map_blocks(space.n, rows)).T
-    return np.maximum(2.0 * space.ball_masses(t) * second - 2.0 * first**2, 0.0) / scale**2
+    with np.errstate(invalid="ignore"):  # inf - inf where the squares overflow
+        totals = 2.0 * space.ball_masses(t) * second - 2.0 * first**2
+    return np.maximum(np.where(np.isnan(totals), np.inf, totals), 0.0) / scale**2
 
 
 def _radius(spec: EnergySpec) -> float:

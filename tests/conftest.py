@@ -83,13 +83,14 @@ def ball_mass_rows(space: MetricMeasureSpace, radii: np.ndarray) -> np.ndarray:
 
 
 @pytest.fixture
-def no_ball_loop(monkeypatch):
-    """Make the per-center ball loop, energies._ball_loop_totals, fail if it runs."""
+def no_ball_product(monkeypatch):
+    """Make the general ball route, the block product energies._ball_product_totals, fail if
+    it runs."""
 
     def ran(*args):
-        raise AssertionError("the per-center ball loop ran")
+        raise AssertionError("the ball block product ran")
 
-    monkeypatch.setattr("nsl.energies._ball_loop_totals", ran)
+    monkeypatch.setattr("nsl.energies._ball_product_totals", ran)
 
 
 @pytest.fixture
@@ -185,8 +186,9 @@ def ball_loop_totals(space: MetricMeasureSpace, vals, t: float, numer) -> np.nda
 
 
 def ball_loop_s(space: MetricMeasureSpace, vals, t: float, p: float) -> float:
-    """S_t by the per-center loop, expression for expression as the library's
-    _ball_loop_totals computes it; for p != 2 the two are bitwise equal."""
+    """S_t by the per-center loop: each ball's |B| x |B| gap matrix, one center at a time.
+    The library's block product sums the same terms in another order, so the two agree to
+    rounding, not bitwise."""
     totals = ball_loop_totals(space, vals, t, lambda sub: np.abs(sub[:, None] - sub[None, :]) ** p)
     return float(np.sum(space.weights * totals / space.ball_masses(t) ** 2))
 

@@ -172,7 +172,8 @@ class TestEnergy:
             assert result.exit_code == 0, result.output
             assert check(float(result.output.strip()))
 
-    def test_scale_functionals_compute_only_their_energy(self, runner, monkeypatch, no_ball_loop):
+    def test_scale_functionals_compute_only_their_energy(self, runner, monkeypatch,
+                                                          no_ball_product):
         import nsl.cli
         from nsl import EnergySpec, ScalarField, scale_energies
 
@@ -182,7 +183,7 @@ class TestEnergy:
             built.append(build_space(spec))
             return built[-1]
 
-        # at p = 2 not even S_t loops over the centers (no_ball_loop): it takes two ball sums
+        # at p = 2 S_t takes two sums over each ball, never the block product (no_ball_product)
         monkeypatch.setattr(nsl.cli, "build_space", build)
         args = ["energy", "--space", "circle:64", "--field", "sin(x)", "--t", "0.5"]
         outputs = {}
@@ -198,17 +199,17 @@ class TestEnergy:
         se = scale_energies(sp, ScalarField(np.sin(sp.coords[:, 0])), EnergySpec(p=2, t=0.5))
         assert outputs == {"k": repr(se.k), "h": repr(se.h), "s": repr(se.s)}
 
-    def test_s_at_p3_runs_the_ball_loop(self, runner, monkeypatch):
+    def test_s_at_p3_runs_one_ball_product_per_radius(self, runner, monkeypatch):
         import nsl.energies
 
         radii = []
-        original = nsl.energies._ball_loop_totals
+        original = nsl.energies._ball_product_totals
 
         def counted(space, t, *args):
             radii.append(t)
             return original(space, t, *args)
 
-        monkeypatch.setattr(nsl.energies, "_ball_loop_totals", counted)
+        monkeypatch.setattr(nsl.energies, "_ball_product_totals", counted)
         result = invoke(
             runner,
             ["energy", "--space", "circle:64", "--field", "sin(x)", "--t", "0.5",
@@ -217,7 +218,8 @@ class TestEnergy:
         assert result.exit_code == 0, result.output
         assert radii == [0.5]
         sp = build_space(parse_space_spec("circle:64"))
-        assert result.output.strip() == repr(ball_loop_s(sp, np.sin(sp.coords[:, 0]), 0.5, 3.0))
+        want = ball_loop_s(sp, np.sin(sp.coords[:, 0]), 0.5, 3.0)
+        assert abs(float(result.output) - want) <= 1e-12 * want
 
     def test_field_csv(self, runner, tmp_path):
         csv_path = tmp_path / "u.csv"
@@ -341,7 +343,7 @@ class TestSweepAndReport:
         )
         assert result.exit_code == 0
 
-    def test_ks_sweep_at_p2_runs_no_ball_loop(self, runner, no_ball_loop):
+    def test_ks_sweep_at_p2_runs_no_ball_loop(self, runner, no_ball_product):
         result = invoke(
             runner,
             ["sweep", "--mode", "ks", "--space", "circle:64", "--field", "sin(x)",
@@ -635,6 +637,14 @@ class TestBadInput:
         assert result.exit_code == 2, result.output
         assert result.output == f"error: the {functional} energy overflowed: inf\n"
         assert [str(w.message) for w in shown] == []
+
+    @pytest.mark.parametrize("p", ["2", "3"])
+    def test_overflowing_s_energy_reads_inf(self, runner, p):
+        """At p = 2 the two sums over each ball once met as inf - inf, printed as nan."""
+        result = invoke(runner, ["energy", "--space", "circle:64", "--field", "1e200*sin(x)",
+                                 "--functional", "s", "--t", "0.5", "--p", p])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: the s energy overflowed: inf\n"
 
     def test_warnings_of_a_finite_energy_are_shown(self, runner, monkeypatch):
         def unconverged(space, u, p):

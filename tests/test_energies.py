@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,10 +19,12 @@ from nsl import (
     h_energy,
     k_energy,
     kernel_comparability,
+    load_space,
     mollify,
     nguyen_a,
     nguyen_b,
     nguyen_sweep,
+    save_space,
     scale_energies,
     scale_s_by_balls,
     scale_s_by_pairs,
@@ -531,11 +534,27 @@ class TestScaleEnergies:
 
 
 ORACLE_SPACES = ["random", "circle:64", "interval:128:0.5", "torus2d:8x8", "sierpinski:3"]
+PARITY_SPACES = ["circle:64", "torus2d:12x12", "interval:160:0.5", "sierpinski:3", "graph",
+                 "matrix file"]
 
 
 def oracle_space(name: str) -> MetricMeasureSpace:
     if name == "random":
         return random_space(np.random.default_rng(17), 40)
+    return build_space(SpaceSpec.parse(name))
+
+
+def parity_space(name: str, tmp_path) -> MetricMeasureSpace:
+    """A space of PARITY_SPACES. The graph file has edge lengths 1 and 2; the matrix file
+    holds random points on a line with random weights."""
+    if name == "graph":
+        path = tmp_path / "g.csv"
+        path.write_text("".join(f"{i},{i + 1},{1 + i % 2}\n{i},{(i + 5) % 30},2\n"
+                                for i in range(29)))
+        return build_space(SpaceSpec.parse(f"graph:{path}"))
+    if name == "matrix file":
+        save_space(random_space(np.random.default_rng(23), 40), tmp_path / "m.space")
+        return load_space(tmp_path / "m.space")
     return build_space(SpaceSpec.parse(name))
 
 
@@ -578,45 +597,70 @@ class TestScaleSOracle:
             assert np.all(g_scale(sp, u, EnergySpec(p=2, t=t)).values == 0.0)
 
     @pytest.mark.parametrize("name", ORACLE_SPACES)
-    def test_other_p_keep_the_ball_loop(self, name):
+    def test_other_p_match_the_ball_loop(self, name):
         sp = oracle_space(name)
         vals = oracle_fields(sp.n)["normal"]
         for p in (1.5, 3.0):
             for t in oracle_radii(sp):
                 got = scale_s_by_balls(sp, ScalarField(vals), EnergySpec(p=p, t=t))
-                assert got == ball_loop_s(sp, vals, t, p)
-                want = s_oracle(sp, vals, t, p)
-                assert abs(got - want) <= 1e-12 * abs(want)
+                for want in (ball_loop_s(sp, vals, t, p), s_oracle(sp, vals, t, p)):
+                    assert abs(got - want) <= 1e-12 * abs(want), (p, t, got, want)
 
-    @pytest.mark.parametrize("name", ORACLE_SPACES)
-    def test_truncated_and_composed_g_scale_keep_the_ball_loop(self, name):
-        sp = oracle_space(name)
-        vals = oracle_fields(sp.n)["normal"]
-        u = ScalarField(vals)
+    @pytest.mark.parametrize("name", PARITY_SPACES)
+    def test_ball_products_match_the_loop(self, name, tmp_path):
+        """The block product against conftest's per-center loop to 1e-12 relative, at every
+        p, cap and g_t mode it serves; constant fields and singleton balls give exactly 0."""
+        sp = parity_space(name, tmp_path)
+        rng = np.random.default_rng(sp.n)
+        fields = {"normal": rng.normal(size=sp.n), "tied": np.round(rng.normal(size=sp.n)),
+                  "step": (np.arange(sp.n) >= sp.n // 3).astype(float)}
         phi = PiecewiseLinearMap([(-1.0, 0.0), (0.5, 1.5)], r=1.5)
-        for t in oracle_radii(sp):
+        gaps = lambda sub: np.abs(sub[:, None] - sub[None, :])  # noqa: E731
+        singleton = 0.5 * sp.min_distance
+        for t in (singleton, 1.5 * sp.min_distance, sp.diameter / 4, sp.diameter):
             m2 = sp.ball_masses(t) ** 2
-            for r in (None, 0.7):
-                spec = EnergySpec(p=2, t=t, r=r)
-                cap = np.inf if r is None else r
-                want = ball_loop_totals(
-                    sp, vals, t, lambda sub: np.minimum(np.abs(sub[:, None] - sub[None, :]), cap) / t
-                )
-                assert np.array_equal(g_scale(sp, u, spec, "truncated").values, want / m2)
-            want = ball_loop_totals(
-                sp, phi(vals), t, lambda sub: np.abs(sub[:, None] - sub[None, :]) / t
-            )
-            got = g_scale(sp, u, EnergySpec(p=2, t=t), "composed", phi=phi).values
-            assert np.array_equal(got, want / m2)
-            for p in (1.5, 3.0):
-                want = ball_loop_totals(
-                    sp, vals, t, lambda sub: np.abs((sub[:, None] - sub[None, :]) / t) ** p
-                )
-                got = g_scale(sp, u, EnergySpec(p=p, t=t)).values
-                assert np.array_equal(got, want / m2)
+            for field, vals in fields.items():
+                for p, cap in itertools.product((1.0, 1.5, 3.0), (np.inf, 0.7)):
+                    got = nsl.energies._ball_pair_totals(sp, t, vals, p, cap, t)
+                    want = ball_loop_totals(sp, vals, t,
+                                            lambda sub: (np.minimum(gaps(sub), cap) / t) ** p)
+                    assert np.all(np.abs(got - want) <= 1e-12 * want), (field, t, p, cap)
+                    assert t > singleton or np.all(got == 0.0), (field, p, cap)
+                u = ScalarField(vals)
+                for p in (1.0, 1.5, 3.0):
+                    plain = nsl.energies._ball_pair_totals(sp, t, vals, p, scale=t) / m2
+                    assert np.array_equal(g_scale(sp, u, EnergySpec(p=p, t=t)).values, plain)
+                for r in (None, 0.7):
+                    got = g_scale(sp, u, EnergySpec(p=2, t=t, r=r), "truncated").values
+                    cap = np.inf if r is None else r
+                    want = ball_loop_totals(sp, vals, t, lambda sub: np.minimum(gaps(sub), cap) / t)
+                    assert np.all(np.abs(got - want / m2) <= 1e-12 * want / m2), (field, t, r)
+                got = g_scale(sp, u, EnergySpec(p=2, t=t), "composed", phi=phi).values
+                want = ball_loop_totals(sp, phi(vals), t, lambda sub: gaps(sub) / t) / m2
+                assert np.all(np.abs(got - want) <= 1e-12 * want), (field, t)
+            for value in (0.3, 1e3 + 1.0 / 3.0):
+                for p, cap in itertools.product((1.0, 1.5, 3.0), (np.inf, 0.7)):
+                    totals = nsl.energies._ball_pair_totals(sp, t, np.full(sp.n, value), p, cap, t)
+                    assert np.all(totals == 0.0), (value, t, p, cap)
+
+    @pytest.mark.parametrize("p, height, weight", [(2.0, 1e200, None), (3.0, 1e200, None),
+                                                   (1.0, 1e300, 1e10)])
+    def test_overflow_is_inf_in_the_balls_that_hold_it(self, p, height, weight):
+        """A field of 0 and height: only the balls that meet both halves overflow, to inf; the
+        others are 0, though the block product meets inf pair parts (p = 3) or inf sums over a
+        ball (p = 1, heavy points) off their balls."""
+        sp = build_space(SpaceSpec("circle", n=256))
+        if weight is not None:
+            sp = MetricMeasureSpace(sp.dist, np.full(256, weight))
+        vals = np.where(np.arange(256) < 128, 0.0, height)
+        with np.errstate(over="ignore"):
+            totals = nsl.energies._ball_pair_totals(sp, 0.1, vals, p)
+        straddles = np.array([np.ptp(vals[sp.dist[x] <= 0.1]) > 0 for x in range(256)])
+        assert np.all(totals[straddles] == np.inf)
+        assert np.all(totals[~straddles] == 0.0)
 
     @pytest.mark.parametrize("name", ORACLE_SPACES)
-    def test_plain_g_scale_p2_matches_oracle(self, name, no_ball_loop):
+    def test_plain_g_scale_p2_matches_oracle(self, name, no_ball_product):
         sp = oracle_space(name)
         for field, vals in oracle_fields(sp.n).items():
             for t in oracle_radii(sp):
@@ -720,6 +764,18 @@ class TestGScale:
     def test_clipped_identity_of_nan_rejected(self):
         with pytest.raises(ValueError, match="r must be finite and >= 0, got nan"):
             PiecewiseLinearMap.clipped_identity(math.nan)
+
+    def test_block_product_holds_column_chunks(self, monkeypatch):
+        """Each worker forms the pair parts over the union of its balls 128 columns at a time:
+        two workers at radius diam/2, where that union holds about 73% of the torus, stay under
+        one n x n array."""
+        monkeypatch.setenv("NSL_WORKERS", "2")
+        sp = build_space(SpaceSpec.parse("torus2d:48x48"))
+        u = ScalarField(np.sin(2.0 * np.pi * sp.coords[:, 0]))
+        spec = EnergySpec(p=1, t=sp.diameter / 2)
+        g, peak = traced_peak(lambda: g_scale(sp, u, spec, mode="truncated"))
+        assert np.all(np.isfinite(g.values))
+        assert peak < sp.n**2 * 8
 
     def test_unknown_mode(self, two_point, two_point_field):
         with pytest.raises(ValueError, match="mode"):

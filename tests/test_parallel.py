@@ -7,11 +7,13 @@ from nsl import (
     ScalarField,
     SpaceSpec,
     build_space,
+    g_scale,
     gagliardo_p,
     mollify,
     nguyen_a,
     nguyen_b,
     scale_energies,
+    scale_s_by_balls,
     set_workers,
 )
 from nsl.parallel import BLOCK_ROWS, block_reduce, get_workers, row_blocks, tree_sum
@@ -88,6 +90,9 @@ class TestEnergyDeterminism:
             b = nguyen_b(sp, u, EnergySpec(p=2, delta=0.3, r=0.8, kernel=KernelSpec("rho1")))
             se = scale_energies(sp, u, EnergySpec(p=2, t=0.4, kernel=KernelSpec("rho1")))
             m = mollify(sp, u, 0.3)
+            # the ball block product: S_t at p = 3, and g_t truncated at a cap r
+            s3 = scale_s_by_balls(sp, u, EnergySpec(p=3, t=0.4))
+            gt = g_scale(sp, u, EnergySpec(p=1, t=1.5, r=0.5), mode="truncated")
             outputs.append((repr(g), repr(a), repr(b), repr(se.k), repr(se.h), repr(se.s),
-                            m.values.tobytes(), records))
+                            m.values.tobytes(), records, repr(s3), gt.values.tobytes()))
         assert outputs[0] == outputs[1] == outputs[2]

@@ -112,7 +112,7 @@ class TestMeanComparison:
                 # exactly +0.0, so the JSON report does not read -0.0
                 assert [repr(rec.lhs) for rec in rep.records] == ["0.0", "0.0"], (value, p)
 
-    def test_p2_runs_no_ball_loop(self, circle64, no_ball_loop):
+    def test_p2_runs_no_ball_loop(self, circle64, no_ball_product):
         assert check_mean_comparison(circle64, sin_field(circle64), 2.0, [0.2, 0.8]).passed
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -242,7 +242,7 @@ class TestHks:
         items = {rec.params["item"] for rec in rep.records}
         assert items == {"i-lower", "i-upper", "ii-lower", "ii-upper", "iv"}
 
-    def test_ball_loop_runs_once_per_grid_scale(self, circle64, monkeypatch, no_ball_loop):
+    def test_ball_loop_runs_once_per_grid_scale(self, circle64, monkeypatch, no_ball_product):
         import nsl.verify
 
         radii = []
