@@ -19,10 +19,9 @@ wrapped offset), and the Ahlfors kernel alone on the interval.
 One builder, _kernel_rows, with one branch per kernel kind, serves both
 kernel_matrix (all rows) and kernel_row (row 0), so the two agree bitwise;
 kernel_blocks reads row blocks of either, on circle and torus from row 0 alone.
-rho1 is gathered once, on its first request (space.pair_ball_masses): with
-equal weights on a generator space by counting each row's integer distance
-levels, else by one stable sort per distance row. No kernel runs a per-row
-search or sorts a row twice.
+rho1 is gathered once, on its first request (space.pair_ball_masses), by
+counting each row's integer distance levels on every space and with any
+weights. No kernel runs a per-row search or sorts a row twice.
 
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.

@@ -1,17 +1,17 @@
 """Finite metric measure spaces.
 
-A space is a finite set of points with a symmetric distance matrix, one
-positive weight per point (the measure of that atom), and a ball index of
-prefix masses, read at the count of distances within a radius: one row with
-equal weights, so no ball query sorts. The rho1 kernel mu(B(x, d(x, y))) is
-the prefix read at the count of distances up to d(x, y): with equal weights a
-generator space counts the integer levels of its distances, and otherwise one
-stable sort per distance row gathers it, with the prefix rows of unequal
-weights. A generator space (interval, circle, torus, gauge grid, Sierpinski
-gasket) keeps its distances in closed form: a lattice table over signed index
-offsets, or the gasket's three-copy recursion, and builds the matrix on the
-first read of its whole; readers of row 0, of a row block or of single pairs
-take a lattice's from its table without it.
+A space is a finite set of points with a symmetric distance matrix and one
+positive weight per point (the measure of that atom). A ball query counts a
+row's distances within a radius and reads one prefix row of masses with equal
+weights, or sums the weights within it otherwise, so no ball query sorts. The
+rho1 kernel mu(B(x, d(x, y))) counts each row's integer distance levels: a
+generator's closed form gives the codes, and a matrix space's distance rows
+give their dense ranks from one stable argsort per row block. A generator
+space (interval, circle, torus, gauge grid, Sierpinski gasket) keeps its
+distances in closed form: a lattice table over signed index offsets, or the
+gasket's three-copy recursion, and builds the matrix on the first read of its
+whole; readers of row 0, of a row block or of single pairs take a lattice's
+from its table without it.
 
 Balls are closed everywhere: B(x, r) = {y : d(x, y) <= r}. The theory of
 doubling measures on finite spaces needs atoms counted consistently, and the
@@ -346,7 +346,10 @@ class MetricMeasureSpace:
         self.metric = metric or {"type": "matrix", "params": {}}
         self.edges = None if edges is None else np.ascontiguousarray(edges, dtype=np.int64)
         self.grid = grid
-        self.total_mass = float(np.sum(weights))
+        with np.errstate(over="ignore"):  # an overflow is the fault reported below
+            self.total_mass = float(np.sum(weights))
+        if not math.isfinite(self.total_mass):
+            raise SpaceError(f"the weights sum to {self.total_mass!r}: no finite total mass")
         for arr in (self.weights, self.coords, self.edges):
             if arr is not None:
                 arr.setflags(write=False)
@@ -422,64 +425,55 @@ class MetricMeasureSpace:
         lattice = self.index_lattice()
         return 1 if lattice is not None and lattice[1] else self.n
 
-    def _ball_index(self) -> np.ndarray:
-        """Prefix masses, read-only: row x % len(rows), at k, is the mass of the k + 1 points
-        nearest to x, ties by ascending point id. Equal weights make it one row and sort
-        nothing; unequal ones take the n rows of the sort that also gathers rho1."""
-        equal = _equal_prefix(self.weights)
-        return equal if equal is not None else self._ranked()[0]
-
-    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
-        """_rank_rows of dist, built once: the index of unequal weights, and rho1 where no
-        level codes are (pair_ball_masses)."""
-        return self.cache("ranked_rows", lambda: _rank_rows(self.dist, self.weights))
-
-    def _level_rows(self) -> Callable[[int, int], np.ndarray] | None:
-        """A reader of int32 codes for rows a..b of dist, equal exactly where the distances are
-        and ordered like them, from a generator's closed form: a lattice table's ranks among
-        its distinct entries, read as the table is (_lattice_rows), or the gasket's integer
-        hops d * 2^L, exact as its unit edges are 2^-L. None for a matrix space."""
+    def _level_rows(self) -> Callable[[int, int], np.ndarray]:
+        """A reader of intp codes for rows a..b of dist, equal exactly where a row's distances
+        are and ordered like them: a lattice table's ranks among its distinct entries, read as
+        the table is (_lattice_rows); the gasket's integer hops d * 2^L, exact as its unit
+        edges are 2^-L; on a matrix space (graph, file) each row's dense ranks, from one
+        stable argsort per row block."""
         if self._table is not None:
             codes = self.cache("level_table", lambda: np.searchsorted(
-                np.unique(self._table), self._table).astype(np.int32))
+                np.unique(self._table), self._table))
             return lambda a, b: _lattice_rows(codes, a, b)
         spec = SpaceSpec.from_metric(self.metric)
         if spec is not None and spec.generator == "sierpinski":
-            return lambda a, b: (self.dist_rows(a, b) * 2.0**spec.level).astype(np.int32)
-        return None
+            return lambda a, b: (self.dist_rows(a, b) * 2.0**spec.level).astype(np.intp)
+
+        def ranks(a: int, b: int) -> np.ndarray:
+            rows = self.dist_rows(a, b)
+            order = np.argsort(rows, axis=1, kind="stable")
+            ranked = np.take_along_axis(rows, order, axis=1)
+            steps = np.zeros(order.shape, dtype=np.int32)  # 1 where a sorted row rises
+            np.greater(ranked[:, 1:], ranked[:, :-1], out=steps[:, 1:])
+            codes = np.empty(order.shape, dtype=np.intp)
+            np.put_along_axis(codes, order, np.cumsum(steps, axis=1, out=steps), axis=1)
+            return codes
+
+        return ranks
 
     def pair_ball_masses(self) -> np.ndarray:
-        """mu(B(x, d(x, y))) for each row x of the ball index and every point y, NaN where y
-        is x: the rho1 kernel, read-only, gathered on its first request. Equal weights on a
-        generator space count distance levels (_level_masses); else _rank_rows sorts."""
-        prefix = _equal_prefix(self.weights)
-        levels = None if prefix is None else self._level_rows()
-        if levels is None:
-            return self._ranked()[1]
-        return self.cache("level_masses",
-                          lambda: _level_masses(levels, self._index_rows(), prefix[0]))
-
-    def ball_mass(self, x: int, r: float) -> float:
-        """Mass of the closed ball B(x, r)."""
-        if not 0 <= x < self.n:
-            raise SpaceError(f"unknown point id {x}")
-        if not r >= 0:  # NaN fails too
-            raise SpaceError(f"radius must be >= 0, got {r}")
-        prefix, row = self._ball_index(), x % self._index_rows()
-        count = np.count_nonzero(self.dist_rows(row, row + 1) <= r)  # d(x, x) = 0 counts
-        return float(prefix[row % len(prefix), count - 1])
+        """mu(B(x, d(x, y))) for each x < _index_rows() and every point y, NaN where y is x:
+        the rho1 kernel, read-only, gathered on its first request by counting the distance
+        levels of each row (_level_masses)."""
+        return self.cache("level_masses", lambda: _level_masses(
+            self._level_rows(), self._index_rows(), self.weights))
 
     def ball_masses(self, r: float) -> np.ndarray:
-        """Vector of closed-ball masses mu(B(x, r)) for every point."""
-        if not r >= 0:
+        """Vector of closed-ball masses mu(B(x, r)) for every point: with equal weights the
+        prefix mass at the count of distances within r, else the weights within r summed."""
+        if not r >= 0:  # NaN fails too
             raise SpaceError(f"radius must be >= 0, got {r}")
         key = ("ball_masses", float(r))
         if key not in self._cache:
-            prefix, m = self._ball_index(), self._index_rows()
-            counts = np.concatenate([np.count_nonzero(self.dist_rows(a, b) <= r, axis=1)
-                                     for a, b in row_blocks(m)])
-            # one mass per row, repeated for every point if the index is one row
-            masses = np.resize(prefix[np.arange(m) % len(prefix), counts - 1], self.n)
+            prefix, m = _equal_prefix(self.weights), self._index_rows()
+            if prefix is None:
+                masses = np.concatenate([(self.dist_rows(a, b) <= r) @ self.weights
+                                         for a, b in row_blocks(m)])
+            else:
+                counts = np.concatenate([np.count_nonzero(self.dist_rows(a, b) <= r, axis=1)
+                                         for a, b in row_blocks(m)])
+                masses = prefix[counts - 1]
+            masses = np.resize(masses, self.n)  # one mass for every point if m is 1
             masses.setflags(write=False)
             self._cache[key] = masses
         return self._cache[key]
@@ -494,76 +488,48 @@ class MetricMeasureSpace:
 
 
 def _equal_prefix(weights: np.ndarray) -> np.ndarray | None:
-    """cumsum(full(n, w0)), (1, n) and read-only, if every weight is w0, else None: then the
-    prefix masses of the points in any order, bitwise, as a cumsum adds in sequence."""
+    """cumsum(full(n, w0)), read-only, if every weight is w0, else None: then the prefix
+    masses of the points in any order, bitwise, as a cumsum adds in sequence."""
     if not np.all(weights == weights[0]):
         return None
-    prefix = np.cumsum(np.full(len(weights), weights[0]))[None]
+    prefix = np.cumsum(np.full(len(weights), weights[0]))
     prefix.setflags(write=False)
     return prefix
 
 
 def _level_masses(levels: Callable[[int, int], np.ndarray], m: int,
-                  prefix: np.ndarray) -> np.ndarray:
-    """mu(B(x, d(x, y))) of the points x < m, read-only, NaN where y is x, with equal weights
-    and levels the reader of integer distance codes (MetricMeasureSpace._level_rows).
+                  weights: np.ndarray) -> np.ndarray:
+    """mu(B(x, d(x, y))) of the points x < m, read-only, NaN where y is x, with levels the
+    reader of integer distance codes (MetricMeasureSpace._level_rows).
 
-    The equal-weight prefix row does not depend on the order of the points, so
-    the mass is prefix[count_x(d(x, y)) - 1] with count_x(r) = #{z : d(x, z) <= r}:
-    bitwise the entry a stable sort of the row reads at the last position of
-    y's tie group (_rank_rows). Per row block, one bincount over (row, code)
-    and a cumsum along the codes give each row's counts per level, and one
-    take gathers their masses; only one block of int32 codes is held.
+    Per row block, one bincount over (row, code) and a cumsum along the codes
+    give each row's mass up to each level, and one take gathers it at y's
+    level; one block of codes is held. With unequal weights the bincount sums
+    w[y] per level. With equal ones it counts, and the mass is the prefix row
+    at count_x(d(x, y)) - 1, count_x(r) = #{z : d(x, z) <= r}: bitwise the
+    entry a stable sort of the row reads at the last position of y's tie group.
     """
-    masses = np.empty((m, len(prefix)))
-    for a, b in row_blocks(m):
+    prefix, masses = _equal_prefix(weights), np.empty((m, len(weights)))
+    blocks = row_blocks(m)
+    tiled = None if prefix is not None else np.tile(weights, blocks[0][1])  # w[y], row by row
+
+    def gather(a: int, b: int) -> None:  # a call, so no block's arrays outlive it
         flat = levels(a, b)  # codes, then each row's own range of bincount slots
         top = int(flat.max()) + 1
-        flat += top * np.arange(b - a, dtype=np.int32)[:, None]
-        counts = np.bincount(flat.ravel(), minlength=(b - a) * top).reshape(b - a, top)
+        flat += top * np.arange(b - a)[:, None]
+        upto = np.bincount(flat.ravel(), None if tiled is None else tiled[:flat.size],
+                           (b - a) * top).reshape(b - a, top)
+        np.cumsum(upto, axis=1, out=upto)
+        if prefix is not None:
+            upto = prefix[np.subtract(upto, 1, out=upto)]
         # every slot is in range; "clip" writes to out without the buffered copy of "raise"
-        np.take(prefix[np.cumsum(counts, axis=1) - 1], flat, out=masses[a:b], mode="clip")
+        np.take(upto, flat, out=masses[a:b], mode="clip")
+
+    for a, b in blocks:
+        gather(a, b)
     np.fill_diagonal(masses, np.nan)
     masses.setflags(write=False)
     return masses
-
-
-def _rank_rows(dist: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The prefix masses and mu(B(x, d(x, y))) of every point x, both read-only: prefix[x, k]
-    is the mass of the k+1 points nearest to x in the stable sort order of row x of dist
-    (ties by ascending point id), one row (_equal_prefix) when all weights are equal;
-    masses are in point order, NaN where y is x. The route of unequal weights and of
-    matrix spaces (graphs, files), whose distances carry no level codes; _level_masses
-    gives the same masses without sorting where they do.
-
-    The mass of B(x, d(x, y)) is prefix[x, e], where e is the last sorted
-    position of y's tie group, the entry that searchsorted(side="right") - 1
-    finds. As prefix never falls along a row, that is the least prefix entry
-    at a group's last position from y's position on: a reversed running
-    minimum, put back in point order. Rows are taken in blocks of n/16, so
-    the temporaries of one block, its sort order and sorted row among them,
-    stay near a quarter of an n x n matrix.
-    """
-    n = len(dist)
-    equal = _equal_prefix(weights)
-    prefix = np.empty((n, n)) if equal is None else equal
-    masses = np.empty((n, n))
-    step = max(1, n // 16)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        order = np.argsort(dist[a:b], axis=1, kind="stable")
-        ranked = np.take_along_axis(dist[a:b], order, axis=1)
-        if equal is None:
-            np.cumsum(weights[order], axis=1, out=prefix[a:b])
-        last = np.ones(order.shape, dtype=bool)  # the last position of each tie group
-        np.greater(ranked[:, 1:], ranked[:, :-1], out=last[:, :-1])
-        block = np.where(last, prefix if equal is not None else prefix[a:b], np.inf)
-        np.minimum.accumulate(block[:, ::-1], axis=1, out=block[:, ::-1])
-        np.put_along_axis(masses[a:b], order, block, axis=1)
-    np.fill_diagonal(masses, np.nan)
-    for arr in (prefix, masses):
-        arr.setflags(write=False)
-    return prefix, masses
 
 
 # -- doubling -----------------------------------------------------------------
@@ -576,34 +542,36 @@ def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
     Radii r in {d(x,y)} union {d(x,y)/2} are sufficient: both ball masses are
     right-continuous step functions of r jumping only at realized distances,
     so the ratio is piecewise constant and attains its sup at one of these
-    breakpoints. Only the distinct rows of the ball index are scanned, each
+    breakpoints. Only the distinct distance rows (_index_rows) are scanned, each
     sorted here: on circle and torus that is point 0 alone, the first witness
-    of any tie.
+    of any tie. Equal weights read the one prefix row; unequal ones cumsum the
+    weights in the order of one stable argsort per row block.
     """
     if space.n < 2:
         raise SpaceError("doubling constant needs at least two points")
 
     def work() -> tuple[float, int, float]:
-        prefix = space._ball_index()
-        best = 1.0
-        best_x, best_r = 0, 0.0
+        equal, best = _equal_prefix(space.weights), (1.0, 0, 0.0)
         for a, b in row_blocks(space._index_rows()):
-            for x, row in enumerate(np.sort(space.dist_rows(a, b), axis=1), start=a):
+            rows = space.dist_rows(a, b)
+            if equal is None:
+                order = np.argsort(rows, axis=1, kind="stable")
+                rows = np.take_along_axis(rows, order, axis=1)
+                prefix = np.cumsum(space.weights[order], axis=1)
+            else:
+                rows, prefix = np.sort(rows, axis=1), np.broadcast_to(equal, rows.shape)
+            for x, row, masses in zip(range(a, b), rows, prefix):
                 cand = np.concatenate([row[1:], row[1:] * 0.5])  # row[0] is d(x, x), the one 0
                 k_r, k_2r = (np.searchsorted(row, c, side="right") for c in (cand, 2.0 * cand))
-                ratios = prefix[x % len(prefix), k_2r - 1] / prefix[x % len(prefix), k_r - 1]
+                ratios = masses[k_2r - 1] / masses[k_r - 1]
                 j = int(np.argmax(ratios))
-                if ratios[j] > best:
-                    best = float(ratios[j])
-                    best_x, best_r = x, float(cand[j])
-        return best, best_x, best_r
+                if ratios[j] > best[0]:
+                    best = (float(ratios[j]), x, float(cand[j]))
+        return best
 
-    best, best_x, best_r = space.cache("doubling", work)
-    return DoublingReport(
-        c_d_hat=best,
-        witness=(best_x, best_r),
-        non_doubling_like=best > NON_DOUBLING_THRESHOLD,
-    )
+    best, x, r = space.cache("doubling", work)
+    return DoublingReport(c_d_hat=best, witness=(x, r),
+                          non_doubling_like=best > NON_DOUBLING_THRESHOLD)
 
 
 # -- generators ---------------------------------------------------------------

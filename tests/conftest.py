@@ -70,16 +70,27 @@ def sierpinski_reference(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ball_mass_rows(space: MetricMeasureSpace, radii: np.ndarray) -> np.ndarray:
-    """mu(B(x, radii[x, j])) for every point x, one searchsorted per distance row of the ball
-    index, sorted here, into the index's prefix masses: the per-row lookup that the index's
-    counts and gather replace."""
-    prefix = space._ball_index()
-    rows = space._index_rows()
+    """mu(B(x, radii[x, j])) for every point x, independent of the library's ball index: one
+    stable argsort of each distance row of dist, a cumsum of the weights in that order and
+    one searchsorted per row into the sorted distances."""
+    order = np.argsort(space.dist, axis=1, kind="stable")
+    ranked = np.take_along_axis(space.dist, order, axis=1)
+    prefix = np.cumsum(space.weights[order], axis=1)
     out = np.empty_like(radii)
-    for x, row in enumerate(np.arange(space.n) % rows):
-        k = np.searchsorted(np.sort(space.dist_rows(row, row + 1)[0]), radii[x], side="right")
-        out[x] = np.where(k > 0, prefix[row % len(prefix), np.maximum(k, 1) - 1], 0.0)
+    for x in range(space.n):
+        k = np.searchsorted(ranked[x], radii[x], side="right")
+        out[x] = np.where(k > 0, prefix[x, np.maximum(k, 1) - 1], 0.0)
     return out
+
+
+def assert_masses_match(got: np.ndarray, want: np.ndarray, weights: np.ndarray) -> None:
+    """Bitwise with equal weights, whose prefix row any order of the points reads alike; to
+    1e-14 relative with unequal ones, which the library sums per distance level and the
+    stable-sort reference one point at a time. NaN (the diagonal) matches NaN."""
+    if np.all(weights == weights[0]):
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.fixture

@@ -587,6 +587,25 @@ class TestBadInput:
         assert "weight at point 1" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "--suite", "annuli"],
+        ["energy", "--kernel", "rho1", "--functional", "gagliardo", "--s", "0.5"],
+    ], ids=["verify", "energy"])
+    def test_matrix_file_whose_weights_overflow_exit_2(self, runner, tmp_path, args):
+        """Each weight is finite but their sum is not: the load stops with one error line and
+        no numpy warning, where verify once failed on an all-NaN slice and energy reported
+        an overflowed energy."""
+        path = tmp_path / "big.space"
+        path.write_text(json.dumps({"name": "big", "n": 3, "metric": {"type": "matrix"},
+                                    "weights": [1e308] * 3, "matrix": [1.0, 1.0, 1.0]}))
+        field = _csv(tmp_path, "0\n1\n2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = invoke(runner, args + ["--space", str(path), "--field-csv", field])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: the weights sum to inf: no finite total mass\n"
+        assert caught == []
+
     def test_matrix_file_breaking_the_triangle_inequality_exit_2(self, runner, tmp_path):
         """The error line prints both sides of the broken inequality as plain floats."""
         path = tmp_path / "tri.space"

@@ -10,7 +10,7 @@ from nsl import (BodyError, ConvexBody, KernelSpec, MetricMeasureSpace, SpaceSpe
                  doubling_constant, kernel_comparability, load_space, parse_body, save_space)
 from nsl.kernels import kernel_blocks, kernel_matrix, kernel_row
 
-from conftest import HEXAGON, ball_mass_rows, random_space, traced_peak
+from conftest import HEXAGON, assert_masses_match, ball_mass_rows, random_space, traced_peak
 
 
 def brute_rho1(space):
@@ -132,11 +132,11 @@ KERNEL_DIGESTS = {
     ("torus2d:7x13", "gauge-ahlfors:2"): ("55c87cef66f007d0", "c14837a757fd24e1"),
     ("torus2d:7x13", "gauge-ahlfors:1.5:square"): ("e1dcc234c9328a54", "6daa907632d0fc53"),
     ("torus2d:7x13", f"gauge-ahlfors:1.5:{HEXAGON}"): ("5faf0279324411a4", "f0bc072b5db6ed8a"),
-    ("interval:65:0.5", "rho1"): ("ecab499e24414125", "87416f11d42f0cca"),
-    ("interval:65:0.5", "rho2"): ("5a619c5689026967", "fe5d32651653eed1"),
-    ("interval:65:0.5", "sum"): ("506029c297390a1b", "d912b79bbcbf32a0"),
-    ("interval:65:0.5", "geom"): ("13cfb6e30b6f98ec", "e67d48deee7a4471"),
-    ("interval:65:0.5", "harm"): ("f949265c478ae29f", "1d37c43bc7b68fab"),
+    ("interval:65:0.5", "rho1"): ("f3d7414bc15fd88e", "87416f11d42f0cca"),
+    ("interval:65:0.5", "rho2"): ("1642c19cdc439143", "e4ab3a98c4707751"),
+    ("interval:65:0.5", "sum"): ("db54305e5354eb53", "c45842fdc31aa221"),
+    ("interval:65:0.5", "geom"): ("f0120c2214311d6a", "a09d8cf99def317a"),
+    ("interval:65:0.5", "harm"): ("a7518c737a58b808", "d1a0f9a0a0ffaa55"),
     ("interval:65:0.5", "ahlfors:1"): ("c4c0ad78718666eb", "e6d7968c488c99f0"),
     ("interval:65:0.5", "ahlfors:1.5"): ("38999f43448e0b4d", "01a5f786802dff1a"),
     ("interval:65:0.5", "gauge-ahlfors:1:ball:1"): ("56759cc56c34f35a", "e42795109c6871f6"),
@@ -177,9 +177,9 @@ class TestKernelRow:
             rows[text] = kernel_row(sp, KernelSpec.parse(text))
             assert not any(key[0] == "kernel" for key in sp._cache if isinstance(key, tuple))
             sp._cache.clear()
-        # rho2, sum, geom and harm read rho1's column 0 as row 0; equal weights count the
-        # levels of the lattice table, unequal ones sort every row of dist
-        assert (sp._dist is None) == bool(np.all(sp.weights == sp.weights[0]))
+        # rho2, sum, geom and harm read rho1's column 0 as row 0; every weight vector counts
+        # the levels of the lattice table, so no distance matrix is built
+        assert sp._dist is None
         for text, row in rows.items():
             assert np.isnan(row[0]) and not row.flags.writeable
             want = kernel_matrix(sp, KernelSpec.parse(text))[0]
@@ -201,39 +201,37 @@ class TestKernelReuse:
     @pytest.mark.parametrize("kind", ["rho2", "sum", "geom", "harm"])
     @pytest.mark.parametrize("space", ["interval:65", "sierpinski:3", "interval:65:0.5"])
     def test_combination_builds_rho1_once(self, monkeypatch, space, kind):
-        """One pass over the n distance rows gathers rho1, which stays cached: a count of
-        distance levels with equal weights, one sort with unequal ones; the combination reads
-        its transpose."""
+        """One count of distance levels over the n distance rows gathers rho1, with equal
+        weights or not, and it stays cached; the combination reads its transpose."""
         calls = spy_gathers(monkeypatch)
         sp = build_space(SpaceSpec.parse(space))
         kernel_matrix(sp, KernelSpec(kind))
-        route = "levels" if np.all(sp.weights == sp.weights[0]) else "sort"
-        assert calls == [(route, sp.n)]
+        assert calls == [sp.n]
         assert ("kernel", "rho1") in sp._cache
         kernel_matrix(sp, KernelSpec("rho1"))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("space", ["gauge_grid:32:square", "interval:1024"])
-    def test_rho1_matrix_builds_no_distance_matrix(self, space):
-        """The gather counts the lattice table's levels a row block at a time: no distance
-        matrix, no sorted rows and no n x n integer array, so the kernel and one block's
-        temporaries stay under 1.5 n x n float blocks at the peak."""
+    @pytest.mark.parametrize("space, held", [("gauge_grid:32:square", 1.5),
+                                             ("interval:1024", 1.5),
+                                             ("interval:1024:0.5", 1.6)])
+    def test_rho1_matrix_builds_no_distance_matrix(self, space, held):
+        """The gather counts the lattice table's levels a row block at a time, with equal
+        weights or unequal ones: no distance matrix, no sorted rows, no prefix rows and no
+        n x n integer array, so the kernel and one block's temporaries (with unequal weights
+        the tiled weights and the masses per level among them) stay under held n x n float
+        blocks at the peak."""
         sp = build_space(SpaceSpec.parse(space))
         _, peak = traced_peak(lambda: kernel_matrix(sp, KernelSpec("rho1")))
-        assert sp._dist is None and peak <= 1.5 * 8 * sp.n**2
+        assert sp._dist is None and peak <= held * 8 * sp.n**2
 
-    @pytest.mark.parametrize("space, held", [("interval:1024:0.5", 3.5),
-                                             ("gauge_grid:32:square+m", 1.5)])
-    def test_rho1_sort_holds_one_block_of_temporaries(self, space, held):
-        """The sort route sorts dist a row block at a time: unequal weights on the interval
-        hold dist, the n prefix rows and the kernel, and the equal-weight matrix copy ("+m",
-        whose dist is already held) the kernel alone, each with one block's temporaries at
-        the peak, so no n x n sort order, sorted copy or second distance matrix."""
-        sp = build_space(SpaceSpec.parse(space.removesuffix("+m")))
-        if space.endswith("+m"):
-            sp = MetricMeasureSpace(sp.dist, sp.weights)
+    def test_rho1_sort_holds_one_block_of_temporaries(self):
+        """A matrix space sorts dist a row block at a time for its codes: the equal-weight
+        matrix copy, whose dist is already held, holds the kernel and one block's temporaries
+        at the peak, so no n x n sort order, sorted copy or second distance matrix."""
+        sp = build_space(SpaceSpec.parse("gauge_grid:32:square"))
+        sp = MetricMeasureSpace(sp.dist, sp.weights)
         _, peak = traced_peak(lambda: kernel_matrix(sp, KernelSpec("rho1")))
-        assert peak <= held * 8 * sp.n**2
+        assert peak <= 1.5 * 8 * sp.n**2
 
 
 def spy_argsort(monkeypatch) -> list[int]:
@@ -249,22 +247,16 @@ def spy_argsort(monkeypatch) -> list[int]:
     return rows
 
 
-def spy_gathers(monkeypatch) -> list[tuple[str, int]]:
-    """Record each rho1 gather as (route, rows): "levels" for space._level_masses, "sort" for
-    space._rank_rows."""
+def spy_gathers(monkeypatch) -> list[int]:
+    """Record the rows of each rho1 gather, space._level_masses, the one route."""
     calls = []
-    level_masses, rank_rows = nsl.space._level_masses, nsl.space._rank_rows
+    level_masses = nsl.space._level_masses
 
-    def levels(reader, m, prefix):
-        calls.append(("levels", m))
-        return level_masses(reader, m, prefix)
-
-    def ranks(rows, weights):
-        calls.append(("sort", len(rows)))
-        return rank_rows(rows, weights)
+    def levels(reader, m, weights):
+        calls.append(m)
+        return level_masses(reader, m, weights)
 
     monkeypatch.setattr(nsl.space, "_level_masses", levels)
-    monkeypatch.setattr(nsl.space, "_rank_rows", ranks)
     return calls
 
 
@@ -302,48 +294,55 @@ def gather_space(name: str, tmp_path) -> MetricMeasureSpace:
     return sp
 
 
-# The GATHER_SPACES whose rho1 counts distance levels: generators with equal weights.
+# The GATHER_SPACES whose rho1 counts distance levels with equal weights and sorts no row:
+# generators with equal weights.
 COUNTED = [g for g in GATHER_GENERATORS if g != "interval:257:0.5"]
 
 
 class TestRho1Gather:
-    """rho1 is gathered once, by counting distance levels on an equal-weight generator space
-    and by the ball index's sort elsewhere: no per-row search, no second pass."""
+    """rho1 is gathered once, by counting distance levels on every space: a generator's closed
+    form gives the codes, a matrix space's rows their dense ranks from one stable argsort.
+    No per-row search, no second pass."""
 
     @pytest.mark.parametrize("name", COUNTED + ["gauge_grid:20:ball:2", "interval:2",
                                                 "interval:2048", "sierpinski:1", "sierpinski:2"])
     def test_level_count_is_the_sort(self, monkeypatch, name):
-        """Bitwise _rank_rows' masses, from the sort of every distance row of dist, with no
-        argsort and no distance matrix but the gasket's."""
+        """Bitwise the masses of a stable sort of every distance row of dist, with no argsort
+        and no distance matrix but the gasket's."""
         sp = build_space(SpaceSpec.parse(name))
         sorted_rows = spy_argsort(monkeypatch)
         got = sp.pair_ball_masses()
         assert sorted_rows == [] and (sp._dist is None) == (not name.startswith("sierpinski"))
         assert got.shape == (sp._index_rows(), sp.n) and not got.flags.writeable
-        want = nsl.space._rank_rows(sp.dist, sp.weights)[1][:sp._index_rows()]
-        assert got.tobytes() == want.tobytes()
+        monkeypatch.undo()
+        want = ball_mass_rows(sp, sp.dist)
+        np.fill_diagonal(want, np.nan)
+        assert got.tobytes() == want[:sp._index_rows()].tobytes()
 
     @pytest.mark.parametrize("name", [f"{g}+w" for g in GATHER_GENERATORS]
                              + ["interval:257:0.5", "graph", "matrix file", "matrix file+e"])
     def test_matrix_spaces_and_unequal_weights_sort(self, monkeypatch, tmp_path, name):
-        """Unequal weights, graphs and matrix files, equal weights or not, gather rho1 from
-        one sort of the n distance rows."""
+        """Unequal weights, graphs and matrix files, equal weights or not, gather rho1 by one
+        count of levels over the n distance rows: a matrix space argsorts each row once for
+        its codes, a generator with unequal weights none."""
         sp = gather_space(name, tmp_path)
-        calls = spy_gathers(monkeypatch)
+        calls, sorted_rows = spy_gathers(monkeypatch), spy_argsort(monkeypatch)
         kernel_matrix(sp, KernelSpec("rho1"))
         kernel_matrix(sp, KernelSpec("harm"))
-        assert calls == [("sort", sp.n)]
+        assert calls == [sp.n]
+        assert sum(sorted_rows) == (0 if name == "interval:257:0.5" else sp.n)
 
     @pytest.mark.parametrize("name", GATHER_SPACES)
     def test_gather_is_the_per_row_search(self, name, tmp_path):
-        """Bitwise one searchsorted per row of the ball index at the row's own distances, in
-        the whole matrix and in row 0."""
+        """One searchsorted per stably sorted distance row at the row's own distances, in the
+        whole matrix and in row 0: bitwise with equal weights, to rounding with unequal
+        ones."""
         sp = gather_space(name, tmp_path)
         want = ball_mass_rows(sp, sp.dist)
         np.fill_diagonal(want, np.nan)
-        assert kernel_matrix(sp, KernelSpec("rho1")).tobytes() == want.tobytes()
+        assert_masses_match(kernel_matrix(sp, KernelSpec("rho1")), want, sp.weights)
         sp = gather_space(name, tmp_path)
-        assert kernel_row(sp, KernelSpec("rho1")).tobytes() == want[0].tobytes()
+        assert_masses_match(kernel_row(sp, KernelSpec("rho1")), want[0], sp.weights)
 
     @pytest.mark.parametrize("name", ["circle:33", "torus2d:7x13", "torus2d:64x64"])
     def test_wrapped_lattice_reads_no_distance_matrix(self, name):
@@ -358,9 +357,10 @@ class TestRho1Gather:
                                       "circle:33", "torus2d:7x13", "sierpinski:3+w", "graph",
                                       "matrix file"])
     def test_rows_are_gathered_once(self, monkeypatch, tmp_path, name, first):
-        """Whichever comes first, kernel_matrix(rho1) or a ball query, the distance rows of the
-        ball index are gathered once in all, also with the combination kernels after: counted
-        and never argsorted on an equal-weight generator space, else argsorted once each."""
+        """Whichever comes first, kernel_matrix(rho1) or a ball query, rho1 is gathered once
+        in all, also with the combination kernels after. A matrix space argsorts each row once
+        for its codes, and doubling_constant with unequal weights once for its prefix masses;
+        nothing else sorts a row."""
         sp = gather_space(name, tmp_path)
         sorted_rows, gathers = spy_argsort(monkeypatch), spy_gathers(monkeypatch)
         steps = {"kernel": lambda: kernel_matrix(sp, KernelSpec("rho1")),
@@ -370,14 +370,16 @@ class TestRho1Gather:
             steps[step]()
         kernel_row(sp, KernelSpec("harm"))
         kernel_matrix(sp, KernelSpec("geom"))
-        counted = name in COUNTED
-        assert gathers == [("levels" if counted else "sort", sp._index_rows())]
-        assert sum(sorted_rows) == (0 if counted else sp.n)
+        matrix = name in ("sierpinski:3+w", "graph", "matrix file")
+        unequal = not np.all(sp.weights == sp.weights[0])
+        assert gathers == [sp._index_rows()]
+        assert sum(sorted_rows) == sp.n * (matrix + unequal)
 
     @pytest.mark.parametrize("name", GATHER_SPACES)
     def test_ball_queries_match_a_stable_sort_of_each_row(self, name, tmp_path):
-        """ball_masses, ball_mass, doubling_constant and rho1 bitwise equal a reference that
-        argsorts every distance row stably and prefix-sums the weights in that order."""
+        """ball_masses and rho1 equal a reference that argsorts every distance row stably and
+        prefix-sums the weights in that order, bitwise with equal weights and to rounding with
+        unequal ones; doubling_constant equals it bitwise."""
         sp = gather_space(name, tmp_path)
         dist, n = sp.dist, sp.n
         order = np.argsort(dist, axis=1, kind="stable")
@@ -390,13 +392,10 @@ class TestRho1Gather:
 
         realized = np.unique(dist)
         for r in [0.0, *realized[:: max(1, len(realized) // 6)], realized[1] / 2, sp.diameter]:
-            want = masses(np.full((n, 1), r))[:, 0]
-            assert sp.ball_masses(r).tobytes() == want.tobytes(), r
-            some = [0, n // 3, n - 1]
-            assert [sp.ball_mass(x, r) for x in some] == list(want[some])
+            assert_masses_match(sp.ball_masses(r), masses(np.full((n, 1), r))[:, 0], sp.weights)
         want = masses(dist)
         np.fill_diagonal(want, np.nan)
-        assert kernel_matrix(sp, KernelSpec("rho1")).tobytes() == want.tobytes()
+        assert_masses_match(kernel_matrix(sp, KernelSpec("rho1")), want, sp.weights)
         best = (1.0, 0, 0.0)
         for x in range(n):  # every row: rows that permute row 0 keep point 0, the first witness
             pos = ranked[x][ranked[x] > 0.0]
@@ -412,25 +411,27 @@ class TestRho1Gather:
     @pytest.mark.parametrize("name", ["interval:300", "gauge_grid:16:square", "sierpinski:4",
                                       "circle:33", "torus2d:7x13", "graph", "matrix file+e"])
     def test_equal_weight_ball_queries_run_no_argsort(self, monkeypatch, tmp_path, name):
-        """With equal weights the index is one prefix row: ball queries count distances and
-        sort nothing; rho1 counts distance levels on a generator space and argsorts each row
-        once on a graph or a matrix file."""
+        """With equal weights ball queries count distances into the one prefix row and sort
+        nothing; rho1 counts distance levels, argsorting each row once on a graph or a matrix
+        file for its codes."""
         sp = gather_space(name, tmp_path)
         calls = spy_argsort(monkeypatch)
         sp.ball_masses(0.3)
-        sp.ball_mass(sp.n - 1, 0.2)
+        sp.ball_masses(0.2)
         doubling_constant(sp)
-        assert calls == [] and sp._ball_index().shape == (1, sp.n)
+        assert calls == []
         kernel_matrix(sp, KernelSpec("rho1"))
         assert sum(calls) == (sp.n if name in ("graph", "matrix file+e") else 0)
 
-    def test_first_ball_query_on_a_long_interval_holds_no_square_array(self):
-        """The first ball_masses on interval:2048 counts a row block at a time: its peak stays
-        under n^2 bytes, an eighth of one n x n float block."""
-        sp = build_space(SpaceSpec.parse("interval:2048"))
+    @pytest.mark.parametrize("name", ["interval:2048", "interval:2048:0.5"])
+    def test_first_ball_query_on_a_long_interval_holds_no_square_array(self, name):
+        """The first ball_masses on a long interval counts, or with unequal weights sums the
+        weights within r, a row block at a time: its peak stays under n^2 bytes, an eighth of
+        one n x n float block, and no distance matrix is built."""
+        sp = build_space(SpaceSpec.parse(name))
         masses, peak = traced_peak(lambda: sp.ball_masses(0.1))
         assert peak < sp.n**2 and sp._dist is None
-        assert masses.tobytes() == ball_mass_rows(sp, np.full((sp.n, 1), 0.1))[:, 0].tobytes()
+        assert_masses_match(masses, ball_mass_rows(sp, np.full((sp.n, 1), 0.1))[:, 0], sp.weights)
 
 
 class TestKernelValues:

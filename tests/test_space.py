@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ class TestLatticeDistances:
         masses are prefix sums of 1/36, so they and their ratios hold a few roundings."""
         sp = build_space(SpaceSpec.parse("gauge_grid:6:square"))
         assert np.unique(sp.dist).size == 6
-        assert sp.ball_mass(7, 2 / 6) == pytest.approx(16 / 36, rel=1e-14)
+        assert sp.ball_masses(2 / 6)[7] == pytest.approx(16 / 36, rel=1e-14)
         assert doubling_constant(sp).c_d_hat == pytest.approx(9.0, rel=1e-14)
 
     @pytest.mark.parametrize("name", ["circle:2", "circle:3", "circle:33", "circle:64",
@@ -338,30 +339,24 @@ class TestSpecParse:
 class TestBallMeasure:
     def test_circle4_ball(self):
         sp = build_space(SpaceSpec("circle", n=4))
-        assert sp.ball_mass(0, math.pi / 2) == pytest.approx(3 * math.pi / 2)
+        assert sp.ball_masses(math.pi / 2)[0] == pytest.approx(3 * math.pi / 2)
 
     def test_zero_radius_is_own_weight(self, two_point):
-        assert two_point.ball_mass(0, 0.0) == 0.5
+        assert two_point.ball_masses(0.0)[0] == 0.5
 
     def test_full_radius_is_total_mass(self, circle64):
-        assert circle64.ball_mass(3, circle64.diameter) == pytest.approx(
+        assert circle64.ball_masses(circle64.diameter)[3] == pytest.approx(
             circle64.total_mass
         )
 
-    def test_unknown_point(self, two_point):
-        with pytest.raises(SpaceError, match="unknown point"):
-            two_point.ball_mass(5, 1.0)
-
     def test_negative_radius(self, two_point):
         with pytest.raises(SpaceError):
-            two_point.ball_mass(0, -0.1)
+            two_point.ball_masses(-0.1)
 
     @pytest.mark.parametrize("r", [math.nan, -0.1])
     def test_nan_or_negative_radius_rejected_everywhere(self, r):
         sp = build_space(SpaceSpec("circle", n=16))
         u = ScalarField(np.sin(sp.coords[:, 0]))
-        with pytest.raises(SpaceError, match="radius"):
-            sp.ball_mass(0, r)
         with pytest.raises(SpaceError, match="radius"):
             sp.ball_masses(r)
         with pytest.raises(ValueError, match="scale t"):
@@ -370,35 +365,37 @@ class TestBallMeasure:
             check_mean_comparison(sp, u, 2.0, [r])
 
     def test_ball_index_prefix_sums(self, interval128):
-        """Prefix masses rise along each row to the total mass: one row with equal weights,
-        one per point with unequal ones."""
+        """Equal weights share one read-only prefix row, which rises to the total mass;
+        unequal ones have none, and their ball masses, the weights within r summed, never
+        fall as r grows through the realized distances, and reach the total mass."""
+        prefix = nsl.space._equal_prefix(interval128.weights)
+        assert prefix.shape == (interval128.n,) and not prefix.flags.writeable
+        assert np.all(np.diff(prefix) > 0) and prefix[-1] == pytest.approx(interval128.total_mass)
         weighted = build_space(SpaceSpec.parse("interval:128:0.5"))
-        for sp, rows in ((interval128, 1), (weighted, 128)):
-            prefix = sp._ball_index()
-            assert prefix.shape == (rows, sp.n) and not prefix.flags.writeable
-            assert np.all(np.diff(prefix, axis=1) > 0)
-            assert prefix[:, -1] == pytest.approx(sp.total_mass)
+        assert nsl.space._equal_prefix(weighted.weights) is None
+        masses = np.stack([weighted.ball_masses(r) for r in np.unique(weighted.dist)])
+        assert np.all(np.diff(masses, axis=0) >= 0) and np.all(np.diff(masses.sum(axis=1)) > 0)
+        assert masses[0].tobytes() == weighted.weights.tobytes()
+        assert masses[-1] == pytest.approx(weighted.total_mass)
 
     @pytest.mark.parametrize("name", ["circle:2", "circle:33", "circle:64", "torus2d:3x5",
                                       "torus2d:8x8", "torus2d:12x7"])
     def test_one_sorted_row_matches_full_index(self, name):
         """Circle and torus count row 0 only; every ball query equals that of a matrix space
-        that counts every row, and the prefix rows are the same."""
+        that counts every row, and the one gathered rho1 row is the copy's row 0."""
         sp = build_space(SpaceSpec.parse(name))
         copy = MetricMeasureSpace(sp.dist, sp.weights)  # a matrix space counts every row
         assert (sp._index_rows(), copy._index_rows()) == (1, sp.n)
         realized = np.unique(sp.dist)
         for r in np.concatenate([realized, realized / 2]):
-            assert np.array_equal(sp.ball_masses(r), copy.ball_masses(r)), r
-            for x in (0, sp.n // 2, sp.n - 1):
-                assert sp.ball_mass(x, r) == copy.ball_mass(x, r), (x, r)
+            assert sp.ball_masses(r).tobytes() == copy.ball_masses(r).tobytes(), r
         radii = np.random.default_rng(sp.n).uniform(0.0, sp.diameter, (sp.n, sp.n))
         radii[:, :4] = sp.dist[:, :4]  # realized radii, where the index ties
         assert np.array_equal(ball_mass_rows(sp, radii), ball_mass_rows(copy, radii))
         assert doubling_constant(sp) == doubling_constant(copy)
-        mine, full = sp._ball_index(), copy._ball_index()
-        assert mine.shape == full.shape == (1, sp.n)
-        assert mine.tobytes() == full.tobytes()
+        mine, full = sp.pair_ball_masses(), copy.pair_ball_masses()
+        assert mine.shape == (1, sp.n) and full.shape == (sp.n, sp.n)
+        assert mine.tobytes() == full[:1].tobytes()
         assert not mine.flags.writeable and not full.flags.writeable
         assert np.array_equal(kernel_matrix(sp, KernelSpec("rho1")),
                               kernel_matrix(copy, KernelSpec("rho1")), equal_nan=True)
@@ -413,11 +410,11 @@ class TestBallMeasure:
         assert (report.c_d_hat, report.witness) == (c_d_hat, witness)
 
     def test_ball_masses_allocate_no_square_array(self):
-        """On the torus one index row gives every mass: no n x n comparison is made."""
+        """On the torus one distance row, counted into the prefix row, gives every mass: no
+        n x n comparison is made and no distance matrix is built."""
         sp = build_space(SpaceSpec.parse("torus2d:64x64"))
-        sp._ball_index()
         masses, peak = traced_peak(lambda: sp.ball_masses(0.1))
-        assert peak < sp.n**2 / 8
+        assert peak < sp.n**2 / 8 and sp._dist is None
         assert np.all(masses == masses[0]) and masses.shape == (sp.n,)
 
     def test_step_function_of_radius(self, interval128):
@@ -425,12 +422,12 @@ class TestBallMeasure:
         x = 17
         realized = np.unique(interval128.dist[x])
         radii = np.sort(np.concatenate([realized, realized[1:] * 0.99, realized + 1e-9]))
-        masses = [interval128.ball_mass(x, r) for r in radii]
+        masses = [interval128.ball_masses(r)[x] for r in radii]
         assert all(b >= a for a, b in zip(masses, masses[1:]))
         # value just below a realized distance excludes it, at it includes it
         d = realized[3]
-        below = interval128.ball_mass(x, d * (1 - 1e-12))
-        at = interval128.ball_mass(x, d)
+        below = interval128.ball_masses(d * (1 - 1e-12))[x]
+        at = interval128.ball_masses(d)[x]
         assert at > below
 
 
@@ -440,7 +437,7 @@ class TestDoubling:
         assert rep.c_d_hat == pytest.approx(3.0)
         x, r = rep.witness
         sp = build_space(SpaceSpec("circle", n=8))
-        assert sp.ball_mass(x, 2 * r) / sp.ball_mass(x, r) == pytest.approx(3.0)
+        assert sp.ball_masses(2 * r)[x] / sp.ball_masses(r)[x] == pytest.approx(3.0)
 
     def test_single_pair_brute_force(self):
         dist = np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -467,6 +464,13 @@ class TestDoubling:
         scaled = MetricMeasureSpace(3.0 * circle64.dist, 7.0 * circle64.weights)
         assert doubling_constant(scaled).c_d_hat == pytest.approx(rep.c_d_hat, rel=1e-14)
 
+    def test_unequal_weights_scan_holds_no_square_array(self):
+        """With unequal weights the scan sorts and prefix-sums a row block at a time: no n
+        prefix rows, no distance matrix, and a peak under one n x n float array."""
+        sp = build_space(SpaceSpec.parse("interval:1024:0.5"))
+        _, peak = traced_peak(lambda: doubling_constant(sp))
+        assert peak < 8 * sp.n**2 and sp._dist is None
+
     def test_exhaustive_oracle_small(self):
         """Sup over a dense radius sample never exceeds the reported sup."""
         rng = np.random.default_rng(7)
@@ -475,11 +479,7 @@ class TestDoubling:
         sp = MetricMeasureSpace(dist, rng.uniform(0.5, 2.0, 9))
         rep = doubling_constant(sp)
         dense = np.linspace(1e-6, 1.5, 4001)
-        worst = max(
-            sp.ball_mass(i, 2 * r) / sp.ball_mass(i, r)
-            for i in range(9)
-            for r in dense
-        )
+        worst = max(float(np.max(sp.ball_masses(2 * r) / sp.ball_masses(r))) for r in dense)
         assert worst <= rep.c_d_hat + 1e-12
         assert rep.c_d_hat <= worst + 1e-9 or rep.c_d_hat == pytest.approx(worst, rel=1e-9)
 
@@ -853,7 +853,8 @@ class TestInvariants:
         masses = circle64.ball_masses(0.5)
         with pytest.raises(ValueError):
             masses[0] = 99.0
-        assert circle64.ball_masses(0.5)[0] == circle64.ball_mass(0, 0.5)
+        want = ball_mass_rows(circle64, np.full((64, 1), 0.5))[:, 0]
+        assert circle64.ball_masses(0.5).tobytes() == want.tobytes()
 
     def test_zero_diagonal_enforced(self):
         dist = np.array([[0.1, 1.0], [1.0, 0.0]])
@@ -869,6 +870,23 @@ class TestInvariants:
         dist = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(SpaceError, match="weight at point 1: inf"):
             MetricMeasureSpace(dist, np.array([1.0, np.inf]))
+
+    def test_overflowing_total_mass_rejected(self):
+        """Finite weights whose sum overflows once gave c_d_hat 1.0 here, as every ratio of
+        overflowed masses was NaN and skipped; the true value is 2."""
+        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            with pytest.raises(SpaceError, match="weights sum to inf"):
+                MetricMeasureSpace(dist, np.array([1e308, 1e308]))
+        assert doubling_constant(MetricMeasureSpace(dist, np.array([1e307, 1e307]))).c_d_hat == 2.0
+
+    def test_file_with_overflowing_total_mass_rejected(self, tmp_path):
+        path = tmp_path / "big.space"
+        path.write_text(json.dumps({"name": "big", "n": 3, "metric": {"type": "matrix"},
+                                    "weights": [1e308] * 3, "matrix": [1.0, 1.0, 1.0]}))
+        with pytest.raises(SpaceError, match="weights sum to inf"):
+            load_space(path)
 
     # Inputs a matrix file could not carry; the constructor once accepted each of them.
     @pytest.mark.parametrize("make, match", [
