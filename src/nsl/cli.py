@@ -3,11 +3,12 @@
 Subcommands: gen | constants | energy | sweep | verify | report.
 
 Exit codes: 0 success (all verification checks pass), 1 a verification
-check failed, 2 usage or input error: one `error:` line, which _input_errors
-makes of any ValueError or OSError raised reading input, computing or writing
-output. All file outputs are UTF-8 with LF line endings; energies print as
-full-precision decimals. energy, sweep and verify share problem_options, which
-_problem checks in the order workers, space, field, kernel.
+check failed, 2 usage or input error: one `error:` line and no warning, which
+_input_errors makes of any ValueError, OverflowError or OSError raised reading
+input, computing (an overflowed energy or check too) or writing output. All
+file outputs are UTF-8 with LF line endings; energies print as full-precision
+decimals. energy, sweep and verify share problem_options, which _problem
+checks in the order workers, space, field, kernel.
 
 Space arguments are space files or inline specs; SpaceSpec.parse holds the
 spec grammar (e.g. circle:256, torus2d:64x64, gauge_grid:32:square). Bodies:
@@ -62,12 +63,15 @@ def _fail(message: str) -> None:
 
 @contextmanager
 def _input_errors():
-    """A ValueError (SpaceError, BodyError, ExprError), OverflowError or OSError is an input
-    error: exit 2. An OverflowError comes from int() of an infinite option value."""
-    try:
-        yield
-    except (OSError, OverflowError, ValueError) as exc:
-        _fail(str(exc))
+    """A ValueError (SpaceError, BodyError, ExprError), OverflowError (int() of an infinite
+    option) or OSError exits 2, dropping the block's warnings; else they show as it ends."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            yield
+        except (OSError, OverflowError, ValueError) as exc:
+            _fail(str(exc))
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
 
 def parse_grid(text: str) -> list[float]:
@@ -209,32 +213,30 @@ def energy(space_arg, field, field_csv, functional, p, kernel, s_order, delta, t
     space, u, kspec = _problem(space_arg, field, field_csv, kernel, workers)
 
     def compute() -> float:
-        with _input_errors():
-            if functional == "gagliardo":
-                return gagliardo_p(space, u, EnergySpec(p=p, s=s_order, kernel=kspec))
-            if functional == "nguyen":
-                return nguyen_a(space, u, EnergySpec(p=p, delta=delta, kernel=kspec))
-            if functional == "nguyen-b":
-                return nguyen_b(space, u, EnergySpec(p=p, delta=delta, r=r, kernel=kspec))
-            if functional in SCALE_ENERGIES:
-                return SCALE_ENERGIES[functional](space, u, EnergySpec(p=p, t=t, kernel=kspec))
-            if functional == "cheeger":
-                return cheeger_surrogate(space, u, p)[0]
-            return hajlasz_minimal(space, u, p, cutoff=np.inf if r is None else r).objective
+        if functional == "gagliardo":
+            return gagliardo_p(space, u, EnergySpec(p=p, s=s_order, kernel=kspec))
+        if functional == "nguyen":
+            return nguyen_a(space, u, EnergySpec(p=p, delta=delta, kernel=kspec))
+        if functional == "nguyen-b":
+            return nguyen_b(space, u, EnergySpec(p=p, delta=delta, r=r, kernel=kspec))
+        if functional in SCALE_ENERGIES:
+            return SCALE_ENERGIES[functional](space, u, EnergySpec(p=p, t=t, kernel=kspec))
+        if functional == "cheeger":
+            return cheeger_surrogate(space, u, p)[0]
+        return hajlasz_minimal(space, u, p, cutoff=np.inf if r is None else r).objective
 
-    with warnings.catch_warnings(record=True) as caught:
+    with _input_errors():
         value = compute()
-    if not np.isfinite(value):  # the pair sum or the solver overflowed; its warnings add nothing
-        _fail(f"the {functional} energy overflowed: {value!r}")
-    for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        if not np.isfinite(value):  # the pair sum or the solver overflowed
+            raise ValueError(f"the {functional} energy overflowed: {value!r}")
     text = repr(value)
     if self_check_determinism:
         # one worker whatever NSL_WORKERS says, which outranks set_workers; restored after
         env = os.environ.pop("NSL_WORKERS", None)
         parallel.set_workers(1)
         try:
-            again = repr(compute())
+            with _input_errors():
+                again = repr(compute())
         finally:
             parallel.set_workers(workers)
             if env is not None:
@@ -294,10 +296,7 @@ def sweep(mode, space_arg, field, field_csv, p, kernel, s_grid, delta_grid, t_gr
 def verify(suite, space_arg, field, field_csv, p, kernel, informational, out_json, workers) -> None:
     """Run verification checks; exit 1 when an asserted check fails."""
     space, u, kspec = _problem(space_arg, field, field_csv, kernel, workers)
-    refine_field = None
-    if field is not None:
-        tree = parse_field_expr(field)
-        refine_field = lambda sp: ScalarField(tree.evaluate(sp.coords), provenance="expression")
+    refine_field = None if field is None else lambda sp: _load_field(sp, field, None)
     names = lambda text: tuple(s.strip() for s in text.split(",") if s.strip())
     checks, info = names(suite), names(informational)
     if suite == "all":

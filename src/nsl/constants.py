@@ -40,18 +40,18 @@ class BodyError(ValueError):
     """Degenerate or asymmetric convex body."""
 
 
-def _gl_panel(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+def _check_exponent(p: float) -> None:
+    if not 1 <= p < np.inf:  # NaN fails too
+        raise ValueError(f"exponent p must be >= 1 and finite, got {p}")
 
 
 def _gl_panels(breaks: list[float], order: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = leggauss(order)
     xs, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):  # strictly increasing breaks
-        x, w = _gl_panel(a, b, order)
-        xs.append(x)
-        ws.append(w)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        xs.append(mid + half * x)
+        ws.append(half * w)
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -183,8 +183,7 @@ def parse_body(text: str) -> ConvexBody:
 def k_pn(p: float, n_dim: int) -> float:
     """(1/p) * int_{S^{N-1}} |e1 . x|^p dH^{N-1}, N in {1, 2, 3}, in closed form:
     2 pi^((N-1)/2) Gamma((p+1)/2) / (p Gamma((N+p)/2)); at N = 1 exactly 2/p."""
-    if not 1 <= p < np.inf:  # NaN fails too
-        raise ValueError(f"exponent p must be >= 1 and finite, got {p}")
+    _check_exponent(p)
     if n_dim not in (1, 2, 3):
         raise ValueError(f"unsupported dimension N={n_dim}; expected 1, 2, or 3")
     a, b = 0.5 * (p + 1), 0.5 * (n_dim + p)
@@ -200,7 +199,7 @@ def _polygon_power_integral(body: ConvexBody, p: float, xi: np.ndarray, order: i
     # the integral reduces to a radial moment times a 1d edge integral of
     # |linear|^p, split at the root of the linear form.
     verts = np.asarray(body.vertices, dtype=float)
-    s, ws = _gl_panel(0.0, 1.0, order)
+    s, ws = _gl_panels([0.0, 1.0], order)
     radial = float(np.sum(ws * s ** (p + 1)))
     total = 0.0
     for u, v in zip(verts, np.roll(verts, -1, axis=0)):
@@ -220,8 +219,7 @@ def _polygon_power_integral(body: ConvexBody, p: float, xi: np.ndarray, order: i
 
 def zstar_norm(body: ConvexBody, p: float, xi) -> float:
     """((N+p)/p * int_K |xi . x|^p dx)^(1/p); 1-homogeneous in xi."""
-    if not 1 <= p < np.inf:  # NaN fails too
-        raise ValueError(f"exponent p must be >= 1 and finite, got {p}")
+    _check_exponent(p)
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (body.dim,):
         raise ValueError(f"xi has shape {xi.shape}, body dimension is {body.dim}")

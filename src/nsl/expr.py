@@ -263,10 +263,6 @@ class FieldExpr:
             raise ExprError(0, "expression is nested too deeply to evaluate") from None
         return np.broadcast_to(np.asarray(result, dtype=float), (coords.shape[0],)).copy()
 
-    def evaluate_at(self, point) -> float:
-        """Scalar evaluation at one coordinate tuple."""
-        return float(self.evaluate(np.asarray(point, dtype=float)[None, :])[0])
-
 
 def parse_field_expr(text: str) -> FieldExpr:
     """Parse an expression; raises ExprError with a byte offset on failure."""

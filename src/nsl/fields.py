@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .constants import _check_exponent
 from .kernels import KernelSpec
 
 __all__ = ["ScalarField", "EnergySpec", "PiecewiseLinearMap"]
@@ -88,8 +89,7 @@ class EnergySpec:
 
     def __post_init__(self) -> None:
         # written as "not x > bound" so that NaN fails every check
-        if not 1 <= self.p < np.inf:
-            raise ValueError(f"exponent p must be >= 1 and finite, got {self.p}")
+        _check_exponent(self.p)
         if self.s is not None and not 0.0 < self.s < 1.0:
             raise ValueError(f"fractional order s must be in (0,1), got {self.s}")
         if self.delta is not None and not self.delta > 0:
@@ -131,11 +131,6 @@ class PiecewiseLinearMap:
         self.x = x
         self.y = y
         self.r = float(r)
-
-    @staticmethod
-    def clipped_identity(r: float, lo: float = 0.0) -> "PiecewiseLinearMap":
-        """The identity clipped to [0, r] (shifted to start at lo)."""
-        return PiecewiseLinearMap([(lo, 0.0), (lo + r, r)], r)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return np.interp(values, self.x, self.y)

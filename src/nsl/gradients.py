@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import _check_exponent
 from .fields import ScalarField, as_values
 from .parallel import row_blocks
 from .space import MetricMeasureSpace
@@ -65,20 +66,14 @@ def _knn_edges(space: MetricMeasureSpace, k: int) -> np.ndarray:
 
 def _slope_gradient(space: MetricMeasureSpace, vals: np.ndarray, k: int) -> np.ndarray:
     edges = space.edges if space.edges is not None else _knn_edges(space, k)
-    grad = np.zeros(space.n)
-    seen = np.zeros(space.n, dtype=bool)
     i, j = edges[:, 0], edges[:, 1]
     d = space.dist_pairs(i, j)
     if np.any(d <= 0):
         raise ValueError("degenerate neighbor edge with zero length")
-    slope = np.abs(vals[i] - vals[j]) / d
-    np.maximum.at(grad, i, slope)
-    np.maximum.at(grad, j, slope)
-    seen[i] = True
-    seen[j] = True
-    if not np.all(seen):
-        raise ValueError(f"isolated point {int(np.nonzero(~seen)[0][0])}: no neighbors")
-    return grad
+    ends = np.bincount(edges.ravel(), minlength=space.n)  # edge ends at each point
+    if not np.all(ends):
+        raise ValueError(f"isolated point {int(np.argmin(ends))}: no neighbors")
+    return _point_max(space.n, i, j, np.abs(vals[i] - vals[j]) / d)
 
 
 def _centered_gradient(space: MetricMeasureSpace, vals: np.ndarray) -> np.ndarray:
@@ -118,8 +113,7 @@ def cheeger_surrogate(
     "centered" uses centered finite differences on 1d/2d grids; "auto"
     prefers centered when a grid is available.
     """
-    if not 1 <= p < np.inf:  # NaN fails too
-        raise ValueError(f"exponent p must be >= 1 and finite, got {p}")
+    _check_exponent(p)
     vals = as_values(u, space.n)
     if scheme == "auto":
         scheme = "centered" if space.grid is not None else "slope"
@@ -242,8 +236,7 @@ def hajlasz_minimal(
     max_iter: int = 20000,
 ) -> HajlaszResult:
     """Minimal-energy two-point gradient for u at fractional order sigma."""
-    if not 1 <= p < np.inf:  # NaN fails too
-        raise ValueError(f"exponent p must be >= 1 and finite, got {p}")
+    _check_exponent(p)
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"fractional order sigma must be in (0, 1], got {sigma}")
     if not cutoff > 0:

@@ -213,8 +213,7 @@ def kernel_comparability(space, spec: KernelSpec):
     kernels is a permutation of row 0, so row 0 alone gives the supremum and
     the first witness (0, y).
     """
-    if space.n < 2:
-        raise ValueError("kernel comparability needs at least one off-diagonal pair")
+    base = doubling_constant(space)  # which rejects a space of fewer than two points
     rho, rho1 = kernel_blocks(space, spec), kernel_blocks(space, KernelSpec("rho1"))
     sides = []  # per block: (max, x, y) of the ratio, then of its inverse
     for a, b in row_blocks(space._index_rows()):
@@ -225,7 +224,6 @@ def kernel_comparability(space, spec: KernelSpec):
         sides.append(block)
     # max keeps the first block of equal maxima, and so the first witness in row-major order
     (hi, *hi_at), (lo, *lo_at) = (max(side, key=lambda t: t[0]) for side in zip(*sides))
-    base = doubling_constant(space)
     base.c_rho_hat = max(hi, lo)
     base.kernel = spec.key
     base.rho_witness = tuple(hi_at if hi >= lo else lo_at)

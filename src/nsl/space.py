@@ -460,23 +460,25 @@ class MetricMeasureSpace:
 
     def ball_masses(self, r: float) -> np.ndarray:
         """Vector of closed-ball masses mu(B(x, r)) for every point: with equal weights the
-        prefix mass at the count of distances within r, else the weights within r summed."""
+        prefix mass at the count of distances within r, else the weights within r summed.
+        Only the latest radius is cached; each caller reads its radius back to back."""
         if not r >= 0:  # NaN fails too
             raise SpaceError(f"radius must be >= 0, got {r}")
-        key = ("ball_masses", float(r))
-        if key not in self._cache:
-            prefix, m = _equal_prefix(self.weights), self._index_rows()
-            if prefix is None:
-                masses = np.concatenate([(self.dist_rows(a, b) <= r) @ self.weights
-                                         for a, b in row_blocks(m)])
-            else:
-                counts = np.concatenate([np.count_nonzero(self.dist_rows(a, b) <= r, axis=1)
-                                         for a, b in row_blocks(m)])
-                masses = prefix[counts - 1]
-            masses = np.resize(masses, self.n)  # one mass for every point if m is 1
-            masses.setflags(write=False)
-            self._cache[key] = masses
-        return self._cache[key]
+        latest = self._cache.get("ball_masses")
+        if latest is not None and latest[0] == r:
+            return latest[1]
+        prefix, m = _equal_prefix(self.weights), self._index_rows()
+        if prefix is None:
+            masses = np.concatenate([(self.dist_rows(a, b) <= r) @ self.weights
+                                     for a, b in row_blocks(m)])
+        else:
+            counts = np.concatenate([np.count_nonzero(self.dist_rows(a, b) <= r, axis=1)
+                                     for a, b in row_blocks(m)])
+            masses = prefix[counts - 1]
+        masses = np.resize(masses, self.n)  # one mass for every point if m is 1
+        masses.setflags(write=False)
+        self._cache["ball_masses"] = (float(r), masses)
+        return masses
 
     def cache(self, key: Any, build) -> Any:
         if key not in self._cache:
@@ -653,15 +655,19 @@ def _lattice(spec: SpaceSpec) -> MetricMeasureSpace:
         grid={"kind": kind, "shape": list(shape)})
 
 
-def _graph_distances(n: int, edges: Sequence[tuple[int, int, float]]) -> np.ndarray:
+def _adjacency(n: int, i, j, lengths):
+    """The neighbor graph as a symmetric CSR matrix, each edge's length both ways."""
     from scipy.sparse import coo_matrix
+    adj = coo_matrix((lengths, (i, j)), shape=(n, n))
+    return adj.maximum(adj.T).tocsr()
+
+
+def _graph_distances(n: int, edges: Sequence[tuple[int, int, float]]) -> np.ndarray:
     from scipy.sparse.csgraph import connected_components, dijkstra
     for i, j, length in edges:
         if not 0.0 < length < math.inf:
             raise SpaceError(f"edge ({i},{j}) length must be positive and finite, got {length}")
-    rows, cols, vals = zip(*edges)
-    adj = coo_matrix((vals, (rows, cols)), shape=(n, n))
-    adj = adj.maximum(adj.T).tocsr()
+    adj = _adjacency(n, *zip(*edges))  # the rows, columns and lengths of the edges
     n_comp, _ = connected_components(adj, directed=False)
     if n_comp != 1:
         raise SpaceError(f"graph is disconnected ({n_comp} components)")

@@ -657,6 +657,31 @@ class TestBadInput:
         assert result.output == f"error: the {functional} energy overflowed: inf\n"
         assert [str(w.message) for w in shown] == []
 
+    @pytest.mark.parametrize("suite, check", [
+        ("annuli", "annuli"), ("mean", "mean"), ("all", "annuli"), ("hks", "hks"),
+        ("fubini,nguyen-avg", "fubini"),
+    ])
+    def test_overflowing_exponent_verify_exit_2(self, runner, suite, check):
+        """One error line naming the check and p: 2.0**p once raised a bare OverflowError
+        message, and the pair sums gave NaN records reported as failed checks at exit 1."""
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            result = invoke(runner, ["verify", "--space", "circle:16", "--field", "sin(x)",
+                                     "--p", "2000", "--suite", suite])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: the {check} check overflowed at p = 2000.0\n"
+        assert [str(w.message) for w in shown] == []
+
+    def test_warnings_of_a_finite_suite_are_shown(self, runner, monkeypatch):
+        def unconverged(*args):
+            warnings.warn("stopped early", RuntimeWarning)
+            return []
+
+        monkeypatch.setattr("nsl.cli.run_suite", unconverged)
+        with pytest.warns(RuntimeWarning, match="stopped early"):
+            result = invoke(runner, ["verify", "--space", "circle:16", "--field", "sin(x)"])
+        assert result.exit_code == 0, result.output
+
     @pytest.mark.parametrize("p", ["2", "3"])
     def test_overflowing_s_energy_reads_inf(self, runner, p):
         """At p = 2 the two sums over each ball once met as inf - inf, printed as nan."""

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from nsl import BodyError, ConvexBody, gauge_distance, k_pn, parse_body, zstar_norm
 
+from conftest import HEXAGON
+
 
 class TestKpn:
     def test_analytic_values(self):
@@ -54,7 +56,22 @@ class TestKpn:
             zstar_norm(parse_body("square"), p, (1.0, 0.0))
 
 
+# float.hex() of zstar_norm(body, p, (0.3, -0.7)) at p = 1, 1.5, 2, 3, written before the radial
+# and edge rules came from one panel routine
+ZSTAR_PINS = {
+    "square": ("0x1.1d41d41d41d52p+2", "0x1.cf95e04f518aep+0", "0x1.3e5fe1beb8bb6p+0",
+               "0x1.d86a12a9b530bp-1"),
+    HEXAGON: ("0x1.feac52090eb09p+0", "0x1.e9ef7ffcf221ep-1", "0x1.6cf8ac075cff6p-1",
+              "0x1.24e5f868438edp-1"),
+}
+
+
 class TestZstar:
+    @pytest.mark.parametrize("body", list(ZSTAR_PINS), ids=["square", "hexagon"])
+    def test_polygon_values_are_pinned(self, body):
+        got = tuple(zstar_norm(parse_body(body), p, (0.3, -0.7)).hex() for p in (1, 1.5, 2, 3))
+        assert got == ZSTAR_PINS[body]
+
     def test_disk(self):
         assert zstar_norm(ConvexBody("ball", dim=2), 2, (1.0, 0.0)) == pytest.approx(
             math.sqrt(math.pi / 2), abs=1e-6

@@ -718,7 +718,7 @@ class TestGScale:
         spec = EnergySpec(p=2, t=0.5, r=1.0)
         for mode in ("plain", "truncated"):
             assert np.all(g_scale(circle64, u, spec, mode=mode).values == 0.0)
-        phi = PiecewiseLinearMap.clipped_identity(1.0)
+        phi = PiecewiseLinearMap([(0.0, 0.0), (1.0, 1.0)], 1.0)
         assert np.all(g_scale(circle64, u, spec, mode="composed", phi=phi).values == 0.0)
 
     def test_two_point_truncated(self, two_point, two_point_field):
@@ -735,7 +735,7 @@ class TestGScale:
         rng = np.random.default_rng(41)
         u = ScalarField(rng.uniform(0.0, 1.0, 64))
         spec = EnergySpec(p=2, t=0.5, r=2.0)
-        phi = PiecewiseLinearMap.clipped_identity(2.0)
+        phi = PiecewiseLinearMap([(0.0, 0.0), (2.0, 2.0)], 2.0)
         trunc = g_scale(circle64, u, spec, "truncated")
         comp = g_scale(circle64, u, spec, "composed", phi=phi)
         assert np.array_equal(trunc.values, comp.values)
@@ -763,7 +763,7 @@ class TestGScale:
 
     def test_clipped_identity_of_nan_rejected(self):
         with pytest.raises(ValueError, match="r must be finite and >= 0, got nan"):
-            PiecewiseLinearMap.clipped_identity(math.nan)
+            PiecewiseLinearMap([(0, 0), (1, 1)], math.nan)
 
     def test_block_product_holds_column_chunks(self, monkeypatch):
         """Each worker forms the pair parts over the union of its balls 128 columns at a time:

@@ -35,43 +35,43 @@ def random_tree(rng, depth=0):
 
 class TestEvaluation:
     def test_coordinate_passthrough(self):
-        assert parse_field_expr("x").evaluate_at([0.3]) == 0.3
+        assert parse_field_expr("x").evaluate(np.array([[0.3]]))[0] == 0.3
 
     def test_sine_wave(self):
-        assert parse_field_expr("sin(2*pi*x)").evaluate_at([0.25]) == pytest.approx(1.0)
+        assert parse_field_expr("sin(2*pi*x)").evaluate(np.array([[0.25]]))[0] == pytest.approx(1.0)
 
     def test_two_variables(self):
-        assert parse_field_expr("x^2+y").evaluate_at([2.0, 3.0]) == 7.0
+        assert parse_field_expr("x^2+y").evaluate(np.array([[2.0, 3.0]]))[0] == 7.0
 
     def test_power_right_associative(self):
-        assert parse_field_expr("2^3^2").evaluate_at([0.0]) == 512.0
+        assert parse_field_expr("2^3^2").evaluate(np.array([[0.0]]))[0] == 512.0
 
     def test_unary_minus_below_power(self):
-        assert parse_field_expr("-x^2").evaluate_at([3.0]) == -9.0
+        assert parse_field_expr("-x^2").evaluate(np.array([[3.0]]))[0] == -9.0
 
     def test_negative_exponent(self):
-        assert parse_field_expr("2^-2").evaluate_at([0.0]) == 0.25
+        assert parse_field_expr("2^-2").evaluate(np.array([[0.0]]))[0] == 0.25
 
     def test_precedence_mix(self):
-        assert parse_field_expr("2*3+4").evaluate_at([0.0]) == 10.0
-        assert parse_field_expr("2+3*4").evaluate_at([0.0]) == 14.0
-        assert parse_field_expr("(2+3)*4").evaluate_at([0.0]) == 20.0
+        assert parse_field_expr("2*3+4").evaluate(np.array([[0.0]]))[0] == 10.0
+        assert parse_field_expr("2+3*4").evaluate(np.array([[0.0]]))[0] == 14.0
+        assert parse_field_expr("(2+3)*4").evaluate(np.array([[0.0]]))[0] == 20.0
 
     def test_left_associative(self):
-        assert parse_field_expr("8-4-2").evaluate_at([0.0]) == 2.0
-        assert parse_field_expr("8/4/2").evaluate_at([0.0]) == 1.0
-        assert parse_field_expr("2-3+4").evaluate_at([0.0]) == 3.0
+        assert parse_field_expr("8-4-2").evaluate(np.array([[0.0]]))[0] == 2.0
+        assert parse_field_expr("8/4/2").evaluate(np.array([[0.0]]))[0] == 1.0
+        assert parse_field_expr("2-3+4").evaluate(np.array([[0.0]]))[0] == 3.0
 
     def test_unary_minus_in_products(self):
-        assert parse_field_expr("2*-x").evaluate_at([3.0]) == -6.0
-        assert parse_field_expr("-x*-x").evaluate_at([3.0]) == 9.0
+        assert parse_field_expr("2*-x").evaluate(np.array([[3.0]]))[0] == -6.0
+        assert parse_field_expr("-x*-x").evaluate(np.array([[3.0]]))[0] == 9.0
 
     def test_min_max(self):
-        assert parse_field_expr("min(x, 0.5)").evaluate_at([0.9]) == 0.5
-        assert parse_field_expr("max(x, 0.5)").evaluate_at([0.9]) == 0.9
+        assert parse_field_expr("min(x, 0.5)").evaluate(np.array([[0.9]]))[0] == 0.5
+        assert parse_field_expr("max(x, 0.5)").evaluate(np.array([[0.9]]))[0] == 0.9
 
     def test_pi_constant(self):
-        assert parse_field_expr("pi").evaluate_at([0.0]) == math.pi
+        assert parse_field_expr("pi").evaluate(np.array([[0.0]]))[0] == math.pi
 
     def test_vectorized_matches_pointwise(self):
         rng = np.random.default_rng(17)
@@ -84,7 +84,7 @@ class TestEvaluation:
             expr = FieldExpr(tree)
             with np.errstate(all="ignore"):
                 vec = expr.evaluate(coords)
-                pointwise = np.array([expr.evaluate_at(c) for c in coords])
+                pointwise = np.array([expr.evaluate(c[None, :])[0] for c in coords])
             both_finite = np.isfinite(vec) & np.isfinite(pointwise)
             assert np.array_equal(np.isfinite(vec), np.isfinite(pointwise))
             assert vec[both_finite] == pytest.approx(pointwise[both_finite], rel=1e-12)

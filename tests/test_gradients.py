@@ -21,12 +21,38 @@ from nsl import (
 )
 from nsl import gradients
 from nsl.cli import parse_space_spec
+from nsl.expr import parse_field_expr
 from nsl.gradients import _knn_edges, _nnls, _pair_constraints
 
 from conftest import hajlasz_oracle_p2, matrix_file_space, random_space, traced_peak
 
 
+# float.hex() of the slope-scheme energy of sin(3x) + xy at p = 1.5 and 2, and a sha256 prefix
+# of its gradient's bytes, written before the slopes took the shared per-point max: on the
+# space's edges (its matrix copy keeps them), or on 4 nearest neighbours once they are dropped
+SLOPE_PINS = {
+    "sierpinski:4": ("0x1.4357c6169851fp+1", "0x1.dc5b4b8145e41p+1", "40fa69fba2d359d5"),
+    "gauge_grid:12:square": ("0x1.aa99e66a1d93bp+1", "0x1.58a2ef9c34e47p+2", "9e86ac5dcbac304c"),
+    "gauge_grid:12:square matrix": ("0x1.aa99e66a1d93bp+1", "0x1.58a2ef9c34e47p+2",
+                                    "9e86ac5dcbac304c"),
+    "sierpinski:4 knn": ("0x1.43c8e875279c7p+1", "0x1.dd499a3b74fb8p+1", "9b94330bad8ef145"),
+}
+
+
 class TestCheeger:
+    @pytest.mark.parametrize("name", list(SLOPE_PINS))
+    def test_slope_scheme_is_pinned(self, name):
+        spec, _, copy = name.partition(" ")
+        sp = build_space(SpaceSpec.parse(spec))
+        if copy:
+            sp = MetricMeasureSpace(sp.dist, sp.weights, coords=sp.coords,
+                                    edges=sp.edges if copy == "matrix" else None)
+        u = parse_field_expr("sin(3*x) + x*y").evaluate(sp.coords)
+        low, _ = cheeger_surrogate(sp, u, 1.5, scheme="slope")
+        energy, grad = cheeger_surrogate(sp, u, 2.0, scheme="slope")
+        digest = hashlib.sha256(grad.values.tobytes()).hexdigest()[:16]
+        assert (low.hex(), energy.hex(), digest) == SLOPE_PINS[name]
+
     def test_constant_zero(self, circle64):
         energy, grad = cheeger_surrogate(circle64, ScalarField(np.ones(64)), 2)
         assert energy == 0.0

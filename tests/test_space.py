@@ -430,6 +430,29 @@ class TestBallMeasure:
         at = interval128.ball_masses(d)[x]
         assert at > below
 
+    @pytest.mark.parametrize("name", ["interval:512", "interval:512:0.5"])
+    def test_cache_holds_one_radius(self, name):
+        """300 radii leave the cache holding what one radius did, and a repeated radius hands
+        back the same read-only array, bitwise what a fresh space computes."""
+        def held(obj) -> int:  # bytes of the arrays in the cache
+            if isinstance(obj, dict):
+                obj = list(obj.values())
+            if isinstance(obj, (list, tuple)):
+                return sum(held(v) for v in obj)
+            return obj.nbytes if isinstance(obj, np.ndarray) else 0
+
+        sp = build_space(SpaceSpec.parse(name))
+        first = sp.ball_masses(0.25)
+        one = held(sp._cache)
+        for r in np.linspace(0.001, 0.5, 300):
+            sp.ball_masses(r)
+        assert held(sp._cache) == one
+        again = sp.ball_masses(0.125)
+        assert sp.ball_masses(0.125) is again and not again.flags.writeable
+        fresh = build_space(SpaceSpec.parse(name))
+        assert again.tobytes() == fresh.ball_masses(0.125).tobytes()
+        assert first.tobytes() == fresh.ball_masses(0.25).tobytes()
+
 
 class TestDoubling:
     def test_circle8_value_and_witness(self):

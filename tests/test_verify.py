@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import nsl.space
+import nsl.verify
 from nsl import (
     KernelSpec,
     MetricMeasureSpace,
@@ -13,6 +15,7 @@ from nsl import (
     build_space,
     doubling_constant,
 )
+from nsl.expr import parse_field_expr
 from nsl.kernels import kernel_matrix, offset_lattice
 from nsl.parallel import row_blocks
 from nsl.verify import (
@@ -300,6 +303,83 @@ class TestHks:
     def test_rejects_sub_mesh_scale(self, circle64):
         with pytest.raises(ValueError, match="mesh scale"):
             check_hks(circle64, sin_field(circle64), 2.0, [circle64.min_distance / 2])
+
+
+
+# float.hex() of each report constant, and a sha256 prefix of the records' (params, ok,
+# lhs.hex(), rhs.hex()); written while check_hks still measured rho1 against itself
+MEASURED_PINS = {
+    ("sierpinski:4", "annuli", "rho1"): (
+        {"c_d_hat": "0x1.4000000000000p+2", "c_rho_hat": "0x1.0000000000000p+0",
+         "C": "0x1.0aaaaaaaaaaabp+5"}, "179936afa1866b98"),
+    ("sierpinski:4", "annuli", "geom"): (
+        {"c_d_hat": "0x1.4000000000000p+2", "c_rho_hat": "0x1.67e091ff51224p+0",
+         "C": "0x1.76df42bf49d90p+5"}, "bf894c4b592a3020"),
+    ("sierpinski:4", "hks", "rho1"): (
+        {"c_d_hat": "0x1.4000000000000p+2", "c_rho_hat": "0x1.0000000000000p+0"},
+        "04d23b91702a9580"),
+    ("gauge_grid:12:square", "annuli", "rho1"): (
+        {"c_d_hat": "0x1.2000000000001p+3", "c_rho_hat": "0x1.0000000000000p+0",
+         "C": "0x1.b000000000003p+6"}, "1d9d710752eafe9d"),
+    ("gauge_grid:12:square", "annuli", "geom"): (
+        {"c_d_hat": "0x1.2000000000001p+3", "c_rho_hat": "0x1.d55555555554bp+0",
+         "C": "0x1.8bffffffffff9p+7"}, "0bba4f49864db18a"),
+    ("gauge_grid:12:square", "hks", "rho1"): (
+        {"c_d_hat": "0x1.2000000000001p+3", "c_rho_hat": "0x1.0000000000000p+0"},
+        "9e161f8c4de4182f"),
+}
+
+
+class TestMeasuredConstants:
+    """Each check measures the constants its bound needs, and no more: rho1's own c_rho is 1."""
+
+    @staticmethod
+    def run(name: str, check: str, kernel: str, monkeypatch=None) -> tuple:
+        """The check's report on the space at radii diam/8 and diam/4, with the kernel keys that
+        kernel_comparability was called with when monkeypatch is given."""
+        calls = []
+        if monkeypatch is not None:
+            measured = nsl.verify.kernel_comparability
+
+            def spied(space, spec):
+                calls.append(spec.key)
+                return measured(space, spec)
+
+            monkeypatch.setattr(nsl.verify, "kernel_comparability", spied)
+        sp = build_space(SpaceSpec.parse(name))
+        grid = [sp.diameter / 8, sp.diameter / 4]
+        if check == "annuli":
+            return check_annuli_bound(sp, KernelSpec(kernel), 2.0, grid), calls
+        u = parse_field_expr("sin(3*x) + x*y").evaluate(sp.coords)
+        return check_hks(sp, u, 2.0, grid), calls
+
+    @pytest.mark.parametrize("name, check, kernel", list(MEASURED_PINS))
+    def test_records_and_constants_are_pinned(self, name, check, kernel):
+        rep, _ = self.run(name, check, kernel)
+        records = [(r.params, r.ok, float(r.lhs).hex(), float(r.rhs).hex()) for r in rep.records]
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+        constants = {key: float(value).hex() for key, value in rep.constants.items()}
+        assert (constants, digest) == MEASURED_PINS[name, check, kernel]
+
+    @pytest.mark.parametrize("name", ["sierpinski:4", "gauge_grid:12:square"])
+    def test_hks_measures_no_comparability(self, name, monkeypatch):
+        rep, calls = self.run(name, "hks", "rho1", monkeypatch)
+        assert calls == []
+        assert rep.constants["c_rho_hat"] == 1.0
+
+    @pytest.mark.parametrize("kernel", ["rho1", "geom"])
+    def test_annuli_measures_comparability_once(self, kernel, monkeypatch):
+        _, calls = self.run("sierpinski:4", "annuli", kernel, monkeypatch)
+        assert calls == [kernel]
+
+    def test_annuli_on_one_point_raises_the_doubling_error(self):
+        """Doubling is measured first, so its error names the fault on a one-point space."""
+        one = MetricMeasureSpace(np.zeros((1, 1)), np.ones(1))
+        with pytest.raises(ValueError) as doubling:
+            doubling_constant(one)
+        with pytest.raises(ValueError) as annuli:
+            check_annuli_bound(one, KernelSpec("geom"), 2.0, [0.5])
+        assert str(annuli.value) == str(doubling.value)
 
 
 class TestMollifier:
