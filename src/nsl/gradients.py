@@ -139,11 +139,16 @@ class HajlaszResult:
 def _pair_constraints(
     space: MetricMeasureSpace, vals: np.ndarray, sigma: float, cutoff: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # row-major like np.triu_indices, without building the pairs the cutoff drops
-    iu, ju = np.nonzero(np.triu(space.dist <= cutoff, k=1))
-    c = np.abs(vals[iu] - vals[ju]) / space.dist[iu, ju] ** sigma
-    active = c > 0.0
-    return iu[active], ju[active], c[active]
+    """Pairs i < j within the cutoff whose c = |u(i) - u(j)| / d(i, j)^sigma is positive, row-major
+    like np.triu_indices, a row block of dist_rows at a time: no n x n mask or distance matrix."""
+    parts = []
+    for a, b in row_blocks(space.n):
+        rows = space.dist_rows(a, b)
+        iu, ju = np.nonzero(np.triu(rows <= cutoff, k=a + 1))  # columns past the diagonal
+        c = np.abs(vals[iu + a] - vals[ju]) / rows[iu, ju] ** sigma
+        active = c > 0.0
+        parts.append((iu[active] + a, ju[active], c[active]))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _point_max(n: int, i: np.ndarray, j: np.ndarray, pair_vals: np.ndarray) -> np.ndarray:

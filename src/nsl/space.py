@@ -2,29 +2,23 @@
 
 A space is a finite set of points with a symmetric distance matrix and one
 positive weight per point (the measure of that atom). A ball query counts a
-row's distances within a radius and reads one prefix row of masses with equal
-weights, or sums the weights within it otherwise, so no ball query sorts. The
-rho1 kernel mu(B(x, d(x, y))) counts each row's integer distance levels: a
-generator's closed form gives the codes, and a matrix space's distance rows
-give their dense ranks from one stable argsort per row block. A generator
-space (interval, circle, torus, gauge grid, Sierpinski gasket) keeps its
-distances in closed form: a lattice table over signed index offsets, or the
-gasket's three-copy recursion, and builds the matrix on the first read of its
-whole; readers of row 0, of a row block or of single pairs take a lattice's
-from its table without it.
+row's distances within a radius into one prefix row of masses with equal
+weights, or sums the weights within it otherwise. The rho1 kernel
+mu(B(x, d(x, y))) and the doubling constant read the sums over each row's
+distance levels (_level_sums). A generator space keeps its distances in
+closed form, a lattice table over signed index offsets or the gasket's
+three-copy recursion, and builds the matrix on the first read of its whole;
+readers of row blocks or single pairs take a lattice's from its table.
 
 Balls are closed everywhere: B(x, r) = {y : d(x, y) <= r}. The theory of
 doubling measures on finite spaces needs atoms counted consistently, and the
 closed convention makes the ball mass a right-continuous step function of the
 radius with jumps exactly at realized distances.
 
-Generators cover the standard desk-scale test geometries: cell-centered
-interval grids with a |x|^alpha weight density, circles with arc-length
-geodesic distance, flat 2-tori, gauge-metric grids for convex bodies,
-edge-weighted graphs with shortest-path distance, and graph approximations
-of the Sierpinski gasket. The four lattice generators share one builder,
-_lattice, which writes the offset grid, the neighbour stencil and the tags once;
-the gasket's vertices, edges and distances share the copy maps of one recursion.
+Generators (SpaceSpec) cover the standard desk-scale test geometries. The four
+lattice generators share one builder, _lattice, which writes the offset grid,
+the neighbour stencil and the tags once; the gasket's vertices, edges and
+distances share the copy maps of one recursion.
 """
 
 from __future__ import annotations
@@ -196,14 +190,9 @@ class SpaceSpec:
 
 @dataclass
 class DoublingReport:
-    """Measured doubling diagnostics.
-
-    c_d_hat is the supremum of mu(B(x,2r))/mu(B(x,r)) over all points and all
-    radii (realized distances and their halves suffice because the ball mass
-    is a step function of r), up to the rounding of prefix-summed masses.
-    c_rho_hat is the two-sided comparability constant of a kernel against
-    mu(B(x, d(x,y))).
-    """
+    """Measured doubling diagnostics: c_d_hat, the supremum of mu(B(x,2r))/mu(B(x,r))
+    (doubling_constant), and c_rho_hat, the two-sided comparability constant of a kernel
+    against mu(B(x, d(x,y)))."""
 
     c_d_hat: float = 1.0
     witness: tuple[int, float] | None = None
@@ -425,36 +414,38 @@ class MetricMeasureSpace:
         lattice = self.index_lattice()
         return 1 if lattice is not None and lattice[1] else self.n
 
-    def _level_rows(self) -> Callable[[int, int], np.ndarray]:
-        """A reader of intp codes for rows a..b of dist, equal exactly where a row's distances
-        are and ordered like them: a lattice table's ranks among its distinct entries, read as
-        the table is (_lattice_rows); the gasket's integer hops d * 2^L, exact as its unit
-        edges are 2^-L; on a matrix space (graph, file) each row's dense ranks, from one
-        stable argsort per row block."""
+    def _level_rows(self) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+        """A reader of the codes and level values (_level_sums) of rows a..b of dist: a lattice
+        table's ranks among its distinct entries, read as the table is (_lattice_rows); the
+        gasket's hops d * 2^L, exact as its unit edges are 2^-L; a matrix space's (graph,
+        file) dense ranks of each row, from one argsort per row block."""
         if self._table is not None:
-            codes = self.cache("level_table", lambda: np.searchsorted(
-                np.unique(self._table), self._table))
-            return lambda a, b: _lattice_rows(codes, a, b)
+            values, codes = self.cache("level_table", lambda: np.unique(
+                self._table, return_inverse=True))
+            return lambda a, b: (_lattice_rows(codes, a, b), values)
         spec = SpaceSpec.from_metric(self.metric)
         if spec is not None and spec.generator == "sierpinski":
-            return lambda a, b: (self.dist_rows(a, b) * 2.0**spec.level).astype(np.intp)
+            scale = 2.0**spec.level  # unit edges are 1 / scale
+            values = np.arange(round(self.diameter * scale) + 1) / scale
+            return lambda a, b: ((self.dist_rows(a, b) * scale).astype(np.intp), values)
 
-        def ranks(a: int, b: int) -> np.ndarray:
+        def ranks(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
             rows = self.dist_rows(a, b)
-            order = np.argsort(rows, axis=1, kind="stable")
+            order = np.argsort(rows, axis=1)  # dense ranks do not depend on the order of ties
             ranked = np.take_along_axis(rows, order, axis=1)
             steps = np.zeros(order.shape, dtype=np.int32)  # 1 where a sorted row rises
             np.greater(ranked[:, 1:], ranked[:, :-1], out=steps[:, 1:])
             codes = np.empty(order.shape, dtype=np.intp)
             np.put_along_axis(codes, order, np.cumsum(steps, axis=1, out=steps), axis=1)
-            return codes
+            values = np.full((b - a, steps[:, -1].max() + 1), np.inf)
+            np.put_along_axis(values, steps, ranked, axis=1)
+            return codes, values
 
         return ranks
 
     def pair_ball_masses(self) -> np.ndarray:
         """mu(B(x, d(x, y))) for each x < _index_rows() and every point y, NaN where y is x:
-        the rho1 kernel, read-only, gathered on its first request by counting the distance
-        levels of each row (_level_masses)."""
+        the rho1 kernel, read-only, gathered on its first request (_level_masses)."""
         return self.cache("level_masses", lambda: _level_masses(
             self._level_rows(), self._index_rows(), self.weights))
 
@@ -499,36 +490,41 @@ def _equal_prefix(weights: np.ndarray) -> np.ndarray | None:
     return prefix
 
 
-def _level_masses(levels: Callable[[int, int], np.ndarray], m: int,
-                  weights: np.ndarray) -> np.ndarray:
-    """mu(B(x, d(x, y))) of the points x < m, read-only, NaN where y is x, with levels the
-    reader of integer distance codes (MetricMeasureSpace._level_rows).
+def _level_sums(levels: Callable[[int, int], tuple[np.ndarray, np.ndarray]], m: int,
+                weights: np.ndarray) -> Callable[[int, int], tuple[np.ndarray, ...]]:
+    """A reader of (sums, slots, values) of a block of the m scanned rows: each row's mass at
+    or below each level, and the block's codes and level values from levels (a
+    MetricMeasureSpace._level_rows reader), the codes turned into flat slots of the sums.
 
-    Per row block, one bincount over (row, code) and a cumsum along the codes
-    give each row's mass up to each level, and one take gathers it at y's
-    level; one block of codes is held. With unequal weights the bincount sums
-    w[y] per level. With equal ones it counts, and the mass is the prefix row
-    at count_x(d(x, y)) - 1, count_x(r) = #{z : d(x, z) <= r}: bitwise the
-    entry a stable sort of the row reads at the last position of y's tie group.
+    Codes are equal exactly where a row's distances are and ordered like them, and
+    index values that every row shares or a row's own, then inf. One bincount over
+    (row, code), of w[y] unless the weights are equal, and one cumsum along the codes
+    give the sums, so a level a row misses repeats the sum below it; with equal
+    weights each is the prefix row at the count, bitwise what a stable sort reads.
     """
-    prefix, masses = _equal_prefix(weights), np.empty((m, len(weights)))
-    blocks = row_blocks(m)
-    tiled = None if prefix is not None else np.tile(weights, blocks[0][1])  # w[y], row by row
+    prefix = _equal_prefix(weights)
+    tiled = None if prefix is not None else np.tile(weights, row_blocks(m)[0][1])  # w[y] by rows
 
-    def gather(a: int, b: int) -> None:  # a call, so no block's arrays outlive it
-        flat = levels(a, b)  # codes, then each row's own range of bincount slots
-        top = int(flat.max()) + 1
-        flat += top * np.arange(b - a)[:, None]
-        upto = np.bincount(flat.ravel(), None if tiled is None else tiled[:flat.size],
+    def sums(a: int, b: int) -> tuple[np.ndarray, ...]:
+        codes, values = levels(a, b)
+        top = int(codes.max()) + 1
+        codes += top * np.arange(b - a)[:, None]  # each row's own range of bincount slots
+        upto = np.bincount(codes.ravel(), None if tiled is None else tiled[:codes.size],
                            (b - a) * top).reshape(b - a, top)
         np.cumsum(upto, axis=1, out=upto)
-        if prefix is not None:
-            upto = prefix[np.subtract(upto, 1, out=upto)]
-        # every slot is in range; "clip" writes to out without the buffered copy of "raise"
-        np.take(upto, flat, out=masses[a:b], mode="clip")
+        return upto if prefix is None else prefix[np.subtract(upto, 1, out=upto)], codes, values
 
-    for a, b in blocks:
-        gather(a, b)
+    return sums
+
+
+def _level_masses(levels: Callable[[int, int], tuple[np.ndarray, np.ndarray]], m: int,
+                  weights: np.ndarray) -> np.ndarray:
+    """mu(B(x, d(x, y))) of the points x < m, read-only, NaN where y is x: each row block's
+    level sums (_level_sums) taken at y's level, one block of codes held at a time."""
+    masses, sums = np.empty((m, len(weights))), _level_sums(levels, m, weights)
+    for a, b in row_blocks(m):  # the sums at the slots, each block's arrays freed after it
+        # every slot is in range; "clip" writes to out without the buffered copy of "raise"
+        np.take(*sums(a, b)[:2], out=masses[a:b], mode="clip")
     np.fill_diagonal(masses, np.nan)
     masses.setflags(write=False)
     return masses
@@ -538,37 +534,41 @@ def _level_masses(levels: Callable[[int, int], np.ndarray], m: int,
 
 
 def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
-    """Supremum of mu(B(x,2r))/mu(B(x,r)) over points and radii, up to the rounding of
-    prefix-summed masses.
-
-    Radii r in {d(x,y)} union {d(x,y)/2} are sufficient: both ball masses are
-    right-continuous step functions of r jumping only at realized distances,
-    so the ratio is piecewise constant and attains its sup at one of these
-    breakpoints. Only the distinct distance rows (_index_rows) are scanned, each
-    sorted here: on circle and torus that is point 0 alone, the first witness
-    of any tie. Equal weights read the one prefix row; unequal ones cumsum the
-    weights in the order of one stable argsort per row block.
-    """
+    """Supremum of mu(B(x,2r))/mu(B(x,r)) over the distinct distance rows x (_index_rows) and
+    r in {v} union {v/2}, v each positive level x realizes: the masses, level sums
+    (_level_sums), jump only at realized distances, so the ratio attains its sup there. The
+    sums at 2v and v/2 are those at the last levels within them, from one searchsorted if
+    the rows share their levels, else one per row. The witness is the first x, then every
+    v before every v/2, least first; on circle and torus point 0 alone is scanned."""
     if space.n < 2:
         raise SpaceError("doubling constant needs at least two points")
 
     def work() -> tuple[float, int, float]:
-        equal, best = _equal_prefix(space.weights), (1.0, 0, 0.0)
-        for a, b in row_blocks(space._index_rows()):
-            rows = space.dist_rows(a, b)
-            if equal is None:
-                order = np.argsort(rows, axis=1, kind="stable")
-                rows = np.take_along_axis(rows, order, axis=1)
-                prefix = np.cumsum(space.weights[order], axis=1)
-            else:
-                rows, prefix = np.sort(rows, axis=1), np.broadcast_to(equal, rows.shape)
-            for x, row, masses in zip(range(a, b), rows, prefix):
-                cand = np.concatenate([row[1:], row[1:] * 0.5])  # row[0] is d(x, x), the one 0
-                k_r, k_2r = (np.searchsorted(row, c, side="right") for c in (cand, 2.0 * cand))
-                ratios = masses[k_2r - 1] / masses[k_r - 1]
-                j = int(np.argmax(ratios))
-                if ratios[j] > best[0]:
-                    best = (float(ratios[j]), x, float(cand[j]))
+        m, best = space._index_rows(), (1.0, 0, 0.0)
+        sums = _level_sums(space._level_rows(), m, space.weights)
+        for a, b in row_blocks(m):
+            upto, slots, values = sums(a, b)
+            values = values[..., :upto.shape[1]]
+            skip = np.bincount(slots.ravel(), minlength=upto.size).reshape(upto.shape) == 0
+            skip[:, 0] = True  # besides the levels a row misses, level 0: d(x, x)
+
+            def at(radii: np.ndarray) -> np.ndarray:  # each row's sum at its last level <= radii
+                if values.ndim == 1:
+                    return upto[:, np.searchsorted(values, radii, side="right") - 1]
+                last = [np.searchsorted(v, r, side="right") for v, r in zip(values, radii)]
+                return np.take_along_axis(upto, np.stack(last) - 1, axis=1)
+
+            def pick(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                ratios[skip] = 0.0
+                return ratios.max(axis=1), ratios.argmax(axis=1)
+
+            found = [pick(at(2.0 * values) / upto), pick(upto / at(0.5 * values))]  # r = v, v/2
+            ratio = np.maximum(found[0][0], found[1][0])
+            x = int(np.argmax(ratio))
+            if ratio[x] > best[0]:
+                half = int(found[1][0][x] > found[0][0][x])  # every v before every v/2
+                v = float(np.broadcast_to(values, upto.shape)[x, found[half][1][x]])
+                best = (float(ratio[x]), a + x, v * 0.5 if half else v)
         return best
 
     best, x, r = space.cache("doubling", work)

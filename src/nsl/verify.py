@@ -8,7 +8,8 @@ is not measured: check_hks, which pins its kernel to rho1, records 1.0. Each
 checked instance is one VerificationReport.add(params, lhs, rhs) record,
 which passes when lhs <= rhs up to IDENTITY_RTOL relative; only the ball-mean
 check (both sides, EXACT_RTOL), the two identities, the two-sided window, the
-mollifier drift flag and the degenerate Hajlasz case pass their own `ok`.
+mollifier drift flag and the degenerate Hajlasz and two-sided cases pass
+their own `ok`.
 The identities (layer-cake for the fractional energy, threshold averaging)
 are linear in the pairs: each fixed row block integrates the step function of
 its own pairs in closed form and block_reduce sums the blocks, so they must
@@ -557,16 +558,17 @@ def two_sided_report(
     R_bbm and R_nguyen must land inside TWO_SIDED_WINDOW and shift by less
     than 15% under one mesh refinement, skipped with a note as in
     check_hajlasz_bound. The Nguyen sweep runs over fractions of half the
-    field's oscillation.
+    field's oscillation. A zero local-slope energy is one failing record, or on
+    the refined space a note that skips the stability clause.
     """
     vals = as_values(u, space.n)
     if np.all(vals == vals[0]):
         raise ValueError("two-sided ratios need a nonconstant field")
 
-    def ratios_on(sp: MetricMeasureSpace, field_u) -> dict[str, float]:
+    def ratios_on(sp: MetricMeasureSpace, field_u) -> dict[str, float] | None:
         energy, _ = cheeger_surrogate(sp, field_u, p)
         if energy == 0.0:
-            raise ValueError("zero local-slope energy; ratios undefined")
+            return None
         field_vals = as_values(field_u, sp.n)
         half_osc = float(np.max(field_vals) - np.min(field_vals)) / 2.0
         sg = [0.5 + 0.05 * k for k in range(9)] if s_grid is None else list(s_grid)
@@ -578,7 +580,11 @@ def two_sided_report(
 
     lo, hi = TWO_SIDED_WINDOW
     report = VerificationReport("two-sided-limits", constants={"window": [lo, hi]})
+    degenerate = "degenerate: zero local-slope energy"
     ratios = ratios_on(space, u)
+    if ratios is None:
+        report.add({"space": space.name}, 0.0, 0.0, ok=False, note=degenerate)
+        return report
     for name, value in ratios.items():
         inside = bool(lo <= value <= hi)
         report.add({"ratio": name}, value, hi, ok=inside, note=f"window [{lo}, {hi}]")
@@ -587,6 +593,9 @@ def two_sided_report(
     refined = _refine(space, refine_field, report)
     if refined is not None:
         refined_ratios = ratios_on(refined, refine_field(refined))
+        if refined_ratios is None:
+            report.note = f"{degenerate} on {refined.name}; stability clause skipped"
+            return report
         for name, a in ratios.items():
             b = refined_ratios[name]
             stability = {"ratio": name, "item": "stability"}

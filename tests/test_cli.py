@@ -672,6 +672,25 @@ class TestBadInput:
         assert result.output == f"error: the {check} check overflowed at p = 2000.0\n"
         assert [str(w.message) for w in shown] == []
 
+    @pytest.mark.parametrize("space, field", [("circle:2", "sin(x)"), ("torus2d:2x2", "x")])
+    def test_degenerate_two_sided_check_reports_the_suite(self, runner, tmp_path, space, field):
+        """A zero local-slope energy is one failing two-sided record, informational in the full
+        suite, not an error: every report is printed and written, and Hajlasz's degenerate
+        record fails the run."""
+        path = tmp_path / "v.json"
+        result = invoke(runner, ["verify", "--space", space, "--field", field, "--suite", "all",
+                                 "--out-json", str(path)])
+        assert result.exit_code == 1, result.output
+        assert "error:" not in result.output
+        doc = json.loads(path.read_text())
+        names = [rep["name"] for rep in doc["reports"]]
+        assert len(names) == len(CHECKS)
+        assert all(f"{name} " in result.output for name in names)
+        two_sided = doc["reports"][names.index("two-sided-limits")]
+        assert [rec["note"] for rec in two_sided["records"]] == [
+            "degenerate: zero local-slope energy"]
+        assert not two_sided["applicable"] and "informational only" in two_sided["note"]
+
     def test_warnings_of_a_finite_suite_are_shown(self, runner, monkeypatch):
         def unconverged(*args):
             warnings.warn("stopped early", RuntimeWarning)

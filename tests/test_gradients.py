@@ -502,6 +502,27 @@ def test_pair_list_skips_the_pairs_a_cutoff_drops():
     assert np.array_equal(c, c_all[active])
 
 
+@pytest.mark.parametrize("spec, cutoff", [("torus2d:8x8", math.inf), ("sierpinski:3", math.inf),
+                                          ("interval:64", 0.2)])
+def test_pair_constraints_are_the_upper_triangle_form(spec, cutoff):
+    """Built a row block at a time, the pairs are bitwise those of one n x n triu mask."""
+    space = build_space(parse_space_spec(spec))
+    vals = np.sin(2 * np.pi * space.coords[:, 0])
+    got = _pair_constraints(space, vals, 0.5, cutoff)
+    iu, ju = np.nonzero(np.triu(space.dist <= cutoff, k=1))
+    c = np.abs(vals[iu] - vals[ju]) / space.dist[iu, ju] ** 0.5
+    active = c > 0.0
+    for mine, want in zip(got, (iu[active], ju[active], c[active])):
+        assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes()
+
+
+def test_hajlasz_builds_no_distance_matrix():
+    """A lattice's pairs come from its table: hajlasz_minimal leaves dist unbuilt."""
+    space = build_space(parse_space_spec("torus2d:16x16"))
+    hajlasz_minimal(space, np.sin(2 * np.pi * space.coords[:, 0]), 2.0)
+    assert space._dist is None
+
+
 class TestPathIntegral:
     def test_constant_gradient(self, circle64):
         g = ScalarField(np.full(64, 2.0))

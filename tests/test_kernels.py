@@ -359,8 +359,8 @@ class TestRho1Gather:
     def test_rows_are_gathered_once(self, monkeypatch, tmp_path, name, first):
         """Whichever comes first, kernel_matrix(rho1) or a ball query, rho1 is gathered once
         in all, also with the combination kernels after. A matrix space argsorts each row once
-        for its codes, and doubling_constant with unequal weights once for its prefix masses;
-        nothing else sorts a row."""
+        for rho1's codes and once for the doubling scan's, whatever the weights; a generator
+        space sorts no row."""
         sp = gather_space(name, tmp_path)
         sorted_rows, gathers = spy_argsort(monkeypatch), spy_gathers(monkeypatch)
         steps = {"kernel": lambda: kernel_matrix(sp, KernelSpec("rho1")),
@@ -371,15 +371,14 @@ class TestRho1Gather:
         kernel_row(sp, KernelSpec("harm"))
         kernel_matrix(sp, KernelSpec("geom"))
         matrix = name in ("sierpinski:3+w", "graph", "matrix file")
-        unequal = not np.all(sp.weights == sp.weights[0])
         assert gathers == [sp._index_rows()]
-        assert sum(sorted_rows) == sp.n * (matrix + unequal)
+        assert sum(sorted_rows) == 2 * sp.n * matrix
 
     @pytest.mark.parametrize("name", GATHER_SPACES)
     def test_ball_queries_match_a_stable_sort_of_each_row(self, name, tmp_path):
-        """ball_masses and rho1 equal a reference that argsorts every distance row stably and
-        prefix-sums the weights in that order, bitwise with equal weights and to rounding with
-        unequal ones; doubling_constant equals it bitwise."""
+        """ball_masses, rho1 and doubling_constant's c_d_hat equal a reference that argsorts
+        every distance row stably and prefix-sums the weights in that order, bitwise with equal
+        weights and to rounding with unequal ones; the doubling witness equals it."""
         sp = gather_space(name, tmp_path)
         dist, n = sp.dist, sp.n
         order = np.argsort(dist, axis=1, kind="stable")
@@ -406,22 +405,25 @@ class TestRho1Gather:
             if ratios[j] > best[0]:
                 best = (float(ratios[j]), x, float(cand[j]))
         report = doubling_constant(sp)
-        assert (report.c_d_hat, report.witness) == (best[0], best[1:])
+        assert report.witness == best[1:]
+        assert_masses_match(np.array([report.c_d_hat]), np.array([best[0]]), sp.weights)
 
     @pytest.mark.parametrize("name", ["interval:300", "gauge_grid:16:square", "sierpinski:4",
                                       "circle:33", "torus2d:7x13", "graph", "matrix file+e"])
     def test_equal_weight_ball_queries_run_no_argsort(self, monkeypatch, tmp_path, name):
         """With equal weights ball queries count distances into the one prefix row and sort
-        nothing; rho1 counts distance levels, argsorting each row once on a graph or a matrix
-        file for its codes."""
+        nothing; the doubling scan and rho1 count distance levels, each argsorting every row
+        once on a graph or a matrix file for its codes."""
         sp = gather_space(name, tmp_path)
         calls = spy_argsort(monkeypatch)
         sp.ball_masses(0.3)
         sp.ball_masses(0.2)
-        doubling_constant(sp)
         assert calls == []
+        matrix = name in ("graph", "matrix file+e")
+        doubling_constant(sp)
+        assert sum(calls) == sp.n * matrix
         kernel_matrix(sp, KernelSpec("rho1"))
-        assert sum(calls) == (sp.n if name in ("graph", "matrix file+e") else 0)
+        assert sum(calls) == 2 * sp.n * matrix
 
     @pytest.mark.parametrize("name", ["interval:2048", "interval:2048:0.5"])
     def test_first_ball_query_on_a_long_interval_holds_no_square_array(self, name):

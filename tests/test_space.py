@@ -487,9 +487,31 @@ class TestDoubling:
         scaled = MetricMeasureSpace(3.0 * circle64.dist, 7.0 * circle64.weights)
         assert doubling_constant(scaled).c_d_hat == pytest.approx(rep.c_d_hat, rel=1e-14)
 
+    @pytest.mark.parametrize("name, c_d_hat, witness", [
+        ("interval:4096", "0x1.8000000000000p+1", (1, 0.0001220703125)),
+        ("interval:2048:0.5", "0x1.7fffff7fcff1ep+1", (2046, 0.000244140625)),
+        ("gauge_grid:64:square", "0x1.2000000000000p+3", (65, 0.0078125)),
+        ("sierpinski:7", "0x1.4000000000000p+2", (1, 0.00390625)),
+        ("sierpinski:5+w", "0x1.770c77d08110ap+3", (92, 0.015625)),
+    ])
+    def test_scan_is_pinned(self, name, c_d_hat, witness):
+        """c_d_hat and witness as the per-row sort scan gave them: bitwise with equal weights,
+        to 1e-14 relative with unequal ones ("+w": a matrix copy with random weights), whose
+        level sums add the weights in another order."""
+        sp = build_space(SpaceSpec.parse(name.removesuffix("+w")))
+        if name.endswith("+w"):
+            sp = MetricMeasureSpace(sp.dist, np.random.default_rng(0).uniform(0.5, 1.5, sp.n))
+        report = doubling_constant(sp)
+        assert report.witness == witness
+        if np.all(sp.weights == sp.weights[0]):
+            assert report.c_d_hat.hex() == c_d_hat
+        else:
+            assert report.c_d_hat == pytest.approx(float.fromhex(c_d_hat), rel=1e-14, abs=0.0)
+
     def test_unequal_weights_scan_holds_no_square_array(self):
-        """With unequal weights the scan sorts and prefix-sums a row block at a time: no n
-        prefix rows, no distance matrix, and a peak under one n x n float array."""
+        """With unequal weights the scan sums the weights per distance level a row block at a
+        time, one family of ratios after the other: no n prefix rows, no distance matrix, and a
+        peak under one n x n float array."""
         sp = build_space(SpaceSpec.parse("interval:1024:0.5"))
         _, peak = traced_peak(lambda: doubling_constant(sp))
         assert peak < 8 * sp.n**2 and sp._dist is None

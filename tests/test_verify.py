@@ -582,6 +582,15 @@ class TestTwoSided:
         items = [rec.params.get("item") for rec in rep.records]
         assert items.count("stability") == 2
 
+    def test_degenerate_refined_space_skips_stability(self):
+        """A zero local-slope energy on the refined space leaves a note, not a record."""
+        sp = build_space(SpaceSpec("circle", n=16))
+        rep = two_sided_report(sp, sin_field(sp), 2.0, KernelSpec("rho1"),
+                               refine_field=lambda s: ScalarField(np.ones(s.n)))
+        assert [rec.params for rec in rep.records] == [{"ratio": "R_bbm"}, {"ratio": "R_nguyen"}]
+        assert rep.note == ("degenerate: zero local-slope energy on circle(32); "
+                            "stability clause skipped")
+
 
 class TestSuite:
     def test_full_suite_circle(self):
