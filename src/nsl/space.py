@@ -414,22 +414,22 @@ class MetricMeasureSpace:
         lattice = self.index_lattice()
         return 1 if lattice is not None and lattice[1] else self.n
 
-    def _level_rows(self) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
-        """A reader of the codes and level values (_level_sums) of rows a..b of dist: a lattice
-        table's ranks among its distinct entries, read as the table is (_lattice_rows); the
-        gasket's hops d * 2^L, exact as its unit edges are 2^-L; a matrix space's (graph,
-        file) dense ranks of each row, from one argsort per row block."""
+    def _level_rows(self) -> tuple[Callable[[int, int], np.ndarray], np.ndarray | None]:
+        """A reader of the codes (_level_sums) of rows a..b of dist and the levels they index,
+        None where each row has its own: a lattice table's ranks among its distinct entries,
+        read as the table is (_lattice_rows); the gasket's hops d * 2^L, exact as its unit
+        edges are 2^-L; a matrix space's (graph, file) dense ranks of each row, per block."""
         if self._table is not None:
-            values, codes = self.cache("level_table", lambda: np.unique(
-                self._table, return_inverse=True))
-            return lambda a, b: (_lattice_rows(codes, a, b), values)
+            values = self.cache("level_values", lambda: np.unique(self._table))
+            codes = self.cache("level_table", lambda: np.searchsorted(values, self._table))
+            return (lambda a, b: _lattice_rows(codes, a, b)), values
         spec = SpaceSpec.from_metric(self.metric)
         if spec is not None and spec.generator == "sierpinski":
             scale = 2.0**spec.level  # unit edges are 1 / scale
             values = np.arange(round(self.diameter * scale) + 1) / scale
-            return lambda a, b: ((self.dist_rows(a, b) * scale).astype(np.intp), values)
+            return (lambda a, b: (self.dist_rows(a, b) * scale).astype(np.intp)), values
 
-        def ranks(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        def ranks(a: int, b: int) -> np.ndarray:
             rows = self.dist_rows(a, b)
             order = np.argsort(rows, axis=1)  # dense ranks do not depend on the order of ties
             ranked = np.take_along_axis(rows, order, axis=1)
@@ -437,17 +437,15 @@ class MetricMeasureSpace:
             np.greater(ranked[:, 1:], ranked[:, :-1], out=steps[:, 1:])
             codes = np.empty(order.shape, dtype=np.intp)
             np.put_along_axis(codes, order, np.cumsum(steps, axis=1, out=steps), axis=1)
-            values = np.full((b - a, steps[:, -1].max() + 1), np.inf)
-            np.put_along_axis(values, steps, ranked, axis=1)
-            return codes, values
+            return codes
 
-        return ranks
+        return ranks, None
 
     def pair_ball_masses(self) -> np.ndarray:
         """mu(B(x, d(x, y))) for each x < _index_rows() and every point y, NaN where y is x:
         the rho1 kernel, read-only, gathered on its first request (_level_masses)."""
         return self.cache("level_masses", lambda: _level_masses(
-            self._level_rows(), self._index_rows(), self.weights))
+            self._level_rows()[0], self._index_rows(), self.weights))
 
     def ball_masses(self, r: float) -> np.ndarray:
         """Vector of closed-ball masses mu(B(x, r)) for every point: with equal weights the
@@ -490,14 +488,14 @@ def _equal_prefix(weights: np.ndarray) -> np.ndarray | None:
     return prefix
 
 
-def _level_sums(levels: Callable[[int, int], tuple[np.ndarray, np.ndarray]], m: int,
-                weights: np.ndarray) -> Callable[[int, int], tuple[np.ndarray, ...]]:
-    """A reader of (sums, slots, values) of a block of the m scanned rows: each row's mass at
-    or below each level, and the block's codes and level values from levels (a
-    MetricMeasureSpace._level_rows reader), the codes turned into flat slots of the sums.
+def _level_sums(levels: Callable[[int, int], np.ndarray], m: int,
+                weights: np.ndarray) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """A reader of (sums, slots) of a block of the m scanned rows: each row's mass at or
+    below each level, and the block's codes from levels (MetricMeasureSpace._level_rows)
+    turned into flat slots of the sums.
 
     Codes are equal exactly where a row's distances are and ordered like them, and
-    index values that every row shares or a row's own, then inf. One bincount over
+    index the levels that every row shares or the row's own distances. One bincount over
     (row, code), of w[y] unless the weights are equal, and one cumsum along the codes
     give the sums, so a level a row misses repeats the sum below it; with equal
     weights each is the prefix row at the count, bitwise what a stable sort reads.
@@ -505,26 +503,26 @@ def _level_sums(levels: Callable[[int, int], tuple[np.ndarray, np.ndarray]], m: 
     prefix = _equal_prefix(weights)
     tiled = None if prefix is not None else np.tile(weights, row_blocks(m)[0][1])  # w[y] by rows
 
-    def sums(a: int, b: int) -> tuple[np.ndarray, ...]:
-        codes, values = levels(a, b)
+    def sums(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        codes = levels(a, b)
         top = int(codes.max()) + 1
         codes += top * np.arange(b - a)[:, None]  # each row's own range of bincount slots
         upto = np.bincount(codes.ravel(), None if tiled is None else tiled[:codes.size],
                            (b - a) * top).reshape(b - a, top)
         np.cumsum(upto, axis=1, out=upto)
-        return upto if prefix is None else prefix[np.subtract(upto, 1, out=upto)], codes, values
+        return upto if prefix is None else prefix[np.subtract(upto, 1, out=upto)], codes
 
     return sums
 
 
-def _level_masses(levels: Callable[[int, int], tuple[np.ndarray, np.ndarray]], m: int,
+def _level_masses(levels: Callable[[int, int], np.ndarray], m: int,
                   weights: np.ndarray) -> np.ndarray:
     """mu(B(x, d(x, y))) of the points x < m, read-only, NaN where y is x: each row block's
     level sums (_level_sums) taken at y's level, one block of codes held at a time."""
     masses, sums = np.empty((m, len(weights))), _level_sums(levels, m, weights)
     for a, b in row_blocks(m):  # the sums at the slots, each block's arrays freed after it
         # every slot is in range; "clip" writes to out without the buffered copy of "raise"
-        np.take(*sums(a, b)[:2], out=masses[a:b], mode="clip")
+        np.take(*sums(a, b), out=masses[a:b], mode="clip")
     np.fill_diagonal(masses, np.nan)
     masses.setflags(write=False)
     return masses
@@ -544,11 +542,13 @@ def doubling_constant(space: MetricMeasureSpace) -> DoublingReport:
         raise SpaceError("doubling constant needs at least two points")
 
     def work() -> tuple[float, int, float]:
-        m, best = space._index_rows(), (1.0, 0, 0.0)
-        sums = _level_sums(space._level_rows(), m, space.weights)
+        (levels, shared), m = space._level_rows(), space._index_rows()
+        sums, best = _level_sums(levels, m, space.weights), (1.0, 0, 0.0)
         for a, b in row_blocks(m):
-            upto, slots, values = sums(a, b)
-            values = values[..., :upto.shape[1]]
+            upto, slots = sums(a, b)
+            values = shared[:upto.shape[1]] if shared is not None else np.full(upto.shape, np.inf)
+            if shared is None:  # each row's own levels: its distances at their codes, then inf
+                values.ravel()[slots.ravel()] = space.dist_rows(a, b).ravel()
             skip = np.bincount(slots.ravel(), minlength=upto.size).reshape(upto.shape) == 0
             skip[:, 0] = True  # besides the levels a row misses, level 0: d(x, x)
 
