@@ -218,9 +218,23 @@ def _offset_pair_sum(vals, terms, shape, wrapped: bool, w) -> np.ndarray:
     return (1.0 if wrapped else 2.0) * out
 
 
+_SUM_GROUP = 64  # a multiple of einsum's SIMD step: 8 doubles (128-bit) to 32 (512-bit)
+
+
 def _window_sums(vals, w, phis, offsets, shape, wrapped: bool) -> np.ndarray:
     """S_k per phi at offsets, from sliding windows over a wrapped or zero-weight-padded
-    copy of u and w; each block forms its gaps and pair weights once for every phi."""
+    copy of u and w; each block forms its gaps and pair weights once for every phi.
+
+    A block of contiguous offsets k0..k1 on a 1-D lattice reads rows k0..k1 of a
+    sliding-window view, no copy: all n columns on the circle, and on the
+    interval the first n - k0 columns, rounded up to _SUM_GROUP (at most n).
+    Column x pairs with x + k, which for x >= n - k0 lies in the zero-weight
+    padding at every offset of the block, so the dropped columns add exact
+    zeros. einsum sums a row in SIMD steps from column 0, and a width that ends
+    on a step boundary takes the same rounding steps as the full row, so S_k
+    keeps its bits. A block whose offsets skip (the circle with a cutoff:
+    1..R and n-R..n-1) and every torus block gather their rows.
+    """
     n = vals.size
 
     def extend(a: np.ndarray) -> np.ndarray:
@@ -229,16 +243,21 @@ def _window_sums(vals, w, phis, offsets, shape, wrapped: bool) -> np.ndarray:
             return np.tile(grid, (2,) * len(shape))
         return np.pad(grid, [(0, k) for k in shape])  # zero weight beyond the end
 
-    u_win = sliding_window_view(extend(vals), shape)
-    w_win = sliding_window_view(extend(w), shape)
+    u_ext, w_ext = extend(vals), extend(w)
 
     def block(a: int, b: int) -> np.ndarray:
-        at = np.unravel_index(offsets[a:b], shape)
-        gap = u_win[at].reshape(b - a, n)
-        gap -= vals
-        np.abs(gap, out=gap)
-        pw = w_win[at].reshape(b - a, n)
-        pw *= w
+        live = offsets[a:b]
+        if len(shape) == 1 and live[-1] - live[0] == b - a - 1:
+            m = n if wrapped else min(n, -(-(n - live[0]) // _SUM_GROUP) * _SUM_GROUP)
+            width, at = m, slice(live[0], live[-1] + 1)
+        else:
+            m, width, at = n, shape, np.unravel_index(live, shape)
+
+        def rows(ext: np.ndarray) -> np.ndarray:
+            return sliding_window_view(ext, width)[at].reshape(b - a, m)
+
+        gap = np.abs(rows(u_ext) - vals[:m])
+        pw = rows(w_ext) * w[:m]
         return np.stack([np.einsum("ij,ij->i", phi(gap), pw) for phi in phis])
 
     return np.concatenate(map_blocks(offsets.size, block), axis=1)

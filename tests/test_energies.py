@@ -31,6 +31,7 @@ from nsl import (
 )
 from nsl.energies import gagliardo_values
 from nsl.kernels import kernel_matrix
+from nsl.parallel import row_blocks
 
 from conftest import (ball_average_oracle, ball_loop_s, ball_loop_totals, random_space, s_oracle,
                       traced_peak)
@@ -200,7 +201,8 @@ OFFSET_CASES = [
     for name in OFFSET_SPACES
     for kernel in ("rho1", "geom", "harm", "ahlfors:1")
     + (("gauge-ahlfors:2",) if name.startswith("torus2d") else ())
-] + [("circle:33", "gauge-ahlfors:1:ball:1")]
+] + [("circle:33", "gauge-ahlfors:1:ball:1"),
+       ("interval:300", "ahlfors:1")]  # 299 offsets: 3 window blocks, the last with 43 live columns
 
 
 def expected_route(name, kernel, functional=None):
@@ -331,6 +333,7 @@ SHARED_PASS_CASES = [
     # more than one block of offsets or rows
     ("circle:257", "rho1", "_offset_pair_sum"),
     ("interval:257:0.5", "rho1", "_row_pair_sum"),
+    ("interval:300", "ahlfors:1", "_offset_pair_sum"),
 ]
 
 
@@ -354,6 +357,18 @@ class TestSharedPass:
         for delta, value in zip(DELTA_GRID, nguyen):
             one = nguyen_a(sp, u, EnergySpec(p=1.5, delta=delta, kernel=kernel))
             assert value.hex() == one.hex(), delta
+
+    def test_interval_nguyen_values_are_pinned(self):
+        """The acceptance Nguyen sweep's pair sums on interval:2048, u = x, bit for bit."""
+        sp = build_space(SpaceSpec.parse("interval:2048"))
+        kernel = KernelSpec.parse("ahlfors:1")
+        specs = [EnergySpec(p=2.0, delta=delta, kernel=kernel) for delta in DELTA_GRID]
+        got = nsl.energies.nguyen_a_values(sp, ScalarField(sp.coords[:, 0].copy()), specs)
+        assert [v.hex() for v in got] == [
+            "0x1.ff00295554477p-3", "0x1.7030a4e6142a6p-2", "0x1.f586b41f16a2ep-2",
+            "0x1.1f40353ffb336p-1", "0x1.47e121738707ap-1", "0x1.7111f2186d3f0p-1",
+            "0x1.a011f9ba0fe15p-1", "0x1.cd1ea21ab8535p-1",
+        ]
 
     def test_one_reducer_call_per_sweep(self, routes):
         sp = build_space(SpaceSpec.parse("circle:33"))
@@ -470,6 +485,37 @@ class TestSquareByFFT:
         assert len(windows) == 1
         bbm_sweep(sp, u, 1.5, kernel, S_GRID)
         assert len(windows) == 2
+
+
+class TestWindowSums:
+    """S_k from the sliding windows on the interval, against full-width rows."""
+
+    @staticmethod
+    def full_width(vals, w, phis, offsets):
+        """Every block gathers all n columns of its windows, dropped pairs included."""
+        n = vals.size
+        u_win = np.lib.stride_tricks.sliding_window_view(np.pad(vals, (0, n)), n)
+        w_win = np.lib.stride_tricks.sliding_window_view(np.pad(w, (0, n)), n)
+        parts = []
+        for a, b in row_blocks(offsets.size):
+            gap = np.abs(u_win[offsets[a:b]] - vals)
+            pw = w_win[offsets[a:b]] * w
+            parts.append(np.stack([np.einsum("ij,ij->i", phi(gap), pw) for phi in phis]))
+        return np.concatenate(parts, axis=1)
+
+    @pytest.mark.parametrize("n", [65, 300, 777, 1000])
+    def test_trimmed_windows_keep_the_bits(self, n):
+        """Contiguous and skipping offsets, random u and w: the trimmed rows sum the same
+        nonzero products in the same order, so S_k is bitwise the full-width rows'."""
+        rng = np.random.default_rng(n)
+        vals, w = rng.normal(size=n), rng.uniform(0.5, 1.5, size=n) / n
+        phis = [lambda gap: gap**1.5, lambda gap: gap > 0.3]
+        every = np.arange(1, n)
+        for offsets in (every, every[(every < n // 5) | (every > n // 2)], every[every > n // 3]):
+            got = nsl.energies._window_sums(vals, w, phis, offsets, (n,), False)
+            want = self.full_width(vals, w, phis, offsets)
+            assert got.shape == want.shape
+            assert [v.hex() for v in got.ravel()] == [v.hex() for v in want.ravel()]
 
 
 class TestScaleEnergies:
