@@ -49,9 +49,10 @@ forms its gaps and one pair weight w(x) w(x+k) once, and each phi costs one
 einsum of phi(gap) against that weight.
 
 A generator space builds its distance matrix only on the first read of the
-whole of space.dist. Row-block readers here (the row layout's d, the ball
-sums, mollify) take space.dist_rows(a, b), which is a copy of the lattice
-table's windows until then, and the offset layout reads row 0 the same way.
+whole of space.dist. Row-block readers here (the row layout's d, and the ball
+sums and mollify off circle and torus) take space.dist_rows(a, b), which is a
+copy of the lattice table's windows until then; the offset layout, and the
+ball sums and mollify on circle and torus, read row 0 the same way.
 
 The reducer takes a list of terms (phi, psi) and returns one sum per term,
 so a sweep is one pass: inside each block the gaps |u(x)-u(y)| and the
@@ -76,12 +77,19 @@ Scale quantities at ball radius t:
 k_energy, h_energy and scale_s_by_balls compute one each, so a caller pays
 only for what it reads; scale_energies is their bundle. _ball_pair_totals sums
 the pairs inside each ball, for S_t, every g_t below and verify's ball-mean
-check, a row block of centers at once. At p = 2 with no cap that sum over
-B = B(x',t) is 2 mu(B) sum_B w v^2 - 2 (sum_B w v)^2 with v = u - u(x'), whose
-cancellation is about |B| roundings. Otherwise it is the row sums of
-(m @ Phi) * m, with m the block's ball indicators times w over the union U of
-its balls and Phi the pair parts over U x U, 128 columns at a time. Constant
-fields and singleton balls give exactly 0, and a total that overflows inf.
+check. At p = 2 with no cap that sum over B = B(x',t) is
+2 mu(B) sum_B w v^2 - 2 (sum_B w v)^2 with v = u - u(x'), whose cancellation
+is about |B| roundings. On circle and torus every ball is the same set of
+index offsets, B(x',t) = x' + O_t, so the two sums run over O_t a block of
+offsets at a time, as sliding windows over the tiled u and w reduced over k
+(_ball_window_sums): O(n |B|) work where n distance rows of a block of
+centers cost O(n^2), and mollify takes the same windows for sum_B w u. They
+add the ball in another order than the rows' matrix-vector products, so
+values move in the last bits. Elsewhere the sums take a row block of centers
+at once. Other p and capped totals are the row sums of (m @ Phi) * m, with m
+the block's ball indicators times w over the union U of its balls and Phi the
+pair parts over U x U, 128 columns at a time. Constant fields and singleton
+balls give exactly 0, and a total that overflows inf.
 
 S_t has a second, algebraically equal route that integrates over the center
 first: S_t = sum_{x,y} |u(x)-u(y)|^p f_t(x,y) w w with
@@ -226,9 +234,9 @@ def _window_sums(vals, w, phis, offsets, shape, wrapped: bool) -> np.ndarray:
     copy of u and w; each block forms its gaps and pair weights once for every phi.
 
     A block of contiguous offsets k0..k1 on a 1-D lattice reads rows k0..k1 of a
-    sliding-window view, no copy: all n columns on the circle, and on the
-    interval the first n - k0 columns, rounded up to _SUM_GROUP (at most n).
-    Column x pairs with x + k, which for x >= n - k0 lies in the zero-weight
+    sliding-window view, no copy (_offset_rows): all n columns on the circle, and
+    on the interval the first n - k0 columns, rounded up to _SUM_GROUP (at most
+    n). Column x pairs with x + k, which for x >= n - k0 lies in the zero-weight
     padding at every offset of the block, so the dropped columns add exact
     zeros. einsum sums a row in SIMD steps from column 0, and a width that ends
     on a step boundary takes the same rounding steps as the full row, so S_k
@@ -236,31 +244,53 @@ def _window_sums(vals, w, phis, offsets, shape, wrapped: bool) -> np.ndarray:
     1..R and n-R..n-1) and every torus block gather their rows.
     """
     n = vals.size
-
-    def extend(a: np.ndarray) -> np.ndarray:
-        grid = a.reshape(shape)
-        if wrapped:
-            return np.tile(grid, (2,) * len(shape))
-        return np.pad(grid, [(0, k) for k in shape])  # zero weight beyond the end
-
-    u_ext, w_ext = extend(vals), extend(w)
+    u_ext, w_ext = _extend(vals, shape, wrapped), _extend(w, shape, wrapped)
 
     def block(a: int, b: int) -> np.ndarray:
         live = offsets[a:b]
-        if len(shape) == 1 and live[-1] - live[0] == b - a - 1:
-            m = n if wrapped else min(n, -(-(n - live[0]) // _SUM_GROUP) * _SUM_GROUP)
-            width, at = m, slice(live[0], live[-1] + 1)
-        else:
-            m, width, at = n, shape, np.unravel_index(live, shape)
-
-        def rows(ext: np.ndarray) -> np.ndarray:
-            return sliding_window_view(ext, width)[at].reshape(b - a, m)
-
-        gap = np.abs(rows(u_ext) - vals[:m])
-        pw = rows(w_ext) * w[:m]
+        m = n if wrapped else min(n, -(-(n - live[0]) // _SUM_GROUP) * _SUM_GROUP)
+        u_rows = _offset_rows(u_ext, shape, live, m)
+        m = u_rows.shape[1]  # n where the rows were gathered
+        gap = np.abs(u_rows - vals[:m])
+        pw = _offset_rows(w_ext, shape, live, m) * w[:m]
         return np.stack([np.einsum("ij,ij->i", phi(gap), pw) for phi in phis])
 
     return np.concatenate(map_blocks(offsets.size, block), axis=1)
+
+
+def _extend(a: np.ndarray, shape, wrapped: bool) -> np.ndarray:
+    """a on the lattice, tiled twice along each axis when wrapped, else zero-padded to twice
+    its shape, so x + k for x on the lattice and an offset k lands inside."""
+    grid = a.reshape(shape)
+    if wrapped:
+        return np.tile(grid, (2,) * len(shape))
+    return np.pad(grid, [(0, k) for k in shape])  # zero weight beyond the end
+
+
+def _offset_rows(ext: np.ndarray, shape, live: np.ndarray, m: int) -> np.ndarray:
+    """Row j holds ext at x + live[j] for the points x of the lattice (_extend): the first m
+    columns of a sliding-window view, no copy, if live is a run of offsets on a 1-D
+    lattice, else all n columns gathered."""
+    if len(shape) == 1 and live[-1] - live[0] == live.size - 1:
+        return sliding_window_view(ext, m)[live[0]:live[-1] + 1]
+    return sliding_window_view(ext, shape)[np.unravel_index(live, shape)].reshape(live.size, -1)
+
+
+def _ball_window_sums(space, shape, t: float, arrays, reduce) -> np.ndarray:
+    """Per center x of a wrapped lattice (circle, torus) of the given shape, a sum over
+    B(x, t) = x + O_t, block by block of the offsets O_t.
+
+    O_t holds the offsets k, 0 included, with d_k <= t on row 0, which is exact:
+    every pair at offset k carries bitwise the same d. reduce gets, per block of
+    offsets k_j, a reader read(i) of the rows of arrays[i] (_offset_rows), row j
+    holding it at x + k_j, and returns the block's sums per center; the blocks'
+    sums are added in a fixed order (block_reduce), so the bits do not depend on
+    the worker count.
+    """
+    offsets = np.flatnonzero(space.dist_rows(0, 1)[0] <= t)
+    ext = [_extend(a, shape, True) for a in arrays]
+    return block_reduce(offsets.size, lambda a, b: reduce(
+        lambda i: _offset_rows(ext[i], shape, offsets[a:b], space.n)))
 
 
 def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, kernel: KernelSpec | None,
@@ -362,12 +392,20 @@ def _ball_pair_totals(space, t: float, vals, p: float, cap: float = np.inf,
     """Per center x', sum_{x,y in B(x',t)} (min(|u(x)-u(y)|, cap) / scale)^p w(x) w(y)."""
     if p != 2 or cap != np.inf:
         return _ball_product_totals(space, t, vals, p, cap, scale)
+    lattice = space.index_lattice()
+    if lattice is not None and lattice[1]:
+        def sums(read) -> np.ndarray:  # v is squared in place: two n-wide blocks are live
+            v, w_rows = read(0) - vals, read(1)
+            first = np.einsum("kx,kx->x", w_rows, v)
+            return np.stack([first, np.einsum("kx,kx->x", w_rows, np.multiply(v, v, out=v))])
 
-    def rows(a: int, b: int) -> np.ndarray:
-        v = np.where(space.dist_rows(a, b) <= t, vals - vals[a:b, None], 0.0)
-        return np.stack([v @ space.weights, (v * v) @ space.weights], 1)
+        first, second = _ball_window_sums(space, lattice[0], t, (vals, space.weights), sums)
+    else:
+        def rows(a: int, b: int) -> np.ndarray:
+            v = np.where(space.dist_rows(a, b) <= t, vals - vals[a:b, None], 0.0)
+            return np.stack([v @ space.weights, (v * v) @ space.weights], 1)
 
-    first, second = np.concatenate(map_blocks(space.n, rows)).T
+        first, second = np.concatenate(map_blocks(space.n, rows)).T
     with np.errstate(invalid="ignore"):  # inf - inf where the squares overflow
         totals = 2.0 * space.ball_masses(t) * second - 2.0 * first**2
     return np.maximum(np.where(np.isnan(totals), np.inf, totals), 0.0) / scale**2
@@ -429,12 +467,12 @@ def mollify(space: MetricMeasureSpace, u, t: float) -> ScalarField:
         return ScalarField(vals.copy(), provenance="op:mollify")
     m = space.ball_masses(t)
     uw = vals * space.weights
-
-    def rows(a: int, b: int) -> np.ndarray:
-        inside = space.dist_rows(a, b) <= t
-        return inside @ uw / m[a:b]
-
-    out = np.concatenate(map_blocks(space.n, rows))
+    lattice = space.index_lattice()
+    if lattice is not None and lattice[1]:
+        out = _ball_window_sums(space, lattice[0], t, (uw,), lambda read: read(0).sum(axis=0)) / m
+    else:
+        out = np.concatenate(map_blocks(
+            space.n, lambda a, b: (space.dist_rows(a, b) <= t) @ uw / m[a:b]))
     return ScalarField(out, provenance="op:mollify")
 
 

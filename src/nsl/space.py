@@ -450,14 +450,19 @@ class MetricMeasureSpace:
     def ball_masses(self, r: float) -> np.ndarray:
         """Vector of closed-ball masses mu(B(x, r)) for every point: with equal weights the
         prefix mass at the count of distances within r, else the weights within r summed.
+        On the equal-weight interval, whose distances grow with the index gap, the count
+        is closed-form: the points within k of x, k the positive offsets within r on row 0.
         Only the latest radius is cached; each caller reads its radius back to back."""
         if not r >= 0:  # NaN fails too
             raise SpaceError(f"radius must be >= 0, got {r}")
         latest = self._cache.get("ball_masses")
         if latest is not None and latest[0] == r:
             return latest[1]
-        prefix, m = _equal_prefix(self.weights), self._index_rows()
-        if prefix is None:
+        prefix, m, lattice = _equal_prefix(self.weights), self._index_rows(), self.index_lattice()
+        if prefix is not None and lattice is not None and not lattice[1]:
+            k, x = np.count_nonzero(self.dist_rows(0, 1)[0] <= r) - 1, np.arange(self.n)
+            masses = prefix[np.minimum(x + k, self.n - 1) - np.maximum(x - k, 0)]
+        elif prefix is None:
             masses = np.concatenate([(self.dist_rows(a, b) <= r) @ self.weights
                                      for a, b in row_blocks(m)])
         else:

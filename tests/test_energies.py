@@ -33,8 +33,8 @@ from nsl.energies import gagliardo_values
 from nsl.kernels import kernel_matrix
 from nsl.parallel import row_blocks
 
-from conftest import (ball_average_oracle, ball_loop_s, ball_loop_totals, random_space, s_oracle,
-                      traced_peak)
+from conftest import (ball_average_oracle, ball_loop_s, ball_loop_totals, matrix_file_space,
+                      random_space, s_oracle, traced_peak)
 
 
 def brute_pair_sum(space, u, term):
@@ -713,6 +713,75 @@ class TestScaleSOracle:
                 got = g_scale(sp, ScalarField(vals), EnergySpec(p=2, t=t)).values
                 want = ball_average_oracle(sp, vals, t, 2.0) / t**2
                 assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (field, t)
+
+
+BALL_WINDOW_CASES = [("circle:2048", math.pi / 8), ("torus2d:32x32", 0.3)]
+
+
+class TestBallWindows:
+    """Ball sums on circle and torus over each ball's index offsets, against the distance
+    rows of a matrix-file copy of the space."""
+
+    @staticmethod
+    def fields(sp: MetricMeasureSpace) -> dict[str, np.ndarray]:
+        return {"normal": np.random.default_rng(sp.n).normal(size=sp.n),
+                "offset": 1e3 + np.sin(2.0 * np.pi * np.arange(sp.n) / sp.n)}
+
+    @staticmethod
+    def values(sp: MetricMeasureSpace, vals, t: float) -> tuple:
+        u = ScalarField(vals)
+        return (scale_s_by_balls(sp, u, EnergySpec(p=2, t=t)),
+                g_scale(sp, u, EnergySpec(p=2, t=t)).values, mollify(sp, u, t).values)
+
+    @pytest.mark.parametrize("name, t", BALL_WINDOW_CASES)
+    def test_matches_the_distance_rows(self, name, t, monkeypatch):
+        sp, copy = build_space(SpaceSpec.parse(name)), matrix_file_space(name)
+        assert np.count_nonzero(sp.dist_rows(0, 1)[0] <= t) > 2 * row_blocks(sp.n)[0][1]
+        calls = []
+        windows = nsl.energies._ball_window_sums
+        monkeypatch.setattr(nsl.energies, "_ball_window_sums",
+                            lambda *args: calls.append(1) or windows(*args))
+        for field, vals in self.fields(sp).items():
+            s, g, m = self.values(sp, vals, t)
+            assert len(calls) == 3 and sp._dist is None
+            s_row, g_row, m_row = self.values(copy, vals, t)
+            assert len(calls) == 3, "a matrix file takes the distance rows"
+            calls.clear()
+            assert abs(s - s_row) <= 1e-12 * s_row, field
+            assert np.all(np.abs(g - g_row) <= 1e-12 * g_row), field
+            scale = mollify(copy, ScalarField(np.abs(vals)), t).values  # each average's size
+            assert np.all(np.abs(m - m_row) <= 1e-12 * scale), field
+
+    @pytest.mark.parametrize("name, t", BALL_WINDOW_CASES)
+    def test_bytes_do_not_depend_on_the_workers(self, name, t, monkeypatch):
+        vals = self.fields(build_space(SpaceSpec.parse(name)))["normal"]
+        got = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("NSL_WORKERS", workers)
+            s, g, m = self.values(build_space(SpaceSpec.parse(name)), vals, t)
+            got.append((s.hex(), g.tobytes(), m.tobytes()))
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("name, t", BALL_WINDOW_CASES)
+    def test_singleton_balls_and_constant_fields_are_exactly_zero(self, name, t):
+        sp = build_space(SpaceSpec.parse(name))
+        vals = self.fields(sp)["normal"]
+        assert np.all(nsl.energies._ball_pair_totals(sp, 0.5 * sp.min_distance, vals, 2) == 0.0)
+        for value in (0.3, 1e3 + 1.0 / 3.0):
+            assert np.all(nsl.energies._ball_pair_totals(sp, t, np.full(sp.n, value), 2) == 0.0)
+            assert scale_s_by_balls(sp, ScalarField(np.full(sp.n, value)),
+                                    EnergySpec(p=2, t=t)) == 0.0
+
+    def test_overflow_is_inf_on_a_generator_torus(self):
+        """A field of 0 and 1e200 in two halves: the balls that meet both are inf, the rest 0."""
+        sp = build_space(SpaceSpec.parse("torus2d:16x16"))
+        vals = np.where(np.arange(sp.n) < sp.n // 2, 0.0, 1e200)
+        with np.errstate(over="ignore"):
+            totals = nsl.energies._ball_pair_totals(sp, 0.2, vals, 2)
+        straddles = np.array([np.ptp(vals[sp.dist[x] <= 0.2]) > 0 for x in range(sp.n)])
+        assert 0 < np.count_nonzero(straddles) < sp.n
+        assert np.all(totals[straddles] == np.inf)
+        assert np.all(totals[~straddles] == 0.0)
 
 
 class TestMollify:

@@ -409,6 +409,23 @@ class TestBallMeasure:
         report = doubling_constant(build_space(SpaceSpec.parse(name)))
         assert (report.c_d_hat, report.witness) == (c_d_hat, witness)
 
+    @pytest.mark.parametrize("name", ["interval:2", "interval:65", "interval:300", "interval:4096",
+                                      "interval:300:0.5"])
+    def test_interval_masses_are_the_row_counts(self, name):
+        """With equal weights the closed-form count of the points within k index steps is
+        bitwise the prefix row at each row's count of distances within r; interval:N:0.5
+        keeps the weights within r summed by rows. At realized distances, between them and
+        beyond the diameter."""
+        sp = build_space(SpaceSpec.parse(name))
+        row0, prefix = sp.dist_rows(0, 1)[0], nsl.space._equal_prefix(sp.weights)
+        ks = np.unique(np.clip([0, 1, 2, 3, sp.n // 7, sp.n // 2, sp.n - 2], 0, sp.n - 2))
+        for r in np.concatenate([row0[ks], 0.5 * (row0[ks] + row0[ks + 1]), [sp.diameter, 2.0]]):
+            rows = [sp.dist_rows(a, b) <= r for a, b in nsl.space.row_blocks(sp.n)]
+            want = (np.concatenate([inside @ sp.weights for inside in rows]) if prefix is None
+                    else prefix[np.concatenate([np.count_nonzero(i, axis=1) for i in rows]) - 1])
+            assert sp.ball_masses(r).tobytes() == want.tobytes(), r
+        assert sp._dist is None
+
     def test_ball_masses_allocate_no_square_array(self):
         """On the torus one distance row, counted into the prefix row, gives every mass: no
         n x n comparison is made and no distance matrix is built."""
@@ -1142,6 +1159,19 @@ class TestLazyDistances:
 
         (sp, _), peak = traced_peak(fresh)
         assert sp._dist is None
+        assert peak < sp.n**2 * 8 / 4
+
+    def test_torus_s_builds_no_square(self, monkeypatch):
+        """S_t by balls on a fresh torus2d:64x64 at t = 0.1, over its ball offsets."""
+        monkeypatch.setenv("NSL_WORKERS", "1")
+
+        def fresh():
+            sp = build_space(SpaceSpec.parse("torus2d:64x64"))
+            u = ScalarField(np.sin(2 * np.pi * sp.coords[:, 0]))
+            return sp, scale_s_by_balls(sp, u, EnergySpec(p=2.0, t=0.1))
+
+        (sp, value), peak = traced_peak(fresh)
+        assert value > 0.0 and sp._dist is None
         assert peak < sp.n**2 * 8 / 4
 
     @pytest.mark.parametrize("sweep, grid", [(bbm_sweep, (0.5, 0.7, 0.9, 0.99)),

@@ -26,7 +26,7 @@ CIRCLE64_SIN = [
          'min slack lower 0.0006043088117150319, upper 0.0012086176234300625',
          True, -0.0006043088117150319, 0.0),
         ({'t': 0.7853981633974483, 'p': 2.0},
-         'min slack lower 0.02673611789449804, upper 0.053472235788996',
+         'min slack lower 0.026736117894498052, upper 0.053472235788996',
          True, -0.02673611789449804, 0.0),
     ]),
     ('fubini-layer-cake', True, '', ['p', 's'], [
@@ -151,7 +151,7 @@ CIRCLE64_SIN = [
         ({'kind': 'short', 'from': 16, 'to': 11, 'length': 0.4908738521234052}, '',
          True, 0.10488584000486312, 41.22958199636764),
         ({'kind': 'short', 'from': 46, 'to': 50, 'length': 0.39269908169872414}, '',
-         True, 1.1102230246251565e-16, 30.231204314188847),
+         True, 0.0, 30.231204314188847),
         ({'kind': 'short', 'from': 32, 'to': 27, 'length': 0.4908738521234052}, '',
          True, 0.41872774504811844, 79.93777328983595),
         ({'kind': 'short', 'from': 48, 'to': 43, 'length': 0.4908738521234052}, '',
