@@ -82,11 +82,10 @@ check. At p = 2 with no cap that sum over B = B(x',t) is
 is about |B| roundings. On circle and torus every ball is the same set of
 index offsets, B(x',t) = x' + O_t, so the two sums run over O_t a block of
 offsets at a time, as sliding windows over the tiled u and w reduced over k
-(_ball_window_sums): O(n |B|) work where n distance rows of a block of
-centers cost O(n^2), and mollify takes the same windows for sum_B w u. They
-add the ball in another order than the rows' matrix-vector products, so
-values move in the last bits. Elsewhere the sums take a row block of centers
-at once. Other p and capped totals are the row sums of (m @ Phi) * m, with m
+(_ball_sums): O(n |B|) work where n distance rows of a block of centers cost
+O(n^2), and mollify takes the same windows for sum_B w u. They add the ball
+in another order than the rows' matrix-vector products, so values move in the
+last bits. Elsewhere the sums take a row block of centers at once. Other p and capped totals are the row sums of (m @ Phi) * m, with m
 the block's ball indicators times w over the union U of its balls and Phi the
 pair parts over U x U, 128 columns at a time. Constant fields and singleton
 balls give exactly 0, and a total that overflows inf.
@@ -276,20 +275,23 @@ def _offset_rows(ext: np.ndarray, shape, live: np.ndarray, m: int) -> np.ndarray
     return sliding_window_view(ext, shape)[np.unravel_index(live, shape)].reshape(live.size, -1)
 
 
-def _ball_window_sums(space, shape, t: float, arrays, reduce) -> np.ndarray:
-    """Per center x of a wrapped lattice (circle, torus) of the given shape, a sum over
-    B(x, t) = x + O_t, block by block of the offsets O_t.
+def _ball_sums(space, t: float, arrays, windows, rows) -> np.ndarray:
+    """Per center x, sums over the ball B(x, t), the centers along the last axis.
 
-    O_t holds the offsets k, 0 included, with d_k <= t on row 0, which is exact:
-    every pair at offset k carries bitwise the same d. reduce gets, per block of
-    offsets k_j, a reader read(i) of the rows of arrays[i] (_offset_rows), row j
-    holding it at x + k_j, and returns the block's sums per center; the blocks'
-    sums are added in a fixed order (block_reduce), so the bits do not depend on
-    the worker count.
+    On a wrapped lattice (circle, torus) every ball is B(x, t) = x + O_t, with O_t the
+    offsets k, 0 included, with d_k <= t on row 0, which is exact: every pair at offset
+    k carries bitwise the same d. There windows gets, per block of offsets k_j, a reader
+    read(i) of the rows of arrays[i] (_offset_rows), row j holding it at x + k_j, and
+    returns the block's sums per center; the blocks' sums are added in a fixed order
+    (block_reduce), so the bits do not depend on the worker count. Elsewhere rows(a, b)
+    returns the sums of centers a..b from their distance rows.
     """
-    offsets = np.flatnonzero(space.dist_rows(0, 1)[0] <= t)
+    lattice = space.index_lattice()
+    if lattice is None or not lattice[1]:
+        return np.concatenate(map_blocks(space.n, rows), axis=-1)
+    shape, offsets = lattice[0], np.flatnonzero(space.dist_rows(0, 1)[0] <= t)
     ext = [_extend(a, shape, True) for a in arrays]
-    return block_reduce(offsets.size, lambda a, b: reduce(
+    return block_reduce(offsets.size, lambda a, b: windows(
         lambda i: _offset_rows(ext[i], shape, offsets[a:b], space.n)))
 
 
@@ -392,20 +394,17 @@ def _ball_pair_totals(space, t: float, vals, p: float, cap: float = np.inf,
     """Per center x', sum_{x,y in B(x',t)} (min(|u(x)-u(y)|, cap) / scale)^p w(x) w(y)."""
     if p != 2 or cap != np.inf:
         return _ball_product_totals(space, t, vals, p, cap, scale)
-    lattice = space.index_lattice()
-    if lattice is not None and lattice[1]:
-        def sums(read) -> np.ndarray:  # v is squared in place: two n-wide blocks are live
-            v, w_rows = read(0) - vals, read(1)
-            first = np.einsum("kx,kx->x", w_rows, v)
-            return np.stack([first, np.einsum("kx,kx->x", w_rows, np.multiply(v, v, out=v))])
 
-        first, second = _ball_window_sums(space, lattice[0], t, (vals, space.weights), sums)
-    else:
-        def rows(a: int, b: int) -> np.ndarray:
-            v = np.where(space.dist_rows(a, b) <= t, vals - vals[a:b, None], 0.0)
-            return np.stack([v @ space.weights, (v * v) @ space.weights], 1)
+    def windows(read) -> np.ndarray:  # v is squared in place: two n-wide blocks are live
+        v, w_rows = read(0) - vals, read(1)
+        first = np.einsum("kx,kx->x", w_rows, v)
+        return np.stack([first, np.einsum("kx,kx->x", w_rows, np.multiply(v, v, out=v))])
 
-        first, second = np.concatenate(map_blocks(space.n, rows)).T
+    def rows(a: int, b: int) -> np.ndarray:
+        v = np.where(space.dist_rows(a, b) <= t, vals - vals[a:b, None], 0.0)
+        return np.stack([v @ space.weights, (v * v) @ space.weights])
+
+    first, second = _ball_sums(space, t, (vals, space.weights), windows, rows)
     with np.errstate(invalid="ignore"):  # inf - inf where the squares overflow
         totals = 2.0 * space.ball_masses(t) * second - 2.0 * first**2
     return np.maximum(np.where(np.isnan(totals), np.inf, totals), 0.0) / scale**2
@@ -467,12 +466,8 @@ def mollify(space: MetricMeasureSpace, u, t: float) -> ScalarField:
         return ScalarField(vals.copy(), provenance="op:mollify")
     m = space.ball_masses(t)
     uw = vals * space.weights
-    lattice = space.index_lattice()
-    if lattice is not None and lattice[1]:
-        out = _ball_window_sums(space, lattice[0], t, (uw,), lambda read: read(0).sum(axis=0)) / m
-    else:
-        out = np.concatenate(map_blocks(
-            space.n, lambda a, b: (space.dist_rows(a, b) <= t) @ uw / m[a:b]))
+    out = _ball_sums(space, t, (uw,), lambda read: read(0).sum(axis=0),
+                     lambda a, b: (space.dist_rows(a, b) <= t) @ uw) / m
     return ScalarField(out, provenance="op:mollify")
 
 

@@ -737,20 +737,20 @@ class TestBallWindows:
     def test_matches_the_distance_rows(self, name, t, monkeypatch):
         sp, copy = build_space(SpaceSpec.parse(name)), matrix_file_space(name)
         assert np.count_nonzero(sp.dist_rows(0, 1)[0] <= t) > 2 * row_blocks(sp.n)[0][1]
-        calls = []
-        windows = nsl.energies._ball_window_sums
-        monkeypatch.setattr(nsl.energies, "_ball_window_sums",
-                            lambda *args: calls.append(1) or windows(*args))
+        reads = {id(sp): set(), id(copy): set()}
+        for space in (sp, copy):
+            rows = space.dist_rows
+            monkeypatch.setattr(space, "dist_rows", lambda a, b, space=space, rows=rows:
+                                reads[id(space)].add((a, b)) or rows(a, b))
         for field, vals in self.fields(sp).items():
             s, g, m = self.values(sp, vals, t)
-            assert len(calls) == 3 and sp._dist is None
             s_row, g_row, m_row = self.values(copy, vals, t)
-            assert len(calls) == 3, "a matrix file takes the distance rows"
-            calls.clear()
             assert abs(s - s_row) <= 1e-12 * s_row, field
             assert np.all(np.abs(g - g_row) <= 1e-12 * g_row), field
             scale = mollify(copy, ScalarField(np.abs(vals)), t).values  # each average's size
             assert np.all(np.abs(m - m_row) <= 1e-12 * scale), field
+        assert sp._dist is None and reads[id(sp)] == {(0, 1)}, "the generator reads row 0 alone"
+        assert reads[id(copy)] >= set(row_blocks(sp.n)), "a matrix file takes the distance rows"
 
     @pytest.mark.parametrize("name, t", BALL_WINDOW_CASES)
     def test_bytes_do_not_depend_on_the_workers(self, name, t, monkeypatch):

@@ -1143,35 +1143,24 @@ class TestLazyDistances:
         assert value > 0.0 and sp._dist is None
         assert peak < sp.n**2 * 8 / 4
 
-    @pytest.mark.parametrize("energy", ["k", "h", "s", "mollify"])
-    def test_circle_energies_build_no_square(self, energy, monkeypatch):
-        """K_t, H_t, S_t by balls and mollify on a fresh circle:2048 with rho1."""
+    @pytest.mark.parametrize("name, t, energy", [
+        *[("circle:2048", math.pi / 8, energy) for energy in ("k", "h", "s", "mollify")],
+        ("torus2d:64x64", 0.1, "s")], ids=["k", "h", "s", "mollify", "torus2d-s"])
+    def test_circle_energies_build_no_square(self, name, t, energy, monkeypatch):
+        """K_t, H_t, S_t by balls and mollify on a fresh circle:2048 with rho1, and S_t by
+        balls on a fresh torus2d:64x64."""
         monkeypatch.setenv("NSL_WORKERS", "1")
-        t = math.pi / 8
         spec = EnergySpec(p=2.0, t=t, kernel=KernelSpec("rho1"))
         run = {"k": lambda sp, u: k_energy(sp, u, spec), "h": lambda sp, u: h_energy(sp, u, spec),
                "s": lambda sp, u: scale_s_by_balls(sp, u, spec),
                "mollify": lambda sp, u: mollify(sp, u, t)}[energy]
 
         def fresh():
-            sp = build_space(SpaceSpec.parse("circle:2048"))
+            sp = build_space(SpaceSpec.parse(name))
             return sp, run(sp, ScalarField(np.sin(sp.coords[:, 0])))
 
         (sp, _), peak = traced_peak(fresh)
         assert sp._dist is None
-        assert peak < sp.n**2 * 8 / 4
-
-    def test_torus_s_builds_no_square(self, monkeypatch):
-        """S_t by balls on a fresh torus2d:64x64 at t = 0.1, over its ball offsets."""
-        monkeypatch.setenv("NSL_WORKERS", "1")
-
-        def fresh():
-            sp = build_space(SpaceSpec.parse("torus2d:64x64"))
-            u = ScalarField(np.sin(2 * np.pi * sp.coords[:, 0]))
-            return sp, scale_s_by_balls(sp, u, EnergySpec(p=2.0, t=0.1))
-
-        (sp, value), peak = traced_peak(fresh)
-        assert value > 0.0 and sp._dist is None
         assert peak < sp.n**2 * 8 / 4
 
     @pytest.mark.parametrize("sweep, grid", [(bbm_sweep, (0.5, 0.7, 0.9, 0.99)),
