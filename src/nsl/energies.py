@@ -11,9 +11,16 @@ with phi the pair part (gap^p, or the threshold gap > delta) and psi the
 class part (1/(d^{ps} rho), [d <= t]/rho, delta^p/(rho d^p) [d <= r],
 [d <= t]).
 
-The reducer has two layouts. The row-block one evaluates phi * ww * psi pair
-by pair on blocks of rows; it serves graphs, Sierpinski gaskets, gauge grids
-and matrix files (hand-made or relabelled spaces). The offset one serves
+The reducer has two layouts. The row-block one forms phi * ww * psi on blocks
+of rows; it serves graphs, Sierpinski gaskets, gauge grids and matrix files
+(hand-made or relabelled spaces). Where the rows share their distance levels
+(space._level_rows: the gasket, gauge grids, the interval) and the kernel is
+rho1, ahlfors or none, psi is a function of (row, level), and a block
+evaluates it once per level, or per (row, level) for rho1 from the block's
+level sums, then gathers it by each pair's code (_level_psi): no n x n
+kernel matrix is built, and every value is bitwise the matrix route's. Other
+kernels and matrix spaces read d and rho pair by pair from the distance rows
+and the cached kernel matrix (_matrix_psi). The offset layout serves
 lattices whose pair distance and kernel depend only on the index offset k of
 the pair: the circle and the torus with every kernel, and the interval with
 the ahlfors kernel only (ball-mass kernels are cut at the ends of the
@@ -113,7 +120,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .fields import EnergySpec, PiecewiseLinearMap, ScalarField, as_values
 from .kernels import KernelSpec, kernel_matrix, kernel_row, offset_lattice
 from .parallel import block_reduce, map_blocks, row_blocks
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, _level_sums
 
 __all__ = [
     "ScaleEnergies",
@@ -146,8 +153,9 @@ class ScaleEnergies:
                 raise ValueError(f"scale energy {name} must be finite and >= 0, got {val}")
 
 
-def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, rho_rows, w) -> np.ndarray:
-    """The pair sums of terms by row blocks; rho_rows(a, b) gives the rho entries of rows a..b.
+def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, block_psi, w) -> np.ndarray:
+    """The pair sums of terms by row blocks; block_psi(a, b) gives a reader of each psi's
+    entries on rows a..b (_matrix_psi, _level_psi).
 
     Terms that share one phi object share its pair part phi(gap) w w, which
     is live for one phi at a time.
@@ -159,19 +167,66 @@ def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, rho_rows, 
     def rows(a: int, b: int) -> np.ndarray:
         gap = np.abs(vals[a:b, None] - vals[None, :])
         ww = w[a:b, None] * w[None, :]
-        d, rho = space.dist_rows(a, b), rho_rows(a, b)
+        psi_rows = block_psi(a, b)
         out = np.empty(len(terms))
         for phi, members in groups.items():
             pair = phi(gap) * ww
             for i in members:
                 # the diagonal divides by d = 0 or by a NaN kernel entry; it is zeroed
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    term = pair * terms[i][1](d, rho)
+                    term = pair * psi_rows(terms[i][1])
                 term[np.arange(b - a), np.arange(a, b)] = 0.0
                 out[i] = np.sum(term)
         return out
 
     return block_reduce(space.n, rows)
+
+
+def _matrix_psi(space: MetricMeasureSpace, rho_rows):
+    """A block's psi pair by pair from its distance rows and rho_rows(a, b), rows a..b of rho."""
+    def block(a: int, b: int):
+        d, rho = space.dist_rows(a, b), rho_rows(a, b)
+        return lambda psi: psi(d, rho)
+
+    return block
+
+
+def _level_psi(space: MetricMeasureSpace, kernel: KernelSpec | None):
+    """A block's psi from the distance levels its rows share (space._level_rows), or None
+    where each row has its own levels or the kernel is no function of (row, level).
+
+    With no kernel or rho = level**N (ahlfors), psi is evaluated once per level and
+    gathered by each pair's code. rho1 is the row's mass at or below the level
+    (_level_sums): psi is evaluated on that (b - a) x levels table and gathered by each
+    pair's slot where the table is smaller than the block, else (the interval's end
+    blocks, whose rows span n levels) on rho1 gathered per pair. Every d and rho is
+    bitwise the matrix entry, so every psi is too.
+    """
+    if kernel is not None and kernel.kind not in ("rho1", "ahlfors"):
+        return None
+    levels, values = space._level_rows()
+    if values is None:
+        return None
+    if kernel is None or kernel.kind == "ahlfors":
+        rho = None if kernel is None else values**kernel.exponent
+
+        def by_level(a: int, b: int):
+            codes = levels(a, b)
+            return lambda psi: np.take(psi(values, rho), codes, mode="clip")
+
+        return by_level
+    sums = _level_sums(levels, space._index_rows(), space.weights)
+
+    def by_row_level(a: int, b: int):
+        upto, slots = sums(a, b)  # every slot is in range: "clip" skips take's buffered copy
+        if upto.shape[1] < space.n:
+            d = values[:upto.shape[1]]
+            return lambda psi: np.take(np.broadcast_to(psi(d, upto), upto.shape), slots,
+                                       mode="clip")
+        d, rho = space.dist_rows(a, b), np.take(upto, slots, mode="clip")
+        return lambda psi: psi(d, rho)
+
+    return by_row_level
 
 
 def _square(gap: np.ndarray) -> np.ndarray:
@@ -307,8 +362,11 @@ def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, kernel: Kernel
     w = space.weights if w is None else w
     lattice = space.index_lattice() if kernel is None else offset_lattice(space, kernel)
     if lattice is None:
-        rho = None if kernel is None else kernel_matrix(space, kernel)
-        return _row_pair_sum(space, vals, terms, lambda a, b: None if rho is None else rho[a:b], w)
+        block_psi = _level_psi(space, kernel)
+        if block_psi is None:
+            rho = None if kernel is None else kernel_matrix(space, kernel)
+            block_psi = _matrix_psi(space, lambda a, b: None if rho is None else rho[a:b])
+        return _row_pair_sum(space, vals, terms, block_psi, w)
     d = space.dist_rows(0, 1)[0]
     rho = None if kernel is None else kernel_row(space, kernel)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -445,7 +503,8 @@ def scale_s_by_pairs(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     weighted = (space.weights / space.ball_masses(t) ** 2)[:, None] * member
     term = (_gap_power(spec.p), lambda d, f: f)
     sums = _row_pair_sum(space, as_values(u, space.n), [term],
-                         lambda a, b: member[:, a:b].T @ weighted, space.weights)
+                         _matrix_psi(space, lambda a, b: member[:, a:b].T @ weighted),
+                         space.weights)
     return float(sums[0])
 
 

@@ -21,7 +21,9 @@ kernel_matrix (all rows) and kernel_row (row 0), so the two agree bitwise;
 kernel_blocks reads row blocks of either, on circle and torus from row 0 alone.
 rho1 is gathered once, on its first request (space.pair_ball_masses), by
 counting each row's integer distance levels on every space and with any
-weights. No kernel runs a per-row search or sorts a row twice.
+weights. No kernel runs a per-row search or sorts a row twice. The pair sums
+read neither matrix where the rows share their levels (energies._level_psi):
+there rho1 and ahlfors come per row block from the levels.
 
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,7 +223,8 @@ def pair_functionals(sp, kernel, p):
         "nguyen_b": (nguyen_b, EnergySpec(p=p, delta=0.5, r=r, kernel=kernel)),
         "k_energy": (k_energy, EnergySpec(p=p, t=r, kernel=kernel)),
         # at a realized distance, so the pairs on the closed ball's edge count
-        "h_energy": (h_energy, EnergySpec(p=p, t=np.sort(sp.dist[0])[sp.n // 3], kernel=kernel)),
+        "h_energy": (h_energy, EnergySpec(
+            p=p, t=np.sort(sp.dist_rows(0, 1)[0])[max(sp.n // 3, 1)], kernel=kernel)),
     }
 
 
@@ -320,6 +322,60 @@ class TestOffsetRoute:
         assert nguyen_b(circle64, u, EnergySpec(p=2, delta=0.01, r=below)) == 0.0
         assert h_energy(circle64, u, EnergySpec(p=2, t=below)) == 0.0
         assert routes == ["_offset_pair_sum"] * 3
+
+
+LEVEL_SPACES = ["sierpinski:0", "sierpinski:4", "sierpinski:6", "gauge_grid:32:square",
+                "gauge_grid:12:ball:2", "gauge_grid:16:ellipse:1:2", "interval:300",
+                "interval:300:0.5", "interval:2:0.3"]
+LEVEL_CASES = [(name, "rho1") for name in LEVEL_SPACES] + [
+    (name, "ahlfors:2") for name in LEVEL_SPACES if not name.startswith("interval")]
+
+
+class TestLevelRoute:
+    """Row-route pair sums on spaces whose rows share their distance levels (the gasket,
+    gauge grids, the interval with a ball-mass kernel): psi once per (row, level), with
+    no kernel matrix, against the row blocks over the kernel matrix of a matrix copy."""
+
+    @pytest.mark.parametrize("name, kind", LEVEL_CASES)
+    def test_matches_the_kernel_matrix(self, name, kind, monkeypatch, routes):
+        sp = build_space(SpaceSpec.parse(name))
+        kernel = KernelSpec.parse(kind)
+        u = ScalarField(np.random.default_rng(sp.n).normal(size=sp.n))
+        cases = [(fn, spec) for p in (1.5, 2.0, 3.0)
+                 for label, (fn, spec) in pair_functionals(sp, kernel, p).items()
+                 # on the interval H_t takes the offset route
+                 if not (name.startswith("interval") and label == "h_energy")]
+        got = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the diagonal's 0 * inf stays inside np.errstate
+            for workers in ("1", "2"):
+                monkeypatch.setenv("NSL_WORKERS", workers)
+                got[workers] = [fn(sp, u, spec).hex() for fn, spec in cases]
+        assert set(routes) == {"_row_pair_sum"}
+        assert not [key for key in sp._cache
+                    if key == "level_masses" or isinstance(key, tuple) and key[0] == "kernel"]
+        copy = matrix_copy(sp, kernel)
+        want = [fn(copy, u, spec).hex() for fn, spec in cases]
+        assert got["1"] == want
+        assert got["2"] == want
+
+    @pytest.mark.parametrize("name, kind", [
+        ("gauge_grid:64:square", "rho1"), ("gauge_grid:64:square", "ahlfors:2"),
+        ("interval:4096", "rho1"), ("interval:4096", "ahlfors:1")])
+    def test_holds_no_square(self, name, kind, monkeypatch):
+        """After one gagliardo_p at two workers the space holds no array of n^2 entries and
+        no distance matrix, and the traced peak stays under 64 MiB, half of one n x n float64
+        matrix."""
+        sp = build_space(SpaceSpec.parse(name))
+        u = ScalarField(np.random.default_rng(0).normal(size=sp.n))
+        spec = EnergySpec(p=2, s=0.7, kernel=KernelSpec.parse(kind))
+        monkeypatch.setenv("NSL_WORKERS", "2")
+        value, peak = traced_peak(lambda: gagliardo_p(sp, u, spec))
+        assert value > 0.0
+        assert sp._dist is None
+        assert not [key for key, held in sp._cache.items()
+                    if isinstance(held, np.ndarray) and held.size >= sp.n**2]
+        assert peak < 64 * 2**20
 
 
 S_GRID = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99)
