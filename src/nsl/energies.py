@@ -19,12 +19,13 @@ rho1, ahlfors or none, psi is a function of (row, level), and a block
 evaluates it once per level, or per (row, level) for rho1 from the block's
 level sums, then gathers it by each pair's code (_level_psi): no n x n
 kernel matrix is built, and every value is bitwise the matrix route's. Other
-kernels and matrix spaces read d and rho pair by pair from the distance rows
-and the cached kernel matrix (_matrix_psi). The offset layout serves
-lattices whose pair distance and kernel depend only on the index offset k of
-the pair: the circle and the torus with every kernel, and the interval with
-the ahlfors kernel only (ball-mass kernels are cut at the ends of the
-interval). kernels.offset_lattice makes that choice from the space's
+kernels, matrix spaces, and a space that already caches the kernel matrix
+(kernels.kernel_blocks' readers build it) read d and rho pair by pair from
+the distance rows and the cached kernel matrix (_matrix_psi). The offset
+layout serves lattices whose pair distance and kernel depend only on the
+index offset k of the pair: the circle and the torus with every kernel, and
+the interval with the ahlfors kernel only (ball-mass kernels are cut at the
+ends of the interval). kernels.offset_lattice makes that choice from the space's
 closed-form metric tag, never from its grid, next to the code that builds
 each kernel. A term with no kernel, whose psi reads d alone, takes the offset
 layout on every index lattice. H_t is one: its weight 1/sqrt(mu(B(x,t))
@@ -198,9 +199,7 @@ def _level_psi(space: MetricMeasureSpace, kernel: KernelSpec | None):
     With no kernel or rho = level**N (ahlfors), psi is evaluated once per level and
     gathered by each pair's code. rho1 is the row's mass at or below the level
     (_level_sums): psi is evaluated on that (b - a) x levels table and gathered by each
-    pair's slot where the table is smaller than the block, else (the interval's end
-    blocks, whose rows span n levels) on rho1 gathered per pair. Every d and rho is
-    bitwise the matrix entry, so every psi is too.
+    pair's slot. Every d and rho is bitwise the matrix entry, so every psi is too.
     """
     if kernel is not None and kernel.kind not in ("rho1", "ahlfors"):
         return None
@@ -219,12 +218,8 @@ def _level_psi(space: MetricMeasureSpace, kernel: KernelSpec | None):
 
     def by_row_level(a: int, b: int):
         upto, slots = sums(a, b)  # every slot is in range: "clip" skips take's buffered copy
-        if upto.shape[1] < space.n:
-            d = values[:upto.shape[1]]
-            return lambda psi: np.take(np.broadcast_to(psi(d, upto), upto.shape), slots,
-                                       mode="clip")
-        d, rho = space.dist_rows(a, b), np.take(upto, slots, mode="clip")
-        return lambda psi: psi(d, rho)
+        d = values[:upto.shape[1]]
+        return lambda psi: np.take(np.broadcast_to(psi(d, upto), upto.shape), slots, mode="clip")
 
     return by_row_level
 
@@ -362,7 +357,9 @@ def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, kernel: Kernel
     w = space.weights if w is None else w
     lattice = space.index_lattice() if kernel is None else offset_lattice(space, kernel)
     if lattice is None:
-        block_psi = _level_psi(space, kernel)
+        # a kernel matrix already cached (kernel_blocks' readers) is read, not summed again
+        cached = kernel is not None and ("kernel", kernel.key) in space._cache
+        block_psi = None if cached else _level_psi(space, kernel)
         if block_psi is None:
             rho = None if kernel is None else kernel_matrix(space, kernel)
             block_psi = _matrix_psi(space, lambda a, b: None if rho is None else rho[a:b])

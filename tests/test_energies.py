@@ -359,6 +359,28 @@ class TestLevelRoute:
         assert got["1"] == want
         assert got["2"] == want
 
+    @pytest.mark.parametrize("name, kind", [("sierpinski:4", "rho1"), ("interval:300", "rho1"),
+                                            ("gauge_grid:16:ellipse:1:2", "ahlfors:2")])
+    def test_reads_a_cached_kernel_matrix(self, name, kind, monkeypatch):
+        """Once the kernel matrix is cached (kernel_blocks' readers build it) the row blocks
+        read it, not the level sums, with bitwise the same values."""
+        sp = build_space(SpaceSpec.parse(name))
+        kernel = KernelSpec.parse(kind)
+        u = ScalarField(np.random.default_rng(sp.n).normal(size=sp.n))
+        # H_t has no kernel, so it keeps the level route
+        cases = [(fn, spec) for p in (1.5, 2.0)
+                 for label, (fn, spec) in pair_functionals(sp, kernel, p).items()
+                 if label != "h_energy"]
+        want = [fn(sp, u, spec).hex() for fn, spec in cases]
+        kernel_matrix(sp, kernel)
+
+        def no_levels(*args):
+            raise AssertionError("level sums formed over a cached kernel matrix")
+
+        monkeypatch.setattr(nsl.energies, "_level_psi", no_levels)
+        got = [fn(sp, u, spec).hex() for fn, spec in cases]
+        assert got == want
+
     @pytest.mark.parametrize("name, kind", [
         ("gauge_grid:64:square", "rho1"), ("gauge_grid:64:square", "ahlfors:2"),
         ("interval:4096", "rho1"), ("interval:4096", "ahlfors:1")])
