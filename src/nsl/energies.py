@@ -13,15 +13,15 @@ class part (1/(d^{ps} rho), [d <= t]/rho, delta^p/(rho d^p) [d <= r],
 
 The reducer has two layouts. The row-block one forms phi * ww * psi on blocks
 of rows; it serves graphs, Sierpinski gaskets, gauge grids and matrix files
-(hand-made or relabelled spaces). Where the rows share their distance levels
-(space._level_rows: the gasket, gauge grids, the interval) and the kernel is
-rho1, ahlfors or none, psi is a function of (row, level), and a block
-evaluates it once per level, or per (row, level) for rho1 from the block's
-level sums, then gathers it by each pair's code (_level_psi): no n x n
-kernel matrix is built, and every value is bitwise the matrix route's. Other
-kernels, matrix spaces, and a space that already caches the kernel matrix
-(kernels.kernel_blocks' readers build it) read d and rho pair by pair from
-the distance rows and the cached kernel matrix (_matrix_psi). The offset
+(hand-made or relabelled spaces), and the interval with a ball-mass kernel.
+Its blocks read psi through kernels.kernel_blocks, which picks the source of d
+and rho from the space and the kernel alone: where the rows share their
+distance levels (space._level_rows: the gasket, gauge grids, the interval)
+and the kernel is rho1, ahlfors or none, psi is evaluated once per level, or
+per (row, level) for rho1 from the block's level sums, and gathered by each
+pair's code, with no n x n kernel matrix; gauge-ahlfors on a gauge grid reads
+windows of its gauge table; other kernels and matrix spaces read the cached
+kernel matrix. Every value is bitwise the kernel matrix's. The offset
 layout serves lattices whose pair distance and kernel depend only on the
 index offset k of the pair: the circle and the torus with every kernel, and
 the interval with the ahlfors kernel only (ball-mass kernels are cut at the
@@ -119,9 +119,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import EnergySpec, PiecewiseLinearMap, ScalarField, as_values
-from .kernels import KernelSpec, kernel_matrix, kernel_row, offset_lattice
+from .kernels import KernelSpec, _reader, kernel_blocks, kernel_row, offset_lattice
 from .parallel import block_reduce, map_blocks, row_blocks
-from .space import MetricMeasureSpace, _level_sums
+from .space import MetricMeasureSpace
 
 __all__ = [
     "ScaleEnergies",
@@ -154,9 +154,9 @@ class ScaleEnergies:
                 raise ValueError(f"scale energy {name} must be finite and >= 0, got {val}")
 
 
-def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, block_psi, w) -> np.ndarray:
-    """The pair sums of terms by row blocks; block_psi(a, b) gives a reader of each psi's
-    entries on rows a..b (_matrix_psi, _level_psi).
+def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, blocks, w) -> np.ndarray:
+    """The pair sums of terms by row blocks; blocks(a, b) gives a reader of each psi's
+    entries on rows a..b (kernels.kernel_blocks).
 
     Terms that share one phi object share its pair part phi(gap) w w, which
     is live for one phi at a time.
@@ -168,7 +168,7 @@ def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, block_psi,
     def rows(a: int, b: int) -> np.ndarray:
         gap = np.abs(vals[a:b, None] - vals[None, :])
         ww = w[a:b, None] * w[None, :]
-        psi_rows = block_psi(a, b)
+        psi_rows = blocks(a, b)
         out = np.empty(len(terms))
         for phi, members in groups.items():
             pair = phi(gap) * ww
@@ -181,47 +181,6 @@ def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, block_psi,
         return out
 
     return block_reduce(space.n, rows)
-
-
-def _matrix_psi(space: MetricMeasureSpace, rho_rows):
-    """A block's psi pair by pair from its distance rows and rho_rows(a, b), rows a..b of rho."""
-    def block(a: int, b: int):
-        d, rho = space.dist_rows(a, b), rho_rows(a, b)
-        return lambda psi: psi(d, rho)
-
-    return block
-
-
-def _level_psi(space: MetricMeasureSpace, kernel: KernelSpec | None):
-    """A block's psi from the distance levels its rows share (space._level_rows), or None
-    where each row has its own levels or the kernel is no function of (row, level).
-
-    With no kernel or rho = level**N (ahlfors), psi is evaluated once per level and
-    gathered by each pair's code. rho1 is the row's mass at or below the level
-    (_level_sums): psi is evaluated on that (b - a) x levels table and gathered by each
-    pair's slot. Every d and rho is bitwise the matrix entry, so every psi is too.
-    """
-    if kernel is not None and kernel.kind not in ("rho1", "ahlfors"):
-        return None
-    levels, values = space._level_rows()
-    if values is None:
-        return None
-    if kernel is None or kernel.kind == "ahlfors":
-        rho = None if kernel is None else values**kernel.exponent
-
-        def by_level(a: int, b: int):
-            codes = levels(a, b)
-            return lambda psi: np.take(psi(values, rho), codes, mode="clip")
-
-        return by_level
-    sums = _level_sums(levels, space._index_rows(), space.weights)
-
-    def by_row_level(a: int, b: int):
-        upto, slots = sums(a, b)  # every slot is in range: "clip" skips take's buffered copy
-        d = values[:upto.shape[1]]
-        return lambda psi: np.take(np.broadcast_to(psi(d, upto), upto.shape), slots, mode="clip")
-
-    return by_row_level
 
 
 def _square(gap: np.ndarray) -> np.ndarray:
@@ -357,13 +316,7 @@ def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, kernel: Kernel
     w = space.weights if w is None else w
     lattice = space.index_lattice() if kernel is None else offset_lattice(space, kernel)
     if lattice is None:
-        # a kernel matrix already cached (kernel_blocks' readers) is read, not summed again
-        cached = kernel is not None and ("kernel", kernel.key) in space._cache
-        block_psi = None if cached else _level_psi(space, kernel)
-        if block_psi is None:
-            rho = None if kernel is None else kernel_matrix(space, kernel)
-            block_psi = _matrix_psi(space, lambda a, b: None if rho is None else rho[a:b])
-        return _row_pair_sum(space, vals, terms, block_psi, w)
+        return _row_pair_sum(space, vals, terms, kernel_blocks(space, kernel), w)
     d = space.dist_rows(0, 1)[0]
     rho = None if kernel is None else kernel_row(space, kernel)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -500,8 +453,7 @@ def scale_s_by_pairs(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     weighted = (space.weights / space.ball_masses(t) ** 2)[:, None] * member
     term = (_gap_power(spec.p), lambda d, f: f)
     sums = _row_pair_sum(space, as_values(u, space.n), [term],
-                         _matrix_psi(space, lambda a, b: member[:, a:b].T @ weighted),
-                         space.weights)
+                         lambda a, b: _reader(None, member[:, a:b].T @ weighted), space.weights)
     return float(sums[0])
 
 

@@ -17,13 +17,18 @@ at an end, gauges of the geodesic angle or the nearest translate of the
 wrapped offset), and the Ahlfors kernel alone on the interval.
 
 One builder, _kernel_rows, with one branch per kernel kind, serves both
-kernel_matrix (all rows) and kernel_row (row 0), so the two agree bitwise;
-kernel_blocks reads row blocks of either, on circle and torus from row 0 alone.
-rho1 is gathered once, on its first request (space.pair_ball_masses), by
-counting each row's integer distance levels on every space and with any
-weights. No kernel runs a per-row search or sorts a row twice. The pair sums
-read neither matrix where the rows share their levels (energies._level_psi):
-there rho1 and ahlfors come per row block from the levels.
+kernel_matrix (all rows) and kernel_row (row 0), so the two agree bitwise; on
+circle and torus the matrix is the lattice windows of row 0. rho1 is counted
+from each row's integer distance levels (space._level_sums) on every space
+and with any weights, with no per-row search or sort. A combination kernel
+needs rho1's transpose: rho1's row 0 again on circle and torus, the cached
+rho1 matrix elsewhere.
+
+kernel_blocks is the one reader of row blocks of d and rho. It picks its
+source from the space and the kernel alone: lattice-table windows (every
+kernel on circle and torus, gauge-ahlfors on the gauge grid), the levels the
+rows share (rho1, ahlfors or no kernel on the gasket, the gauge grids and the
+interval), else slices of the cached kernel matrix.
 
 Kernels are undefined on the diagonal; matrix entries there are NaN and all
 pair sums mask them out.
@@ -39,7 +44,7 @@ import numpy as np
 
 from .constants import ConvexBody, gauge_distance_matrix, parse_body
 from .parallel import row_blocks
-from .space import SpaceSpec, _lattice_offsets, _lattice_rows, doubling_constant
+from .space import SpaceSpec, _lattice_offsets, _lattice_rows, _level_sums, doubling_constant
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
 
@@ -85,10 +90,10 @@ class KernelSpec:
                          "ahlfors:N or gauge-ahlfors:N[:BODY]")
 
 
-def _gauge_pow_rows(space, body: ConvexBody, exponent: float, rows: int) -> np.ndarray:
-    """Rows 0..rows of the gauge-Ahlfors kernel matrix: on a circle, torus or gauge grid the
-    rows of its lattice table (space._lattice_rows), evaluated once per signed index offset;
-    elsewhere pair by pair."""
+def _gauge_pow_table(space, body: ConvexBody, exponent: float) -> np.ndarray | None:
+    """The gauge-Ahlfors kernel at each signed index offset (_lattice_offsets) of a circle,
+    torus or gauge grid, whose rows are the lattice windows of this table (_lattice_rows);
+    None on other spaces."""
     coords = space.coords
     if coords is None:
         raise ValueError("gauge-ahlfors kernel needs point coordinates")
@@ -107,10 +112,9 @@ def _gauge_pow_rows(space, body: ConvexBody, exponent: float, rows: int) -> np.n
             shifts = itertools.product((-1, 0, 1), repeat=2)
         gauges = (body.gauge((k + np.multiply(s, shape)) / shape) for s in shifts)
         out = functools.reduce(np.minimum, gauges)
-    else:  # off the lattices, pair by pair
-        out = gauge_distance_matrix(body, coords[:rows], coords)
-        return np.power(out, exponent, out=out)
-    return _lattice_rows(np.power(out, exponent, out=out), 0, rows)
+    else:
+        return None
+    return np.power(out, exponent, out=out)
 
 
 def _wrapped_offsets(shape: tuple[int, ...]) -> np.ndarray:
@@ -131,32 +135,45 @@ def _combine(kind: str, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return (r1 + r2) / (r1 * r2)  # harm
 
 
+def _level_masses(levels, m: int, weights: np.ndarray) -> np.ndarray:
+    """mu(B(x, d(x, y))) of the points x < m, read-only, NaN where y is x: each row block's
+    level sums (_level_sums) taken at y's level, one block of codes held at a time."""
+    masses, sums = np.empty((m, len(weights))), _level_sums(levels, m, weights)
+    for a, b in row_blocks(m):  # the sums at the slots, each block's arrays freed after it
+        # every slot is in range; "clip" writes to out without the buffered copy of "raise"
+        np.take(*sums(a, b), out=masses[a:b], mode="clip")
+    np.fill_diagonal(masses, np.nan)
+    masses.setflags(write=False)
+    return masses
+
+
 def _kernel_rows(space, spec: KernelSpec, rows: int) -> np.ndarray:
     """Rows 0..rows of the kernel matrix (rows is space.n or 1), read-only, NaN on the diagonal.
 
-    rho1 is the space's gather of mu(B(x, d(x, y))) (space.pair_ball_masses); on a circle
-    or a torus, which gather row 0 alone, the matrix is the lattice windows of that row. A
-    combination kernel combines rho1's cached matrix with its transpose, or rho1's
-    row 0 with its column 0, mu(B(y, d(y, 0))): on a wrapped lattice row 0 itself, as the
-    distances there are symmetric in the offset, bitwise.
+    On a circle or a torus, whose rows all permute row 0, the matrix is the lattice
+    windows of kernel_row. rho1 is counted from the level sums (_level_masses). A
+    combination kernel combines rho1 with its transpose: on circle and torus
+    kernel_row's row 0 in both orientations, as the distances there are symmetric in
+    the offset, bitwise; elsewhere the cached rho1 matrix and its transpose.
     """
-    whole = rows == space.n
-    if spec.kind == "rho1":
-        masses = space.pair_ball_masses()
-        if rows <= len(masses):
-            return masses[:rows]
-        out = _lattice_rows(masses[0, _wrapped_offsets(space.index_lattice()[0])], 0, rows)
+    lattice, rho1 = space.index_lattice(), KernelSpec("rho1")
+    wrapped = lattice is not None and lattice[1]
+    if wrapped and rows > 1:
+        out = _lattice_rows(kernel_row(space, spec)[_wrapped_offsets(lattice[0])], 0, rows)
+    elif spec.kind == "rho1":
+        return _level_masses(space._level_rows()[0], rows, space.weights)
     elif spec.kind == "ahlfors":
-        out = (space.dist if whole else space.dist_rows(0, rows)) ** spec.exponent
+        out = space.dist_rows(0, rows) ** spec.exponent
     elif spec.kind == "gauge-ahlfors":
-        out = _gauge_pow_rows(space, spec.body, spec.exponent, rows)
-    elif whole:
-        r1 = kernel_matrix(space, KernelSpec("rho1"))
-        out = _combine(spec.kind, r1, r1.T)
-    else:
-        masses = space.pair_ball_masses()
-        column = masses[:1] if len(masses) == 1 else masses[:, :1].T
-        out = _combine(spec.kind, masses[:1], column)
+        table = _gauge_pow_table(space, spec.body, spec.exponent)
+        if table is not None:
+            out = _lattice_rows(table, 0, rows)
+        else:  # off the lattices, pair by pair
+            out = gauge_distance_matrix(spec.body, space.coords[:rows], space.coords)
+            np.power(out, spec.exponent, out=out)
+    else:  # rho1 and its transpose, on circle and torus row 0 in both orientations
+        r1 = kernel_row(space, rho1)[None] if wrapped else kernel_matrix(space, rho1)
+        out = _combine(spec.kind, r1[:rows], r1 if wrapped else r1.T[:rows])
     np.fill_diagonal(out, np.nan)
     out.setflags(write=False)
     return out
@@ -173,26 +190,66 @@ def kernel_row(space, spec: KernelSpec) -> np.ndarray:
     return space.cache(("kernel_row", spec.key), lambda: _kernel_rows(space, spec, 1)[0])
 
 
-def kernel_blocks(space, spec: KernelSpec):
-    """A reader of row blocks of kernel_matrix(space, spec), bitwise: rows(a, b) gives rows
-    a..b of the matrix and rows a..b of its transpose.
+def kernel_blocks(space, spec: KernelSpec | None):
+    """The one reader of row blocks of d and rho, by the source the module docstring names:
+    blocks(a, b) gives read(psi) = psi(d, rho) with d and rho rows a..b of space.dist and
+    kernel_matrix(space, spec), bitwise, NaN diagonal included (rho None if spec is)."""
+    lattice, table = space.index_lattice(), None
+    if spec is not None and lattice is not None and lattice[1]:
+        table = kernel_row(space, spec)[_wrapped_offsets(lattice[0])]
+    elif spec is not None and spec.kind == "gauge-ahlfors":
+        table = _gauge_pow_table(space, spec.body, spec.exponent)  # None off the gauge grid
+        if table is not None:
+            table[tuple(m // 2 for m in table.shape)] = np.nan  # offset 0, the diagonal
+    if table is not None:
+        return lambda a, b: _reader(space.dist_rows(a, b), _lattice_rows(table, a, b))
+    levels = _level_blocks(space, spec)
+    if levels is not None:
+        return levels
+    rho = None if spec is None else kernel_matrix(space, spec)
+    return lambda a, b: _reader(space.dist_rows(a, b), None if rho is None else rho[a:b])
 
-    On circle and torus, where the kernel depends only on the wrapped index
-    offset and is symmetric (every gauge body is origin-symmetric), the two are
-    one lattice window (_lattice_rows) of kernel_row's offset table, and no
-    matrix is built; elsewhere they are slices of the cached matrix.
+
+def _reader(d: np.ndarray | None, rho: np.ndarray | None):
+    """read(psi) = psi(d, rho) of one row block."""
+    return lambda psi: psi(d, rho)
+
+
+def _level_blocks(space, spec: KernelSpec | None):
+    """kernel_blocks' reader from the distance levels that the rows share
+    (space._level_rows), or None where each row has its own levels or the kernel is no
+    function of (row, level).
+
+    With no kernel or rho = level**N (ahlfors), psi is evaluated once per level and
+    gathered by each pair's code. rho1 is the row's mass at or below the level
+    (_level_sums): psi is evaluated on that (b - a) x levels table and gathered by each
+    pair's slot. Level 0 is the diagonal, where rho is NaN. Every d and rho is bitwise
+    the matrix entry, so every psi is too.
     """
-    lattice = space.index_lattice()
-    if lattice is None or not lattice[1]:
-        rho = kernel_matrix(space, spec)
-        return lambda a, b: (rho[a:b], rho.T[a:b])
-    table = kernel_row(space, spec)[_wrapped_offsets(lattice[0])]
+    if spec is not None and spec.kind not in ("rho1", "ahlfors"):
+        return None
+    levels, values = space._level_rows()
+    if values is None:
+        return None
+    if spec is None or spec.kind == "ahlfors":
+        rho = None if spec is None else values**spec.exponent
+        if rho is not None:
+            rho[0] = np.nan
 
-    def rows(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        block = _lattice_rows(table, a, b)
-        return block, block
+        def by_level(a: int, b: int):
+            codes = levels(a, b)
+            return lambda psi: np.take(psi(values, rho), codes, mode="clip")
 
-    return rows
+        return by_level
+    sums = _level_sums(levels, space._index_rows(), space.weights)
+
+    def by_row_level(a: int, b: int):
+        upto, slots = sums(a, b)  # every slot is in range: "clip" skips take's buffered copy
+        upto[:, 0] = np.nan
+        d = values[:upto.shape[1]]
+        return lambda psi: np.take(np.broadcast_to(psi(d, upto), upto.shape), slots, mode="clip")
+
+    return by_row_level
 
 
 def offset_lattice(space, spec: KernelSpec) -> tuple[tuple[int, ...], bool] | None:
@@ -217,13 +274,15 @@ def kernel_comparability(space, spec: KernelSpec):
     """
     base = doubling_constant(space)  # which rejects a space of fewer than two points
     rho, rho1 = kernel_blocks(space, spec), kernel_blocks(space, KernelSpec("rho1"))
-    sides = []  # per block: (max, x, y) of the ratio, then of its inverse
-    for a, b in row_blocks(space._index_rows()):
-        ratio, block = rho(a, b)[0] / rho1(a, b)[0], []
+
+    def extremes(a: int, b: int) -> list[tuple[float, int, int]]:  # of the ratio, its inverse
+        ratio, block = rho(a, b)(lambda d, r: r) / rho1(a, b)(lambda d, r: r), []
         for r in (ratio, 1.0 / ratio):  # both kernels have a NaN diagonal, which nanargmax skips
             x, y = divmod(int(np.nanargmax(r)), space.n)
             block.append((float(r[x, y]), a + x, y))
-        sides.append(block)
+        return block
+
+    sides = [extremes(a, b) for a, b in row_blocks(space._index_rows())]
     # max keeps the first block of equal maxima, and so the first witness in row-major order
     (hi, *hi_at), (lo, *lo_at) = (max(side, key=lambda t: t[0]) for side in zip(*sides))
     base.c_rho_hat = max(hi, lo)

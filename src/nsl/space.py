@@ -441,12 +441,6 @@ class MetricMeasureSpace:
 
         return ranks, None
 
-    def pair_ball_masses(self) -> np.ndarray:
-        """mu(B(x, d(x, y))) for each x < _index_rows() and every point y, NaN where y is x:
-        the rho1 kernel, read-only, gathered on its first request (_level_masses)."""
-        return self.cache("level_masses", lambda: _level_masses(
-            self._level_rows()[0], self._index_rows(), self.weights))
-
     def ball_masses(self, r: float) -> np.ndarray:
         """Vector of closed-ball masses mu(B(x, r)) for every point: with equal weights the
         prefix mass at the count of distances within r, else the weights within r summed.
@@ -518,19 +512,6 @@ def _level_sums(levels: Callable[[int, int], np.ndarray], m: int,
         return upto if prefix is None else prefix[np.subtract(upto, 1, out=upto)], codes
 
     return sums
-
-
-def _level_masses(levels: Callable[[int, int], np.ndarray], m: int,
-                  weights: np.ndarray) -> np.ndarray:
-    """mu(B(x, d(x, y))) of the points x < m, read-only, NaN where y is x: each row block's
-    level sums (_level_sums) taken at y's level, one block of codes held at a time."""
-    masses, sums = np.empty((m, len(weights))), _level_sums(levels, m, weights)
-    for a, b in row_blocks(m):  # the sums at the slots, each block's arrays freed after it
-        # every slot is in range; "clip" writes to out without the buffered copy of "raise"
-        np.take(*sums(a, b), out=masses[a:b], mode="clip")
-    np.fill_diagonal(masses, np.nan)
-    masses.setflags(write=False)
-    return masses
 
 
 # -- doubling -----------------------------------------------------------------

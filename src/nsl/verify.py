@@ -158,14 +158,16 @@ def check_annuli_bound(
     c_d = doubling_constant(space).c_d_hat
     c_rho = kernel_comparability(space, kernel).c_rho_hat
     big_c = c_rho * c_d**2 * 2.0**p / (2.0**p - 1.0)
-    rho, w = kernel_blocks(space, kernel), space.weights
+    blocks, w = kernel_blocks(space, kernel), space.weights
     report = VerificationReport(
         "annuli-tail-bound", constants={"c_d_hat": c_d, "c_rho_hat": c_rho, "C": big_c}
     )
 
     def rows(a: int, b: int) -> np.ndarray:
-        d = space.dist_rows(a, b)
-        terms = w / (rho(a, b)[0] * d**p)  # NaN on the diagonal, which r > 0 always excludes
+        read = blocks(a, b)
+        d = read(lambda d, rho: d)
+        # NaN on the diagonal, which r > 0 always excludes
+        terms = w / read(lambda d, rho: rho * d**p)
         return np.array([np.sum(np.where(d >= r, terms, 0.0), axis=1) for r in radii])
 
     for r, tail in zip(radii, np.hstack(map_blocks(space.n, rows))):  # one row per radius
@@ -216,19 +218,18 @@ def check_mean_comparison(
 
 
 def _pair_blocks(space: MetricMeasureSpace, vals: np.ndarray, kernel: KernelSpec, fn) -> float:
-    """fn(d, gap, weight) on flat arrays over the pairs x < y, x in a row block, summed over
-    the blocks by block_reduce; weight w(x) w(y) (1/rho(x,y) + 1/rho(y,x)) counts both orders.
-    The kernel comes in row blocks (kernel_blocks): on circle and torus no matrix is built."""
-    rho, w = kernel_blocks(space, kernel), space.weights
+    """fn(d, gap, weight) on flat arrays over the ordered pairs x != y, x in a row block,
+    summed over the blocks by block_reduce; weight w(x) w(y) / rho(x, y). d and rho come in
+    row blocks (kernel_blocks)."""
+    blocks, w = kernel_blocks(space, kernel), space.weights
 
-    def rows(a: int, b: int) -> float:  # the columns from a on hold every pair x < y
-        upper = np.arange(a, space.n) > np.arange(a, b)[:, None]
-        d = space.dist_rows(a, b)[:, a:][upper]
-        gap = np.abs(vals[a:b, None] - vals[a:])[upper]
-        block, transposed = rho(a, b)
-        inverse = 1.0 / block[:, a:] + 1.0 / transposed[:, a:]
-        weight = (w[a:b, None] * w[a:] * inverse)[upper]
-        return fn(d, gap, weight)
+    def rows(a: int, b: int) -> float:
+        off = np.arange(space.n) != np.arange(a, b)[:, None]
+        read = blocks(a, b)
+        d = read(lambda d, rho: d)[off]
+        weight = (w[a:b, None] * w / read(lambda d, rho: rho))[off]
+        del read  # the block's rows of d and rho are freed before fn runs
+        return fn(d, np.abs(vals[a:b, None] - vals)[off], weight)
 
     return block_reduce(space.n, rows)
 
@@ -325,6 +326,8 @@ def check_mollifier(
     fall below eps_conv and may rise along the grid only by the factor
     MOLLIFIER_ALLOWANCE (discreteness).
     """
+    if not len(t_grid):
+        raise ValueError("mollifier t grid is empty")
     if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("mollifier t grid must be strictly decreasing")
     c_d = doubling_constant(space).c_d_hat

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nsl.energies
+import nsl.kernels
 from nsl import (
     EnergySpec,
     KernelSpec,
@@ -361,23 +362,22 @@ class TestLevelRoute:
 
     @pytest.mark.parametrize("name, kind", [("sierpinski:4", "rho1"), ("interval:300", "rho1"),
                                             ("gauge_grid:16:ellipse:1:2", "ahlfors:2")])
-    def test_reads_a_cached_kernel_matrix(self, name, kind, monkeypatch):
-        """Once the kernel matrix is cached (kernel_blocks' readers build it) the row blocks
-        read it, not the level sums, with bitwise the same values."""
+    def test_a_cached_kernel_matrix_changes_no_bit(self, name, kind, monkeypatch):
+        """The row blocks take their source from the space and the kernel alone: with the
+        kernel matrix cached the level route still runs, never reads it, and every value
+        keeps its bits."""
         sp = build_space(SpaceSpec.parse(name))
         kernel = KernelSpec.parse(kind)
         u = ScalarField(np.random.default_rng(sp.n).normal(size=sp.n))
-        # H_t has no kernel, so it keeps the level route
         cases = [(fn, spec) for p in (1.5, 2.0)
-                 for label, (fn, spec) in pair_functionals(sp, kernel, p).items()
-                 if label != "h_energy"]
+                 for label, (fn, spec) in pair_functionals(sp, kernel, p).items()]
         want = [fn(sp, u, spec).hex() for fn, spec in cases]
         kernel_matrix(sp, kernel)
 
-        def no_levels(*args):
-            raise AssertionError("level sums formed over a cached kernel matrix")
+        def no_matrix(*args):
+            raise AssertionError("a row block read the kernel matrix")
 
-        monkeypatch.setattr(nsl.energies, "_level_psi", no_levels)
+        monkeypatch.setattr(nsl.kernels, "kernel_matrix", no_matrix)
         got = [fn(sp, u, spec).hex() for fn, spec in cases]
         assert got == want
 

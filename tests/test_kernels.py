@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-import nsl.space
+import nsl.kernels
 
 from nsl import (BodyError, ConvexBody, KernelSpec, MetricMeasureSpace, SpaceSpec, build_space,
                  doubling_constant, kernel_comparability, load_space, parse_body, save_space)
@@ -164,8 +164,9 @@ KERNEL_DIGESTS = {
 
 
 class TestKernelRow:
-    """kernel_row is row 0 of kernel_matrix, bitwise, and builds no kernel or distance
-    matrix."""
+    """kernel_row is row 0 of kernel_matrix, bitwise, and builds no distance matrix and no
+    kernel matrix, but rho1's for a combination kernel off circle and torus: its column 0
+    needs every row."""
 
     @pytest.mark.parametrize("space", ["circle:2", "circle:33", "circle:64", "torus2d:2x2",
                                        "torus2d:6x6", "torus2d:7x13", "interval:2",
@@ -175,7 +176,9 @@ class TestKernelRow:
         rows = {}
         for text in ROW_KERNELS + ROW_GAUGES[sp.coords.shape[1]]:
             rows[text] = kernel_row(sp, KernelSpec.parse(text))
-            assert not any(key[0] == "kernel" for key in sp._cache if isinstance(key, tuple))
+            held = [key for key in sp._cache if isinstance(key, tuple) and key[0] == "kernel"]
+            rho1_matrix = text in COMBINATIONS and sp._index_rows() > 1
+            assert held == ([("kernel", "rho1")] if rho1_matrix else []), text
             sp._cache.clear()
         # rho2, sum, geom and harm read rho1's column 0 as row 0; every weight vector counts
         # the levels of the lattice table, so no distance matrix is built
@@ -248,15 +251,15 @@ def spy_argsort(monkeypatch) -> list[int]:
 
 
 def spy_gathers(monkeypatch) -> list[int]:
-    """Record the rows of each rho1 gather, space._level_masses, the one route."""
+    """Record the rows of each rho1 gather, kernels._level_masses, the one route."""
     calls = []
-    level_masses = nsl.space._level_masses
+    level_masses = nsl.kernels._level_masses
 
     def levels(reader, m, weights):
         calls.append(m)
         return level_masses(reader, m, weights)
 
-    monkeypatch.setattr(nsl.space, "_level_masses", levels)
+    monkeypatch.setattr(nsl.kernels, "_level_masses", levels)
     return calls
 
 
@@ -299,6 +302,13 @@ def gather_space(name: str, tmp_path) -> MetricMeasureSpace:
 COUNTED = [g for g in GATHER_GENERATORS if g != "interval:257:0.5"]
 
 
+def rho1_rows(sp) -> np.ndarray:
+    """The rows of rho1 that a ball query scans (_index_rows): kernel_row's row 0 on circle
+    and torus, whose rows permute it, else the whole kernel matrix."""
+    rho1 = KernelSpec("rho1")
+    return kernel_row(sp, rho1)[None] if sp._index_rows() == 1 else kernel_matrix(sp, rho1)
+
+
 class TestRho1Gather:
     """rho1 is gathered once, by counting distance levels on every space: a generator's closed
     form gives the codes, a matrix space's rows their dense ranks from one stable argsort.
@@ -311,7 +321,7 @@ class TestRho1Gather:
         and no distance matrix but the gasket's."""
         sp = build_space(SpaceSpec.parse(name))
         sorted_rows = spy_argsort(monkeypatch)
-        got = sp.pair_ball_masses()
+        got = rho1_rows(sp)
         assert sorted_rows == [] and (sp._dist is None) == (not name.startswith("sierpinski"))
         assert got.shape == (sp._index_rows(), sp.n) and not got.flags.writeable
         monkeypatch.undo()
@@ -526,24 +536,49 @@ class TestKernelValues:
             kernel_matrix(two_point, KernelSpec("gauge-ahlfors", 1.0))
 
 
-class TestKernelBlocks:
-    """kernel_blocks reads row blocks of the kernel matrix and of its transpose, bitwise: on
-    circle and torus from row 0's offset table, with no kernel matrix built."""
+# Which kernels of ROW_KERNELS + ROW_GAUGES read slices of the cached kernel matrix in
+# kernel_blocks; the rest read lattice-table windows (circle, torus, gauge-ahlfors on the
+# gauge grid) or the shared distance levels (rho1 and ahlfors off circle and torus).
+COMBINATIONS = ["rho2", "sum", "geom", "harm"]
+BLOCK_MATRIX_KERNELS = {
+    "circle:33": [],
+    "torus2d:7x13": [],
+    "gauge_grid:12:square": COMBINATIONS,
+    "interval:65:0.5": COMBINATIONS + ROW_GAUGES[1],
+    "sierpinski:3": COMBINATIONS + ROW_GAUGES[2],
+    "matrix copy": ROW_KERNELS + ROW_GAUGES[2],
+}
 
-    @pytest.mark.parametrize("space", ["circle:33", "torus2d:7x13", "interval:65:0.5",
-                                       "sierpinski:3"])
+
+class TestKernelBlocks:
+    """kernel_blocks reads row blocks of d and rho, bitwise the rows of dist and of the kernel
+    matrix, NaN diagonal included, from every source: wrapped lattice-table windows, the
+    gauge grid's gauge table, the shared distance levels and the cached kernel matrix."""
+
+    @pytest.mark.parametrize("space", list(BLOCK_MATRIX_KERNELS))
     def test_blocks_are_matrix_rows(self, space):
-        sp = build_space(SpaceSpec.parse(space))
-        wrapped = sp._index_rows() == 1
+        if space == "matrix copy":  # a gauge grid's distances and coordinates as a matrix file
+            grid = build_space(SpaceSpec.parse("gauge_grid:6:square"))
+            sp = MetricMeasureSpace(grid.dist, grid.weights, coords=grid.coords)
+        else:
+            sp = build_space(SpaceSpec.parse(space))
+        spans = [(0, sp.n), (0, 1), (5, 17), (sp.n - 3, sp.n), (sp.n - 1, sp.n)]
+        got = {}
         for text in ROW_KERNELS + ROW_GAUGES[sp.coords.shape[1]]:
-            spec, spans = KernelSpec.parse(text), [(0, sp.n), (0, 1), (5, 17), (sp.n - 3, sp.n)]
-            rows = kernel_blocks(sp, spec)
-            got = [rows(a, b) for a, b in spans]
-            assert wrapped != (("kernel", spec.key) in sp._cache), text
-            want = kernel_matrix(sp, spec)
-            for (a, b), (block, flipped) in zip(spans, got):
-                assert block.tobytes() == want[a:b].tobytes(), (text, a)
-                assert flipped.tobytes() == want.T[a:b].tobytes(), (text, a)
+            spec = KernelSpec.parse(text)
+            blocks = kernel_blocks(sp, spec)
+            reads = [blocks(a, b) for a, b in spans]
+            got[text] = [(read(lambda d, rho: d), read(lambda d, rho: rho)) for read in reads]
+            cached = ("kernel", spec.key) in sp._cache
+            assert cached == (text in BLOCK_MATRIX_KERNELS[space]), text
+        lattice = space.split(":")[0] in ("circle", "torus2d", "gauge_grid", "interval")
+        assert (sp._dist is None) == lattice
+        dist = sp.dist
+        for text, blocks in got.items():
+            want = kernel_matrix(sp, KernelSpec.parse(text))
+            for (a, b), (d, rho) in zip(spans, blocks):
+                assert d.tobytes() == dist[a:b].tobytes(), (text, a)
+                assert rho.tobytes() == want[a:b].tobytes(), (text, a)
 
 
 def whole_comparability(space, spec: KernelSpec) -> tuple[float, tuple[int, int]]:

@@ -33,7 +33,7 @@ from nsl import (
     save_space,
     scale_s_by_balls,
 )
-from nsl.kernels import kernel_matrix
+from nsl.kernels import kernel_matrix, kernel_row
 from nsl.verify import check_mean_comparison
 
 from conftest import (HEXAGON, ball_mass_rows, count_gasket_builds, matrix_file_space,
@@ -393,7 +393,8 @@ class TestBallMeasure:
         radii[:, :4] = sp.dist[:, :4]  # realized radii, where the index ties
         assert np.array_equal(ball_mass_rows(sp, radii), ball_mass_rows(copy, radii))
         assert doubling_constant(sp) == doubling_constant(copy)
-        mine, full = sp.pair_ball_masses(), copy.pair_ball_masses()
+        rho1 = KernelSpec("rho1")
+        mine, full = kernel_row(sp, rho1)[None], kernel_matrix(copy, rho1)
         assert mine.shape == (1, sp.n) and full.shape == (sp.n, sp.n)
         assert mine.tobytes() == full[:1].tobytes()
         assert not mine.flags.writeable and not full.flags.writeable
@@ -530,7 +531,7 @@ class TestDoubling:
         """NumPy 1.x returns np.unique's inverse flat, whatever the shape of its input: the
         codes of a 2-D lattice table, and so rho1 and the doubling scan, must not depend on it."""
         expected = build_space(SpaceSpec.parse(name))
-        report, masses = doubling_constant(expected), expected.pair_ball_masses()
+        report, masses = doubling_constant(expected), kernel_matrix(expected, KernelSpec("rho1"))
         real = np.unique
 
         def unique(ar, *args, **kwargs):
@@ -540,7 +541,7 @@ class TestDoubling:
         monkeypatch.setattr(np, "unique", unique)
         sp = build_space(SpaceSpec.parse(name))
         assert doubling_constant(sp) == report
-        np.testing.assert_array_equal(sp.pair_ball_masses(), masses)
+        np.testing.assert_array_equal(kernel_matrix(sp, KernelSpec("rho1")), masses)
 
     def test_unequal_weights_scan_holds_no_square_array(self):
         """With unequal weights the scan sums the weights per distance level a row block at a

@@ -201,6 +201,30 @@ class TestPairBlockPeaks:
         assert rep.passed and len(rep.records) == 3 and peak < 8 * sp.n**2
 
 
+class TestGeneratorPairChecks:
+    """Off circle and torus the annuli, Fubini and averaging checks read d and rho through
+    kernel_blocks' distance levels and the gauge grid's gauge table: at n = 4096 the space
+    holds no array of n^2 entries and no distance matrix afterwards, and the traced peak
+    stays under 128 MiB, one n x n float64 matrix."""
+
+    @pytest.mark.parametrize("name, kind", [
+        ("gauge_grid:64:square", "rho1"), ("gauge_grid:64:square", "ahlfors:2"),
+        ("gauge_grid:64:square", "gauge-ahlfors:2:square"), ("interval:4096", "rho1")])
+    def test_hold_no_square(self, name, kind, monkeypatch):
+        monkeypatch.setenv("NSL_WORKERS", "1")
+        sp, kernel = build_space(SpaceSpec.parse(name)), KernelSpec.parse(kind)
+        u = ScalarField(np.sin(2.0 * np.pi * sp.coords[:, 0]))
+        reports, peak = traced_peak(lambda: [
+            check_annuli_bound(sp, kernel, 2.0, [0.1, 0.3]),
+            check_fubini_identity(sp, u, 2.0, 0.7, kernel),
+            check_nguyen_averaging(sp, u, 2.0, 0.5, 0.5, kernel)])
+        assert len(reports[0].records) == 2 and reports[1].passed and reports[2].passed
+        assert not [key for key, held in sp._cache.items()
+                    if isinstance(held, np.ndarray) and held.size >= sp.n**2]
+        assert sp._dist is None
+        assert peak < 128 * 2**20
+
+
 class TestWrappedLatticeKernelRows:
     """On circle and torus the annuli, Fubini and averaging checks read kernel row blocks from
     row 0's offset table (kernels.kernel_blocks): no kernel matrix, the same records."""
@@ -404,6 +428,16 @@ class TestMollifier:
     def test_grid_must_decrease(self, circle64):
         with pytest.raises(ValueError, match="decreasing"):
             check_mollifier(circle64, [sin_field(circle64)], 2.0, [0.1, 0.5])
+
+    def test_empty_grid_raises_before_any_work(self, monkeypatch):
+        sp = build_space(SpaceSpec.parse("circle:16"))
+
+        def no_work(*args):
+            raise AssertionError("the doubling scan ran before the grid was checked")
+
+        monkeypatch.setattr(nsl.verify, "doubling_constant", no_work)
+        with pytest.raises(ValueError, match="empty"):
+            check_mollifier(sp, [sin_field(sp)], 2.0, [])
 
     def test_step_field_fails_tight_epsilon(self):
         # a jump cannot be approximated at coarse scales: honest failure mode
