@@ -21,8 +21,8 @@ kernel_matrix (all rows) and kernel_row (row 0), so the two agree bitwise; on
 circle and torus the matrix is the lattice windows of row 0. rho1 is counted
 from each row's integer distance levels (space._level_sums) on every space
 and with any weights, with no per-row search or sort. A combination kernel
-needs rho1's transpose: rho1's row 0 again on circle and torus, the cached
-rho1 matrix elsewhere.
+needs rho1's transpose: rho1's row 0 again on circle and torus, else the
+cached rho1 matrix, or for row 0 alone rho1's column 0 by row blocks.
 
 kernel_blocks is the one reader of row blocks of d and rho. It picks its
 source from the space and the kernel alone: lattice-table windows (every
@@ -154,7 +154,8 @@ def _kernel_rows(space, spec: KernelSpec, rows: int) -> np.ndarray:
     windows of kernel_row. rho1 is counted from the level sums (_level_masses). A
     combination kernel combines rho1 with its transpose: on circle and torus
     kernel_row's row 0 in both orientations, as the distances there are symmetric in
-    the offset, bitwise; elsewhere the cached rho1 matrix and its transpose.
+    the offset, bitwise; elsewhere the cached rho1 matrix, or for row 0 alone its column 0
+    read a row block at a time (kernel_blocks).
     """
     lattice, rho1 = space.index_lattice(), KernelSpec("rho1")
     wrapped = lattice is not None and lattice[1]
@@ -171,9 +172,13 @@ def _kernel_rows(space, spec: KernelSpec, rows: int) -> np.ndarray:
         else:  # off the lattices, pair by pair
             out = gauge_distance_matrix(spec.body, space.coords[:rows], space.coords)
             np.power(out, spec.exponent, out=out)
-    else:  # rho1 and its transpose, on circle and torus row 0 in both orientations
+    elif wrapped or rows > 1:  # rho1 and its transpose, on circle and torus row 0 twice
         r1 = kernel_row(space, rho1)[None] if wrapped else kernel_matrix(space, rho1)
-        out = _combine(spec.kind, r1[:rows], r1 if wrapped else r1.T[:rows])
+        out = _combine(spec.kind, r1, r1 if wrapped else r1.T)
+    else:  # row 0 alone: rho1's row 0 and its column 0, a row block at a time
+        blocks = kernel_blocks(space, rho1)
+        column = [blocks(a, b)(lambda d, r: r)[:, :1] for a, b in row_blocks(space.n)]
+        out = _combine(spec.kind, blocks(0, 1)(lambda d, r: r), np.concatenate(column).T)
     np.fill_diagonal(out, np.nan)
     out.setflags(write=False)
     return out
@@ -232,9 +237,7 @@ def _level_blocks(space, spec: KernelSpec | None):
     if values is None:
         return None
     if spec is None or spec.kind == "ahlfors":
-        rho = None if spec is None else values**spec.exponent
-        if rho is not None:
-            rho[0] = np.nan
+        rho = None if spec is None else np.append(np.nan, values[1:] ** spec.exponent)
 
         def by_level(a: int, b: int):
             codes = levels(a, b)
@@ -276,7 +279,8 @@ def kernel_comparability(space, spec: KernelSpec):
     rho, rho1 = kernel_blocks(space, spec), kernel_blocks(space, KernelSpec("rho1"))
 
     def extremes(a: int, b: int) -> list[tuple[float, int, int]]:  # of the ratio, its inverse
-        ratio, block = rho(a, b)(lambda d, r: r) / rho1(a, b)(lambda d, r: r), []
+        kernel, block = rho(a, b)(lambda d, r: r), []
+        ratio = kernel / (kernel if spec.kind == "rho1" else rho1(a, b)(lambda d, r: r))
         for r in (ratio, 1.0 / ratio):  # both kernels have a NaN diagonal, which nanargmax skips
             x, y = divmod(int(np.nanargmax(r)), space.n)
             block.append((float(r[x, y]), a + x, y))
