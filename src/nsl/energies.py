@@ -34,12 +34,13 @@ the reducer takes in place of w. The offset layout forms
 S_k = sum_x phi(|u(x+k)-u(x)|) w(x) w(x+k) from sliding windows over a copy
 of u and w, wrapped on circle and torus, zero-weight-padded on the interval
 (where S_k holds one orientation of each pair, so it counts twice), and
-returns sum_k S_k psi(d_k, rho_k), with d_k from row 0 of the space's lattice
-table and rho_k from kernels.kernel_row, so no n x n distance or kernel
-matrix is built. Row 0 is exact: the distances, gauges and ball masses of
-these lattices are computed from integer index offsets and equal weights, so
-every pair at offset k carries the bitwise same d and rho. Offsets with
-psi_k = 0 (pairs beyond t or r) are skipped.
+returns sum_k S_k psi(d_k, rho_k), with psi read on row 0 of
+kernels.kernel_blocks (the windows of the distance's and the kernel's lattice
+tables on circle and torus, the shared distance levels on the interval), so
+no n x n distance or kernel matrix is built. Row 0 is exact: the distances,
+gauges and ball masses of these lattices are computed from integer index
+offsets and equal weights, so every pair at offset k carries the bitwise same
+d and rho. Offsets with psi_k = 0 (pairs beyond t or r) are skipped.
 
 At p = 2 the offset layout instead forms every S_k at once as
 autocorrelations (Wiener-Khinchin): with v = u - mean(u) and corr(a, b)_k =
@@ -119,7 +120,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import EnergySpec, PiecewiseLinearMap, ScalarField, as_values
-from .kernels import KernelSpec, _reader, kernel_blocks, kernel_row, offset_lattice
+from .kernels import KernelSpec, _reader, kernel_blocks, offset_lattice
 from .parallel import block_reduce, map_blocks, row_blocks
 from .space import MetricMeasureSpace
 
@@ -314,13 +315,12 @@ def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, kernel: Kernel
     the diagonal, which never enters the sum.
     """
     w = space.weights if w is None else w
-    lattice = space.index_lattice() if kernel is None else offset_lattice(space, kernel)
+    lattice, blocks = offset_lattice(space, kernel), kernel_blocks(space, kernel)
     if lattice is None:
-        return _row_pair_sum(space, vals, terms, kernel_blocks(space, kernel), w)
-    d = space.dist_rows(0, 1)[0]
-    rho = None if kernel is None else kernel_row(space, kernel)
+        return _row_pair_sum(space, vals, terms, blocks, w)
+    row = blocks(0, 1)  # every pair at offset k carries row 0's entry at k
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = [(phi, psi(d, rho)) for phi, psi in terms]
+        rows = [(phi, row(psi)[0]) for phi, psi in terms]
     return _offset_pair_sum(vals, rows, *lattice, w)
 
 

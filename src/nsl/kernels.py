@@ -4,25 +4,23 @@ The menu: rho1 = mu(B(x,d)), rho2 = mu(B(y,d)), their sum, geometric mean,
 the harmonic combination (rho1+rho2)/(rho1*rho2), the Ahlfors kernel d^N,
 and the gauge-Ahlfors kernel d_K^N built from the Minkowski gauge of a
 convex body: of the nearest of the 9 translates on a torus, of the geodesic
-angle on a circle. On a circle, a torus or a gauge grid it is a function of
-the signed integer index offset of a pair, so it is evaluated once per offset
-into a lattice table, and the n x n matrix or its row 0 is read from that
-table; other spaces take all pairs from constants.gauge_distance_matrix.
+angle on a circle.
 
-offset_lattice names the generator lattices on which a kernel, like the
-distance, depends only on the index offset of a pair, so that the energies
-can read every pair's entry from row 0, which kernel_row builds without the
-matrix: every kernel on the circle and the torus (equal weights, no ball cut
-at an end, gauges of the geodesic angle or the nearest translate of the
-wrapped offset), and the Ahlfors kernel alone on the interval.
+On a circle or a torus every kernel, and on a gauge grid gauge-ahlfors,
+depends only on the signed index offset of a pair, as the distance does, and
+takes the distance's form: one read-only signed-offset table (_kernel_table),
+NaN at offset 0, whose lattice windows are the kernel's rows. rho1's table is
+row 0's level sums at each offset's level; a combination kernel combines
+rho1's table with itself, as rho1 is symmetric in the offset there; d^N's is
+the distance table to the N. offset_lattice names where the energies read
+every pair from row 0: circle and torus with any kernel (equal weights, no
+ball cut at an end), and the interval with the Ahlfors kernel or none.
 
-One builder, _kernel_rows, with one branch per kernel kind, serves both
-kernel_matrix (all rows) and kernel_row (row 0), so the two agree bitwise; on
-circle and torus the matrix is the lattice windows of row 0. rho1 is counted
-from each row's integer distance levels (space._level_sums) on every space
-and with any weights, with no per-row search or sort. A combination kernel
-needs rho1's transpose: rho1's row 0 again on circle and torus, else the
-cached rho1 matrix, or for row 0 alone rho1's column 0 by row blocks.
+kernel_matrix is the table's windows where there is one; else rho1 counted
+from each row's integer distance levels (space._level_sums) with any weights
+and no per-row search or sort, d^N, gauges pair by pair
+(constants.gauge_distance_matrix), or the cached rho1 matrix combined with
+its transpose.
 
 kernel_blocks is the one reader of row blocks of d and rho. It picks its
 source from the space and the kernel alone: lattice-table windows (every
@@ -48,8 +46,7 @@ from .space import SpaceSpec, _lattice_offsets, _lattice_rows, _level_sums, doub
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
 
-__all__ = ["KernelSpec", "kernel_matrix", "kernel_row", "kernel_blocks", "offset_lattice",
-           "kernel_comparability"]
+__all__ = ["KernelSpec", "kernel_matrix", "kernel_blocks", "offset_lattice", "kernel_comparability"]
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,7 @@ class KernelSpec:
 
 def _gauge_pow_table(space, body: ConvexBody, exponent: float) -> np.ndarray | None:
     """The gauge-Ahlfors kernel at each signed index offset (_lattice_offsets) of a circle,
-    torus or gauge grid, whose rows are the lattice windows of this table (_lattice_rows);
-    None on other spaces."""
+    torus or gauge grid: _kernel_table's table before offset 0 is set; None on other spaces."""
     coords = space.coords
     if coords is None:
         raise ValueError("gauge-ahlfors kernel needs point coordinates")
@@ -103,7 +99,7 @@ def _gauge_pow_table(space, body: ConvexBody, exponent: float) -> np.ndarray | N
     spec = SpaceSpec.from_metric(space.metric)
     gen, shape = (None, None) if spec is None else (spec.generator, spec.shape)
     if gen == "circle":  # the gauge of the geodesic angle, each distance a 1-vector
-        out = body.gauge(space.dist_rows(0, 1)[0, np.abs(_lattice_offsets(shape)[0]), None])
+        out = body.gauge(space._table[:, None])
     elif gen in ("torus2d", "gauge_grid"):
         k = np.stack(_lattice_offsets(shape), axis=-1)
         shifts = [(0, 0)]
@@ -115,13 +111,6 @@ def _gauge_pow_table(space, body: ConvexBody, exponent: float) -> np.ndarray | N
     else:
         return None
     return np.power(out, exponent, out=out)
-
-
-def _wrapped_offsets(shape: tuple[int, ...]) -> np.ndarray:
-    """The position in row 0 of a wrapped lattice of each signed index offset (_lattice_offsets):
-    row 0 indexed by it is the lattice table of a kernel that depends only on the wrapped
-    offset."""
-    return np.ravel_multi_index([k % m for k, m in zip(_lattice_offsets(shape), shape)], shape)
 
 
 def _combine(kind: str, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -147,38 +136,49 @@ def _level_masses(levels, m: int, weights: np.ndarray) -> np.ndarray:
     return masses
 
 
-def _kernel_rows(space, spec: KernelSpec, rows: int) -> np.ndarray:
-    """Rows 0..rows of the kernel matrix (rows is space.n or 1), read-only, NaN on the diagonal.
+def _kernel_table(space, spec: KernelSpec) -> np.ndarray | None:
+    """The kernel at each signed index offset of a circle or torus, or of a gauge grid for
+    gauge-ahlfors, cached on the space, read-only, NaN at offset 0: its windows (_lattice_rows)
+    are the kernel's rows, as space._table's are dist's. None on other spaces and kernels."""
+    lattice = space.index_lattice()
+    if spec.kind != "gauge-ahlfors" and (lattice is None or not lattice[1]):
+        return None
 
-    On a circle or a torus, whose rows all permute row 0, the matrix is the lattice
-    windows of kernel_row. rho1 is counted from the level sums (_level_masses). A
-    combination kernel combines rho1 with its transpose: on circle and torus
-    kernel_row's row 0 in both orientations, as the distances there are symmetric in
-    the offset, bitwise; elsewhere the cached rho1 matrix, or for row 0 alone its column 0
-    read a row block at a time (kernel_blocks).
-    """
-    lattice, rho1 = space.index_lattice(), KernelSpec("rho1")
-    wrapped = lattice is not None and lattice[1]
-    if wrapped and rows > 1:
-        out = _lattice_rows(kernel_row(space, spec)[_wrapped_offsets(lattice[0])], 0, rows)
-    elif spec.kind == "rho1":
-        return _level_masses(space._level_rows()[0], rows, space.weights)
-    elif spec.kind == "ahlfors":
-        out = space.dist_rows(0, rows) ** spec.exponent
-    elif spec.kind == "gauge-ahlfors":
-        table = _gauge_pow_table(space, spec.body, spec.exponent)
+    def build() -> np.ndarray | None:
+        if spec.kind == "gauge-ahlfors":
+            table = _gauge_pow_table(space, spec.body, spec.exponent)  # None off the lattices
+        elif spec.kind == "rho1":  # row 0's mass at or below each level, at each offset's level
+            levels, values = space._level_rows()
+            upto, _ = _level_sums(levels, 1, space.weights)(0, 1)
+            table = upto[0, np.searchsorted(values, space._table)]
+        elif spec.kind == "ahlfors":
+            table = space._table ** spec.exponent
+        else:  # rho2 is rho1 at the opposite offset, the same entry
+            rho1 = _kernel_table(space, KernelSpec("rho1"))
+            table = _combine(spec.kind, rho1, rho1)
         if table is not None:
-            out = _lattice_rows(table, 0, rows)
-        else:  # off the lattices, pair by pair
-            out = gauge_distance_matrix(spec.body, space.coords[:rows], space.coords)
-            np.power(out, spec.exponent, out=out)
-    elif wrapped or rows > 1:  # rho1 and its transpose, on circle and torus row 0 twice
-        r1 = kernel_row(space, rho1)[None] if wrapped else kernel_matrix(space, rho1)
-        out = _combine(spec.kind, r1, r1 if wrapped else r1.T)
-    else:  # row 0 alone: rho1's row 0 and its column 0, a row block at a time
-        blocks = kernel_blocks(space, rho1)
-        column = [blocks(a, b)(lambda d, r: r)[:, :1] for a, b in row_blocks(space.n)]
-        out = _combine(spec.kind, blocks(0, 1)(lambda d, r: r), np.concatenate(column).T)
+            table[tuple(m // 2 for m in table.shape)] = np.nan  # offset 0, the diagonal
+            table.setflags(write=False)
+        return table
+
+    return space.cache(("kernel_table", spec.key), build)
+
+
+def _kernel_rows(space, spec: KernelSpec) -> np.ndarray:
+    """The kernel matrix, read-only, NaN on the diagonal, by the module docstring's branches."""
+    table = _kernel_table(space, spec)
+    if table is not None:
+        out = _lattice_rows(table, 0, space.n)
+    elif spec.kind == "rho1":
+        return _level_masses(space._level_rows()[0], space.n, space.weights)
+    elif spec.kind == "ahlfors":
+        out = space.dist_rows(0, space.n) ** spec.exponent
+    elif spec.kind == "gauge-ahlfors":  # off the lattices, pair by pair
+        out = gauge_distance_matrix(spec.body, space.coords, space.coords)
+        np.power(out, spec.exponent, out=out)
+    else:
+        rho1 = kernel_matrix(space, KernelSpec("rho1"))
+        out = _combine(spec.kind, rho1, rho1.T)
     np.fill_diagonal(out, np.nan)
     out.setflags(write=False)
     return out
@@ -186,26 +186,14 @@ def _kernel_rows(space, spec: KernelSpec, rows: int) -> np.ndarray:
 
 def kernel_matrix(space, spec: KernelSpec) -> np.ndarray:
     """Full kernel matrix, cached on the space; diagonal entries are NaN."""
-    return space.cache(("kernel", spec.key), lambda: _kernel_rows(space, spec, space.n))
-
-
-def kernel_row(space, spec: KernelSpec) -> np.ndarray:
-    """Row 0 of kernel_matrix(space, spec), bitwise, without the matrix; cached on the space.
-    Entry 0 is NaN."""
-    return space.cache(("kernel_row", spec.key), lambda: _kernel_rows(space, spec, 1)[0])
+    return space.cache(("kernel", spec.key), lambda: _kernel_rows(space, spec))
 
 
 def kernel_blocks(space, spec: KernelSpec | None):
     """The one reader of row blocks of d and rho, by the source the module docstring names:
     blocks(a, b) gives read(psi) = psi(d, rho) with d and rho rows a..b of space.dist and
     kernel_matrix(space, spec), bitwise, NaN diagonal included (rho None if spec is)."""
-    lattice, table = space.index_lattice(), None
-    if spec is not None and lattice is not None and lattice[1]:
-        table = kernel_row(space, spec)[_wrapped_offsets(lattice[0])]
-    elif spec is not None and spec.kind == "gauge-ahlfors":
-        table = _gauge_pow_table(space, spec.body, spec.exponent)  # None off the gauge grid
-        if table is not None:
-            table[tuple(m // 2 for m in table.shape)] = np.nan  # offset 0, the diagonal
+    table = None if spec is None else _kernel_table(space, spec)
     if table is not None:
         return lambda a, b: _reader(space.dist_rows(a, b), _lattice_rows(table, a, b))
     levels = _level_blocks(space, spec)
@@ -255,14 +243,17 @@ def _level_blocks(space, spec: KernelSpec | None):
     return by_row_level
 
 
-def offset_lattice(space, spec: KernelSpec) -> tuple[tuple[int, ...], bool] | None:
+def offset_lattice(space, spec: KernelSpec | None) -> tuple[tuple[int, ...], bool] | None:
     """(shape, wrapped) of the index lattice where d and rho depend only on the offset; else None.
 
-    That is space.index_lattice() where the kernel follows the distance.
+    That is space.index_lattice() where the kernel, or its absence (spec None), follows the
+    distance.
     """
     lattice = space.index_lattice()
     # every kernel on a wrapped lattice; the interval cuts balls at its ends
-    return lattice if lattice is not None and (lattice[1] or spec.kind == "ahlfors") else None
+    if lattice is None or not (lattice[1] or spec is None or spec.kind == "ahlfors"):
+        return None
+    return lattice
 
 
 def kernel_comparability(space, spec: KernelSpec):

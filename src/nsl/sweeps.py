@@ -93,6 +93,13 @@ class LimitEstimate:
         }
 
 
+def _grid(values: Sequence[float], name: str) -> list[float]:
+    grid = [float(v) for v in values]
+    if not grid:  # nothing to extrapolate
+        raise ValueError(f"{name} grid is empty")
+    return grid
+
+
 def _spec_echo(space: MetricMeasureSpace, p: float, kernel: KernelSpec) -> dict:
     return {"space": space.name, "p": p, "kernel": kernel.key}
 
@@ -105,7 +112,7 @@ def bbm_sweep(
     s_grid: Sequence[float],
 ) -> SweepResult:
     """(1-s) times the fractional energy over an increasing s grid."""
-    grid = [float(s) for s in s_grid]
+    grid = _grid(s_grid, "s")
     if any(not 0.0 < s < 1.0 for s in grid):
         raise ValueError("s grid must lie in (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -132,7 +139,7 @@ def nguyen_sweep(
     delta_grid: Sequence[float],
 ) -> SweepResult:
     """Threshold functional over a decreasing delta grid."""
-    grid = [float(d) for d in delta_grid]
+    grid = _grid(delta_grid, "delta")
     if any(d <= 0 for d in grid):
         raise ValueError("delta grid must be positive")
     if any(b >= a for a, b in zip(grid, grid[1:])):
@@ -153,7 +160,7 @@ def ks_sweep(
     singletons, so S_t vanishes vacuously); scales beyond the diameter are
     allowed and simply saturate.
     """
-    grid = [float(t) for t in t_grid]
+    grid = _grid(t_grid, "t")
     h_min = space.min_distance
     for t in grid:
         if t <= h_min:

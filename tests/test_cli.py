@@ -191,10 +191,10 @@ class TestEnergy:
             result = invoke(runner, args + ["--functional", functional])
             assert result.exit_code == 0, result.output
             outputs[functional] = result.output.strip()
-            # on the circle K reads row 0 of its kernel and never builds the matrix
+            # on the circle K reads row 0 of its kernel's lattice table, never the matrix
             kernels = [key for key in built[-1]._cache if isinstance(key, tuple)
-                       and key[0] in ("kernel", "kernel_row")]
-            assert kernels == ([("kernel_row", "rho1")] if functional == "k" else [])
+                       and key[0] in ("kernel", "kernel_table")]
+            assert kernels == ([("kernel_table", "rho1")] if functional == "k" else [])
         sp = build_space(parse_space_spec("circle:64"))
         se = scale_energies(sp, ScalarField(np.sin(sp.coords[:, 0])), EnergySpec(p=2, t=0.5))
         assert outputs == {"k": repr(se.k), "h": repr(se.h), "s": repr(se.s)}

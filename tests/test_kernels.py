@@ -6,9 +6,11 @@ import pytest
 
 import nsl.kernels
 
-from nsl import (BodyError, ConvexBody, KernelSpec, MetricMeasureSpace, SpaceSpec, build_space,
-                 doubling_constant, kernel_comparability, load_space, parse_body, save_space)
-from nsl.kernels import kernel_blocks, kernel_matrix, kernel_row
+from nsl import (BodyError, ConvexBody, EnergySpec, KernelSpec, MetricMeasureSpace, ScalarField,
+                 SpaceSpec, build_space, doubling_constant, gagliardo_p, kernel_comparability,
+                 load_space, parse_body, save_space)
+from nsl.kernels import _kernel_table, kernel_blocks, kernel_matrix
+from nsl.space import _lattice_rows
 
 from conftest import HEXAGON, assert_masses_match, ball_mass_rows, random_space, traced_peak
 
@@ -112,7 +114,12 @@ ROW_GAUGES = {1: ["gauge-ahlfors:1:ball:1"],
               2: ["gauge-ahlfors:2", "gauge-ahlfors:1.5:square", f"gauge-ahlfors:1.5:{HEXAGON}"]}
 
 
-# sha256 prefixes of the bytes of kernel_matrix and kernel_row, by (space, kernel).
+def row_zero(sp, spec: KernelSpec) -> np.ndarray:
+    """Row 0 of the kernel as kernel_blocks reads it."""
+    return kernel_blocks(sp, spec)(0, 1)(lambda d, rho: rho)[0]
+
+
+# sha256 prefixes of the bytes of kernel_matrix and of row 0 (row_zero), by (space, kernel).
 KERNEL_DIGESTS = {
     ("circle:33", "rho1"): ("b0b3fdeb93c9cf36", "a3ac7157f909ca3d"),
     ("circle:33", "rho2"): ("b0b3fdeb93c9cf36", "a3ac7157f909ca3d"),
@@ -164,8 +171,8 @@ KERNEL_DIGESTS = {
 
 
 class TestKernelRow:
-    """kernel_row is row 0 of kernel_matrix, bitwise, and builds no kernel or distance
-    matrix."""
+    """Row 0 of kernel_blocks is row 0 of kernel_matrix, bitwise. It builds no distance matrix,
+    and no kernel matrix where the kernel has a lattice table or reads the distance levels."""
 
     @pytest.mark.parametrize("space", ["circle:2", "circle:33", "circle:64", "torus2d:2x2",
                                        "torus2d:6x6", "torus2d:7x13", "interval:2",
@@ -174,14 +181,16 @@ class TestKernelRow:
         sp = build_space(SpaceSpec.parse(space))
         rows = {}
         for text in ROW_KERNELS + ROW_GAUGES[sp.coords.shape[1]]:
-            rows[text] = kernel_row(sp, KernelSpec.parse(text))
-            assert not any(key[0] == "kernel" for key in sp._cache if isinstance(key, tuple))
+            rows[text] = row_zero(sp, KernelSpec.parse(text))
+            # on the interval the combinations and gauges read slices of the kernel matrix
+            matrix = not sp.index_lattice()[1] and text not in ("rho1", "ahlfors:1", "ahlfors:1.5")
+            assert any(key[0] == "kernel" for key in sp._cache if isinstance(key, tuple)) == matrix
             sp._cache.clear()
-        # rho2, sum, geom and harm read rho1's column 0 as row 0; every weight vector counts
-        # the levels of the lattice table, so no distance matrix is built
+        # every weight vector counts the levels of the lattice table, so no distance matrix
+        # is built
         assert sp._dist is None
         for text, row in rows.items():
-            assert np.isnan(row[0]) and not row.flags.writeable
+            assert np.isnan(row[0])
             want = kernel_matrix(sp, KernelSpec.parse(text))[0]
             assert row.tobytes() == want.tobytes(), text
 
@@ -191,8 +200,42 @@ class TestKernelRow:
         shared one builder."""
         spec = KernelSpec.parse(kernel)
         got = (kernel_matrix(build_space(SpaceSpec.parse(space)), spec).tobytes(),
-               kernel_row(build_space(SpaceSpec.parse(space)), spec).tobytes())
+               row_zero(build_space(SpaceSpec.parse(space)), spec).tobytes())
         assert tuple(hashlib.sha256(b).hexdigest()[:16] for b in got) == KERNEL_DIGESTS[space, kernel]
+
+
+class TestKernelTable:
+    """A kernel that depends only on the signed index offset of a pair is one read-only
+    signed-offset table, as the lattice distance is, and the kernel matrix is its windows."""
+
+    @pytest.mark.parametrize("space", ["circle:33", "torus2d:7x13", "gauge_grid:16:square"])
+    def test_matrix_is_the_table_windows(self, space):
+        sp = build_space(SpaceSpec.parse(space))
+        wrapped = sp.index_lattice() is not None  # circle and torus; the gauge grid is not
+        for text in ROW_KERNELS + ROW_GAUGES[sp.coords.shape[1]]:
+            spec = KernelSpec.parse(text)
+            table = _kernel_table(sp, spec)
+            assert (table is not None) == (wrapped or spec.kind == "gauge-ahlfors"), text
+            if table is None:
+                continue
+            nan = np.isnan(table)
+            assert table.shape == sp._table.shape and not table.flags.writeable
+            assert nan[tuple(m // 2 for m in table.shape)] and np.count_nonzero(nan) == 1, text
+            want = _lattice_rows(table, 0, sp.n)
+            assert kernel_matrix(sp, spec).tobytes() == want.tobytes(), text
+        assert sp._dist is None
+
+    @pytest.mark.parametrize("kernel", ["rho1", "harm", "ahlfors:1.5", "gauge-ahlfors:2"])
+    def test_energy_caches_nothing_larger_than_the_table(self, kernel):
+        """One Gagliardo energy on torus2d:64x64 leaves no row, matrix or distance matrix in
+        the cache: no cached array is larger than the kernel's table."""
+        sp = build_space(SpaceSpec.parse("torus2d:64x64"))
+        spec = EnergySpec(p=2.0, s=0.5, kernel=KernelSpec.parse(kernel))
+        assert gagliardo_p(sp, ScalarField(np.sin(6.0 * sp.coords[:, 0])), spec) > 0.0
+        held = [a for v in sp._cache.values() for a in (v if isinstance(v, tuple) else (v,))
+                if isinstance(a, np.ndarray)]
+        assert max(a.nbytes for a in held) <= _kernel_table(sp, spec.kernel).nbytes
+        assert sp._dist is None
 
 
 class TestKernelReuse:
@@ -248,15 +291,16 @@ def spy_argsort(monkeypatch) -> list[int]:
 
 
 def spy_gathers(monkeypatch) -> list[int]:
-    """Record the rows of each rho1 gather, kernels._level_masses, the one route."""
+    """Record the rows of each rho1 gather: each level-sum reader (_level_sums) that kernels
+    makes, behind the rho1 matrix and the rho1 lattice table."""
     calls = []
-    level_masses = nsl.kernels._level_masses
+    level_sums = nsl.kernels._level_sums
 
     def levels(reader, m, weights):
         calls.append(m)
-        return level_masses(reader, m, weights)
+        return level_sums(reader, m, weights)
 
-    monkeypatch.setattr(nsl.kernels, "_level_masses", levels)
+    monkeypatch.setattr(nsl.kernels, "_level_sums", levels)
     return calls
 
 
@@ -300,10 +344,9 @@ COUNTED = [g for g in GATHER_GENERATORS if g != "interval:257:0.5"]
 
 
 def rho1_rows(sp) -> np.ndarray:
-    """The rows of rho1 that a ball query scans (_index_rows): kernel_row's row 0 on circle
-    and torus, whose rows permute it, else the whole kernel matrix."""
-    rho1 = KernelSpec("rho1")
-    return kernel_row(sp, rho1)[None] if sp._index_rows() == 1 else kernel_matrix(sp, rho1)
+    """The rows of rho1 that a ball query scans (_index_rows): row 0 on circle and torus,
+    whose rows permute it, else the whole kernel matrix."""
+    return kernel_matrix(sp, KernelSpec("rho1"))[:sp._index_rows()]
 
 
 class TestRho1Gather:
@@ -349,7 +392,7 @@ class TestRho1Gather:
         np.fill_diagonal(want, np.nan)
         assert_masses_match(kernel_matrix(sp, KernelSpec("rho1")), want, sp.weights)
         sp = gather_space(name, tmp_path)
-        assert_masses_match(kernel_row(sp, KernelSpec("rho1")), want[0], sp.weights)
+        assert_masses_match(row_zero(sp, KernelSpec("rho1")), want[0], sp.weights)
 
     @pytest.mark.parametrize("name", ["circle:33", "torus2d:7x13", "torus2d:64x64"])
     def test_wrapped_lattice_reads_no_distance_matrix(self, name):
@@ -375,7 +418,7 @@ class TestRho1Gather:
                  "doubling": lambda: doubling_constant(sp)}
         for step in [first] + [s for s in steps if s != first]:
             steps[step]()
-        kernel_row(sp, KernelSpec("harm"))
+        kernel_blocks(sp, KernelSpec("harm"))(0, 1)
         kernel_matrix(sp, KernelSpec("geom"))
         matrix = name in ("sierpinski:3+w", "graph", "matrix file")
         assert gathers == [sp._index_rows()]

@@ -33,7 +33,8 @@ from nsl import (
     save_space,
     scale_s_by_balls,
 )
-from nsl.kernels import kernel_matrix, kernel_row
+from nsl.kernels import _kernel_table, kernel_matrix
+from nsl.space import _lattice_rows
 from nsl.verify import check_mean_comparison
 
 from conftest import (HEXAGON, ball_mass_rows, count_gasket_builds, matrix_file_space,
@@ -394,10 +395,11 @@ class TestBallMeasure:
         assert np.array_equal(ball_mass_rows(sp, radii), ball_mass_rows(copy, radii))
         assert doubling_constant(sp) == doubling_constant(copy)
         rho1 = KernelSpec("rho1")
-        mine, full = kernel_row(sp, rho1)[None], kernel_matrix(copy, rho1)
+        table, full = _kernel_table(sp, rho1), kernel_matrix(copy, rho1)
+        mine = _lattice_rows(table, 0, 1)
         assert mine.shape == (1, sp.n) and full.shape == (sp.n, sp.n)
         assert mine.tobytes() == full[:1].tobytes()
-        assert not mine.flags.writeable and not full.flags.writeable
+        assert not table.flags.writeable and not full.flags.writeable
         assert np.array_equal(kernel_matrix(sp, KernelSpec("rho1")),
                               kernel_matrix(copy, KernelSpec("rho1")), equal_nan=True)
 

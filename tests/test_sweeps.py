@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nsl.sweeps
 from nsl import (
     EnergySpec,
     MetricMeasureSpace,
@@ -109,6 +110,22 @@ class TestSweeps:
             nguyen_sweep(interval128, u, 2, ahlfors1, [0.1, 0.2])  # not decreasing
         with pytest.raises(ValueError):
             nguyen_sweep(interval128, u, 2, ahlfors1, [0.2, 0.0])
+
+    @pytest.mark.parametrize("sweep, name", [("bbm_sweep", "s"), ("nguyen_sweep", "delta"),
+                                             ("ks_sweep", "t")])
+    def test_empty_grid_raises_before_any_work(self, monkeypatch, interval128, ahlfors1,
+                                               sweep, name):
+        """An empty grid leaves nothing to extrapolate: each sweep rejects it plainly and
+        evaluates no energy."""
+        def no_work(*args):
+            raise AssertionError("an energy ran before the grid was checked")
+
+        for energy in ("gagliardo_values", "nguyen_a_values", "scale_s_by_balls"):
+            monkeypatch.setattr(nsl.sweeps, energy, no_work)
+        u = ScalarField(interval128.coords[:, 0])
+        args = (interval128, u, 2) if sweep == "ks_sweep" else (interval128, u, 2, ahlfors1)
+        with pytest.raises(ValueError, match=f"^{name} grid is empty$"):
+            getattr(nsl.sweeps, sweep)(*args, [])
 
     def test_ks_rejects_sub_mesh_scale(self, interval128):
         u = ScalarField(interval128.coords[:, 0])
