@@ -60,7 +60,8 @@ einsum of phi(gap) against that weight.
 A generator space builds its distance matrix only on the first read of the
 whole of space.dist. Row-block readers here (the row layout's d, and the ball
 sums and mollify off circle and torus) take space.dist_rows(a, b), which is a
-copy of the lattice table's windows until then; the offset layout, and the
+copy of the lattice table's windows, or the gasket's hop rows times 2^-L,
+until then; the offset layout, and the
 ball sums and mollify on circle and torus, read row 0 the same way.
 
 The reducer takes a list of terms (phi, psi) and returns one sum per term,
@@ -160,23 +161,28 @@ def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, blocks, w)
     entries on rows a..b (kernels.kernel_blocks).
 
     Terms that share one phi object share its pair part phi(gap) w w, which
-    is live for one phi at a time.
+    is live for one phi at a time. The last phi's pair part is written over
+    w w, and each phi's last term over its pair part, so a one-term block
+    allocates no block of its own past gap, w w, phi(gap) and psi.
     """
     groups: dict = {}
     for i, (phi, _) in enumerate(terms):
         groups.setdefault(phi, []).append(i)
+    last = next(reversed(groups), None)
 
     def rows(a: int, b: int) -> np.ndarray:
-        gap = np.abs(vals[a:b, None] - vals[None, :])
-        ww = w[a:b, None] * w[None, :]
+        gap = np.subtract.outer(vals[a:b], vals)
+        np.abs(gap, out=gap)
+        ww = np.multiply.outer(w[a:b], w)
         psi_rows = blocks(a, b)
         out = np.empty(len(terms))
         for phi, members in groups.items():
-            pair = phi(gap) * ww
+            pair = np.multiply(phi(gap), ww, out=ww if phi is last else None)
             for i in members:
                 # the diagonal divides by d = 0 or by a NaN kernel entry; it is zeroed
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    term = pair * psi_rows(terms[i][1])
+                    term = np.multiply(pair, psi_rows(terms[i][1]),
+                                       out=pair if i == members[-1] else None)
                 term[np.arange(b - a), np.arange(a, b)] = 0.0
                 out[i] = np.sum(term)
         return out

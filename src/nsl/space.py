@@ -6,9 +6,10 @@ row's distances within a radius into one prefix row of masses with equal
 weights, or sums the weights within it otherwise. The rho1 kernel
 mu(B(x, d(x, y))) and the doubling constant read the sums over each row's
 distance levels (_level_sums). A generator space keeps its distances in
-closed form, a lattice table over signed index offsets or the gasket's
-three-copy recursion, and builds the matrix on the first read of its whole;
-readers of row blocks or single pairs take a lattice's from its table.
+closed form, a lattice table over signed index offsets or the gasket's table
+of hop counts, one byte per pair, and builds the float matrix only on the
+first read of its whole; readers of row blocks or single pairs take theirs
+from the table.
 
 Balls are closed everywhere: B(x, r) = {y : d(x, y) <= r}. The theory of
 doubling measures on finite spaces needs atoms counted consistently, and the
@@ -285,7 +286,8 @@ class MetricMeasureSpace:
         **fields: Any,
     ) -> MetricMeasureSpace:
         """A generator's space, whose dist is built on its first read: from table, a lattice
-        table (_lattice_rows) that serves dist_rows until then, or else by build()."""
+        table (_lattice_rows) that serves dist_rows until then, or else from the gasket's hop
+        table, which build() returns (_gasket_distances) and which serves them instead."""
         space = cls.__new__(cls)
         space._setup(np.ascontiguousarray(weights, dtype=np.float64), **fields)
         space._dist, space._table, space._build = None, table, build
@@ -351,32 +353,58 @@ class MetricMeasureSpace:
     def dist(self) -> np.ndarray:
         """The read-only n x n distance matrix; a generator space builds it on this first read."""
         if self._dist is None:
+            hops = None if self._table is not None else self._hops()  # which takes the lock
             with self._lock:  # map_blocks workers may make the first read together
                 if self._dist is None:
-                    dist = (self._build() if self._table is None
-                            else _lattice_rows(self._table, 0, self.n))
+                    dist = (_lattice_rows(self._table, 0, self.n) if hops is None
+                            else hops * self._gasket_levels()[1])
                     dist.setflags(write=False)
                     self._dist = dist
         return self._dist
 
     def dist_rows(self, a: int, b: int) -> np.ndarray:
-        """Rows a..b of dist, bitwise; a copy from the lattice table until the matrix exists."""
-        if self._dist is None and self._table is not None:
+        """Rows a..b of dist, bitwise; until the matrix exists a copy from the lattice table
+        or the gasket's hop rows times its edge length 2^-L, exact."""
+        if self._dist is not None:
+            return self._dist[a:b]
+        if self._table is not None:
             return _lattice_rows(self._table, a, b)
-        return self.dist[a:b]
+        return self._hops()[a:b] * self._gasket_levels()[1]
 
     def dist_pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """d(i[k], j[k]) per pair, bitwise dist[i, j]; read from the lattice table at each
-        pair's signed index offset until the matrix exists."""
-        if self._dist is None and self._table is not None:
+        """d(i[k], j[k]) per pair, bitwise dist[i, j]; until the matrix exists read from the
+        lattice table at each pair's signed index offset, or from the gasket's hop table."""
+        if self._dist is not None:
+            return self._dist[i, j]
+        if self._table is not None:
             shape = tuple((m + 1) // 2 for m in self._table.shape)
             at = zip(np.unravel_index(i, shape), np.unravel_index(j, shape), shape)
             return self._table[tuple(b - a + k - 1 for a, b, k in at)]
-        return self.dist[i, j]
+        return self._hops()[i, j] * self._gasket_levels()[1]
+
+    def _hops(self) -> np.ndarray:
+        """The gasket's read-only table of hop counts (_gasket_distances), cached, built once
+        under the lock: map_blocks workers may make the first read together."""
+        if "hops" not in self._cache:
+            with self._lock:
+                if "hops" not in self._cache:
+                    hops = self._build()
+                    hops.setflags(write=False)
+                    self._cache["hops"] = hops
+        return self._cache["hops"]
+
+    def _gasket_levels(self) -> np.ndarray:
+        """The gasket's distances k 2^-L at its hop counts k = 0 .. 2^L, each realized along a
+        side of the triangle; entry 1 is the edge length."""
+        level = self.metric["params"]["level"]
+        return np.arange(2**level + 1) / 2.0**level
 
     def _every_distance(self) -> np.ndarray:
-        """A lattice's table, which holds every distance once per index offset; else dist."""
-        return self.dist if self._table is None else self._table
+        """An array that holds every distance: a lattice's table, once per index offset; the
+        gasket's levels; else dist."""
+        if self._table is not None:
+            return self._table
+        return self.dist if self._build is None else self._gasket_levels()
 
     @property
     def diameter(self) -> float:
@@ -417,17 +445,14 @@ class MetricMeasureSpace:
     def _level_rows(self) -> tuple[Callable[[int, int], np.ndarray], np.ndarray | None]:
         """A reader of the codes (_level_sums) of rows a..b of dist and the levels they index,
         None where each row has its own: a lattice table's ranks among its distinct entries,
-        read as the table is (_lattice_rows); the gasket's hops d * 2^L, exact as its unit
-        edges are 2^-L; a matrix space's (graph, file) dense ranks of each row, per block."""
+        read as the table is (_lattice_rows); the gasket's hop counts, from its table; a matrix
+        space's (graph, file) dense ranks of each row, per block."""
         if self._table is not None:
             values = self.cache("level_values", lambda: np.unique(self._table))
             codes = self.cache("level_table", lambda: np.searchsorted(values, self._table))
             return (lambda a, b: _lattice_rows(codes, a, b)), values
-        spec = SpaceSpec.from_metric(self.metric)
-        if spec is not None and spec.generator == "sierpinski":
-            scale = 2.0**spec.level  # unit edges are 1 / scale
-            values = np.arange(round(self.diameter * scale) + 1) / scale
-            return (lambda a, b: (self.dist_rows(a, b) * scale).astype(np.intp)), values
+        if self._build is not None:
+            return (lambda a, b: self._hops()[a:b].astype(np.intp)), self._gasket_levels()
 
         def ranks(a: int, b: int) -> np.ndarray:
             rows = self.dist_rows(a, b)
@@ -706,19 +731,21 @@ def _gasket_copies(level: int) -> tuple[np.ndarray, np.ndarray, list]:
 
 
 def _gasket_distances(steps: list) -> np.ndarray:
-    """Geodesic distances of the level-L gasket graph, unit edges scaled by 2^-L, in the ids
-    of _gasket_copies, from its L steps: hop counts from level 0 up, then scaled once, exact,
+    """Geodesic hop counts of the level-L gasket graph, in the ids of _gasket_copies, from its
+    L steps, from level 0 up: one byte per pair. Times the edge length 2^-L they are exact,
     so bitwise the distances a graph search finds.
 
     Within a copy of level k, of side h = 2^k, hops are the copy's own; for u in copy a and
     v in copy b, with c the third copy, a path leaves copy a at m_ab (its corner b) or m_ac,
     so d(u, v) = min(d_a(u, m_ab) + d_b(m_ab, v), d_a(u, m_ac) + h + d_b(m_bc, v)).
-    A shared corner is written twice, with equal values.
+    A shared corner is written twice, with equal values. The largest sum, 3 h at the last
+    step, 3 * 2^(L-1), is 192 at level 7, the highest the point budget admits: a uint8 holds
+    every sum.
     """
-    hops = 1.0 - np.eye(3)
+    hops = 1 - np.eye(3, dtype=np.uint8)
     for k, (ids, corners) in enumerate(steps):
         h, to_corner = 2**k, hops[:, corners].T  # hops to corners 0, 1 and 2
-        out = np.empty((3 * len(hops) - 3,) * 2)
+        out = np.empty((3 * len(hops) - 3,) * 2, dtype=np.uint8)
         for a, b in np.ndindex(3, 3):
             if a == b:
                 block = hops
@@ -728,14 +755,14 @@ def _gasket_distances(steps: list) -> np.ndarray:
                 np.minimum(block, to_corner[c, :, None] + (h + to_corner[c]), out=block)
             out[np.ix_(ids[a], ids[b])] = block
         hops = out
-    hops *= 1.0 / 2 ** len(steps)
     return hops
 
 
 def _sierpinski(level: int) -> MetricMeasureSpace:
     """Level-m gasket graph: unit edges scaled by 2^-level, uniform mass 1. Vertices, edges
-    and, on the first read of dist, the graph geodesics come from one three-copy recursion
-    (_gasket_copies, _gasket_distances), with no graph search.
+    and, on the first distance read, the geodesic hop counts come from one three-copy
+    recursion (_gasket_copies, _gasket_distances), with no graph search. The hops are kept,
+    one byte per pair; the n x n float matrix is built only on a read of the whole of dist.
     """
     bary, edges, steps = _gasket_copies(level)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])

@@ -28,8 +28,15 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def float_squares(space: MetricMeasureSpace) -> list:
+    """The keys of the float64 arrays of n^2 entries or more in the space's cache."""
+    return [key for key, held in space._cache.items() if isinstance(held, np.ndarray)
+            and held.dtype == np.float64 and held.size >= space.n**2]
+
+
 def count_gasket_builds(monkeypatch, pause: float = 0.0) -> list[int]:
-    """Count the calls of space._gasket_distances (each after a pause, if one is given)."""
+    """Count the calls of space._gasket_distances, the builder of the gasket's hop table
+    (each after a pause, if one is given)."""
     calls = []
     build = nsl.space._gasket_distances
 

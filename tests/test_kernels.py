@@ -358,11 +358,11 @@ class TestRho1Gather:
                                                 "interval:2048", "sierpinski:1", "sierpinski:2"])
     def test_level_count_is_the_sort(self, monkeypatch, name):
         """Bitwise the masses of a stable sort of every distance row of dist, with no argsort
-        and no distance matrix but the gasket's."""
+        and no distance matrix."""
         sp = build_space(SpaceSpec.parse(name))
         sorted_rows = spy_argsort(monkeypatch)
         got = rho1_rows(sp)
-        assert sorted_rows == [] and (sp._dist is None) == (not name.startswith("sierpinski"))
+        assert sorted_rows == [] and sp._dist is None
         assert got.shape == (sp._index_rows(), sp.n) and not got.flags.writeable
         monkeypatch.undo()
         want = ball_mass_rows(sp, sp.dist)
@@ -611,8 +611,7 @@ class TestKernelBlocks:
             got[text] = [(read(lambda d, rho: d), read(lambda d, rho: rho)) for read in reads]
             cached = ("kernel", spec.key) in sp._cache
             assert cached == (text in BLOCK_MATRIX_KERNELS[space]), text
-        lattice = space.split(":")[0] in ("circle", "torus2d", "gauge_grid", "interval")
-        assert (sp._dist is None) == lattice
+        assert (sp._dist is None) == (space != "matrix copy")  # no generator builds dist
         dist = sp.dist
         for text, blocks in got.items():
             want = kernel_matrix(sp, KernelSpec.parse(text))

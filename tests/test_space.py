@@ -22,6 +22,7 @@ from nsl import (
     SpaceSpec,
     bbm_sweep,
     build_space,
+    cheeger_surrogate,
     doubling_constant,
     gagliardo_p,
     h_energy,
@@ -30,6 +31,7 @@ from nsl import (
     mollify,
     nguyen_sweep,
     parse_body,
+    path_integral,
     save_space,
     scale_s_by_balls,
 )
@@ -37,8 +39,8 @@ from nsl.kernels import _kernel_table, kernel_matrix
 from nsl.space import _lattice_rows
 from nsl.verify import check_mean_comparison
 
-from conftest import (HEXAGON, ball_mass_rows, count_gasket_builds, matrix_file_space,
-                      sierpinski_reference, traced_peak, write_old_file)
+from conftest import (HEXAGON, ball_mass_rows, count_gasket_builds, float_squares,
+                      matrix_file_space, sierpinski_reference, traced_peak, write_old_file)
 
 
 def brute_torus_dist(nx: int, ny: int) -> np.ndarray:
@@ -1039,10 +1041,18 @@ class TestGasketRecursion:
 
     @pytest.mark.parametrize("level", range(8))
     def test_recursion_is_the_graph_search(self, level):
-        """Bitwise the shortest paths over the gasket's own edge list, unit edges 2^-level."""
+        """The hop table holds one byte per pair, and hops * 2^-level are bitwise the shortest
+        paths over the subdivision's edges at length 2^-level, as is the matrix a whole read
+        builds; the diameter and the mesh come from the level, with no table."""
         sp = build_space(SpaceSpec("sierpinski", level=level))
-        edges = [(int(i), int(j), 2.0**-level) for i, j in sp.edges]
-        assert sp.dist.tobytes() == nsl.space._graph_distances(sp.n, edges).tobytes()
+        assert (sp.diameter, sp.min_distance) == (1.0, 2.0**-level)
+        assert "hops" not in sp._cache and sp._dist is None
+        edges = [(int(i), int(j), 2.0**-level) for i, j in sierpinski_reference(level)[1]]
+        want = nsl.space._graph_distances(sp.n, edges).tobytes()
+        hops = sp._hops()
+        assert hops.dtype == np.uint8 and hops.max() == 2**level
+        assert (hops * 2.0**-level).tobytes() == want and sp._dist is None
+        assert sp.dist.tobytes() == want
 
     @pytest.mark.parametrize("level", range(8))
     def test_vertices_and_edges_are_the_subdivision(self, level):
@@ -1083,14 +1093,13 @@ class TestLazyDistances:
     def test_rows_and_matrix_are_the_eager_matrix(self, name):
         """dist_rows blocks, also across lattice rows (multiples of the last axis length), and
         the matrix built on the first read are bitwise the eager matrix; the matrix is
-        read-only."""
+        read-only, and no row read builds it."""
         expected = eager_dist(name)
         sp = build_space(SpaceSpec.parse(name))
         n = sp.n
-        lattice = not name.startswith("sierpinski")
         for a, b in ((0, 1), (0, n), (5, min(40, n)), (7, 20), (n - 3, n), (n - 1, n)):
-            assert np.array_equal(sp.dist_rows(a, b), expected[a:b]), (a, b)
-            assert (sp._dist is None) == lattice  # a gasket's rows need its geodesics
+            assert sp.dist_rows(a, b).tobytes() == expected[a:b].tobytes(), (a, b)
+            assert sp._dist is None
         dist = sp.dist
         assert dist.tobytes() == expected.tobytes() and dist.flags.c_contiguous
         assert sp.dist is dist and not dist.flags.writeable
@@ -1102,7 +1111,7 @@ class TestLazyDistances:
                                       f"gauge_grid:9:{HEXAGON}", "sierpinski:3"])
     def test_pair_reads_are_the_matrix_reads(self, name):
         """dist_pairs of random pairs, both orders and the diagonal, is bitwise dist[i, j],
-        and on a lattice it reads the table without building the matrix."""
+        read from the lattice or hop table without building the matrix."""
         expected = eager_dist(name)
         sp = build_space(SpaceSpec.parse(name))
         rng = np.random.default_rng(sp.n)
@@ -1110,7 +1119,7 @@ class TestLazyDistances:
         i[:5] = j[:5]
         for a, b in ((i, j), (j, i)):
             assert sp.dist_pairs(a, b).tobytes() == expected[a, b].tobytes()
-        assert (sp._dist is None) == (not name.startswith("sierpinski"))
+        assert sp._dist is None
         sp.dist
         assert sp.dist_pairs(i, j).tobytes() == expected[i, j].tobytes()
 
@@ -1121,6 +1130,18 @@ class TestLazyDistances:
         assert sp._dist is None
         _, peak = traced_peak(lambda: build_space(SpaceSpec.parse(name)))
         assert peak < sp.n**2 * 8 / 4
+
+    def test_gasket_reads_build_no_matrix(self):
+        """On a fresh sierpinski:7 the diameter, the mesh, the slope energy over the edges and
+        a path integral read the level or the hop table, never the float matrix."""
+        sp = build_space(SpaceSpec.parse("sierpinski:7"))
+        u = ScalarField(sp.coords[:, 0])
+        assert (sp.diameter, sp.min_distance) == (1.0, 2.0**-7)
+        assert cheeger_surrogate(sp, u, 2.0)[0] > 0.0
+        x, y = sp.coords.T
+        corners = [np.argmin(x), np.argmax(y), np.argmax(x)]
+        assert path_integral(sp, u, corners)[1] == 2.0  # along two sides of the triangle
+        assert sp._dist is None and not float_squares(sp)
 
     def test_matrix_spaces_stay_eager(self, tmp_path):
         graph = build_space(SpaceSpec("graph", edges=((0, 1, 1.0), (1, 2, 2.0))))
@@ -1145,6 +1166,24 @@ class TestLazyDistances:
         (sp, value), peak = traced_peak(chain)
         assert value > 0.0 and sp._dist is None
         assert peak < sp.n**2 * 8 / 4
+
+    def test_gen_load_energy_on_gasket_builds_no_square(self, tmp_path, monkeypatch):
+        """The same chain on sierpinski:6 with rho1: the hop table, one byte per pair, is the
+        only n x n array, and the traced peak stays under one n x n float64 matrix (the table
+        and one block of level codes are already n^2 * 2 bytes at 128 rows per block)."""
+        monkeypatch.setenv("NSL_WORKERS", "1")
+        path = tmp_path / "s.space"
+        spec = EnergySpec(p=2.0, s=0.7, kernel=KernelSpec("rho1"))
+
+        def chain():
+            save_space(build_space(SpaceSpec.parse("sierpinski:6")), path)
+            sp = load_space(path)
+            return sp, gagliardo_p(sp, ScalarField(sp.coords[:, 0]), spec)
+
+        (sp, value), peak = traced_peak(chain)
+        assert value > 0.0 and sp._dist is None and not float_squares(sp)
+        assert sp._cache["hops"].nbytes == sp.n**2
+        assert peak < sp.n**2 * 8
 
     @pytest.mark.parametrize("name, t, energy", [
         *[("circle:2048", math.pi / 8, energy) for energy in ("k", "h", "s", "mollify")],

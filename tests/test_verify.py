@@ -34,7 +34,7 @@ from nsl.verify import (
     two_sided_report,
 )
 
-from conftest import (layer_cake_oracle, mean_comparison_oracle, random_space,
+from conftest import (float_squares, layer_cake_oracle, mean_comparison_oracle, random_space,
                       threshold_averaging_oracle, traced_peak)
 
 
@@ -223,6 +223,22 @@ class TestGeneratorPairChecks:
                     if isinstance(held, np.ndarray) and held.size >= sp.n**2]
         assert sp._dist is None
         assert peak < 128 * 2**20
+
+    def test_gasket_holds_no_float_square(self, monkeypatch):
+        """The same checks with rho1 on sierpinski:6 hold the hop table, one byte per pair, and
+        no float64 array of n^2 entries; the traced peak stays under the table plus one n x n
+        float64 matrix, which a built dist would add to it."""
+        monkeypatch.setenv("NSL_WORKERS", "1")
+        sp, kernel = build_space(SpaceSpec.parse("sierpinski:6")), KernelSpec("rho1")
+        u = ScalarField(np.sin(2.0 * np.pi * sp.coords[:, 0]))
+        reports, peak = traced_peak(lambda: [
+            check_annuli_bound(sp, kernel, 2.0, [0.1, 0.3]),
+            check_fubini_identity(sp, u, 2.0, 0.7, kernel),
+            check_nguyen_averaging(sp, u, 2.0, 0.5, 0.5, kernel)])
+        assert len(reports[0].records) == 2 and reports[1].passed and reports[2].passed
+        assert not float_squares(sp) and sp._cache["hops"].nbytes == sp.n**2
+        assert sp._dist is None
+        assert peak < 9 * sp.n**2
 
 
 class TestWrappedLatticeKernelRows:
