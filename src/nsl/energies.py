@@ -1,120 +1,64 @@
 """Pairwise nonlocal energies on a fixed space and field.
 
-Every double integral over X x X becomes a sum over ordered pairs weighted by
-w(x)w(y); diagonal pairs contribute zero (the numerator vanishes identically
-there). Every pairwise energy here goes through one reducer, _pair_sum, and
-each is one pair (phi, psi): the pair sum is
+Every double integral over X x X is a sum over ordered pairs weighted by
+w(x) w(y); the diagonal contributes zero. Every pairwise energy is a term
+(phi, psi) of one reducer, _pair_sum:
 
   sum_{x != y} phi(|u(x)-u(y)|) w(x) w(y) psi(d(x,y), rho(x,y)),
 
-with phi the pair part (gap^p, or the threshold gap > delta) and psi the
-class part (1/(d^{ps} rho), [d <= t]/rho, delta^p/(rho d^p) [d <= r],
-[d <= t]).
+with phi the pair part (gap^p, or gap > delta) and psi the class part
+(1/(d^{ps} rho), [d <= t]/rho, delta^p/(rho d^p) [d <= r], [d <= t]). H_t
+folds 1/sqrt(mu(B(x,t))) into the point weights and takes psi = [d <= t].
 
-The reducer has two layouts. The row-block one forms phi * ww * psi on blocks
-of rows; it serves graphs, Sierpinski gaskets, gauge grids and matrix files
-(hand-made or relabelled spaces), and the interval with a ball-mass kernel.
-Its blocks read psi through kernels.kernel_blocks, which picks the source of d
-and rho from the space and the kernel alone: where the rows share their
-distance levels (space._level_rows: the gasket, gauge grids, the interval)
-and the kernel is rho1, ahlfors or none, psi is evaluated once per level, or
-per (row, level) for rho1 from the block's level sums, and gathered by each
-pair's code, with no n x n kernel matrix; gauge-ahlfors on a gauge grid reads
-windows of its gauge table; other kernels and matrix spaces read the cached
-kernel matrix. Every value is bitwise the kernel matrix's. The offset
-layout serves lattices whose pair distance and kernel depend only on the
-index offset k of the pair: the circle and the torus with every kernel, and
-the interval with the ahlfors kernel only (ball-mass kernels are cut at the
-ends of the interval). kernels.offset_lattice makes that choice from the space's
-closed-form metric tag, never from its grid, next to the code that builds
-each kernel. A term with no kernel, whose psi reads d alone, takes the offset
-layout on every index lattice. H_t is one: its weight 1/sqrt(mu(B(x,t))
-mu(B(y,t))) is folded into the point weights, w(x)/sqrt(mu(B(x,t))), which
-the reducer takes in place of w. The offset layout forms
-S_k = sum_x phi(|u(x+k)-u(x)|) w(x) w(x+k) from sliding windows over a copy
-of u and w, wrapped on circle and torus, zero-weight-padded on the interval
-(where S_k holds one orientation of each pair, so it counts twice), and
-returns sum_k S_k psi(d_k, rho_k), with psi read on row 0 of
-kernels.kernel_blocks (the windows of the distance's and the kernel's lattice
-tables on circle and torus, the shared distance levels on the interval), so
-no n x n distance or kernel matrix is built. Row 0 is exact: the distances,
-gauges and ball masses of these lattices are computed from integer index
-offsets and equal weights, so every pair at offset k carries the bitwise same
-d and rho. Offsets with psi_k = 0 (pairs beyond t or r) are skipped.
+The invariants; README's pair-sum and ball-sum passages give each route's
+method, cost and measured error.
 
-At p = 2 the offset layout instead forms every S_k at once as
-autocorrelations (Wiener-Khinchin): with v = u - mean(u) and corr(a, b)_k =
-sum_x a(x) b(x+k), S = corr(w v^2, w) + corr(w, w v^2) - 2 corr(w v, w v), by
-one rfftn/irfftn of the lattice's shape on circle and torus and of twice its
-shape on the interval (zero-padded). The reducer knows such a term by its phi
-object, _square, which _gap_power(2) returns. The expansion cancels where the
-gaps are small next to v: S_k carries an absolute error of about eps sum w^2
-v^2, so for a smooth field, whose S_k grows like k^2, the relative error is
-about eps (n/k)^2 at small k (measured: 4e-11 on interval:4096 with u = x),
-and about eps for a rough field. A constant field gives exactly 0 (the mean
-is clipped to the field's range), and a field whose sum w v^2 overflows takes
-the windows, which report inf. Every other phi takes the windows; each block
-forms its gaps and one pair weight w(x) w(x+k) once, and each phi costs one
-einsum of phi(gap) against that weight.
+- Two layouts. Where d and rho depend only on a pair's index offset k
+  (kernels.offset_lattice) the offset layout sums S_k = sum_x phi w w over
+  the pairs at offset k, by FFT for phi = _square and by sliding windows
+  otherwise, and returns sum_k S_k psi_k with psi read on row 0 of
+  kernels.kernel_blocks. Elsewhere the row layout forms each fixed row block
+  a row tile at a time (parallel.tiles), reads psi through
+  kernels.kernel_blocks, sums each row whole and then the block's rows in
+  order.
+- Ball sums (S_t, every g_t, mollify, verify's ball-mean check) sum inside
+  each ball. At p = 2 with no cap the pairs of B = B(x',t) total
+  2 mu(B) sum_B w v^2 - 2 (sum_B w v)^2 with v = u - u(x'). On circle and
+  torus every ball is x' + O_t, so those sums run over the offsets O_t, a
+  block of offsets and a column tile of centers at a time, each center
+  reduced over the block's offsets in order (_ball_sums); elsewhere over row
+  blocks of centers. Other p and capped totals are the row sums of
+  (m @ Phi) * m over the union of a row block's balls.
+- The row layout's gap, w w, phi and psi and the ball windows hold one tile
+  of at most parallel.TILE entries, whatever n is, with gap, w w and v in
+  buffers reused across a worker's tiles; the offset layout's window blocks
+  still span all n points. No n x n distance or kernel matrix is built where
+  the space has a closed form.
+- Values depend on the fixed blocks alone, not on the worker count or the
+  tiles. Terms that share a phi object share its pair part, so a sweep is
+  one pass and each sweep value is bitwise its one-point call.
+- Constant fields and singleton balls give exactly 0, an overflow inf.
 
-A generator space builds its distance matrix only on the first read of the
-whole of space.dist. Row-block readers here (the row layout's d, and the ball
-sums and mollify off circle and torus) take space.dist_rows(a, b), which is a
-copy of the lattice table's windows, or the gasket's hop rows times 2^-L,
-until then; the offset layout, and the
-ball sums and mollify on circle and torus, read row 0 the same way.
-
-The reducer takes a list of terms (phi, psi) and returns one sum per term,
-so a sweep is one pass: inside each block the gaps |u(x)-u(y)| and the
-gathered weights are formed once, and terms that share one phi object share
-its pair part. On the offset layout that is S_k, so an s-sweep forms S_k once
-and each s costs one dot product over the offsets; S_k runs over every offset
-where some term has psi_k != 0, and each term sums over its own offsets only.
-On the row layout it is phi(gap) w w, one phi at a time, and each psi is
-still evaluated per term. gagliardo_values and nguyen_a_values are the
-one-pass forms of gagliardo_p and nguyen_a; every energy here is a one-term
-call, so a sweep value is bitwise its one-point call.
-
-Row and offset blocks are fixed and their partials combined in a fixed
-order, so the result is bit-identical for any worker count (see parallel.py).
-
-Scale quantities at ball radius t:
+Scale quantities at ball radius t (closed balls throughout):
 
   K_t  = sum_{0 < d <= t} |u(x)-u(y)|^p / rho(x,y) w(x) w(y)
   H_t  = sum_{0 < d <= t} |u(x)-u(y)|^p / sqrt(mu(B(x,t)) mu(B(y,t))) w w
   S_t  = sum_{x'} w(x') mu(B(x',t))^-2 sum_{x,y in B(x',t)} |u(x)-u(y)|^p w w
 
-k_energy, h_energy and scale_s_by_balls compute one each, so a caller pays
-only for what it reads; scale_energies is their bundle. _ball_pair_totals sums
-the pairs inside each ball, for S_t, every g_t below and verify's ball-mean
-check. At p = 2 with no cap that sum over B = B(x',t) is
-2 mu(B) sum_B w v^2 - 2 (sum_B w v)^2 with v = u - u(x'), whose cancellation
-is about |B| roundings. On circle and torus every ball is the same set of
-index offsets, B(x',t) = x' + O_t, so the two sums run over O_t a block of
-offsets at a time, as sliding windows over the tiled u and w reduced over k
-(_ball_sums): O(n |B|) work where n distance rows of a block of centers cost
-O(n^2), and mollify takes the same windows for sum_B w u. They add the ball
-in another order than the rows' matrix-vector products, so values move in the
-last bits. Elsewhere the sums take a row block of centers at once. Other p and capped totals are the row sums of (m @ Phi) * m, with m
-the block's ball indicators times w over the union U of its balls and Phi the
-pair parts over U x U, 128 columns at a time. Constant fields and singleton
-balls give exactly 0, and a total that overflows inf.
-
-S_t has a second, algebraically equal route that integrates over the center
-first: S_t = sum_{x,y} |u(x)-u(y)|^p f_t(x,y) w w with
-f_t(x,y) = sum_{x' in B(x,t) ^ B(y,t)} w(x') mu(B(x',t))^-2, one row-layout
-term whose psi is f_t, formed a row block at a time from the ball indicator.
-Both are exposed; they must agree to 1e-10 relative.
-
-The ball-average gradient surrogate g_t comes in the three normalizations
-the estimates actually use: "plain" (p-th power with 1/t^p inside the
-average), "truncated" (first power of inf{|u(x)-u(y)|, r} over t), and
-"composed" (first power of |phi(u(x)) - phi(u(y))| over t for a 1-Lipschitz
-phi with values in [0, r]).
+k_energy, h_energy and scale_s_by_balls compute one each; scale_energies is
+their bundle. scale_s_by_pairs integrates over the center first, against
+f_t(x,y) = sum_{x' in B(x,t) ^ B(y,t)} w(x') mu(B(x',t))^-2; the two routes
+agree to 1e-10 relative. g_scale is the ball-average gradient surrogate g_t
+in the three normalizations the estimates use: "plain" (p-th power, 1/t^p
+inside the average), "truncated" (first power of min(|u(x)-u(y)|, r) / t) and
+"composed" (first power of |phi(u(x)) - phi(u(y))| / t for a 1-Lipschitz phi
+with values in [0, r]).
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +66,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import EnergySpec, PiecewiseLinearMap, ScalarField, as_values
 from .kernels import KernelSpec, _reader, kernel_blocks, offset_lattice
-from .parallel import block_reduce, map_blocks, row_blocks
+from .parallel import block_reduce, map_blocks, row_blocks, tiles
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -156,38 +100,54 @@ class ScaleEnergies:
                 raise ValueError(f"scale energy {name} must be finite and >= 0, got {val}")
 
 
-def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, blocks, w) -> np.ndarray:
-    """The pair sums of terms by row blocks; blocks(a, b) gives a reader of each psi's
-    entries on rows a..b (kernels.kernel_blocks).
+class _Scratch(threading.local):
+    """One worker's tile buffers, reused by its later tiles: take(i, shape) is buffer i as an
+    array of that shape, regrown only when a tile needs more."""
 
-    Terms that share one phi object share its pair part phi(gap) w w, which
-    is live for one phi at a time. The last phi's pair part is written over
-    w w, and each phi's last term over its pair part, so a one-term block
-    allocates no block of its own past gap, w w, phi(gap) and psi.
+    def __init__(self) -> None:
+        self.flat: dict[int, np.ndarray] = {}
+
+    def take(self, i: int, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if i not in self.flat or self.flat[i].size < size:
+            self.flat[i] = np.empty(size)
+        return self.flat[i][:size].reshape(shape)
+
+
+def _row_pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, blocks, w) -> np.ndarray:
+    """The pair sums of terms by row blocks, each formed a row tile at a time (tiles);
+    blocks(a, b) gives a reader of each psi's entries on rows a..b (kernels.kernel_blocks).
+
+    Each row is summed whole, then a block's rows in order, so no value depends on the
+    tile height. Terms that share one phi object share its pair part phi(gap) w w, live
+    for one phi at a time. gap and w w take the worker's scratch buffers; the last phi's
+    pair part is written over w w, and each phi's last term over its pair part.
     """
     groups: dict = {}
     for i, (phi, _) in enumerate(terms):
         groups.setdefault(phi, []).append(i)
     last = next(reversed(groups), None)
+    n, scratch = space.n, _Scratch()
 
     def rows(a: int, b: int) -> np.ndarray:
-        gap = np.subtract.outer(vals[a:b], vals)
-        np.abs(gap, out=gap)
-        ww = np.multiply.outer(w[a:b], w)
-        psi_rows = blocks(a, b)
-        out = np.empty(len(terms))
-        for phi, members in groups.items():
-            pair = np.multiply(phi(gap), ww, out=ww if phi is last else None)
-            for i in members:
-                # the diagonal divides by d = 0 or by a NaN kernel entry; it is zeroed
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    term = np.multiply(pair, psi_rows(terms[i][1]),
-                                       out=pair if i == members[-1] else None)
-                term[np.arange(b - a), np.arange(a, b)] = 0.0
-                out[i] = np.sum(term)
-        return out
+        sums = np.empty((len(terms), b - a))
+        for t0, t1 in tiles(a, b, n):
+            gap = np.subtract.outer(vals[t0:t1], vals, out=scratch.take(0, (t1 - t0, n)))
+            np.abs(gap, out=gap)
+            ww = np.multiply.outer(w[t0:t1], w, out=scratch.take(1, (t1 - t0, n)))
+            psi_rows = blocks(t0, t1)
+            for phi, members in groups.items():
+                pair = np.multiply(phi(gap), ww, out=ww if phi is last else None)
+                for i in members:
+                    # the diagonal divides by d = 0 or by a NaN kernel entry; it is zeroed
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        term = np.multiply(pair, psi_rows(terms[i][1]),
+                                           out=pair if i == members[-1] else None)
+                    term.reshape(-1)[t0::n + 1] = 0.0  # entry (x, x) of each row x
+                    np.add.reduce(term, axis=1, out=sums[i, t0 - a:t1 - a])
+        return np.add.reduce(sums, axis=1)
 
-    return block_reduce(space.n, rows)
+    return block_reduce(n, rows)
 
 
 def _square(gap: np.ndarray) -> np.ndarray:
@@ -263,11 +223,11 @@ def _window_sums(vals, w, phis, offsets, shape, wrapped: bool) -> np.ndarray:
 
     def block(a: int, b: int) -> np.ndarray:
         live = offsets[a:b]
-        m = n if wrapped else min(n, -(-(n - live[0]) // _SUM_GROUP) * _SUM_GROUP)
-        u_rows = _offset_rows(u_ext, shape, live, m)
-        m = u_rows.shape[1]  # n where the rows were gathered
+        h = shape[0] if wrapped else min(n, -(-(n - live[0]) // _SUM_GROUP) * _SUM_GROUP)
+        u_rows = _offset_rows(u_ext, shape, live, 0, h)
+        m = u_rows.shape[1]  # the points of lattice rows 0..h
         gap = np.abs(u_rows - vals[:m])
-        pw = _offset_rows(w_ext, shape, live, m) * w[:m]
+        pw = _offset_rows(w_ext, shape, live, 0, h) * w[:m]
         return np.stack([np.einsum("ij,ij->i", phi(gap), pw) for phi in phis])
 
     return np.concatenate(map_blocks(offsets.size, block), axis=1)
@@ -282,13 +242,14 @@ def _extend(a: np.ndarray, shape, wrapped: bool) -> np.ndarray:
     return np.pad(grid, [(0, k) for k in shape])  # zero weight beyond the end
 
 
-def _offset_rows(ext: np.ndarray, shape, live: np.ndarray, m: int) -> np.ndarray:
-    """Row j holds ext at x + live[j] for the points x of the lattice (_extend): the first m
-    columns of a sliding-window view, no copy, if live is a run of offsets on a 1-D
-    lattice, else all n columns gathered."""
+def _offset_rows(ext: np.ndarray, shape, live: np.ndarray, r0: int, h: int) -> np.ndarray:
+    """Row j holds ext at x + live[j] for the points x of lattice rows r0..r0+h (_extend): a
+    sliding-window view, no copy, if live is a run of offsets on a 1-D lattice, else
+    gathered."""
     if len(shape) == 1 and live[-1] - live[0] == live.size - 1:
-        return sliding_window_view(ext, m)[live[0]:live[-1] + 1]
-    return sliding_window_view(ext, shape)[np.unravel_index(live, shape)].reshape(live.size, -1)
+        return sliding_window_view(ext[r0:], h)[live[0]:live[-1] + 1]
+    window = sliding_window_view(ext[r0:], (h, *shape[1:]))
+    return window[np.unravel_index(live, shape)].reshape(live.size, -1)
 
 
 def _ball_sums(space, t: float, arrays, windows, rows) -> np.ndarray:
@@ -296,19 +257,33 @@ def _ball_sums(space, t: float, arrays, windows, rows) -> np.ndarray:
 
     On a wrapped lattice (circle, torus) every ball is B(x, t) = x + O_t, with O_t the
     offsets k, 0 included, with d_k <= t on row 0, which is exact: every pair at offset
-    k carries bitwise the same d. There windows gets, per block of offsets k_j, a reader
-    read(i) of the rows of arrays[i] (_offset_rows), row j holding it at x + k_j, and
-    returns the block's sums per center; the blocks' sums are added in a fixed order
-    (block_reduce), so the bits do not depend on the worker count. Elsewhere rows(a, b)
-    returns the sums of centers a..b from their distance rows.
+    k carries bitwise the same d. There each block of offsets k_j is read a column tile
+    at a time, whole lattice rows of at least two centers (tiles): windows(read, cols)
+    gets a reader read(i) of the tile of arrays[i] (_offset_rows), row j holding it at
+    x + k_j for the centers x in cols, and returns their sums. A column is reduced over
+    the block's offsets in order inside one tile, so the sums do not depend on the tile
+    width; the blocks' sums are added in a fixed order (block_reduce), so they do not
+    depend on the worker count. Elsewhere rows(a, b) returns the sums of centers a..b
+    from their distance rows.
     """
     lattice = space.index_lattice()
     if lattice is None or not lattice[1]:
         return np.concatenate(map_blocks(space.n, rows), axis=-1)
     shape, offsets = lattice[0], np.flatnonzero(space.dist_rows(0, 1)[0] <= t)
-    ext = [_extend(a, shape, True) for a in arrays]
-    return block_reduce(offsets.size, lambda a, b: windows(
-        lambda i: _offset_rows(ext[i], shape, offsets[a:b], space.n)))
+    ext, unit = [_extend(a, shape, True) for a in arrays], space.n // shape[0]
+
+    def block(a: int, b: int) -> np.ndarray:
+        live, out = offsets[a:b], None
+        # a tile of one column would reduce it by another route, in other bits
+        for r0, r1 in tiles(0, shape[0], (b - a) * unit, least=-(-2 // unit)):
+            cols = slice(r0 * unit, r1 * unit)
+            sums = windows(lambda i: _offset_rows(ext[i], shape, live, r0, r1 - r0), cols)
+            if out is None:
+                out = np.empty((*sums.shape[:-1], space.n))
+            out[..., cols] = sums
+        return out
+
+    return block_reduce(offsets.size, block)
 
 
 def _pair_sum(space: MetricMeasureSpace, vals: np.ndarray, terms, kernel: KernelSpec | None,
@@ -409,8 +384,11 @@ def _ball_pair_totals(space, t: float, vals, p: float, cap: float = np.inf,
     if p != 2 or cap != np.inf:
         return _ball_product_totals(space, t, vals, p, cap, scale)
 
-    def windows(read) -> np.ndarray:  # v is squared in place: two n-wide blocks are live
-        v, w_rows = read(0) - vals, read(1)
+    scratch = _Scratch()
+
+    def windows(read, cols) -> np.ndarray:  # v is squared in place, in the worker's buffer
+        u_rows, w_rows = read(0), read(1)
+        v = np.subtract(u_rows, vals[cols], out=scratch.take(0, u_rows.shape))
         first = np.einsum("kx,kx->x", w_rows, v)
         return np.stack([first, np.einsum("kx,kx->x", w_rows, np.multiply(v, v, out=v))])
 
@@ -456,10 +434,12 @@ def scale_s_by_pairs(space: MetricMeasureSpace, u, spec: EnergySpec) -> float:
     """S_t by integrating over the center first: pair sum against f_t."""
     t = _radius(spec)
     member = np.concatenate(map_blocks(space.n, lambda a, b: space.dist_rows(a, b) <= t))
-    weighted = (space.weights / space.ball_masses(t) ** 2)[:, None] * member
+    root = (np.sqrt(space.weights) / space.ball_masses(t))[:, None] * member
+    del member
+    f = root.T @ root  # one product, so no row of f depends on how the rows are tiled
     term = (_gap_power(spec.p), lambda d, f: f)
     sums = _row_pair_sum(space, as_values(u, space.n), [term],
-                         lambda a, b: _reader(None, member[:, a:b].T @ weighted), space.weights)
+                         lambda a, b: _reader(None, f[a:b]), space.weights)
     return float(sums[0])
 
 
@@ -480,7 +460,7 @@ def mollify(space: MetricMeasureSpace, u, t: float) -> ScalarField:
         return ScalarField(vals.copy(), provenance="op:mollify")
     m = space.ball_masses(t)
     uw = vals * space.weights
-    out = _ball_sums(space, t, (uw,), lambda read: read(0).sum(axis=0),
+    out = _ball_sums(space, t, (uw,), lambda read, cols: read(0).sum(axis=0),
                      lambda a, b: (space.dist_rows(a, b) <= t) @ uw) / m
     return ScalarField(out, provenance="op:mollify")
 

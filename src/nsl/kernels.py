@@ -42,7 +42,7 @@ import numpy as np
 
 from .constants import ConvexBody, gauge_distance_matrix, parse_body
 from .parallel import row_blocks
-from .space import SpaceSpec, _lattice_offsets, _lattice_rows, _level_sums, doubling_constant
+from .space import SpaceSpec, _lattice_offsets, _lattice_reader, _level_sums, doubling_constant
 
 KERNEL_KINDS = ("rho1", "rho2", "sum", "geom", "harm", "ahlfors", "gauge-ahlfors")
 
@@ -138,7 +138,7 @@ def _level_masses(levels, m: int, weights: np.ndarray) -> np.ndarray:
 
 def _kernel_table(space, spec: KernelSpec) -> np.ndarray | None:
     """The kernel at each signed index offset of a circle or torus, or of a gauge grid for
-    gauge-ahlfors, cached on the space, read-only, NaN at offset 0: its windows (_lattice_rows)
+    gauge-ahlfors, cached on the space, read-only, NaN at offset 0: its windows (_lattice_reader)
     are the kernel's rows, as space._table's are dist's. None on other spaces and kernels."""
     lattice = space.index_lattice()
     if spec.kind != "gauge-ahlfors" and (lattice is None or not lattice[1]):
@@ -168,7 +168,7 @@ def _kernel_rows(space, spec: KernelSpec) -> np.ndarray:
     """The kernel matrix, read-only, NaN on the diagonal, by the module docstring's branches."""
     table = _kernel_table(space, spec)
     if table is not None:
-        out = _lattice_rows(table, 0, space.n)
+        out = _lattice_reader(table)(0, space.n)
     elif spec.kind == "rho1":
         return _level_masses(space._level_rows()[0], space.n, space.weights)
     elif spec.kind == "ahlfors":
@@ -195,7 +195,8 @@ def kernel_blocks(space, spec: KernelSpec | None):
     kernel_matrix(space, spec), bitwise, NaN diagonal included (rho None if spec is)."""
     table = None if spec is None else _kernel_table(space, spec)
     if table is not None:
-        return lambda a, b: _reader(space.dist_rows(a, b), _lattice_rows(table, a, b))
+        rows = _lattice_reader(table)
+        return lambda a, b: _reader(space.dist_rows(a, b), rows(a, b))
     levels = _level_blocks(space, spec)
     if levels is not None:
         return levels

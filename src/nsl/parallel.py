@@ -9,6 +9,13 @@ count:
   * each block partial is computed by the same vectorized code path;
   * partials are combined pairwise in block-index order (tree reduction).
 
+The block partition is the numeric contract; the tile height is not. The row
+route of the pair sums and the ball windows form a block a tile at a time
+(tiles: runs of rows, or of columns, of at most TILE entries), so their block
+temporaries do not grow with n. Each row, or column, is reduced whole inside
+one tile, so no value depends on where the tiles fall, except verify's
+segment integrals, one per tile, in their last bits.
+
 Workers are threads: the heavy lifting is numpy code that releases the GIL.
 ``NSL_WORKERS`` (or :func:`set_workers`) sets the ambient worker count; every
 computation yields bit-identical results for any value of it.
@@ -25,6 +32,9 @@ T = TypeVar("T")
 # Rows per block. Fixed: changing it changes the partial-sum association and
 # therefore the exact float result, so it is part of the numeric contract.
 BLOCK_ROWS = 128
+
+# Entries of one tile (256 KiB of float64): the bound on a block's temporaries, whatever n is.
+TILE = 2**15
 
 _workers = 1
 
@@ -54,6 +64,15 @@ def get_workers() -> int:
 def row_blocks(n: int) -> list[tuple[int, int]]:
     """Fixed partition of range(n) into [start, stop) blocks."""
     return [(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
+
+
+def tiles(a: int, b: int, size: int, least: int = 1) -> list[tuple[int, int]]:
+    """[start, stop) runs that split a..b, each of max(least, TILE // size) steps of size
+    entries; a last run shorter than least joins the one before it."""
+    starts = list(range(a, b, max(least, TILE // size)))
+    if len(starts) > 1 and b - starts[-1] < least:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [b]))
 
 
 def tree_sum(parts: Sequence[T]) -> T:

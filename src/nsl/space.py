@@ -286,7 +286,7 @@ class MetricMeasureSpace:
         **fields: Any,
     ) -> MetricMeasureSpace:
         """A generator's space, whose dist is built on its first read: from table, a lattice
-        table (_lattice_rows) that serves dist_rows until then, or else from the gasket's hop
+        table (_lattice_reader) that serves dist_rows until then, or else from the gasket's hop
         table, which build() returns (_gasket_distances) and which serves them instead."""
         space = cls.__new__(cls)
         space._setup(np.ascontiguousarray(weights, dtype=np.float64), **fields)
@@ -356,7 +356,7 @@ class MetricMeasureSpace:
             hops = None if self._table is not None else self._hops()  # which takes the lock
             with self._lock:  # map_blocks workers may make the first read together
                 if self._dist is None:
-                    dist = (_lattice_rows(self._table, 0, self.n) if hops is None
+                    dist = (_lattice_reader(self._table)(0, self.n) if hops is None
                             else hops * self._gasket_levels()[1])
                     dist.setflags(write=False)
                     self._dist = dist
@@ -368,7 +368,7 @@ class MetricMeasureSpace:
         if self._dist is not None:
             return self._dist[a:b]
         if self._table is not None:
-            return _lattice_rows(self._table, a, b)
+            return _lattice_reader(self._table)(a, b)
         return self._hops()[a:b] * self._gasket_levels()[1]
 
     def dist_pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -445,12 +445,12 @@ class MetricMeasureSpace:
     def _level_rows(self) -> tuple[Callable[[int, int], np.ndarray], np.ndarray | None]:
         """A reader of the codes (_level_sums) of rows a..b of dist and the levels they index,
         None where each row has its own: a lattice table's ranks among its distinct entries,
-        read as the table is (_lattice_rows); the gasket's hop counts, from its table; a matrix
+        read as the table is (_lattice_reader); the gasket's hop counts, from its table; a matrix
         space's (graph, file) dense ranks of each row, per block."""
         if self._table is not None:
             values = self.cache("level_values", lambda: np.unique(self._table))
             codes = self.cache("level_table", lambda: np.searchsorted(values, self._table))
-            return (lambda a, b: _lattice_rows(codes, a, b)), values
+            return _lattice_reader(codes), values
         if self._build is not None:
             return (lambda a, b: self._hops()[a:b].astype(np.intp)), self._gasket_levels()
 
@@ -471,12 +471,12 @@ class MetricMeasureSpace:
         prefix mass at the count of distances within r, else the weights within r summed.
         On the equal-weight interval, whose distances grow with the index gap, the count
         is closed-form: the points within k of x, k the positive offsets within r on row 0.
-        Only the latest radius is cached; each caller reads its radius back to back."""
+        The masses of every radius are cached, n floats each."""
         if not r >= 0:  # NaN fails too
             raise SpaceError(f"radius must be >= 0, got {r}")
-        latest = self._cache.get("ball_masses")
-        if latest is not None and latest[0] == r:
-            return latest[1]
+        return self.cache(("ball_masses", float(r)), lambda: self._ball_masses(r))
+
+    def _ball_masses(self, r: float) -> np.ndarray:
         prefix, m, lattice = _equal_prefix(self.weights), self._index_rows(), self.index_lattice()
         if prefix is not None and lattice is not None and not lattice[1]:
             k, x = np.count_nonzero(self.dist_rows(0, 1)[0] <= r) - 1, np.arange(self.n)
@@ -490,7 +490,6 @@ class MetricMeasureSpace:
             masses = prefix[counts - 1]
         masses = np.resize(masses, self.n)  # one mass for every point if m is 1
         masses.setflags(write=False)
-        self._cache["ball_masses"] = (float(r), masses)
         return masses
 
     def cache(self, key: Any, build) -> Any:
@@ -596,9 +595,9 @@ def _lattice_offsets(shape: tuple[int, ...]) -> list[np.ndarray]:
     return np.meshgrid(*(np.arange(1 - k, k) for k in shape), indexing="ij", copy=False)
 
 
-def _lattice_rows(table: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Rows a..b of the n x n matrix whose entry (i, j) is table at the index offset j - i of
-    points i and j, as one copy.
+def _lattice_reader(table: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """rows(a, b): rows a..b of the n x n matrix whose entry (i, j) is table at the index
+    offset j - i of points i and j, as one copy; the windows are formed once, here.
 
     table holds one entry per signed offset (_lattice_offsets), so any wrap or
     mirror rule is the generator's own formula. Row i is the window of table
@@ -606,7 +605,7 @@ def _lattice_rows(table: np.ndarray, a: int, b: int) -> np.ndarray:
     """
     shape = tuple((m + 1) // 2 for m in table.shape)
     windows = sliding_window_view(table, shape)[(slice(None, None, -1),) * table.ndim]
-    return windows[np.unravel_index(np.arange(a, b), shape)].reshape(b - a, -1)
+    return lambda a, b: windows[np.unravel_index(np.arange(a, b), shape)].reshape(b - a, -1)
 
 
 # Metric type and grid kind of each lattice generator's tags.
@@ -616,7 +615,7 @@ _LATTICE_TAGS = {"interval": ("euclidean", "interval"), "circle": ("circle", "ci
 
 def _lattice(spec: SpaceSpec) -> MetricMeasureSpace:
     """The space of a lattice generator (interval, circle, torus2d, gauge_grid) on the grid
-    spec.shape, its distances in a lattice table (_lattice_rows).
+    spec.shape, its distances in a lattice table (_lattice_reader).
 
     Written once for all four: the signed index offsets k and the per-axis |k|, wrapped to
     min(|k|, m - |k|) on an axis of length m of the circle and the torus; the neighbour

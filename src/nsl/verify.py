@@ -11,10 +11,11 @@ check (both sides, EXACT_RTOL), the two identities, the two-sided window, the
 mollifier drift flag and the degenerate Hajlasz and two-sided cases pass
 their own `ok`.
 The identities (layer-cake for the fractional energy, threshold averaging)
-are linear in the pairs: each fixed row block integrates the step function of
-its own pairs in closed form and block_reduce sums the blocks, so they must
-hold to 1e-9 relative with no quadrature error. The annuli tails are per-row
-sums over the same blocks, so no check holds a whole pair array. The fixed
+are linear in the pairs: each row tile of a fixed row block integrates the
+step function of its own pairs in closed form, and the tiles, then the
+blocks (block_reduce), are summed in order, so they must hold to 1e-9
+relative with no quadrature error. The annuli tails are per-row sums over
+the same blocks, so no check holds a whole pair array. The fixed
 bounds are HAJLASZ_BUDGET, TWO_SIDED_WINDOW and MOLLIFIER_ALLOWANCE.
 
 Checks that need geometry the space does not carry (geodesic chains on a
@@ -38,7 +39,7 @@ from .energies import (ScaleEnergies, _ball_pair_totals, _pair_sum, g_scale, gag
 from .fields import EnergySpec, ScalarField, as_values
 from .gradients import cheeger_surrogate, hajlasz_minimal, path_integral
 from .kernels import KernelSpec, kernel_blocks, kernel_comparability
-from .parallel import block_reduce, map_blocks
+from .parallel import block_reduce, map_blocks, tiles
 from .space import (MetricMeasureSpace, SpaceError, SpaceSpec, _adjacency, build_space,
                     doubling_constant)
 from .sweeps import bbm_sweep, extrapolate, nguyen_sweep
@@ -218,20 +219,20 @@ def check_mean_comparison(
 
 
 def _pair_blocks(space: MetricMeasureSpace, vals: np.ndarray, kernel: KernelSpec, fn) -> float:
-    """fn(d, gap, weight) on flat arrays over the ordered pairs x != y, x in a row block,
-    summed over the blocks by block_reduce; weight w(x) w(y) / rho(x, y). d and rho come in
-    row blocks (kernel_blocks)."""
-    blocks, w = kernel_blocks(space, kernel), space.weights
+    """fn(d, gap, weight) on flat arrays over the ordered pairs x != y, x in a row tile
+    (parallel.tiles), summed over a block's tiles in order and over the blocks by
+    block_reduce; weight w(x) w(y) / rho(x, y). d and rho come in row tiles (kernel_blocks)."""
+    blocks, w, n = kernel_blocks(space, kernel), space.weights, space.n
 
-    def rows(a: int, b: int) -> float:
-        off = np.arange(space.n) != np.arange(a, b)[:, None]
+    def tile(a: int, b: int) -> float:
+        off = np.arange(n) != np.arange(a, b)[:, None]
         read = blocks(a, b)
         d = read(lambda d, rho: d)[off]
         weight = (w[a:b, None] * w / read(lambda d, rho: rho))[off]
-        del read  # the block's rows of d and rho are freed before fn runs
+        del read  # the tile's rows of d and rho are freed before fn runs
         return fn(d, np.abs(vals[a:b, None] - vals)[off], weight)
 
-    return block_reduce(space.n, rows)
+    return block_reduce(n, lambda a, b: sum(tile(*ab) for ab in tiles(a, b, n)))
 
 
 def check_fubini_identity(

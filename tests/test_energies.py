@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -7,6 +8,7 @@ import pytest
 
 import nsl.energies
 import nsl.kernels
+import nsl.parallel
 from nsl import (
     EnergySpec,
     KernelSpec,
@@ -33,7 +35,7 @@ from nsl import (
 )
 from nsl.energies import gagliardo_values
 from nsl.kernels import kernel_matrix
-from nsl.parallel import row_blocks
+from nsl.parallel import BLOCK_ROWS, row_blocks
 
 from conftest import (ball_average_oracle, ball_loop_s, ball_loop_totals, matrix_file_space,
                       random_space, s_oracle, traced_peak)
@@ -487,6 +489,109 @@ class TestSharedPass:
         assert got[-1] == alone[-1]
 
 
+def level_cases(sp, kernel, name):
+    """TestLevelRoute's functionals at p = 1.5 and at p = 2, whose phi is _square (on the
+    interval H_t takes the offset route)."""
+    return [(fn, spec) for p in (1.5, 2.0)
+            for label, (fn, spec) in pair_functionals(sp, kernel, p).items()
+            if not (name.startswith("interval") and label == "h_energy")]
+
+
+def ball_window_digest(sp) -> str:
+    """A sha256 prefix of the bytes of S_t, plain g_t, mollify and the p = 2 ball totals at
+    t = diam/10 and 3 diam/10, for a normal field seeded by n."""
+    u = ScalarField(np.random.default_rng(sp.n).normal(size=sp.n))
+    parts = []
+    for t in (0.1 * sp.diameter, 0.3 * sp.diameter):
+        spec = EnergySpec(p=2.0, t=t)
+        parts += [np.float64(scale_s_by_balls(sp, u, spec)), g_scale(sp, u, spec).values,
+                  mollify(sp, u, t).values, nsl.energies._ball_pair_totals(sp, t, u.values, 2.0)]
+    data = b"".join(np.ascontiguousarray(a).tobytes() for a in parts)
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestTiles:
+    """The block partition is the numeric contract and the tile is not: a row-route value keeps
+    its bits at any tile height and worker count, as does a ball-window sum at any column
+    tile, and a block's temporaries are bounded by the tile, not by n."""
+
+    @pytest.mark.parametrize("rows", [1, 7, BLOCK_ROWS])
+    @pytest.mark.parametrize("name, kind", LEVEL_CASES)
+    def test_row_route_values_keep_their_bits(self, name, kind, rows, monkeypatch):
+        """Tiles of 1 row, 7 rows and a whole block, at 1 and 2 workers, on the space and on
+        its matrix copy: every value is the default tile's at one worker."""
+        sp = build_space(SpaceSpec.parse(name))
+        kernel = KernelSpec.parse(kind)
+        u = ScalarField(np.random.default_rng(sp.n).normal(size=sp.n))
+        cases, copy = level_cases(sp, kernel, name), matrix_copy(sp, kernel)
+        monkeypatch.setenv("NSL_WORKERS", "1")
+        want = [fn(sp, u, spec).hex() for fn, spec in cases]
+        monkeypatch.setattr(nsl.parallel, "TILE", rows * sp.n)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("NSL_WORKERS", workers)
+            assert [fn(sp, u, spec).hex() for fn, spec in cases] == want, workers
+            assert [fn(copy, u, spec).hex() for fn, spec in cases] == want, workers
+
+    @pytest.mark.parametrize("rows", [1, 7, BLOCK_ROWS])
+    @pytest.mark.parametrize("name, kind", [case[:2] for case in SHARED_PASS_CASES
+                                            if case[2] == "_row_pair_sum"])
+    def test_sweeps_keep_their_bits(self, name, kind, rows, monkeypatch):
+        sp = build_space(SpaceSpec.parse(name))
+        kernel = KernelSpec.parse(kind)
+        u = ScalarField(np.random.default_rng(sp.n).normal(size=sp.n))
+
+        def sweeps() -> list[str]:
+            return [v.hex() for v in (*bbm_sweep(sp, u, 1.5, kernel, S_GRID).values,
+                                      *nguyen_sweep(sp, u, 1.5, kernel, DELTA_GRID).values)]
+
+        want = sweeps()
+        monkeypatch.setattr(nsl.parallel, "TILE", rows * sp.n)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("NSL_WORKERS", workers)
+            assert sweeps() == want, workers
+
+    @pytest.mark.parametrize("columns", [64, 256, None])
+    @pytest.mark.parametrize("name, digest", [("circle:2048", "a8b53230bb0a3c54"),
+                                              ("torus2d:24x24", "333a887a7329ff94")])
+    def test_ball_windows_keep_their_bits(self, name, digest, columns, monkeypatch):
+        """Column tiles of about 64 and 256 centers and of all n, at 1 and 2 workers: the
+        digest pinned before the windows were tiled."""
+        sp = build_space(SpaceSpec.parse(name))
+        monkeypatch.setattr(nsl.parallel, "TILE", (columns or sp.n) * BLOCK_ROWS)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("NSL_WORKERS", workers)
+            assert ball_window_digest(sp) == digest, workers
+
+    def test_one_column_tiles_join_their_neighbour(self):
+        """A tile of one column would reduce it over the offsets by another route: a last
+        column of its own joins the tile before it."""
+        assert nsl.parallel.tiles(0, 5, nsl.parallel.TILE // 2, least=2) == [(0, 2), (2, 5)]
+        assert nsl.parallel.tiles(0, 1, 1, least=2) == [(0, 1)]
+
+    @pytest.mark.parametrize("name", ["sierpinski:6", "gauge_grid:32:square"])
+    def test_row_route_peaks_under_a_few_tiles(self, name, monkeypatch):
+        """One gagliardo_p with rho1 at two workers, the space's tables already built, peaks
+        under 4 MiB (the whole-block temporaries peaked at 8 MiB and more)."""
+        sp = build_space(SpaceSpec.parse(name))
+        u = ScalarField(np.random.default_rng(0).normal(size=sp.n))
+        spec = EnergySpec(p=2, s=0.7, kernel=KernelSpec("rho1"))
+        monkeypatch.setenv("NSL_WORKERS", "2")
+        gagliardo_p(sp, u, spec)
+        value, peak = traced_peak(lambda: gagliardo_p(sp, u, spec))
+        assert value > 0.0
+        assert peak < 4 * 2**20
+
+    def test_ball_windows_peak_under_a_few_tiles(self, monkeypatch):
+        """One S_t on circle:2048 at t = pi/8 at two workers peaks under 2 MiB (a gathered
+        128-offset block of all 2048 centers is 2 MiB alone)."""
+        sp = build_space(SpaceSpec.parse("circle:2048"))
+        u = ScalarField(np.sin(sp.coords[:, 0]))
+        monkeypatch.setenv("NSL_WORKERS", "2")
+        value, peak = traced_peak(lambda: scale_s_by_balls(sp, u, EnergySpec(p=2, t=np.pi / 8)))
+        assert value > 0.0
+        assert peak < 2 * 2**20
+
+
 FFT_CASES = [("circle:33", "rho1"), ("circle:257", "rho1"), ("torus2d:7x13", "gauge-ahlfors:2"),
              ("interval:65:0.5", "ahlfors:1")]
 
@@ -620,8 +725,8 @@ class TestScaleEnergies:
             assert abs(a - b) <= 1e-10 * max(a, b)
 
     def test_s_by_pairs_peak_memory(self):
-        """f_t is formed a row block at a time: the traced peak stays under three n x n float64
-        matrices (the whole-matrix sum peaked at 5.0)."""
+        """f_t is formed once, as A^T A from the scaled ball indicator A: the traced peak stays
+        under three n x n float64 matrices (an earlier whole-matrix sum peaked at 5.0)."""
         sp = build_space(SpaceSpec.parse("interval:1024"))
         u = ScalarField(np.random.default_rng(0).normal(size=sp.n))
         spec = EnergySpec(p=2, t=0.1)

@@ -10,7 +10,7 @@ from nsl import (BodyError, ConvexBody, EnergySpec, KernelSpec, MetricMeasureSpa
                  SpaceSpec, build_space, doubling_constant, gagliardo_p, kernel_comparability,
                  load_space, parse_body, save_space)
 from nsl.kernels import _kernel_table, kernel_blocks, kernel_matrix
-from nsl.space import _lattice_rows
+from nsl.space import _lattice_reader
 
 from conftest import HEXAGON, assert_masses_match, ball_mass_rows, random_space, traced_peak
 
@@ -221,7 +221,7 @@ class TestKernelTable:
             nan = np.isnan(table)
             assert table.shape == sp._table.shape and not table.flags.writeable
             assert nan[tuple(m // 2 for m in table.shape)] and np.count_nonzero(nan) == 1, text
-            want = _lattice_rows(table, 0, sp.n)
+            want = _lattice_reader(table)(0, sp.n)
             assert kernel_matrix(sp, spec).tobytes() == want.tobytes(), text
         assert sp._dist is None
 

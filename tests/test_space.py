@@ -36,7 +36,7 @@ from nsl import (
     scale_s_by_balls,
 )
 from nsl.kernels import _kernel_table, kernel_matrix
-from nsl.space import _lattice_rows
+from nsl.space import _lattice_reader
 from nsl.verify import check_mean_comparison
 
 from conftest import (HEXAGON, ball_mass_rows, count_gasket_builds, float_squares,
@@ -398,7 +398,7 @@ class TestBallMeasure:
         assert doubling_constant(sp) == doubling_constant(copy)
         rho1 = KernelSpec("rho1")
         table, full = _kernel_table(sp, rho1), kernel_matrix(copy, rho1)
-        mine = _lattice_rows(table, 0, 1)
+        mine = _lattice_reader(table)(0, 1)
         assert mine.shape == (1, sp.n) and full.shape == (sp.n, sp.n)
         assert mine.tobytes() == full[:1].tobytes()
         assert not table.flags.writeable and not full.flags.writeable
@@ -453,9 +453,10 @@ class TestBallMeasure:
         assert at > below
 
     @pytest.mark.parametrize("name", ["interval:512", "interval:512:0.5"])
-    def test_cache_holds_one_radius(self, name):
-        """300 radii leave the cache holding what one radius did, and a repeated radius hands
-        back the same read-only array, bitwise what a fresh space computes."""
+    def test_cache_holds_each_radius_once(self, name):
+        """300 more radii leave the cache holding one array of n masses more for each, and a
+        repeated radius hands back the same read-only array, bitwise what a fresh space
+        computes."""
         def held(obj) -> int:  # bytes of the arrays in the cache
             if isinstance(obj, dict):
                 obj = list(obj.values())
@@ -466,9 +467,10 @@ class TestBallMeasure:
         sp = build_space(SpaceSpec.parse(name))
         first = sp.ball_masses(0.25)
         one = held(sp._cache)
-        for r in np.linspace(0.001, 0.5, 300):
+        radii = np.linspace(0.001, 0.5, 300)
+        for r in np.concatenate([radii, radii]):
             sp.ball_masses(r)
-        assert held(sp._cache) == one
+        assert held(sp._cache) == one + radii.size * sp.n * 8
         again = sp.ball_masses(0.125)
         assert sp.ball_masses(0.125) is again and not again.flags.writeable
         fresh = build_space(SpaceSpec.parse(name))
